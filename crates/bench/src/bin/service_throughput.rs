@@ -1,51 +1,51 @@
-//! Throughput / latency / round-trip benchmark for the `trapp-server`
-//! query service, in nine parts:
+//! Scenario tour of the `trapp-server` query service — throughput,
+//! latency and round-trips per scenario, every answer checked against
+//! ground truth — in nine parts. (`benchmark/` at the repository root is
+//! the accept/reject harness; this binary's runs are short and single,
+//! good for seeing each mechanism work, not for resolving small deltas.)
+//! Every part runs the one service stack there is: completion transport
+//! over a `--pool`-thread shared fetch pool, batched per-source
+//! round-trips, refresh coalescing, view-planned, batched join rounds.
+//! The paths that used to be raced against it (per-object round-trips,
+//! uncoalesced fetches, the thread-per-source transport, scan planning,
+//! one-tuple join rounds) are retired; their last measured ratios are in
+//! CHANGES.md under PR 12, and the part numbering is kept so BENCH_N
+//! files stay comparable section by section.
 //!
-//! 1. **traffic mechanisms** (single shard): per-object baseline vs
-//!    batched source round-trips vs batching + refresh coalescing;
+//! 1. **traffic mechanisms**: the single-shard zipfian workload — how
+//!    many refreshes coalescing saves and round-trips per query;
 //! 2. **shard scaling**: the same zipfian workload against 1/2/4/8 cache
 //!    shards (`--shards 1,2,4,8`; a single value, e.g. `--shards 4`, runs
-//!    that count against the 1-shard baseline) over the threaded
-//!    transport — the PR 2 baseline curve;
-//! 3. **transport duel**: at the largest shard count and `--sources`
-//!    sources (default 64), thread-per-source `ChannelTransport` vs the
-//!    completion-based `CompletionTransport` with a `--pool`-thread
-//!    shared fetch pool — the regime where thread churn dominates;
+//!    that count against the 1-shard row);
+//! 3. **high fan-out**: the largest shard count and `--sources` sources
+//!    (default 64), flat popularity, uniformly tight constraints;
 //! 4. **update churn**: `--update-rate` (default 32) random-walk master
-//!    writes per burst race the query stream, submitted in batches of
-//!    [`UPDATE_BATCH`] through `QueryService::apply_update_batch` (one
-//!    completion per shard × source batch instead of one blocking
-//!    round-trip per write), so coalescing invalidation is measured
-//!    under write pressure, not just read-only bursts;
+//!    writes per burst race the part-3 query stream, submitted in batches
+//!    of [`UPDATE_BATCH`] through `QueryService::apply_update_batch` (one
+//!    completion per shard × source batch), so coalescing invalidation is
+//!    measured under write pressure, not just read-only bursts;
 //! 5. **query surface**: a mixed stream with `GROUP BY` and two-table
-//!    join slices at 1 shard and at the largest shard count over the
-//!    completion transport — every grouped answer is checked per group
-//!    and every join answer against the join ground truth, read-only and
-//!    under churn;
+//!    join slices at 1 shard and at the largest shard count — every
+//!    grouped answer is checked per group and every join answer against
+//!    the join ground truth, read-only and under churn;
 //! 6. **table scaling**: `--rows` (default 1k/10k/50k/200k; any size that
 //!    fits in memory — validated against `/proc/meminfo` up front)
-//!    group-pinned workloads with a *fixed* group size, full-scan
-//!    planning (`cache_views = false`, the seed hot path) vs the
-//!    incremental band-view cache + indexed CHOOSE_REFRESH — the
-//!    per-pass rescan term in isolation, with zipfian repetition
-//!    supplying the warm-view serving regime;
+//!    group-pinned workloads with a *fixed* group size, so per-query
+//!    refresh work stays constant while the table grows, with zipfian
+//!    repetition supplying the warm-view serving regime;
 //! 7. **tpch scaling**: the TPC-H-derived three-table suite
 //!    (`trapp_workload::tpch`) walked 100k → 1M total rows at 1 and 8
 //!    shards, reporting per-query-class profiles (refresh rounds,
-//!    fetched tuples, p50/p99 latency, ground-truth violations), plus a
-//!    join-round duel pitting the batched multi-tuple join planner
-//!    against the §7 one-tuple-per-round baseline
-//!    (`batch_join_rounds = false`) on the same queries;
+//!    fetched tuples, p50/p99 latency, ground-truth violations);
 //! 8. **availability**: the churn workload under a deterministic
 //!    [`ChaosTransport`] schedule — one of the sources failing each
 //!    refresh op with p = 0.2, plus a scripted 500 ms wall-clock outage
-//!    of that source mid-churn — served best-effort on both the blocking
-//!    and completion transports. Reports qps, p99 latency, the degraded
-//!    fraction, the mean achieved width of degraded answers, and the
-//!    fraction of post-outage queries back at full precision; every
-//!    answer (degraded or not) is still checked against the churn
-//!    envelope, so a bound violation fails the run exactly as in the
-//!    fault-free parts.
+//!    of that source mid-churn — served best-effort. Reports qps, p99
+//!    latency, the degraded fraction, the mean achieved width of degraded
+//!    answers, and the fraction of post-outage queries back at full
+//!    precision; every answer (degraded or not) is still checked against
+//!    the churn envelope, so a bound violation fails the run exactly as
+//!    in the fault-free parts.
 //! 9. **overload**: every query carries `DEADLINE 50` while one source
 //!    answers 25 ms slow, and closed-loop client counts walk from light
 //!    load to 2× worker saturation. BestEffort must answer everything —
@@ -57,7 +57,7 @@
 //!
 //! [`ChaosTransport`]: trapp_system::ChaosTransport
 //!
-//! Eight closed-loop clients drive the service over transports with
+//! Eight closed-loop clients drive the service over a transport with
 //! simulated per-round-trip latency; the stream is split into bursts with
 //! the clock advancing between bursts, so every burst's bounds have
 //! re-widened and tight queries must refresh again. Within a burst, hot
@@ -71,8 +71,8 @@
 //! probe against the tracked masters. Any violation fails the run.
 //!
 //! `--json PATH` additionally writes every number in machine-readable
-//! form — `BENCH_5.json` at the repository root is the checked-in
-//! baseline. `--quick` shrinks every part for CI smoke runs.
+//! form (the `BENCH_N.json` files at the repository root). `--quick`
+//! shrinks every part for CI smoke runs.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -93,37 +93,13 @@ const LATENCY: Duration = Duration::from_micros(200);
 /// Updates per `apply_update_batch` call in the churn stream.
 const UPDATE_BATCH: usize = 8;
 
-/// Which transport stack a run is built over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TransportKind {
-    /// `ChannelTransport`: one OS thread per source per shard.
-    Channel,
-    /// `CompletionTransport` over one service-wide fetch pool (`None` =
-    /// adaptive sizing from the machine and shard count).
-    Completion { pool: Option<usize> },
-}
-
-impl TransportKind {
-    fn name(&self) -> &'static str {
-        match self {
-            TransportKind::Channel => "channel",
-            TransportKind::Completion { .. } => "completion",
-        }
-    }
-}
-
+/// Builds the service over the completion transport with a `pool`-thread
+/// shared fetch pool (`None` = adaptive sizing from the machine and shard
+/// count), optionally under a chaos schedule.
 fn build_service(
     w: &ServiceWorkload,
     config: ServiceConfig,
-    transport: TransportKind,
-) -> QueryService {
-    build_service_with(w, config, transport, None)
-}
-
-fn build_service_with(
-    w: &ServiceWorkload,
-    config: ServiceConfig,
-    transport: TransportKind,
+    pool: Option<usize>,
     chaos: Option<ChaosConfig>,
 ) -> QueryService {
     let mut b = ServiceBuilder::new()
@@ -145,17 +121,11 @@ fn build_service_with(
     for s in &w.segments {
         b = b.row("segments", s.source, s.cells.clone());
     }
-    match transport {
-        TransportKind::Channel => b.build_channel(LATENCY).expect("service builds"),
-        TransportKind::Completion { pool } => {
-            b.build_completion(LATENCY, pool).expect("service builds")
-        }
-    }
+    b.build_completion(LATENCY, pool).expect("service builds")
 }
 
 struct RunResult {
     label: String,
-    transport: &'static str,
     shards: usize,
     wall: Duration,
     latencies_us: Vec<f64>,
@@ -210,14 +180,53 @@ impl ChurnState {
     }
 }
 
+/// One burst's update stream, racing the query burst: a seeded random
+/// walk over row masters, clamped to the value range and submitted in
+/// [`UPDATE_BATCH`]-sized `apply_update_batch` calls — the batched write
+/// path under measurement.
+fn write_churn(
+    service: &QueryService,
+    w: &ServiceWorkload,
+    churn: &Mutex<ChurnState>,
+    burst_idx: usize,
+    update_rate: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(w.config.seed ^ ((burst_idx as u64) << 17));
+    let (lo, hi) = w.config.value_range;
+    let step = (hi - lo) * 0.1;
+    let mut remaining = update_rate as usize;
+    while remaining > 0 {
+        let n = remaining.min(UPDATE_BATCH);
+        remaining -= n;
+        // Extend every envelope *before* any write of the batch is
+        // published, so racing answers can never observe a master
+        // outside it.
+        let batch: Vec<(ObjectId, f64)> = {
+            let mut state = churn.lock().unwrap();
+            (0..n)
+                .map(|_| {
+                    let row = rng.gen_range(0..w.rows.len());
+                    let (cur, env_lo, env_hi) = &mut state.rows[row];
+                    *cur = (*cur + rng.gen_range(-step..=step)).clamp(lo, hi);
+                    *env_lo = env_lo.min(*cur);
+                    *env_hi = env_hi.max(*cur);
+                    (ObjectId::new(row as u64 + 1), *cur)
+                })
+                .collect()
+        };
+        service.apply_update_batch(&batch).expect("updates route");
+        std::thread::sleep(Duration::from_micros(50 * n as u64));
+    }
+}
+
 fn run(
     label: impl Into<String>,
     w: &ServiceWorkload,
     config: ServiceConfig,
-    transport: TransportKind,
+    pool: Option<usize>,
     update_rate: u64,
 ) -> RunResult {
-    let service = build_service(w, config, transport);
+    let service = build_service(w, config, pool, None);
     let latencies = Mutex::new(Vec::with_capacity(w.queries.len()));
     let violations = Mutex::new(0usize);
     let churn = Mutex::new(ChurnState::new(w));
@@ -234,38 +243,7 @@ fn run(
         let (service, latencies, violations, churn) = (&service, &latencies, &violations, &churn);
         std::thread::scope(|s| {
             if update_rate > 0 {
-                // The update stream races the query burst: a seeded random
-                // walk over row masters, clamped to the value range and
-                // submitted in UPDATE_BATCH-sized `apply_update_batch`
-                // calls — the batched write path under measurement.
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(w.config.seed ^ ((burst_idx as u64) << 17));
-                    let (lo, hi) = w.config.value_range;
-                    let step = (hi - lo) * 0.1;
-                    let mut remaining = update_rate as usize;
-                    while remaining > 0 {
-                        let n = remaining.min(UPDATE_BATCH);
-                        remaining -= n;
-                        // Extend every envelope *before* any write of the
-                        // batch is published, so racing answers can never
-                        // observe a master outside it.
-                        let batch: Vec<(ObjectId, f64)> = {
-                            let mut state = churn.lock().unwrap();
-                            (0..n)
-                                .map(|_| {
-                                    let row = rng.gen_range(0..w.rows.len());
-                                    let (cur, env_lo, env_hi) = &mut state.rows[row];
-                                    *cur = (*cur + rng.gen_range(-step..=step)).clamp(lo, hi);
-                                    *env_lo = env_lo.min(*cur);
-                                    *env_hi = env_hi.max(*cur);
-                                    (ObjectId::new(row as u64 + 1), *cur)
-                                })
-                                .collect()
-                        };
-                        service.apply_update_batch(&batch).expect("updates route");
-                        std::thread::sleep(Duration::from_micros(50 * n as u64));
-                    }
-                });
+                s.spawn(move || write_churn(service, w, churn, burst_idx, update_rate));
             }
             for chunk in burst.chunks(per_client) {
                 s.spawn(move || {
@@ -355,7 +333,6 @@ fn run(
     service.shutdown();
     RunResult {
         label: label.into(),
-        transport: transport.name(),
         shards: config.shards,
         wall,
         latencies_us: latencies.into_inner().unwrap(),
@@ -426,7 +403,6 @@ fn run_json(r: &RunResult) -> Json {
     sorted.sort_by(|a, b| a.total_cmp(b));
     Json::obj([
         ("label", Json::str(r.label.clone())),
-        ("transport", Json::str(r.transport)),
         ("shards", Json::Num(r.shards as f64)),
         ("wall_ms", Json::Num(r.wall.as_secs_f64() * 1e3)),
         ("qps", Json::Num(r.qps())),
@@ -452,7 +428,6 @@ const AVAIL_OUTAGE: Duration = Duration::from_millis(500);
 /// One availability run's numbers (part 8).
 struct AvailabilityResult {
     label: String,
-    transport: &'static str,
     shards: usize,
     wall: Duration,
     latencies_us: Vec<f64>,
@@ -502,7 +477,7 @@ fn run_availability(
     label: impl Into<String>,
     w: &ServiceWorkload,
     shards: usize,
-    transport: TransportKind,
+    pool: Option<usize>,
     update_rate: u64,
     quick: bool,
 ) -> AvailabilityResult {
@@ -519,10 +494,10 @@ fn run_availability(
         },
         ..ServiceConfig::default()
     };
-    let service = build_service_with(
+    let service = build_service(
         w,
         config,
-        transport,
+        pool,
         Some(ChaosConfig {
             seed: w.config.seed ^ 0xC4A0,
             fail_p: vec![(faulty, 0.2)],
@@ -568,33 +543,9 @@ fn run_availability(
         );
         std::thread::scope(|s| {
             if update_rate > 0 {
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(w.config.seed ^ ((burst_idx as u64) << 17));
-                    let (lo, hi) = w.config.value_range;
-                    let step = (hi - lo) * 0.1;
-                    let mut remaining = update_rate as usize;
-                    while remaining > 0 {
-                        let n = remaining.min(UPDATE_BATCH);
-                        remaining -= n;
-                        let batch: Vec<(ObjectId, f64)> = {
-                            let mut state = churn.lock().unwrap();
-                            (0..n)
-                                .map(|_| {
-                                    let row = rng.gen_range(0..w.rows.len());
-                                    let (cur, env_lo, env_hi) = &mut state.rows[row];
-                                    *cur = (*cur + rng.gen_range(-step..=step)).clamp(lo, hi);
-                                    *env_lo = env_lo.min(*cur);
-                                    *env_hi = env_hi.max(*cur);
-                                    (ObjectId::new(row as u64 + 1), *cur)
-                                })
-                                .collect()
-                        };
-                        // The update plane is chaos-exempt: masters keep
-                        // moving while the pull path is under fault load.
-                        service.apply_update_batch(&batch).expect("updates route");
-                        std::thread::sleep(Duration::from_micros(50 * n as u64));
-                    }
-                });
+                // The update plane is chaos-exempt: masters keep moving
+                // while the pull path is under fault load.
+                s.spawn(move || write_churn(service, w, churn, burst_idx, update_rate));
             }
             for chunk in burst.chunks(per_client) {
                 s.spawn(move || {
@@ -656,7 +607,6 @@ fn run_availability(
     let (degraded, width_sum) = degraded.into_inner().unwrap();
     AvailabilityResult {
         label: label.into(),
-        transport: transport.name(),
         shards,
         wall,
         latencies_us: latencies.into_inner().unwrap(),
@@ -724,7 +674,6 @@ fn availability_json(r: &AvailabilityResult) -> Json {
     sorted.sort_by(|a, b| a.total_cmp(b));
     Json::obj([
         ("label", Json::str(r.label.clone())),
-        ("transport", Json::str(r.transport)),
         ("shards", Json::Num(r.shards as f64)),
         ("wall_ms", Json::Num(r.wall.as_secs_f64() * 1e3)),
         ("qps", Json::Num(r.qps())),
@@ -745,7 +694,7 @@ fn availability_json(r: &AvailabilityResult) -> Json {
 
 /// Part 9's per-query deadline budget, milliseconds.
 const OVERLOAD_DEADLINE_MS: f64 = 50.0;
-/// Part 9's slow-source injected latency (blocking sends sleep this long).
+/// Part 9's slow-source injected latency (charged to each completion).
 const OVERLOAD_DELAY: Duration = Duration::from_millis(25);
 /// Scheduling slack allowed on top of the deadline before part 9 fails a
 /// run's p99: the deadline bounds queue wait + fetch, but thread wakeups
@@ -798,8 +747,8 @@ impl OverloadResult {
 }
 
 /// Part 9's overload loop: every query carries `DEADLINE
-/// OVERLOAD_DEADLINE_MS` while one source answers [`OVERLOAD_DELAY`] slow
-/// on the blocking transport, and `clients` closed-loop submitters drive
+/// OVERLOAD_DEADLINE_MS` while one source answers [`OVERLOAD_DELAY`]
+/// slow, and `clients` closed-loop submitters drive
 /// a fixed worker pool — past saturation, queue wait eats the budget and
 /// the deadline machinery must widen (BestEffort) or refuse with the
 /// typed error (Strict). Since the masters never move, *every* reply —
@@ -810,6 +759,7 @@ fn run_overload(
     label: impl Into<String>,
     w: &ServiceWorkload,
     clients: usize,
+    pool: Option<usize>,
     policy: DegradationPolicy,
     admission: trapp_server::AdmissionConfig,
 ) -> OverloadResult {
@@ -836,10 +786,10 @@ fn run_overload(
         admission,
         ..ServiceConfig::default()
     };
-    let service = build_service_with(
+    let service = build_service(
         w,
         config,
-        TransportKind::Channel,
+        pool,
         Some(ChaosConfig {
             seed: w.config.seed ^ 0x0EAD,
             delay: vec![(slow, DelaySpec::fixed(OVERLOAD_DELAY))],
@@ -998,7 +948,6 @@ fn overload_json(r: &OverloadResult) -> Json {
     Json::obj([
         ("label", Json::str(r.label.clone())),
         ("policy", Json::str(r.policy)),
-        ("transport", Json::str("channel")),
         ("clients", Json::Num(r.clients as f64)),
         ("deadline_ms", Json::Num(OVERLOAD_DEADLINE_MS)),
         ("wall_ms", Json::Num(r.wall.as_secs_f64() * 1e3)),
@@ -1022,21 +971,12 @@ fn overload_json(r: &OverloadResult) -> Json {
     ])
 }
 
-fn build_tpch_service(
-    w: &TpchWorkload,
-    shards: usize,
-    pool: Option<usize>,
-    batch_join_rounds: bool,
-) -> QueryService {
+fn build_tpch_service(w: &TpchWorkload, shards: usize, pool: Option<usize>) -> QueryService {
     let mut b = ServiceBuilder::new()
         .initial_width(1.0)
         .config(ServiceConfig {
             workers: CLIENTS,
             shards,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: true,
-            batch_join_rounds,
             ..ServiceConfig::default()
         })
         // customer and orders co-partition on the customer key; lineitem
@@ -1364,7 +1304,7 @@ fn main() {
     let mut sections: Vec<Json> = Vec::new();
     let mut total_violations = 0;
 
-    // Part 1: the traffic mechanisms on one shard (the PR-1 comparison).
+    // Part 1: the traffic mechanisms on one shard.
     let config = LoadConfig {
         queries: if cli.quick { 96 } else { 256 },
         ..LoadConfig::default()
@@ -1381,47 +1321,21 @@ fn main() {
         CLIENTS,
         LATENCY,
     );
-    let single = |coalesce, batch_refreshes| ServiceConfig {
+    let sharded = |shards| ServiceConfig {
         workers: CLIENTS,
-        shards: 1,
-        coalesce,
-        batch_refreshes,
-        cache_views: true,
-        batch_join_rounds: true,
+        shards,
         ..ServiceConfig::default()
     };
-    let mechanisms = [
-        run(
-            "per-object (seed baseline)",
-            &w,
-            single(false, false),
-            TransportKind::Channel,
-            0,
-        ),
-        run(
-            "batched",
-            &w,
-            single(false, true),
-            TransportKind::Channel,
-            0,
-        ),
-        run(
-            "batched + coalesced",
-            &w,
-            single(true, true),
-            TransportKind::Channel,
-            0,
-        ),
-    ];
+    let mechanisms = [run("batched + coalesced", &w, sharded(1), cli.pool, 0)];
     total_violations += render("traffic mechanisms (1 shard):", &mechanisms);
     sections.push(Json::obj([
         ("title", Json::str("mechanisms")),
         ("runs", Json::Arr(mechanisms.iter().map(run_json).collect())),
     ]));
 
-    // Part 2: shard scaling over the threaded transport (PR 2 curve).
-    // More groups so every shard owns several, and a slice of group-free
-    // queries to keep the scatter-gather merge path honest under load.
+    // Part 2: shard scaling. More groups so every shard owns several, and
+    // a slice of group-free queries to keep the scatter-gather merge path
+    // honest under load.
     let scale_config = LoadConfig {
         seed: 97,
         groups: 64,
@@ -1440,15 +1354,6 @@ fn main() {
         sw.queries.len(),
         (scale_config.global_fraction * 100.0) as u32,
     );
-    let sharded = |shards| ServiceConfig {
-        workers: CLIENTS,
-        shards,
-        coalesce: true,
-        batch_refreshes: true,
-        cache_views: true,
-        batch_join_rounds: true,
-        ..ServiceConfig::default()
-    };
     let scaling: Vec<RunResult> = cli
         .shards
         .iter()
@@ -1457,13 +1362,13 @@ fn main() {
                 format!("{shards} shard{}", if shards == 1 { "" } else { "s" }),
                 &sw,
                 sharded(shards),
-                TransportKind::Channel,
+                cli.pool,
                 0,
             )
         })
         .collect();
     println!();
-    total_violations += render("shard scaling (batched + coalesced, channel):", &scaling);
+    total_violations += render("shard scaling:", &scaling);
     if let (Some(first), Some(last)) = (scaling.first(), scaling.last()) {
         if scaling.len() > 1 {
             println!(
@@ -1481,12 +1386,9 @@ fn main() {
         ("runs", Json::Arr(scaling.iter().map(run_json).collect())),
     ]));
 
-    // Part 3: transport duel at the largest shard count with many
-    // sources — the regime where the threaded stack's per-source actor
-    // threads and per-round scoped spawns dominate.
+    // Part 3: high fan-out at the largest shard count with many sources.
     // Flat popularity, uniformly tight constraints, and a real scatter
-    // slice: every burst fans out to most sources on most shards, which
-    // is exactly where per-source threads and per-round spawns hurt.
+    // slice: every burst fans out to most sources on most shards.
     let duel_config = LoadConfig {
         seed: 131,
         groups: 64,
@@ -1504,80 +1406,60 @@ fn main() {
         None => format!("auto:{}", trapp_server::default_fetch_pool_size(max_shards)),
     };
     eprintln!(
-        "\nduel workload: {} rows, {} sources, {} shards, {} queries, pool={}",
+        "\nfan-out workload: {} rows, {} sources, {} shards, {} queries, pool={}",
         dw.rows.len(),
         duel_config.sources,
         max_shards,
         dw.queries.len(),
         pool_label,
     );
-    let duel = [
-        run(
-            format!("channel ({} shards)", max_shards),
-            &dw,
-            sharded(max_shards),
-            TransportKind::Channel,
-            0,
-        ),
-        run(
-            format!("completion ({} shards, pool={})", max_shards, pool_label),
-            &dw,
-            sharded(max_shards),
-            TransportKind::Completion { pool: cli.pool },
-            0,
-        ),
-    ];
+    let fan_out = run(
+        format!("completion ({} shards, pool={})", max_shards, pool_label),
+        &dw,
+        sharded(max_shards),
+        cli.pool,
+        0,
+    );
     println!();
     total_violations += render(
         &format!(
-            "transport duel ({} sources, {max_shards} shards):",
+            "high fan-out ({} sources, {max_shards} shards):",
             duel_config.sources
         ),
-        &duel,
-    );
-    println!(
-        "transport duel: channel {} qps -> completion {} qps ({}x)",
-        tablefmt::num(duel[0].qps(), 0),
-        tablefmt::num(duel[1].qps(), 0),
-        tablefmt::num(duel[1].qps() / duel[0].qps(), 2),
+        std::slice::from_ref(&fan_out),
     );
     sections.push(Json::obj([
         ("title", Json::str("transport_duel")),
         ("sources", Json::Num(duel_config.sources as f64)),
-        ("runs", Json::Arr(duel.iter().map(run_json).collect())),
+        ("runs", Json::Arr(vec![run_json(&fan_out)])),
     ]));
 
-    // Part 4: the same duel workload under update churn — coalescing
+    // Part 4: the same workload under update churn — coalescing
     // invalidation and value-initiated refreshes race the query stream.
+    // The part-3 run above is its read-only row.
     if cli.update_rate > 0 {
-        let churn = [
-            run(
-                "completion, read-only",
-                &dw,
-                sharded(max_shards),
-                TransportKind::Completion { pool: cli.pool },
-                0,
-            ),
-            run(
-                format!("completion, {}/burst updates", cli.update_rate),
-                &dw,
-                sharded(max_shards),
-                TransportKind::Completion { pool: cli.pool },
-                cli.update_rate,
-            ),
-        ];
+        let churn = run(
+            format!("completion, {}/burst updates", cli.update_rate),
+            &dw,
+            sharded(max_shards),
+            cli.pool,
+            cli.update_rate,
+        );
         println!();
         total_violations += render(
             &format!(
                 "update churn ({} shards, {} updates/burst):",
                 max_shards, cli.update_rate
             ),
-            &churn,
+            std::slice::from_ref(&churn),
         );
         sections.push(Json::obj([
             ("title", Json::str("churn")),
             ("update_rate", Json::Num(cli.update_rate as f64)),
-            ("runs", Json::Arr(churn.iter().map(run_json).collect())),
+            (
+                "runs",
+                Json::Arr(vec![run_json(&fan_out), run_json(&churn)]),
+            ),
         ]));
     }
 
@@ -1615,25 +1497,19 @@ fn main() {
         qw.queries.len(),
     );
     let surface = [
-        run(
-            "1 shard (completion)",
-            &qw,
-            sharded(1),
-            TransportKind::Completion { pool: cli.pool },
-            0,
-        ),
+        run("1 shard (completion)", &qw, sharded(1), cli.pool, 0),
         run(
             format!("{max_shards} shards (completion)"),
             &qw,
             sharded(max_shards),
-            TransportKind::Completion { pool: cli.pool },
+            cli.pool,
             0,
         ),
         run(
             format!("{max_shards} shards, {}/burst updates", cli.update_rate),
             &qw,
             sharded(max_shards),
-            TransportKind::Completion { pool: cli.pool },
+            cli.pool,
             cli.update_rate,
         ),
     ];
@@ -1646,14 +1522,11 @@ fn main() {
         ("runs", Json::Arr(surface.iter().map(run_json).collect())),
     ]));
 
-    // Part 6: table scaling — full-scan planning (the seed hot path:
-    // every plan pass rebuilds the classified input from a table scan)
-    // vs the incremental band-view cache + indexed CHOOSE_REFRESH, at
-    // growing row counts. Group size is held constant while the *number*
-    // of groups scales, so per-query refresh work stays fixed and the
-    // runs isolate exactly the per-pass rescan term the views remove;
-    // zipfian popularity supplies the hot-group repetition a serving
-    // deployment sees. Every answer is still ground-truth checked.
+    // Part 6: table scaling at growing row counts. Group size is held
+    // constant while the *number* of groups scales, so per-query refresh
+    // work stays fixed and the runs isolate what planning costs as the
+    // table grows; zipfian popularity supplies the hot-group repetition a
+    // serving deployment sees. Every answer is still ground-truth checked.
     let mut scaling_entries: Vec<Json> = Vec::new();
     for &rows in &cli.rows {
         let groups = rows.div_ceil(8).max(1);
@@ -1675,45 +1548,15 @@ fn main() {
             scale_config.rows_per_group,
             tw.queries.len(),
         );
-        let planner = |cache_views| ServiceConfig {
-            workers: CLIENTS,
-            shards: 1,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views,
-            batch_join_rounds: true,
-            ..ServiceConfig::default()
-        };
-        let pair = [
-            run(
-                format!("scan, {rows} rows"),
-                &tw,
-                planner(false),
-                TransportKind::Completion { pool: cli.pool },
-                0,
-            ),
-            run(
-                format!("views, {rows} rows"),
-                &tw,
-                planner(true),
-                TransportKind::Completion { pool: cli.pool },
-                0,
-            ),
-        ];
+        let views = run(format!("views, {rows} rows"), &tw, sharded(1), cli.pool, 0);
         println!();
-        total_violations += render(&format!("table scaling ({rows} rows):"), &pair);
-        let speedup = pair[1].qps() / pair[0].qps().max(f64::MIN_POSITIVE);
-        println!(
-            "table scaling at {rows} rows: scan {} qps -> views {} qps ({}x)",
-            tablefmt::num(pair[0].qps(), 0),
-            tablefmt::num(pair[1].qps(), 0),
-            tablefmt::num(speedup, 2),
+        total_violations += render(
+            &format!("table scaling ({rows} rows):"),
+            std::slice::from_ref(&views),
         );
         scaling_entries.push(Json::obj([
             ("rows", Json::Num(tw.rows.len() as f64)),
-            ("speedup", Json::Num(speedup)),
-            ("scan", run_json(&pair[0])),
-            ("views", run_json(&pair[1])),
+            ("views", run_json(&views)),
         ]));
     }
     sections.push(Json::obj([
@@ -1722,10 +1565,8 @@ fn main() {
     ]));
 
     // Part 7: tpch scaling — the TPC-H-derived three-table suite at
-    // growing row counts and shard counts, profiled per query class,
-    // plus a batched vs one-tuple join-round duel at the smallest tier.
+    // growing row counts and shard counts, profiled per query class.
     let mut tpch_entries: Vec<Json> = Vec::new();
-    let mut duel_entries: Vec<Json> = Vec::new();
     let tiers = tpch_tiers(cli.quick);
     let tpch_shard_counts: &[usize] = if cli.quick { &[1] } else { &[1, 8] };
     for &rows in tiers {
@@ -1745,7 +1586,7 @@ fn main() {
             tw.queries.len(),
         );
         for &shards in tpch_shard_counts {
-            let service = build_tpch_service(&tw, shards, cli.pool, true);
+            let service = build_tpch_service(&tw, shards, cli.pool);
             let profiles = run_tpch(&tw, &service);
             service.shutdown();
             println!();
@@ -1760,74 +1601,14 @@ fn main() {
             ]));
         }
     }
-    // Join-round duel on a dedicated join-only workload, deliberately
-    // smaller than the scaling tiers: the one-tuple baseline pays one
-    // full planning round (a fresh hash join over every pair) per
-    // refreshed tuple, so at the 100k+ tiers a single tight query would
-    // take thousands of rounds — which is precisely the infeasibility
-    // the batched planner removes, and the ratio below quantifies.
-    {
-        let duel_config = tpch::TpchConfig {
-            seed: 702,
-            total_rows: if cli.quick { 8_000 } else { 16_000 },
-            sources: 16,
-            queries: 16,
-            class_weights: [0, 1, 0, 0],
-            ..tpch::TpchConfig::default()
-        };
-        let tw = tpch::generate(&duel_config);
-        let duel: Vec<&tpch::TpchQuery> = tw
-            .queries
-            .iter()
-            .filter(|q| q.class == TpchClass::JoinAgg && q.pressure < 1.0)
-            .take(if cli.quick { 2 } else { 3 })
-            .collect();
-        for q in duel {
-            let batched_service = build_tpch_service(&tw, 1, cli.pool, true);
-            batched_service.advance_clock(1.0);
-            let (batched_rounds, batched_fetched, v1) = serve_tpch_query(&batched_service, q);
-            batched_service.shutdown();
-            let one_service = build_tpch_service(&tw, 1, cli.pool, false);
-            one_service.advance_clock(1.0);
-            let (one_rounds, one_fetched, v2) = serve_tpch_query(&one_service, q);
-            one_service.shutdown();
-            // The safe-prefix batch replays the one-tuple sequence,
-            // so both modes fetch identical tuples; batching may
-            // only collapse rounds.
-            let consistent = batched_fetched == one_fetched && batched_rounds <= one_rounds;
-            if !consistent {
-                eprintln!("duel inconsistency on {}", q.sql);
-                total_violations += 1;
-            }
-            total_violations += v1 + v2;
-            println!(
-                "join duel: {} rounds batched vs {} one-tuple ({} tuples) — {}",
-                batched_rounds,
-                one_rounds,
-                one_fetched,
-                &q.sql[..q.sql.find(" FROM").unwrap_or(q.sql.len())],
-            );
-            duel_entries.push(Json::obj([
-                ("sql", Json::str(q.sql.clone())),
-                ("within", Json::Num(q.within)),
-                ("pressure", Json::Num(q.pressure)),
-                ("batched_rounds", Json::Num(batched_rounds as f64)),
-                ("one_tuple_rounds", Json::Num(one_rounds as f64)),
-                ("fetched", Json::Num(one_fetched as f64)),
-                ("consistent", Json::Bool(consistent)),
-            ]));
-        }
-    }
     sections.push(Json::obj([
         ("title", Json::str("tpch_scaling")),
         ("entries", Json::Arr(tpch_entries)),
-        ("join_round_duel", Json::Arr(duel_entries)),
     ]));
 
     // Part 8: availability — churn under a seeded chaos schedule (one of
     // the sources failing refresh ops with p = 0.2) plus a scripted
-    // 500 ms hard outage of that source mid-run, best-effort on both
-    // transport stacks.
+    // 500 ms hard outage of that source mid-run, served best-effort.
     {
         let avail_config = LoadConfig {
             seed: 801,
@@ -1849,22 +1630,14 @@ fn main() {
             aw.queries.len(),
             avail_shards,
         );
-        let availability: Vec<AvailabilityResult> = [
-            TransportKind::Channel,
-            TransportKind::Completion { pool: cli.pool },
-        ]
-        .into_iter()
-        .map(|transport| {
-            run_availability(
-                format!("{} best-effort", transport.name()),
-                &aw,
-                avail_shards,
-                transport,
-                cli.update_rate,
-                cli.quick,
-            )
-        })
-        .collect();
+        let availability = [run_availability(
+            "completion best-effort",
+            &aw,
+            avail_shards,
+            cli.pool,
+            cli.update_rate,
+            cli.quick,
+        )];
         println!();
         total_violations += render_availability("availability under faults:", &availability);
         sections.push(Json::obj([
@@ -1925,6 +1698,7 @@ fn main() {
                     format!("best-effort, {clients} clients"),
                     &ow,
                     clients,
+                    cli.pool,
                     DegradationPolicy::BestEffort,
                     admission,
                 )
@@ -1934,6 +1708,7 @@ fn main() {
             format!("strict, {} clients", 2 * CLIENTS),
             &ow,
             2 * CLIENTS,
+            cli.pool,
             DegradationPolicy::Strict,
             trapp_server::AdmissionConfig::default(),
         ));

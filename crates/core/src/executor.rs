@@ -41,18 +41,6 @@ pub struct SessionConfig {
     pub join_heuristic: IterativeHeuristic,
     /// Safety valve for iterative loops.
     pub max_refresh_rounds: usize,
-    /// Serve read-only planning ([`QuerySession::plan_query`] /
-    /// [`QuerySession::partial_query`]) from incremental band views
-    /// ([`crate::view`]) instead of rescanning the table per pass.
-    /// Answers and plans are bit-identical either way; `false` keeps the
-    /// full-scan path as a measurable baseline.
-    pub cache_views: bool,
-    /// Plan multi-tuple join refresh rounds
-    /// ([`crate::refresh::join::join_refresh_batch`]) instead of one tuple
-    /// per round. Final answers and refresh sequences are bit-identical
-    /// either way (the batch only extends a round while that is provable);
-    /// `false` keeps the §7 one-tuple loop as a measurable baseline.
-    pub join_batch: bool,
 }
 
 impl Default for SessionConfig {
@@ -62,8 +50,6 @@ impl Default for SessionConfig {
             mode: ExecutionMode::Batch,
             join_heuristic: IterativeHeuristic::BestRatio,
             max_refresh_rounds: 100_000,
-            cache_views: true,
-            join_batch: true,
         }
     }
 }

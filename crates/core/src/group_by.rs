@@ -96,7 +96,7 @@ impl QuerySession {
                 self.catalog().table(&left)?,
                 self.catalog().table(&right)?,
                 self.config.join_heuristic,
-                self.config.join_batch,
+                true,
                 &crate::query_plan::Exclusions::default(),
             )?;
             match plan {

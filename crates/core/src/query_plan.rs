@@ -51,7 +51,7 @@ use trapp_types::{BoundedValue, TrappError, TupleId};
 
 use crate::agg::{bounded_answer, AggInput, Aggregate, BoundedAnswer};
 use crate::executor::{ExecutionMode, QueryResult, QuerySession};
-use crate::group_by::{group_partitions, render_key, GroupKey, GroupResult};
+use crate::group_by::{render_key, GroupKey, GroupResult};
 use crate::merge::ShardPartial;
 use crate::plan::{bind_query, BoundQuery, QuerySource};
 use crate::refresh::iterative::IterativeHeuristic;
@@ -347,11 +347,12 @@ pub fn units_outcome(units: &[UnitState], grouped: bool) -> QueryOutcome {
 /// serving layers (tables merged from [`TableSlice`]s), so both walk the
 /// identical refresh sequence.
 ///
-/// With `batch = true`, each round carries the whole provable prefix of
-/// the sequential pick order
-/// ([`crate::refresh::join::join_refresh_batch`]),
-/// collapsing round counts without changing any answer; `batch = false`
-/// keeps the §7 one-tuple-per-round baseline. A `GROUP BY` bound query
+/// With `batch = true` — what every planner in the tree passes — each
+/// round carries the whole provable prefix of the sequential pick order
+/// ([`crate::refresh::join::join_refresh_batch`]), collapsing round counts
+/// without changing any answer; `batch = false` is the §7
+/// one-tuple-per-round sequence, kept as the reference the equivalence
+/// tests replay. A `GROUP BY` bound query
 /// partitions the joined pairs by group key and plans every group's round
 /// in one pass; a base tuple picked by several groups is fetched once
 /// (first group in key order wins — later groups re-plan against the
@@ -366,6 +367,7 @@ pub fn plan_join_round(
     left: &Table,
     right: &Table,
     heuristic: IterativeHeuristic,
+    // Pinned by `benchmark/src/traced.rs`; drop with the next [benchmark] PR.
     batch: bool,
     exclusions: &Exclusions,
 ) -> Result<QueryPlan, TrappError> {
@@ -577,78 +579,48 @@ impl QuerySession {
         match &bound.source {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
                 let table = self.catalog().table(name)?;
-                // Probes ride with the view cache: `cache_views = false`
-                // is the measurable full-scan baseline, scan planners
-                // included.
-                let probe = self.config.cache_views.then(|| table_probe(table, &bound));
-                let plan = |input: &AggInput| {
-                    plan_unit(
-                        bound.agg,
-                        bound.within,
-                        self.config.strategy,
-                        name,
-                        Vec::new(),
-                        input,
-                        probe.as_ref(),
-                        exclusions.for_table(name),
-                    )
-                };
-                let unit = if self.config.cache_views {
-                    let mut views = self.views.lock().expect("view cache poisoned");
-                    let view = views.view_for(name, &bound);
-                    view.sync(table)?;
-                    plan(view.input())?
-                } else {
-                    plan(&AggInput::build_filtered(
-                        table,
-                        bound.predicate.as_ref(),
-                        bound.arg.as_ref(),
-                        |_, _| true,
-                    )?)?
-                };
+                let probe = table_probe(table, &bound);
+                let mut views = self.views.lock().expect("view cache poisoned");
+                let view = views.view_for(name, &bound);
+                view.sync(table)?;
+                let unit = plan_unit(
+                    bound.agg,
+                    bound.within,
+                    self.config.strategy,
+                    name,
+                    Vec::new(),
+                    view.input(),
+                    Some(&probe),
+                    exclusions.for_table(name),
+                )?;
                 Ok(assemble_units(vec![unit], false))
             }
             QuerySource::Table(name) => {
                 let table = self.catalog().table(name)?;
                 // A group filter restricts the input, so only the COUNT
                 // cost-index probe (membership-checked) stays eligible.
-                let probe = self.config.cache_views.then_some(PlanProbe {
+                let probe = PlanProbe {
                     table,
                     column: None,
                     unfiltered: false,
-                });
-                let plan = |key: GroupKey, input: &AggInput| {
-                    plan_unit(
+                };
+                let mut views = self.views.lock().expect("view cache poisoned");
+                let view = views.view_for(name, &bound);
+                view.sync(table)?;
+                // All group inputs come from ONE pass over the view — not
+                // one table scan per group.
+                let mut units = Vec::new();
+                for (key, input) in view.grouped_inputs() {
+                    units.push(plan_unit(
                         bound.agg,
                         bound.within,
                         self.config.strategy,
                         name,
-                        key,
+                        key.clone(),
                         input,
-                        probe.as_ref(),
+                        Some(&probe),
                         exclusions.for_table(name),
-                    )
-                };
-                let mut units = Vec::new();
-                if self.config.cache_views {
-                    let mut views = self.views.lock().expect("view cache poisoned");
-                    let view = views.view_for(name, &bound);
-                    view.sync(table)?;
-                    // All group inputs come from ONE pass over the view —
-                    // not one table scan per group.
-                    for (key, input) in view.grouped_inputs() {
-                        units.push(plan(key.clone(), input)?);
-                    }
-                } else {
-                    for (_, (key, tids)) in group_partitions(table, &bound.group_by)? {
-                        let input = AggInput::build_filtered(
-                            table,
-                            bound.predicate.as_ref(),
-                            bound.arg.as_ref(),
-                            |tid, _| tids.binary_search(&tid).is_ok(),
-                        )?;
-                        units.push(plan(key, &input)?);
-                    }
+                    )?);
                 }
                 Ok(assemble_units(units, true))
             }
@@ -657,7 +629,7 @@ impl QuerySession {
                 self.catalog().table(left)?,
                 self.catalog().table(right)?,
                 self.config.join_heuristic,
-                self.config.join_batch,
+                true,
                 exclusions,
             ),
         }
@@ -688,19 +660,10 @@ impl QuerySession {
         match &bound.source {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
                 let table = self.catalog().table(name)?;
-                let input = if self.config.cache_views {
-                    let mut views = self.views.lock().expect("view cache poisoned");
-                    let view = views.view_for(name, &bound);
-                    view.sync(table)?;
-                    view.input().clone()
-                } else {
-                    AggInput::build_filtered(
-                        table,
-                        bound.predicate.as_ref(),
-                        bound.arg.as_ref(),
-                        |_, _| true,
-                    )?
-                };
+                let mut views = self.views.lock().expect("view cache poisoned");
+                let view = views.view_for(name, &bound);
+                view.sync(table)?;
+                let input = view.input().clone();
                 Ok(QueryPartial::Scalar(ShardPartial {
                     table: name.clone(),
                     agg: bound.agg,
@@ -710,41 +673,22 @@ impl QuerySession {
             }
             QuerySource::Table(name) => {
                 let table = self.catalog().table(name)?;
-                let mut groups = Vec::new();
-                if self.config.cache_views {
-                    let mut views = self.views.lock().expect("view cache poisoned");
-                    let view = views.view_for(name, &bound);
-                    view.sync(table)?;
-                    for (key, input) in view.grouped_inputs() {
-                        groups.push((
-                            key.clone(),
-                            ShardPartial {
-                                table: name.clone(),
-                                agg: bound.agg,
-                                within: bound.within,
-                                input: input.clone(),
-                            },
-                        ));
-                    }
-                } else {
-                    for (_, (key, tids)) in group_partitions(table, &bound.group_by)? {
-                        let input = AggInput::build_filtered(
-                            table,
-                            bound.predicate.as_ref(),
-                            bound.arg.as_ref(),
-                            |tid, _| tids.binary_search(&tid).is_ok(),
-                        )?;
-                        groups.push((
-                            key,
-                            ShardPartial {
-                                table: name.clone(),
-                                agg: bound.agg,
-                                within: bound.within,
-                                input,
-                            },
-                        ));
-                    }
-                }
+                let mut views = self.views.lock().expect("view cache poisoned");
+                let view = views.view_for(name, &bound);
+                view.sync(table)?;
+                let groups = view
+                    .grouped_inputs()
+                    .iter()
+                    .map(|(key, input)| {
+                        let partial = ShardPartial {
+                            table: name.clone(),
+                            agg: bound.agg,
+                            within: bound.within,
+                            input: input.clone(),
+                        };
+                        (key.clone(), partial)
+                    })
+                    .collect();
                 Ok(QueryPartial::Grouped(groups))
             }
             QuerySource::Join { left, right } => Ok(QueryPartial::Join(JoinPartial {
@@ -866,18 +810,34 @@ mod tests {
         assert_eq!(seen, executed);
     }
 
-    /// Drives the plan/fetch/install loop by hand, returning the final
-    /// answer, the flattened refresh sequence, and the round count.
+    /// Drives the plan/fetch/install loop by hand — through
+    /// [`QuerySession::plan_query`] (batched rounds, what serving layers
+    /// run), or through [`plan_join_round`] with `batch = false` (the §7
+    /// one-tuple reference) — returning the final answer, the flattened
+    /// refresh sequence, and the round count.
     fn drive_join_rounds(
         q: &trapp_sql::Query,
         batch: bool,
     ) -> (crate::agg::BoundedAnswer, Vec<(String, TupleId)>, usize) {
         let (mut s, mut oracle) = join_fixture();
-        s.config.join_batch = batch;
         let mut refreshed = Vec::new();
         let mut rounds = 0;
         let answer = loop {
-            match s.plan_query(q).unwrap() {
+            let plan = if batch {
+                s.plan_query(q).unwrap()
+            } else {
+                let bound = bind_query(q, s.catalog()).unwrap();
+                plan_join_round(
+                    &bound,
+                    s.catalog().table("links").unwrap(),
+                    s.catalog().table("nodes").unwrap(),
+                    s.config.join_heuristic,
+                    false,
+                    &Exclusions::default(),
+                )
+                .unwrap()
+            };
+            match plan {
                 QueryPlan::Ready(QueryOutcome::Scalar(r)) => break r.answer,
                 QueryPlan::NeedsFetch(fp) => {
                     assert!(!fp.complete, "join plans are heuristic rounds");

@@ -9,17 +9,20 @@
 //! * `partial_query` (the view-backed classified input) against a fresh
 //!   `build_filtered` over the same table state — items, order, bands,
 //!   intervals, costs, minus counts, slack;
-//! * `plan_query` on the view-planning session against a views-off
-//!   session over a clone of the same table — initial answers, refresh
-//!   sets, and planned costs, which also pins the ordered-index
-//!   CHOOSE_REFRESH paths (the views-on session has indexes and probes;
-//!   the clone plans by scan) to the scan planners bit-for-bit.
+//! * `plan_query` (views, indexes, probes) against [`scan_plan`] — the
+//!   same units planned from scratch-built inputs by the scan
+//!   CHOOSE_REFRESH — initial answers, refresh sets, and planned costs,
+//!   which pins the ordered-index planners to the scan planners
+//!   bit-for-bit.
 
 use proptest::prelude::*;
-use trapp_core::query_plan::{QueryOutcome, QueryPartial, QueryPlan};
+use trapp_core::group_by::group_partitions;
+use trapp_core::plan::bind_query;
+use trapp_core::query_plan::{assemble_units, plan_unit, QueryOutcome, QueryPartial, QueryPlan};
 use trapp_core::{AggInput, QuerySession, SolverStrategy};
+use trapp_sql::Query;
 use trapp_storage::{ColumnDef, Schema, Table};
-use trapp_types::{BoundedValue, TupleId, Value};
+use trapp_types::{BoundedValue, TrappError, TupleId, Value};
 
 fn schema() -> std::sync::Arc<Schema> {
     Schema::new(vec![
@@ -141,6 +144,48 @@ fn plan_parts(plan: &QueryPlan) -> Vec<(String, (f64, f64), bool, Vec<TupleId>, 
     }
 }
 
+/// The reference planner: every unit's input rebuilt by a full scan
+/// (`AggInput::build_filtered`, one scan per group) and planned by the
+/// scan CHOOSE_REFRESH (`probe = None`) — no view, no index.
+fn scan_plan(session: &QuerySession, q: &Query) -> Result<QueryPlan, TrappError> {
+    let bound = bind_query(q, session.catalog())?;
+    let table = session.catalog().table("t")?;
+    let unit = |key, input: &AggInput| {
+        plan_unit(
+            bound.agg,
+            bound.within,
+            session.config.strategy,
+            "t",
+            key,
+            input,
+            None,
+            &Default::default(),
+        )
+    };
+    let scratch = |member: &dyn Fn(TupleId) -> bool| {
+        AggInput::build_filtered(
+            table,
+            bound.predicate.as_ref(),
+            bound.arg.as_ref(),
+            |tid, _| member(tid),
+        )
+    };
+    if bound.group_by.is_empty() {
+        return Ok(assemble_units(
+            vec![unit(Vec::new(), &scratch(&|_| true)?)?],
+            false,
+        ));
+    }
+    let mut units = Vec::new();
+    for (_, (key, tids)) in group_partitions(table, &bound.group_by)? {
+        units.push(unit(
+            key,
+            &scratch(&|tid| tids.binary_search(&tid).is_ok())?,
+        )?);
+    }
+    Ok(assemble_units(units, true))
+}
+
 fn assert_inputs_equal(a: &AggInput, b: &AggInput, context: &str) -> Result<(), String> {
     prop_assert_eq!(&a.items, &b.items, "items for {}", context);
     prop_assert_eq!(a.minus_count, b.minus_count, "minus for {}", context);
@@ -183,7 +228,6 @@ proptest! {
         }
         table.create_default_indexes().unwrap();
         let mut session = QuerySession::new(table);
-        prop_assert!(session.config.cache_views);
         if uniform {
             session.config.strategy = SolverStrategy::GreedyByWeight;
         }
@@ -244,17 +288,15 @@ proptest! {
                     let table = session.catalog().table("t").unwrap();
                     match session.partial_query(&q).unwrap() {
                         QueryPartial::Scalar(p) => {
-                            let bound = trapp_core::plan::bind_query(&q, session.catalog()).unwrap();
+                            let bound = bind_query(&q, session.catalog()).unwrap();
                             let scratch = AggInput::build_filtered(
                                 table, bound.predicate.as_ref(), bound.arg.as_ref(), |_, _| true,
                             ).unwrap();
                             assert_inputs_equal(&p.input, &scratch, &context)?;
                         }
                         QueryPartial::Grouped(groups) => {
-                            let bound = trapp_core::plan::bind_query(&q, session.catalog()).unwrap();
-                            let partitions =
-                                trapp_core::group_by::group_partitions(table, &bound.group_by)
-                                    .unwrap();
+                            let bound = bind_query(&q, session.catalog()).unwrap();
+                            let partitions = group_partitions(table, &bound.group_by).unwrap();
                             prop_assert_eq!(groups.len(), partitions.len(), "{}", &context);
                             for ((key, p), (_, (pkey, tids))) in
                                 groups.iter().zip(partitions.iter())
@@ -275,12 +317,8 @@ proptest! {
                     }
 
                     // Layer 2: plans (incl. the probed index planners)
-                    // equal a scan-planning session over the same rows.
-                    let mut scan_session =
-                        QuerySession::new(session.catalog().table("t").unwrap().clone());
-                    scan_session.config.cache_views = false;
-                    scan_session.config.strategy = session.config.strategy;
-                    match (session.plan_query(&q), scan_session.plan_query(&q)) {
+                    // equal the scan reference over the same rows.
+                    match (session.plan_query(&q), scan_plan(&session, &q)) {
                         (Ok(a), Ok(b)) => {
                             prop_assert_eq!(plan_parts(&a), plan_parts(&b), "{}", &context);
                         }

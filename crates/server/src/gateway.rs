@@ -145,8 +145,8 @@ pub struct FetchStats {
 /// What a [`RefreshGateway::fetch`] produced. On partial failure,
 /// `refreshes` still holds everything obtained before the failure — those
 /// refreshes have already mutated their sources' monitor state, so the
-/// caller **must install them** even when `error` is set, or cache and
-/// Refresh Monitor diverge.
+/// caller **must install them** even when `failures` is non-empty, or
+/// cache and Refresh Monitor diverge.
 pub struct FetchOutcome {
     /// Every refresh obtained (order unspecified; callers install all).
     /// May include late refreshes reaped from an *earlier* fetch's
@@ -154,49 +154,27 @@ pub struct FetchOutcome {
     pub refreshes: Vec<Refresh>,
     /// Per-fetch accounting.
     pub stats: FetchStats,
-    /// First failure, when part of the plan failed (back-compat mirror of
-    /// `failures[0].1`).
-    pub error: Option<TrappError>,
     /// Every per-source failure this fetch hit after exhausting retries —
     /// the input to health tracking and degraded-answer planning.
     pub failures: Vec<(SourceId, TrappError)>,
 }
 
-/// One submitted transport request a [`PendingFetch`] still has to wait
-/// on. Carries enough context to resubmit the request on retry.
-enum PendingReply {
-    /// A batched per-source round-trip.
-    Batch {
-        source: SourceId,
-        objects: Vec<ObjectId>,
-        completion: Completion<Vec<Refresh>>,
-    },
-    /// A per-object round-trip (the seed's baseline mode).
-    Single {
-        source: SourceId,
-        object: ObjectId,
-        completion: Completion<Refresh>,
-    },
+/// One submitted per-source round-trip a [`PendingFetch`] still has to
+/// wait on. Carries enough context to resubmit the request on retry.
+struct PendingReply {
+    source: SourceId,
+    objects: Vec<ObjectId>,
+    completion: Completion<Vec<Refresh>>,
 }
 
 /// A round-trip that outlived its deadline: the completion is parked here
 /// (with the context needed to publish) and polled on later fetches, so a
 /// refresh the source eventually serves still installs at the cache.
-enum Straggler {
-    /// A timed-out batched round-trip.
-    Batch {
-        cache: CacheId,
-        now: f64,
-        claim_epoch: u64,
-        completion: Completion<Vec<Refresh>>,
-    },
-    /// A timed-out per-object round-trip.
-    Single {
-        cache: CacheId,
-        now: f64,
-        claim_epoch: u64,
-        completion: Completion<Refresh>,
-    },
+struct Straggler {
+    cache: CacheId,
+    now: f64,
+    claim_epoch: u64,
+    completion: Completion<Vec<Refresh>>,
 }
 
 /// Outcome of awaiting another query's in-flight fetch.
@@ -238,6 +216,8 @@ pub(crate) struct PendingFetch {
 /// module docs.
 pub struct RefreshGateway<T> {
     inner: T,
+    /// `false` only via [`RefreshGateway::new`]: every fetch then goes to
+    /// the source and nothing is memoized.
     enabled: bool,
     table: Mutex<TableState>,
     done: Condvar,
@@ -257,31 +237,34 @@ pub struct RefreshGateway<T> {
 }
 
 impl<T: Transport> RefreshGateway<T> {
-    /// Wraps `inner`; `enabled = false` turns the gateway into a pure
-    /// pass-through (the measurable baseline). Uses default await/retry
-    /// policies and a private health tracker.
+    /// Wraps `inner` with default await/retry policies and a private
+    /// health tracker; `enabled = false` turns the gateway into a pure
+    /// pass-through.
+    // `enabled` is pinned by `benchmark/src/probes/gateway.rs`; drop with
+    // the next [benchmark] PR.
     pub fn new(inner: T, enabled: bool) -> RefreshGateway<T> {
-        RefreshGateway::with_policy(
-            inner,
+        RefreshGateway {
             enabled,
-            DEFAULT_AWAIT_TIMEOUT,
-            RetryPolicy::default(),
-            Arc::new(HealthTracker::default()),
-        )
+            ..RefreshGateway::with_policy(
+                inner,
+                DEFAULT_AWAIT_TIMEOUT,
+                RetryPolicy::default(),
+                Arc::new(HealthTracker::default()),
+            )
+        }
     }
 
     /// Wraps `inner` with explicit await-timeout, retry, and health
     /// wiring — the service layer's constructor.
     pub(crate) fn with_policy(
         inner: T,
-        enabled: bool,
         await_timeout: Duration,
         retry: RetryPolicy,
         health: Arc<HealthTracker>,
     ) -> RefreshGateway<T> {
         RefreshGateway {
             inner,
-            enabled,
+            enabled: true,
             table: Mutex::new(TableState::default()),
             done: Condvar::new(),
             coalesced: AtomicU64::new(0),
@@ -292,11 +275,6 @@ impl<T: Transport> RefreshGateway<T> {
             attempt_salt: AtomicU64::new(0),
             stragglers: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
     }
 
     /// Refreshes served from the in-flight table instead of a source,
@@ -311,12 +289,14 @@ impl<T: Transport> RefreshGateway<T> {
     }
 
     /// Fetches refreshes for a whole plan, `plan` listing each source's
-    /// objects. Claims de-duplicate against concurrent fetches; `batch`
-    /// chooses one round-trip per source versus one per object (the seed's
-    /// baseline).
+    /// objects. Claims de-duplicate against concurrent fetches; each plan
+    /// entry is one round-trip (`batch = false` first splits every entry
+    /// into one-element entries — one round-trip per object).
     ///
     /// Must be called *without* holding the cache lock: the whole point is
     /// that the source round-trips of concurrent queries overlap.
+    // `batch` is pinned by `benchmark/src/probes/gateway.rs`; drop with
+    // the next [benchmark] PR.
     pub fn fetch(
         &self,
         cache: CacheId,
@@ -324,7 +304,17 @@ impl<T: Transport> RefreshGateway<T> {
         plan: &[(SourceId, Vec<ObjectId>)],
         batch: bool,
     ) -> FetchOutcome {
-        self.finish_fetch(self.begin_fetch(cache, now, plan, batch, None))
+        let per_object: Vec<(SourceId, Vec<ObjectId>)>;
+        let plan = if batch {
+            plan
+        } else {
+            per_object = plan
+                .iter()
+                .flat_map(|(source, objects)| objects.iter().map(move |&o| (*source, vec![o])))
+                .collect();
+            &per_object
+        };
+        self.finish_fetch(self.begin_fetch(cache, now, plan, None))
     }
 
     /// The submit half of a fetch: claims the plan's objects in the
@@ -340,7 +330,6 @@ impl<T: Transport> RefreshGateway<T> {
         cache: CacheId,
         now: f64,
         plan: &[(SourceId, Vec<ObjectId>)],
-        batch: bool,
         deadline: Option<Instant>,
     ) -> PendingFetch {
         let mut stats = FetchStats::default();
@@ -397,25 +386,7 @@ impl<T: Transport> RefreshGateway<T> {
         let mut waits: Vec<PendingReply> = Vec::new();
         for (source, objects) in to_fetch {
             claimed.extend(objects.iter().copied());
-            if batch {
-                let completion =
-                    self.inner
-                        .submit_refresh_batch(source, cache, objects.clone(), now);
-                waits.push(PendingReply::Batch {
-                    source,
-                    objects,
-                    completion,
-                });
-            } else {
-                for object in objects {
-                    let completion = self.inner.submit_refresh(source, cache, object, now);
-                    waits.push(PendingReply::Single {
-                        source,
-                        object,
-                        completion,
-                    });
-                }
-            }
+            waits.push(self.submit(source, cache, objects, now));
         }
         PendingFetch {
             cache,
@@ -460,41 +431,10 @@ impl<T: Transport> RefreshGateway<T> {
         let mut fetched: Vec<Refresh> = Vec::new();
         let mut failures: Vec<(SourceId, TrappError)> = Vec::new();
         for wait in waits {
-            match wait {
-                PendingReply::Batch {
-                    source,
-                    objects,
-                    completion,
-                } => match self.wait_batch_retrying(
-                    cache,
-                    now,
-                    claim_epoch,
-                    source,
-                    &objects,
-                    completion,
-                    &mut stats,
-                    deadline,
-                ) {
-                    Ok(rs) => fetched.extend(rs),
-                    Err(e) => failures.push((source, e)),
-                },
-                PendingReply::Single {
-                    source,
-                    object,
-                    completion,
-                } => match self.wait_single_retrying(
-                    cache,
-                    now,
-                    claim_epoch,
-                    source,
-                    object,
-                    completion,
-                    &mut stats,
-                    deadline,
-                ) {
-                    Ok(r) => fetched.push(r),
-                    Err(e) => failures.push((source, e)),
-                },
+            let source = wait.source;
+            match self.wait_retrying(cache, now, claim_epoch, wait, &mut stats, deadline) {
+                Ok(rs) => fetched.extend(rs),
+                Err(e) => failures.push((source, e)),
             }
         }
 
@@ -551,21 +491,24 @@ impl<T: Transport> RefreshGateway<T> {
                         break;
                     }
                     AwaitResult::Gone => {
-                        match self.inner.request_refresh(source, cache, object, now) {
-                            Ok(refresh) => {
-                                stats.round_trips += 1;
-                                stats.forwarded += 1;
-                                self.health.record_success(source);
-                                if self.enabled {
-                                    let mut state = self.table.lock();
-                                    publish_locked(&mut state, cache, now, claim_epoch, refresh);
-                                    drop(state);
-                                    self.done.notify_all();
-                                }
-                                out.push(refresh);
+                        // An ordinary round-trip: same attempt timeout,
+                        // deadline cap, straggler parking, retry and
+                        // health accounting as the wait phase above.
+                        let refetch = self.submit(source, cache, vec![object], now);
+                        match self.wait_retrying(
+                            cache,
+                            now,
+                            claim_epoch,
+                            refetch,
+                            &mut stats,
+                            deadline,
+                        ) {
+                            Ok(rs) => {
+                                stats.forwarded += rs.len() as u64;
+                                self.publish(cache, now, claim_epoch, &rs);
+                                out.extend(rs);
                             }
                             Err(e) => {
-                                self.health.record_failure(source);
                                 failures.push((source, e));
                                 break;
                             }
@@ -580,7 +523,6 @@ impl<T: Transport> RefreshGateway<T> {
         FetchOutcome {
             refreshes: out,
             stats,
-            error: failures.first().map(|(_, e)| e.clone()),
             failures,
         }
     }
@@ -595,56 +537,34 @@ impl<T: Transport> RefreshGateway<T> {
             return;
         }
         let mut still_pending: Vec<Straggler> = Vec::new();
-        let mut landed: Vec<(CacheId, f64, u64, Vec<Refresh>)> = Vec::new();
-        for straggler in parked {
-            match straggler {
-                Straggler::Batch {
-                    cache,
-                    now,
-                    claim_epoch,
-                    completion,
-                } => match completion.poll() {
-                    Ok(Ok(rs)) => landed.push((cache, now, claim_epoch, rs)),
-                    Ok(Err(_)) => {}
-                    Err(completion) => still_pending.push(Straggler::Batch {
-                        cache,
-                        now,
-                        claim_epoch,
-                        completion,
-                    }),
-                },
-                Straggler::Single {
-                    cache,
-                    now,
-                    claim_epoch,
-                    completion,
-                } => match completion.poll() {
-                    Ok(Ok(r)) => landed.push((cache, now, claim_epoch, vec![r])),
-                    Ok(Err(_)) => {}
-                    Err(completion) => still_pending.push(Straggler::Single {
-                        cache,
-                        now,
-                        claim_epoch,
-                        completion,
-                    }),
-                },
+        for s in parked {
+            match s.completion.poll() {
+                Ok(Ok(rs)) => {
+                    stats.forwarded += rs.len() as u64;
+                    self.publish(s.cache, s.now, s.claim_epoch, &rs);
+                    out.extend(rs);
+                }
+                Ok(Err(_)) => {}
+                Err(completion) => still_pending.push(Straggler { completion, ..s }),
             }
         }
         if !still_pending.is_empty() {
             self.stragglers.lock().extend(still_pending);
         }
-        for (cache, now, claim_epoch, rs) in landed {
-            stats.forwarded += rs.len() as u64;
-            if self.enabled {
-                let mut state = self.table.lock();
-                for &refresh in &rs {
-                    publish_locked(&mut state, cache, now, claim_epoch, refresh);
-                }
-                drop(state);
-                self.done.notify_all();
-            }
-            out.extend(rs);
+    }
+
+    /// Memoizes `refreshes` (subject to the epoch guard) and wakes parked
+    /// waiters; a no-op on a disabled gateway.
+    fn publish(&self, cache: CacheId, now: f64, claim_epoch: u64, refreshes: &[Refresh]) {
+        if !self.enabled {
+            return;
         }
+        let mut state = self.table.lock();
+        for &refresh in refreshes {
+            publish_locked(&mut state, cache, now, claim_epoch, refresh);
+        }
+        drop(state);
+        self.done.notify_all();
     }
 
     /// The wait budget for one attempt: the per-round-trip policy, capped
@@ -667,29 +587,44 @@ impl<T: Transport> RefreshGateway<T> {
         deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Waits on one batched round-trip with the retry policy: deadline
-    /// expiry parks the completion as a straggler and resubmits after a
-    /// jittered backoff; a hard error resubmits without parking. The final
-    /// outcome (not each attempt) feeds the health tracker. A query
-    /// deadline caps each wait and suppresses retries once it passes.
-    #[allow(clippy::too_many_arguments)]
-    fn wait_batch_retrying(
+    /// Puts one per-source round-trip on the wire.
+    fn submit(
+        &self,
+        source: SourceId,
+        cache: CacheId,
+        objects: Vec<ObjectId>,
+        now: f64,
+    ) -> PendingReply {
+        let completion = self
+            .inner
+            .submit_refresh_batch(source, cache, objects.clone(), now);
+        PendingReply {
+            source,
+            objects,
+            completion,
+        }
+    }
+
+    /// Waits on one round-trip with the retry policy: deadline expiry
+    /// parks the completion as a straggler and resubmits after a jittered
+    /// backoff; a hard error resubmits without parking. The final outcome
+    /// (not each attempt) feeds the health tracker. A query deadline caps
+    /// each wait and suppresses retries once it passes.
+    fn wait_retrying(
         &self,
         cache: CacheId,
         now: f64,
         claim_epoch: u64,
-        source: SourceId,
-        objects: &[ObjectId],
-        completion: Completion<Vec<Refresh>>,
+        mut reply: PendingReply,
         stats: &mut FetchStats,
         deadline: Option<Instant>,
     ) -> Result<Vec<Refresh>, TrappError> {
-        let mut completion = completion;
+        let source = reply.source;
         let mut attempt: u32 = 0;
         let mut waited = Duration::ZERO;
         loop {
             let timeout = self.attempt_timeout(deadline);
-            let failure = match completion.wait_timeout(timeout) {
+            let failure = match reply.completion.wait_timeout(timeout) {
                 Ok(Ok(rs)) => {
                     stats.round_trips += 1;
                     self.health.record_success(source);
@@ -698,7 +633,7 @@ impl<T: Transport> RefreshGateway<T> {
                 Ok(Err(e)) => e,
                 Err(pending) => {
                     waited += timeout;
-                    self.stragglers.lock().push(Straggler::Batch {
+                    self.stragglers.lock().push(Straggler {
                         cache,
                         now,
                         claim_epoch,
@@ -717,59 +652,7 @@ impl<T: Transport> RefreshGateway<T> {
             attempt += 1;
             let salt = self.attempt_salt.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(self.retry.backoff(attempt, salt));
-            completion = self
-                .inner
-                .submit_refresh_batch(source, cache, objects.to_vec(), now);
-        }
-    }
-
-    /// [`RefreshGateway::wait_batch_retrying`], per-object flavor.
-    #[allow(clippy::too_many_arguments)]
-    fn wait_single_retrying(
-        &self,
-        cache: CacheId,
-        now: f64,
-        claim_epoch: u64,
-        source: SourceId,
-        object: ObjectId,
-        completion: Completion<Refresh>,
-        stats: &mut FetchStats,
-        deadline: Option<Instant>,
-    ) -> Result<Refresh, TrappError> {
-        let mut completion = completion;
-        let mut attempt: u32 = 0;
-        let mut waited = Duration::ZERO;
-        loop {
-            let timeout = self.attempt_timeout(deadline);
-            let failure = match completion.wait_timeout(timeout) {
-                Ok(Ok(r)) => {
-                    stats.round_trips += 1;
-                    self.health.record_success(source);
-                    return Ok(r);
-                }
-                Ok(Err(e)) => e,
-                Err(pending) => {
-                    waited += timeout;
-                    self.stragglers.lock().push(Straggler::Single {
-                        cache,
-                        now,
-                        claim_epoch,
-                        completion: pending,
-                    });
-                    TrappError::Timeout {
-                        source,
-                        waited_ms: waited.as_millis() as u64,
-                    }
-                }
-            };
-            if attempt >= self.retry.max_retries || Self::deadline_expired(deadline) {
-                self.health.record_failure(source);
-                return Err(failure);
-            }
-            attempt += 1;
-            let salt = self.attempt_salt.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(self.retry.backoff(attempt, salt));
-            completion = self.inner.submit_refresh(source, cache, object, now);
+            reply = self.submit(source, cache, reply.objects, now);
         }
     }
 
@@ -813,26 +696,6 @@ impl<T: Transport> RefreshGateway<T> {
                 }
             }
         }
-    }
-
-    /// Serves one object through the same claim/await/publish protocol —
-    /// used by the locked fallback execution path via [`Transport`].
-    fn fetch_one(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Result<Refresh, TrappError> {
-        let outcome = self.fetch(cache, now, &[(source, vec![object])], false);
-        if let Some(e) = outcome.error {
-            return Err(e);
-        }
-        outcome
-            .refreshes
-            .into_iter()
-            .next()
-            .ok_or_else(|| TrappError::Internal("gateway returned empty fetch".into()))
     }
 }
 
@@ -881,29 +744,23 @@ fn abort_locked(state: &mut TableState, cache: CacheId, now: f64, object: Object
     }
 }
 
+/// The gateway as a transport — how the locked fallback execution path
+/// (iterative mode) shares the in-flight table. Refreshes resolve *before*
+/// `submit_refresh_batch` returns: the claim/await/publish protocol runs
+/// inline.
 impl<T: Transport> Transport for RefreshGateway<T> {
-    fn request_refresh(
+    fn submit_refresh_batch(
         &self,
         source: SourceId,
         cache: CacheId,
-        object: ObjectId,
+        objects: Vec<ObjectId>,
         now: f64,
-    ) -> Result<Refresh, TrappError> {
-        self.fetch_one(source, cache, object, now)
-    }
-
-    fn request_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: &[ObjectId],
-        now: f64,
-    ) -> Result<Vec<Refresh>, TrappError> {
-        let outcome = self.fetch(cache, now, &[(source, objects.to_vec())], true);
+    ) -> Completion<Vec<Refresh>> {
+        let outcome = self.fetch(cache, now, &[(source, objects.clone())], true);
         // Single-source batches are atomic at the source, so on error
         // nothing was mutated and plain Err is safe here.
-        if let Some(e) = outcome.error {
-            return Err(e);
+        if let Some((_, e)) = outcome.failures.into_iter().next() {
+            return Completion::ready(Err(e));
         }
         // Restore request order (fetch() does not guarantee one).
         let by_object: HashMap<ObjectId, Refresh> = outcome
@@ -911,29 +768,16 @@ impl<T: Transport> Transport for RefreshGateway<T> {
             .into_iter()
             .map(|r| (r.object, r))
             .collect();
-        objects
-            .iter()
-            .map(|o| {
-                by_object.get(o).copied().ok_or_else(|| {
-                    TrappError::RefreshFailed(format!("source {source} did not return {o}"))
+        Completion::ready(
+            objects
+                .iter()
+                .map(|o| {
+                    by_object.get(o).copied().ok_or_else(|| {
+                        TrappError::RefreshFailed(format!("source {source} did not return {o}"))
+                    })
                 })
-            })
-            .collect()
-    }
-
-    fn apply_update(
-        &self,
-        source: SourceId,
-        object: ObjectId,
-        value: f64,
-        now: f64,
-    ) -> Result<Vec<(CacheId, Refresh)>, TrappError> {
-        // Invalidate *before* the write reaches the source: remove any
-        // memoized result and bump the epoch so an in-flight fetch that
-        // claimed earlier refuses to memoize its (possibly pre-update)
-        // result. The fetcher's own install is ordered by `Refresh::seq`.
-        self.invalidate(std::iter::once(object));
-        self.inner.apply_update(source, object, value, now)
+                .collect(),
+        )
     }
 
     fn submit_update_batch(
@@ -942,9 +786,11 @@ impl<T: Transport> Transport for RefreshGateway<T> {
         updates: Vec<(ObjectId, f64)>,
         now: f64,
     ) -> Completion<Vec<(CacheId, Refresh)>> {
-        // Same invalidation as `apply_update`, for the whole batch, before
-        // any write reaches the source — a fetch that claimed before *any*
-        // update in the batch must not memoize its result.
+        // Invalidate *before* any write reaches the source: remove the
+        // memoized results and bump the epoch so an in-flight fetch that
+        // claimed before *any* update in the batch refuses to memoize its
+        // (possibly pre-update) result. The fetcher's own install is
+        // ordered by `Refresh::seq`.
         self.invalidate(updates.iter().map(|&(object, _)| object));
         self.inner.submit_update_batch(source, updates, now)
     }
@@ -959,33 +805,47 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use trapp_bounds::BoundShape;
-    use trapp_system::{ChannelTransport, DirectTransport, Source};
+    use trapp_system::{
+        ChaosConfig, ChaosControl, ChaosTransport, CompletionTransport, DelaySpec, DirectTransport,
+        OutageWindow, Source,
+    };
+
+    const SOURCE: SourceId = SourceId::new(1);
+    const CACHE: CacheId = CacheId::new(1);
 
     fn transport() -> DirectTransport {
-        let mut s = Source::new(SourceId::new(1), BoundShape::Sqrt);
+        let mut s = Source::new(SOURCE, BoundShape::Sqrt);
         s.register_object(ObjectId::new(1), 10.0).unwrap();
         s.register_object(ObjectId::new(2), 20.0).unwrap();
+        s.subscribe(CACHE, ObjectId::new(1), 1.0, 0.0).unwrap();
+        s.subscribe(CACHE, ObjectId::new(2), 1.0, 0.0).unwrap();
         let mut t = DirectTransport::new();
-        let arc = t.add_source(s);
-        let mut s = arc.lock();
-        s.subscribe(CacheId::new(1), ObjectId::new(1), 1.0, 0.0)
-            .unwrap();
-        s.subscribe(CacheId::new(1), ObjectId::new(2), 1.0, 0.0)
-            .unwrap();
-        drop(s);
+        t.add_source(s);
         t
+    }
+
+    /// Pulls `objects` through the gateway's [`Transport`] face.
+    fn pull(g: &impl Transport, objects: &[u64], now: f64) -> Result<Vec<Refresh>, TrappError> {
+        let objects = objects.iter().map(|&o| ObjectId::new(o)).collect();
+        g.submit_refresh_batch(SOURCE, CACHE, objects, now).wait()
+    }
+
+    fn update(g: &impl Transport, object: u64, value: f64, now: f64) {
+        g.submit_update_batch(SOURCE, vec![(ObjectId::new(object), value)], now)
+            .wait()
+            .unwrap();
+    }
+
+    fn plan(objects: &[u64]) -> Vec<(SourceId, Vec<ObjectId>)> {
+        vec![(SOURCE, objects.iter().map(|&o| ObjectId::new(o)).collect())]
     }
 
     #[test]
     fn duplicate_refresh_at_same_instant_is_coalesced() {
         let g = RefreshGateway::new(transport(), true);
-        let a = g
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        let b = g
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        assert_eq!(a.value, b.value);
+        let a = pull(&g, &[1], 1.0).unwrap();
+        let b = pull(&g, &[1], 1.0).unwrap();
+        assert_eq!(a[0].value, b[0].value);
         assert_eq!(g.messages(), 1, "second refresh must not reach the source");
         assert_eq!(g.refreshes_coalesced(), 1);
         assert_eq!(g.refreshes_forwarded(), 1);
@@ -994,10 +854,8 @@ mod tests {
     #[test]
     fn different_instant_misses() {
         let g = RefreshGateway::new(transport(), true);
-        g.request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        g.request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 2.0)
-            .unwrap();
+        pull(&g, &[1], 1.0).unwrap();
+        pull(&g, &[1], 2.0).unwrap();
         assert_eq!(g.messages(), 2);
         assert_eq!(g.refreshes_coalesced(), 0);
     }
@@ -1005,32 +863,21 @@ mod tests {
     #[test]
     fn update_invalidates_entry() {
         let g = RefreshGateway::new(transport(), true);
-        let a = g
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        assert_eq!(a.value, 10.0);
-        g.apply_update(SourceId::new(1), ObjectId::new(1), 99.0, 1.0)
-            .unwrap();
-        let b = g
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        assert_eq!(b.value, 99.0, "post-update refresh must see the new master");
+        assert_eq!(pull(&g, &[1], 1.0).unwrap()[0].value, 10.0);
+        update(&g, 1, 99.0, 1.0);
+        let b = pull(&g, &[1], 1.0).unwrap();
+        assert_eq!(
+            b[0].value, 99.0,
+            "post-update refresh must see the new master"
+        );
         assert_eq!(g.refreshes_coalesced(), 0);
     }
 
     #[test]
     fn batch_mixes_hits_and_misses() {
         let g = RefreshGateway::new(transport(), true);
-        g.request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        let rs = g
-            .request_refresh_batch(
-                SourceId::new(1),
-                CacheId::new(1),
-                &[ObjectId::new(1), ObjectId::new(2)],
-                1.0,
-            )
-            .unwrap();
+        pull(&g, &[1], 1.0).unwrap();
+        let rs = pull(&g, &[1, 2], 1.0).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].value, 10.0);
         assert_eq!(rs[1].value, 20.0);
@@ -1039,14 +886,7 @@ mod tests {
         assert_eq!(g.refreshes_coalesced(), 1);
 
         // A fully-hit batch costs zero messages.
-        let rs = g
-            .request_refresh_batch(
-                SourceId::new(1),
-                CacheId::new(1),
-                &[ObjectId::new(1), ObjectId::new(2)],
-                1.0,
-            )
-            .unwrap();
+        let rs = pull(&g, &[1, 2], 1.0).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(g.messages(), 2);
     }
@@ -1054,12 +894,25 @@ mod tests {
     #[test]
     fn disabled_gateway_is_a_pass_through() {
         let g = RefreshGateway::new(transport(), false);
-        g.request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        g.request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
+        pull(&g, &[1], 1.0).unwrap();
+        pull(&g, &[1], 1.0).unwrap();
         assert_eq!(g.messages(), 2);
         assert_eq!(g.refreshes_coalesced(), 0);
+    }
+
+    /// `fetch(.., batch = false)` is the same primitive with one-element
+    /// batches: one round-trip per object instead of one per source.
+    #[test]
+    fn unbatched_fetch_is_one_element_batches() {
+        let g = RefreshGateway::new(transport(), true);
+        let outcome = g.fetch(CACHE, 1.0, &plan(&[1, 2]), false);
+        assert!(outcome.failures.is_empty());
+        assert_eq!(outcome.refreshes.len(), 2);
+        assert_eq!(outcome.stats.round_trips, 2);
+        assert_eq!(g.messages(), 2);
+        let outcome = g.fetch(CACHE, 2.0, &plan(&[1, 2]), true);
+        assert_eq!(outcome.stats.round_trips, 1);
+        assert_eq!(g.messages(), 3);
     }
 
     /// Many threads fetching the same object at the same instant: exactly
@@ -1072,13 +925,8 @@ mod tests {
         for _ in 0..8 {
             let g = g.clone();
             handles.push(std::thread::spawn(move || {
-                let outcome = g.fetch(
-                    CacheId::new(1),
-                    1.0,
-                    &[(SourceId::new(1), vec![ObjectId::new(1)])],
-                    true,
-                );
-                assert!(outcome.error.is_none());
+                let outcome = g.fetch(CACHE, 1.0, &plan(&[1]), true);
+                assert!(outcome.failures.is_empty());
                 outcome
             }));
         }
@@ -1097,20 +945,10 @@ mod tests {
         let g = RefreshGateway::new(transport(), true);
         // Unknown object: the fetch fails and must clean up its claim so a
         // later valid fetch is not stuck awaiting forever.
-        let outcome = g.fetch(
-            CacheId::new(1),
-            1.0,
-            &[(SourceId::new(1), vec![ObjectId::new(99)])],
-            true,
-        );
-        assert!(outcome.error.is_some());
-        let outcome = g.fetch(
-            CacheId::new(1),
-            1.0,
-            &[(SourceId::new(1), vec![ObjectId::new(1)])],
-            true,
-        );
-        assert!(outcome.error.is_none());
+        let outcome = g.fetch(CACHE, 1.0, &plan(&[99]), true);
+        assert!(!outcome.failures.is_empty());
+        let outcome = g.fetch(CACHE, 1.0, &plan(&[1]), true);
+        assert!(outcome.failures.is_empty());
         assert_eq!(outcome.refreshes.len(), 1);
         assert_eq!(outcome.stats.coalesced, 0);
     }
@@ -1122,15 +960,15 @@ mod tests {
     fn partial_failure_returns_earlier_refreshes() {
         let g = RefreshGateway::new(transport(), true);
         let outcome = g.fetch(
-            CacheId::new(1),
+            CACHE,
             1.0,
             &[
-                (SourceId::new(1), vec![ObjectId::new(1)]),
-                (SourceId::new(1), vec![ObjectId::new(99)]), // unknown
+                (SOURCE, vec![ObjectId::new(1)]),
+                (SOURCE, vec![ObjectId::new(99)]), // unknown
             ],
             true,
         );
-        assert!(outcome.error.is_some());
+        assert!(!outcome.failures.is_empty());
         assert_eq!(outcome.refreshes.len(), 1, "object 1 was fetched and kept");
         assert_eq!(outcome.refreshes[0].object, ObjectId::new(1));
         assert_eq!(outcome.stats.forwarded, 1);
@@ -1141,38 +979,87 @@ mod tests {
     /// instant sees the post-update master.
     #[test]
     fn update_racing_inflight_fetch_is_not_replayed() {
-        // 50ms source latency so the fetch is reliably in flight when the
+        // 50ms wire latency so the fetch is reliably in flight when the
         // update arrives.
-        let mut transport = ChannelTransport::new(Duration::from_millis(50));
-        let mut s = Source::new(SourceId::new(1), BoundShape::Sqrt);
+        let mut transport = CompletionTransport::with_pool_size(Duration::from_millis(50), 1);
+        let mut s = Source::new(SOURCE, BoundShape::Sqrt);
         s.register_object(ObjectId::new(1), 10.0).unwrap();
-        s.subscribe(CacheId::new(1), ObjectId::new(1), 1.0, 0.0)
-            .unwrap();
+        s.subscribe(CACHE, ObjectId::new(1), 1.0, 0.0).unwrap();
         transport.add_source(s);
-        let g = Arc::new(RefreshGateway::new(transport, true));
+        let g = RefreshGateway::new(transport, true);
 
-        let g2 = g.clone();
-        let fetcher = std::thread::spawn(move || {
-            g2.fetch(
-                CacheId::new(1),
-                1.0,
-                &[(SourceId::new(1), vec![ObjectId::new(1)])],
-                true,
-            )
-        });
-        // Let the fetch claim + enter the source queue, then update.
-        std::thread::sleep(Duration::from_millis(10));
-        g.apply_update(SourceId::new(1), ObjectId::new(1), 77.0, 1.0)
-            .unwrap();
-        let outcome = fetcher.join().unwrap();
-        assert!(outcome.error.is_none());
+        let inflight = g.begin_fetch(CACHE, 1.0, &plan(&[1]), None);
+        update(&g, 1, 77.0, 1.0);
+        let outcome = g.finish_fetch(inflight);
+        assert!(outcome.failures.is_empty());
 
         // Whatever the fetch returned, a *new* request at the same instant
         // must reach the source and see the updated master — the racing
         // result must not have been memoized.
-        let r = g
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        assert_eq!(r.value, 77.0, "stale master replayed after update");
+        let r = pull(&g, &[1], 1.0).unwrap();
+        assert_eq!(r[0].value, 77.0, "stale master replayed after update");
+        assert_eq!(g.refreshes_coalesced(), 0);
+    }
+
+    /// A waiter whose owner aborted re-fetches the object itself — and
+    /// that re-fetch is an ordinary round-trip: capped by the query
+    /// deadline, parked as a straggler when it expires, installed by the
+    /// next fetch that reaps it.
+    #[test]
+    fn refetch_after_owner_abort_honors_the_deadline() {
+        // Op 0 (the owner's fetch) fails; every later op is served but
+        // spends 300 ms on the wire.
+        let delay = Duration::from_millis(300);
+        let chaos = ChaosTransport::new(
+            transport(),
+            ChaosConfig {
+                outages: vec![OutageWindow {
+                    source: None,
+                    from_op: 0,
+                    to_op: 1,
+                }],
+                default_delay: Some(DelaySpec::fixed(delay)),
+                ..ChaosConfig::default()
+            },
+            Arc::new(ChaosControl::new()),
+        );
+        let no_retry = RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        };
+        let g = RefreshGateway::with_policy(
+            chaos,
+            DEFAULT_AWAIT_TIMEOUT,
+            no_retry,
+            Arc::new(HealthTracker::default()),
+        );
+
+        // The owner claims object 1; the waiter finds it in flight.
+        let owner = g.begin_fetch(CACHE, 1.0, &plan(&[1]), None);
+        let budget = Duration::from_millis(40);
+        let started = Instant::now();
+        let waiter = g.begin_fetch(CACHE, 1.0, &plan(&[1]), Some(started + budget));
+        // The owner fails and releases its claim, so the waiter re-fetches.
+        assert!(!g.finish_fetch(owner).failures.is_empty());
+        let outcome = g.finish_fetch(waiter);
+        let took = started.elapsed();
+        assert!(
+            matches!(outcome.failures[..], [(SOURCE, TrappError::Timeout { .. })]),
+            "expected one typed timeout, got {:?}",
+            outcome.failures
+        );
+        assert!(outcome.refreshes.is_empty());
+        assert!(
+            took < delay / 2,
+            "re-fetch ignored the {budget:?} deadline: waited {took:?}"
+        );
+
+        // The source served the parked round-trip; once its reply lands,
+        // the next fetch reaps and returns it for install.
+        std::thread::sleep(delay);
+        let reaped = g.fetch(CACHE, 2.0, &[], true);
+        assert_eq!(reaped.refreshes.len(), 1);
+        assert_eq!(reaped.refreshes[0].object, ObjectId::new(1));
+        assert_eq!(reaped.stats.forwarded, 1);
     }
 }

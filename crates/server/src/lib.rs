@@ -17,9 +17,9 @@
 //!   the input a single cache would hold, plan CHOOSE_REFRESH globally,
 //!   and fetch every shard's slice of the plan concurrently — so the
 //!   sharded answer is *bit-equivalent* to the single-cache answer;
-//! * within each shard, the two traffic reducers from the single-cache
-//!   service still apply: **batched source round-trips** (one
-//!   [`Transport::request_refresh_batch`] per source per plan) and
+//! * within each shard, two traffic reducers apply: **batched source
+//!   round-trips** (one [`Transport::submit_refresh_batch`] per source
+//!   per plan) and
 //!   **refresh coalescing** (a per-shard single-flight [`RefreshGateway`]
 //!   in-flight table).
 //!
@@ -68,7 +68,7 @@
 //! ```
 //!
 //! [`CacheNode`]: trapp_system::CacheNode
-//! [`Transport::request_refresh_batch`]: trapp_system::Transport::request_refresh_batch
+//! [`Transport::submit_refresh_batch`]: trapp_system::Transport::submit_refresh_batch
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

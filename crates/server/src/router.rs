@@ -54,8 +54,7 @@ pub struct Shard {
     /// This shard's per-source circuit breakers (shared with the gateway,
     /// which records round-trip outcomes into it).
     pub(crate) health: Arc<HealthTracker>,
-    /// table → (local tid → global tid). Empty = identity (the
-    /// single-shard compatibility path).
+    /// table → (local tid → global tid).
     to_global: TidMap<TupleId>,
 }
 
@@ -64,7 +63,6 @@ impl Shard {
     pub(crate) fn new(
         cache: CacheNode,
         transport: Box<dyn Transport>,
-        coalesce: bool,
         to_global: TidMap<TupleId>,
         await_timeout: Duration,
         retry: RetryPolicy,
@@ -74,13 +72,7 @@ impl Shard {
         Shard {
             cache_id: cache.id(),
             cache: Mutex::new(cache),
-            gateway: RefreshGateway::with_policy(
-                transport,
-                coalesce,
-                await_timeout,
-                retry,
-                health.clone(),
-            ),
+            gateway: RefreshGateway::with_policy(transport, await_timeout, retry, health.clone()),
             health,
             to_global,
         }
@@ -113,8 +105,7 @@ pub struct ShardRouter {
     /// Tables whose every row was placed by the partition column — only
     /// their group-pinned queries may be routed to a single shard.
     group_placed: HashSet<String>,
-    /// table → (global tid → (shard, local tid)). Empty = identity on
-    /// shard 0.
+    /// table → (global tid → (shard, local tid)).
     from_global: TidMap<(usize, TupleId)>,
     /// Replicated object → owning shard.
     object_shard: HashMap<ObjectId, usize>,
@@ -192,9 +183,6 @@ impl ShardRouter {
         table: &str,
         global: TupleId,
     ) -> Result<(usize, TupleId), TrappError> {
-        if self.from_global.is_empty() {
-            return Ok((0, global));
-        }
         self.from_global
             .get(table)
             .and_then(|m| m.get(&global))

@@ -33,9 +33,9 @@
 //!   join pipeline over the merged tables, fetching one heuristic
 //!   candidate per round through the owning shard's gateway.
 //!
-//! Within each shard the two PR-1 traffic reducers still apply: **batched
-//! source round-trips** (one [`Transport::request_refresh_batch`] per
-//! source per plan) and **refresh coalescing** (a per-shard single-flight
+//! Within each shard two traffic reducers apply: **batched source
+//! round-trips** (one [`Transport::submit_refresh_batch`] per source per
+//! plan) and **refresh coalescing** (a per-shard single-flight
 //! [`RefreshGateway`](crate::RefreshGateway); keying the in-flight table
 //! per shard is free because objects never span shards).
 //!
@@ -82,8 +82,8 @@ use trapp_core::refresh::iterative::IterativeHeuristic;
 use trapp_core::{merge_grouped_partials, merge_table_slices, BoundedAnswer};
 use trapp_storage::Table;
 use trapp_system::{
-    CacheNode, ChannelTransport, ChaosConfig, ChaosControl, ChaosTransport, CompletionTransport,
-    CostModel, DirectTransport, FetchPool, SimClock, Source, Transport,
+    CacheNode, ChaosConfig, ChaosControl, ChaosTransport, CompletionTransport, CostModel,
+    DirectTransport, FetchPool, SimClock, Source, Transport,
 };
 use trapp_types::{
     shard_of, BoundedValue, CacheId, Interval, ObjectId, PartialFailure, SourceFailure, SourceId,
@@ -107,25 +107,6 @@ pub struct ServiceConfig {
     /// Number of cache shards the group key space is hash-partitioned
     /// over. `1` reproduces the single-cache service exactly.
     pub shards: usize,
-    /// Share refreshes across queries via each shard gateway's in-flight
-    /// table.
-    pub coalesce: bool,
-    /// Serve refresh plans with one round-trip per source (`false` falls
-    /// back to the per-object seed path — the measurable baseline).
-    pub batch_refreshes: bool,
-    /// Plan queries from incremental band views (memoized classified
-    /// inputs, invalidated per tuple) instead of rescanning the cached
-    /// tables on every plan pass. Answers, plans, and refresh costs are
-    /// bit-identical either way; `false` keeps the full-scan planner as a
-    /// measurable baseline.
-    pub cache_views: bool,
-    /// Plan multi-tuple join refresh rounds: each round fetches the whole
-    /// provable prefix of the one-tuple heuristic's pick sequence instead
-    /// of a single tuple, collapsing round counts (and round-trips) on
-    /// join-heavy queries. Answers, bounds, and refresh sets are
-    /// bit-identical either way; `false` keeps the §7 one-tuple-per-round
-    /// loop as a measurable baseline.
-    pub batch_join_rounds: bool,
     /// What to do when a query's precision constraint cannot be met
     /// because sources are down. See [`DegradationPolicy`].
     pub degradation: DegradationPolicy,
@@ -148,10 +129,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             shards: 1,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: true,
-            batch_join_rounds: true,
             degradation: DegradationPolicy::default(),
             retry: RetryPolicy::default(),
             gateway_await_timeout: DEFAULT_AWAIT_TIMEOUT,
@@ -388,7 +365,6 @@ fn widen_step(query: &mut trapp_sql::Query, widener: &mut Option<AdaptiveWidth>)
 struct ServiceCore {
     router: ShardRouter,
     clock: SimClock,
-    batch_refreshes: bool,
     degradation: DegradationPolicy,
     counters: Mutex<ServiceStats>,
     admission: Arc<AdmissionController>,
@@ -876,13 +852,9 @@ impl ServiceCore {
                     let shard = self.router.shard(s);
                     (
                         s,
-                        shard.gateway.begin_fetch(
-                            shard.cache_id,
-                            now,
-                            plan,
-                            self.batch_refreshes,
-                            fetch_deadline,
-                        ),
+                        shard
+                            .gateway
+                            .begin_fetch(shard.cache_id, now, plan, fetch_deadline),
                     )
                 })
                 .collect();
@@ -1073,7 +1045,6 @@ impl ServiceCore {
     ) -> Result<(QueryPlan, f64, usize), TrappError> {
         let mut strategy = trapp_core::SolverStrategy::default();
         let mut heuristic = IterativeHeuristic::BestRatio;
-        let mut join_batch = true;
         let mut max_join_rounds = 0usize;
         let mut partials: Vec<QueryPartial> = Vec::with_capacity(self.router.shard_count());
         let mut join_meta: Option<(BoundQuery, JoinSchemas)> = None;
@@ -1090,7 +1061,6 @@ impl ServiceCore {
                 let config = &cache.session().config;
                 strategy = config.strategy;
                 heuristic = config.join_heuristic;
-                join_batch = config.join_batch;
                 max_join_rounds = config.max_refresh_rounds;
                 let mut partial = cache.session().partial_query(query)?;
                 match &mut partial {
@@ -1196,7 +1166,7 @@ impl ServiceCore {
                 }
                 let left = merge_table_slices(lschema, lefts)?;
                 let right = merge_table_slices(rschema, rights)?;
-                plan_join_round(&bound, &left, &right, heuristic, join_batch, exclusions)?
+                plan_join_round(&bound, &left, &right, heuristic, true, exclusions)?
             }
         };
         Ok((plan, now, max_join_rounds))
@@ -1234,31 +1204,6 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Starts a single-shard service over an already-wired cache +
-    /// transport. Most callers want [`ServiceBuilder`] (which also builds
-    /// sharded services).
-    pub fn start(
-        cache: CacheNode,
-        transport: impl Transport + 'static,
-        clock: SimClock,
-        config: ServiceConfig,
-    ) -> QueryService {
-        let mut cache = cache;
-        configure_cache(&mut cache, &config)
-            .expect("cost-index registration over the cache's own catalog cannot fail");
-        let shard = Shard::new(
-            cache,
-            Box::new(transport) as Box<dyn Transport>,
-            config.coalesce,
-            HashMap::new(),
-            config.gateway_await_timeout,
-            config.retry,
-            config.health,
-        );
-        let router = ShardRouter::new(vec![shard], None, HashSet::new(), HashMap::new());
-        QueryService::start_router(router, clock, config, None, None)
-    }
-
     /// Starts workers over an assembled router. `pool` is the shared
     /// resizable fetch pool plus its build-time base size, when the
     /// service was built over a completion transport — the admission
@@ -1277,7 +1222,6 @@ impl QueryService {
         let core = Arc::new(ServiceCore {
             router,
             clock,
-            batch_refreshes: config.batch_refreshes,
             degradation: config.degradation,
             counters: Mutex::new(ServiceStats::default()),
             admission,
@@ -1454,13 +1398,6 @@ impl QueryService {
         self.core.router.shard_count()
     }
 
-    /// Runs `f` against shard 0's cache (setup, inspection); serialized
-    /// with query execution on that shard. Sharded services usually want
-    /// [`QueryService::with_shard_cache`].
-    pub fn with_cache<R>(&self, f: impl FnOnce(&mut CacheNode) -> R) -> R {
-        self.with_shard_cache(0, f)
-    }
-
     /// Runs `f` against one shard's cache; serialized with query execution
     /// on that shard.
     pub fn with_shard_cache<R>(&self, shard: usize, f: impl FnOnce(&mut CacheNode) -> R) -> R {
@@ -1524,37 +1461,27 @@ pub fn default_fetch_pool_size(shards: usize) -> usize {
     (2 * shards.max(1)).min(hardware).max(2)
 }
 
-/// Applies one `ServiceConfig` to a cache: refresh batching, the view
-/// planner toggle, and — when views are on — the refresh-cost index on
-/// every cached table (it keys the §6.3 COUNT probe and never churns on
-/// bound re-materialization, since costs are write-once per tuple). The
-/// §5.1/§5.2 endpoint/width indexes are deliberately *not* registered:
-/// every clock advance rewrites every bound cell, so their maintenance
-/// (six B-tree moves per cell per advance) costs more than the
-/// unfiltered queries they accelerate — embedders with slow-moving
-/// bounds can opt in via `Table::create_default_indexes`. With
-/// `cache_views = false` nothing is registered at all: the complete
-/// scan-era baseline (no views, no indexes, no probes). Shared by
-/// [`QueryService::start`] and the builder so both construction paths
-/// configure identically.
-fn configure_cache(cache: &mut CacheNode, config: &ServiceConfig) -> Result<(), TrappError> {
-    cache.set_batch_refreshes(config.batch_refreshes);
-    cache.session_mut().config.cache_views = config.cache_views;
-    cache.session_mut().config.join_batch = config.batch_join_rounds;
-    if config.cache_views {
-        let names: Vec<String> = cache
-            .session()
-            .catalog()
-            .table_names()
-            .map(str::to_owned)
-            .collect();
-        for name in names {
-            cache
-                .session_mut()
-                .catalog_mut()
-                .table_mut(&name)?
-                .create_index(trapp_storage::IndexKey::Cost)?;
-        }
+/// Registers the refresh-cost index on every cached table (it keys the
+/// §6.3 COUNT probe and never churns on bound re-materialization, since
+/// costs are write-once per tuple). The §5.1/§5.2 endpoint/width indexes
+/// are deliberately *not* registered: every clock advance rewrites every
+/// bound cell, so their maintenance (six B-tree moves per cell per
+/// advance) costs more than the unfiltered queries they accelerate —
+/// embedders with slow-moving bounds can opt in via
+/// `Table::create_default_indexes`.
+fn register_cost_indexes(cache: &mut CacheNode) -> Result<(), TrappError> {
+    let names: Vec<String> = cache
+        .session()
+        .catalog()
+        .table_names()
+        .map(str::to_owned)
+        .collect();
+    for name in names {
+        cache
+            .session_mut()
+            .catalog_mut()
+            .table_mut(&name)?
+            .create_index(trapp_storage::IndexKey::Cost)?;
     }
     Ok(())
 }
@@ -1568,7 +1495,7 @@ struct WiredShard {
 
 /// Declarative service setup: tables, then rows bound to sources, then
 /// [`build_direct`](ServiceBuilder::build_direct) or
-/// [`build_channel`](ServiceBuilder::build_channel).
+/// [`build_completion`](ServiceBuilder::build_completion).
 ///
 /// With `config.shards = 1` (the default) this mirrors
 /// [`trapp_system::Simulation`]'s wiring exactly (same object-id
@@ -1691,28 +1618,11 @@ impl ServiceBuilder {
         )
     }
 
-    /// Builds over the threaded [`ChannelTransport`] with the given
-    /// simulated one-way latency per round-trip (one transport — and one
-    /// set of source actor threads — per shard).
-    pub fn build_channel(self, latency: Duration) -> Result<QueryService, TrappError> {
-        self.build_with(
-            move |sources| {
-                let mut transport = ChannelTransport::new(latency);
-                for source in sources {
-                    transport.add_source(source);
-                }
-                Box::new(transport) as Box<dyn Transport>
-            },
-            None,
-        )
-    }
-
     /// Builds over the completion-based [`CompletionTransport`]: one
     /// **service-wide** [`FetchPool`] of `pool_threads` demux threads
     /// multiplexes every shard's sources, so total transport threads are
-    /// `O(pool_threads)` — independent of the source × shard count —
-    /// where [`build_channel`](ServiceBuilder::build_channel) burns one OS
-    /// thread per source per shard. `latency` is the simulated one-way
+    /// `O(pool_threads)` — independent of the source × shard count.
+    /// `latency` is the simulated one-way
     /// wire time per refresh round-trip (held on a timer, not a sleeping
     /// thread).
     ///
@@ -1764,7 +1674,7 @@ impl ServiceBuilder {
         let mut shards = Vec::with_capacity(wired.len());
         for w in wired {
             let mut cache = w.cache;
-            configure_cache(&mut cache, &config)?;
+            register_cost_indexes(&mut cache)?;
             let mut transport = make_transport(w.sources);
             if let (Some(cfg), Some(control)) = (&chaos_cfg, &chaos_control) {
                 transport = Box::new(ChaosTransport::new(transport, cfg.clone(), control.clone()));
@@ -1772,7 +1682,6 @@ impl ServiceBuilder {
             shards.push(Shard::new(
                 cache,
                 transport,
-                config.coalesce,
                 w.to_global,
                 config.gateway_await_timeout,
                 config.retry,

@@ -1,6 +1,6 @@
 //! Fault-matrix tests: the service under a deterministic
-//! [`ChaosTransport`] schedule, on both the blocking and the
-//! completion-based transports.
+//! [`ChaosTransport`] schedule, on both the direct (inline-resolving) and
+//! the completion-based transports.
 //!
 //! The invariants under test are the paper's availability story:
 //!
@@ -29,19 +29,11 @@ use trapp_server::{
     DegradationPolicy, HealthConfig, QueryService, RetryPolicy, ServiceBuilder, ServiceConfig,
 };
 use trapp_system::{ChaosConfig, OutageWindow};
-use trapp_types::{BoundedValue, SourceId, TrappError, Value};
+use trapp_types::{SourceId, TrappError};
 use trapp_workload::loadgen::{self, AggTemplate, GeneratedQuery, LoadConfig, ServiceWorkload};
 
-/// Which transport stack a test run builds over.
-#[derive(Clone, Copy, Debug)]
-enum Stack {
-    /// Blocking request/reply over per-source actor threads.
-    Channel,
-    /// Nonblocking completions over a shared fetch pool.
-    Completion,
-}
-
-const STACKS: [Stack; 2] = [Stack::Channel, Stack::Completion];
+mod common;
+use common::{Stack, STACKS};
 
 fn workload(seed: u64, queries: usize) -> ServiceWorkload {
     loadgen::generate(&LoadConfig {
@@ -87,42 +79,18 @@ fn build(
     for r in &w.rows {
         b = b.row("metrics", r.source, r.cells.clone());
     }
-    match stack {
-        Stack::Channel => b.build_channel(Duration::from_micros(100)).unwrap(),
-        Stack::Completion => b.build_completion(Duration::from_micros(100), 2).unwrap(),
-    }
+    stack.build(b, Duration::from_micros(100))
 }
 
-/// The exact aggregate a query's bound must contain, computed from the
-/// workload's master values (which chaos never moves).
-fn truth(w: &ServiceWorkload, q: &GeneratedQuery) -> f64 {
-    let threshold = (w.config.value_range.0 + w.config.value_range.1) / 2.0;
-    let masters: Vec<f64> = w
-        .rows
-        .iter()
-        .filter(|r| match (q.group, &r.cells[0]) {
-            (None, _) => true,
-            (Some(g), BoundedValue::Exact(Value::Int(row_g))) => *row_g == g as i64,
-            _ => false,
-        })
-        .map(|r| r.cells[1].as_interval().unwrap().midpoint())
-        .collect();
-    match q.agg {
-        AggTemplate::Count => masters.iter().filter(|&&v| v > threshold).count() as f64,
-        AggTemplate::Sum => masters.iter().sum(),
-        AggTemplate::Avg => masters.iter().sum::<f64>() / masters.len() as f64,
-        AggTemplate::Min => masters.iter().fold(f64::INFINITY, |a, &b| a.min(b)),
-    }
-}
-
-/// Every `Ok` reply must bound the truth; satisfied replies must also
-/// meet their `WITHIN`. Returns whether the reply was degraded.
+/// Every `Ok` reply must bound the truth (`loadgen::ground_truth` over
+/// the workload's masters, which chaos never moves); satisfied replies
+/// must also meet their `WITHIN`. Returns whether the reply was degraded.
 fn check_reply(
     w: &ServiceWorkload,
     q: &GeneratedQuery,
     reply: &trapp_server::ServiceReply,
 ) -> bool {
-    let exact = truth(w, q);
+    let exact = loadgen::ground_truth(w, q);
     let range = reply.result.answer.range;
     assert!(
         range.lo() <= exact + 1e-9 && exact <= range.hi() + 1e-9,
@@ -329,7 +297,7 @@ fn chaos_control_is_exposed_only_when_configured() {
     let w = workload(24, 0);
     let with_chaos = build(
         &w,
-        Stack::Channel,
+        Stack::Direct,
         DegradationPolicy::Strict,
         ChaosConfig::default(),
     );
@@ -415,7 +383,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random seeded fault schedules (per-op failure probability plus an
-    /// op-scripted outage window), replayed on the blocking and
+    /// op-scripted outage window), replayed on the direct and
     /// completion stacks under both degradation policies: bounds always
     /// contain the exact value, satisfied replies never violate WITHIN,
     /// Strict failures stay structured, BestEffort never errors.

@@ -2,33 +2,29 @@
 //! fails mid-completion must surface [`TrappError::PartialResult`] while
 //! every refresh that *did* arrive is installed — the mirror of the
 //! scatter shard-loss test, run over [`ServiceBuilder::build_completion`]
-//! instead of the blocking stack.
+//! instead of the direct stack.
+
+mod common;
 
 use std::time::Duration;
 
-use trapp_server::{QueryService, ServiceBuilder, ServiceConfig};
+use common::{loadgen_tables, service_builder, Stack};
+use trapp_server::{QueryService, ServiceConfig};
 use trapp_types::{shard_of, ObjectId, SourceId, TrappError};
 use trapp_workload::loadgen::{self, LoadConfig, ServiceWorkload};
 
 const SHARDS: usize = 4;
 
 fn build(w: &ServiceWorkload) -> QueryService {
-    let mut b = ServiceBuilder::new()
-        .config(ServiceConfig {
-            workers: 2,
-            shards: SHARDS,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: true,
-            batch_join_rounds: true,
-            ..ServiceConfig::default()
-        })
-        .partition_by("grp")
-        .table(loadgen::table());
-    for r in &w.rows {
-        b = b.row("metrics", r.source, r.cells.clone());
-    }
-    b.build_completion(Duration::from_micros(200), 2).unwrap()
+    let config = ServiceConfig {
+        workers: 2,
+        shards: SHARDS,
+        ..ServiceConfig::default()
+    };
+    Stack::Completion.build(
+        service_builder(loadgen_tables(w), config).partition_by("grp"),
+        Duration::from_micros(200),
+    )
 }
 
 /// A refresh batch that dies mid-completion (unknown object at the

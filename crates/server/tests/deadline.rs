@@ -28,16 +28,8 @@ use trapp_storage::{ColumnDef, Schema, Table};
 use trapp_system::{ChaosConfig, DelaySpec};
 use trapp_types::{BoundedValue, SourceId, TrappError, Value, ValueType};
 
-/// Which transport stack a test run builds over.
-#[derive(Clone, Copy, Debug)]
-enum Stack {
-    /// Blocking request/reply over per-source actor threads.
-    Channel,
-    /// Nonblocking completions over a shared fetch pool.
-    Completion,
-}
-
-const STACKS: [Stack; 2] = [Stack::Channel, Stack::Completion];
+mod common;
+use common::{Stack, STACKS};
 
 fn metrics_table() -> Table {
     let schema = Schema::new(vec![
@@ -98,10 +90,7 @@ fn build(
     chaos: ChaosConfig,
 ) -> QueryService {
     let b = builder(degradation, admission).chaos(chaos);
-    match stack {
-        Stack::Channel => b.build_channel(Duration::from_micros(100)).unwrap(),
-        Stack::Completion => b.build_completion(Duration::from_micros(100), 2).unwrap(),
-    }
+    stack.build(b, Duration::from_micros(100))
 }
 
 /// The reply's bound must contain the exact aggregate (chaos never moves
@@ -114,15 +103,15 @@ fn assert_contains(reply: &ServiceReply, exact: f64, sql: &str) {
     );
 }
 
-/// Satellite: a round-trip that outlives its wait on the *blocking*
-/// transport under latency chaos surfaces as a typed
+/// A round-trip that outlives its wait on the *inline-resolving* direct
+/// transport (chaos delays the completion, not the submitter) surfaces as a typed
 /// [`TrappError::Timeout`], parks as a straggler, and installs once a
 /// later fetch reaps it — proven by a follow-up query on the slow group
 /// answering at full precision from cache with zero round-trips.
 #[test]
 fn blocking_transport_timeout_parks_straggler_and_installs_on_reap() {
     let service = build(
-        Stack::Channel,
+        Stack::Direct,
         DegradationPolicy::Strict,
         AdmissionConfig::default(),
         ChaosConfig {

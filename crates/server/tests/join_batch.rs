@@ -1,137 +1,190 @@
-//! Batched multi-tuple join refresh rounds vs the §7 one-tuple-per-round
-//! baseline: flipping `batch_join_rounds` must never change *what* a join
-//! query answers or refreshes — only how many planning rounds it takes.
+//! Batched multi-tuple join refresh rounds — the only join rounds the
+//! service plans — against the paper's §7 one-tuple-per-round loop run in
+//! a single cache ([`Simulation`]): batching must never change *what* a
+//! join query answers or refreshes, only how many planning rounds it
+//! takes.
 //!
 //! * property: for random join workloads, every answer, refresh set, and
-//!   refresh cost is bit-identical between the two modes — on the blocking
-//!   transport *and* the completion transport — while the batched mode
-//!   never takes more rounds than the baseline;
+//!   refresh cost is bit-identical to the one-tuple reference — on the
+//!   direct transport *and* the completion transport, at one shard and at
+//!   several — while the service never takes more rounds;
 //! * the TPC-H grouped-over-join suite scatter-gathers bit-identically on
 //!   a multi-shard service (the `merge_grouped_partials` path with
 //!   cross-shard group keys), and every served group respects the
 //!   workload's ground-truth checker.
+//!
+//! The reference is `QuerySession::execute` (scan-built join input,
+//! `next_join_refresh`) for scalar joins and, for grouped joins,
+//! [`plan_join_round`] called with `batch = false` — one tuple per group
+//! per round.
 
+mod common;
+
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+use common::{loadgen_tables, run_reference, service_builder, Reference, Stack, Tables, STACKS};
 use proptest::prelude::*;
-use trapp_server::{QueryService, ServiceBuilder, ServiceConfig, ServiceReply};
+use trapp_core::executor::QueryResult;
+use trapp_core::group_by::render_key;
+use trapp_core::plan::bind_query;
+use trapp_core::query_plan::{plan_join_round, Exclusions, QueryOutcome, QueryPlan};
+use trapp_server::{QueryService, ServiceConfig, ServiceReply};
+use trapp_system::{Simulation, Transport};
 use trapp_workload::loadgen::{self, LoadConfig};
 use trapp_workload::tpch::{self, TpchClass, TpchWorkload, Truth};
 
-/// Which transport stack a service is built over.
-#[derive(Clone, Copy, Debug)]
-enum Stack {
-    /// Blocking, synchronous `DirectTransport`.
-    Blocking,
-    /// Completion-based transport over a 2-thread shared fetch pool.
-    Completion,
+fn tpch_tables(w: &TpchWorkload) -> Tables<'_> {
+    vec![
+        (tpch::customer_table(), &w.customer),
+        (tpch::orders_table(), &w.orders),
+        (tpch::lineitem_table(), &w.lineitem),
+    ]
 }
 
-fn config(shards: usize, batch_join_rounds: bool) -> ServiceConfig {
-    ServiceConfig {
-        workers: 1,
-        shards,
-        coalesce: true,
-        batch_refreshes: true,
-        cache_views: true,
-        batch_join_rounds,
-        ..ServiceConfig::default()
-    }
-}
-
-fn build_loadgen(
-    w: &loadgen::ServiceWorkload,
+fn build_service(
+    tables: Tables<'_>,
+    partition_by: &str,
     shards: usize,
     stack: Stack,
-    batch_join_rounds: bool,
 ) -> QueryService {
-    let mut b = ServiceBuilder::new()
-        .config(config(shards, batch_join_rounds))
-        .partition_by("grp")
-        .table(loadgen::table())
-        .table(loadgen::segments_table());
-    for r in &w.rows {
-        b = b.row("metrics", r.source, r.cells.clone());
-    }
-    for s in &w.segments {
-        b = b.row("segments", s.source, s.cells.clone());
-    }
-    match stack {
-        Stack::Blocking => b.build_direct().unwrap(),
-        Stack::Completion => b.build_completion(std::time::Duration::ZERO, 2).unwrap(),
-    }
+    let config = ServiceConfig {
+        workers: 1,
+        shards,
+        ..ServiceConfig::default()
+    };
+    stack.build(
+        service_builder(tables, config).partition_by(partition_by),
+        Duration::ZERO,
+    )
 }
 
-fn build_tpch(w: &TpchWorkload, shards: usize, batch_join_rounds: bool) -> QueryService {
-    let mut b = ServiceBuilder::new()
-        .initial_width(1.0)
-        .config(config(shards, batch_join_rounds))
-        .partition_by("custkey")
-        .table(tpch::customer_table())
-        .table(tpch::orders_table())
-        .table(tpch::lineitem_table());
-    for (table, rows) in [
-        ("customer", &w.customer),
-        ("orders", &w.orders),
-        ("lineitem", &w.lineitem),
-    ] {
-        for r in rows {
-            b = b.row(table, r.source, r.cells.clone());
+/// Rounds the reference took (per-group maximum for grouped queries, as
+/// the service reports them).
+fn reference_rounds((scalar, groups): &Reference) -> usize {
+    let grouped = groups.iter().map(|g| g.result.rounds).max();
+    scalar.as_ref().map(|r| r.rounds).or(grouped).unwrap_or(0)
+}
+
+/// The §7 reference. `execute_grouped` plans grouped joins through the
+/// batched planner, so that one shape is driven here instead.
+fn one_tuple_reference(sim: &mut Simulation, sql: &str) -> Reference {
+    let query = trapp_sql::parse_query(sql).unwrap();
+    if query.group_by.is_empty() || query.tables.len() == 1 {
+        return run_reference(sim, sql);
+    }
+    // Grouped join: one tuple per group per round, fetched object by
+    // object and installed before the next planning pass.
+    let mut attr: BTreeMap<String, QueryResult> = BTreeMap::new();
+    loop {
+        sim.cache.materialize().unwrap();
+        let catalog = sim.cache.session().catalog();
+        let bound = bind_query(&query, catalog).unwrap();
+        let plan = plan_join_round(
+            &bound,
+            catalog.table(&query.tables[0]).unwrap(),
+            catalog.table(&query.tables[1]).unwrap(),
+            sim.cache.session().config.join_heuristic,
+            false,
+            &Exclusions::default(),
+        )
+        .unwrap();
+        let fp = match plan {
+            QueryPlan::Ready(QueryOutcome::Grouped(mut groups)) => {
+                for g in &mut groups {
+                    if let Some(a) = attr.remove(&render_key(&g.key)) {
+                        g.result = QueryResult {
+                            answer: g.result.answer,
+                            satisfied: g.result.satisfied,
+                            ..a
+                        };
+                    }
+                }
+                return (None, groups);
+            }
+            QueryPlan::NeedsFetch(fp) => fp,
+            other => panic!("{sql}: unexpected plan {other:?}"),
+        };
+        for unit in fp.units {
+            let a = attr.entry(render_key(&unit.key)).or_insert(QueryResult {
+                answer: unit.initial,
+                initial_answer: unit.initial,
+                refreshed: Vec::new(),
+                refresh_cost: 0.0,
+                rounds: 0,
+                satisfied: false,
+            });
+            let Some(fetch) = unit.fetch else { continue };
+            assert_eq!(
+                fetch.tuples.len(),
+                1,
+                "{sql}: one tuple per one-tuple round"
+            );
+            a.rounds += 1;
+            a.refresh_cost += fetch.refresh_cost;
+            a.refreshed.push((fetch.table.clone(), fetch.tuples[0]));
+            let objects = sim
+                .cache
+                .objects_backing(&fetch.table, fetch.tuples[0])
+                .unwrap();
+            for (object, source) in objects {
+                let refreshes = sim
+                    .transport
+                    .submit_refresh_batch(source, sim.cache.id(), vec![object], sim.clock.now())
+                    .wait()
+                    .unwrap();
+                sim.cache.install_refresh(refreshes[0]).unwrap();
+            }
         }
     }
-    b.build_completion(std::time::Duration::ZERO, 2).unwrap()
 }
 
-/// Asserts the batched reply answers and refreshes exactly what the
-/// one-tuple reply did. Rounds are compared by inequality: the safe-prefix
-/// batch replays the baseline's refresh sequence, so it may only collapse
-/// rounds, never add work.
-fn assert_same_work(batched: &ServiceReply, one: &ServiceReply, context: &str) {
+fn assert_same_result(batched: &QueryResult, one: &QueryResult, context: &str) {
     assert_eq!(
-        batched.result.answer.range, one.result.answer.range,
+        batched.answer.range, one.answer.range,
         "answer for {context}"
     );
     assert_eq!(
-        batched.result.initial_answer.range, one.result.initial_answer.range,
+        batched.initial_answer.range, one.initial_answer.range,
         "initial answer for {context}"
     );
-    assert_eq!(batched.result.satisfied, one.result.satisfied, "{context}");
-    let (mut br, mut or) = (
-        batched.result.refreshed.clone(),
-        one.result.refreshed.clone(),
-    );
+    assert_eq!(batched.satisfied, one.satisfied, "{context}");
+    let (mut br, mut or) = (batched.refreshed.clone(), one.refreshed.clone());
     br.sort();
     or.sort();
     assert_eq!(br, or, "refresh sets for {context}");
     assert_eq!(
-        batched.result.refresh_cost, one.result.refresh_cost,
+        batched.refresh_cost, one.refresh_cost,
         "refresh cost for {context}"
     );
     assert!(
-        batched.result.rounds <= one.result.rounds,
+        batched.rounds <= one.rounds,
         "batching added rounds for {context}: {} > {}",
-        batched.result.rounds,
-        one.result.rounds
+        batched.rounds,
+        one.rounds
     );
+}
+
+/// Asserts the service's reply answers and refreshes exactly what the
+/// one-tuple reference did. Rounds are compared by inequality: the
+/// safe-prefix batch replays the reference's refresh sequence, so it may
+/// only collapse rounds, never add work.
+fn assert_same_work(batched: &ServiceReply, one: &Reference, context: &str) {
+    let (scalar, groups) = one;
+    if let Some(scalar) = scalar {
+        assert_same_result(&batched.result, scalar, context);
+    }
     assert_eq!(
         batched.groups.len(),
-        one.groups.len(),
+        groups.len(),
         "group count for {context}"
     );
-    for (gb, go) in batched.groups.iter().zip(&one.groups) {
+    for (gb, go) in batched.groups.iter().zip(groups) {
         assert_eq!(gb.key, go.key, "group keys for {context}");
-        assert_eq!(
-            gb.result.answer.range, go.result.answer.range,
-            "group {:?} answer for {context}",
-            gb.key
-        );
-        assert_eq!(gb.result.satisfied, go.result.satisfied, "{context}");
-        let (mut br, mut or) = (gb.result.refreshed.clone(), go.result.refreshed.clone());
-        br.sort();
-        or.sort();
-        assert_eq!(br, or, "group {:?} refresh set for {context}", gb.key);
-        assert_eq!(
-            gb.result.refresh_cost, go.result.refresh_cost,
-            "group {:?} cost for {context}",
-            gb.key
+        assert_same_result(
+            &gb.result,
+            &go.result,
+            &format!("group {:?} of {context}", gb.key),
         );
     }
 }
@@ -139,10 +192,10 @@ fn assert_same_work(batched: &ServiceReply, one: &ServiceReply, context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The satellite acceptance property: a join-heavy stream answers
-    /// bit-identically with `batch_join_rounds` on and off — same bounded
-    /// answers, same refresh sets and costs, no extra rounds — across
-    /// clock advances, shard counts, and both transport stacks.
+    /// A join-heavy stream answers bit-identically to the one-tuple
+    /// reference — same bounded answers, same refresh sets and costs, no
+    /// extra rounds — across clock advances, shard counts, and both
+    /// transport stacks.
     #[test]
     fn batched_join_rounds_match_one_tuple_planner(
         seed in 0u64..1000,
@@ -161,19 +214,17 @@ proptest! {
             join_fraction: 0.7,
             ..LoadConfig::default()
         });
-        for stack in [Stack::Blocking, Stack::Completion] {
-            let batched = build_loadgen(&w, shards, stack, true);
-            let one = build_loadgen(&w, shards, stack, false);
+        for stack in STACKS {
+            let batched = build_service(loadgen_tables(&w), "grp", shards, stack);
+            let mut one = common::reference(loadgen_tables(&w), sources);
             for (i, q) in w.queries.iter().enumerate() {
                 if i % 4 == 0 {
                     batched.advance_clock(25.0);
-                    one.advance_clock(25.0);
+                    one.clock.advance(25.0);
                 }
-                let a = batched.query(&q.sql).unwrap();
-                let b = one.query(&q.sql).unwrap();
                 assert_same_work(
-                    &a,
-                    &b,
+                    &batched.query(&q.sql).unwrap(),
+                    &one_tuple_reference(&mut one, &q.sql),
                     &format!("query {i}: {} (shards={shards}, {stack:?})", q.sql),
                 );
             }
@@ -181,11 +232,10 @@ proptest! {
     }
 }
 
-/// TPC-H join queries on a 3-shard completion service: batched and
-/// one-tuple modes agree bit-for-bit, and the batched mode strictly
-/// collapses rounds on at least one query (the tentpole's reason to
-/// exist — without it the 100k+ scaling tiers pay one full planning pass
-/// per refreshed tuple).
+/// TPC-H join queries on a 3-shard completion service agree bit-for-bit
+/// with the one-tuple reference, and batching strictly collapses rounds
+/// on at least one query (its reason to exist — without it the 100k+
+/// scaling tiers pay one full planning pass per refreshed tuple).
 #[test]
 fn tpch_join_suite_agrees_across_modes_and_collapses_rounds() {
     let w = tpch::generate(&tpch::TpchConfig {
@@ -196,16 +246,16 @@ fn tpch_join_suite_agrees_across_modes_and_collapses_rounds() {
         class_weights: [0, 1, 1, 0], // join_agg + join_group only
         ..tpch::TpchConfig::default()
     });
-    let batched = build_tpch(&w, 3, true);
-    let one = build_tpch(&w, 3, false);
+    let batched = build_service(tpch_tables(&w), "custkey", 3, Stack::Completion);
+    let mut one = common::reference(tpch_tables(&w), w.config.sources);
     let mut collapsed = false;
     for q in &w.queries {
         batched.advance_clock(1.0);
-        one.advance_clock(1.0);
+        one.clock.advance(1.0);
         let a = batched.query(&q.sql).unwrap();
-        let b = one.query(&q.sql).unwrap();
+        let b = one_tuple_reference(&mut one, &q.sql);
         assert_same_work(&a, &b, &q.sql);
-        collapsed |= a.result.rounds < b.result.rounds;
+        collapsed |= a.result.rounds < reference_rounds(&b);
     }
     assert!(
         collapsed,
@@ -228,8 +278,8 @@ fn grouped_join_scatter_matches_single_shard_and_ground_truth() {
         ..tpch::TpchConfig::default()
     });
     assert!(!w.queries.is_empty());
-    let single = build_tpch(&w, 1, true);
-    let sharded = build_tpch(&w, 4, true);
+    let single = build_service(tpch_tables(&w), "custkey", 1, Stack::Completion);
+    let sharded = build_service(tpch_tables(&w), "custkey", 4, Stack::Completion);
     for q in &w.queries {
         single.advance_clock(1.0);
         sharded.advance_clock(1.0);

@@ -6,13 +6,15 @@
 //! * ≥ 8 concurrent clients get correct bounded answers (contain the true
 //!   aggregate, satisfy their precision constraints);
 //! * two concurrent queries overlapping on an object trigger exactly one
-//!   refresh for it, with answers identical to the uncoalesced path.
+//!   refresh for it, with answers identical to the sequential loop's.
+
+mod common;
 
 use std::time::Duration;
 
-use trapp_server::{QueryService, ServiceBuilder, ServiceConfig};
+use common::{loadgen_tables, service_builder, Stack};
+use trapp_server::{QueryService, ServiceConfig};
 use trapp_system::Simulation;
-use trapp_types::SourceId;
 use trapp_workload::loadgen::{self, LoadConfig, ServiceWorkload};
 
 fn small_workload() -> ServiceWorkload {
@@ -27,23 +29,11 @@ fn small_workload() -> ServiceWorkload {
 }
 
 fn build_simulation(w: &ServiceWorkload) -> Simulation {
-    let mut sim = Simulation::builder().build().unwrap();
-    for s in 1..=w.config.sources as u64 {
-        sim.add_source(SourceId::new(s));
-    }
-    sim.add_table(loadgen::table()).unwrap();
-    for r in &w.rows {
-        sim.add_row("metrics", r.source, r.cells.clone()).unwrap();
-    }
-    sim
+    common::reference(loadgen_tables(w), w.config.sources)
 }
 
 fn build_service(w: &ServiceWorkload, config: ServiceConfig) -> QueryService {
-    let mut b = ServiceBuilder::new().config(config).table(loadgen::table());
-    for r in &w.rows {
-        b = b.row("metrics", r.source, r.cells.clone());
-    }
-    b.build_direct().unwrap()
+    Stack::Direct.build(service_builder(loadgen_tables(w), config), Duration::ZERO)
 }
 
 /// Run sequentially through the service and the simulation in lockstep:
@@ -58,10 +48,6 @@ fn sequential_service_is_bit_identical_to_simulation() {
         ServiceConfig {
             workers: 1,
             shards: 1,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: true,
-            batch_join_rounds: true,
             ..ServiceConfig::default()
         },
     );
@@ -105,10 +91,6 @@ fn eight_concurrent_clients_get_correct_bounded_answers() {
         ServiceConfig {
             workers: 8,
             shards: 1,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: true,
-            batch_join_rounds: true,
             ..ServiceConfig::default()
         },
     );
@@ -141,7 +123,9 @@ fn eight_concurrent_clients_get_correct_bounded_answers() {
 }
 
 /// Acceptance: two concurrent queries overlapping on an object refresh it
-/// exactly once, and coalescing does not change answers.
+/// exactly once, and coalescing does not change answers — both replies
+/// equal what the sequential §4 loop ([`Simulation`], no gateway at all)
+/// answers at the same instant.
 #[test]
 fn overlapping_concurrent_queries_share_refreshes() {
     // One group, two rows → WITHIN 0 forces both objects to refresh.
@@ -155,54 +139,44 @@ fn overlapping_concurrent_queries_share_refreshes() {
     });
     let sql = "SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 0";
 
-    let run = |coalesce: bool| {
-        let service = build_service(
-            &w,
-            ServiceConfig {
-                workers: 2,
-                shards: 1,
-                coalesce,
-                batch_refreshes: true,
-                cache_views: true,
-                batch_join_rounds: true,
-                ..ServiceConfig::default()
-            },
-        );
-        service.advance_clock(25.0);
-        // Submit both before waiting: both are queued at the same logical
-        // instant and may execute fully concurrently.
-        let t1 = service.submit(sql);
-        let t2 = service.submit(sql);
-        let r1 = t1.wait().unwrap();
-        let r2 = t2.wait().unwrap();
-        let stats = service.stats();
-        (r1, r2, stats)
-    };
+    let service = build_service(
+        &w,
+        ServiceConfig {
+            workers: 2,
+            shards: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    service.advance_clock(25.0);
+    // Submit both before waiting: both are queued at the same logical
+    // instant and may execute fully concurrently.
+    let t1 = service.submit(sql);
+    let t2 = service.submit(sql);
+    let r1 = t1.wait().unwrap();
+    let r2 = t2.wait().unwrap();
 
-    let (c1, c2, coalesced_stats) = run(true);
-    let (u1, u2, _) = run(false);
-
-    // Whatever the interleaving, with coalescing each of the two objects
-    // reaches a source exactly once.
+    // Whatever the interleaving, each of the two distinct objects reaches
+    // a source exactly once.
     assert_eq!(
-        coalesced_stats.refreshes_forwarded, 2,
+        service.stats().refreshes_forwarded,
+        2,
         "each overlapping object must be refreshed exactly once"
     );
-    // Identical answers with and without coalescing (WITHIN 0 pins both
-    // rows, so all four replies are the exact sum).
-    for r in [&c1, &c2, &u1, &u2] {
+    let mut sim = build_simulation(&w);
+    sim.clock.advance(25.0);
+    let reference = sim.run_query(sql).unwrap();
+    assert!(reference.answer.is_exact());
+    for r in [&r1, &r2] {
         assert!(r.result.satisfied);
-        assert!(r.result.answer.is_exact());
+        assert_eq!(r.result.answer.range, reference.answer.range);
     }
-    assert_eq!(c1.result.answer.range, u1.result.answer.range);
-    assert_eq!(c2.result.answer.range, u2.result.answer.range);
 }
 
-/// The coalescing path genuinely fires under forced overlap: with the
-/// threaded transport's per-round-trip latency, two identical tight
-/// queries submitted together make the second share the first's in-flight
-/// refreshes (or arrive after the install and skip refreshing entirely) —
-/// either way the sources see each object once.
+/// The coalescing path genuinely fires under forced overlap: with 2 ms of
+/// wire latency per round-trip, identical tight queries submitted
+/// together make the later ones share the first's in-flight refreshes (or
+/// arrive after the install and skip refreshing entirely) — either way
+/// the sources see each object once.
 #[test]
 fn coalescing_saves_refreshes_under_latency() {
     let w = loadgen::generate(&LoadConfig {
@@ -213,21 +187,15 @@ fn coalescing_saves_refreshes_under_latency() {
         queries: 0,
         ..LoadConfig::default()
     });
-    let mut b = ServiceBuilder::new()
-        .config(ServiceConfig {
-            workers: 4,
-            shards: 1,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: true,
-            batch_join_rounds: true,
-            ..ServiceConfig::default()
-        })
-        .table(loadgen::table());
-    for r in &w.rows {
-        b = b.row("metrics", r.source, r.cells.clone());
-    }
-    let service = b.build_channel(Duration::from_millis(2)).unwrap();
+    let config = ServiceConfig {
+        workers: 4,
+        shards: 1,
+        ..ServiceConfig::default()
+    };
+    let service = Stack::Completion.build(
+        service_builder(loadgen_tables(&w), config),
+        Duration::from_millis(2),
+    );
     service.advance_clock(25.0);
 
     let sql = "SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 0";

@@ -5,61 +5,37 @@
 //!
 //! * property: for random workloads and shard counts, every COUNT / SUM /
 //!   AVG / MIN answer (global *and* group-pinned), refresh set, and
-//!   refresh cost matches the 1-shard service exactly — on the blocking
+//!   refresh cost matches the 1-shard service exactly — on the direct
 //!   transport *and* on the completion-based transport (whose shared
-//!   fetch pool and nonblocking submits must not perturb a single bit);
+//!   fetch pool and pending completions must not perturb a single bit);
 //! * a shard that fails mid-fetch turns the query into
 //!   [`TrappError::PartialResult`], while healthy shards keep serving;
 //! * updates route to the shard whose cache subscribes the object;
 //! * concurrent mixed pinned/global load over 4 shards stays within every
 //!   precision contract.
 
+mod common;
+
+use common::{loadgen_tables, service_builder, Stack};
 use proptest::prelude::*;
-use trapp_server::{QueryService, ServiceBuilder, ServiceConfig, ServiceReply};
+use trapp_server::{QueryService, ServiceConfig, ServiceReply};
 use trapp_types::{shard_of, ObjectId, SourceId, TrappError, Value};
 use trapp_workload::loadgen::{self, LoadConfig, QueryShape, ServiceWorkload};
 
-/// Which transport stack a service is built over.
-#[derive(Clone, Copy, Debug)]
-enum Stack {
-    /// Blocking, synchronous [`trapp_system::DirectTransport`].
-    Blocking,
-    /// Completion-based transport over a 2-thread shared fetch pool.
-    Completion,
-}
-
 fn build_on(w: &ServiceWorkload, shards: usize, workers: usize, stack: Stack) -> QueryService {
-    let mut b = ServiceBuilder::new()
-        .config(ServiceConfig {
-            workers,
-            shards,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: true,
-            batch_join_rounds: true,
-            ..ServiceConfig::default()
-        })
-        .partition_by("grp")
-        .table(loadgen::table());
-    if !w.segments.is_empty() {
-        b = b.table(loadgen::segments_table());
-    }
-    for r in &w.rows {
-        b = b.row("metrics", r.source, r.cells.clone());
-    }
-    // Segments after every metrics row, so metrics rows keep backing
-    // objects 1..=rows.len().
-    for s in &w.segments {
-        b = b.row("segments", s.source, s.cells.clone());
-    }
-    match stack {
-        Stack::Blocking => b.build_direct().unwrap(),
-        Stack::Completion => b.build_completion(std::time::Duration::ZERO, 2).unwrap(),
-    }
+    let config = ServiceConfig {
+        workers,
+        shards,
+        ..ServiceConfig::default()
+    };
+    stack.build(
+        service_builder(loadgen_tables(w), config).partition_by("grp"),
+        std::time::Duration::ZERO,
+    )
 }
 
 fn build(w: &ServiceWorkload, shards: usize, workers: usize) -> QueryService {
-    build_on(w, shards, workers, Stack::Blocking)
+    build_on(w, shards, workers, Stack::Direct)
 }
 
 /// Asserts two replies are bit-identical — scalar roll-up and per-group
@@ -145,7 +121,7 @@ proptest! {
             ..LoadConfig::default()
         });
         let single = build(&w, 1, 1);
-        let sharded = build_on(&w, shards, 1, Stack::Blocking);
+        let sharded = build_on(&w, shards, 1, Stack::Direct);
         let completion = build_on(&w, shards, 1, Stack::Completion);
         for (i, q) in w.queries.iter().enumerate() {
             if i % 6 == 0 {
@@ -213,7 +189,7 @@ proptest! {
             ..LoadConfig::default()
         });
         let single = build(&w, 1, 1);
-        let sharded = build_on(&w, shards, 1, Stack::Blocking);
+        let sharded = build_on(&w, shards, 1, Stack::Direct);
         let completion = build_on(&w, shards, 1, Stack::Completion);
         for (i, q) in w.queries.iter().enumerate() {
             if i % 5 == 0 {

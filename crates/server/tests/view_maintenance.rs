@@ -1,99 +1,50 @@
-//! Serving-layer acceptance for incremental band views: a service that
-//! plans from memoized views (`ServiceConfig::cache_views = true`, the
-//! default) must be **bit-identical** to the full-scan planner under
+//! Serving-layer acceptance for incremental band views: the service —
+//! which plans every pass from memoized views, ordered indexes and probes —
+//! must be **bit-identical** to the paper's own §4 loop
+//! ([`Simulation`]: `QuerySession::execute` over a scan-built input and
+//! the scan CHOOSE_REFRESH, which shares no code with the view path) under
 //! random interleavings of master-value updates (which install
 //! value-initiated refreshes), clock advances (which re-widen every
 //! bound), and queries (whose query-initiated refreshes install between
-//! the two plan passes) — on the blocking transport *and* on the
-//! completion transport, at one shard and at several.
+//! the two plan passes) — on the direct transport *and* on the completion
+//! transport, at one shard and at several.
 
+mod common;
+
+use common::{loadgen_tables, run_reference, service_builder, Reference, STACKS};
 use proptest::prelude::*;
-use trapp_server::{QueryService, ServiceBuilder, ServiceConfig, ServiceReply};
+use trapp_core::executor::QueryResult;
+use trapp_server::{ServiceConfig, ServiceReply};
 use trapp_types::ObjectId;
-use trapp_workload::loadgen::{self, LoadConfig, ServiceWorkload};
+use trapp_workload::loadgen::{self, LoadConfig};
 
-/// Which transport stack a service is built over.
-#[derive(Clone, Copy, Debug)]
-enum Stack {
-    Blocking,
-    Completion,
-}
-
-fn build(w: &ServiceWorkload, shards: usize, views: bool, stack: Stack) -> QueryService {
-    let mut b = ServiceBuilder::new()
-        .config(ServiceConfig {
-            workers: 1,
-            shards,
-            coalesce: true,
-            batch_refreshes: true,
-            cache_views: views,
-            batch_join_rounds: true,
-            ..ServiceConfig::default()
-        })
-        .partition_by("grp")
-        .table(loadgen::table());
-    if !w.segments.is_empty() {
-        b = b.table(loadgen::segments_table());
-    }
-    for r in &w.rows {
-        b = b.row("metrics", r.source, r.cells.clone());
-    }
-    for s in &w.segments {
-        b = b.row("segments", s.source, s.cells.clone());
-    }
-    match stack {
-        Stack::Blocking => b.build_direct().unwrap(),
-        Stack::Completion => b.build_completion(std::time::Duration::ZERO, 2).unwrap(),
-    }
-}
-
-fn assert_replies_match(a: &ServiceReply, b: &ServiceReply, context: &str) -> Result<(), String> {
+fn assert_results_match(a: &QueryResult, b: &QueryResult, context: &str) -> Result<(), String> {
+    prop_assert_eq!(a.answer.range, b.answer.range, "answer for {}", context);
     prop_assert_eq!(
-        a.result.answer.range,
-        b.result.answer.range,
-        "answer for {}",
-        context
-    );
-    prop_assert_eq!(
-        a.result.initial_answer.range,
-        b.result.initial_answer.range,
+        a.initial_answer.range,
+        b.initial_answer.range,
         "initial for {}",
         context
     );
-    prop_assert_eq!(a.result.satisfied, b.result.satisfied, "{}", context);
-    prop_assert_eq!(
-        &a.result.refreshed,
-        &b.result.refreshed,
-        "refresh set for {}",
-        context
-    );
-    prop_assert_eq!(
-        a.result.refresh_cost,
-        b.result.refresh_cost,
-        "cost for {}",
-        context
-    );
-    prop_assert_eq!(a.groups.len(), b.groups.len(), "groups for {}", context);
-    for (ga, gb) in a.groups.iter().zip(&b.groups) {
+    prop_assert_eq!(a.satisfied, b.satisfied, "{}", context);
+    prop_assert_eq!(&a.refreshed, &b.refreshed, "refresh set for {}", context);
+    prop_assert_eq!(a.refresh_cost, b.refresh_cost, "cost for {}", context);
+    Ok(())
+}
+
+fn assert_reply_matches_reference(
+    reply: &ServiceReply,
+    reference: &Reference,
+    context: &str,
+) -> Result<(), String> {
+    let (scalar, groups) = reference;
+    if let Some(scalar) = scalar {
+        assert_results_match(&reply.result, scalar, context)?;
+    }
+    prop_assert_eq!(reply.groups.len(), groups.len(), "groups for {}", context);
+    for (ga, gb) in reply.groups.iter().zip(groups) {
         prop_assert_eq!(&ga.key, &gb.key, "group key for {}", context);
-        prop_assert_eq!(
-            ga.result.answer.range,
-            gb.result.answer.range,
-            "group answer for {}",
-            context
-        );
-        prop_assert_eq!(
-            &ga.result.refreshed,
-            &gb.result.refreshed,
-            "group refresh set for {}",
-            context
-        );
-        prop_assert_eq!(
-            ga.result.refresh_cost,
-            gb.result.refresh_cost,
-            "group cost for {}",
-            context
-        );
+        assert_results_match(&ga.result, &gb.result, context)?;
     }
     Ok(())
 }
@@ -101,10 +52,10 @@ fn assert_replies_match(a: &ServiceReply, b: &ServiceReply, context: &str) -> Re
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The satellite acceptance property: view-planned and scan-planned
-    /// services stay bit-identical while refresh installs (query- and
-    /// value-initiated), update batches, and clock advances interleave
-    /// with the query stream, on both transports.
+    /// The view-planned service and the scan-planned §4 loop stay
+    /// bit-identical while refresh installs (query- and value-initiated),
+    /// update batches, and clock advances interleave with the query
+    /// stream, on both transports.
     #[test]
     fn view_planning_is_bit_identical_to_scans_under_interleaving(
         seed in 0u64..1000,
@@ -125,13 +76,19 @@ proptest! {
             grouped_fraction: 0.2,
             ..LoadConfig::default()
         });
-        for stack in [Stack::Blocking, Stack::Completion] {
-            let with_views = build(&w, shards, true, stack);
-            let with_scans = build(&w, shards, false, stack);
+        let config = ServiceConfig {
+            workers: 1,
+            shards,
+            ..ServiceConfig::default()
+        };
+        for stack in STACKS {
+            let builder = service_builder(loadgen_tables(&w), config).partition_by("grp");
+            let service = stack.build(builder, std::time::Duration::ZERO);
+            let mut reference = common::reference(loadgen_tables(&w), sources);
             for (i, q) in w.queries.iter().enumerate() {
                 if i % advance_gap == 0 {
-                    with_views.advance_clock(25.0);
-                    with_scans.advance_clock(25.0);
+                    service.advance_clock(25.0);
+                    reference.clock.advance(25.0);
                 }
                 if i % update_gap == 0 && !w.rows.is_empty() {
                     // A deterministic update batch: walk a few masters.
@@ -142,15 +99,17 @@ proptest! {
                             (ObjectId::new(row as u64 + 1), v)
                         })
                         .collect();
-                    let da = with_views.apply_update_batch(&batch).unwrap();
-                    let db = with_scans.apply_update_batch(&batch).unwrap();
+                    let da = service.apply_update_batch(&batch).unwrap();
+                    let db: usize = batch
+                        .iter()
+                        .map(|&(object, v)| reference.apply_update(object, v).unwrap())
+                        .sum();
                     prop_assert_eq!(da, db, "update delivery diverged at query {}", i);
                 }
-                let a = with_views.query(&q.sql).unwrap();
-                let b = with_scans.query(&q.sql).unwrap();
-                assert_replies_match(
-                    &a,
-                    &b,
+                let reply = service.query(&q.sql).unwrap();
+                assert_reply_matches_reference(
+                    &reply,
+                    &run_reference(&mut reference, &q.sql),
                     &format!("query {i} ({:?}, {shards} shards): {}", stack, q.sql),
                 )?;
             }

@@ -58,10 +58,6 @@ pub struct CacheNode {
     /// these — the incremental path that keeps repeat plan passes O(Δ)
     /// instead of O(objects).
     dirty_bounds: std::collections::HashSet<ObjectId>,
-    /// When `true` (the default), a CHOOSE_REFRESH plan is served with one
-    /// transport round-trip per *source*; when `false`, one per *object*
-    /// (the seed's behavior, kept as a measurable baseline).
-    batch_refreshes: bool,
     stats: CacheStats,
 }
 
@@ -78,7 +74,6 @@ impl CacheNode {
             installed_seq: HashMap::new(),
             materialized_at: None,
             dirty_bounds: std::collections::HashSet::new(),
-            batch_refreshes: true,
             stats: CacheStats::default(),
         }
     }
@@ -86,12 +81,6 @@ impl CacheNode {
     /// This cache's id.
     pub fn id(&self) -> CacheId {
         self.id
-    }
-
-    /// Chooses between batched (per-source) and per-object refresh
-    /// round-trips for query-initiated refreshes.
-    pub fn set_batch_refreshes(&mut self, on: bool) {
-        self.batch_refreshes = on;
     }
 
     /// Where `object` lives and which cell it backs, if bound here.
@@ -339,7 +328,6 @@ impl CacheNode {
             by_cell: &self.by_cell,
             routes: &self.routes,
             transport,
-            batch: self.batch_refreshes,
             received: Vec::new(),
         };
         let result = f(&mut self.session, &mut oracle);
@@ -369,7 +357,6 @@ struct SystemOracle<'a> {
     by_cell: &'a HashMap<CellKey, ObjectId>,
     routes: &'a HashMap<ObjectId, ObjectRoute>,
     transport: &'a dyn Transport,
-    batch: bool,
     received: Vec<Refresh>,
 }
 
@@ -392,41 +379,27 @@ impl SystemOracle<'_> {
 }
 
 impl RefreshOracle for SystemOracle<'_> {
+    /// A one-tuple refresh is a one-tuple plan.
     fn refresh(
         &mut self,
         table: &str,
         tid: TupleId,
         columns: &[usize],
     ) -> Result<Vec<f64>, TrappError> {
-        let mut out = Vec::with_capacity(columns.len());
-        for &column in columns {
-            let (object, source) = self.object_at(table, tid, column)?;
-            let refresh = self
-                .transport
-                .request_refresh(source, self.cache, object, self.now)?;
-            out.push(refresh.value);
-            self.received.push(refresh);
-        }
-        Ok(out)
+        let mut rows = self.refresh_batch(table, &[tid], columns)?;
+        Ok(rows.swap_remove(0))
     }
 
     /// Serves a whole refresh plan with one round-trip per source: the
     /// plan's `(tuple, column)` cells are resolved to objects, grouped by
-    /// owning source, fetched via [`Transport::request_refresh_batch`],
-    /// and scattered back into per-tuple value rows.
+    /// owning source, fetched via [`Transport::submit_refresh_batch`], and
+    /// scattered back into per-tuple value rows.
     fn refresh_batch(
         &mut self,
         table: &str,
         tids: &[TupleId],
         columns: &[usize],
     ) -> Result<Vec<Vec<f64>>, TrappError> {
-        if !self.batch {
-            // Per-object baseline: identical traffic shape to the seed.
-            return tids
-                .iter()
-                .map(|&tid| self.refresh(table, tid, columns))
-                .collect();
-        }
         // Resolve every cell up front; slot maps (tuple row, column slot)
         // to its position in the per-source request vectors.
         let mut per_source: HashMap<SourceId, Vec<ObjectId>> = HashMap::new();
@@ -447,14 +420,15 @@ impl RefreshOracle for SystemOracle<'_> {
             per_source.into_iter().collect();
         let mut responses: HashMap<SourceId, Vec<Refresh>> = HashMap::new();
         for (source, objects) in ordered {
+            let requested = objects.len();
             let refreshes = self
                 .transport
-                .request_refresh_batch(source, self.cache, &objects, self.now)?;
-            if refreshes.len() != objects.len() {
+                .submit_refresh_batch(source, self.cache, objects, self.now)
+                .wait()?;
+            if refreshes.len() != requested {
                 return Err(TrappError::RefreshFailed(format!(
-                    "source {source} returned {} refreshes for {} objects",
+                    "source {source} returned {} refreshes for {requested} objects",
                     refreshes.len(),
-                    objects.len()
                 )));
             }
             // Record each source's refreshes the moment they arrive: if a

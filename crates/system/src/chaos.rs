@@ -18,9 +18,8 @@
 //!   therefore never serves-then-drops: the source either never sees the
 //!   request, or the reply is delivered intact.
 //!
-//! The update plane ([`Transport::apply_update`] /
-//! [`Transport::submit_update_batch`]) passes through untouched: masters
-//! keep moving and value-initiated refreshes keep flowing, so ground
+//! The update plane ([`Transport::submit_update_batch`]) passes through
+//! untouched: masters keep moving and value-initiated refreshes keep flowing, so ground
 //! truth stays well-defined while the pull path is under fault load.
 //! A shared [`ChaosControl`] handle lets a driver (e.g. the availability
 //! bench) force sources down and back up mid-run, on top of the seeded
@@ -95,10 +94,9 @@ pub struct ChaosConfig {
     /// Per-source failure probability overrides.
     pub fail_p: Vec<(SourceId, f64)>,
     /// Extra wire latency charged to every refresh request that is *not*
-    /// failed. `Duration::ZERO` for none. Blocking request paths sleep at
-    /// send; nonblocking submits delay the *completion* instead, so
-    /// submitters overlap the injected latency exactly as they would real
-    /// wire delay.
+    /// failed. `Duration::ZERO` for none. The delay is charged to the
+    /// *completion*, not the submitter, so submitters overlap the injected
+    /// latency exactly as they would real wire delay.
     pub added_latency: Duration,
     /// Delay distribution applied to every source without an override, on
     /// top of [`ChaosConfig::added_latency`]. `None` for no seeded delay.
@@ -241,8 +239,8 @@ impl<T: Transport> ChaosTransport<T> {
     /// One refresh send: advances the global op counter and decides
     /// whether this operation is failed by the schedule. On admission,
     /// returns the wire delay the schedule charges this operation
-    /// (`Duration::ZERO` for none); the caller applies it — blocking
-    /// request paths sleep, nonblocking submits delay the completion.
+    /// (`Duration::ZERO` for none), which the caller applies to the
+    /// completion.
     fn admit(&self, source: SourceId) -> Result<Duration, TrappError> {
         let op = self.control.ops.fetch_add(1, Ordering::Relaxed);
         if self.control.is_forced_down(source) {
@@ -275,57 +273,6 @@ impl<T: Transport> ChaosTransport<T> {
 }
 
 impl<T: Transport> Transport for ChaosTransport<T> {
-    fn request_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Result<Refresh, TrappError> {
-        let lat = self.admit(source)?;
-        if !lat.is_zero() {
-            std::thread::sleep(lat);
-        }
-        self.inner.request_refresh(source, cache, object, now)
-    }
-
-    fn request_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: &[ObjectId],
-        now: f64,
-    ) -> Result<Vec<Refresh>, TrappError> {
-        if objects.is_empty() {
-            return Ok(Vec::new());
-        }
-        let lat = self.admit(source)?;
-        if !lat.is_zero() {
-            std::thread::sleep(lat);
-        }
-        self.inner
-            .request_refresh_batch(source, cache, objects, now)
-    }
-
-    fn submit_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Completion<Refresh> {
-        let lat = match self.admit(source) {
-            Ok(lat) => lat,
-            Err(e) => return Completion::ready(Err(e)),
-        };
-        let c = self.inner.submit_refresh(source, cache, object, now);
-        if lat.is_zero() {
-            c
-        } else {
-            Completion::delayed_until(std::time::Instant::now() + lat, c)
-        }
-    }
-
     fn submit_refresh_batch(
         &self,
         source: SourceId,
@@ -346,16 +293,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         } else {
             Completion::delayed_until(std::time::Instant::now() + lat, c)
         }
-    }
-
-    fn apply_update(
-        &self,
-        source: SourceId,
-        object: ObjectId,
-        value: f64,
-        now: f64,
-    ) -> Result<Vec<(CacheId, Refresh)>, TrappError> {
-        self.inner.apply_update(source, object, value, now)
     }
 
     fn submit_update_batch(
@@ -389,6 +326,17 @@ mod tests {
         t
     }
 
+    /// One blocking refresh of object 1 at source 1.
+    fn pull(t: &impl Transport, now: f64) -> Result<Vec<Refresh>, TrappError> {
+        t.submit_refresh_batch(
+            SourceId::new(1),
+            CacheId::new(1),
+            vec![ObjectId::new(1)],
+            now,
+        )
+        .wait()
+    }
+
     fn run_schedule(seed: u64, p: f64, ops: usize) -> Vec<bool> {
         let chaos = ChaosTransport::new(
             transport_with_source(1),
@@ -399,13 +347,7 @@ mod tests {
             },
             Arc::new(ChaosControl::new()),
         );
-        (0..ops)
-            .map(|_| {
-                chaos
-                    .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-                    .is_ok()
-            })
-            .collect()
+        (0..ops).map(|_| pull(&chaos, 1.0).is_ok()).collect()
     }
 
     #[test]
@@ -436,13 +378,7 @@ mod tests {
             },
             Arc::new(ChaosControl::new()),
         );
-        let results: Vec<bool> = (0..10)
-            .map(|_| {
-                chaos
-                    .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-                    .is_ok()
-            })
-            .collect();
+        let results: Vec<bool> = (0..10).map(|_| pull(&chaos, 1.0).is_ok()).collect();
         assert_eq!(
             results,
             vec![true, true, true, false, false, false, true, true, true, true]
@@ -460,18 +396,12 @@ mod tests {
             control.clone(),
         );
         let src = SourceId::new(1);
-        assert!(chaos
-            .request_refresh(src, CacheId::new(1), ObjectId::new(1), 1.0)
-            .is_ok());
+        assert!(pull(&chaos, 1.0).is_ok());
         control.force_down(src);
-        let err = chaos
-            .request_refresh(src, CacheId::new(1), ObjectId::new(1), 2.0)
-            .unwrap_err();
+        let err = pull(&chaos, 2.0).unwrap_err();
         assert_eq!(err, TrappError::SourceUnavailable(src));
         control.restore(src);
-        assert!(chaos
-            .request_refresh(src, CacheId::new(1), ObjectId::new(1), 3.0)
-            .is_ok());
+        assert!(pull(&chaos, 3.0).is_ok());
     }
 
     #[test]
@@ -488,18 +418,13 @@ mod tests {
         let src = SourceId::new(1);
         control.force_down(src);
         // Refresh pulls all fail...
-        assert!(chaos
-            .request_refresh(src, CacheId::new(1), ObjectId::new(1), 1.0)
-            .is_err());
+        assert!(pull(&chaos, 1.0).is_err());
         // ...but masters keep moving and pushes keep flowing.
         let refreshes = chaos
-            .apply_update(src, ObjectId::new(1), 99.0, 2.0)
+            .submit_update_batch(src, vec![(ObjectId::new(1), 99.0)], 2.0)
+            .wait()
             .unwrap();
         assert_eq!(refreshes.len(), 1);
-        assert!(chaos
-            .submit_update_batch(src, vec![(ObjectId::new(1), 123.0)], 3.0)
-            .wait()
-            .is_ok());
     }
 
     #[test]
@@ -541,7 +466,12 @@ mod tests {
             Arc::new(ChaosControl::new()),
         );
         let started = std::time::Instant::now();
-        let c = chaos.submit_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0);
+        let c = chaos.submit_refresh_batch(
+            SourceId::new(1),
+            CacheId::new(1),
+            vec![ObjectId::new(1)],
+            1.0,
+        );
         assert!(
             started.elapsed() < Duration::from_millis(25),
             "submit must not block on the injected delay"
@@ -557,7 +487,8 @@ mod tests {
         // The update plane is exempt from delay injection.
         let started = std::time::Instant::now();
         chaos
-            .apply_update(SourceId::new(1), ObjectId::new(1), 42.0, 2.0)
+            .submit_update_batch(SourceId::new(1), vec![(ObjectId::new(1), 42.0)], 2.0)
+            .wait()
             .unwrap();
         assert!(started.elapsed() < Duration::from_millis(25));
         assert_eq!(chaos.control().injected_delays(), 1);

@@ -3,12 +3,10 @@
 //! queues — the execution substrate of
 //! [`CompletionTransport`](crate::transport::CompletionTransport).
 //!
-//! The thread-per-source actor model
-//! ([`ChannelTransport`](crate::transport::ChannelTransport)) costs one OS
-//! thread per source per shard; fan-out then scales with topology size,
-//! not with hardware. The pool inverts that: every actor owns only a FIFO
-//! job queue, and `O(pool)` worker threads drain whichever queues have
-//! work. Thousands of sources, a handful of threads.
+//! A thread per source would make fan-out scale with topology size, not
+//! with hardware. The pool inverts that: every actor owns only a FIFO job
+//! queue, and `O(pool)` worker threads drain whichever queues have work.
+//! Thousands of sources, a handful of threads.
 //!
 //! Two invariants the transport layer leans on:
 //!
@@ -16,8 +14,7 @@
 //!   order, and never concurrently with each other. A `scheduled` flag
 //!   ensures at most one worker serves an actor at a time; the worker
 //!   drains the actor's queue in order before moving on. This is what
-//!   keeps `Refresh::seq` stamping identical to the thread-per-source
-//!   actors.
+//!   keeps `Refresh::seq` stamping in submission order.
 //! * **Exactly-once drain** — every accepted job runs exactly once, even
 //!   across pool shutdown: dropping the pool flushes delayed jobs into
 //!   their actor queues, closes the ready channel, and joins the workers
@@ -27,9 +24,8 @@
 //! Delayed submission ([`ActorHandle::submit_after`]) models network
 //! transit: a single timer thread holds a deadline heap and moves each job
 //! into its actor's queue when the deadline passes — so thousands of
-//! in-flight "on the wire" requests cost zero blocked threads, where the
-//! thread-per-source transport burns one sleeping thread per concurrent
-//! request. Deadlines break ties by submission sequence, so equal delays
+//! in-flight "on the wire" requests cost zero blocked threads. Deadlines
+//! break ties by submission sequence, so equal delays
 //! preserve per-actor FIFO.
 
 use std::collections::{BinaryHeap, VecDeque};

@@ -15,19 +15,17 @@
 //! per-(cache, object) [`trapp_bounds::AdaptiveWidth`] controllers on the
 //! source side (Appendix A): widen on escapes, narrow on query refreshes.
 //!
-//! Three transports are provided:
+//! Two transports implement the one fetch primitive
+//! ([`transport::Transport::submit_refresh_batch`], returning a
+//! [`transport::Completion`]):
 //!
 //! * [`transport::DirectTransport`] — synchronous, single-threaded,
 //!   deterministic; used by tests and the reproducible experiments;
-//! * [`transport::ChannelTransport`] — each source runs on its own OS
-//!   thread behind `crossbeam` channels with optional simulated latency;
-//!   the actor structure of a real deployment, at one thread per source;
-//! * [`transport::CompletionTransport`] — the scalable variant: a shared
+//! * [`transport::CompletionTransport`] — a shared
 //!   [`fetch_pool::FetchPool`] of demux threads multiplexes every source
 //!   actor over completion queues, so fan-out costs `O(pool)` threads no
-//!   matter how many sources exist. All transports also expose the
-//!   nonblocking [`transport::Transport::submit_refresh_batch`] API so
-//!   callers can overlap independent round-trips.
+//!   matter how many sources exist, and callers overlap independent
+//!   round-trips by submitting before they wait.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -53,5 +51,5 @@ pub use sim::{Simulation, SimulationBuilder};
 pub use source::Source;
 pub use stats::SystemStats;
 pub use transport::{
-    ChannelTransport, Completion, CompletionSender, CompletionTransport, DirectTransport, Transport,
+    Completion, CompletionSender, CompletionTransport, DirectTransport, Transport,
 };

@@ -196,12 +196,6 @@ impl Simulation {
         self.cache.execute_query(sql, &self.transport)
     }
 
-    /// Chooses between batched (per-source) and per-object refresh
-    /// round-trips; see [`CacheNode::set_batch_refreshes`].
-    pub fn set_batch_refreshes(&mut self, on: bool) {
-        self.cache.set_batch_refreshes(on);
-    }
-
     /// §8.3 pre-refreshing: every source re-centers the bounds of objects
     /// whose master value sits within `margin` (fraction of the half-width)
     /// of the bound's edge. Returns the number of pre-refreshes pushed.

@@ -1,31 +1,23 @@
 //! Transports: how query-initiated refresh requests reach sources.
 //!
 //! * [`DirectTransport`] — synchronous function calls into shared sources;
-//!   fully deterministic, zero overhead; the default for tests and
-//!   reproducible experiments.
-//! * [`ChannelTransport`] — every source runs on its own OS thread behind
-//!   `crossbeam` channels, with optional per-request simulated latency.
-//!   This preserves the actor structure of a real deployment, but costs
-//!   one thread per source: fan-out scales with topology size, not
-//!   hardware.
-//! * [`CompletionTransport`] — the completion-based transport: a small
-//!   shared [`FetchPool`] of demux threads multiplexes *all* source
-//!   actors, and requests are submitted nonblockingly, resolving through
-//!   [`Completion`] handles. Thousands of sources, `O(pool)` threads;
-//!   per-source FIFO ordering is preserved so [`Refresh::seq`] stamping
-//!   matches the thread-per-source actors exactly.
+//!   fully deterministic, zero overhead, completions resolve inline at
+//!   submit; the default for tests and reproducible experiments.
+//! * [`CompletionTransport`] — a small shared [`FetchPool`] of demux
+//!   threads multiplexes *all* source actors, and requests resolve through
+//!   [`Completion`] handles when the source (and its simulated wire
+//!   latency) is done. Thousands of sources, `O(pool)` threads; per-source
+//!   FIFO ordering keeps [`Refresh::seq`] stamping in submission order.
 //!
-//! Every transport also exposes the nonblocking half of the API
-//! ([`Transport::submit_refresh`] / [`Transport::submit_refresh_batch`]):
-//! callers submit all their per-source requests first, then wait on the
-//! completions, so independent round-trips overlap instead of
-//! serializing. Blocking transports default to resolving the completion
-//! inline, which keeps them bit-equivalent with sequential execution.
+//! The [`Transport`] trait is one fetch primitive and one write primitive,
+//! both per-source batches returning a [`Completion`]: callers submit all
+//! their per-source requests first, then wait on the completions, so
+//! independent round-trips overlap instead of serializing. Blocking is
+//! `.wait()`; a single object is a one-element batch.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -192,131 +184,43 @@ impl<T> CompletionSender<T> {
 /// # Message accounting
 ///
 /// [`Transport::messages`] counts *round-trips*, identically on every
-/// implementation: each [`Transport::request_refresh`] call is one
-/// round-trip, and each non-empty [`Transport::request_refresh_batch`]
-/// call is one round-trip regardless of how many objects it covers (an
-/// empty batch is free). The nonblocking submit variants count at submit
-/// time. Updates pushed via [`Transport::apply_update`] are not refresh
-/// round-trips and are never counted.
+/// implementation: each non-empty [`Transport::submit_refresh_batch`] is
+/// one round-trip, counted at submit time, regardless of how many objects
+/// it covers (an empty batch is ready, free and uncounted). Updates pushed
+/// via [`Transport::submit_update_batch`] are not refresh round-trips and
+/// are never counted.
 pub trait Transport: Send + Sync {
-    /// Performs one query-initiated refresh round-trip.
-    fn request_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Result<Refresh, TrappError>;
-
-    /// Performs one *batched* query-initiated refresh round-trip: all
-    /// `objects` (owned by `source`) are refreshed in a single message
-    /// exchange. Returns one [`Refresh`] per object, in request order.
-    fn request_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: &[ObjectId],
-        now: f64,
-    ) -> Result<Vec<Refresh>, TrappError>;
-
-    /// Nonblocking [`Transport::request_refresh`]: submits the request and
-    /// returns immediately; the refresh arrives through the completion.
-    /// Blocking transports resolve it inline before returning.
-    fn submit_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Completion<Refresh> {
-        Completion::ready(self.request_refresh(source, cache, object, now))
-    }
-
-    /// Nonblocking [`Transport::request_refresh_batch`]. Submitting several
-    /// sources' batches before waiting overlaps their round-trips.
+    /// Submits one query-initiated refresh round-trip: all `objects`
+    /// (owned by `source`) are refreshed in a single message exchange. The
+    /// completion resolves to one [`Refresh`] per object, in request
+    /// order. Submitting several sources' batches before waiting overlaps
+    /// their round-trips.
     fn submit_refresh_batch(
         &self,
         source: SourceId,
         cache: CacheId,
         objects: Vec<ObjectId>,
         now: f64,
-    ) -> Completion<Vec<Refresh>> {
-        Completion::ready(self.request_refresh_batch(source, cache, &objects, now))
-    }
+    ) -> Completion<Vec<Refresh>>;
 
-    /// Applies an update to a master value at `source`, returning the
-    /// value-initiated refreshes it triggered (one per cache whose bound
-    /// the new value escapes).
-    fn apply_update(
-        &self,
-        source: SourceId,
-        object: ObjectId,
-        value: f64,
-        now: f64,
-    ) -> Result<Vec<(CacheId, Refresh)>, TrappError>;
-
-    /// Nonblocking *batched* [`Transport::apply_update`], mirroring
-    /// [`Transport::submit_refresh_batch`]: all `updates` to objects
-    /// owned by `source` are applied in submission order with one
-    /// completion for the whole batch, so a write-heavy driver stops
-    /// paying one blocking round-trip per write — submit every
-    /// per-source batch, then wait once per batch. Returns the
-    /// concatenated value-initiated refreshes; on the first failing
-    /// update the batch stops and the completion reports the error
-    /// (updates already applied keep their effects, exactly as separate
-    /// `apply_update` calls would). Blocking transports resolve it
-    /// inline.
+    /// Submits master-value writes to objects owned by `source`: the
+    /// `updates` are applied in submission order with one completion for
+    /// the whole batch, which resolves to the concatenated value-initiated
+    /// refreshes (one per cache whose bound a new value escapes). On the
+    /// first failing update the batch stops and the completion reports the
+    /// error; updates already applied keep their effects.
     fn submit_update_batch(
         &self,
         source: SourceId,
         updates: Vec<(ObjectId, f64)>,
         now: f64,
-    ) -> Completion<Vec<(CacheId, Refresh)>> {
-        let mut out = Vec::new();
-        for (object, value) in updates {
-            match self.apply_update(source, object, value, now) {
-                Ok(refreshes) => out.extend(refreshes),
-                Err(e) => return Completion::ready(Err(e)),
-            }
-        }
-        Completion::ready(Ok(out))
-    }
+    ) -> Completion<Vec<(CacheId, Refresh)>>;
 
     /// Number of refresh round-trips served so far.
     fn messages(&self) -> u64;
 }
 
 impl<T: Transport + ?Sized> Transport for Box<T> {
-    fn request_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Result<Refresh, TrappError> {
-        (**self).request_refresh(source, cache, object, now)
-    }
-
-    fn request_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: &[ObjectId],
-        now: f64,
-    ) -> Result<Vec<Refresh>, TrappError> {
-        (**self).request_refresh_batch(source, cache, objects, now)
-    }
-
-    fn submit_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Completion<Refresh> {
-        (**self).submit_refresh(source, cache, object, now)
-    }
-
     fn submit_refresh_batch(
         &self,
         source: SourceId,
@@ -325,16 +229,6 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
         now: f64,
     ) -> Completion<Vec<Refresh>> {
         (**self).submit_refresh_batch(source, cache, objects, now)
-    }
-
-    fn apply_update(
-        &self,
-        source: SourceId,
-        object: ObjectId,
-        value: f64,
-        now: f64,
-    ) -> Result<Vec<(CacheId, Refresh)>, TrappError> {
-        (**self).apply_update(source, object, value, now)
     }
 
     fn submit_update_batch(
@@ -377,85 +271,49 @@ impl DirectTransport {
     pub fn source(&self, id: SourceId) -> Option<Arc<Mutex<Source>>> {
         self.sources.get(&id).cloned()
     }
+
+    fn lookup(&self, source: SourceId) -> Result<&Arc<Mutex<Source>>, TrappError> {
+        self.sources
+            .get(&source)
+            .ok_or_else(|| TrappError::RefreshFailed(format!("unknown source {source}")))
+    }
 }
 
 impl Transport for DirectTransport {
-    fn request_refresh(
+    fn submit_refresh_batch(
         &self,
         source: SourceId,
         cache: CacheId,
-        object: ObjectId,
+        objects: Vec<ObjectId>,
         now: f64,
-    ) -> Result<Refresh, TrappError> {
-        let src = self
-            .sources
-            .get(&source)
-            .ok_or_else(|| TrappError::RefreshFailed(format!("unknown source {source}")))?;
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        src.lock().serve_refresh(cache, object, now)
-    }
-
-    fn request_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: &[ObjectId],
-        now: f64,
-    ) -> Result<Vec<Refresh>, TrappError> {
+    ) -> Completion<Vec<Refresh>> {
         if objects.is_empty() {
-            return Ok(Vec::new());
+            return Completion::ready(Ok(Vec::new()));
         }
-        let src = self
-            .sources
-            .get(&source)
-            .ok_or_else(|| TrappError::RefreshFailed(format!("unknown source {source}")))?;
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        src.lock().serve_refresh_batch(cache, objects, now)
+        Completion::ready(self.lookup(source).and_then(|src| {
+            self.messages.fetch_add(1, Ordering::Relaxed);
+            src.lock().serve_refresh_batch(cache, &objects, now)
+        }))
     }
 
-    fn apply_update(
+    fn submit_update_batch(
         &self,
         source: SourceId,
-        object: ObjectId,
-        value: f64,
+        updates: Vec<(ObjectId, f64)>,
         now: f64,
-    ) -> Result<Vec<(CacheId, Refresh)>, TrappError> {
-        let src = self
-            .sources
-            .get(&source)
-            .ok_or_else(|| TrappError::RefreshFailed(format!("unknown source {source}")))?;
-        src.lock().apply_update(object, value, now)
+    ) -> Completion<Vec<(CacheId, Refresh)>> {
+        if updates.is_empty() {
+            return Completion::ready(Ok(Vec::new()));
+        }
+        Completion::ready(
+            self.lookup(source)
+                .and_then(|src| apply_update_batch(&mut src.lock(), updates, now)),
+        )
     }
 
     fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
     }
-}
-
-enum SourceRequest {
-    Refresh {
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-        reply: CompletionSender<Refresh>,
-    },
-    RefreshBatch {
-        cache: CacheId,
-        objects: Vec<ObjectId>,
-        now: f64,
-        reply: CompletionSender<Vec<Refresh>>,
-    },
-    Update {
-        object: ObjectId,
-        value: f64,
-        now: f64,
-        reply: CompletionSender<Vec<(CacheId, Refresh)>>,
-    },
-    UpdateBatch {
-        updates: Vec<(ObjectId, f64)>,
-        now: f64,
-        reply: CompletionSender<Vec<(CacheId, Refresh)>>,
-    },
 }
 
 /// Applies a whole update batch against one source's state, in order,
@@ -473,251 +331,6 @@ fn apply_update_batch(
     Ok(out)
 }
 
-/// One source actor: a thread draining a request channel.
-struct SourceActor {
-    tx: Sender<SourceRequest>,
-    handle: JoinHandle<()>,
-}
-
-/// Threaded transport: each source behind its own channel + thread.
-pub struct ChannelTransport {
-    actors: HashMap<SourceId, SourceActor>,
-    latency: Duration,
-    messages: Arc<AtomicU64>,
-}
-
-impl ChannelTransport {
-    /// Creates a threaded transport with the given simulated one-way
-    /// latency applied by each source before replying (use
-    /// `Duration::ZERO` for none).
-    pub fn new(latency: Duration) -> ChannelTransport {
-        ChannelTransport {
-            actors: HashMap::new(),
-            latency,
-            messages: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Spawns a source actor thread.
-    pub fn add_source(&mut self, mut source: Source) {
-        let id = source.id();
-        let (tx, rx) = unbounded::<SourceRequest>();
-        let latency = self.latency;
-        let handle = std::thread::spawn(move || {
-            while let Ok(req) = rx.recv() {
-                match req {
-                    SourceRequest::Refresh {
-                        cache,
-                        object,
-                        now,
-                        reply,
-                    } => {
-                        if !latency.is_zero() {
-                            std::thread::sleep(latency);
-                        }
-                        reply.complete(source.serve_refresh(cache, object, now));
-                    }
-                    SourceRequest::RefreshBatch {
-                        cache,
-                        objects,
-                        now,
-                        reply,
-                    } => {
-                        // One latency charge for the whole batch: the point
-                        // of batching is that n objects share one
-                        // round-trip.
-                        if !latency.is_zero() {
-                            std::thread::sleep(latency);
-                        }
-                        reply.complete(source.serve_refresh_batch(cache, &objects, now));
-                    }
-                    SourceRequest::Update {
-                        object,
-                        value,
-                        now,
-                        reply,
-                    } => {
-                        reply.complete(source.apply_update(object, value, now));
-                    }
-                    SourceRequest::UpdateBatch {
-                        updates,
-                        now,
-                        reply,
-                    } => {
-                        reply.complete(apply_update_batch(&mut source, updates, now));
-                    }
-                }
-            }
-        });
-        if let Some(replaced) = self.actors.insert(id, SourceActor { tx, handle }) {
-            // Re-registering a source id must not leak the old actor's
-            // thread past this transport: drain it and join it now.
-            shutdown_actor(replaced);
-        }
-    }
-
-    fn actor(&self, source: SourceId) -> Result<&SourceActor, TrappError> {
-        self.actors
-            .get(&source)
-            .ok_or_else(|| TrappError::RefreshFailed(format!("unknown source {source}")))
-    }
-}
-
-/// Stops one actor by *closing its channel* and joining the thread. The
-/// actor loop exits only when the channel is closed **and drained**, so
-/// every request accepted before shutdown — including nonblocking submits
-/// still in flight — is served, counted, and answered exactly once before
-/// the join returns. (A poison message would instead race ahead of queued
-/// requests it should drain behind.)
-fn shutdown_actor(actor: SourceActor) {
-    let SourceActor { tx, handle } = actor;
-    drop(tx);
-    let _ = handle.join();
-}
-
-impl Transport for ChannelTransport {
-    fn request_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Result<Refresh, TrappError> {
-        self.submit_refresh(source, cache, object, now).wait()
-    }
-
-    fn request_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: &[ObjectId],
-        now: f64,
-    ) -> Result<Vec<Refresh>, TrappError> {
-        self.submit_refresh_batch(source, cache, objects.to_vec(), now)
-            .wait()
-    }
-
-    fn submit_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Completion<Refresh> {
-        let actor = match self.actor(source) {
-            Ok(actor) => actor,
-            Err(e) => return Completion::ready(Err(e)),
-        };
-        let (reply, completion) = Completion::pending();
-        if actor
-            .tx
-            .send(SourceRequest::Refresh {
-                cache,
-                object,
-                now,
-                reply,
-            })
-            .is_err()
-        {
-            return Completion::ready(Err(TrappError::RefreshFailed("source actor gone".into())));
-        }
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        completion
-    }
-
-    fn submit_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: Vec<ObjectId>,
-        now: f64,
-    ) -> Completion<Vec<Refresh>> {
-        if objects.is_empty() {
-            return Completion::ready(Ok(Vec::new()));
-        }
-        let actor = match self.actor(source) {
-            Ok(actor) => actor,
-            Err(e) => return Completion::ready(Err(e)),
-        };
-        let (reply, completion) = Completion::pending();
-        if actor
-            .tx
-            .send(SourceRequest::RefreshBatch {
-                cache,
-                objects,
-                now,
-                reply,
-            })
-            .is_err()
-        {
-            return Completion::ready(Err(TrappError::RefreshFailed("source actor gone".into())));
-        }
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        completion
-    }
-
-    fn apply_update(
-        &self,
-        source: SourceId,
-        object: ObjectId,
-        value: f64,
-        now: f64,
-    ) -> Result<Vec<(CacheId, Refresh)>, TrappError> {
-        let actor = self.actor(source)?;
-        let (reply, completion) = Completion::pending();
-        actor
-            .tx
-            .send(SourceRequest::Update {
-                object,
-                value,
-                now,
-                reply,
-            })
-            .map_err(|_| TrappError::RefreshFailed("source actor gone".into()))?;
-        completion.wait()
-    }
-
-    fn submit_update_batch(
-        &self,
-        source: SourceId,
-        updates: Vec<(ObjectId, f64)>,
-        now: f64,
-    ) -> Completion<Vec<(CacheId, Refresh)>> {
-        if updates.is_empty() {
-            return Completion::ready(Ok(Vec::new()));
-        }
-        let actor = match self.actor(source) {
-            Ok(actor) => actor,
-            Err(e) => return Completion::ready(Err(e)),
-        };
-        let (reply, completion) = Completion::pending();
-        if actor
-            .tx
-            .send(SourceRequest::UpdateBatch {
-                updates,
-                now,
-                reply,
-            })
-            .is_err()
-        {
-            return Completion::ready(Err(TrappError::RefreshFailed("source actor gone".into())));
-        }
-        completion
-    }
-
-    fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for ChannelTransport {
-    fn drop(&mut self) {
-        for (_, actor) in self.actors.drain() {
-            shutdown_actor(actor);
-        }
-    }
-}
-
 /// One source multiplexed on the shared pool: its state plus its FIFO
 /// submission handle.
 struct CompletionActor {
@@ -730,22 +343,18 @@ struct CompletionActor {
 /// [`Completion`]s. Total threads are `O(pool)` regardless of how many
 /// sources (or how many transports share the pool) exist.
 ///
-/// Semantics relative to [`ChannelTransport`]:
-///
-/// * **Per-source FIFO is preserved** — refresh requests to one source are
-///   served in submission order, so [`Refresh::seq`] stamping (and hence
-///   install ordering) is identical to the thread-per-source actors.
+/// * **Per-source FIFO** — requests to one source are served in
+///   submission order, so [`Refresh::seq`] stamping (and hence install
+///   ordering) follows submission order.
 /// * **Latency costs no threads** — simulated one-way latency is a timer
 ///   deadline, not a sleeping thread: a request spends `latency` "on the
 ///   wire", then enters its source's queue. A thousand concurrent
 ///   in-flight requests occupy zero pool threads while in transit.
-/// * **Updates may overtake in-flight refreshes** — [`apply_update`] is
+/// * **Updates may overtake in-flight refreshes** — an update batch is
 ///   driver-side and enters the source queue immediately, ahead of
 ///   refreshes still in transit. Real networks reorder this way too; the
 ///   refresh sequencing invariants ([`Refresh::seq`] ordering, the
 ///   gateway's epoch guard) make the interleaving safe.
-///
-/// [`apply_update`]: Transport::apply_update
 pub struct CompletionTransport {
     actors: HashMap<SourceId, CompletionActor>,
     latency: Duration,
@@ -816,46 +425,6 @@ impl CompletionTransport {
 }
 
 impl Transport for CompletionTransport {
-    fn request_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Result<Refresh, TrappError> {
-        self.submit_refresh(source, cache, object, now).wait()
-    }
-
-    fn request_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: &[ObjectId],
-        now: f64,
-    ) -> Result<Vec<Refresh>, TrappError> {
-        self.submit_refresh_batch(source, cache, objects.to_vec(), now)
-            .wait()
-    }
-
-    fn submit_refresh(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        object: ObjectId,
-        now: f64,
-    ) -> Completion<Refresh> {
-        let actor = match self.actor(source) {
-            Ok(actor) => actor,
-            Err(e) => return Completion::ready(Err(e)),
-        };
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        let (reply, completion) = Completion::pending();
-        self.dispatch(actor, true, move |s| {
-            reply.complete(s.serve_refresh(cache, object, now));
-        });
-        completion
-    }
-
     fn submit_refresh_batch(
         &self,
         source: SourceId,
@@ -876,21 +445,6 @@ impl Transport for CompletionTransport {
             reply.complete(s.serve_refresh_batch(cache, &objects, now));
         });
         completion
-    }
-
-    fn apply_update(
-        &self,
-        source: SourceId,
-        object: ObjectId,
-        value: f64,
-        now: f64,
-    ) -> Result<Vec<(CacheId, Refresh)>, TrappError> {
-        let actor = self.actor(source)?;
-        let (reply, completion) = Completion::pending();
-        self.dispatch(actor, false, move |s| {
-            reply.complete(s.apply_update(object, value, now));
-        });
-        completion.wait()
     }
 
     fn submit_update_batch(
@@ -921,150 +475,189 @@ impl Transport for CompletionTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosConfig, ChaosControl, ChaosTransport};
     use crate::message::RefreshKind;
     use std::time::Instant;
     use trapp_bounds::BoundShape;
 
-    fn mk_source(id: u64) -> Source {
+    const CACHE: CacheId = CacheId::new(1);
+
+    /// A source holding objects 1 (value 10) and 2 (value 20), both
+    /// subscribed by [`CACHE`] with narrow bounds (seq stamps 0 and 0).
+    fn subscribed_source(id: u64) -> Source {
         let mut s = Source::new(SourceId::new(id), BoundShape::Sqrt);
-        s.register_object(ObjectId::new(1), 10.0).unwrap();
+        for (object, value) in [(1, 10.0), (2, 20.0)] {
+            s.register_object(ObjectId::new(object), value).unwrap();
+            s.subscribe(CACHE, ObjectId::new(object), 1.0, 0.0).unwrap();
+        }
         s
     }
 
-    fn subscribed_source(id: u64) -> Source {
-        let mut s = mk_source(id);
-        s.subscribe(CacheId::new(1), ObjectId::new(1), 1.0, 0.0)
+    fn fetch<T: Transport>(
+        t: &T,
+        source: u64,
+        objects: &[u64],
+        now: f64,
+    ) -> Completion<Vec<Refresh>> {
+        let objects = objects.iter().map(|&o| ObjectId::new(o)).collect();
+        t.submit_refresh_batch(SourceId::new(source), CACHE, objects, now)
+    }
+
+    /// One-element batches for object 1 submitted round-robin across
+    /// `sources`, all in flight before any is awaited, must come back
+    /// stamped in submission order per source (the subscription took seq
+    /// 0): every request served exactly once, in order.
+    fn assert_fifo_under_contention<T: Transport>(
+        t: &T,
+        sources: std::ops::RangeInclusive<u64>,
+        rounds: u64,
+    ) {
+        let inflight: Vec<(u64, Completion<Vec<Refresh>>)> = (0..rounds)
+            .flat_map(|round| sources.clone().map(move |source| (source, round)))
+            .map(|(source, round)| (source, fetch(t, source, &[1], 2.0 + round as f64)))
+            .collect();
+        let mut seqs: HashMap<u64, Vec<u64>> = HashMap::new();
+        for (source, completion) in inflight {
+            let rs = completion.wait().expect("served");
+            seqs.entry(source).or_default().push(rs[0].seq);
+        }
+        for source in sources {
+            let expected: Vec<u64> = (1..=rounds).collect();
+            assert_eq!(
+                seqs[&source], expected,
+                "source {source} served out of order"
+            );
+        }
+    }
+
+    /// The contract every [`Transport`] shares, checked over a transport
+    /// holding [`subscribed_source`]s 1..=4.
+    fn conforms<T: Transport>(t: &T) {
+        // Empty batches are ready at submit, free and uncounted — even for
+        // a source the transport has never heard of.
+        assert!(matches!(fetch(t, 1, &[], 1.0).poll(), Ok(Ok(rs)) if rs.is_empty()));
+        assert!(matches!(fetch(t, 9, &[], 1.0).poll(), Ok(Ok(rs)) if rs.is_empty()));
+        let none = t.submit_update_batch(SourceId::new(1), Vec::new(), 1.0);
+        assert!(matches!(none.poll(), Ok(Ok(rs)) if rs.is_empty()));
+        assert_eq!(t.messages(), 0);
+
+        // A non-empty batch is one message however many objects it
+        // covers, and replies come back in request order.
+        let rs = fetch(t, 1, &[2, 1], 1.0).wait().unwrap();
+        let got: Vec<(u64, f64)> = rs.iter().map(|r| (r.object.raw(), r.value)).collect();
+        assert_eq!(got, vec![(2, 20.0), (1, 10.0)]);
+        assert!(rs.iter().all(|r| r.kind == RefreshKind::QueryInitiated));
+        assert_eq!(t.messages(), 1);
+
+        // An unknown source resolves to an error — never a hang — and is
+        // not a round-trip.
+        assert!(fetch(t, 9, &[1], 1.0).wait().is_err());
+        let unknown = t.submit_update_batch(SourceId::new(9), vec![(ObjectId::new(1), 1.0)], 1.0);
+        assert!(unknown.wait().is_err());
+        assert_eq!(t.messages(), 1);
+
+        // `Refresh::seq` is FIFO per source under contention.
+        const ROUNDS: u64 = 8;
+        assert_fifo_under_contention(t, 2..=4, ROUNDS);
+        assert_eq!(t.messages(), 1 + 3 * ROUNDS);
+
+        // Update batches apply in order (narrow √t bounds: every jump
+        // escapes, so the value-initiated seq stamps come back
+        // consecutive) and are not refresh round-trips.
+        let jumps = [500.0, -500.0, 123.0];
+        let updates = jumps.iter().map(|&v| (ObjectId::new(1), v)).collect();
+        let pushed = t
+            .submit_update_batch(SourceId::new(1), updates, 3.0)
+            .wait()
             .unwrap();
-        s
+        assert!(pushed
+            .iter()
+            .all(|(c, r)| *c == CACHE && r.kind == RefreshKind::ValueInitiated));
+        let stamps: Vec<u64> = pushed.iter().map(|(_, r)| r.seq).collect();
+        assert_eq!(stamps.len(), 3);
+        assert!(stamps.windows(2).all(|w| w[1] == w[0] + 1), "{stamps:?}");
+        assert_eq!(fetch(t, 1, &[1], 4.0).wait().unwrap()[0].value, 123.0);
+
+        // A batch stops at its first failure; earlier writes keep their
+        // effects and later ones never land.
+        let updates = vec![
+            (ObjectId::new(2), 77.0),
+            (ObjectId::new(99), 1.0), // unknown object
+            (ObjectId::new(2), 88.0),
+        ];
+        assert!(t
+            .submit_update_batch(SourceId::new(1), updates, 5.0)
+            .wait()
+            .is_err());
+        assert_eq!(fetch(t, 1, &[2], 6.0).wait().unwrap()[0].value, 77.0);
+        assert_eq!(t.messages(), 1 + 3 * ROUNDS + 2);
+    }
+
+    fn direct() -> DirectTransport {
+        let mut t = DirectTransport::new();
+        for id in 1..=4 {
+            t.add_source(subscribed_source(id));
+        }
+        t
+    }
+
+    #[test]
+    fn transports_conform() {
+        conforms(&direct());
+
+        // Pool ≪ sources, with wire latency, so requests really overlap.
+        let mut completion = CompletionTransport::with_pool_size(Duration::from_micros(500), 2);
+        for id in 1..=4 {
+            completion.add_source(subscribed_source(id));
+        }
+        conforms(&completion);
+
+        // Chaos with an empty schedule is a transparent wrapper.
+        let control = Arc::new(ChaosControl::new());
+        conforms(&ChaosTransport::new(
+            direct(),
+            ChaosConfig::default(),
+            control,
+        ));
     }
 
     #[test]
     fn direct_round_trip() {
         let mut t = DirectTransport::new();
-        let src = t.add_source(mk_source(1));
-        src.lock()
-            .subscribe(CacheId::new(1), ObjectId::new(1), 1.0, 0.0)
-            .unwrap();
-        let r = t
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        assert_eq!(r.value, 10.0);
-        assert_eq!(r.kind, RefreshKind::QueryInitiated);
+        let src = t.add_source(subscribed_source(1));
+        // Direct completions resolve inline at submit.
+        let rs = match fetch(&t, 1, &[1], 1.0).poll() {
+            Ok(rs) => rs.unwrap(),
+            Err(_) => panic!("direct transport left a completion pending"),
+        };
+        assert_eq!(rs[0].value, 10.0);
         assert_eq!(t.messages(), 1);
-        assert!(t
-            .request_refresh(SourceId::new(9), CacheId::new(1), ObjectId::new(1), 1.0)
-            .is_err());
-    }
-
-    #[test]
-    fn channel_round_trip_and_updates() {
-        let mut t = ChannelTransport::new(Duration::ZERO);
-        t.add_source(subscribed_source(1));
-
-        // Query-initiated pull through the thread.
-        let r = t
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        assert_eq!(r.value, 10.0);
-
-        // Update that escapes the (narrow) bound → value-initiated push.
-        let refreshes = t
-            .apply_update(SourceId::new(1), ObjectId::new(1), 99.0, 2.0)
-            .unwrap();
-        assert_eq!(refreshes.len(), 1);
-        assert_eq!(refreshes[0].1.kind, RefreshKind::ValueInitiated);
-        assert_eq!(t.messages(), 1); // updates are not refresh round-trips
-    }
-
-    #[test]
-    fn channel_transport_is_concurrent() {
-        let mut t = ChannelTransport::new(Duration::from_millis(1));
-        for id in 1..=4u64 {
-            t.add_source(subscribed_source(id));
-        }
-        let t = Arc::new(t);
-        let mut handles = Vec::new();
-        for id in 1..=4u64 {
-            let t = t.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..5 {
-                    t.request_refresh(SourceId::new(id), CacheId::new(1), ObjectId::new(1), 1.0)
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.messages(), 20);
-    }
-
-    /// Replacing a source actor must drain every in-flight nonblocking
-    /// submit before the join: each accepted request is served, counted,
-    /// and answered exactly once — none lost, none duplicated.
-    #[test]
-    fn channel_replacement_drains_inflight_submits() {
-        let mut t = ChannelTransport::new(Duration::from_millis(2));
-        t.add_source(subscribed_source(1));
-
-        let completions: Vec<Completion<Refresh>> = (0..5)
-            .map(|i| {
-                t.submit_refresh(
-                    SourceId::new(1),
-                    CacheId::new(1),
-                    ObjectId::new(1),
-                    1.0 + i as f64,
-                )
-            })
-            .collect();
-        // Replace the actor while the five submits are still queued behind
-        // its simulated latency: add_source joins the old thread, which
-        // must first drain them all.
-        t.add_source(subscribed_source(1));
-
-        let seqs: Vec<u64> = completions
-            .into_iter()
-            .map(|c| c.wait().expect("drained before join").seq)
-            .collect();
-        // Subscription stamped seq 0; five serves exactly once each, in
-        // submission order.
-        assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
-        assert_eq!(t.messages(), 5, "each submit counted exactly once");
-
-        // The replacement actor serves fresh requests.
-        let r = t
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 9.0)
-            .unwrap();
-        assert_eq!(r.value, 10.0);
-        assert_eq!(t.messages(), 6);
+        // The shared handle sees the serve.
+        assert_eq!(src.lock().stats().query_initiated, 1);
+        assert!(t.source(SourceId::new(1)).is_some());
+        assert!(t.source(SourceId::new(9)).is_none());
     }
 
     #[test]
     fn completion_round_trip_and_updates() {
         let mut t = CompletionTransport::with_pool_size(Duration::ZERO, 2);
-        t.add_source(subscribed_source(1));
+        let src = t.add_source(subscribed_source(1));
 
-        let r = t
-            .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 1.0)
-            .unwrap();
-        assert_eq!(r.value, 10.0);
-        assert_eq!(r.kind, RefreshKind::QueryInitiated);
+        let rs = fetch(&t, 1, &[1], 1.0).wait().unwrap();
+        assert_eq!(rs[0].value, 10.0);
+        assert_eq!(rs[0].kind, RefreshKind::QueryInitiated);
 
+        // Update that escapes the (narrow) bound → value-initiated push.
         let refreshes = t
-            .apply_update(SourceId::new(1), ObjectId::new(1), 99.0, 2.0)
+            .submit_update_batch(SourceId::new(1), vec![(ObjectId::new(1), 99.0)], 2.0)
+            .wait()
             .unwrap();
         assert_eq!(refreshes.len(), 1);
         assert_eq!(refreshes[0].1.kind, RefreshKind::ValueInitiated);
-        assert_eq!(t.messages(), 1);
-
-        assert!(t
-            .request_refresh(SourceId::new(9), CacheId::new(1), ObjectId::new(1), 1.0)
-            .is_err());
-        let batch = t
-            .request_refresh_batch(SourceId::new(1), CacheId::new(1), &[ObjectId::new(1)], 3.0)
-            .unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].value, 99.0);
+        assert_eq!(t.messages(), 1); // updates are not refresh round-trips
+        assert_eq!(fetch(&t, 1, &[1], 3.0).wait().unwrap()[0].value, 99.0);
+        // The shared handle is the actor's own state.
+        assert_eq!(src.lock().stats().updates, 1);
     }
 
     /// Submitted batches to distinct sources spend their latency on the
@@ -1080,16 +673,7 @@ mod tests {
             t.add_source(subscribed_source(id));
         }
         let started = Instant::now();
-        let completions: Vec<Completion<Vec<Refresh>>> = (1..=4u64)
-            .map(|id| {
-                t.submit_refresh_batch(
-                    SourceId::new(id),
-                    CacheId::new(1),
-                    vec![ObjectId::new(1)],
-                    1.0,
-                )
-            })
-            .collect();
+        let completions: Vec<_> = (1..=4u64).map(|id| fetch(&t, id, &[1], 1.0)).collect();
         for c in completions {
             assert_eq!(c.wait().unwrap().len(), 1);
         }
@@ -1102,55 +686,7 @@ mod tests {
         assert_eq!(t.messages(), 4);
     }
 
-    /// One completion per update *batch*: every update in the batch is
-    /// applied in submission order (the refresh seq stamps come back
-    /// consecutive), the triggered value-initiated refreshes are
-    /// concatenated, and the final master value is the last write — on
-    /// the default (inline) path, the channel actor, and the completion
-    /// pool alike.
-    #[test]
-    fn update_batches_apply_in_order_on_every_transport() {
-        let updates = vec![
-            (ObjectId::new(1), 500.0),
-            (ObjectId::new(1), -500.0),
-            (ObjectId::new(1), 123.0),
-        ];
-        let check = |t: &dyn Transport| {
-            let refreshes = t
-                .submit_update_batch(SourceId::new(1), updates.clone(), 1.0)
-                .wait()
-                .unwrap();
-            // Narrow √t bounds at t=1: every jump escapes → 3 refreshes.
-            assert_eq!(refreshes.len(), 3);
-            let seqs: Vec<u64> = refreshes.iter().map(|(_, r)| r.seq).collect();
-            assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "{seqs:?}");
-            let last = t
-                .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 2.0)
-                .unwrap();
-            assert_eq!(last.value, 123.0, "batch must apply in order");
-            // An unknown source resolves to an error, not a hang.
-            assert!(t
-                .submit_update_batch(SourceId::new(9), updates.clone(), 1.0)
-                .wait()
-                .is_err());
-        };
-
-        let mut direct = DirectTransport::new();
-        direct.add_source(subscribed_source(1));
-        check(&direct);
-
-        let mut channel = ChannelTransport::new(Duration::ZERO);
-        channel.add_source(subscribed_source(1));
-        check(&channel);
-
-        let mut completion = CompletionTransport::with_pool_size(Duration::ZERO, 2);
-        completion.add_source(subscribed_source(1));
-        check(&completion);
-    }
-
-    /// Per-source FIFO with sources ≫ pool threads: every source's
-    /// refreshes are served exactly once, in submission order — the seq
-    /// stamps come back strictly consecutive.
+    /// Per-source FIFO with sources ≫ pool threads.
     #[test]
     fn completion_preserves_per_source_fifo_under_contention() {
         const SOURCES: u64 = 32;
@@ -1159,31 +695,7 @@ mod tests {
         for id in 1..=SOURCES {
             t.add_source(subscribed_source(id));
         }
-        // Interleave submissions across all sources, round-robin.
-        let mut completions: Vec<Vec<Completion<Refresh>>> =
-            (0..SOURCES).map(|_| Vec::new()).collect();
-        for round in 0..ROUNDS {
-            for id in 1..=SOURCES {
-                completions[(id - 1) as usize].push(t.submit_refresh(
-                    SourceId::new(id),
-                    CacheId::new(1),
-                    ObjectId::new(1),
-                    1.0 + round as f64,
-                ));
-            }
-        }
-        for (idx, per_source) in completions.into_iter().enumerate() {
-            let seqs: Vec<u64> = per_source
-                .into_iter()
-                .map(|c| c.wait().expect("served").seq)
-                .collect();
-            assert_eq!(
-                seqs,
-                (1..=ROUNDS).collect::<Vec<_>>(),
-                "source {} served out of order",
-                idx + 1
-            );
-        }
+        assert_fifo_under_contention(&t, 1..=SOURCES, ROUNDS);
         assert_eq!(t.messages(), SOURCES * ROUNDS);
     }
 

@@ -1,13 +1,16 @@
 //! System-level integration tests: the full Figure 3 architecture over the
-//! *threaded* transport, and the Refresh-Monitor consistency invariant —
+//! pool-threaded completion transport, message accounting in absolute
+//! terms, and the Refresh-Monitor consistency invariant —
 //! the source's tracked bound must always equal what the cache holds, or
 //! the "guaranteed to contain the master value" contract silently breaks.
 
 use std::time::Duration;
 
 use trapp_bounds::BoundShape;
+use trapp_core::refresh::iterative::IterativeHeuristic;
+use trapp_core::ExecutionMode;
 use trapp_storage::{ColumnDef, Schema, Table};
-use trapp_system::{CacheNode, ChannelTransport, SimClock, Source, Transport};
+use trapp_system::{CacheNode, CompletionTransport, SimClock, Source, Transport};
 use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, Value, ValueType};
 
 fn sensor_schema() -> std::sync::Arc<Schema> {
@@ -18,9 +21,9 @@ fn sensor_schema() -> std::sync::Arc<Schema> {
     .unwrap()
 }
 
-/// Builds a cache over `n` objects spread across `sources` threaded
-/// sources, returning `(clock, cache, transport)`.
-fn threaded_setup(n: usize, sources: usize) -> (SimClock, CacheNode, ChannelTransport) {
+/// Builds a cache over `n` objects spread across `sources` sources behind
+/// a two-thread fetch pool, returning `(clock, cache, transport)`.
+fn threaded_setup(n: usize, sources: usize) -> (SimClock, CacheNode, CompletionTransport) {
     let clock = SimClock::new();
     let mut cache = CacheNode::new(CacheId::new(1), clock.clone());
     let mut table = Table::new("sensors", sensor_schema());
@@ -39,7 +42,7 @@ fn threaded_setup(n: usize, sources: usize) -> (SimClock, CacheNode, ChannelTran
     }
     cache.add_table(table).unwrap();
 
-    let mut transport = ChannelTransport::new(Duration::from_micros(200));
+    let mut transport = CompletionTransport::with_pool_size(Duration::from_micros(200), 2);
     for s in 0..sources {
         let sid = SourceId::new(s as u64 + 1);
         let mut source = Source::new(sid, BoundShape::Sqrt);
@@ -70,7 +73,7 @@ fn queries_work_over_the_threaded_transport() {
     assert!(r.satisfied);
     assert_eq!(transport.messages(), 0);
 
-    // Tight query: refreshes travel through the source threads.
+    // Tight query: refreshes travel through the pool threads.
     let r = cache
         .execute_query("SELECT SUM(temp) WITHIN 2 FROM sensors", &transport)
         .unwrap();
@@ -92,9 +95,9 @@ fn exact_answers_match_across_transport_kinds() {
     assert_eq!(r.answer.range.lo(), 27.0); // 20 + 7
 }
 
-/// Batched refresh accounting: a tight query whose CHOOSE_REFRESH plan
-/// spans every source issues exactly one round-trip per source — on both
-/// transports — while the per-object baseline issues one per object.
+/// Refresh accounting in absolute terms: a tight query whose
+/// CHOOSE_REFRESH plan spans every source issues exactly one round-trip
+/// per source however many objects each serves.
 #[test]
 fn multi_source_plan_is_one_round_trip_per_source() {
     // 12 objects across 3 sources; WITHIN 0 forces a full refresh.
@@ -105,28 +108,22 @@ fn multi_source_plan_is_one_round_trip_per_source() {
         .unwrap();
     assert!(r.satisfied);
     assert_eq!(r.refreshed.len(), 12, "full refresh expected");
+    assert_eq!(cache.stats().query_initiated, 12, "every object installed");
     assert_eq!(
         transport.messages(),
         3,
-        "one batched round-trip per source, not one per object"
+        "one round-trip per source, not one per object"
     );
-
-    // Same plan over the per-object baseline: 12 round-trips.
-    let (clock, mut cache, transport) = threaded_setup(12, 3);
-    cache.set_batch_refreshes(false);
-    clock.advance(9.0);
-    let r = cache
-        .execute_query("SELECT SUM(temp) WITHIN 0 FROM sensors", &transport)
-        .unwrap();
-    assert!(r.satisfied);
-    assert_eq!(transport.messages(), 12);
 }
 
-/// The same one-round-trip-per-source accounting on the synchronous
-/// transport, and identical answers either way.
+/// The same accounting on the synchronous transport, with the paper's own
+/// one-tuple loop (§8.2 iterative mode: one refresh, hence one message,
+/// per round) as the reference: a whole-plan fetch costs one message per
+/// *source*, the one-tuple loop one per *object*, and both arrive at the
+/// same exact answer over the same refresh set.
 #[test]
 fn batching_counts_match_across_transports_and_preserves_answers() {
-    let build = |batch: bool| {
+    let build = || {
         let mut sim = trapp_system::Simulation::builder()
             .initial_width(2.0)
             .build()
@@ -147,32 +144,11 @@ fn batching_counts_match_across_transports_and_preserves_answers() {
             )
             .unwrap();
         }
-        sim.set_batch_refreshes(batch);
         sim.clock.advance(4.0);
         sim
     };
-
-    let mut batched = build(true);
-    let rb = batched
-        .run_query("SELECT SUM(temp) WITHIN 0 FROM sensors")
-        .unwrap();
-    assert_eq!(batched.stats().messages, 3);
-
-    let mut baseline = build(false);
-    let ro = baseline
-        .run_query("SELECT SUM(temp) WITHIN 0 FROM sensors")
-        .unwrap();
-    assert_eq!(baseline.stats().messages, 9);
-
-    assert_eq!(
-        rb.answer.range, ro.answer.range,
-        "batching must not change answers"
-    );
-    assert_eq!(rb.refreshed, ro.refreshed);
-    assert_eq!(rb.refresh_cost, ro.refresh_cost);
-    // Source-side accounting: same refreshes served, batches only counted
-    // on the batched run.
-    let count = |sim: &trapp_system::Simulation| {
+    // (refreshes served, batches served) summed over the three sources.
+    let served = |sim: &trapp_system::Simulation| {
         (1..=3u64)
             .map(|s| {
                 let src = sim.transport.source(SourceId::new(s)).unwrap();
@@ -181,36 +157,74 @@ fn batching_counts_match_across_transports_and_preserves_answers() {
             })
             .fold((0, 0), |acc, (q, b)| (acc.0 + q, acc.1 + b))
     };
-    assert_eq!(count(&batched), (9, 3));
-    assert_eq!(count(&baseline), (9, 0));
+
+    let mut planned = build();
+    let rp = planned
+        .run_query("SELECT SUM(temp) WITHIN 0 FROM sensors")
+        .unwrap();
+    assert_eq!(planned.stats().messages, 3, "one message per source");
+    assert_eq!(served(&planned), (9, 3));
+    assert_eq!(rp.answer.range.lo(), 180.0); // Σ 5·i for i in 0..9
+    assert!(rp.answer.is_exact());
+    assert_eq!(rp.refresh_cost, 9.0);
+
+    let mut one_tuple = build();
+    one_tuple.cache.session_mut().config.mode =
+        ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
+    let ro = one_tuple
+        .run_query("SELECT SUM(temp) WITHIN 0 FROM sensors")
+        .unwrap();
+    assert_eq!(one_tuple.stats().messages, 9, "one message per object");
+    assert_eq!(served(&one_tuple), (9, 9));
+
+    assert_eq!(rp.answer.range, ro.answer.range);
+    assert_eq!(rp.refresh_cost, ro.refresh_cost);
+    let sorted = |mut v: Vec<(String, trapp_types::TupleId)>| {
+        v.sort();
+        v
+    };
+    assert_eq!(sorted(rp.refreshed), sorted(ro.refreshed));
 }
 
-/// Re-registering a source id must shut down and join the old actor
-/// thread (no detached `JoinHandle`s), and the replacement must serve.
+/// Re-registering a source id replaces the actor without losing what the
+/// old one already accepted: every in-flight submit is served exactly
+/// once, in order, by the source it was addressed to — and requests
+/// submitted afterwards reach the replacement.
 #[test]
 fn replaced_source_actor_is_joined_and_replacement_serves() {
-    let mut transport = ChannelTransport::new(Duration::ZERO);
-    let mut old = Source::new(SourceId::new(1), BoundShape::Sqrt);
-    old.register_object(ObjectId::new(1), 1.0).unwrap();
-    old.subscribe(CacheId::new(1), ObjectId::new(1), 1.0, 0.0)
-        .unwrap();
-    transport.add_source(old);
+    let source = |value: f64| {
+        let mut s = Source::new(SourceId::new(1), BoundShape::Sqrt);
+        s.register_object(ObjectId::new(1), value).unwrap();
+        s.subscribe(CacheId::new(1), ObjectId::new(1), 1.0, 0.0)
+            .unwrap();
+        s
+    };
+    let pull = |t: &CompletionTransport, now: f64| {
+        t.submit_refresh_batch(
+            SourceId::new(1),
+            CacheId::new(1),
+            vec![ObjectId::new(1)],
+            now,
+        )
+    };
+    let mut transport = CompletionTransport::with_pool_size(Duration::from_millis(2), 1);
+    transport.add_source(source(1.0));
+    let inflight: Vec<_> = (0..5).map(|i| pull(&transport, 1.0 + i as f64)).collect();
+    // Replace the actor while the five submits are still on the wire.
+    transport.add_source(source(2.0));
 
-    let mut new = Source::new(SourceId::new(1), BoundShape::Sqrt);
-    new.register_object(ObjectId::new(1), 2.0).unwrap();
-    new.subscribe(CacheId::new(1), ObjectId::new(1), 1.0, 0.0)
-        .unwrap();
-    transport.add_source(new); // joins the old actor internally
+    let served: Vec<(f64, u64)> = inflight
+        .into_iter()
+        .map(|c| c.wait().expect("accepted before the replacement")[0])
+        .map(|r| (r.value, r.seq))
+        .collect();
+    // The subscription stamped seq 0; five serves, once each, in order.
+    let expected: Vec<(f64, u64)> = (1..=5).map(|seq| (1.0, seq)).collect();
+    assert_eq!(served, expected);
 
-    let r = transport
-        .request_refresh(SourceId::new(1), CacheId::new(1), ObjectId::new(1), 0.5)
-        .unwrap();
+    let r = pull(&transport, 9.0).wait().unwrap()[0];
     assert_eq!(r.value, 2.0, "requests must reach the replacement source");
-    let rs = transport
-        .request_refresh_batch(SourceId::new(1), CacheId::new(1), &[ObjectId::new(1)], 0.5)
-        .unwrap();
-    assert_eq!(rs.len(), 1);
-    assert_eq!(transport.messages(), 2);
+    assert_eq!(transport.messages(), 6, "each submit counted exactly once");
 }
 
 /// The Refresh Monitor invariant: after any interleaving of updates,

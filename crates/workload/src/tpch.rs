@@ -826,20 +826,44 @@ mod tests {
         }
     }
 
-    /// The batched join planner and the one-tuple baseline both satisfy
-    /// every join query, and batching never takes more refresh rounds.
+    /// The batched join rounds a serving layer runs (`plan_query` →
+    /// refresh → re-plan) against the §7 one-tuple loop (`execute`): both
+    /// satisfy every join query with the same answer and the same refresh
+    /// sequence, and batching never takes more rounds.
     #[test]
     fn join_queries_satisfied_in_both_modes() {
+        use trapp_core::query_plan::{QueryOutcome, QueryPlan};
         let (w, mut batched, mut oracle_a) = widened_session();
         let (_, mut one_tuple, mut oracle_b) = widened_session();
-        one_tuple.config.join_batch = false;
+        let mut fetched = 0;
         for q in w.queries.iter().filter(|q| q.class == TpchClass::JoinAgg) {
             let query = trapp_sql::parse_query(&q.sql).unwrap();
-            let a = batched.execute(&query, &mut oracle_a).unwrap();
+            let mut refreshed = Vec::new();
+            let mut rounds = 0;
+            let a = loop {
+                match batched.plan_query(&query).unwrap() {
+                    QueryPlan::Ready(QueryOutcome::Scalar(r)) => break r,
+                    QueryPlan::NeedsFetch(fp) => {
+                        for fetch in fp.units.into_iter().filter_map(|u| u.fetch) {
+                            batched
+                                .refresh_tuples(&fetch.table, &fetch.tuples, &mut oracle_a)
+                                .unwrap();
+                            let table = &fetch.table;
+                            refreshed.extend(fetch.tuples.iter().map(|&t| (table.clone(), t)));
+                        }
+                        rounds += 1;
+                    }
+                    other => panic!("{}: unexpected plan {other:?}", q.sql),
+                }
+            };
             let b = one_tuple.execute(&query, &mut oracle_b).unwrap();
             assert!(a.satisfied && b.satisfied, "{}", q.sql);
             assert_eq!(a.answer.range, b.answer.range, "{}", q.sql);
+            assert_eq!(refreshed, b.refreshed, "{}", q.sql);
+            assert!(rounds <= b.rounds, "{}: {rounds} > {}", q.sql, b.rounds);
+            fetched += refreshed.len();
         }
+        assert!(fetched > 0, "no join query needed a refresh: vacuous");
     }
 
     #[test]

@@ -31,9 +31,10 @@ fn main() -> Result<(), TrappError> {
     for row in &workload.rows {
         builder = builder.row("metrics", row.source, row.cells.clone());
     }
-    // The threaded transport simulates 500µs per source round-trip — the
-    // regime where batching, coalescing, and shard parallelism pay.
-    let service = builder.build_channel(std::time::Duration::from_micros(500))?;
+    // The completion transport simulates 500µs per source round-trip — the
+    // regime where batching, coalescing, and shard parallelism pay — on a
+    // shared fetch pool sized from the machine and the shard count.
+    let service = builder.build_completion(std::time::Duration::from_micros(500), None)?;
 
     // Let the bounds widen so tight queries must refresh, then serve the
     // stream from eight concurrent clients.
