@@ -1,0 +1,134 @@
+//! Criterion micro-benchmarks for the band-view layer and the clock-advance
+//! pass feeding it: what one selective (`grp = k`) query pays per plan for
+//! its view — build on a view-cache miss, resync after a clock advance —
+//! and what the shard pays once per advance to re-materialize every bound.
+//!
+//! Two table shapes, the repo benchmark's `big_table` (20,000 rows in
+//! 2,500 groups of 8) and `hot_cache` (8,192 rows in 32 groups of 256),
+//! wired by `ServiceBuilder` so the tables carry exactly the indexes the
+//! service registers.
+
+use std::cell::RefCell;
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use trapp_core::plan::bind_query;
+use trapp_core::view::ViewCache;
+use trapp_server::{QueryService, ServiceBuilder};
+use trapp_storage::{Catalog, ColumnDef, Schema, Table};
+use trapp_types::{BoundedValue, SourceId, TupleId, Value, ValueType};
+
+const LOAD: usize = 1;
+const CLOCK_STEP: f64 = 25.0;
+
+fn service(groups: usize, rows_per_group: usize) -> QueryService {
+    let schema = Schema::new(vec![
+        ColumnDef::exact("grp", ValueType::Int),
+        ColumnDef::bounded_float("load"),
+    ])
+    .expect("static schema");
+    let mut builder = ServiceBuilder::new()
+        .initial_width(1.0)
+        .partition_by("grp")
+        .table(Table::new("metrics", schema));
+    for g in 0..groups {
+        for i in 0..rows_per_group {
+            builder = builder.row(
+                "metrics",
+                SourceId::new(1 + ((g + i) % 8) as u64),
+                vec![
+                    BoundedValue::Exact(Value::Int(g as i64)),
+                    BoundedValue::exact_f64(50.0 + ((g * 31 + i * 7) % 50) as f64).expect("finite"),
+                ],
+            );
+        }
+    }
+    builder.build_direct().expect("service builds")
+}
+
+/// A clock advance as the view sees it: every bound of `table` rewritten,
+/// to a width no earlier round used so no write is skipped as a no-op.
+fn rewiden(table: &mut Table, tids: &[TupleId], round: u64) {
+    let pad = 1.0 + 1e-3 * (round % 1000) as f64;
+    for &tid in tids {
+        let mid = table.interval(tid, LOAD).expect("row exists").midpoint();
+        table
+            .update_cell(
+                tid,
+                LOAD,
+                BoundedValue::bounded(mid - pad, mid + pad).expect("ordered"),
+            )
+            .expect("bounded column");
+    }
+}
+
+fn bench_view(c: &mut Criterion) {
+    let mut group = c.benchmark_group("view");
+    group.sample_size(20);
+    for (groups, rows_per_group) in [(2_500usize, 8usize), (32, 256)] {
+        let shape = format!("{}x{groups}", groups * rows_per_group);
+        let service = service(groups, rows_per_group);
+        service.advance_clock(CLOCK_STEP);
+        let table = service.with_shard_cache(0, |cache| {
+            cache.materialize().expect("bounds materialize");
+            cache
+                .session()
+                .catalog()
+                .table("metrics")
+                .expect("wired")
+                .clone()
+        });
+        let mut catalog = Catalog::new();
+        catalog.add_table(table.clone()).expect("fresh catalog");
+        let sql = format!(
+            "SELECT SUM(load) WITHIN 2 FROM metrics WHERE grp = {}",
+            groups / 2
+        );
+        let bound =
+            bind_query(&trapp_sql::parse_query(&sql).expect("parses"), &catalog).expect("binds");
+        let tids: Vec<TupleId> = table.tuple_ids().collect();
+        let table = RefCell::new(table);
+
+        // A view-cache miss: first sync of a fresh view.
+        group.bench_function(BenchmarkId::new("pinned_build", &shape), |b| {
+            b.iter_with_setup(ViewCache::default, |mut views| {
+                views
+                    .view_for("metrics", &bound)
+                    .sync(&table.borrow())
+                    .expect("view builds");
+                views
+            })
+        });
+
+        // A retained view after every bound of the table moved.
+        let mut views = ViewCache::default();
+        let view = views.view_for("metrics", &bound);
+        view.sync(&table.borrow()).expect("view builds");
+        let mut round = 0u64;
+        group.bench_function(BenchmarkId::new("resync_after_advance", &shape), |b| {
+            b.iter_with_setup(
+                || {
+                    round += 1;
+                    rewiden(&mut table.borrow_mut(), &tids, round);
+                },
+                |()| view.sync(&table.borrow()).expect("resync"),
+            )
+        });
+        assert_eq!(view.input().items.len(), rows_per_group);
+
+        // The shard-lock-held pass at the head of every epoch.
+        group.bench_function(BenchmarkId::new("materialize_after_advance", &shape), |b| {
+            b.iter_with_setup(
+                || service.advance_clock(CLOCK_STEP),
+                |()| {
+                    service.with_shard_cache(0, |cache| {
+                        cache.materialize().expect("bounds materialize")
+                    })
+                },
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_view);
+criterion_main!(benches);

@@ -183,6 +183,16 @@ impl QuerySession {
         &self.catalog
     }
 
+    /// Rows this session's band views have examined so far (builds and
+    /// replays, evicted views included) — the planning work that should
+    /// track candidate-set sizes, not table sizes.
+    pub fn view_tuples_classified(&self) -> u64 {
+        self.views
+            .lock()
+            .expect("view cache poisoned")
+            .tuples_classified()
+    }
+
     /// Mutable access (e.g. for value-initiated refreshes pushed by
     /// sources).
     pub fn catalog_mut(&mut self) -> &mut Catalog {

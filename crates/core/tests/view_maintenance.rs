@@ -14,6 +14,13 @@
 //!   CHOOSE_REFRESH — initial answers, refresh sets, and planned costs,
 //!   which pins the ordered-index planners to the scan planners
 //!   bit-for-bit.
+//!
+//! `pinned_views_match_with_and_without_value_index` runs the same
+//! interleavings — plus exact-cell rewrites that move a row between
+//! groups and idle gaps that compact the change log past every view —
+//! against `grp = k` views on two sessions in lockstep, one whose table
+//! carries the value index on `grp` (index-driven build) and one without
+//! (scan fallback): same bits from both, and from scratch.
 
 use proptest::prelude::*;
 use trapp_core::group_by::group_partitions;
@@ -21,7 +28,7 @@ use trapp_core::plan::bind_query;
 use trapp_core::query_plan::{assemble_units, plan_unit, QueryOutcome, QueryPartial, QueryPlan};
 use trapp_core::{AggInput, QuerySession, SolverStrategy};
 use trapp_sql::Query;
-use trapp_storage::{ColumnDef, Schema, Table};
+use trapp_storage::{ColumnDef, IndexKey, Schema, Table};
 use trapp_types::{BoundedValue, TrappError, TupleId, Value};
 
 fn schema() -> std::sync::Arc<Schema> {
@@ -56,6 +63,12 @@ enum Op {
     Delete(usize),
     /// Set cardinality slack (COUNT-only regime while non-zero).
     Slack(u64, u64),
+    /// Rewrite the exact `grp` cell of the k-th live tuple: the row moves
+    /// between groups and the table's exact version moves with it.
+    Regroup(usize, i64),
+    /// Rewrite one bound more often than the change log holds entries, so
+    /// the log is compacted past every view's version.
+    IdleGap(usize),
     /// Run query shape `q` with constraint `r` and compare both layers.
     Query(usize, f64),
 }
@@ -68,6 +81,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0i64..5, -50.0f64..50.0, 0.0f64..8.0).prop_map(|(g, lo, w)| Op::Insert(g, lo, w)),
         (0usize..64).prop_map(Op::Delete),
         (0u64..3, 0u64..2).prop_map(|(i, d)| Op::Slack(i, d)),
+        (0usize..64, 0i64..5).prop_map(|(k, g)| Op::Regroup(k, g)),
+        (0usize..64).prop_map(Op::IdleGap),
         (0usize..7, 0.0f64..30.0).prop_map(|(q, r)| Op::Query(q, r)),
         (0usize..7, 0.0f64..30.0).prop_map(|(q, r)| Op::Query(q, r)),
         (0usize..7, 0.0f64..30.0).prop_map(|(q, r)| Op::Query(q, r)),
@@ -95,6 +110,69 @@ fn live_tuple(table: &Table, k: usize) -> Option<TupleId> {
         None
     } else {
         Some(ids[k % ids.len()])
+    }
+}
+
+/// More writes than [`Table`]'s change log keeps (`max(2·rows, 1024)`
+/// entries; the tables here stay far below 512 rows).
+const LOG_CAPACITY: usize = 1024;
+
+/// Applies one non-query step to the session's table.
+fn apply_mutation(session: &mut QuerySession, op: &Op, uniform: bool) {
+    let t = session.catalog_mut().table_mut("t").unwrap();
+    match op {
+        Op::Refresh(k, v) => {
+            if let Some(tid) = live_tuple(t, *k) {
+                t.refresh_cell(tid, 1, *v).unwrap();
+            }
+        }
+        Op::Widen(k, lo, hi) => {
+            if let Some(tid) = live_tuple(t, *k) {
+                t.update_cell(tid, 1, BoundedValue::bounded(*lo, *hi).unwrap())
+                    .unwrap();
+            }
+        }
+        Op::Cost(k, c) => {
+            if let Some(tid) = live_tuple(t, *k) {
+                let c = if uniform { 4.0 } else { *c };
+                t.set_cost(tid, c).unwrap();
+            }
+        }
+        Op::Insert(g, lo, w) => {
+            let cost = if uniform { 4.0 } else { 1.0 + *w };
+            t.insert_with_cost(row(*g, *lo, *lo + *w, 1.0), cost)
+                .unwrap();
+        }
+        Op::Delete(k) => {
+            if let Some(tid) = live_tuple(t, *k) {
+                t.delete(tid).unwrap();
+            }
+        }
+        Op::Slack(i, d) => t.set_cardinality_slack(*i, *d),
+        Op::Regroup(k, g) => {
+            if let Some(tid) = live_tuple(t, *k) {
+                t.update_cell(tid, 0, BoundedValue::Exact(Value::Int(*g)))
+                    .unwrap();
+            }
+        }
+        Op::IdleGap(k) => {
+            if let Some(tid) = live_tuple(t, *k) {
+                let floor = t.version();
+                for i in 0..=LOG_CAPACITY {
+                    t.update_cell(
+                        tid,
+                        2,
+                        BoundedValue::bounded(i as f64, i as f64 + 1.0).unwrap(),
+                    )
+                    .unwrap();
+                }
+                assert!(
+                    t.changes_since(floor).is_none(),
+                    "log compacted past {floor}"
+                );
+            }
+        }
+        Op::Query(..) => unreachable!("queries are compared by the caller"),
     }
 }
 
@@ -234,48 +312,6 @@ proptest! {
 
         for (step, op) in ops.iter().enumerate() {
             match op {
-                Op::Refresh(k, v) => {
-                    let t = session.catalog_mut().table_mut("t").unwrap();
-                    if let Some(tid) = live_tuple(t, *k) {
-                        t.refresh_cell(tid, 1, *v).unwrap();
-                    }
-                }
-                Op::Widen(k, lo, hi) => {
-                    let t = session.catalog_mut().table_mut("t").unwrap();
-                    if let Some(tid) = live_tuple(t, *k) {
-                        t.update_cell(tid, 1, BoundedValue::bounded(*lo, *hi).unwrap())
-                            .unwrap();
-                    }
-                }
-                Op::Cost(k, c) => {
-                    let t = session.catalog_mut().table_mut("t").unwrap();
-                    if let Some(tid) = live_tuple(t, *k) {
-                        let c = if uniform { 4.0 } else { *c };
-                        t.set_cost(tid, c).unwrap();
-                    }
-                }
-                Op::Insert(g, lo, w) => {
-                    let cost = if uniform { 4.0 } else { 1.0 + *w };
-                    session
-                        .catalog_mut()
-                        .table_mut("t")
-                        .unwrap()
-                        .insert_with_cost(row(*g, *lo, *lo + *w, 1.0), cost)
-                        .unwrap();
-                }
-                Op::Delete(k) => {
-                    let t = session.catalog_mut().table_mut("t").unwrap();
-                    if let Some(tid) = live_tuple(t, *k) {
-                        t.delete(tid).unwrap();
-                    }
-                }
-                Op::Slack(i, d) => {
-                    session
-                        .catalog_mut()
-                        .table_mut("t")
-                        .unwrap()
-                        .set_cardinality_slack(*i, *d);
-                }
                 Op::Query(shape, r) => {
                     let slack = session.catalog().table("t").unwrap().cardinality_slack();
                     // Value aggregates are (correctly) rejected under
@@ -330,7 +366,74 @@ proptest! {
                         }
                     }
                 }
+                mutation => apply_mutation(&mut session, mutation, uniform),
             }
         }
+    }
+
+
+    #[test]
+    fn pinned_views_match_with_and_without_value_index(
+        seed_rows in proptest::collection::vec(
+            (0i64..5, -50.0f64..50.0, 0.0f64..8.0, 0.5f64..9.0), 1..24),
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+    ) {
+        // Two sessions over the same rows: one whose table carries the
+        // churn-free pair the service registers (cost + value index on
+        // `grp`), one with no index at all.
+        let mut plain = Table::new("t", schema());
+        for (g, lo, w, c) in &seed_rows {
+            plain.insert_with_cost(row(*g, *lo, *lo + *w, 1.0), *c).unwrap();
+        }
+        let mut indexed = plain.clone();
+        indexed.create_index(IndexKey::Cost).unwrap();
+        indexed.create_index(IndexKey::Lo { column: 0 }).unwrap();
+        let mut sessions = [QuerySession::new(indexed), QuerySession::new(plain)];
+
+        for (step, op) in ops.iter().enumerate() {
+            let Op::Query(shape, r) = op else {
+                for session in &mut sessions {
+                    apply_mutation(session, op, false);
+                }
+                continue;
+            };
+            let slack = sessions[0].catalog().table("t").unwrap().cardinality_slack();
+            let g = shape % 5;
+            // Value aggregates are rejected under slack: COUNT only there.
+            let text = match if slack == (0, 0) { shape % 4 } else { 0 } {
+                0 => format!("SELECT COUNT(*) WITHIN {r} FROM t WHERE grp = {g} AND load > 0"),
+                1 => format!("SELECT SUM(load) WITHIN {r} FROM t WHERE grp = {g}"),
+                2 => format!("SELECT MIN(load) WITHIN {r} FROM t WHERE load > 0 AND {g} = grp"),
+                _ => format!("SELECT AVG(load) WITHIN {r} FROM t WHERE grp = {g} AND grp < 4"),
+            };
+            let q = trapp_sql::parse_query(&text).unwrap();
+            let context = format!("step {step}: {text}");
+            let mut plans = Vec::new();
+            for session in &sessions {
+                let table = session.catalog().table("t").unwrap();
+                let bound = bind_query(&q, session.catalog()).unwrap();
+                let QueryPartial::Scalar(p) = session.partial_query(&q).unwrap() else {
+                    unreachable!("pinned shapes are scalar");
+                };
+                let scratch = AggInput::build_filtered(
+                    table, bound.predicate.as_ref(), bound.arg.as_ref(), |_, _| true,
+                ).unwrap();
+                assert_inputs_equal(&p.input, &scratch, &context)?;
+                plans.push(session.plan_query(&q));
+            }
+            plans.push(scan_plan(&sessions[1], &q));
+            // Plans — or the refusal, e.g. AVG over a certainly-empty
+            // group — agree across index, scan fallback and scratch.
+            let parts: Vec<_> = plans
+                .iter()
+                .map(|p| p.as_ref().map(plan_parts).map_err(|e| e.to_string()))
+                .collect();
+            prop_assert_eq!(&parts[0], &parts[1], "{}", &context);
+            prop_assert_eq!(&parts[1], &parts[2], "{}", &context);
+        }
+        // Non-vacuity: the index is what the indexed session built from.
+        prop_assert!(
+            sessions[0].view_tuples_classified() <= sessions[1].view_tuples_classified()
+        );
     }
 }

@@ -29,6 +29,7 @@
 //! answers (see [`trapp_core::merge`]).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,6 +57,10 @@ pub struct Shard {
     pub(crate) health: Arc<HealthTracker>,
     /// table → (local tid → global tid).
     to_global: TidMap<TupleId>,
+    /// The cache session's `view_tuples_classified` as of the last plan
+    /// on this shard, mirrored so `stats()` reads it without the cache
+    /// lock.
+    pub(crate) view_tuples_classified: AtomicU64,
 }
 
 impl Shard {
@@ -75,7 +80,15 @@ impl Shard {
             gateway: RefreshGateway::with_policy(transport, await_timeout, retry, health.clone()),
             health,
             to_global,
+            view_tuples_classified: AtomicU64::new(0),
         }
+    }
+
+    /// Publishes the session's view work counter; called with the cache
+    /// lock held, after planning.
+    pub(crate) fn note_view_work(&self, cache: &CacheNode) {
+        self.view_tuples_classified
+            .store(cache.session().view_tuples_classified(), Ordering::Relaxed);
     }
 
     /// Translates a shard-local tuple id to the global id space.

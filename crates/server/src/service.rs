@@ -65,6 +65,7 @@
 //! the missing shard.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -80,7 +81,7 @@ use trapp_core::query_plan::{
 };
 use trapp_core::refresh::iterative::IterativeHeuristic;
 use trapp_core::{merge_grouped_partials, merge_table_slices, BoundedAnswer};
-use trapp_storage::Table;
+use trapp_storage::{IndexKey, Table};
 use trapp_system::{
     CacheNode, ChaosConfig, ChaosControl, ChaosTransport, CompletionTransport, CostModel,
     DirectTransport, FetchPool, SimClock, Source, Transport,
@@ -278,6 +279,10 @@ pub struct ServiceStats {
     pub fetch_us: u64,
     /// Total time spent installing fetched refreshes, µs.
     pub install_us: u64,
+    /// Rows the shards' band views have examined (built or replayed) —
+    /// planning work in rows, which selective queries keep proportional
+    /// to their candidate sets.
+    pub view_tuples_classified: u64,
 }
 
 struct Job {
@@ -598,7 +603,9 @@ impl ServiceCore {
                     cache.materialize()?;
                     let now = self.clock.now();
                     let max_join_rounds = cache.session().config.max_refresh_rounds;
-                    match cache.session().plan_query_excluding(q, &exclusions)? {
+                    let plan = cache.session().plan_query_excluding(q, &exclusions)?;
+                    shard.note_view_work(&cache);
+                    match plan {
                         QueryPlan::Iterative => {
                             // Iterative mode (§8.2) picks each refresh from
                             // live master values: execution stays under the
@@ -1063,6 +1070,7 @@ impl ServiceCore {
                 heuristic = config.join_heuristic;
                 max_join_rounds = config.max_refresh_rounds;
                 let mut partial = cache.session().partial_query(query)?;
+                shard.note_view_work(cache);
                 match &mut partial {
                     QueryPartial::Scalar(p) => {
                         let table = p.table.clone();
@@ -1421,6 +1429,7 @@ impl QueryService {
         for shard in self.core.router.shards() {
             s.refreshes_coalesced += shard.gateway.refreshes_coalesced();
             s.refreshes_forwarded += shard.gateway.refreshes_forwarded();
+            s.view_tuples_classified += shard.view_tuples_classified.load(Ordering::Relaxed);
         }
         s.queue_depth = self.core.admission.depth();
         s.fetch_pool_threads = self.core.admission.pool_threads().unwrap_or(0) as u64;
@@ -1461,15 +1470,25 @@ pub fn default_fetch_pool_size(shards: usize) -> usize {
     (2 * shards.max(1)).min(hardware).max(2)
 }
 
-/// Registers the refresh-cost index on every cached table (it keys the
-/// §6.3 COUNT probe and never churns on bound re-materialization, since
-/// costs are write-once per tuple). The §5.1/§5.2 endpoint/width indexes
-/// are deliberately *not* registered: every clock advance rewrites every
-/// bound cell, so their maintenance (six B-tree moves per cell per
-/// advance) costs more than the unfiltered queries they accelerate —
-/// embedders with slow-moving bounds can opt in via
-/// `Table::create_default_indexes`.
-fn register_cost_indexes(cache: &mut CacheNode) -> Result<(), TrappError> {
+/// Registers the two **churn-free** indexes on every cached table — the
+/// ones a bound re-materialization never has to move:
+///
+/// * the refresh-cost index (keys the §6.3 COUNT probe; costs are
+///   write-once per tuple);
+/// * a value index on the declared partition column, where the table has
+///   it as an exact numeric column (`IndexKey::Lo` — an exact cell is a
+///   point interval). Band views over `partition_col = k` build from its
+///   `k` entry instead of scanning the table.
+///
+/// The §5.1/§5.2 endpoint/width indexes on *bounded* columns are
+/// deliberately not registered: every clock advance rewrites every bound
+/// cell, so their maintenance (six B-tree moves per cell per advance)
+/// costs more than the unfiltered queries they accelerate — embedders
+/// with slow-moving bounds can opt in via `Table::create_default_indexes`.
+fn register_churn_free_indexes(
+    cache: &mut CacheNode,
+    partition_column: Option<&str>,
+) -> Result<(), TrappError> {
     let names: Vec<String> = cache
         .session()
         .catalog()
@@ -1477,11 +1496,19 @@ fn register_cost_indexes(cache: &mut CacheNode) -> Result<(), TrappError> {
         .map(str::to_owned)
         .collect();
     for name in names {
-        cache
-            .session_mut()
-            .catalog_mut()
-            .table_mut(&name)?
-            .create_index(trapp_storage::IndexKey::Cost)?;
+        let table = cache.session_mut().catalog_mut().table_mut(&name)?;
+        table.create_index(IndexKey::Cost)?;
+        let schema = table.schema();
+        let value_indexed = partition_column
+            .and_then(|col| schema.column_index(col).ok())
+            .filter(|&c| {
+                schema
+                    .column_at(c)
+                    .is_ok_and(|d| !d.bounded && d.ty.is_numeric())
+            });
+        if let Some(column) = value_indexed {
+            table.create_index(IndexKey::Lo { column })?;
+        }
     }
     Ok(())
 }
@@ -1674,7 +1701,7 @@ impl ServiceBuilder {
         let mut shards = Vec::with_capacity(wired.len());
         for w in wired {
             let mut cache = w.cache;
-            register_cost_indexes(&mut cache)?;
+            register_churn_free_indexes(&mut cache, partition_column.as_deref())?;
             let mut transport = make_transport(w.sources);
             if let (Some(cfg), Some(control)) = (&chaos_cfg, &chaos_control) {
                 transport = Box::new(ChaosTransport::new(transport, cfg.clone(), control.clone()));

@@ -116,3 +116,68 @@ proptest! {
         }
     }
 }
+
+/// More distinct pinned views than one shard's view cache retains (256,
+/// `MAX_VIEWS` in `trapp_core::view`), swept round-robin — the LRU's worst
+/// case, so every later visit finds its view evicted and re-enters through
+/// the index-driven build — while clock advances and master updates keep
+/// the table moving underneath. Every answer equals the §4 loop's.
+#[test]
+fn evicted_pinned_views_reenter_bit_identical() {
+    const PINS: usize = 300;
+    let w = loadgen::generate(&LoadConfig {
+        seed: 11,
+        groups: PINS,
+        rows_per_group: 2,
+        sources: 3,
+        queries: 0,
+        ..LoadConfig::default()
+    });
+    let config = ServiceConfig {
+        workers: 1,
+        shards: 1,
+        ..ServiceConfig::default()
+    };
+    for stack in STACKS {
+        let builder = service_builder(loadgen_tables(&w), config).partition_by("grp");
+        let service = stack.build(builder, std::time::Duration::ZERO);
+        let mut reference = common::reference(loadgen_tables(&w), 3);
+        for i in 0..3 * PINS {
+            if i % 50 == 0 {
+                service.advance_clock(25.0);
+                reference.clock.advance(25.0);
+            }
+            if i % 7 == 0 {
+                let update = (
+                    ObjectId::new((i * 13 % w.rows.len()) as u64 + 1),
+                    50.0 + (i % 50) as f64,
+                );
+                let delivered = service.apply_update_batch(&[update]).unwrap();
+                assert_eq!(
+                    delivered,
+                    reference.apply_update(update.0, update.1).unwrap()
+                );
+            }
+            let g = i % PINS;
+            let sql = match i % 3 {
+                0 => format!("SELECT SUM(load) WITHIN 0.5 FROM metrics WHERE grp = {g}"),
+                1 => format!("SELECT COUNT(*) WITHIN 0 FROM metrics WHERE grp = {g} AND load > 75"),
+                _ => format!("SELECT MIN(load) WITHIN 2 FROM metrics WHERE grp = {g}"),
+            };
+            let reply = service.query(&sql).unwrap();
+            assert_reply_matches_reference(
+                &reply,
+                &run_reference(&mut reference, &sql),
+                &format!("query {i} ({stack:?}): {sql}"),
+            )
+            .unwrap();
+        }
+        // 2 rows per pin: the views examined their groups, not the table
+        // (a scan build alone would be 600 rows for each of ≥ 300 builds).
+        let examined = service.stats().view_tuples_classified;
+        assert!(
+            (2 * PINS as u64..20 * PINS as u64).contains(&examined),
+            "{examined}"
+        );
+    }
+}

@@ -15,7 +15,9 @@ use trapp_types::{OrderedF64, TupleId};
 /// What a maintained index is keyed on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum IndexKey {
-    /// Lower endpoint `L` of a bounded column.
+    /// Lower endpoint `L` of a bounded column. On an *exact* numeric
+    /// column every cell is a point interval, so this is a value index
+    /// (see `Table::tuples_with_value`).
     Lo {
         /// Column position in the schema.
         column: usize,
@@ -117,10 +119,14 @@ impl OrderedIndex {
 
     /// Tuples holding exactly `key`.
     pub fn get(&self, key: OrderedF64) -> impl Iterator<Item = TupleId> + '_ {
+        self.between(key, key)
+    }
+
+    /// Tuples with `lo ≤ key ≤ hi`, in ascending key order.
+    pub fn between(&self, lo: OrderedF64, hi: OrderedF64) -> impl Iterator<Item = TupleId> + '_ {
         self.map
-            .get(&key)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+            .range(lo..=hi)
+            .flat_map(|(_, set)| set.iter().copied())
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use trapp_types::{BoundedValue, Interval, OrderedF64, TrappError, TupleId, Value};
@@ -230,8 +231,41 @@ impl Table {
     }
 
     /// All tuple ids in id order.
-    pub fn tuple_ids(&self) -> impl Iterator<Item = TupleId> + '_ {
+    pub fn tuple_ids(&self) -> impl DoubleEndedIterator<Item = TupleId> + '_ {
         self.rows.keys().copied()
+    }
+
+    /// The live tuple ids strictly above `tid`, in id order — ids are never
+    /// reused, so these are the rows inserted after a reader last saw `tid`
+    /// as the table's largest.
+    pub fn tuple_ids_after(&self, tid: TupleId) -> impl Iterator<Item = TupleId> + '_ {
+        self.rows
+            .range((Bound::Excluded(tid), Bound::Unbounded))
+            .map(|(t, _)| *t)
+    }
+
+    /// The tuples whose **exact** numeric `column` equals `value`, in id
+    /// order, read off the maintained `Lo` index — an exact cell is a point
+    /// interval, so its `Lo` index is a value index, and one that bound
+    /// re-materialization never touches. `None` when the column is bounded
+    /// or carries no such index; the caller scans instead.
+    pub fn tuples_with_value(&self, column: usize, value: f64) -> Option<Vec<TupleId>> {
+        if value.is_nan() || self.schema.column_at(column).map_or(true, |d| d.bounded) {
+            return None;
+        }
+        let index = self.indexes.get(&IndexKey::Lo { column })?;
+        // The index orders `-0.0` before `+0.0`; numeric equality does not
+        // tell them apart.
+        let (lo, hi) = if value == 0.0 {
+            (-0.0, 0.0)
+        } else {
+            (value, value)
+        };
+        let mut tids: Vec<TupleId> = index
+            .between(OrderedF64::new_unchecked(lo), OrderedF64::new_unchecked(hi))
+            .collect();
+        tids.sort_unstable();
+        Some(tids)
     }
 
     /// Numeric range view of one cell.
@@ -249,7 +283,6 @@ impl Table {
         cell: BoundedValue,
     ) -> Result<(), TrappError> {
         self.schema.validate_cell(column, &cell)?;
-        let cost = self.cost(tid)?;
         let row = self
             .rows
             .get_mut(&tid)
@@ -286,7 +319,6 @@ impl Table {
                 ix.insert(new_key, tid);
             }
         }
-        let _ = cost;
         // Conservative on the error arm: an unplaceable column counts as
         // exact, forcing dependent views to rebuild rather than skip.
         if self
@@ -576,6 +608,42 @@ mod tests {
         assert_eq!(lo.min_key().unwrap().get(), -1.0);
         // Indexing a non-numeric column fails cleanly.
         assert!(t.create_index(IndexKey::Lo { column: 0 }).is_ok()); // Int is numeric
+    }
+
+    #[test]
+    fn value_lookup_reads_the_exact_column_index() {
+        let mut t = table();
+        let a = t.insert(row(7, 0.0, 1.0)).unwrap();
+        let b = t.insert(row(0, 0.0, 1.0)).unwrap();
+        let c = t.insert(row(7, 2.0, 3.0)).unwrap();
+        // No index yet, and never on a bounded column (its `Lo` index
+        // keys lower endpoints, not values).
+        assert!(t.tuples_with_value(0, 7.0).is_none());
+        t.create_index(IndexKey::Lo { column: 0 }).unwrap();
+        t.create_index(IndexKey::Lo { column: 1 }).unwrap();
+        assert!(t.tuples_with_value(1, 0.0).is_none());
+        assert_eq!(t.tuples_with_value(0, 7.0).unwrap(), vec![a, c]);
+        assert_eq!(t.tuples_with_value(0, -0.0).unwrap(), vec![b]);
+        assert!(t.tuples_with_value(0, 3.0).unwrap().is_empty());
+        // Exact-cell rewrites and deletes keep it current.
+        t.update_cell(b, 0, BoundedValue::Exact(Value::Int(7)))
+            .unwrap();
+        t.delete(a).unwrap();
+        assert_eq!(t.tuples_with_value(0, 7.0).unwrap(), vec![b, c]);
+        // Clones carry their indexes.
+        assert_eq!(t.clone().tuples_with_value(0, 7.0).unwrap(), vec![b, c]);
+    }
+
+    #[test]
+    fn tuple_ids_after_lists_later_inserts() {
+        let mut t = table();
+        let a = t.insert(row(1, 0.0, 1.0)).unwrap();
+        let b = t.insert(row(2, 0.0, 1.0)).unwrap();
+        let c = t.insert(row(3, 0.0, 1.0)).unwrap();
+        t.delete(b).unwrap();
+        assert_eq!(t.tuple_ids_after(a).collect::<Vec<_>>(), vec![c]);
+        assert_eq!(t.tuple_ids_after(c).count(), 0);
+        assert_eq!(t.tuple_ids().next_back(), Some(c));
     }
 
     /// The changed tuples after `since`, flattened.

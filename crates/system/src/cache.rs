@@ -14,7 +14,7 @@
 //! transport, hands the exact value to the executor, and records the new
 //! bound function for installation after the query completes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use trapp_bounds::BoundFunction;
 use trapp_core::executor::{QueryResult, QuerySession, RefreshOracle};
@@ -27,6 +27,10 @@ use crate::transport::Transport;
 
 /// Identifies one bounded cell of one cached table.
 pub type CellKey = (String, TupleId, usize);
+
+/// table → `(tuple, column)` → backing object, ordered: the reverse of
+/// [`ObjectRoute::cell`], and the order a clock advance rewrites cells in.
+type CellIndex = BTreeMap<String, BTreeMap<(TupleId, usize), ObjectId>>;
 
 /// Where a replicated object lives and which cell it backs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,8 +48,12 @@ pub struct CacheNode {
     clock: SimClock,
     /// object → route (source + cell).
     routes: HashMap<ObjectId, ObjectRoute>,
-    /// cell → object (reverse index used by the oracle).
-    by_cell: HashMap<CellKey, ObjectId>,
+    /// cell → the object bound to it last, fixed at bind time: the one a
+    /// refresh of the cell fetches.
+    by_cell: CellIndex,
+    /// Objects whose cell was since bound to another object. They keep
+    /// their route, so their installs and bounds still land in the cell.
+    shadowed: Vec<ObjectId>,
     /// Current bound function per object.
     bounds: HashMap<ObjectId, BoundFunction>,
     /// Sequence of the last installed refresh per object (see
@@ -69,7 +77,8 @@ impl CacheNode {
             session: QuerySession::with_catalog(trapp_storage::Catalog::new()),
             clock,
             routes: HashMap::new(),
-            by_cell: HashMap::new(),
+            by_cell: CellIndex::new(),
+            shadowed: Vec::new(),
             bounds: HashMap::new(),
             installed_seq: HashMap::new(),
             materialized_at: None,
@@ -108,15 +117,7 @@ impl CacheNode {
             .bounded_columns();
         columns
             .into_iter()
-            .map(|col| {
-                let key: CellKey = (table.to_owned(), tuple, col);
-                let object = self.by_cell.get(&key).ok_or_else(|| {
-                    TrappError::RefreshFailed(format!(
-                        "no replicated object backs {table}[{tuple}].{col}"
-                    ))
-                })?;
-                Ok((*object, self.routes[object].source))
-            })
+            .map(|col| object_at(&self.by_cell, &self.routes, table, tuple, col))
             .collect()
     }
 
@@ -161,14 +162,22 @@ impl CacheNode {
             )));
         }
         t.row(tuple)?;
-        self.routes.insert(
-            object,
-            ObjectRoute {
-                source,
-                cell: cell.clone(),
-            },
-        );
-        self.by_cell.insert(cell, object);
+        let name = cell.0.clone();
+        if let Some(old) = self.routes.insert(object, ObjectRoute { source, cell }) {
+            // Rebound: the cell it used to back is no longer its to write.
+            let old_cell = (old.cell.1, old.cell.2);
+            if let Some(cells) = self.by_cell.get_mut(&old.cell.0) {
+                if cells.get(&old_cell) == Some(&object) {
+                    cells.remove(&old_cell);
+                }
+            }
+        }
+        let cells = self.by_cell.entry(name).or_default();
+        if let Some(previous) = cells.insert((tuple, column), object) {
+            if previous != object {
+                self.shadowed.push(previous);
+            }
+        }
         Ok(())
     }
 
@@ -194,13 +203,14 @@ impl CacheNode {
             return Ok(());
         }
         self.installed_seq.insert(refresh.object, refresh.seq);
-        let (table, tuple, column) = route.cell.clone();
+        let (table, tuple, column) = &route.cell;
         self.bounds.insert(refresh.object, refresh.bound);
         self.dirty_bounds.insert(refresh.object);
-        self.session
-            .catalog_mut()
-            .table_mut(&table)?
-            .refresh_cell(tuple, column, refresh.value)?;
+        self.session.catalog_mut().table_mut(table)?.refresh_cell(
+            *tuple,
+            *column,
+            refresh.value,
+        )?;
         match refresh.kind {
             RefreshKind::ValueInitiated => self.stats.value_initiated += 1,
             RefreshKind::QueryInitiated => self.stats.query_initiated += 1,
@@ -217,10 +227,12 @@ impl CacheNode {
     /// changed since the last call (new installs) are re-evaluated, so a
     /// query's second plan pass — and every further query in the same
     /// instant — pays O(changed) instead of O(objects). A clock advance
-    /// re-evaluates everything (every bound re-widened). The written
-    /// intervals are identical either way; `Table::update_cell` skips
-    /// no-op writes, so unchanged cells also leave table versions (and
-    /// thus memoized band views) untouched.
+    /// re-evaluates everything (every bound re-widened) in one pass per
+    /// table, in `(tuple, column)` order: one catalog lookup per table,
+    /// and the table's rows and change log are written front to back. The
+    /// written intervals are identical either way; `Table::update_cell`
+    /// skips no-op writes, so unchanged cells also leave table versions
+    /// (and thus memoized band views) untouched.
     pub fn materialize(&mut self) -> Result<(), TrappError> {
         let now = self.clock.now();
         if self.materialized_at == Some(now) {
@@ -237,9 +249,20 @@ impl CacheNode {
             }
             return Ok(());
         }
-        let objects: Vec<ObjectId> = self.bounds.keys().copied().collect();
-        for object in objects {
-            self.materialize_object(object, now)?;
+        for object in self.shadowed.clone() {
+            if self.bounds.contains_key(&object) {
+                self.materialize_object(object, now)?;
+            }
+        }
+        for (name, cells) in &self.by_cell {
+            let table = self.session.catalog_mut().table_mut(name)?;
+            for (&(tuple, column), object) in cells {
+                // Bound but not yet subscribed: nothing to evaluate.
+                let Some(bound) = self.bounds.get(object) else {
+                    continue;
+                };
+                table.update_cell(tuple, column, BoundedValue::Bounded(bound.interval_at(now)))?;
+            }
         }
         self.dirty_bounds.clear();
         self.materialized_at = Some(now);
@@ -256,11 +279,11 @@ impl CacheNode {
             .routes
             .get(&object)
             .ok_or_else(|| TrappError::Internal(format!("{object} has bound but no route")))?;
-        let (table, tuple, column) = route.cell.clone();
+        let (table, tuple, column) = &route.cell;
         let iv = bound.interval_at(now);
-        self.session.catalog_mut().table_mut(&table)?.update_cell(
-            tuple,
-            column,
+        self.session.catalog_mut().table_mut(table)?.update_cell(
+            *tuple,
+            *column,
             BoundedValue::Bounded(iv),
         )
     }
@@ -354,28 +377,29 @@ impl CacheNode {
 struct SystemOracle<'a> {
     cache: CacheId,
     now: f64,
-    by_cell: &'a HashMap<CellKey, ObjectId>,
+    by_cell: &'a CellIndex,
     routes: &'a HashMap<ObjectId, ObjectRoute>,
     transport: &'a dyn Transport,
     received: Vec<Refresh>,
 }
 
-impl SystemOracle<'_> {
-    /// The object backing `table[tid].column`, with its owning source.
-    fn object_at(
-        &self,
-        table: &str,
-        tid: TupleId,
-        column: usize,
-    ) -> Result<(ObjectId, SourceId), TrappError> {
-        let key: CellKey = (table.to_owned(), tid, column);
-        let object = self.by_cell.get(&key).ok_or_else(|| {
+/// The object backing `table[tid].column`, with its owning source.
+fn object_at(
+    by_cell: &CellIndex,
+    routes: &HashMap<ObjectId, ObjectRoute>,
+    table: &str,
+    tid: TupleId,
+    column: usize,
+) -> Result<(ObjectId, SourceId), TrappError> {
+    let object = by_cell
+        .get(table)
+        .and_then(|cells| cells.get(&(tid, column)))
+        .ok_or_else(|| {
             TrappError::RefreshFailed(format!(
                 "no replicated object backs {table}[{tid}].{column}"
             ))
         })?;
-        Ok((*object, self.routes[object].source))
-    }
+    Ok((*object, routes[object].source))
 }
 
 impl RefreshOracle for SystemOracle<'_> {
@@ -407,7 +431,7 @@ impl RefreshOracle for SystemOracle<'_> {
         for &tid in tids {
             let mut row = Vec::with_capacity(columns.len());
             for &column in columns {
-                let (object, source) = self.object_at(table, tid, column)?;
+                let (object, source) = object_at(self.by_cell, self.routes, table, tid, column)?;
                 let bucket = per_source.entry(source).or_default();
                 bucket.push(object);
                 row.push((source, bucket.len() - 1));
@@ -457,7 +481,7 @@ mod tests {
     use crate::transport::DirectTransport;
     use trapp_bounds::BoundShape;
     use trapp_storage::{ColumnDef, Schema, Table};
-    use trapp_types::{Value, ValueType};
+    use trapp_types::{Interval, Value, ValueType};
 
     /// One source, one cache, two objects backing a 2-row table.
     fn setup() -> (SimClock, CacheNode, DirectTransport) {
@@ -613,6 +637,28 @@ mod tests {
                 1
             )
             .is_err());
+    }
+
+    /// A clock advance rewrites exactly the cells that are bound *now*:
+    /// rebinding an object hands it the new cell and releases the old one.
+    #[test]
+    fn rebinding_moves_the_cell_an_advance_rewrites() {
+        let (clock, mut cache, _t) = setup();
+        let (t1, t2) = (TupleId::new(1), TupleId::new(2));
+        cache
+            .bind_object(ObjectId::new(1), SourceId::new(1), "sensors", t2, 1)
+            .unwrap();
+        clock.advance(4.0);
+        cache.materialize().unwrap();
+        let t = cache.session().catalog().table("sensors").unwrap();
+        // Object 1 (value 20, ±2 after 4 s) now widens t2; t1 keeps the
+        // point its last install left.
+        assert_eq!(
+            t.interval(t2, 1).unwrap(),
+            Interval::new(18.0, 22.0).unwrap()
+        );
+        assert!(t.interval(t1, 1).unwrap().is_point());
+        assert!(cache.objects_backing("sensors", t1).is_err());
     }
 
     #[test]
