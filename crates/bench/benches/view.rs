@@ -7,12 +7,19 @@
 //! 2,500 groups of 8) and `hot_cache` (8,192 rows in 32 groups of 256),
 //! wired by `ServiceBuilder` so the tables carry exactly the indexes the
 //! service registers.
+//!
+//! On the `hot_cache` shape, also what the `GROUP BY grp` and the
+//! unfiltered view pay after one pinned query's 212 installs landed in
+//! one group (`grouped_resync_one_group`, `unfiltered_resync_212_rows`),
+//! after a clock advance (`grouped_resync_after_advance`), and for an
+//! answer over a view nothing changed (`unfiltered_answer_unchanged`).
 
 use std::cell::RefCell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trapp_core::plan::bind_query;
-use trapp_core::view::ViewCache;
+use trapp_core::view::{BandView, ViewCache};
+use trapp_core::Aggregate;
 use trapp_server::{QueryService, ServiceBuilder};
 use trapp_storage::{Catalog, ColumnDef, Schema, Table};
 use trapp_types::{BoundedValue, SourceId, TupleId, Value, ValueType};
@@ -59,6 +66,22 @@ fn rewiden(table: &mut Table, tids: &[TupleId], round: u64) {
             )
             .expect("bounded column");
     }
+}
+
+/// Rows one pinned `WITHIN 8` query of `hot_cache` installs (the traced
+/// run's `refresh.chosen_per_plan`).
+const INSTALLED: usize = 212;
+
+/// Syncs a grouped view and asks every group's `SUM`, as a `GROUP BY`
+/// plan does.
+fn sync_and_answer_groups(view: &mut BandView, table: &Table) -> f64 {
+    view.sync(table).expect("resync");
+    (0..view.group_count())
+        .map(|rank| {
+            let answer = view.group_answer(rank, Aggregate::Sum).expect("bounded");
+            answer.width()
+        })
+        .sum()
 }
 
 fn bench_view(c: &mut Criterion) {
@@ -114,6 +137,64 @@ fn bench_view(c: &mut Criterion) {
             )
         });
         assert_eq!(view.input().items.len(), rows_per_group);
+
+        if groups == 32 {
+            let bind = |sql: &str| {
+                bind_query(&trapp_sql::parse_query(sql).expect("parses"), &catalog).expect("binds")
+            };
+            let grouped = bind("SELECT SUM(load) FROM metrics GROUP BY grp");
+            let unfiltered = bind("SELECT AVG(load) FROM metrics");
+            let one_group = &tids[5 * rows_per_group..][..INSTALLED];
+            let mut views = ViewCache::default();
+
+            let view = views.view_for("metrics", &grouped);
+            sync_and_answer_groups(view, &table.borrow());
+            group.bench_function(BenchmarkId::new("grouped_resync_one_group", &shape), |b| {
+                b.iter_with_setup(
+                    || {
+                        round += 1;
+                        rewiden(&mut table.borrow_mut(), one_group, round);
+                    },
+                    |()| sync_and_answer_groups(view, &table.borrow()),
+                )
+            });
+            group.bench_function(
+                BenchmarkId::new("grouped_resync_after_advance", &shape),
+                |b| {
+                    b.iter_with_setup(
+                        || {
+                            round += 1;
+                            rewiden(&mut table.borrow_mut(), &tids, round);
+                        },
+                        |()| sync_and_answer_groups(view, &table.borrow()),
+                    )
+                },
+            );
+
+            let view = views.view_for("metrics", &unfiltered);
+            view.sync(&table.borrow()).expect("view builds");
+            group.bench_function(
+                BenchmarkId::new("unfiltered_resync_212_rows", &shape),
+                |b| {
+                    b.iter_with_setup(
+                        || {
+                            round += 1;
+                            rewiden(&mut table.borrow_mut(), one_group, round);
+                        },
+                        |()| view.sync(&table.borrow()).expect("resync"),
+                    )
+                },
+            );
+            group.bench_function(
+                BenchmarkId::new("unfiltered_answer_unchanged", &shape),
+                |b| {
+                    b.iter(|| {
+                        view.sync(&table.borrow()).expect("no-op sync");
+                        view.answer(Aggregate::Avg).expect("bounded")
+                    })
+                },
+            );
+        }
 
         // The shard-lock-held pass at the head of every epoch.
         group.bench_function(BenchmarkId::new("materialize_after_advance", &shape), |b| {

@@ -158,7 +158,7 @@ pub struct QuerySession {
     /// Memoized band views over the catalog's tables, keyed by query
     /// shape; see [`crate::view`]. Interior mutability because read-only
     /// planning (`&self`) is what populates and syncs them.
-    pub(crate) views: std::sync::Mutex<crate::view::ViewCache>,
+    views: std::sync::Mutex<crate::view::ViewCache>,
 }
 
 impl QuerySession {
@@ -183,14 +183,32 @@ impl QuerySession {
         &self.catalog
     }
 
+    /// The view cache, locked. A panic mid-plan poisons the lock, but the
+    /// cache is a pure memo of the catalog: whatever the panicking thread
+    /// left half-repaired is dropped, planning carries on from an empty
+    /// cache, and the next access rebuilds what it needs.
+    pub(crate) fn views(&self) -> std::sync::MutexGuard<'_, crate::view::ViewCache> {
+        self.views.lock().unwrap_or_else(|poisoned| {
+            let mut views = poisoned.into_inner();
+            *views = crate::view::ViewCache::default();
+            self.views.clear_poison();
+            views
+        })
+    }
+
     /// Rows this session's band views have examined so far (builds and
     /// replays, evicted views included) — the planning work that should
     /// track candidate-set sizes, not table sizes.
     pub fn view_tuples_classified(&self) -> u64 {
-        self.views
-            .lock()
-            .expect("view cache poisoned")
-            .tuples_classified()
+        self.views().tuples_classified()
+    }
+
+    /// Items this session's band views have written into a canonical
+    /// vector or a group partition so far (repairs and rebuilds, evicted
+    /// views included) — the planning work that should track the groups
+    /// a change lands in, not the table.
+    pub fn view_items_repartitioned(&self) -> u64 {
+        self.views().items_repartitioned()
     }
 
     /// Mutable access (e.g. for value-initiated refreshes pushed by
@@ -477,6 +495,36 @@ mod tests {
             QuerySession::new(links_table()),
             TableOracle::from_table(master_table()),
         )
+    }
+
+    /// A panic while the view cache is locked poisons the lock; the cache
+    /// is a memo, so the next plan resets it and derives the same plan a
+    /// fresh session does instead of panicking in turn.
+    #[test]
+    fn poisoned_view_cache_is_reset_not_fatal() {
+        let s = QuerySession::new(links_table());
+        let q =
+            trapp_sql::parse_query("SELECT SUM(latency) WITHIN 3 FROM links GROUP BY from_node")
+                .unwrap();
+        let before = format!("{:?}", s.plan_query(&q).unwrap());
+        let crashed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _views = s.views();
+                    panic!("planner bug while holding the view cache");
+                })
+                .join()
+        });
+        assert!(crashed.is_err());
+        assert!(s.views.is_poisoned());
+        let after = format!("{:?}", s.plan_query(&q).unwrap());
+        assert!(!s.views.is_poisoned());
+        let fresh = format!(
+            "{:?}",
+            QuerySession::new(links_table()).plan_query(&q).unwrap()
+        );
+        assert_eq!(after, fresh);
+        assert_eq!(after, before);
     }
 
     /// End-to-end Q1 (§5.1): initial [40,55]; R=10 refreshes tuple 5

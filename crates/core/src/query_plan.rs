@@ -235,9 +235,11 @@ pub enum QueryPartial {
 }
 
 /// Plans one scalar unit (a whole single-table query, or one group):
-/// computes the cache-only answer and, if the constraint is unmet, the
-/// CHOOSE_REFRESH set that will meet it. Shared by
-/// [`QuerySession::plan_query`] (local inputs, with ordered-index
+/// given the cache-only answer `initial` — `bounded_answer(agg, input)`,
+/// which [`QuerySession::plan_query`] takes from its view's memo and a
+/// sharded serving layer folds over the merged input — derives, if the
+/// constraint is unmet, the CHOOSE_REFRESH set that will meet it. Shared
+/// by [`QuerySession::plan_query`] (local inputs, with ordered-index
 /// `probe`s) and sharded serving layers (merged inputs, `probe = None`)
 /// — both derive bit-identical plans either way (the probed planners
 /// reproduce the scan planners exactly).
@@ -255,10 +257,10 @@ pub fn plan_unit(
     table: &str,
     key: GroupKey,
     input: &AggInput,
+    initial: BoundedAnswer,
     probe: Option<&PlanProbe<'_>>,
     excluded: &HashSet<TupleId>,
 ) -> Result<UnitState, TrappError> {
-    let initial = bounded_answer(agg, input)?;
     if initial.satisfies(within) {
         return Ok(UnitState {
             key,
@@ -580,9 +582,10 @@ impl QuerySession {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
                 let table = self.catalog().table(name)?;
                 let probe = table_probe(table, &bound);
-                let mut views = self.views.lock().expect("view cache poisoned");
+                let mut views = self.views();
                 let view = views.view_for(name, &bound);
                 view.sync(table)?;
+                let initial = view.answer(bound.agg)?;
                 let unit = plan_unit(
                     bound.agg,
                     bound.within,
@@ -590,6 +593,7 @@ impl QuerySession {
                     name,
                     Vec::new(),
                     view.input(),
+                    initial,
                     Some(&probe),
                     exclusions.for_table(name),
                 )?;
@@ -604,13 +608,15 @@ impl QuerySession {
                     column: None,
                     unfiltered: false,
                 };
-                let mut views = self.views.lock().expect("view cache poisoned");
+                let mut views = self.views();
                 let view = views.view_for(name, &bound);
                 view.sync(table)?;
-                // All group inputs come from ONE pass over the view — not
-                // one table scan per group.
-                let mut units = Vec::new();
-                for (key, input) in view.grouped_inputs() {
+                // Every group's input and answer stand in the view; only
+                // the groups a change landed in were repaired by `sync`.
+                let mut units = Vec::with_capacity(view.group_count());
+                for rank in 0..view.group_count() {
+                    let initial = view.group_answer(rank, bound.agg)?;
+                    let (key, input) = view.group(rank);
                     units.push(plan_unit(
                         bound.agg,
                         bound.within,
@@ -618,6 +624,7 @@ impl QuerySession {
                         name,
                         key.clone(),
                         input,
+                        initial,
                         Some(&probe),
                         exclusions.for_table(name),
                     )?);
@@ -660,7 +667,7 @@ impl QuerySession {
         match &bound.source {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
                 let table = self.catalog().table(name)?;
-                let mut views = self.views.lock().expect("view cache poisoned");
+                let mut views = self.views();
                 let view = views.view_for(name, &bound);
                 view.sync(table)?;
                 let input = view.input().clone();
@@ -673,13 +680,12 @@ impl QuerySession {
             }
             QuerySource::Table(name) => {
                 let table = self.catalog().table(name)?;
-                let mut views = self.views.lock().expect("view cache poisoned");
+                let mut views = self.views();
                 let view = views.view_for(name, &bound);
                 view.sync(table)?;
-                let groups = view
-                    .grouped_inputs()
-                    .iter()
-                    .map(|(key, input)| {
+                let groups = (0..view.group_count())
+                    .map(|rank| {
+                        let (key, input) = view.group(rank);
                         let partial = ShardPartial {
                             table: name.clone(),
                             agg: bound.agg,

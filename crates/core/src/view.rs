@@ -10,8 +10,8 @@
 //! A [`BandView`] memoizes, per `(table, predicate, arg, group_by)` key,
 //! the classified view of the table: the canonical [`AggInput`] (all `T+`
 //! items in tuple-id order, then all `T?` items — exactly
-//! `build_filtered`'s order) plus, for grouped queries, the per-group
-//! partitions. The view stays valid across queries and plan passes; when
+//! `build_filtered`'s order) plus, for grouped queries, one such input
+//! per group. The view stays valid across queries and plan passes; when
 //! the table changes, [`BandView::sync`] replays only the tuples the
 //! table's change log names ([`trapp_storage::Table::changes_since`]),
 //! re-running the *identical* per-tuple classification step
@@ -46,15 +46,30 @@
 //! Views without that structure (no predicate, or grouped) replay the
 //! full dirty set and fall back to a rebuild when more than half the
 //! table changed.
+//!
+//! A **grouped** view makes a cache-served `GROUP BY` cost the change,
+//! not the table. Its per-group inputs are the state it maintains, not a
+//! product re-derived from the canonical vector: every distinct group key
+//! is interned to a dense id the first time a row carries it, each row
+//! remembers its id, and a replay repairs exactly the partitions its
+//! dirty tuples leave or enter — by the same merge step that repairs the
+//! canonical vector — while every other group's input is not touched.
+//!
+//! Each input (the canonical one and every group's) also keeps the
+//! [`BoundedAnswer`]s folded over it since its last repair, so an input
+//! nothing has changed answers again without a fold. The one
+//! invalidation rule: the repair that rewrites an input drops that
+//! input's answers, and nothing else does.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use trapp_expr::{Band, BinaryOp, Expr};
 use trapp_storage::{Row, Table};
-use trapp_types::{Interval, TrappError, TupleId};
+use trapp_types::{Interval, TrappError, TupleId, Value};
 
-use crate::agg::{classify_tuple, refinement_for, AggInput, AggItem};
+use crate::agg::{
+    bounded_answer, classify_tuple, refinement_for, AggInput, AggItem, Aggregate, BoundedAnswer,
+};
 use crate::group_by::{render_key, GroupKey};
 use crate::plan::BoundQuery;
 
@@ -72,24 +87,223 @@ const MAX_VIEWS: usize = 256;
 /// (256 reclassifications to dodge a 400-entry filter that names a few).
 const REPLAY_IN_LOG_ENTRIES: usize = 4;
 
-/// What one tuple currently contributes to the view.
-#[derive(Clone, Debug)]
-struct TupleState {
-    /// The tuple's band (`Minus` = contributes no item, only a count).
-    band: Band,
-    /// The rendered group key (grouped views only).
-    group: Option<Arc<str>>,
+/// Replacement items for one partition, split by band, each ascending by
+/// tuple id (replays and scans both visit tuples in that order).
+#[derive(Default)]
+struct Fresh {
+    plus: Vec<AggItem>,
+    question: Vec<AggItem>,
 }
 
-/// One group's bookkeeping in a grouped view.
-#[derive(Clone, Debug)]
-struct GroupState {
+impl Fresh {
+    fn push(&mut self, item: AggItem) {
+        if item.band == Band::Plus {
+            self.plus.push(item);
+        } else {
+            self.question.push(item);
+        }
+    }
+}
+
+/// One classified input — the whole view's or one group's — with the
+/// bounded answers folded over it since it was last repaired.
+#[derive(Default)]
+struct Partition {
+    /// Plus-prefix, question-suffix, each ascending by tuple id.
+    input: AggInput,
+    /// `(aggregate, answer over input)`, dropped by [`Partition::repair`].
+    answers: Vec<(Aggregate, BoundedAnswer)>,
+}
+
+impl Partition {
+    /// The bounded `agg` answer over the input: folded once per repair,
+    /// counted in `folds` when it is.
+    fn answer(&mut self, agg: Aggregate, folds: &mut u64) -> Result<BoundedAnswer, TrappError> {
+        if let Some(&(_, answer)) = self.answers.iter().find(|(a, _)| *a == agg) {
+            return Ok(answer);
+        }
+        let answer = bounded_answer(agg, &self.input)?;
+        *folds += 1;
+        self.answers.push((agg, answer));
+        Ok(answer)
+    }
+
+    /// Repairs the item vector in **one** merge pass per band segment —
+    /// the `retracted` tuples' items dropped, `fresh` merged in — so a
+    /// replay costs `O(n + Δ)` memory traffic instead of `Δ` vector
+    /// splices. Returns the number of items the repaired input holds
+    /// (each was copied once).
+    fn repair(&mut self, retracted: &[TupleId], fresh: Fresh) -> u64 {
+        let old = std::mem::take(&mut self.input.items);
+        let (old_plus, old_question) = old.split_at(self.input.plus_items);
+        let mut items = Vec::with_capacity(old.len() + fresh.plus.len() + fresh.question.len());
+        merge_repair(&mut items, old_plus, retracted, &fresh.plus);
+        self.input.plus_items = items.len();
+        merge_repair(&mut items, old_question, retracted, &fresh.question);
+        self.input.items = items;
+        self.answers.clear();
+        self.input.items.len() as u64
+    }
+}
+
+/// Appends one repaired band segment to `out`: `old` (tid-sorted) without
+/// the tuples in `retracted` (sorted), and `fresh` (tid-sorted, disjoint
+/// from the kept old items) merged in by tuple id — one forward walk over
+/// all three.
+fn merge_repair(out: &mut Vec<AggItem>, old: &[AggItem], retracted: &[TupleId], fresh: &[AggItem]) {
+    let (mut r, mut f) = (0, 0);
+    for item in old {
+        while r < retracted.len() && retracted[r] < item.tid {
+            r += 1;
+        }
+        if r < retracted.len() && retracted[r] == item.tid {
+            continue; // its replacement, if any, rides `fresh`
+        }
+        while f < fresh.len() && fresh[f].tid < item.tid {
+            out.push(fresh[f]);
+            f += 1;
+        }
+        out.push(*item);
+    }
+    out.extend_from_slice(&fresh[f..]);
+}
+
+/// A hashable image of one group-key value. Two keys are made of equal
+/// parts exactly when [`render_key`] gives them one string — the identity
+/// groups have everywhere else: `Int(1)` and `Float(1.0)` differ, and so
+/// do `0.0` and `-0.0`, which is why floats go by their bits.
+#[derive(PartialEq, Eq, Hash)]
+enum KeyPart {
+    Int(i64),
+    Float(u64),
+    Bool(bool),
+    Str(String),
+}
+
+impl From<Value> for KeyPart {
+    fn from(v: Value) -> KeyPart {
+        match v {
+            Value::Int(x) => KeyPart::Int(x),
+            Value::Float(x) => KeyPart::Float(x.to_bits()),
+            Value::Bool(b) => KeyPart::Bool(b),
+            Value::Str(s) => KeyPart::Str(s),
+        }
+    }
+}
+
+/// One group of a grouped view.
+struct Group {
     /// The original key values, in `GROUP BY` column order.
     key: GroupKey,
-    /// Tuples in the group (every band, including `T−`).
+    /// `render_key(&key)`: the group's place in every output.
+    rendered: String,
+    /// Live tuples in the group, every band (`T−` included).
     members: usize,
-    /// Members classified `T−`.
-    minus: usize,
+    /// The group's input — bit-identical to `build_filtered` under the
+    /// group's member filter — and its answers.
+    part: Partition,
+}
+
+/// What one replay changes in one group.
+#[derive(Default)]
+struct GroupPatch {
+    /// Tuples that were members before the replay (ascending): each left
+    /// the group or re-enters it through `fresh`.
+    retracted: Vec<TupleId>,
+    fresh: Fresh,
+}
+
+/// Marks a deleted tuple's [`Groups::of_tuple`] entry for the sweep at the
+/// end of the replay that found it gone.
+const VACANT: u32 = u32::MAX;
+
+/// The partitions of a grouped view; empty for scalar views.
+#[derive(Default)]
+struct Groups {
+    /// `(tuple, group id)` for every live row, `T−` included, ascending
+    /// by tuple id.
+    of_tuple: Vec<(TupleId, u32)>,
+    /// Key parts → dense group id. A key is rendered (and cloned) once,
+    /// when its group is born — not once per row per replay.
+    ids: HashMap<Vec<KeyPart>, u32>,
+    /// Groups by dense id; ids on `free` are vacant.
+    slots: Vec<Group>,
+    /// Ids of groups whose last member left, for reuse.
+    free: Vec<u32>,
+    /// The live groups' ids in rendered-key order.
+    order: Vec<u32>,
+    /// Reused per-row lookup buffer.
+    parts: Vec<KeyPart>,
+}
+
+impl Groups {
+    /// The dense id of `row`'s group, creating the group if this is the
+    /// first row to carry its key.
+    fn intern(&mut self, row: &Row, group_by: &[usize]) -> Result<u32, TrappError> {
+        self.parts.clear();
+        for &col in group_by {
+            self.parts.push(row.exact(col)?.into());
+        }
+        if let Some(&id) = self.ids.get(self.parts.as_slice()) {
+            return Ok(id);
+        }
+        let key = group_by
+            .iter()
+            .map(|&col| row.exact(col))
+            .collect::<Result<GroupKey, _>>()?;
+        let group = Group {
+            rendered: render_key(&key),
+            key,
+            members: 0,
+            part: Partition::default(),
+        };
+        let rank = self.rank_of(&group.rendered);
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.slots[id as usize] = group;
+                id
+            }
+            None => {
+                self.slots.push(group);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.order.insert(rank, id);
+        self.ids.insert(std::mem::take(&mut self.parts), id);
+        Ok(id)
+    }
+
+    /// Where the group rendered as `rendered` sits — or, not being live,
+    /// would sit — in `order`.
+    fn rank_of(&self, rendered: &str) -> usize {
+        self.order
+            .partition_point(|&id| self.slots[id as usize].rendered.as_str() < rendered)
+    }
+
+    /// Applies one group's patch: repairs its partition, or — when its
+    /// last member left — retires the group. Returns the items copied.
+    fn repair(&mut self, id: u32, patch: GroupPatch, slack: (u64, u64)) -> u64 {
+        if self.slots[id as usize].members == 0 {
+            let rank = self.rank_of(&self.slots[id as usize].rendered);
+            self.order.remove(rank);
+            // The slot stays where it is, emptied, until a new group
+            // takes its id.
+            let group = &mut self.slots[id as usize];
+            let parts: Vec<KeyPart> = std::mem::take(&mut group.key)
+                .into_iter()
+                .map(KeyPart::from)
+                .collect();
+            self.ids.remove(&parts);
+            group.part = Partition::default();
+            self.free.push(id);
+            return 0;
+        }
+        let group = &mut self.slots[id as usize];
+        let copied = group.part.repair(&patch.retracted, patch.fresh);
+        group.part.input.minus_count = group.members - group.part.input.items.len();
+        group.part.input.cardinality_slack = slack;
+        copied
+    }
 }
 
 /// A memoized classified view of one table under one `(predicate, arg,
@@ -106,14 +320,9 @@ pub struct BandView {
     /// side state at all: every live row is classified exactly once, so
     /// `minus_count ≡ table.len() − items.len()` and a rebuild costs
     /// exactly what the scan-based build costs.
-    input: AggInput,
-    /// Per-tuple state of a *grouped* view (bands *and* `T−`, with group
-    /// membership); empty for scalar views.
-    states: HashMap<TupleId, TupleState>,
-    /// Per-group bookkeeping, rendered-key order (grouped views only).
-    groups: BTreeMap<Arc<str>, GroupState>,
-    /// Memoized per-group inputs; dropped on any change.
-    grouped_cache: Option<Vec<(GroupKey, AggInput)>>,
+    whole: Partition,
+    /// The per-group partitions of a *grouped* view; empty otherwise.
+    groups: Groups,
     /// Scalar predicate views only: the live tuples whose band is
     /// sensitive to bound movement (predicate not decidably false on
     /// exact cells alone), ascending. Everything else is **sticky `T−`**
@@ -139,6 +348,11 @@ pub struct BandView {
     /// Rows the per-tuple step (stickiness test → `classify_tuple`) has
     /// run on, over the view's lifetime.
     tuples_classified: u64,
+    /// Items written into the canonical vector or a group partition by a
+    /// repair or rebuild, over the view's lifetime.
+    items_repartitioned: u64,
+    /// `bounded_answer` folds run because no memoized answer stood.
+    answers_folded: u64,
 }
 
 impl BandView {
@@ -149,10 +363,8 @@ impl BandView {
             arg: arg.cloned(),
             group_by: group_by.to_vec(),
             version: 0,
-            input: AggInput::default(),
-            states: HashMap::new(),
-            groups: BTreeMap::new(),
-            grouped_cache: None,
+            whole: Partition::default(),
+            groups: Groups::default(),
             candidates: None,
             max_tid: 0,
             exact_epoch: 0,
@@ -160,6 +372,8 @@ impl BandView {
             exact_conjuncts: Vec::new(),
             last_used: 0,
             tuples_classified: 0,
+            items_repartitioned: 0,
+            answers_folded: 0,
         }
     }
 
@@ -186,7 +400,36 @@ impl BandView {
     /// The synced whole-table input — bit-identical to
     /// `AggInput::build_filtered(table, predicate, arg, |_, _| true)`.
     pub fn input(&self) -> &AggInput {
-        &self.input
+        &self.whole.input
+    }
+
+    /// The bounded `agg` answer over [`BandView::input`] — bit-identical
+    /// to `bounded_answer(agg, view.input())`, folded only when a repair
+    /// has changed the input since the last call for `agg`.
+    pub fn answer(&mut self, agg: Aggregate) -> Result<BoundedAnswer, TrappError> {
+        self.whole.answer(agg, &mut self.answers_folded)
+    }
+
+    /// How many groups the (grouped) view currently holds.
+    pub fn group_count(&self) -> usize {
+        self.groups.order.len()
+    }
+
+    /// The `rank`-th group in rendered-key order: its key and its input —
+    /// bit-identical to `build_filtered` with that group's member filter.
+    pub fn group(&self, rank: usize) -> (&GroupKey, &AggInput) {
+        let group = &self.groups.slots[self.groups.order[rank] as usize];
+        (&group.key, &group.part.input)
+    }
+
+    /// [`BandView::answer`] for the `rank`-th group's input.
+    pub fn group_answer(
+        &mut self,
+        rank: usize,
+        agg: Aggregate,
+    ) -> Result<BoundedAnswer, TrappError> {
+        let group = &mut self.groups.slots[self.groups.order[rank] as usize];
+        group.part.answer(agg, &mut self.answers_folded)
     }
 
     /// How many rows this view has examined (built or replayed) so far:
@@ -194,6 +437,14 @@ impl BandView {
     /// candidate set rather than the table.
     pub fn tuples_classified(&self) -> u64 {
         self.tuples_classified
+    }
+
+    /// How many items this view has written into its canonical vector or
+    /// a group partition so far (repairs and rebuilds): the work a
+    /// grouped view is meant to keep proportional to the groups a change
+    /// lands in rather than the table.
+    pub fn items_repartitioned(&self) -> u64 {
+        self.items_repartitioned
     }
 
     /// Brings the view up to `table`'s current version, replaying only the
@@ -265,17 +516,15 @@ impl BandView {
     }
 
     fn reset(&mut self) {
-        self.input = AggInput::default();
-        self.states.clear();
-        self.groups.clear();
-        self.grouped_cache = None;
+        self.whole = Partition::default();
+        self.groups = Groups::default();
         self.candidates = None;
         self.max_tid = 0;
         self.version = 0;
     }
 
     /// Full rebuild — the per-tuple step `build_filtered` runs, plus the
-    /// band/group bookkeeping, over the rows the predicate can admit:
+    /// group bookkeeping, over the rows the predicate can admit:
     /// the ones a value index names when an exact conjunct pins an
     /// indexed column (the rest are sticky `T−` by that conjunct, which
     /// is all the scan would have found out about them), every row
@@ -291,7 +540,6 @@ impl BandView {
             collect_exact_conjuncts(pred, &self.bounded_cols, &mut conjuncts);
         }
         self.exact_conjuncts = conjuncts;
-        let grouped = !self.group_by.is_empty();
         let mut candidates = self.sticky_eligible().then(Vec::new);
         // Only a view that keeps a candidate set may skip rows.
         let pinned: Option<Vec<TupleId>> = candidates.as_ref().and_then(|_| {
@@ -306,8 +554,8 @@ impl BandView {
             None => Box::new(table.scan().map(Ok)),
         };
         self.max_tid = table.tuple_ids().next_back().map_or(0, TupleId::raw);
-        let mut plus_items: Vec<AggItem> = Vec::new();
-        let mut question_items: Vec<AggItem> = Vec::new();
+        let mut whole = Fresh::default();
+        let mut patches = BTreeMap::new();
         for entry in rows {
             let (tid, row) = entry?;
             self.tuples_classified += 1;
@@ -319,78 +567,48 @@ impl BandView {
                 }
                 cands.push(tid);
             }
-            let item = classify_tuple(
-                self.predicate.as_ref(),
-                self.arg.as_ref(),
-                self.refinement,
-                tid,
-                row,
-                table.cost(tid)?,
-            )?;
-            if grouped {
-                let band = match &item {
-                    Some(i) => i.band,
-                    None => Band::Minus,
-                };
-                let group = self.group_of(row)?;
-                if let Some(g) = &group {
-                    let state = self.groups.entry(g.clone()).or_insert_with(|| GroupState {
-                        key: render_source(row, &self.group_by).expect("rendered above"),
-                        members: 0,
-                        minus: 0,
-                    });
-                    state.members += 1;
-                    state.minus += usize::from(band == Band::Minus);
-                }
-                self.states.insert(tid, TupleState { band, group });
-            }
-            match item {
-                Some(i) if i.band == Band::Plus => plus_items.push(i),
-                Some(i) => question_items.push(i),
-                None => {}
-            }
+            self.classify_into(table, tid, row, None, &mut whole, &mut patches)?;
         }
-        let mut items = plus_items;
-        let plus_len = items.len();
-        items.append(&mut question_items);
-        let minus_count = table.len() - items.len();
-        self.input = AggInput::new(items, minus_count, table.cardinality_slack());
-        debug_assert_eq!(self.input.plus_count(), plus_len);
+        self.commit(table, &[], whole, patches);
         self.candidates = candidates;
         Ok(())
     }
 
     /// Replays a batch of changed tuples (`dirty` sorted, deduplicated):
-    /// retracts each tuple's old side bookkeeping, reclassifies the live
+    /// retracts each tuple's old group membership, reclassifies the live
     /// ones with the *identical* per-tuple step the scan build uses, and
-    /// repairs the canonical item vector in **one** merge pass — dirty
-    /// tuples filtered out, their new items merged in — so a sync costs
-    /// `O(n + Δ·classify)` memory traffic instead of `Δ` vector splices.
+    /// repairs the canonical vector and the partitions of the groups
+    /// those tuples left or entered — no other group's.
     fn apply_changes(&mut self, table: &Table, dirty: &[TupleId]) -> Result<(), TrappError> {
-        self.grouped_cache = None;
-        let grouped = !self.group_by.is_empty();
-        let mut new_plus: Vec<AggItem> = Vec::new();
-        let mut new_question: Vec<AggItem> = Vec::new();
+        if dirty.is_empty() && self.whole.input.cardinality_slack == table.cardinality_slack() {
+            // The log named only rows this view holds no item for (other
+            // groups' rows, to a `grp = k` view): the input stands, and
+            // so do its answers. Deletes among those rows still count.
+            self.whole.input.minus_count = table.len() - self.whole.input.items.len();
+            return Ok(());
+        }
+        let mut whole = Fresh::default();
+        let mut patches: BTreeMap<u32, GroupPatch> = BTreeMap::new();
         let mut deleted = false;
         for &tid in dirty {
             // ---- Retract the old group membership (grouped views only;
-            // the item vector is repaired wholesale below, and the
-            // table-wide minus count is derived after the repair).
-            if grouped {
-                if let Some(old) = self.states.remove(&tid) {
-                    if let Some(g) = old.group {
-                        let state = self.groups.get_mut(&g).expect("group tracked");
-                        state.members -= 1;
-                        state.minus -= usize::from(old.band == Band::Minus);
-                        if state.members == 0 {
-                            self.groups.remove(&g);
-                        }
-                    }
-                }
+            // the item vectors are repaired wholesale in `commit`).
+            let member = self
+                .groups
+                .of_tuple
+                .binary_search_by_key(&tid, |m| m.0)
+                .ok();
+            if let Some(at) = member {
+                let id = self.groups.of_tuple[at].1;
+                self.groups.slots[id as usize].members -= 1;
+                patches.entry(id).or_default().retracted.push(tid);
             }
             // ---- Reclassify, if the tuple still exists.
             let Ok(row) = table.row(tid) else {
                 deleted = true;
+                if let Some(at) = member {
+                    self.groups.of_tuple[at].1 = VACANT;
+                }
                 continue;
             };
             self.tuples_classified += 1;
@@ -406,106 +624,81 @@ impl BandView {
                     cands.push(tid);
                 }
             }
-            let item = classify_tuple(
-                self.predicate.as_ref(),
-                self.arg.as_ref(),
-                self.refinement,
-                tid,
-                row,
-                table.cost(tid)?,
-            )?;
-            if grouped {
-                let band = match &item {
-                    Some(i) => i.band,
-                    None => Band::Minus,
-                };
-                let group = self.group_of(row)?;
-                if let Some(g) = &group {
-                    let state = self.groups.entry(g.clone()).or_insert_with(|| GroupState {
-                        key: render_source(row, &self.group_by).expect("rendered above"),
-                        members: 0,
-                        minus: 0,
-                    });
-                    state.members += 1;
-                    state.minus += usize::from(band == Band::Minus);
-                }
-                self.states.insert(tid, TupleState { band, group });
-            }
-            // `dirty` ascends, so these stay tid-sorted without a sort.
-            match item {
-                Some(i) if i.band == Band::Plus => new_plus.push(i),
-                Some(i) => new_question.push(i),
-                None => {}
-            }
+            self.classify_into(table, tid, row, member, &mut whole, &mut patches)?;
         }
-        // ---- Repair the canonical vector in one pass per segment.
-        let old = std::mem::take(&mut self.input.items);
-        let (old_plus, old_question) = old.split_at(self.input.plus_items);
-        let mut items = merge_repair(old_plus, dirty, new_plus);
-        let plus_len = items.len();
-        let mut question = merge_repair(old_question, dirty, new_question);
-        items.append(&mut question);
-        self.input.plus_items = plus_len;
-        self.input.minus_count = table.len() - items.len();
-        self.input.items = items;
-        // Slack is table-global and floors the log; the candidate replay
-        // is the one path that syncs across such a floor.
-        self.input.cardinality_slack = table.cardinality_slack();
         if deleted {
             if let Some(cands) = &mut self.candidates {
                 cands.retain(|&tid| table.row(tid).is_ok());
             }
+            self.groups.of_tuple.retain(|m| m.1 != VACANT);
+        }
+        self.commit(table, dirty, whole, patches);
+        Ok(())
+    }
+
+    /// The per-tuple step of builds and replays alike: classifies one
+    /// live row and files its item (if it has one) under the canonical
+    /// vector and, in a grouped view, under its group — which also
+    /// records the row as that group's member, at `member` in
+    /// `Groups::of_tuple` if it was one before.
+    fn classify_into(
+        &mut self,
+        table: &Table,
+        tid: TupleId,
+        row: &Row,
+        member: Option<usize>,
+        whole: &mut Fresh,
+        patches: &mut BTreeMap<u32, GroupPatch>,
+    ) -> Result<(), TrappError> {
+        let item = classify_tuple(
+            self.predicate.as_ref(),
+            self.arg.as_ref(),
+            self.refinement,
+            tid,
+            row,
+            table.cost(tid)?,
+        )?;
+        if !self.group_by.is_empty() {
+            let id = self.groups.intern(row, &self.group_by)?;
+            // Scanned and inserted rows arrive in ascending order, past
+            // every member there is.
+            match member {
+                Some(at) => self.groups.of_tuple[at].1 = id,
+                None => self.groups.of_tuple.push((tid, id)),
+            }
+            self.groups.slots[id as usize].members += 1;
+            let patch = patches.entry(id).or_default();
+            if let Some(item) = item {
+                patch.fresh.push(item);
+            }
+        }
+        // Tuples arrive ascending, so every `Fresh` list stays tid-sorted.
+        if let Some(item) = item {
+            whole.push(item);
         }
         Ok(())
     }
 
-    /// The rendered group key of a row (`None` for ungrouped views).
-    fn group_of(&self, row: &Row) -> Result<Option<Arc<str>>, TrappError> {
-        if self.group_by.is_empty() {
-            return Ok(None);
+    /// Writes one pass's outcome into the view: the canonical vector
+    /// repaired against every replayed tuple, each touched group repaired
+    /// against its own.
+    fn commit(
+        &mut self,
+        table: &Table,
+        dirty: &[TupleId],
+        whole: Fresh,
+        patches: BTreeMap<u32, GroupPatch>,
+    ) {
+        // Slack is table-global and floors the log; the candidate replay
+        // is the one path that syncs across such a floor.
+        let slack = table.cardinality_slack();
+        let mut copied = self.whole.repair(dirty, whole);
+        self.whole.input.minus_count = table.len() - self.whole.input.items.len();
+        self.whole.input.cardinality_slack = slack;
+        for (id, patch) in patches {
+            copied += self.groups.repair(id, patch, slack);
         }
-        let key = render_source(row, &self.group_by)?;
-        Ok(Some(Arc::from(render_key(&key).as_str())))
-    }
-
-    /// The per-group inputs, assembled in **one** pass over the view
-    /// instead of one table scan per group, in rendered-key order — each
-    /// bit-identical to `build_filtered` with that group's member filter.
-    /// Memoized until the next change.
-    pub fn grouped_inputs(&mut self) -> &[(GroupKey, AggInput)] {
-        if self.grouped_cache.is_none() {
-            let mut buckets: BTreeMap<Arc<str>, (Vec<AggItem>, Vec<AggItem>)> = self
-                .groups
-                .keys()
-                .map(|k| (k.clone(), Default::default()))
-                .collect();
-            for item in &self.input.items {
-                let state = &self.states[&item.tid];
-                let g = state.group.as_ref().expect("grouped view");
-                let (plus, question) = buckets.get_mut(g).expect("group tracked");
-                if item.band == Band::Plus {
-                    plus.push(*item);
-                } else {
-                    question.push(*item);
-                }
-            }
-            let slack = self.input.cardinality_slack;
-            let assembled = self
-                .groups
-                .iter()
-                .map(|(rendered, state)| {
-                    let (plus, question) = buckets.remove(rendered).expect("bucketed");
-                    let plus_len = plus.len();
-                    let mut items = plus;
-                    items.append(&mut { question });
-                    let input = AggInput::new(items, state.minus, slack);
-                    debug_assert_eq!(input.plus_count(), plus_len);
-                    (state.key.clone(), input)
-                })
-                .collect();
-            self.grouped_cache = Some(assembled);
-        }
-        self.grouped_cache.as_deref().expect("just assembled")
+        self.items_repartitioned += copied;
     }
 }
 
@@ -539,41 +732,6 @@ fn equality_pin(e: &Expr<usize>) -> Option<(usize, f64)> {
     }
 }
 
-/// One segment of the canonical item vector, repaired: `old` (tid-sorted)
-/// with every tuple in `dirty` (sorted) dropped, and `fresh` (tid-sorted
-/// replacement items, disjoint from the kept old items) merged in by
-/// tuple id.
-fn merge_repair(old: &[AggItem], dirty: &[TupleId], fresh: Vec<AggItem>) -> Vec<AggItem> {
-    let mut out: Vec<AggItem> = Vec::with_capacity(old.len() + fresh.len());
-    let mut fresh = fresh.into_iter().peekable();
-    for item in old {
-        if dirty.binary_search(&item.tid).is_ok() {
-            continue; // retracted; its replacement (if any) rides `fresh`
-        }
-        while let Some(f) = fresh.peek() {
-            if f.tid < item.tid {
-                let f = *f;
-                fresh.next();
-                out.push(f);
-            } else {
-                break;
-            }
-        }
-        out.push(*item);
-    }
-    out.extend(fresh);
-    out
-}
-
-/// Extracts the group-key values of a row.
-fn render_source(row: &Row, group_by: &[usize]) -> Result<GroupKey, TrappError> {
-    let mut key: GroupKey = Vec::with_capacity(group_by.len());
-    for &col in group_by {
-        key.push(row.exact(col)?);
-    }
-    Ok(key)
-}
-
 /// The per-session cache of band views, keyed by the query shape.
 #[derive(Default)]
 pub struct ViewCache {
@@ -581,6 +739,8 @@ pub struct ViewCache {
     tick: u64,
     /// [`BandView::tuples_classified`] of the views evicted so far.
     evicted_classified: u64,
+    /// [`BandView::items_repartitioned`] of the views evicted so far.
+    evicted_repartitioned: u64,
 }
 
 impl ViewCache {
@@ -598,6 +758,7 @@ impl ViewCache {
             {
                 if let Some(view) = self.views.remove(&oldest) {
                     self.evicted_classified += view.tuples_classified;
+                    self.evicted_repartitioned += view.items_repartitioned;
                 }
             }
         }
@@ -620,6 +781,17 @@ impl ViewCache {
                 .views
                 .values()
                 .map(|v| v.tuples_classified)
+                .sum::<u64>()
+    }
+
+    /// Items written by every view this cache has held, evicted ones
+    /// included; see [`BandView::items_repartitioned`].
+    pub fn items_repartitioned(&self) -> u64 {
+        self.evicted_repartitioned
+            + self
+                .views
+                .values()
+                .map(|v| v.items_repartitioned)
                 .sum::<u64>()
     }
 }
@@ -843,6 +1015,125 @@ mod tests {
         assert_eq!(check(&mut view, &plain), ROWS + 8);
     }
 
+    /// The grouped complexity claim as exact counts, at the benchmark's
+    /// `hot_cache` size: what a replay rewrites is the groups its dirty
+    /// tuples leave or enter (plus the canonical vector's one pass), and
+    /// an input no repair touched answers without a fold.
+    #[test]
+    fn grouped_view_work_tracks_dirty_groups() {
+        use trapp_storage::{ColumnDef, Schema};
+        use trapp_types::{BoundedValue, ValueType};
+        const GROUPS: u64 = 32;
+        const PER_GROUP: u64 = 256;
+        const ROWS: u64 = GROUPS * PER_GROUP;
+
+        let schema = Schema::new(vec![
+            ColumnDef::exact("grp", ValueType::Int),
+            ColumnDef::bounded_float("load"),
+        ])
+        .unwrap();
+        let mut t = Table::new("metrics", schema.clone());
+        let cells = |g: i64, mid: f64| {
+            vec![
+                BoundedValue::Exact(Value::Int(g)),
+                BoundedValue::bounded(mid - 1.0, mid + 1.0).unwrap(),
+            ]
+        };
+        for g in 0..GROUPS {
+            for i in 0..PER_GROUP {
+                t.insert(cells(g as i64, 50.0 + (i % 50) as f64)).unwrap();
+            }
+        }
+        let arg = Expr::Column(ColumnRef::bare("load")).bind(&schema).unwrap();
+        let group_by = [0usize];
+        // Syncs, holds every group (keys, order, inputs) and the canonical
+        // vector to scratch builds, and reports the two work counters.
+        let check = |view: &mut BandView, t: &Table| {
+            assert_matches_scratch(view, t, None, Some(&arg));
+            let partitions = crate::group_by::group_partitions(t, &group_by).unwrap();
+            assert_eq!(view.group_count(), partitions.len());
+            for (rank, (rendered, (_, tids))) in partitions.iter().enumerate() {
+                let (key, input) = view.group(rank);
+                assert_eq!(&render_key(key), rendered, "group order");
+                let scratch = AggInput::build_filtered(t, None, Some(&arg), |tid, _| {
+                    tids.binary_search(&tid).is_ok()
+                })
+                .unwrap();
+                assert_eq!(input.items, scratch.items, "group {key:?}");
+                assert_eq!(input.minus_count, scratch.minus_count);
+                assert_eq!(input.plus_count(), scratch.plus_count());
+            }
+            (view.tuples_classified(), view.items_repartitioned())
+        };
+        // Every group's SUM and the whole view's, as the planner asks.
+        let answers = |view: &mut BandView| {
+            let mut all = vec![view.answer(Aggregate::Sum).unwrap()];
+            for rank in 0..view.group_count() {
+                all.push(view.group_answer(rank, Aggregate::Sum).unwrap());
+            }
+            all
+        };
+
+        let mut view = BandView::new(None, Some(&arg), &group_by);
+        let (classified, copied) = check(&mut view, &t);
+        assert_eq!((classified, copied), (ROWS, 2 * ROWS), "scan build");
+
+        // k bound writes inside group 5: k rows examined, that group's
+        // partition and the canonical vector rewritten, nothing else.
+        const K: u64 = 212;
+        let group_5: Vec<TupleId> = t.tuple_ids().skip(5 * 256).take(K as usize).collect();
+        for &tid in &group_5 {
+            t.refresh_cell(tid, 1, 60.0).unwrap();
+        }
+        let (classified_k, copied_k) = check(&mut view, &t);
+        assert_eq!(classified_k, classified + K);
+        assert!(copied_k > copied && copied_k <= copied + PER_GROUP + ROWS);
+
+        // An unchanged view answers from the memo: no fold at all.
+        let first = answers(&mut view);
+        assert_eq!(view.answers_folded, 1 + GROUPS);
+        view.sync(&t).unwrap();
+        assert_eq!(answers(&mut view), first);
+        assert_eq!(view.answers_folded, 1 + GROUPS, "served from the memo");
+        for (rank, answer) in first[1..].iter().enumerate() {
+            let scratch = bounded_answer(Aggregate::Sum, view.group(rank).1).unwrap();
+            assert_eq!(*answer, scratch);
+        }
+        // One write: the group it lands in and the whole view fold again.
+        t.refresh_cell(group_5[0], 1, 61.0).unwrap();
+        view.sync(&t).unwrap();
+        let after = answers(&mut view);
+        assert_eq!(view.answers_folded, (1 + GROUPS) + 2);
+        assert_eq!(after[1..=5], first[1..=5], "ranks are i0, i1, i10, i11, …");
+        let (_, copied_k) = check(&mut view, &t);
+
+        // An exact-cell write moves a row from group 3 to group 7:
+        // exactly those two partitions are repaired.
+        let mover = t.tuple_ids().nth(3 * 256).unwrap();
+        t.update_cell(mover, 0, BoundedValue::Exact(Value::Int(7)))
+            .unwrap();
+        let (classified_m, copied_m) = check(&mut view, &t);
+        assert_eq!(classified_m, classified_k + 2);
+        assert_eq!(
+            copied_m,
+            copied_k + ROWS + (PER_GROUP - 1) + (PER_GROUP + 1),
+            "canonical pass + the group left + the group entered"
+        );
+
+        // A new key is ranked by its rendering ("i100" sorts between
+        // "i10" and "i11"), an emptied group disappears, and a vacated id
+        // is reused without disturbing the order.
+        let newcomer = t.insert(cells(100, 70.0)).unwrap();
+        check(&mut view, &t);
+        assert_eq!(view.group_count() as u64, GROUPS + 1);
+        t.delete(newcomer).unwrap();
+        check(&mut view, &t);
+        assert_eq!(view.group_count() as u64, GROUPS);
+        t.insert(cells(-4, 70.0)).unwrap();
+        check(&mut view, &t);
+        assert_eq!(view.groups.slots.len() as u64, GROUPS + 1, "id reused");
+    }
+
     #[test]
     fn grouped_view_matches_per_group_scratch() {
         let mut t = links_table();
@@ -854,9 +1145,9 @@ mod tests {
         let check = |view: &mut BandView, t: &Table| {
             view.sync(t).unwrap();
             let partitions = crate::group_by::group_partitions(t, &group_by).unwrap();
-            let groups: Vec<_> = view.grouped_inputs().to_vec();
-            assert_eq!(groups.len(), partitions.len());
-            for ((key, input), (_, (pkey, tids))) in groups.iter().zip(&partitions) {
+            assert_eq!(view.group_count(), partitions.len());
+            let groups = (0..view.group_count()).map(|rank| view.group(rank));
+            for ((key, input), (_, (pkey, tids))) in groups.zip(&partitions) {
                 assert_eq!(render_key(key), render_key(pkey));
                 let scratch = AggInput::build_filtered(t, None, Some(&arg), |tid, _| {
                     tids.binary_search(&tid).is_ok()

@@ -15,6 +15,11 @@
 //!   which pins the ordered-index planners to the scan planners
 //!   bit-for-bit.
 //!
+//! And after **every** step, query or not, [`assert_groups_match_scratch`]
+//! holds the grouped views' partitions — repaired in place, group by
+//! group — and the answers memoized over them to scratch builds under
+//! each group's member filter, for all four aggregates.
+//!
 //! `pinned_views_match_with_and_without_value_index` runs the same
 //! interleavings — plus exact-cell rewrites that move a row between
 //! groups and idle gaps that compact the change log past every view —
@@ -26,7 +31,7 @@ use proptest::prelude::*;
 use trapp_core::group_by::group_partitions;
 use trapp_core::plan::bind_query;
 use trapp_core::query_plan::{assemble_units, plan_unit, QueryOutcome, QueryPartial, QueryPlan};
-use trapp_core::{AggInput, QuerySession, SolverStrategy};
+use trapp_core::{bounded_answer, AggInput, QuerySession, SolverStrategy};
 use trapp_sql::Query;
 use trapp_storage::{ColumnDef, IndexKey, Schema, Table};
 use trapp_types::{BoundedValue, TrappError, TupleId, Value};
@@ -236,6 +241,7 @@ fn scan_plan(session: &QuerySession, q: &Query) -> Result<QueryPlan, TrappError>
             "t",
             key,
             input,
+            bounded_answer(bound.agg, input)?,
             None,
             &Default::default(),
         )
@@ -280,6 +286,79 @@ fn assert_inputs_equal(a: &AggInput, b: &AggInput, context: &str) -> Result<(), 
         "question count for {}",
         context
     );
+    Ok(())
+}
+
+/// `GROUP BY grp` under each of the four aggregates, with no `WITHIN`, so
+/// every plan is `Ready` and carries the view's memoized answers: a
+/// predicated view whose rows move between all three bands, its
+/// predicated value twin, and the unfiltered view two aggregates share.
+const GROUPED_SHAPES: [&str; 4] = [
+    "SELECT COUNT(*) FROM t WHERE load > 0 GROUP BY grp",
+    "SELECT SUM(load) FROM t WHERE load > 0 GROUP BY grp",
+    "SELECT AVG(load) FROM t GROUP BY grp",
+    "SELECT MIN(load) FROM t GROUP BY grp",
+];
+
+/// Holds every grouped view of `session` to the scan-built reference: the
+/// groups (keys, rendered-key order), each group's input against
+/// `build_filtered` under that group's member filter, and each group's
+/// memoized answer against `bounded_answer` of the scratch input, bit for
+/// bit — or the same refusal (value aggregates under cardinality slack).
+fn assert_groups_match_scratch(session: &QuerySession, context: &str) -> Result<(), String> {
+    let table = session.catalog().table("t").unwrap();
+    for text in GROUPED_SHAPES {
+        let context = format!("{context}: {text}");
+        let q = trapp_sql::parse_query(text).unwrap();
+        let bound = bind_query(&q, session.catalog()).unwrap();
+        let scratch: Vec<_> = group_partitions(table, &bound.group_by)
+            .unwrap()
+            .into_values()
+            .map(|(key, tids)| {
+                let input = AggInput::build_filtered(
+                    table,
+                    bound.predicate.as_ref(),
+                    bound.arg.as_ref(),
+                    |tid, _| tids.binary_search(&tid).is_ok(),
+                )
+                .unwrap();
+                (key, input)
+            })
+            .collect();
+
+        let QueryPartial::Grouped(groups) = session.partial_query(&q).unwrap() else {
+            unreachable!("grouped shapes give grouped partials");
+        };
+        prop_assert_eq!(groups.len(), scratch.len(), "groups for {}", &context);
+        for ((key, p), (skey, sinput)) in groups.iter().zip(&scratch) {
+            prop_assert_eq!(key, skey, "group order for {}", &context);
+            assert_inputs_equal(&p.input, sinput, &context)?;
+        }
+
+        let reference: Result<Vec<_>, TrappError> = scratch
+            .iter()
+            .map(|(_, input)| bounded_answer(bound.agg, input))
+            .collect();
+        match (session.plan_query(&q), reference) {
+            (Ok(QueryPlan::Ready(QueryOutcome::Grouped(results))), Ok(reference)) => {
+                prop_assert_eq!(results.len(), reference.len(), "{}", &context);
+                for (g, answer) in results.iter().zip(&reference) {
+                    let bits = |a: &trapp_core::BoundedAnswer| {
+                        (a.range.lo().to_bits(), a.range.hi().to_bits())
+                    };
+                    prop_assert_eq!(
+                        bits(&g.result.answer),
+                        bits(answer),
+                        "answer of group {:?} for {}",
+                        &g.key,
+                        &context
+                    );
+                }
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "{}", &context),
+            (a, b) => return Err(format!("{context}: view {a:?} vs scratch {b:?}")),
+        }
+    }
     Ok(())
 }
 
@@ -368,6 +447,7 @@ proptest! {
                 }
                 mutation => apply_mutation(&mut session, mutation, uniform),
             }
+            assert_groups_match_scratch(&session, &format!("after step {step} ({op:?})"))?;
         }
     }
 
@@ -394,6 +474,7 @@ proptest! {
             let Op::Query(shape, r) = op else {
                 for session in &mut sessions {
                     apply_mutation(session, op, false);
+                    assert_groups_match_scratch(session, &format!("after step {step} ({op:?})"))?;
                 }
                 continue;
             };

@@ -61,6 +61,8 @@ pub struct Shard {
     /// on this shard, mirrored so `stats()` reads it without the cache
     /// lock.
     pub(crate) view_tuples_classified: AtomicU64,
+    /// The session's `view_items_repartitioned`, mirrored the same way.
+    pub(crate) view_items_repartitioned: AtomicU64,
 }
 
 impl Shard {
@@ -81,14 +83,18 @@ impl Shard {
             health,
             to_global,
             view_tuples_classified: AtomicU64::new(0),
+            view_items_repartitioned: AtomicU64::new(0),
         }
     }
 
-    /// Publishes the session's view work counter; called with the cache
+    /// Publishes the session's view work counters; called with the cache
     /// lock held, after planning.
     pub(crate) fn note_view_work(&self, cache: &CacheNode) {
+        let session = cache.session();
         self.view_tuples_classified
-            .store(cache.session().view_tuples_classified(), Ordering::Relaxed);
+            .store(session.view_tuples_classified(), Ordering::Relaxed);
+        self.view_items_repartitioned
+            .store(session.view_items_repartitioned(), Ordering::Relaxed);
     }
 
     /// Translates a shard-local tuple id to the global id space.

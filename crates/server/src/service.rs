@@ -80,7 +80,7 @@ use trapp_core::query_plan::{
     assemble_units, plan_join_round, plan_unit, Exclusions, QueryOutcome, QueryPartial, QueryPlan,
 };
 use trapp_core::refresh::iterative::IterativeHeuristic;
-use trapp_core::{merge_grouped_partials, merge_table_slices, BoundedAnswer};
+use trapp_core::{bounded_answer, merge_grouped_partials, merge_table_slices, BoundedAnswer};
 use trapp_storage::{IndexKey, Table};
 use trapp_system::{
     CacheNode, ChaosConfig, ChaosControl, ChaosTransport, CompletionTransport, CostModel,
@@ -283,6 +283,11 @@ pub struct ServiceStats {
     /// planning work in rows, which selective queries keep proportional
     /// to their candidate sets.
     pub view_tuples_classified: u64,
+    /// Items the shards' band views have written into a canonical vector
+    /// or a group partition (repairs and rebuilds) — planning work in
+    /// items, which a grouped view keeps proportional to the groups a
+    /// change lands in.
+    pub view_items_repartitioned: u64,
 }
 
 struct Job {
@@ -1132,6 +1137,7 @@ impl ServiceCore {
                     &table,
                     Vec::new(),
                     &merged,
+                    bounded_answer(agg, &merged)?,
                     None,
                     exclusions.for_table(&table),
                 )?;
@@ -1155,6 +1161,7 @@ impl ServiceCore {
                         &p.table,
                         key,
                         &p.input,
+                        bounded_answer(p.agg, &p.input)?,
                         None,
                         exclusions.for_table(&p.table),
                     )?);
@@ -1430,6 +1437,7 @@ impl QueryService {
             s.refreshes_coalesced += shard.gateway.refreshes_coalesced();
             s.refreshes_forwarded += shard.gateway.refreshes_forwarded();
             s.view_tuples_classified += shard.view_tuples_classified.load(Ordering::Relaxed);
+            s.view_items_repartitioned += shard.view_items_repartitioned.load(Ordering::Relaxed);
         }
         s.queue_depth = self.core.admission.depth();
         s.fetch_pool_threads = self.core.admission.pool_threads().unwrap_or(0) as u64;

@@ -8,6 +8,11 @@
 //! bound), and queries (whose query-initiated refreshes install between
 //! the two plan passes) — on the direct transport *and* on the completion
 //! transport, at one shard and at several.
+//!
+//! `grouped_queries_between_pinned_installs_match_simulation` is the
+//! `hot_cache` pattern in small: a pinned query's fetch installs dirty
+//! one group, and the `GROUP BY` and global queries that follow read
+//! partitions repaired in place and answers memoized over the rest.
 
 mod common;
 
@@ -179,5 +184,78 @@ fn evicted_pinned_views_reenter_bit_identical() {
             (2 * PINS as u64..20 * PINS as u64).contains(&examined),
             "{examined}"
         );
+    }
+}
+
+/// A pinned `WITHIN 8` query fetches, its installs land in one group, and
+/// the next `GROUP BY` and global queries — of every aggregate — must see
+/// that group repaired and every other group's memoized answer still
+/// right. Each reply equals the §4 loop's, on both stacks at 1–3 shards.
+#[test]
+fn grouped_queries_between_pinned_installs_match_simulation() {
+    const GROUPS: usize = 6;
+    const AGGS: [(&str, &str); 4] = [
+        ("COUNT(*)", "load > 75"),
+        ("SUM(load)", ""),
+        ("AVG(load)", ""),
+        ("MIN(load)", ""),
+    ];
+    let sql = |(select, filter): (&str, &str), pin: Option<usize>, tail: &str| {
+        let mut predicates: Vec<String> = pin.iter().map(|g| format!("grp = {g}")).collect();
+        if !filter.is_empty() {
+            predicates.push(filter.to_owned());
+        }
+        let mut sql = format!("SELECT {select} {tail} FROM metrics");
+        if !predicates.is_empty() {
+            sql = format!("{sql} WHERE {}", predicates.join(" AND "));
+        }
+        sql
+    };
+    let w = loadgen::generate(&LoadConfig {
+        seed: 23,
+        groups: GROUPS,
+        rows_per_group: 32,
+        sources: 3,
+        queries: 0,
+        ..LoadConfig::default()
+    });
+    for stack in STACKS {
+        for shards in 1..=3 {
+            let config = ServiceConfig {
+                workers: 1,
+                shards,
+                ..ServiceConfig::default()
+            };
+            let builder = service_builder(loadgen_tables(&w), config).partition_by("grp");
+            let service = stack.build(builder, std::time::Duration::ZERO);
+            let mut reference = common::reference(loadgen_tables(&w), 3);
+            let mut pinned_refreshes = 0;
+            for i in 0..96 {
+                if i % 32 == 0 {
+                    service.advance_clock(25.0);
+                    reference.clock.advance(25.0);
+                }
+                let agg = AGGS[(i / 3) % AGGS.len()];
+                let text = match i % 3 {
+                    0 => sql(agg, Some(i / 3 % GROUPS), "WITHIN 8"),
+                    1 => sql(agg, None, "WITHIN 1000000") + " GROUP BY grp",
+                    _ => sql(agg, None, "WITHIN 1000000"),
+                };
+                let reply = service.query(&text).unwrap();
+                if i % 3 == 0 {
+                    pinned_refreshes += reply.result.refreshed.len();
+                } else if i % 3 == 1 {
+                    assert_eq!(reply.groups.len(), GROUPS);
+                }
+                assert_reply_matches_reference(
+                    &reply,
+                    &run_reference(&mut reference, &text),
+                    &format!("query {i} ({stack:?}, {shards} shards): {text}"),
+                )
+                .unwrap();
+            }
+            assert!(pinned_refreshes > 0, "no pinned query had to fetch");
+            assert!(service.stats().view_items_repartitioned > 0);
+        }
     }
 }
