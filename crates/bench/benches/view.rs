@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks for the band-view layer and the clock-advance
 //! pass feeding it: what one selective (`grp = k`) query pays per plan for
 //! its view — build on a view-cache miss, resync after a clock advance —
-//! and what the shard pays once per advance to re-materialize every bound.
+//! and, after an advance, what bringing bounds up to date costs the first
+//! plan that reads every row (`materialize_after_advance`) and a pinned
+//! plan, which reads its group's rows (`pinned_materialize_after_advance`).
 //!
 //! Two table shapes, the repo benchmark's `big_table` (20,000 rows in
 //! 2,500 groups of 8) and `hot_cache` (8,192 rows in 32 groups of 256),
@@ -196,7 +198,8 @@ fn bench_view(c: &mut Criterion) {
             );
         }
 
-        // The shard-lock-held pass at the head of every epoch.
+        // The shard-lock-held pass a scan-shaped plan pays at the head of
+        // every epoch…
         group.bench_function(BenchmarkId::new("materialize_after_advance", &shape), |b| {
             b.iter_with_setup(
                 || service.advance_clock(CLOCK_STEP),
@@ -207,6 +210,20 @@ fn bench_view(c: &mut Criterion) {
                 },
             )
         });
+        // …and the one a pinned plan pays instead: its group's rows only.
+        group.bench_function(
+            BenchmarkId::new("pinned_materialize_after_advance", &shape),
+            |b| {
+                b.iter_with_setup(
+                    || service.advance_clock(CLOCK_STEP),
+                    |()| {
+                        service.with_shard_cache(0, |cache| {
+                            cache.materialize_for(&bound).expect("group materializes")
+                        })
+                    },
+                )
+            },
+        );
     }
     group.finish();
 }

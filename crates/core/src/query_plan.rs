@@ -574,16 +574,27 @@ impl QuerySession {
         query: &Query,
         exclusions: &Exclusions,
     ) -> Result<QueryPlan, TrappError> {
+        self.plan_bound_excluding(&bind_query(query, self.catalog())?, exclusions)
+    }
+
+    /// [`QuerySession::plan_query_excluding`] for a query already bound
+    /// against this session's catalog — for callers that read the bound
+    /// shape before planning (a cache deciding which rows to bring up to
+    /// date) and should not bind twice.
+    pub fn plan_bound_excluding(
+        &self,
+        bound: &BoundQuery,
+        exclusions: &Exclusions,
+    ) -> Result<QueryPlan, TrappError> {
         if !matches!(self.config.mode, ExecutionMode::Batch) {
             return Ok(QueryPlan::Iterative);
         }
-        let bound = bind_query(query, self.catalog())?;
         match &bound.source {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
                 let table = self.catalog().table(name)?;
-                let probe = table_probe(table, &bound);
+                let probe = table_probe(table, bound);
                 let mut views = self.views();
-                let view = views.view_for(name, &bound);
+                let view = views.view_for(name, bound);
                 view.sync(table)?;
                 let initial = view.answer(bound.agg)?;
                 let unit = plan_unit(
@@ -609,7 +620,7 @@ impl QuerySession {
                     unfiltered: false,
                 };
                 let mut views = self.views();
-                let view = views.view_for(name, &bound);
+                let view = views.view_for(name, bound);
                 view.sync(table)?;
                 // Every group's input and answer stand in the view; only
                 // the groups a change landed in were repaired by `sync`.
@@ -632,7 +643,7 @@ impl QuerySession {
                 Ok(assemble_units(units, true))
             }
             QuerySource::Join { left, right } => plan_join_round(
-                &bound,
+                bound,
                 self.catalog().table(left)?,
                 self.catalog().table(right)?,
                 self.config.join_heuristic,

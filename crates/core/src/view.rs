@@ -35,8 +35,9 @@
 //! * **build** — when one of the exact conjuncts is `column = literal`
 //!   and the table indexes that column
 //!   ([`trapp_storage::Table::tuples_with_value`]), only the rows the
-//!   index names are examined; every other row is sticky `T−` by that
-//!   very conjunct. Without such an index the build scans.
+//!   index names are examined ([`pinned_rows`]); every other row is
+//!   sticky `T−` by that very conjunct. Without such an index the build
+//!   scans.
 //! * **resync** — replays whichever is cheaper, the candidates the
 //!   change-log tail names or the whole candidate set, plus the rows
 //!   inserted since, so a clock advance that re-widened all `n` bounds
@@ -524,12 +525,9 @@ impl BandView {
     }
 
     /// Full rebuild — the per-tuple step `build_filtered` runs, plus the
-    /// group bookkeeping, over the rows the predicate can admit:
-    /// the ones a value index names when an exact conjunct pins an
-    /// indexed column (the rest are sticky `T−` by that conjunct, which
-    /// is all the scan would have found out about them), every row
-    /// otherwise. Rows the index excludes are never evaluated, so an
-    /// evaluation error confined to them does not surface — as on the
+    /// group bookkeeping, over the rows the query can read
+    /// ([`pinned_rows`]). Rows the index excludes are never evaluated, so
+    /// an evaluation error confined to them does not surface — as on the
     /// sticky replay path.
     fn rebuild(&mut self, table: &Table) -> Result<(), TrappError> {
         self.reset();
@@ -541,13 +539,9 @@ impl BandView {
         }
         self.exact_conjuncts = conjuncts;
         let mut candidates = self.sticky_eligible().then(Vec::new);
-        // Only a view that keeps a candidate set may skip rows.
-        let pinned: Option<Vec<TupleId>> = candidates.as_ref().and_then(|_| {
-            self.exact_conjuncts.iter().find_map(|c| {
-                let (column, value) = equality_pin(c)?;
-                table.tuples_with_value(column, value)
-            })
-        });
+        // A pin is an exact conjunct of a scalar view, so only views that
+        // keep a candidate set skip rows.
+        let pinned = pinned_rows(table, self.predicate.as_ref(), &self.group_by);
         let rows: Box<dyn Iterator<Item = Result<(TupleId, &Row), TrappError>> + '_> = match &pinned
         {
             Some(tids) => Box::new(tids.iter().map(|&tid| Ok((tid, table.row(tid)?)))),
@@ -718,15 +712,40 @@ fn collect_exact_conjuncts(e: &Expr<usize>, bounded: &[usize], out: &mut Vec<Exp
     }
 }
 
-/// `(column, value)` if `e` is `column = literal` (either way round) over
-/// a numeric literal: the shape a value index can answer.
-fn equality_pin(e: &Expr<usize>) -> Option<(usize, f64)> {
-    let Expr::Binary(BinaryOp::Eq, l, r) = e else {
+/// The rows a scalar query over `table` with `predicate` can read: when a
+/// top-level `AND` conjunct pins an exact, value-indexed column to a
+/// numeric literal (`grp = k`), the rows the index names, ascending —
+/// every other row is sticky `T−` by that conjunct, whatever its bounds
+/// say — and `None`, meaning every row, otherwise (no such conjunct, or
+/// a grouped query, whose groups span the table).
+///
+/// Band views build from exactly these rows, and a cache brings exactly
+/// these rows' bounds up to date before planning such a query, so the
+/// two cannot disagree about what the plan reads.
+pub fn pinned_rows(
+    table: &Table,
+    predicate: Option<&Expr<usize>>,
+    group_by: &[usize],
+) -> Option<Vec<TupleId>> {
+    if !group_by.is_empty() {
+        return None;
+    }
+    pin_in(predicate?, table)
+}
+
+/// The first top-level conjunct of `e`, left to right, that is
+/// `column = literal` (either way round) over a column `table` can look
+/// up by value, answered from that index. A bounded column has no such
+/// index, so only exact conjuncts pin.
+fn pin_in(e: &Expr<usize>, table: &Table) -> Option<Vec<TupleId>> {
+    let Expr::Binary(op, l, r) = e else {
         return None;
     };
-    match (l.as_ref(), r.as_ref()) {
-        (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => {
-            Some((*c, v.as_f64().ok()?))
+    match (op, l.as_ref(), r.as_ref()) {
+        (BinaryOp::And, l, r) => pin_in(l, table).or_else(|| pin_in(r, table)),
+        (BinaryOp::Eq, Expr::Column(c), Expr::Literal(v))
+        | (BinaryOp::Eq, Expr::Literal(v), Expr::Column(c)) => {
+            table.tuples_with_value(*c, v.as_f64().ok()?)
         }
         _ => None,
     }

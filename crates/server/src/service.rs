@@ -42,7 +42,9 @@
 //! Execution stays phased so source round-trips run *outside* every cache
 //! lock, for every shape — scalar, `GROUP BY`, and join alike:
 //!
-//! 1. **plan** (shard lock): materialize bounds at the current instant and
+//! 1. **plan** (shard lock): bring the rows the plan reads current at the
+//!    current instant (a pinned query's group, or every row; see
+//!    [`CacheNode::materialize_for`]) and
 //!    lower the query into a [`trapp_core::query_plan::QueryPlan`] — the
 //!    cache-only answer(s) plus, where the constraint is unmet, the
 //!    refresh set per unit;
@@ -605,10 +607,9 @@ impl ServiceCore {
                 Route::Single(s) => {
                     let shard = self.router.shard(s);
                     let mut cache = shard.cache.lock();
-                    cache.materialize()?;
+                    let plan = cache.plan_query_excluding(q, &exclusions)?;
                     let now = self.clock.now();
                     let max_join_rounds = cache.session().config.max_refresh_rounds;
-                    let plan = cache.session().plan_query_excluding(q, &exclusions)?;
                     shard.note_view_work(&cache);
                     match plan {
                         QueryPlan::Iterative => {
@@ -1489,8 +1490,9 @@ pub fn default_fetch_pool_size(shards: usize) -> usize {
 ///   `k` entry instead of scanning the table.
 ///
 /// The §5.1/§5.2 endpoint/width indexes on *bounded* columns are
-/// deliberately not registered: every clock advance rewrites every bound
-/// cell, so their maintenance (six B-tree moves per cell per advance)
+/// deliberately not registered: every bound cell moves with the clock
+/// and is rewritten once per advance by the first scan-shaped query, so
+/// their maintenance (six B-tree moves per cell per advance)
 /// costs more than the unfiltered queries they accelerate — embedders
 /// with slow-moving bounds can opt in via `Table::create_default_indexes`.
 fn register_churn_free_indexes(

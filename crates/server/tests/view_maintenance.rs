@@ -125,8 +125,11 @@ proptest! {
 /// More distinct pinned views than one shard's view cache retains (256,
 /// `MAX_VIEWS` in `trapp_core::view`), swept round-robin — the LRU's worst
 /// case, so every later visit finds its view evicted and re-enters through
-/// the index-driven build — while clock advances and master updates keep
-/// the table moving underneath. Every answer equals the §4 loop's.
+/// the index-driven build — while clock advances (between sweeps and
+/// within them) and master updates keep the table moving underneath. The
+/// service brings current only the group each pinned plan reads, the §4
+/// loop every row before every query: every answer must still be equal,
+/// on both stacks at 1–3 shards.
 #[test]
 fn evicted_pinned_views_reenter_bit_identical() {
     const PINS: usize = 300;
@@ -138,16 +141,21 @@ fn evicted_pinned_views_reenter_bit_identical() {
         queries: 0,
         ..LoadConfig::default()
     });
-    let config = ServiceConfig {
-        workers: 1,
-        shards: 1,
-        ..ServiceConfig::default()
-    };
-    for stack in STACKS {
+    for (stack, shards) in STACKS
+        .into_iter()
+        .flat_map(|s| (1..=3).map(move |n| (s, n)))
+    {
+        let config = ServiceConfig {
+            workers: 1,
+            shards,
+            ..ServiceConfig::default()
+        };
         let builder = service_builder(loadgen_tables(&w), config).partition_by("grp");
         let service = stack.build(builder, std::time::Duration::ZERO);
         let mut reference = common::reference(loadgen_tables(&w), 3);
         for i in 0..3 * PINS {
+            // Every 50 queries, so each sweep (300 of them) starts on a
+            // fresh epoch and crosses five more.
             if i % 50 == 0 {
                 service.advance_clock(25.0);
                 reference.clock.advance(25.0);
@@ -173,7 +181,7 @@ fn evicted_pinned_views_reenter_bit_identical() {
             assert_reply_matches_reference(
                 &reply,
                 &run_reference(&mut reference, &sql),
-                &format!("query {i} ({stack:?}): {sql}"),
+                &format!("query {i} ({stack:?}, {shards} shards): {sql}"),
             )
             .unwrap();
         }
@@ -258,4 +266,49 @@ fn grouped_queries_between_pinned_installs_match_simulation() {
             assert!(service.stats().view_items_repartitioned > 0);
         }
     }
+}
+
+/// The demand pass as exact counts at the benchmark's `big_table` size
+/// (20,000 rows in 2,500 groups of 8, one shard): after a clock advance a
+/// pinned query evaluates its group's 8 bounds and no other, a repeat on
+/// that group evaluates none, and a global query then evaluates the
+/// other 19,992.
+#[test]
+fn pinned_plans_write_only_their_group_after_an_advance() {
+    const GROUPS: usize = 2_500;
+    const PER_GROUP: usize = 8;
+    let w = loadgen::generate(&LoadConfig {
+        seed: 3,
+        groups: GROUPS,
+        rows_per_group: PER_GROUP,
+        sources: 4,
+        queries: 0,
+        ..LoadConfig::default()
+    });
+    let config = ServiceConfig {
+        workers: 1,
+        shards: 1,
+        ..ServiceConfig::default()
+    };
+    let service = service_builder(loadgen_tables(&w), config)
+        .partition_by("grp")
+        .build_direct()
+        .unwrap();
+    let written = || service.with_shard_cache(0, |c| c.stats().cells_materialized);
+    service.advance_clock(25.0);
+    let start = written();
+    // Loose enough that nothing is fetched, so nothing is installed.
+    let pinned = "SELECT SUM(load) WITHIN 1000000 FROM metrics WHERE grp = 1234";
+    assert!(service.query(pinned).unwrap().result.refreshed.is_empty());
+    assert_eq!(written() - start, PER_GROUP as u64, "the group's cells");
+    service.query(pinned).unwrap();
+    assert_eq!(written() - start, PER_GROUP as u64, "a repeat writes none");
+    service
+        .query("SELECT SUM(load) WITHIN 1000000 FROM metrics")
+        .unwrap();
+    assert_eq!(
+        written() - start,
+        (GROUPS * PER_GROUP) as u64,
+        "the global query writes the rest"
+    );
 }

@@ -1,12 +1,16 @@
 //! Data caches: bounded tables + the query processor (§3, Figure 3).
 //!
 //! A [`CacheNode`] owns a `trapp-core` [`QuerySession`] whose tables hold
-//! the *materialized* bounds. Each bounded cell is backed by one replicated
-//! object with a time-varying [`BoundFunction`]; before a query runs, the
-//! cache evaluates every bound function at the current time and writes the
-//! resulting intervals into the table (§3.2: "we assume that any
-//! time-varying bound functions have been evaluated at the current time
-//! `T_c`").
+//! the *materialized* bounds. Each bounded cell is backed by a replicated
+//! object with a time-varying [`BoundFunction`]. §3.2 only needs those
+//! functions "evaluated at the current time `T_c`" for the tuples a query
+//! reads, so that is all the cache evaluates: a clock advance writes
+//! nothing, and each row remembers the instant its cells were last written
+//! at. Before a plan the cache brings current exactly the rows the plan can
+//! read — a pinned scalar query's group ([`pinned_rows`]), every row for
+//! any other shape ([`CacheNode::materialize`]) — with one per-row step,
+//! so a second query over the same rows at the same instant writes
+//! nothing. An install or a rebinding rewrites its own row on the spot.
 //!
 //! Query-initiated refreshes flow through an internal transport-backed
 //! oracle (`SystemOracle`), which routes
@@ -18,6 +22,10 @@ use std::collections::{BTreeMap, HashMap};
 
 use trapp_bounds::BoundFunction;
 use trapp_core::executor::{QueryResult, QuerySession, RefreshOracle};
+use trapp_core::plan::{bind_query, BoundQuery, QuerySource};
+use trapp_core::view::pinned_rows;
+use trapp_core::{Exclusions, QueryPlan};
+use trapp_storage::{Catalog, Table};
 use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, TrappError, TupleId};
 
 use crate::clock::SimClock;
@@ -28,10 +36,6 @@ use crate::transport::Transport;
 /// Identifies one bounded cell of one cached table.
 pub type CellKey = (String, TupleId, usize);
 
-/// table → `(tuple, column)` → backing object, ordered: the reverse of
-/// [`ObjectRoute::cell`], and the order a clock advance rewrites cells in.
-type CellIndex = BTreeMap<String, BTreeMap<(TupleId, usize), ObjectId>>;
-
 /// Where a replicated object lives and which cell it backs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObjectRoute {
@@ -41,6 +45,204 @@ pub struct ObjectRoute {
     pub cell: CellKey,
 }
 
+/// One cached row's bound cells, and the instant they were last written.
+#[derive(Default)]
+struct RowCells {
+    bindings: Bindings,
+    /// The clock instant every cell of the row was last written at;
+    /// `None` before the first write, or after one failed half way.
+    current_at: Option<f64>,
+}
+
+/// A row's `(column, object)` bindings, by column, each cell's objects
+/// oldest first. The newest is the one a refresh of the cell fetches; the
+/// newest *with a bound* is the one the cell shows (a fresh binding has
+/// none until its subscription is installed). Nearly every row has one
+/// binding, held inline: a full pass then walks the row index without a
+/// pointer to chase per row.
+enum Bindings {
+    One([(usize, ObjectId); 1]),
+    Many(Vec<(usize, ObjectId)>),
+}
+
+impl Default for Bindings {
+    fn default() -> Bindings {
+        Bindings::Many(Vec::new())
+    }
+}
+
+impl From<Vec<(usize, ObjectId)>> for Bindings {
+    fn from(all: Vec<(usize, ObjectId)>) -> Bindings {
+        match *all {
+            [one] => Bindings::One([one]),
+            _ => Bindings::Many(all),
+        }
+    }
+}
+
+impl Bindings {
+    fn as_slice(&self) -> &[(usize, ObjectId)] {
+        match self {
+            Bindings::One(one) => one,
+            Bindings::Many(all) => all,
+        }
+    }
+
+    /// Adds `binding` as the newest of its cell.
+    fn insert(&mut self, binding: (usize, ObjectId)) {
+        let mut all = self.as_slice().to_vec();
+        all.insert(all.partition_point(|&(c, _)| c <= binding.0), binding);
+        *self = all.into();
+    }
+
+    fn remove(&mut self, binding: (usize, ObjectId)) {
+        let mut all = self.as_slice().to_vec();
+        all.retain(|&b| b != binding);
+        *self = all.into();
+    }
+}
+
+/// The bound cells: which objects back each, their bound functions, and
+/// which rows hold those bounds evaluated at which instant.
+#[derive(Default)]
+struct Cells {
+    /// table → tuple → the row's cells, ordered: the reverse of
+    /// [`ObjectRoute::cell`], and the order a full pass writes rows in.
+    rows: BTreeMap<String, BTreeMap<TupleId, RowCells>>,
+    /// Current bound function per object.
+    bounds: HashMap<ObjectId, BoundFunction>,
+    tally: Tally,
+}
+
+/// What the per-row step has done so far.
+#[derive(Default)]
+struct Tally {
+    /// How many rows are current at instant `.0`, the latest instant any
+    /// row was written at (the clock only moves forward). All of them
+    /// means a full pass at that instant has nothing to write.
+    current: (f64, usize),
+    /// Cells written ([`CacheStats::cells_materialized`]).
+    written: u64,
+}
+
+impl Cells {
+    /// The newest object bound to `table[tid].column`.
+    fn newest(&self, table: &str, tid: TupleId, column: usize) -> Option<ObjectId> {
+        let row = self.rows.get(table)?.get(&tid)?;
+        row.bindings
+            .as_slice()
+            .iter()
+            .rev()
+            .find(|&&(c, _)| c == column)
+            .map(|&(_, object)| object)
+    }
+
+    /// Makes `object` the newest binding of `table[tid].column`.
+    fn bind(&mut self, table: &str, tid: TupleId, column: usize, object: ObjectId) {
+        let row = self
+            .rows
+            .entry(table.to_owned())
+            .or_default()
+            .entry(tid)
+            .or_default();
+        row.bindings.insert((column, object));
+    }
+
+    /// Drops `object`'s binding of `table[tid].column`, if it has one.
+    fn unbind(&mut self, table: &str, tid: TupleId, column: usize, object: ObjectId) {
+        if let Some(row) = self.rows.get_mut(table).and_then(|rows| rows.get_mut(&tid)) {
+            row.bindings.remove((column, object));
+        }
+    }
+
+    /// Whether every row is counted current at `now`.
+    fn all_current_at(&self, now: f64) -> bool {
+        self.tally.current == (now, self.rows.values().map(BTreeMap::len).sum())
+    }
+
+    /// The full pass: the per-row step over every bound row of every
+    /// table.
+    fn all_current(&mut self, catalog: &mut Catalog, now: f64) -> Result<(), TrappError> {
+        if self.all_current_at(now) {
+            return Ok(());
+        }
+        for (name, rows) in &mut self.rows {
+            let table = catalog.table_mut(name)?;
+            for (&tid, row) in rows {
+                self.tally.step(&self.bounds, table, tid, row, now, false)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-row step over `tids` of table `name` — or, when
+    /// `changed`, a rewrite of them whether they are current or not: one
+    /// of their bounds or bindings just changed.
+    fn bring_current(
+        &mut self,
+        catalog: &mut Catalog,
+        now: f64,
+        name: &str,
+        tids: &[TupleId],
+        changed: bool,
+    ) -> Result<(), TrappError> {
+        let Some(rows) = self.rows.get_mut(name) else {
+            return Ok(());
+        };
+        let table = catalog.table_mut(name)?;
+        for tid in tids {
+            if let Some(row) = rows.get_mut(tid) {
+                self.tally
+                    .step(&self.bounds, table, *tid, row, now, changed)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Tally {
+    /// The per-row step of every pass: unless `row` is current at `now`
+    /// already (and not `changed`), writes each of its cells' interval at
+    /// `now` — the bound of the cell's newest object that has one — and
+    /// stamps the row current. A row the table no longer holds has
+    /// nothing to write.
+    fn step(
+        &mut self,
+        bounds: &HashMap<ObjectId, BoundFunction>,
+        table: &mut Table,
+        tid: TupleId,
+        row: &mut RowCells,
+        now: f64,
+        changed: bool,
+    ) -> Result<(), TrappError> {
+        if row.current_at == Some(now) && !changed {
+            return Ok(());
+        }
+        if row.current_at.take() == Some(self.current.0) {
+            self.current.1 -= 1;
+        }
+        for cell in row.bindings.as_slice().chunk_by(|a, b| a.0 == b.0) {
+            // Bound but not yet subscribed: nothing to evaluate.
+            let Some(bound) = cell.iter().rev().find_map(|(_, o)| bounds.get(o)) else {
+                continue;
+            };
+            let interval = BoundedValue::Bounded(bound.interval_at(now));
+            match table.update_cell(tid, cell[0].0, interval) {
+                Ok(()) => self.written += 1,
+                // Deleted from the table since it was bound.
+                Err(TrappError::UnknownTuple(_)) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        row.current_at = Some(now);
+        if self.current.0 != now {
+            self.current = (now, 0);
+        }
+        self.current.1 += 1;
+        Ok(())
+    }
+}
+
 /// A TRAPP data cache.
 pub struct CacheNode {
     id: CacheId,
@@ -48,24 +250,12 @@ pub struct CacheNode {
     clock: SimClock,
     /// object → route (source + cell).
     routes: HashMap<ObjectId, ObjectRoute>,
-    /// cell → the object bound to it last, fixed at bind time: the one a
-    /// refresh of the cell fetches.
-    by_cell: CellIndex,
-    /// Objects whose cell was since bound to another object. They keep
-    /// their route, so their installs and bounds still land in the cell.
-    shadowed: Vec<ObjectId>,
-    /// Current bound function per object.
-    bounds: HashMap<ObjectId, BoundFunction>,
+    /// Which objects back each cell, their bounds, and which rows are
+    /// current.
+    cells: Cells,
     /// Sequence of the last installed refresh per object (see
     /// [`Refresh::seq`]); installs arriving out of order are skipped.
     installed_seq: HashMap<ObjectId, u64>,
-    /// The instant of the last full materialization, if any.
-    materialized_at: Option<f64>,
-    /// Objects whose bound changed since the last materialization. While
-    /// the clock stands still, re-materializing only has to re-evaluate
-    /// these — the incremental path that keeps repeat plan passes O(Δ)
-    /// instead of O(objects).
-    dirty_bounds: std::collections::HashSet<ObjectId>,
     stats: CacheStats,
 }
 
@@ -74,15 +264,11 @@ impl CacheNode {
     pub fn new(id: CacheId, clock: SimClock) -> CacheNode {
         CacheNode {
             id,
-            session: QuerySession::with_catalog(trapp_storage::Catalog::new()),
+            session: QuerySession::with_catalog(Catalog::new()),
             clock,
             routes: HashMap::new(),
-            by_cell: CellIndex::new(),
-            shadowed: Vec::new(),
-            bounds: HashMap::new(),
+            cells: Cells::default(),
             installed_seq: HashMap::new(),
-            materialized_at: None,
-            dirty_bounds: std::collections::HashSet::new(),
             stats: CacheStats::default(),
         }
     }
@@ -117,13 +303,16 @@ impl CacheNode {
             .bounded_columns();
         columns
             .into_iter()
-            .map(|col| object_at(&self.by_cell, &self.routes, table, tuple, col))
+            .map(|col| object_at(&self.cells, &self.routes, table, tuple, col))
             .collect()
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            cells_materialized: self.cells.tally.written,
+            ..self.stats
+        }
     }
 
     /// The underlying query session (configuration, catalog access).
@@ -137,12 +326,15 @@ impl CacheNode {
     }
 
     /// Adds a cached table.
-    pub fn add_table(&mut self, table: trapp_storage::Table) -> Result<(), TrappError> {
+    pub fn add_table(&mut self, table: Table) -> Result<(), TrappError> {
         self.session.catalog_mut().add_table(table)
     }
 
-    /// Binds `object` (owned by `source`) to a bounded cell. The cell's
-    /// bound stays unknown until a subscription refresh is installed.
+    /// Binds `object` (owned by `source`) to a bounded cell as the cell's
+    /// newest object: the one a refresh of the cell fetches. Until
+    /// `object`'s subscription refresh is installed the cell keeps showing
+    /// the bound of the object bound there before it, if any. Rebinding an
+    /// object moves it: the cell it backed falls back the same way.
     pub fn bind_object(
         &mut self,
         object: ObjectId,
@@ -163,27 +355,23 @@ impl CacheNode {
         }
         t.row(tuple)?;
         let name = cell.0.clone();
+        let now = self.clock.now();
         if let Some(old) = self.routes.insert(object, ObjectRoute { source, cell }) {
-            // Rebound: the cell it used to back is no longer its to write.
-            let old_cell = (old.cell.1, old.cell.2);
-            if let Some(cells) = self.by_cell.get_mut(&old.cell.0) {
-                if cells.get(&old_cell) == Some(&object) {
-                    cells.remove(&old_cell);
-                }
-            }
+            let (old_table, old_tuple, old_column) = old.cell;
+            self.cells.unbind(&old_table, old_tuple, old_column, object);
+            let catalog = self.session.catalog_mut();
+            self.cells
+                .bring_current(catalog, now, &old_table, &[old_tuple], true)?;
         }
-        let cells = self.by_cell.entry(name).or_default();
-        if let Some(previous) = cells.insert((tuple, column), object) {
-            if previous != object {
-                self.shadowed.push(previous);
-            }
-        }
-        Ok(())
+        self.cells.bind(&name, tuple, column, object);
+        self.cells
+            .bring_current(self.session.catalog_mut(), now, &name, &[tuple], true)
     }
 
-    /// Installs a refresh (any kind): records the bound function and pins
-    /// the cell to the refreshed exact value (the bound at `T_r` is the
-    /// point `V(T_r)`; it widens again at the next materialization).
+    /// Installs a refresh (any kind): records the bound function, pins
+    /// the cell to the refreshed exact value, and rewrites the cell's row
+    /// at the current instant (the bound at `T_r` is the point `V(T_r)`;
+    /// it widens again as the clock moves).
     ///
     /// Installs are *ordered*: a refresh whose [`Refresh::seq`] is behind
     /// one already installed for the object is stale — a newer bound from
@@ -204,13 +392,13 @@ impl CacheNode {
         }
         self.installed_seq.insert(refresh.object, refresh.seq);
         let (table, tuple, column) = &route.cell;
-        self.bounds.insert(refresh.object, refresh.bound);
-        self.dirty_bounds.insert(refresh.object);
-        self.session.catalog_mut().table_mut(table)?.refresh_cell(
-            *tuple,
-            *column,
-            refresh.value,
-        )?;
+        self.cells.bounds.insert(refresh.object, refresh.bound);
+        let catalog = self.session.catalog_mut();
+        catalog
+            .table_mut(table)?
+            .refresh_cell(*tuple, *column, refresh.value)?;
+        self.cells
+            .bring_current(catalog, self.clock.now(), table, &[*tuple], true)?;
         match refresh.kind {
             RefreshKind::ValueInitiated => self.stats.value_initiated += 1,
             RefreshKind::QueryInitiated => self.stats.query_initiated += 1,
@@ -220,72 +408,57 @@ impl CacheNode {
         Ok(())
     }
 
-    /// Evaluates bound functions at the current time and writes the
-    /// intervals into the cached tables.
+    /// Brings every bounded cell of every cached table current: each row
+    /// not yet written at the current instant gets its bounds evaluated
+    /// there, by the same per-row step a pinned plan runs over its group
+    /// ([`CacheNode::materialize_for`]). After a clock advance that
+    /// is every row, in `(table, tuple)` order — one catalog lookup per
+    /// table, each table's rows and change log written front to back; at
+    /// an instant every row is current at already, it writes nothing.
+    /// `Table::update_cell` skips no-op writes, so unchanged cells also
+    /// leave table versions (and thus memoized band views) untouched.
     ///
-    /// Incremental: while the clock stands still only the bounds that
-    /// changed since the last call (new installs) are re-evaluated, so a
-    /// query's second plan pass — and every further query in the same
-    /// instant — pays O(changed) instead of O(objects). A clock advance
-    /// re-evaluates everything (every bound re-widened) in one pass per
-    /// table, in `(tuple, column)` order: one catalog lookup per table,
-    /// and the table's rows and change log are written front to back. The
-    /// written intervals are identical either way; `Table::update_cell`
-    /// skips no-op writes, so unchanged cells also leave table versions
-    /// (and thus memoized band views) untouched.
+    /// Scatter gathers, joins, `GROUP BY` and unfiltered queries, the
+    /// iterative path and [`crate::Simulation`] read every row, so they
+    /// call this before planning.
     pub fn materialize(&mut self) -> Result<(), TrappError> {
-        let now = self.clock.now();
-        if self.materialized_at == Some(now) {
-            if self.dirty_bounds.is_empty() {
-                return Ok(());
-            }
-            // Remove each object only after its cell is written, so a
-            // failure leaves it (and everything not yet reached) dirty
-            // for the next call instead of silently skipped.
-            let dirty: Vec<ObjectId> = self.dirty_bounds.iter().copied().collect();
-            for object in dirty {
-                self.materialize_object(object, now)?;
-                self.dirty_bounds.remove(&object);
-            }
-            return Ok(());
-        }
-        for object in self.shadowed.clone() {
-            if self.bounds.contains_key(&object) {
-                self.materialize_object(object, now)?;
-            }
-        }
-        for (name, cells) in &self.by_cell {
-            let table = self.session.catalog_mut().table_mut(name)?;
-            for (&(tuple, column), object) in cells {
-                // Bound but not yet subscribed: nothing to evaluate.
-                let Some(bound) = self.bounds.get(object) else {
-                    continue;
-                };
-                table.update_cell(tuple, column, BoundedValue::Bounded(bound.interval_at(now)))?;
-            }
-        }
-        self.dirty_bounds.clear();
-        self.materialized_at = Some(now);
-        Ok(())
+        self.cells
+            .all_current(self.session.catalog_mut(), self.clock.now())
     }
 
-    /// Writes one object's bound interval at `now` into its cell.
-    fn materialize_object(&mut self, object: ObjectId, now: f64) -> Result<(), TrappError> {
-        let bound = self
-            .bounds
-            .get(&object)
-            .ok_or_else(|| TrappError::Internal(format!("{object} marked dirty without bound")))?;
-        let route = self
-            .routes
-            .get(&object)
-            .ok_or_else(|| TrappError::Internal(format!("{object} has bound but no route")))?;
-        let (table, tuple, column) = &route.cell;
-        let iv = bound.interval_at(now);
-        self.session.catalog_mut().table_mut(table)?.update_cell(
-            *tuple,
-            *column,
-            BoundedValue::Bounded(iv),
-        )
+    /// Brings current exactly the rows a plan of `bound` can read: the
+    /// rows [`pinned_rows`] names for a pinned scalar query — so a repeat
+    /// on the same group at the same instant writes nothing — and every
+    /// row ([`CacheNode::materialize`]) for any other shape.
+    pub fn materialize_for(&mut self, bound: &BoundQuery) -> Result<(), TrappError> {
+        let now = self.clock.now();
+        let QuerySource::Table(name) = &bound.source else {
+            return self.materialize();
+        };
+        if self.cells.all_current_at(now) {
+            return Ok(());
+        }
+        let table = self.session.catalog().table(name)?;
+        match pinned_rows(table, bound.predicate.as_ref(), &bound.group_by) {
+            Some(tids) => {
+                let catalog = self.session.catalog_mut();
+                self.cells.bring_current(catalog, now, name, &tids, false)
+            }
+            None => self.materialize(),
+        }
+    }
+
+    /// Plans `query` ([`QuerySession::plan_bound_excluding`]) after
+    /// bringing current the rows its plan can read
+    /// ([`CacheNode::materialize_for`]), binding it once for both.
+    pub fn plan_query_excluding(
+        &mut self,
+        query: &trapp_sql::Query,
+        exclusions: &Exclusions,
+    ) -> Result<QueryPlan, TrappError> {
+        let bound = bind_query(query, self.session.catalog())?;
+        self.materialize_for(&bound)?;
+        self.session.plan_bound_excluding(&bound, exclusions)
     }
 
     /// Executes a query from SQL text; see [`CacheNode::execute`].
@@ -334,11 +507,10 @@ impl CacheNode {
     }
 
     /// Shared execution harness: materializes bounds, runs `f` with a
-    /// transport-backed oracle, and installs the bound functions of every
-    /// refresh that arrived — even on error paths (the exact values are
-    /// already in the table; the bound functions must follow or the next
-    /// materialization would resurrect stale bounds). Sequence-stale
-    /// refreshes are skipped like in [`CacheNode::install_refresh`].
+    /// transport-backed oracle, and installs every refresh that arrived
+    /// through [`CacheNode::install_refresh`] — even on error paths (the
+    /// exact values are already in the table; the bound functions must
+    /// follow or the cell would widen again from a stale bound).
     fn with_oracle<R>(
         &mut self,
         transport: &dyn Transport,
@@ -348,26 +520,14 @@ impl CacheNode {
         let mut oracle = SystemOracle {
             cache: self.id,
             now: self.clock.now(),
-            by_cell: &self.by_cell,
+            cells: &self.cells,
             routes: &self.routes,
             transport,
             received: Vec::new(),
         };
         let result = f(&mut self.session, &mut oracle);
-        let received = oracle.received;
-        for refresh in received {
-            if self
-                .installed_seq
-                .get(&refresh.object)
-                .is_some_and(|&last| refresh.seq < last)
-            {
-                self.stats.stale_skipped += 1;
-                continue;
-            }
-            self.installed_seq.insert(refresh.object, refresh.seq);
-            self.bounds.insert(refresh.object, refresh.bound);
-            self.dirty_bounds.insert(refresh.object);
-            self.stats.query_initiated += 1;
+        for refresh in oracle.received {
+            self.install_refresh(refresh)?;
         }
         result
     }
@@ -377,7 +537,7 @@ impl CacheNode {
 struct SystemOracle<'a> {
     cache: CacheId,
     now: f64,
-    by_cell: &'a CellIndex,
+    cells: &'a Cells,
     routes: &'a HashMap<ObjectId, ObjectRoute>,
     transport: &'a dyn Transport,
     received: Vec<Refresh>,
@@ -385,21 +545,18 @@ struct SystemOracle<'a> {
 
 /// The object backing `table[tid].column`, with its owning source.
 fn object_at(
-    by_cell: &CellIndex,
+    cells: &Cells,
     routes: &HashMap<ObjectId, ObjectRoute>,
     table: &str,
     tid: TupleId,
     column: usize,
 ) -> Result<(ObjectId, SourceId), TrappError> {
-    let object = by_cell
-        .get(table)
-        .and_then(|cells| cells.get(&(tid, column)))
-        .ok_or_else(|| {
-            TrappError::RefreshFailed(format!(
-                "no replicated object backs {table}[{tid}].{column}"
-            ))
-        })?;
-    Ok((*object, routes[object].source))
+    let object = cells.newest(table, tid, column).ok_or_else(|| {
+        TrappError::RefreshFailed(format!(
+            "no replicated object backs {table}[{tid}].{column}"
+        ))
+    })?;
+    Ok((object, routes[&object].source))
 }
 
 impl RefreshOracle for SystemOracle<'_> {
@@ -431,7 +588,7 @@ impl RefreshOracle for SystemOracle<'_> {
         for &tid in tids {
             let mut row = Vec::with_capacity(columns.len());
             for &column in columns {
-                let (object, source) = object_at(self.by_cell, self.routes, table, tid, column)?;
+                let (object, source) = object_at(self.cells, self.routes, table, tid, column)?;
                 let bucket = per_source.entry(source).or_default();
                 bucket.push(object);
                 row.push((source, bucket.len() - 1));
@@ -479,8 +636,9 @@ mod tests {
     use super::*;
     use crate::source::Source;
     use crate::transport::DirectTransport;
+    use proptest::prelude::*;
     use trapp_bounds::BoundShape;
-    use trapp_storage::{ColumnDef, Schema, Table};
+    use trapp_storage::{ColumnDef, Schema};
     use trapp_types::{Interval, Value, ValueType};
 
     /// One source, one cache, two objects backing a 2-row table.
@@ -712,5 +870,341 @@ mod tests {
         // Same-seq duplicates (coalesced installs) remain idempotent.
         cache.install_refresh(newer).unwrap();
         assert_eq!(cache.stats().stale_skipped, 1);
+    }
+
+    /// `metrics(grp, load)` with a value index on `grp` — what lets a
+    /// `grp = k` plan read only its group — and the bounded-column
+    /// indexes, whose walks read every row.
+    fn metrics_cache(id: u64, clock: &SimClock) -> CacheNode {
+        let schema = Schema::new(vec![
+            ColumnDef::exact("grp", ValueType::Int),
+            ColumnDef::bounded_float("load"),
+        ])
+        .unwrap();
+        let mut table = Table::new("metrics", schema);
+        table.create_default_indexes().unwrap();
+        table
+            .create_index(trapp_storage::IndexKey::Lo { column: 0 })
+            .unwrap();
+        let mut cache = CacheNode::new(CacheId::new(id), clock.clone());
+        cache.add_table(table).unwrap();
+        cache
+    }
+
+    fn refresh(object: ObjectId, value: f64, at: f64, kind: RefreshKind, seq: u64) -> Refresh {
+        let bound = BoundFunction::new(value, 1.0, at, BoundShape::Sqrt).unwrap();
+        Refresh {
+            object,
+            value,
+            bound,
+            kind,
+            seq,
+        }
+    }
+
+    /// Inserts a `grp` row whose `load` is backed by `object`, subscribed
+    /// at `value`.
+    fn add_row(cache: &mut CacheNode, grp: i64, object: ObjectId, value: f64) -> TupleId {
+        let cells = vec![
+            BoundedValue::Exact(Value::Int(grp)),
+            BoundedValue::exact_f64(value).unwrap(),
+        ];
+        let table = cache.session_mut().catalog_mut().table_mut("metrics");
+        let tid = table.unwrap().insert(cells).unwrap();
+        cache
+            .bind_object(object, SourceId::new(1), "metrics", tid, 1)
+            .unwrap();
+        let now = cache.clock.now();
+        let kind = RefreshKind::Subscription;
+        cache
+            .install_refresh(refresh(object, value, now, kind, 0))
+            .unwrap();
+        tid
+    }
+
+    fn load_bits(cache: &CacheNode, tid: TupleId) -> (u64, u64) {
+        let table = cache.session().catalog().table("metrics").unwrap();
+        let iv = table.interval(tid, 1).unwrap();
+        (iv.lo().to_bits(), iv.hi().to_bits())
+    }
+
+    fn parse(sql: &str) -> trapp_sql::Query {
+        trapp_sql::parse_query(sql).unwrap()
+    }
+
+    /// A cell rebound to an object that has no bound yet keeps widening
+    /// with the bound of the object bound there before, in a pinned plan's
+    /// pass exactly as in the full pass — a pass that consulted only each
+    /// cell's newest object would leave the cell at its last, narrower
+    /// interval.
+    #[test]
+    fn rebound_cell_widens_alike_in_pinned_and_full_passes() {
+        let clock = SimClock::new();
+        let [mut pinned, mut full] = [1, 2].map(|id| {
+            let mut cache = metrics_cache(id, &clock);
+            for (i, grp) in [0, 0, 1].into_iter().enumerate() {
+                add_row(
+                    &mut cache,
+                    grp,
+                    ObjectId::new(i as u64 + 1),
+                    50.0 + i as f64,
+                );
+            }
+            cache
+        });
+        let tid = TupleId::new(1);
+        for cache in [&mut pinned, &mut full] {
+            cache
+                .bind_object(ObjectId::new(9), SourceId::new(1), "metrics", tid, 1)
+                .unwrap();
+        }
+        clock.advance(4.0);
+        let q = parse("SELECT SUM(load) WITHIN 100 FROM metrics WHERE grp = 0");
+        pinned
+            .plan_query_excluding(&q, &Exclusions::default())
+            .unwrap();
+        full.materialize().unwrap();
+        assert_eq!(load_bits(&pinned, tid), load_bits(&full, tid));
+        // Object 1's bound, 4 s on: 50 ± 1·√4.
+        let (lo, hi) = load_bits(&full, tid);
+        assert_eq!((f64::from_bits(lo), f64::from_bits(hi)), (48.0, 52.0));
+        let backing = pinned.objects_backing("metrics", tid).unwrap();
+        assert_eq!(backing, vec![(ObjectId::new(9), SourceId::new(1))]);
+        assert_eq!(pinned.stats().cells_materialized, 3 + 1 + 2);
+    }
+
+    /// One step of the interleaving both twins take.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Advance the shared clock.
+        Advance(f64),
+        /// Install a query-initiated refresh of the k-th live row.
+        Fetch(usize),
+        /// Move the k-th live row's master and install the value-initiated
+        /// refresh.
+        Update(usize, f64),
+        /// Deliver a refresh of the k-th live row with sequence 0: skipped
+        /// once a newer one landed.
+        Stale(usize),
+        /// Move the k-th live row to group `g` (an exact-cell write).
+        Regroup(usize, i64),
+        /// Insert a row into group `g`, bound and subscribed.
+        Insert(i64, f64),
+        /// Delete the k-th live row from the table.
+        Delete(usize),
+        /// Bind a fresh object, not yet subscribed, to the k-th live row.
+        Rebind(usize),
+        /// Plan query shape `q` pinned to group `g`, then fetch and install
+        /// what the plan asks for and plan again.
+        Query(usize, i64),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0.25f64..4.0).prop_map(Op::Advance),
+            (0usize..64).prop_map(Op::Fetch),
+            (0usize..64, -3.0f64..3.0).prop_map(|(k, d)| Op::Update(k, d)),
+            (0usize..64).prop_map(Op::Stale),
+            (0usize..64, 0i64..4).prop_map(|(k, g)| Op::Regroup(k, g)),
+            (0i64..4, 40.0f64..60.0).prop_map(|(g, v)| Op::Insert(g, v)),
+            (0usize..64).prop_map(Op::Delete),
+            (0usize..64).prop_map(Op::Rebind),
+            (0usize..5, 0i64..4).prop_map(|(q, g)| Op::Query(q, g)),
+            (0usize..5, 0i64..4).prop_map(|(q, g)| Op::Query(q, g)),
+        ]
+    }
+
+    /// Pinned (two aggregates), global (an index walk and a scan) and
+    /// grouped shapes.
+    fn shape(q: usize, g: i64) -> trapp_sql::Query {
+        parse(&match q {
+            0 => format!("SELECT SUM(load) WITHIN 2 FROM metrics WHERE grp = {g}"),
+            1 => format!("SELECT COUNT(*) WITHIN 0 FROM metrics WHERE grp = {g} AND load > 50"),
+            2 => "SELECT MIN(load) WITHIN 1 FROM metrics".to_owned(),
+            3 => "SELECT SUM(load) WITHIN 6 FROM metrics".to_owned(),
+            _ => "SELECT AVG(load) WITHIN 2 FROM metrics GROUP BY grp".to_owned(),
+        })
+    }
+
+    /// Two caches over the same rows and one clock: `demand` plans through
+    /// [`CacheNode::plan_query_excluding`], `full` materializes every row
+    /// before each plan.
+    struct Twins {
+        clock: SimClock,
+        demand: CacheNode,
+        full: CacheNode,
+        /// Master value and last issued sequence per object.
+        masters: HashMap<ObjectId, (f64, u64)>,
+        next_object: u64,
+    }
+
+    impl Twins {
+        fn new(rows: usize) -> Twins {
+            let clock = SimClock::new();
+            let mut twins = Twins {
+                demand: metrics_cache(1, &clock),
+                full: metrics_cache(2, &clock),
+                clock,
+                masters: HashMap::new(),
+                next_object: 1,
+            };
+            for i in 0..rows {
+                twins.insert(i as i64 % 4, 45.0 + i as f64);
+            }
+            twins
+        }
+
+        fn both(&mut self, mut f: impl FnMut(&mut CacheNode)) {
+            f(&mut self.demand);
+            f(&mut self.full);
+        }
+
+        fn insert(&mut self, grp: i64, value: f64) {
+            let object = ObjectId::new(self.next_object);
+            self.next_object += 1;
+            self.masters.insert(object, (value, 0));
+            self.both(|c| {
+                add_row(c, grp, object, value);
+            });
+        }
+
+        fn live(&self, k: usize) -> Option<TupleId> {
+            let table = self.demand.session().catalog().table("metrics").unwrap();
+            let ids: Vec<TupleId> = table.tuple_ids().collect();
+            (!ids.is_empty()).then(|| ids[k % ids.len()])
+        }
+
+        /// Installs a refresh of `tid`'s newest object at its master, with
+        /// `seq` (or the next sequence).
+        fn install(&mut self, tid: TupleId, kind: RefreshKind, seq: Option<u64>) {
+            let (object, _) = self.demand.objects_backing("metrics", tid).unwrap()[0];
+            let master = self.masters.get_mut(&object).unwrap();
+            let seq = seq.unwrap_or_else(|| {
+                master.1 += 1;
+                master.1
+            });
+            let r = refresh(object, master.0, self.clock.now(), kind, seq);
+            self.both(|c| c.install_refresh(r).unwrap());
+        }
+
+        fn apply(&mut self, op: &Op) -> Result<(), String> {
+            match *op {
+                Op::Advance(dt) => self.clock.advance(dt),
+                Op::Fetch(k) => {
+                    if let Some(tid) = self.live(k) {
+                        self.install(tid, RefreshKind::QueryInitiated, None);
+                    }
+                }
+                Op::Update(k, delta) => {
+                    if let Some(tid) = self.live(k) {
+                        let (object, _) = self.demand.objects_backing("metrics", tid).unwrap()[0];
+                        self.masters.get_mut(&object).unwrap().0 += delta;
+                        self.install(tid, RefreshKind::ValueInitiated, None);
+                    }
+                }
+                Op::Stale(k) => {
+                    if let Some(tid) = self.live(k) {
+                        self.install(tid, RefreshKind::QueryInitiated, Some(0));
+                    }
+                }
+                Op::Regroup(k, g) => {
+                    if let Some(tid) = self.live(k) {
+                        self.both(|c| {
+                            let table = c.session_mut().catalog_mut().table_mut("metrics");
+                            let cell = BoundedValue::Exact(Value::Int(g));
+                            table.unwrap().update_cell(tid, 0, cell).unwrap();
+                        });
+                    }
+                }
+                Op::Insert(g, v) => self.insert(g, v),
+                Op::Delete(k) => {
+                    if let Some(tid) = self.live(k) {
+                        self.both(|c| {
+                            let table = c.session_mut().catalog_mut().table_mut("metrics");
+                            table.unwrap().delete(tid).unwrap();
+                        });
+                    }
+                }
+                Op::Rebind(k) => {
+                    if let Some(tid) = self.live(k) {
+                        let object = ObjectId::new(self.next_object);
+                        self.next_object += 1;
+                        self.masters.insert(object, (55.0, 0));
+                        self.both(|c| {
+                            c.bind_object(object, SourceId::new(1), "metrics", tid, 1)
+                                .unwrap();
+                        });
+                    }
+                }
+                Op::Query(q, g) => {
+                    let fetched = self.plan_both(&shape(q, g))?;
+                    for tid in fetched {
+                        self.install(tid, RefreshKind::QueryInitiated, None);
+                    }
+                    self.plan_both(&shape(q, g))?;
+                }
+            }
+            Ok(())
+        }
+
+        /// Plans `q` on both twins, requires the plans equal, and returns
+        /// the tuples the plan fetches.
+        fn plan_both(&mut self, q: &trapp_sql::Query) -> Result<Vec<TupleId>, String> {
+            let none = Exclusions::default();
+            let demand = self.demand.plan_query_excluding(q, &none).unwrap();
+            self.full.materialize().unwrap();
+            let full = self.full.session().plan_query_excluding(q, &none).unwrap();
+            prop_assert_eq!(
+                format!("{demand:?}"),
+                format!("{full:?}"),
+                "plans for {:?}",
+                q
+            );
+            let QueryPlan::NeedsFetch(fetch) = demand else {
+                return Ok(Vec::new());
+            };
+            Ok(fetch
+                .units
+                .iter()
+                .filter_map(|u| u.fetch.as_ref())
+                .flat_map(|f| f.tuples.iter().copied())
+                .collect())
+        }
+
+        /// Plans the pinned shape on group `g` on both twins, and requires
+        /// every row that plan can read to hold bit-identical bounds.
+        fn check_pinned(&mut self, g: i64) -> Result<(), String> {
+            let q = shape(0, g);
+            self.plan_both(&q)?;
+            let catalog = self.demand.session().catalog();
+            let bound = bind_query(&q, catalog).unwrap();
+            let table = catalog.table("metrics").unwrap();
+            let rows = pinned_rows(table, bound.predicate.as_ref(), &[]).unwrap();
+            for tid in rows {
+                let (a, b) = (load_bits(&self.demand, tid), load_bits(&self.full, tid));
+                prop_assert_eq!(a, b, "load of {} in group {}", tid, g);
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A cache that brings current only the rows each pinned plan can
+        /// read plans exactly like one that materializes every row before
+        /// every plan, under any interleaving of clock advances, installs
+        /// of every kind, regroups, inserts, deletes and rebindings.
+        #[test]
+        fn demand_materialization_matches_full_passes(
+            rows in 1usize..24,
+            ops in proptest::collection::vec(op_strategy(), 1..60),
+        ) {
+            let mut twins = Twins::new(rows);
+            for (i, op) in ops.iter().enumerate() {
+                twins.apply(op)?;
+                twins.check_pinned(i as i64 % 4)?;
+            }
+        }
     }
 }

@@ -24,6 +24,10 @@ pub struct CacheStats {
     pub stale_skipped: u64,
     /// Total refresh cost paid by queries.
     pub refresh_cost: f64,
+    /// Bounded cells written with their bound evaluated at a clock
+    /// instant: by a plan bringing the rows it reads current, a full
+    /// pass, or an install or rebinding rewriting its row.
+    pub cells_materialized: u64,
 }
 
 /// An aggregate snapshot across the whole simulation.
