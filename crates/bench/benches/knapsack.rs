@@ -6,7 +6,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trapp_knapsack::{Instance, Item};
 
-fn random_instance(n: usize, seed: u64) -> Instance {
+/// `n` items with integer costs 1..=10 and widths in `[0.1, 5)`; the
+/// capacity is `fill` of the total width.
+fn random_instance(n: usize, seed: u64, fill: f64) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     let items: Vec<Item> = (0..n)
         .map(|_| {
@@ -14,13 +16,37 @@ fn random_instance(n: usize, seed: u64) -> Instance {
         })
         .collect();
     let total: f64 = items.iter().map(|i| i.weight).sum();
-    Instance::new(items, total * 0.3).expect("valid instance")
+    Instance::new(items, total * fill).expect("valid instance")
+}
+
+/// The `hot_cache` workload's pinned SUM: 256 uniform-cost tuples of two
+/// widths against `R = 8`.
+fn uniform_instance(seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let items: Vec<Item> = (0..256)
+        .map(|_| Item::new(1.0, if rng.gen_bool(0.5) { 0.824 } else { 1.664 }).expect("valid item"))
+        .collect();
+    Instance::new(items, 8.0).expect("valid instance")
 }
 
 fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("knapsack_solvers");
+    // The DP visits only the states reachable within capacity: uniform
+    // costs make that the item count, a tight capacity a small prefix.
+    let uniform = uniform_instance(42);
+    group.bench_with_input(
+        BenchmarkId::new("fptas_0.1_uniform", 256),
+        &uniform,
+        |b, inst| b.iter(|| black_box(inst.solve_fptas(0.1).expect("valid eps"))),
+    );
+    let tight = random_instance(90, 42, 0.03);
+    group.bench_with_input(
+        BenchmarkId::new("fptas_0.1_tight", 90),
+        &tight,
+        |b, inst| b.iter(|| black_box(inst.solve_fptas(0.1).expect("valid eps"))),
+    );
     for n in [30usize, 90, 270] {
-        let inst = random_instance(n, 42);
+        let inst = random_instance(n, 42, 0.3);
         group.bench_with_input(BenchmarkId::new("exact_bb", n), &inst, |b, inst| {
             b.iter(|| black_box(inst.solve_exact()))
         });
@@ -44,7 +70,7 @@ fn bench_solvers(c: &mut Criterion) {
 /// instance across the ε sweep.
 fn bench_fig5_epsilons(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_epsilon");
-    let inst = random_instance(90, 42);
+    let inst = random_instance(90, 42, 0.3);
     for eps in [0.1, 0.06, 0.04, 0.02, 0.01] {
         group.bench_with_input(BenchmarkId::from_parameter(eps), &eps, |b, &eps| {
             b.iter(|| black_box(inst.solve_fptas(eps).expect("valid eps")))

@@ -5,9 +5,13 @@
 //! downward from 0.1.
 //!
 //! Expected *shape* (the substrate differs — see DESIGN.md): planning time
-//! grows roughly quadratically as ε decreases (the O((3/ε)²·n) term),
-//! while total refresh cost decreases only slightly; the paper's
-//! conclusion is that ε below 0.1 is rarely worth it.
+//! grows as ε decreases while total refresh cost decreases only slightly;
+//! the paper's conclusion is that ε below 0.1 is rarely worth it. The
+//! paper's time grows quadratically, the O((3/ε)²·n) term. Ours follows
+//! the DP states the solver visits — those reachable within R, on the
+//! lattice of the scaled costs' gcd — plus step 4's small-item fill, so
+//! O((3/ε)²·n) is its ceiling and its growth in 1/ε need not be quadratic,
+//! nor even monotone.
 
 use trapp_bench::experiments::fig5_sweep;
 use trapp_bench::tablefmt::{num, render};

@@ -21,8 +21,19 @@
 //! Error accounting: scaling loses `< K` per large item (`≤ 2/δ` of them →
 //! `≤ 2δ·P₀`), and the greedy small fill loses less than one small item
 //! (`≤ T = δ·P₀`); in total `≤ 3δ·OPT = ε·OPT`.
+//!
+//! `O((3/ε)²·n)` is the worst case, not the cost of every instance. The DP
+//! (`dp::profit_dp`) visits only the lattice of multiples of the scaled
+//! profits' gcd `g`, and per item only the states up to the highest one
+//! reached within capacity so far. Step 4 scans the same states within
+//! capacity, in the same ascending order, scoring state `s` as
+//! `(s·g)·K + small fill` — exactly the textbook table's `q·K + small
+//! fill` — so the chosen set is the one the full table picks. Uniform
+//! refresh costs make every scaled profit the same `g`: the table then
+//! counts items, and an instance where nine items fit visits about ten
+//! states per item instead of `⌊2/δ²⌋ + 1` (1,801 at ε = 0.1).
 
-use crate::dp::{profit_dp, reconstruct};
+use crate::dp::ProfitDp;
 use crate::{branch_bound, finish, Instance, Solution};
 
 /// DP-table guard: beyond this many states the requested ε is so small that
@@ -30,7 +41,8 @@ use crate::{branch_bound, finish, Instance, Solution};
 /// the `(1 − ε)` guarantee when optimal.
 const MAX_TABLE: usize = 2_000_000;
 
-pub(crate) fn solve(inst: &Instance, epsilon: f64) -> Solution {
+/// The scheme, with step 3's DP table built by `dp`.
+pub(crate) fn solve(inst: &Instance, epsilon: f64, dp: ProfitDp) -> Solution {
     let cap = inst.capacity();
     let items = inst.items();
 
@@ -96,15 +108,15 @@ pub(crate) fn solve(inst: &Instance, epsilon: f64) -> Solution {
         .map(|&i| ((items[i].profit / scale).floor() as u64).min(qmax as u64))
         .collect();
     let weights: Vec<f64> = large.iter().map(|&i| items[i].weight).collect();
-    let (min_w, take) = profit_dp(&scaled, &weights, qmax);
+    let table = dp(&scaled, &weights, qmax, cap);
 
     // 4. For each reachable state, fill with small items; track the best
     //    candidate by the (q·K + small-fill) proxy the analysis bounds.
     let mut best_score = f64::NEG_INFINITY;
-    let mut best_q = 0usize;
+    let mut best_s = 0usize;
     let mut best_small: Vec<usize> = Vec::new();
     let mut small_buf: Vec<usize> = Vec::new();
-    for (q, &w) in min_w.iter().enumerate() {
+    for (s, &w) in table.min_w.iter().enumerate() {
         if w > cap {
             continue;
         }
@@ -118,15 +130,16 @@ pub(crate) fn solve(inst: &Instance, epsilon: f64) -> Solution {
                 small_buf.push(i);
             }
         }
-        let score = q as f64 * scale + small_profit;
+        let score = (s * table.step) as f64 * scale + small_profit;
         if score > best_score {
             best_score = score;
-            best_q = q;
+            best_s = s;
             best_small = small_buf.clone();
         }
     }
 
-    let mut chosen: Vec<usize> = reconstruct(&scaled, &take, best_q)
+    let mut chosen: Vec<usize> = table
+        .reconstruct(&scaled, best_s)
         .into_iter()
         .map(|k| large[k])
         .collect();

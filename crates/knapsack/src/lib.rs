@@ -24,14 +24,25 @@
 //! * [`Instance::solve_fptas`] — the Ibarra–Kim approximation scheme
 //!   (\[IK75\]) with profit scaling and large/small item separation, profit
 //!   ≥ `(1 − ε)·OPT` in `O(n log n) + O((3/ε)²·n)` time — the bound quoted
-//!   in §5.2.
+//!   in §5.2, and its worst case: the DP visits only the profit states an
+//!   answer can reach within capacity.
 //!
 //! All solvers share two TRAPP-critical properties:
 //!
-//! 1. **Never overfill**: chosen weight ≤ capacity holds *exactly* (strict
-//!    floating-point comparison, no epsilon slack), because the complement
-//!    set's residual uncertainty is what guarantees the user's precision
-//!    constraint.
+//! 1. **No overfill in the solver's own arithmetic**: an item is admitted
+//!    only when the solver's running total (or remaining room) says it
+//!    fits, with no epsilon slack — the complement set's residual
+//!    uncertainty is what guarantees the user's precision constraint.
+//!    That is *not* the same as [`Solution::weight`] `≤ capacity`: each
+//!    solver sums in its own order (DP layers, density or width order,
+//!    search order) and [`Solution::weight`] re-sums in index order, so
+//!    when the capacity is (nearly) a subset sum the reported weight can
+//!    exceed it by a few ulps — the rounding of a `k`-term sum, at most
+//!    about `2k·2⁻⁵³·Σwᵢ`. Every solver does this: on random instances of
+//!    2–20 items with one-decimal widths and a subset-sum capacity, 0.2–0.8 %
+//!    of solutions overrun, depending on the solver. The fix is upstream,
+//!    not here: plan against a capacity certified for any summation order
+//!    (ROADMAP direction 1's `R′`).
 //! 2. **Zero-weight items ride free**: already-exact tuples are always kept
 //!    in the knapsack.
 
@@ -108,7 +119,8 @@ pub struct Solution {
     pub chosen: Vec<usize>,
     /// Total profit of the chosen set.
     pub profit: f64,
-    /// Total weight of the chosen set (`≤ capacity`, exactly).
+    /// Total weight of the chosen set, summed in index order (`≤ capacity`
+    /// up to a few ulps of rounding; see the crate docs).
     pub weight: f64,
     /// `true` if the solver proves optimality (exact solvers within node
     /// budget); approximation schemes report `false`.
@@ -195,7 +207,7 @@ impl Instance {
         if epsilon.is_nan() || !(epsilon > 0.0 && epsilon < 1.0) {
             return Err(KnapsackError::BadEpsilon(epsilon));
         }
-        Ok(fptas::solve(self, epsilon))
+        Ok(fptas::solve(self, epsilon, dp::profit_dp))
     }
 
     /// Density greedy with best-single-item fallback (½-approximation).
@@ -214,7 +226,7 @@ impl Instance {
     /// **down** to integers — exact when all profits are integral (as in the
     /// paper's cost model of uniform random integer costs 1..=10).
     pub fn solve_dp_by_profit(&self) -> Solution {
-        dp::solve_integral_profits(self)
+        dp::solve_integral_profits(self, dp::profit_dp)
     }
 
     /// Sum of all profits (an upper bound on any solution).
