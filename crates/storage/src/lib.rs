@@ -10,7 +10,8 @@
 //! * [`Schema`] / [`ColumnDef`] — typed columns, with per-column
 //!   *boundedness* (only `FLOAT` columns may be bounded);
 //! * [`Row`] — one tuple of exact/bounded cells;
-//! * [`Table`] — tuple storage with stable [`trapp_types::TupleId`]s,
+//! * [`Table`] — tuple storage in dense slots indexed by stable
+//!   [`trapp_types::TupleId`]s,
 //!   per-tuple refresh costs (§3: "each object has its own cost to
 //!   refresh"), cell refresh operations, and maintained ordered secondary
 //!   indexes;

@@ -1,8 +1,7 @@
 //! Tables: tuple storage with refresh costs and maintained indexes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Bound;
 use std::sync::Arc;
 
 use trapp_types::{BoundedValue, Interval, OrderedF64, TrappError, TupleId, Value};
@@ -26,13 +25,24 @@ use crate::schema::Schema;
 /// **change log** ([`Table::changes_since`]) so memoized views over the
 /// table (`trapp_core`'s band views) can re-derive only the tuples that
 /// actually changed instead of rescanning.
+///
+/// **Layout.** Tuples live in dense id-indexed slots: one
+/// `Vec<Option<(Row, f64)>>` whose slot `i` holds tuple id `i + 1` with its
+/// refresh cost, so looking up a row or a cost is an index, not a tree
+/// walk, and a scan is a walk over one slice. Ids are handed out as
+/// 1, 2, … and never reused, so the vector only grows and
+/// `slots.len() + 1 == next_id`, the id the next insert receives. A
+/// deleted tuple leaves its slot empty (`None`, 32 bytes) for good. That
+/// is the trade for the index: nothing outside tests deletes today, so
+/// there is no compaction, which would also have to renumber ids that
+/// views, indexes and the change log hold.
 #[derive(Clone)]
 pub struct Table {
     name: String,
     schema: Arc<Schema>,
-    rows: BTreeMap<TupleId, Row>,
-    costs: BTreeMap<TupleId, f64>,
-    next_id: u64,
+    slots: Vec<Option<(Row, f64)>>,
+    /// Number of occupied slots.
+    live: usize,
     indexes: HashMap<IndexKey, OrderedIndex>,
     default_cost: f64,
     pending_inserts: u64,
@@ -59,9 +69,8 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            rows: BTreeMap::new(),
-            costs: BTreeMap::new(),
-            next_id: 1,
+            slots: Vec::new(),
+            live: 0,
             indexes: HashMap::new(),
             default_cost: 1.0,
             pending_inserts: 0,
@@ -106,7 +115,7 @@ impl Table {
     /// outgrows its budget (readers further behind than the floor simply
     /// rebuild — correctness never depends on log depth).
     fn log_change(&mut self, tid: TupleId) {
-        let cap = (self.rows.len() * 2).max(1024);
+        let cap = (self.live * 2).max(1024);
         if self.change_log.len() >= cap {
             // Readers already synced to the current version keep working;
             // anything further behind rebuilds.
@@ -139,12 +148,12 @@ impl Table {
     /// exactly the master cardinality, which is why `COUNT` without a
     /// predicate needs no refreshes (§5.3).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.live
     }
 
     /// `true` if the table has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.live == 0
     }
 
     /// Sets the refresh cost assigned to tuples inserted without an explicit
@@ -169,22 +178,21 @@ impl Table {
     ) -> Result<TupleId, TrappError> {
         validate_cost(cost)?;
         let row = Row::new(&self.schema, cells)?;
-        let tid = TupleId::new(self.next_id);
-        self.next_id += 1;
+        let tid = tid_at(self.slots.len());
         self.index_row(tid, &row, cost);
-        self.rows.insert(tid, row);
-        self.costs.insert(tid, cost);
+        self.slots.push(Some((row, cost)));
+        self.live += 1;
         self.log_change(tid);
         Ok(tid)
     }
 
-    /// Deletes a tuple.
+    /// Deletes a tuple. Its slot stays, empty; see the type docs.
     pub fn delete(&mut self, tid: TupleId) -> Result<(), TrappError> {
-        let row = self
-            .rows
-            .remove(&tid)
+        let (row, cost) = slot_of(tid)
+            .and_then(|i| self.slots.get_mut(i))
+            .and_then(Option::take)
             .ok_or(TrappError::UnknownTuple(tid.raw()))?;
-        let cost = self.costs.remove(&tid).unwrap_or(self.default_cost);
+        self.live -= 1;
         self.unindex_row(tid, &row, cost);
         self.log_change(tid);
         Ok(())
@@ -192,26 +200,18 @@ impl Table {
 
     /// The row for `tid`.
     pub fn row(&self, tid: TupleId) -> Result<&Row, TrappError> {
-        self.rows
-            .get(&tid)
-            .ok_or(TrappError::UnknownTuple(tid.raw()))
+        occupied(&self.slots, tid).map(|(row, _)| row)
     }
 
     /// The refresh cost `Cᵢ` for `tid`.
     pub fn cost(&self, tid: TupleId) -> Result<f64, TrappError> {
-        self.costs
-            .get(&tid)
-            .copied()
-            .ok_or(TrappError::UnknownTuple(tid.raw()))
+        occupied(&self.slots, tid).map(|&(_, cost)| cost)
     }
 
     /// Updates the refresh cost for `tid`.
     pub fn set_cost(&mut self, tid: TupleId, cost: f64) -> Result<(), TrappError> {
         validate_cost(cost)?;
-        let old = self
-            .costs
-            .get_mut(&tid)
-            .ok_or(TrappError::UnknownTuple(tid.raw()))?;
+        let (_, old) = occupied_mut(&mut self.slots, tid)?;
         let prev = *old;
         if prev == cost {
             return Ok(());
@@ -227,21 +227,30 @@ impl Table {
 
     /// Iterates over `(TupleId, &Row)` in id order.
     pub fn scan(&self) -> impl Iterator<Item = (TupleId, &Row)> + '_ {
-        self.rows.iter().map(|(t, r)| (*t, r))
+        self.live_from(0)
     }
 
     /// All tuple ids in id order.
     pub fn tuple_ids(&self) -> impl DoubleEndedIterator<Item = TupleId> + '_ {
-        self.rows.keys().copied()
+        self.live_from(0).map(|(tid, _)| tid)
     }
 
     /// The live tuple ids strictly above `tid`, in id order — ids are never
     /// reused, so these are the rows inserted after a reader last saw `tid`
     /// as the table's largest.
     pub fn tuple_ids_after(&self, tid: TupleId) -> impl Iterator<Item = TupleId> + '_ {
-        self.rows
-            .range((Bound::Excluded(tid), Bound::Unbounded))
-            .map(|(t, _)| *t)
+        // Ids above `tid` start at slot `tid`.
+        let start = usize::try_from(tid.raw()).unwrap_or(usize::MAX);
+        self.live_from(start).map(|(tid, _)| tid)
+    }
+
+    /// The live tuples from slot `start` on, in id order.
+    fn live_from(&self, start: usize) -> impl DoubleEndedIterator<Item = (TupleId, &Row)> + '_ {
+        let start = start.min(self.slots.len());
+        self.slots[start..]
+            .iter()
+            .enumerate()
+            .filter_map(move |(k, slot)| slot.as_ref().map(|(row, _)| (tid_at(start + k), row)))
     }
 
     /// The tuples whose **exact** numeric `column` equals `value`, in id
@@ -283,10 +292,7 @@ impl Table {
         cell: BoundedValue,
     ) -> Result<(), TrappError> {
         self.schema.validate_cell(column, &cell)?;
-        let row = self
-            .rows
-            .get_mut(&tid)
-            .ok_or(TrappError::UnknownTuple(tid.raw()))?;
+        let (row, _) = occupied_mut(&mut self.slots, tid)?;
         let old = row.cell(column)?.clone();
         // Nothing changed: skip index churn and keep the version stable,
         // so re-materializing bounds at an unchanged instant leaves
@@ -366,15 +372,14 @@ impl Table {
             IndexKey::Cost => {}
         }
         let mut ix = OrderedIndex::new();
-        for (tid, row) in &self.rows {
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some((row, cost)) = slot else { continue };
             let entry = match key {
-                IndexKey::Cost => Some(OrderedF64::new_unchecked(
-                    self.costs.get(tid).copied().unwrap_or(self.default_cost),
-                )),
+                IndexKey::Cost => Some(OrderedF64::new_unchecked(*cost)),
                 _ => cell_index_key(key, row.cell(index_column(key)).expect("arity checked")),
             };
             if let Some(k) = entry {
-                ix.insert(k, *tid);
+                ix.insert(k, tid_at(i));
             }
         }
         self.indexes.insert(key, ix);
@@ -461,6 +466,38 @@ impl Table {
     }
 }
 
+/// The slot holding `tid`: id `i + 1` lives in slot `i`. `None` for id 0
+/// and for ids no `usize` can index.
+fn slot_of(tid: TupleId) -> Option<usize> {
+    usize::try_from(tid.raw().checked_sub(1)?).ok()
+}
+
+/// The id living in slot `i` (`usize` → `u64` is lossless on every target).
+fn tid_at(i: usize) -> TupleId {
+    TupleId::new(i as u64 + 1)
+}
+
+/// The occupied slot for `tid`, or `UnknownTuple` (id 0, deleted, or past
+/// the end).
+fn occupied(slots: &[Option<(Row, f64)>], tid: TupleId) -> Result<&(Row, f64), TrappError> {
+    slot_of(tid)
+        .and_then(|i| slots.get(i))
+        .and_then(Option::as_ref)
+        .ok_or(TrappError::UnknownTuple(tid.raw()))
+}
+
+/// `occupied`, mutably. A free function so callers can keep borrowing the
+/// table's other fields alongside the slot.
+fn occupied_mut(
+    slots: &mut [Option<(Row, f64)>],
+    tid: TupleId,
+) -> Result<&mut (Row, f64), TrappError> {
+    slot_of(tid)
+        .and_then(|i| slots.get_mut(i))
+        .and_then(Option::as_mut)
+        .ok_or(TrappError::UnknownTuple(tid.raw()))
+}
+
 fn index_column(key: IndexKey) -> usize {
     match key {
         IndexKey::Lo { column } | IndexKey::Hi { column } | IndexKey::Width { column } => column,
@@ -494,7 +531,7 @@ impl fmt::Debug for Table {
         f.debug_struct("Table")
             .field("name", &self.name)
             .field("schema", &self.schema.to_string())
-            .field("rows", &self.rows.len())
+            .field("rows", &self.live)
             .field("indexes", &self.indexes.len())
             .finish()
     }
