@@ -170,6 +170,14 @@ impl ShardRouter {
         &self.shards[idx]
     }
 
+    /// The indexes of the shards a route touches.
+    pub(crate) fn footprint(&self, route: Route) -> std::ops::Range<usize> {
+        match route {
+            Route::Single(s) => s..s + 1,
+            Route::Scatter => 0..self.shards.len(),
+        }
+    }
+
     /// Decides where `query` runs: a single shard when its predicate pins
     /// the partition column to one group of a fully group-placed table,
     /// scatter-gather otherwise. One-shard services always route single.

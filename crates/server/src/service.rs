@@ -13,25 +13,18 @@
 //!   shard's lock, fetch through that shard's gateway, install + answer
 //!   under the lock again. Queries for different groups proceed in
 //!   parallel with *no shared lock at all* — the scaling mechanism.
-//! * **scatter-gather** — a query whose group set spans shards asks every
-//!   shard for its shape-generic partial
-//!   ([`trapp_core::query_plan::QueryPartial`]) under *all* shard locks at
-//!   once (a short, consistent snapshot — updates cannot interleave
-//!   between shards mid-gather), merges them into exactly the input one
-//!   big cache would hold, plans *globally* over the merged input, splits
-//!   the plan back per shard, fetches every shard's slice **concurrently**
-//!   with no locks held, installs per shard, and recomputes. Deriving
-//!   bounds only from the merged input keeps the sharded answer
-//!   bit-equivalent to the single-cache answer. Every shape scatters:
-//!   scalar aggregates merge via
-//!   [`trapp_core::merge::merge_partials`], `GROUP BY` queries merge
-//!   per-group partials by key
-//!   ([`trapp_core::merge::merge_grouped_partials`] — with the group key
-//!   as the partition key each group's rows are co-located on one shard),
-//!   and two-table joins gather each side's base rows
-//!   ([`trapp_core::merge::merge_table_slices`]) and run the ordinary
-//!   join pipeline over the merged tables, fetching one heuristic
-//!   candidate per round through the owning shard's gateway.
+//! * **scatter-gather** — a query whose group set spans shards gathers
+//!   every shard's [`trapp_core::query_plan::QueryPartial`] under *all*
+//!   shard locks at once (a consistent snapshot), merges them into exactly
+//!   the input one big cache would hold ([`trapp_core::merge`]: scalar
+//!   inputs, per-group inputs by key, or each join side's base rows), and
+//!   plans *globally* over it, so the sharded answer is bit-equivalent to
+//!   the single-cache answer. The plan splits back per shard, and every
+//!   shard's slice is fetched concurrently.
+//!
+//! If one shard of a scatter fails mid-fetch, the query returns
+//! [`TrappError::PartialResult`], not a bound that silently ignores the
+//! missing shard.
 //!
 //! Within each shard two traffic reducers apply: **batched source
 //! round-trips** (one [`Transport::submit_refresh_batch`] per source per
@@ -39,32 +32,17 @@
 //! [`RefreshGateway`](crate::RefreshGateway); keying the in-flight table
 //! per shard is free because objects never span shards).
 //!
-//! Execution stays phased so source round-trips run *outside* every cache
-//! lock, for every shape — scalar, `GROUP BY`, and join alike:
-//!
-//! 1. **plan** (shard lock): bring the rows the plan reads current at the
-//!    current instant (a pinned query's group, or every row; see
-//!    [`CacheNode::materialize_for`]) and
-//!    lower the query into a [`trapp_core::query_plan::QueryPlan`] — the
-//!    cache-only answer(s) plus, where the constraint is unmet, the
-//!    refresh set per unit;
-//! 2. **fetch** (no lock): resolve the plan's tuples to replicated objects
-//!    and pull them through the owning shard's gateway — concurrent
-//!    queries' round-trips overlap here, and cross-shard fetches of one
-//!    query overlap with *each other*;
-//! 3. **install + plan again** (shard lock): install the refreshes and
-//!    re-derive; for scalar/grouped plans the CHOOSE_REFRESH guarantee
-//!    makes the second pass satisfied from cache unless the clock advanced
-//!    concurrently, while join plans iterate one heuristic tuple per
-//!    round. Only iterative mode (§8.2), whose refresh choices depend on
-//!    live master values, still executes under the shard lock.
-//!
-//! If one shard of a scatter fails mid-fetch, the refreshes that did
-//! arrive are still installed (their sources already narrowed their
-//! tracked bounds — dropping them would desynchronize cache and Refresh
-//! Monitor) and the query returns
-//! [`TrappError::PartialResult`] instead of a bound that silently ignores
-//! the missing shard.
+//! Every query, of every shape and route, runs one loop of four phases,
+//! so source round-trips run *outside* every cache lock: **plan** (shard
+//! lock: bring the rows the plan reads current, see
+//! [`CacheNode::materialize_for`], and lower the query into a
+//! [`trapp_core::query_plan::QueryPlan`]), **fetch** (no lock: every
+//! shard's slice submitted before any is awaited), **install** (shard
+//! lock: everything that arrived — even from a shard that failed, whose
+//! sources already narrowed their tracked bounds), then plan again or
+//! **answer**. Deadline widening and source failures are transitions
+//! between phases, decided by the query's `DEADLINE` and the
+//! [`DegradationPolicy`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -74,33 +52,25 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use trapp_bounds::{AdaptiveWidth, BoundShape};
+use trapp_bounds::BoundShape;
 use trapp_core::executor::QueryResult;
-use trapp_core::group_by::{render_key, GroupResult};
-use trapp_core::plan::{bind_query, BoundQuery, QuerySource};
-use trapp_core::query_plan::{
-    assemble_units, plan_join_round, plan_unit, Exclusions, QueryOutcome, QueryPartial, QueryPlan,
-};
-use trapp_core::refresh::iterative::IterativeHeuristic;
-use trapp_core::{bounded_answer, merge_grouped_partials, merge_table_slices, BoundedAnswer};
+use trapp_core::group_by::GroupResult;
+use trapp_core::BoundedAnswer;
 use trapp_storage::{IndexKey, Table};
 use trapp_system::{
     CacheNode, ChaosConfig, ChaosControl, ChaosTransport, CompletionTransport, CostModel,
     DirectTransport, FetchPool, SimClock, Source, Transport,
 };
 use trapp_types::{
-    shard_of, BoundedValue, CacheId, Interval, ObjectId, PartialFailure, SourceFailure, SourceId,
-    TrappError, TupleId, Value,
+    shard_of, BoundedValue, CacheId, Interval, ObjectId, SourceId, TrappError, TupleId, Value,
 };
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
-use crate::gateway::{FetchOutcome, FetchStats, PendingFetch, RetryPolicy, DEFAULT_AWAIT_TIMEOUT};
+use crate::gateway::{RetryPolicy, DEFAULT_AWAIT_TIMEOUT};
 use crate::health::HealthConfig;
-use crate::router::{Route, Shard, ShardRouter, TidMap};
+use crate::router::{Shard, ShardRouter, TidMap};
 
-/// Safety valve for the scatter-gather loop: each extra round means a
-/// concurrent clock advance re-widened bounds mid-query.
-const MAX_SCATTER_ROUNDS: usize = 8;
+mod query_loop;
 
 /// Service tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -303,77 +273,6 @@ struct Job {
     reply: Sender<Result<ServiceReply, TrappError>>,
 }
 
-/// Per-query execution context threaded through the phased loop: the
-/// deadline budget (counted from enqueue) plus the per-phase latency and
-/// degradation accounting folded into [`ServiceStats`] afterwards.
-struct QueryCtx {
-    enqueued: Instant,
-    /// The query's `DEADLINE`, parsed; `None` runs unbounded.
-    deadline: Option<Duration>,
-    /// Admission control asked for widening (set before parse).
-    widen: bool,
-    /// The original `WITHIN` before admission widening, when widened.
-    pre_widened: Option<f64>,
-    /// The constraint was widened/dropped mid-flight for the deadline.
-    deadline_widened: bool,
-    plan_us: u64,
-    fetch_us: u64,
-    install_us: u64,
-}
-
-impl QueryCtx {
-    fn new(enqueued: Instant, widen: bool) -> QueryCtx {
-        QueryCtx {
-            enqueued,
-            deadline: None,
-            widen,
-            pre_widened: None,
-            deadline_widened: false,
-            plan_us: 0,
-            fetch_us: 0,
-            install_us: 0,
-        }
-    }
-}
-
-/// The typed refusal for a blown deadline.
-fn deadline_error(limit: Duration, elapsed: Duration, honorable: Option<f64>) -> TrappError {
-    TrappError::DeadlineExceeded {
-        deadline_ms: limit.as_millis() as u64,
-        elapsed_ms: elapsed.as_millis() as u64,
-        honorable_within: honorable,
-    }
-}
-
-/// One deadline-driven widening step: grows the query's `WITHIN` through
-/// an [`AdaptiveWidth`] controller seeded from the constraint itself
-/// (grow ×2 per step, capped at 1024× — the §6 knapsack cost falls
-/// monotonically as the constraint widens, so each step strictly shrinks
-/// the refresh plan). Returns `false` when the constraint cannot widen
-/// further (absent, non-positive, or at cap) — the caller then drops it
-/// entirely and answers from cache.
-fn widen_step(query: &mut trapp_sql::Query, widener: &mut Option<AdaptiveWidth>) -> bool {
-    let Some(w) = query.within else { return false };
-    if w.is_nan() || w <= 0.0 {
-        return false;
-    }
-    if widener.is_none() {
-        match AdaptiveWidth::new(w, 2.0, 0.5, w, w * 1024.0) {
-            Ok(ctl) => *widener = Some(ctl),
-            Err(_) => return false,
-        }
-    }
-    let ctl = widener.as_mut().expect("seeded above");
-    let before = ctl.width();
-    ctl.on_value_initiated_refresh();
-    let after = ctl.width();
-    if after <= before {
-        return false;
-    }
-    query.within = Some(after);
-    true
-}
-
 struct ServiceCore {
     router: ShardRouter,
     clock: SimClock,
@@ -387,813 +286,6 @@ struct ServiceCore {
     /// always runs, and its measurement seeds the estimate).
     fetch_rate: Mutex<f64>,
 }
-
-/// Attribution one unit (whole query, or one group) accumulates across
-/// fetch rounds: the serving layer pays for refreshes round by round, but
-/// the final [`QueryPlan::Ready`] pass sees pinned cells and reports
-/// nothing refreshed — this records what the query actually planned and
-/// paid for, keyed by rendered group key.
-#[derive(Default)]
-struct UnitAttr {
-    /// The unit's cache-only answer from its first planning round.
-    initial: Option<BoundedAnswer>,
-    /// Tuples refreshed (global ids), each reported once.
-    refreshed: Vec<(String, TupleId)>,
-    /// Total planned refresh cost.
-    cost: f64,
-    /// Rounds in which this unit fetched something.
-    rounds: usize,
-}
-
-/// Patches accumulated attribution into the final planned outcome.
-fn patch_outcome(outcome: QueryOutcome, attr: &HashMap<String, UnitAttr>) -> QueryOutcome {
-    let patch = |result: &mut QueryResult, rendered: &str| {
-        if let Some(a) = attr.get(rendered) {
-            if let Some(initial) = a.initial {
-                result.initial_answer = initial;
-            }
-            result.refreshed = a.refreshed.clone();
-            result.refresh_cost = a.cost;
-            result.rounds = a.rounds;
-        }
-    };
-    match outcome {
-        QueryOutcome::Scalar(mut r) => {
-            patch(&mut r, &render_key(&Vec::new()));
-            QueryOutcome::Scalar(r)
-        }
-        QueryOutcome::Grouped(mut groups) => {
-            for g in &mut groups {
-                patch(&mut g.result, &render_key(&g.key));
-            }
-            QueryOutcome::Grouped(groups)
-        }
-    }
-}
-
-impl ServiceCore {
-    fn run_query(
-        &self,
-        sql: &str,
-        enqueued: Instant,
-        widen: bool,
-    ) -> Result<ServiceReply, TrappError> {
-        let started = Instant::now();
-        let queue_wait = started.duration_since(enqueued);
-        let mut ctx = QueryCtx::new(enqueued, widen);
-        let outcome = self.run_query_inner(sql, &mut ctx);
-        let exec_time = started.elapsed();
-
-        let mut counters = self.counters.lock();
-        counters.queue_wait_us += queue_wait.as_micros() as u64;
-        counters.plan_us += ctx.plan_us;
-        counters.fetch_us += ctx.fetch_us;
-        counters.install_us += ctx.install_us;
-        counters.deadline_widened += u64::from(ctx.deadline_widened);
-        match outcome {
-            Ok((outcome, stats, scattered, degraded)) => {
-                counters.queries += 1;
-                counters.round_trips += stats.round_trips;
-                counters.scatter_queries += u64::from(scattered);
-                counters.degraded_queries += u64::from(degraded.is_some());
-                let (result, groups) = match outcome {
-                    QueryOutcome::Scalar(result) => (result, Vec::new()),
-                    QueryOutcome::Grouped(groups) => (rollup(&groups), groups),
-                };
-                Ok(ServiceReply {
-                    result,
-                    groups,
-                    refreshes_saved: stats.coalesced,
-                    round_trips: stats.round_trips,
-                    exec_time,
-                    degraded,
-                })
-            }
-            Err(e) => {
-                counters.errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_query_inner(
-        &self,
-        sql: &str,
-        ctx: &mut QueryCtx,
-    ) -> Result<(QueryOutcome, FetchStats, bool, Option<DegradedInfo>), TrappError> {
-        let mut query = trapp_sql::parse_query(sql)?;
-        // `DEADLINE` is in milliseconds; the parser guarantees a finite
-        // non-negative value.
-        ctx.deadline = query.deadline.map(|ms| Duration::from_secs_f64(ms / 1e3));
-        // Admission widening happens right after parse, before routing:
-        // the relaxed constraint is what plans, and the reply carries
-        // `DegradedInfo` naming the original ask.
-        if ctx.widen {
-            if let Some(w) = query.within {
-                ctx.pre_widened = Some(w);
-                query.within = Some(w * self.admission.widen_factor());
-            }
-        }
-        let route = self.router.route(&query);
-        let scattered = matches!(route, Route::Scatter);
-        self.run_routed(&query, route, ctx)
-            .map(|(outcome, stats, degraded)| (outcome, stats, scattered, degraded))
-    }
-
-    /// The deadline guard's estimate of one fetch phase's wall time for a
-    /// plan of the given §6 refresh cost.
-    fn estimate_fetch_time(&self, cost: f64) -> Duration {
-        Duration::from_secs_f64((*self.fetch_rate.lock() * cost.max(0.0)) / 1e6)
-    }
-
-    /// Folds one observed fetch phase into the EWMA cost rate.
-    fn observe_fetch(&self, cost: f64, took: Duration) {
-        if cost <= 0.0 {
-            return;
-        }
-        let sample = took.as_secs_f64() * 1e6 / cost;
-        let mut rate = self.fetch_rate.lock();
-        *rate = if *rate == 0.0 {
-            sample
-        } else {
-            0.7 * *rate + 0.3 * sample
-        };
-    }
-
-    /// The shape-generic phased execution loop — one body for every route
-    /// and every query shape:
-    ///
-    /// 1. **plan** (shard lock(s)): lower the query into a
-    ///    [`QueryPlan`] — locally for a single-shard route, from merged
-    ///    per-shard partials for scatter;
-    /// 2. **fetch** (no locks): resolve every unit's tuples to
-    ///    `(source, objects)` with short per-shard locks, submit every
-    ///    shard's slice through its gateway before waiting on any —
-    ///    join fetches run out here exactly like scalar ones;
-    /// 3. **install** (per-shard locks) and plan again. Complete
-    ///    (scalar/grouped) plans normally finish on the second pass; join
-    ///    plans iterate one heuristic tuple per round until converged.
-    fn run_routed(
-        &self,
-        query: &trapp_sql::Query,
-        route: Route,
-        ctx: &mut QueryCtx,
-    ) -> Result<(QueryOutcome, FetchStats, Option<DegradedInfo>), TrappError> {
-        let mut stats = FetchStats::default();
-        let mut attr: HashMap<String, UnitAttr> = HashMap::new();
-        // Re-planning after a *complete* round means a concurrent clock
-        // advance re-widened bounds mid-query; join rounds are expected
-        // and budgeted separately.
-        let mut widen_rounds = 0usize;
-        let mut join_rounds = 0usize;
-        // Sources this query itself saw fail (best-effort mode): excluded
-        // from its later planning rounds even before their breakers open.
-        // Grows monotonically, so the fault loop terminates.
-        let mut query_dark: HashSet<SourceId> = HashSet::new();
-        let mut fault_rounds = 0usize;
-
-        // ---- Deadline machinery. The budget counts from *enqueue*, so
-        // queue wait is charged like any other latency. `eff` is the
-        // effective query — clone-on-first-widen; the unwidened path
-        // borrows the parsed query and allocates nothing, keeping the
-        // deadline-free path bit-identical to before.
-        let deadline_limit = ctx.deadline;
-        let fetch_deadline: Option<Instant> = deadline_limit.map(|d| ctx.enqueued + d);
-        let mut eff: Option<trapp_sql::Query> = None;
-        let mut widener: Option<AdaptiveWidth> = None;
-        // Strict mode past the point of no return: keep widening and
-        // re-planning *without fetching* purely to discover the narrowest
-        // honorable constraint to report in the typed refusal.
-        let mut strict_probe = false;
-        if let Some(limit) = deadline_limit {
-            // Already blown before any work (queue wait ate the budget):
-            // strict refuses outright; best-effort answers from cache
-            // alone — a cache-only plan is `Ready` at zero fetch cost.
-            let elapsed = ctx.enqueued.elapsed();
-            if elapsed >= limit {
-                match self.degradation {
-                    DegradationPolicy::Strict => {
-                        return Err(deadline_error(limit, elapsed, None));
-                    }
-                    DegradationPolicy::BestEffort => {
-                        ctx.deadline_widened = true;
-                        eff.get_or_insert_with(|| query.clone()).within = None;
-                    }
-                }
-            }
-        }
-
-        loop {
-            let q: &trapp_sql::Query = eff.as_ref().unwrap_or(query);
-            // ---- Dark set: breaker-open sources plus this query's own
-            // observed failures. Planning excludes their tuples so
-            // CHOOSE_REFRESH spends no round-trips on a source that
-            // cannot answer.
-            let mut dark = query_dark.clone();
-            match route {
-                Route::Single(s) => dark.extend(self.router.shard(s).health.dark_sources()),
-                Route::Scatter => {
-                    for shard in self.router.shards() {
-                        dark.extend(shard.health.dark_sources());
-                    }
-                }
-            }
-            let exclusions = self.exclusions_for(&dark, route);
-
-            // ---- Plan phase (under the cache lock(s)) ----
-            let plan_started = Instant::now();
-            let (plan, now, max_join_rounds) = match route {
-                Route::Single(s) => {
-                    let shard = self.router.shard(s);
-                    let mut cache = shard.cache.lock();
-                    let plan = cache.plan_query_excluding(q, &exclusions)?;
-                    let now = self.clock.now();
-                    let max_join_rounds = cache.session().config.max_refresh_rounds;
-                    shard.note_view_work(&cache);
-                    match plan {
-                        QueryPlan::Iterative => {
-                            // Iterative mode (§8.2) picks each refresh from
-                            // live master values: execution stays under the
-                            // shard lock, flowing through the shard gateway
-                            // so coalescing and the global counters stay
-                            // coherent. Its refresh choices cannot be
-                            // costed ahead of time, so it is exempt from
-                            // the mid-flight deadline guard (the pre-
-                            // execution shed above still applies).
-                            return if q.group_by.is_empty() {
-                                let mut result = cache.execute(q, &shard.gateway)?;
-                                for (table, tid) in &mut result.refreshed {
-                                    *tid = shard.global_tid(table, *tid);
-                                }
-                                Ok((QueryOutcome::Scalar(result), stats, None))
-                            } else {
-                                let mut groups = cache.execute_grouped(q, &shard.gateway)?;
-                                for g in &mut groups {
-                                    for (table, tid) in &mut g.result.refreshed {
-                                        *tid = shard.global_tid(table, *tid);
-                                    }
-                                }
-                                Ok((QueryOutcome::Grouped(groups), stats, None))
-                            };
-                        }
-                        plan => (plan, now, max_join_rounds),
-                    }
-                }
-                Route::Scatter => self.plan_scatter(q, &exclusions)?,
-            };
-            ctx.plan_us += plan_started.elapsed().as_micros() as u64;
-
-            let fp = match plan {
-                QueryPlan::Ready(outcome) => {
-                    // Strict never returns a *late* answer: if the
-                    // deadline passed while planning/fetching (or this
-                    // Ready is the end of an honorable-width probe), the
-                    // installs above stand but the reply is the typed
-                    // refusal.
-                    if matches!(self.degradation, DegradationPolicy::Strict) {
-                        if let Some(limit) = deadline_limit {
-                            let elapsed = ctx.enqueued.elapsed();
-                            if strict_probe || elapsed >= limit {
-                                let honorable =
-                                    eff.as_ref().and_then(|q| q.within).filter(|_| strict_probe);
-                                return Err(deadline_error(limit, elapsed, honorable));
-                            }
-                        }
-                    }
-                    let outcome = patch_outcome(outcome, &attr);
-                    let (all_satisfied, achieved_width) = match &outcome {
-                        QueryOutcome::Scalar(r) => (r.satisfied, r.answer.width()),
-                        QueryOutcome::Grouped(gs) => (
-                            gs.iter().all(|g| g.result.satisfied),
-                            gs.iter()
-                                .map(|g| g.result.answer.width())
-                                .fold(0.0, f64::max),
-                        ),
-                    };
-                    // The user's original ask, before admission widening.
-                    let requested_width = ctx.pre_widened.or(query.within);
-                    let load_shed = ctx.deadline_widened || ctx.pre_widened.is_some();
-                    if !all_satisfied && !dark.is_empty() {
-                        // The constraint is unmet *because* sources are
-                        // dark: every refreshable tuple has been used.
-                        match self.degradation {
-                            DegradationPolicy::Strict => {
-                                return Err(self.unavailable_error(route, &dark));
-                            }
-                            DegradationPolicy::BestEffort => {
-                                let mut dark_sources: Vec<SourceId> =
-                                    dark.iter().copied().collect();
-                                dark_sources.sort();
-                                return Ok((
-                                    outcome,
-                                    stats,
-                                    Some(DegradedInfo {
-                                        dark_sources,
-                                        requested_width,
-                                        achieved_width,
-                                        load_shed,
-                                    }),
-                                ));
-                            }
-                        }
-                    }
-                    if load_shed {
-                        // Satisfied — but only because the constraint was
-                        // relaxed for load (deadline widening, or
-                        // admission widening under either policy). The
-                        // bound still contains the exact answer; the
-                        // reply names the original ask it fell short of.
-                        let mut dark_sources: Vec<SourceId> = dark.iter().copied().collect();
-                        dark_sources.sort();
-                        return Ok((
-                            outcome,
-                            stats,
-                            Some(DegradedInfo {
-                                dark_sources,
-                                requested_width,
-                                achieved_width,
-                                load_shed: true,
-                            }),
-                        ));
-                    }
-                    return Ok((outcome, stats, None));
-                }
-                QueryPlan::Iterative => {
-                    // `plan_scatter` rejects iterative mode with a typed
-                    // error before producing a plan; only the single-shard
-                    // arm (handled above) can lower into this.
-                    return Err(TrappError::Internal(
-                        "iterative plan escaped the locked fallback".into(),
-                    ));
-                }
-                QueryPlan::NeedsFetch(fp) => fp,
-            };
-
-            // ---- Deadline guard: can this plan's fetch fit the budget?
-            // The §6 knapsack cost is the estimator's input — CHOOSE_REFRESH
-            // cost falls monotonically as the constraint widens, so when
-            // the full-precision plan does not fit, widening one doubling
-            // at a time walks toward the *narrowest honorable* constraint.
-            // A widen re-plan consumes no widen/join round budget (the
-            // `continue` sits above the increments below).
-            let round_cost: f64 = fp
-                .units
-                .iter()
-                .filter_map(|u| u.fetch.as_ref())
-                .map(|f| f.refresh_cost)
-                .sum();
-            if let Some(limit) = deadline_limit {
-                let elapsed = ctx.enqueued.elapsed();
-                let remaining = limit.checked_sub(elapsed);
-                let est = self.estimate_fetch_time(round_cost);
-                let fits = remaining.is_some_and(|r| est <= r);
-                if fits {
-                    if strict_probe {
-                        // The probe found a width whose plan fits what is
-                        // left of the budget: report it and refuse.
-                        return Err(deadline_error(
-                            limit,
-                            elapsed,
-                            eff.as_ref().and_then(|q| q.within),
-                        ));
-                    }
-                } else {
-                    match self.degradation {
-                        DegradationPolicy::Strict => strict_probe = true,
-                        DegradationPolicy::BestEffort => ctx.deadline_widened = true,
-                    }
-                    let wq = eff.get_or_insert_with(|| query.clone());
-                    if remaining.is_none() || !widen_step(wq, &mut widener) {
-                        // Past the deadline (or the ladder is exhausted):
-                        // drop the constraint; the next plan pass is
-                        // `Ready` from cache at zero fetch cost.
-                        wq.within = None;
-                    }
-                    continue;
-                }
-            }
-
-            let round_was_complete = fp.complete;
-            if fp.complete {
-                widen_rounds += 1;
-                if widen_rounds > MAX_SCATTER_ROUNDS {
-                    return Err(TrappError::Internal(format!(
-                        "phased execution did not converge in {widen_rounds} rounds \
-                         (bounds kept re-widening under the refresh plan)"
-                    )));
-                }
-            } else {
-                join_rounds += 1;
-                if join_rounds > max_join_rounds {
-                    return Err(TrappError::Internal(format!(
-                        "join refresh did not converge in {join_rounds} rounds"
-                    )));
-                }
-            }
-
-            // ---- Attribute and localize the fetch set ----
-            let shard_count = self.router.shard_count();
-            let mut work: Vec<Vec<(String, TupleId)>> = vec![Vec::new(); shard_count];
-            // A batched join round may split one unit's picks across
-            // several same-key units (one per side-run); that is still one
-            // refresh round for the unit, counted once per key.
-            let mut counted_keys: HashSet<String> = HashSet::new();
-            for unit in &fp.units {
-                let rendered = render_key(&unit.key);
-                let entry = attr.entry(rendered.clone()).or_default();
-                if entry.initial.is_none() {
-                    entry.initial = Some(unit.initial);
-                }
-                let Some(fetch) = &unit.fetch else { continue };
-                entry.cost += fetch.refresh_cost;
-                if counted_keys.insert(rendered) {
-                    entry.rounds += 1;
-                }
-                for &tid in &fetch.tuples {
-                    let (s, local, global) = match route {
-                        Route::Single(s) => {
-                            (s, tid, self.router.shard(s).global_tid(&fetch.table, tid))
-                        }
-                        Route::Scatter => {
-                            let (s, local) = self.router.locate(&fetch.table, tid)?;
-                            (s, local, tid)
-                        }
-                    };
-                    // A later round (concurrent clock advance) may re-plan
-                    // a tuple already refreshed; report each tuple once.
-                    if !entry
-                        .refreshed
-                        .iter()
-                        .any(|(t, id)| *id == global && t == &fetch.table)
-                    {
-                        entry.refreshed.push((fetch.table.clone(), global));
-                    }
-                    work[s].push((fetch.table.clone(), local));
-                }
-            }
-
-            // Resolve tuples to (source, objects) with one short lock per
-            // owning shard.
-            let mut fetch_plans: Vec<Vec<(SourceId, Vec<ObjectId>)>> =
-                vec![Vec::new(); shard_count];
-            for (s, items) in work.iter().enumerate() {
-                if items.is_empty() {
-                    continue;
-                }
-                let cache = self.router.shard(s).cache.lock();
-                let mut per_source: BTreeMap<SourceId, Vec<ObjectId>> = BTreeMap::new();
-                for (table, tid) in items {
-                    for (object, source) in cache.objects_backing(table, *tid)? {
-                        per_source.entry(source).or_default().push(object);
-                    }
-                }
-                fetch_plans[s] = per_source.into_iter().collect();
-            }
-
-            // ---- Fetch phase: submit every shard's slice through its
-            // gateway *before* waiting on any of them — the round-trips
-            // ride the transport's completion queues and overlap each
-            // other and other queries' fetches, with zero per-round
-            // thread spawns.
-            let fetch_started = Instant::now();
-            let pending: Vec<(usize, PendingFetch)> = fetch_plans
-                .iter()
-                .enumerate()
-                .filter(|(_, plan)| !plan.is_empty())
-                .map(|(s, plan)| {
-                    let shard = self.router.shard(s);
-                    (
-                        s,
-                        shard
-                            .gateway
-                            .begin_fetch(shard.cache_id, now, plan, fetch_deadline),
-                    )
-                })
-                .collect();
-            let outcomes: Vec<(usize, FetchOutcome)> = pending
-                .into_iter()
-                .map(|(s, p)| (s, self.router.shard(s).gateway.finish_fetch(p)))
-                .collect();
-            let fetch_took = fetch_started.elapsed();
-            ctx.fetch_us += fetch_took.as_micros() as u64;
-            self.observe_fetch(round_cost, fetch_took);
-
-            // ---- Install phase: everything that arrived goes in — even
-            // on a failed shard, its sources already narrowed their
-            // tracked bounds — then a failure surfaces as an error (or,
-            // best-effort, a degraded re-plan) rather than a bound that
-            // pretends the lost refreshes are exact.
-            let mut surviving: Vec<usize> = Vec::new();
-            let mut shard_failures: Vec<(usize, Vec<(SourceId, TrappError)>)> = Vec::new();
-            let install_started = Instant::now();
-            for (s, outcome) in outcomes {
-                let mut cache = self.router.shard(s).cache.lock();
-                for refresh in outcome.refreshes {
-                    cache.install_refresh(refresh)?;
-                }
-                stats.round_trips += outcome.stats.round_trips;
-                stats.coalesced += outcome.stats.coalesced;
-                stats.forwarded += outcome.stats.forwarded;
-                if outcome.failures.is_empty() {
-                    surviving.push(s);
-                } else {
-                    shard_failures.push((s, outcome.failures));
-                }
-            }
-            ctx.install_us += install_started.elapsed().as_micros() as u64;
-            if !shard_failures.is_empty() {
-                let first_error = shard_failures[0].1[0].1.clone();
-                match self.degradation {
-                    DegradationPolicy::Strict => {
-                        // A deadline that ran out mid-fetch surfaces as
-                        // pure timeouts; once the refreshes that did land
-                        // are installed (above — sources already narrowed
-                        // their tracked bounds), report the blown
-                        // deadline, not the transport symptom.
-                        if let Some(limit) = deadline_limit {
-                            let elapsed = ctx.enqueued.elapsed();
-                            let all_timeouts = shard_failures.iter().all(|(_, fs)| {
-                                fs.iter()
-                                    .all(|(_, e)| matches!(e, TrappError::Timeout { .. }))
-                            });
-                            if all_timeouts && elapsed >= limit {
-                                return Err(deadline_error(limit, elapsed, None));
-                            }
-                        }
-                        return Err(match route {
-                            Route::Single(_) => first_error,
-                            Route::Scatter => TrappError::PartialResult(Box::new(PartialFailure {
-                                surviving_shards: surviving,
-                                failed_shards: shard_failures.iter().map(|(s, _)| *s).collect(),
-                                sources: shard_failures
-                                    .into_iter()
-                                    .flat_map(|(_, fs)| fs)
-                                    .map(|(source, cause)| SourceFailure {
-                                        source,
-                                        cause: Box::new(cause),
-                                    })
-                                    .collect(),
-                            })),
-                        });
-                    }
-                    DegradationPolicy::BestEffort => {
-                        // Exclude the failed sources from this query's
-                        // remaining rounds and re-plan over what is left.
-                        // `query_dark` only grows (an excluded source is
-                        // never fetched again), so this converges; the
-                        // fault budget is a safety valve.
-                        fault_rounds += 1;
-                        if fault_rounds > MAX_SCATTER_ROUNDS {
-                            return Err(first_error);
-                        }
-                        query_dark.extend(
-                            shard_failures
-                                .iter()
-                                .flat_map(|(_, fs)| fs.iter().map(|(src, _)| *src)),
-                        );
-                        // Refund the round budget: re-planning after a
-                        // fault is recovery, not bound re-widening.
-                        if round_was_complete {
-                            widen_rounds = widen_rounds.saturating_sub(1);
-                        } else {
-                            join_rounds = join_rounds.saturating_sub(1);
-                        }
-                        continue;
-                    }
-                }
-            }
-            // Loop: plan again over the installed refreshes. For complete
-            // plans the CHOOSE_REFRESH guarantee makes the next pass Ready
-            // unless the clock advanced; join rounds iterate.
-        }
-    }
-
-    /// The tuples planning must treat as unrefreshable: every cached cell
-    /// whose backing object lives on a dark source, in the tuple-id space
-    /// the route plans in (shard-local for a single-shard route, global
-    /// for scatter). Empty dark set short-circuits to no exclusions — the
-    /// healthy fast path allocates nothing.
-    fn exclusions_for(&self, dark: &HashSet<SourceId>, route: Route) -> Exclusions {
-        let mut ex = Exclusions::default();
-        if dark.is_empty() {
-            return ex;
-        }
-        match route {
-            Route::Single(s) => {
-                let cache = self.router.shard(s).cache.lock();
-                for (_, r) in cache.objects() {
-                    if dark.contains(&r.source) {
-                        ex.insert(&r.cell.0, r.cell.1);
-                    }
-                }
-            }
-            Route::Scatter => {
-                for shard in self.router.shards() {
-                    let cache = shard.cache.lock();
-                    for (_, r) in cache.objects() {
-                        if dark.contains(&r.source) {
-                            ex.insert(&r.cell.0, shard.global_tid(&r.cell.0, r.cell.1));
-                        }
-                    }
-                }
-            }
-        }
-        ex
-    }
-
-    /// The strict-mode refusal when dark sources make a constraint
-    /// unachievable: a structured [`TrappError::PartialResult`] naming
-    /// which shards hold dark-source cells and which sources are down
-    /// (each with a [`TrappError::SourceUnavailable`] cause).
-    fn unavailable_error(&self, route: Route, dark: &HashSet<SourceId>) -> TrappError {
-        let shard_indexes: Vec<usize> = match route {
-            Route::Single(s) => vec![s],
-            Route::Scatter => (0..self.router.shard_count()).collect(),
-        };
-        let mut surviving_shards = Vec::new();
-        let mut failed_shards = Vec::new();
-        for s in shard_indexes {
-            let owns_dark = {
-                let cache = self.router.shard(s).cache.lock();
-                let any = cache.objects().any(|(_, r)| dark.contains(&r.source));
-                any
-            };
-            if owns_dark {
-                failed_shards.push(s);
-            } else {
-                surviving_shards.push(s);
-            }
-        }
-        let mut sources: Vec<SourceId> = dark.iter().copied().collect();
-        sources.sort();
-        TrappError::PartialResult(Box::new(PartialFailure {
-            surviving_shards,
-            failed_shards,
-            sources: sources
-                .into_iter()
-                .map(|source| SourceFailure {
-                    source,
-                    cause: Box::new(TrappError::SourceUnavailable(source)),
-                })
-                .collect(),
-        }))
-    }
-
-    /// The scatter-side plan phase: gather every shard's
-    /// [`QueryPartial`] under *all* shard locks (in index order — the only
-    /// multi-lock acquisition in the service, so ordered acquisition
-    /// cannot deadlock), merge them shape-by-shape with no locks held, and
-    /// derive the plan once from the merged input. Holding all locks makes
-    /// the merged input a consistent snapshot: an update cannot land on
-    /// shard 1 after shard 0 was already gathered, which would merge
-    /// bounds from two different logical states into an answer that was
-    /// valid at no instant.
-    ///
-    /// Returns the plan, the gather instant, and the join-round budget.
-    fn plan_scatter(
-        &self,
-        query: &trapp_sql::Query,
-        exclusions: &Exclusions,
-    ) -> Result<(QueryPlan, f64, usize), TrappError> {
-        let mut strategy = trapp_core::SolverStrategy::default();
-        let mut heuristic = IterativeHeuristic::BestRatio;
-        let mut max_join_rounds = 0usize;
-        let mut partials: Vec<QueryPartial> = Vec::with_capacity(self.router.shard_count());
-        let mut join_meta: Option<(BoundQuery, JoinSchemas)> = None;
-        let now;
-        {
-            let mut guards: Vec<_> = self
-                .router
-                .shards()
-                .iter()
-                .map(|s| s.cache.lock())
-                .collect();
-            for (shard, cache) in self.router.shards().iter().zip(guards.iter_mut()) {
-                cache.materialize()?;
-                let config = &cache.session().config;
-                strategy = config.strategy;
-                heuristic = config.join_heuristic;
-                max_join_rounds = config.max_refresh_rounds;
-                let mut partial = cache.session().partial_query(query)?;
-                shard.note_view_work(cache);
-                match &mut partial {
-                    QueryPartial::Scalar(p) => {
-                        let table = p.table.clone();
-                        p.rewrite_tids(|tid| shard.global_tid(&table, tid));
-                    }
-                    QueryPartial::Grouped(groups) => {
-                        for (_, p) in groups.iter_mut() {
-                            let table = p.table.clone();
-                            p.rewrite_tids(|tid| shard.global_tid(&table, tid));
-                        }
-                    }
-                    QueryPartial::Join(jp) => {
-                        let table = jp.left.table.clone();
-                        jp.left.rewrite_tids(|tid| shard.global_tid(&table, tid));
-                        let table = jp.right.table.clone();
-                        jp.right.rewrite_tids(|tid| shard.global_tid(&table, tid));
-                    }
-                }
-                partials.push(partial);
-            }
-            // Join shape metadata comes from shard 0's catalog — every
-            // shard holds every table's schema.
-            if matches!(partials.first(), Some(QueryPartial::Join(_))) {
-                let catalog = guards[0].session().catalog();
-                let bound = bind_query(query, catalog)?;
-                let QuerySource::Join { left, right } = &bound.source else {
-                    return Err(TrappError::Internal(
-                        "join partial from a non-join query".into(),
-                    ));
-                };
-                let schemas = (
-                    catalog.table(left)?.schema().clone(),
-                    catalog.table(right)?.schema().clone(),
-                );
-                join_meta = Some((bound, schemas));
-            }
-            now = self.clock.now();
-        }
-
-        // ---- Merge + derive (no locks held) ----
-        let shape_err = || TrappError::Internal("shards disagreed on query shape".into());
-        let plan = match partials.first().expect("at least one shard") {
-            QueryPartial::Scalar(_) => {
-                let mut shape: Option<(String, trapp_core::Aggregate, Option<f64>)> = None;
-                let mut inputs = Vec::with_capacity(partials.len());
-                for partial in partials {
-                    let QueryPartial::Scalar(p) = partial else {
-                        return Err(shape_err());
-                    };
-                    shape.get_or_insert((p.table, p.agg, p.within));
-                    inputs.push(p.input);
-                }
-                let (table, agg, within) = shape.expect("at least one shard");
-                let merged = trapp_core::merge_partials(inputs)?;
-                let unit = plan_unit(
-                    agg,
-                    within,
-                    strategy,
-                    &table,
-                    Vec::new(),
-                    &merged,
-                    bounded_answer(agg, &merged)?,
-                    None,
-                    exclusions.for_table(&table),
-                )?;
-                assemble_units(vec![unit], false)
-            }
-            QueryPartial::Grouped(_) => {
-                let mut shards_groups = Vec::with_capacity(partials.len());
-                for partial in partials {
-                    let QueryPartial::Grouped(groups) = partial else {
-                        return Err(shape_err());
-                    };
-                    shards_groups.push(groups);
-                }
-                let merged = merge_grouped_partials(shards_groups)?;
-                let mut units = Vec::with_capacity(merged.len());
-                for (key, p) in merged {
-                    units.push(plan_unit(
-                        p.agg,
-                        p.within,
-                        strategy,
-                        &p.table,
-                        key,
-                        &p.input,
-                        bounded_answer(p.agg, &p.input)?,
-                        None,
-                        exclusions.for_table(&p.table),
-                    )?);
-                }
-                assemble_units(units, true)
-            }
-            QueryPartial::Join(_) => {
-                let (bound, (lschema, rschema)) = join_meta.expect("set under the gather locks");
-                let mut lefts = Vec::with_capacity(partials.len());
-                let mut rights = Vec::with_capacity(partials.len());
-                for partial in partials {
-                    let QueryPartial::Join(jp) = partial else {
-                        return Err(shape_err());
-                    };
-                    lefts.push(jp.left);
-                    rights.push(jp.right);
-                }
-                let left = merge_table_slices(lschema, lefts)?;
-                let right = merge_table_slices(rschema, rights)?;
-                plan_join_round(&bound, &left, &right, heuristic, true, exclusions)?
-            }
-        };
-        Ok((plan, now, max_join_rounds))
-    }
-}
-
-/// The per-side schemas of a gathered join.
-type JoinSchemas = (
-    std::sync::Arc<trapp_storage::Schema>,
-    std::sync::Arc<trapp_storage::Schema>,
-);
 
 /// A pending answer; see [`QueryService::submit`].
 pub struct QueryTicket {
@@ -1253,9 +345,7 @@ impl QueryService {
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
                             core.admission.dequeued();
-                            let _ =
-                                job.reply
-                                    .send(core.run_query(&job.sql, job.enqueued, job.widen));
+                            let _ = job.reply.send(core.run_query(&job));
                         }
                     })
                     .expect("spawn query worker")

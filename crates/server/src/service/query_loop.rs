@@ -1,0 +1,945 @@
+//! One query's execution: the plan → fetch → install → answer loop
+//! ([`QueryRun`]), the deadline and degradation policies that move it
+//! between phases, and the shard-facing steps each phase calls.
+
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::time::{Duration, Instant};
+
+use trapp_bounds::AdaptiveWidth;
+use trapp_core::executor::QueryResult;
+use trapp_core::group_by::render_key;
+use trapp_core::plan::{bind_query, BoundQuery, QuerySource};
+use trapp_core::query_plan::{
+    assemble_units, plan_join_round, plan_unit, Exclusions, FetchPlan, QueryOutcome, QueryPartial,
+    QueryPlan,
+};
+use trapp_core::refresh::iterative::IterativeHeuristic;
+use trapp_core::{bounded_answer, merge_grouped_partials, merge_table_slices, BoundedAnswer};
+use trapp_types::{ObjectId, PartialFailure, SourceFailure, SourceId, TrappError, TupleId};
+
+use super::{rollup, DegradationPolicy, DegradedInfo, Job, ServiceCore, ServiceReply};
+use crate::gateway::{FetchOutcome, FetchStats, PendingFetch};
+use crate::router::{Route, Shard};
+
+/// Safety valve for the query loop's complete and fault rounds: each
+/// extra complete round means a concurrent clock advance re-widened bounds
+/// mid-query, each fault round that a source failed mid-fetch.
+const MAX_REPLAN_ROUNDS: usize = 8;
+
+/// What one query's execution accounts for. It outlives the query loop,
+/// errors included, and is folded into [`super::ServiceStats`] and the reply
+/// afterwards.
+#[derive(Default)]
+struct QueryCtx {
+    /// The query was routed to every shard.
+    scattered: bool,
+    /// The constraint was widened/dropped mid-flight for the deadline.
+    deadline_widened: bool,
+    stats: FetchStats,
+    plan_us: u64,
+    fetch_us: u64,
+    install_us: u64,
+}
+
+/// The typed refusal for a blown deadline.
+fn deadline_error(limit: Duration, elapsed: Duration, honorable: Option<f64>) -> TrappError {
+    TrappError::DeadlineExceeded {
+        deadline_ms: limit.as_millis() as u64,
+        elapsed_ms: elapsed.as_millis() as u64,
+        honorable_within: honorable,
+    }
+}
+
+/// One deadline-driven widening step: grows the query's `WITHIN` through
+/// an [`AdaptiveWidth`] controller seeded from the constraint itself
+/// (grow ×2 per step, capped at 1024× — the §6 knapsack cost falls
+/// monotonically as the constraint widens, so each step strictly shrinks
+/// the refresh plan). Returns `false` when the constraint cannot widen
+/// further (absent, non-positive, or at cap) — the caller then drops it
+/// entirely and answers from cache.
+fn widen_step(query: &mut trapp_sql::Query, widener: &mut Option<AdaptiveWidth>) -> bool {
+    let Some(w) = query.within else { return false };
+    if w.is_nan() || w <= 0.0 {
+        return false;
+    }
+    if widener.is_none() {
+        match AdaptiveWidth::new(w, 2.0, 0.5, w, w * 1024.0) {
+            Ok(ctl) => *widener = Some(ctl),
+            Err(_) => return false,
+        }
+    }
+    let ctl = widener.as_mut().expect("seeded above");
+    let before = ctl.width();
+    ctl.on_value_initiated_refresh();
+    let after = ctl.width();
+    if after <= before {
+        return false;
+    }
+    query.within = Some(after);
+    true
+}
+
+/// Attribution one unit (whole query, or one group) accumulates across
+/// fetch rounds: the serving layer pays for refreshes round by round, but
+/// the final [`QueryPlan::Ready`] pass sees pinned cells and reports
+/// nothing refreshed — this records what the query actually planned and
+/// paid for, keyed by rendered group key.
+#[derive(Default)]
+struct UnitAttr {
+    /// The unit's cache-only answer from its first planning round.
+    initial: Option<BoundedAnswer>,
+    /// Tuples refreshed (global ids), each reported once.
+    refreshed: Vec<(String, TupleId)>,
+    /// Total planned refresh cost.
+    cost: f64,
+    /// Rounds in which this unit fetched something.
+    rounds: usize,
+}
+
+/// Patches accumulated attribution into the final planned outcome.
+fn patch_outcome(outcome: QueryOutcome, attr: &HashMap<String, UnitAttr>) -> QueryOutcome {
+    let patch = |result: &mut QueryResult, rendered: &str| {
+        if let Some(a) = attr.get(rendered) {
+            if let Some(initial) = a.initial {
+                result.initial_answer = initial;
+            }
+            result.refreshed = a.refreshed.clone();
+            result.refresh_cost = a.cost;
+            result.rounds = a.rounds;
+        }
+    };
+    match outcome {
+        QueryOutcome::Scalar(mut r) => {
+            patch(&mut r, &render_key(&Vec::new()));
+            QueryOutcome::Scalar(r)
+        }
+        QueryOutcome::Grouped(mut groups) => {
+            for g in &mut groups {
+                patch(&mut g.result, &render_key(&g.key));
+            }
+            QueryOutcome::Grouped(groups)
+        }
+    }
+}
+
+impl ServiceCore {
+    pub(super) fn run_query(&self, job: &Job) -> Result<ServiceReply, TrappError> {
+        let started = Instant::now();
+        let queue_wait = started.duration_since(job.enqueued);
+        let mut ctx = QueryCtx::default();
+        let outcome = trapp_sql::parse_query(&job.sql)
+            .and_then(|query| QueryRun::new(self, &mut ctx, query, job).run());
+        let exec_time = started.elapsed();
+
+        let mut counters = self.counters.lock();
+        counters.queue_wait_us += queue_wait.as_micros() as u64;
+        counters.plan_us += ctx.plan_us;
+        counters.fetch_us += ctx.fetch_us;
+        counters.install_us += ctx.install_us;
+        counters.deadline_widened += u64::from(ctx.deadline_widened);
+        match outcome {
+            Ok((outcome, degraded)) => {
+                counters.queries += 1;
+                counters.round_trips += ctx.stats.round_trips;
+                counters.scatter_queries += u64::from(ctx.scattered);
+                counters.degraded_queries += u64::from(degraded.is_some());
+                let (result, groups) = match outcome {
+                    QueryOutcome::Scalar(result) => (result, Vec::new()),
+                    QueryOutcome::Grouped(groups) => (rollup(&groups), groups),
+                };
+                Ok(ServiceReply {
+                    result,
+                    groups,
+                    refreshes_saved: ctx.stats.coalesced,
+                    round_trips: ctx.stats.round_trips,
+                    exec_time,
+                    degraded,
+                })
+            }
+            Err(e) => {
+                counters.errors += 1;
+                Err(e)
+            }
+        }
+    }
+
+    /// The deadline guard's estimate of one fetch phase's wall time for a
+    /// plan of the given §6 refresh cost.
+    fn estimate_fetch_time(&self, cost: f64) -> Duration {
+        Duration::from_secs_f64((*self.fetch_rate.lock() * cost.max(0.0)) / 1e6)
+    }
+
+    /// Folds one observed fetch phase into the EWMA cost rate.
+    fn observe_fetch(&self, cost: f64, took: Duration) {
+        if cost <= 0.0 {
+            return;
+        }
+        let sample = took.as_secs_f64() * 1e6 / cost;
+        let mut rate = self.fetch_rate.lock();
+        *rate = if *rate == 0.0 {
+            sample
+        } else {
+            0.7 * *rate + 0.3 * sample
+        };
+    }
+
+    /// The single-shard plan phase, under that shard's lock. Returns the
+    /// plan, the instant it was planned at, and the join-round budget.
+    fn plan_single(
+        &self,
+        s: usize,
+        query: &trapp_sql::Query,
+        exclusions: &Exclusions,
+    ) -> Result<(QueryPlan, f64, usize), TrappError> {
+        let shard = self.router.shard(s);
+        let mut cache = shard.cache.lock();
+        let plan = cache.plan_query_excluding(query, exclusions)?;
+        shard.note_view_work(&cache);
+        let max_join_rounds = cache.session().config.max_refresh_rounds;
+        Ok((plan, self.clock.now(), max_join_rounds))
+    }
+
+    /// Iterative mode (§8.2) picks each refresh from live master values,
+    /// so it can neither be planned ahead nor costed against a deadline
+    /// (the shed at pickup still applies): it executes whole under the
+    /// shard lock, through the shard's gateway so coalescing and the
+    /// global counters stay coherent.
+    fn run_iterative(
+        &self,
+        s: usize,
+        query: &trapp_sql::Query,
+    ) -> Result<QueryOutcome, TrappError> {
+        let shard = self.router.shard(s);
+        let mut cache = shard.cache.lock();
+        let globalize = |refreshed: &mut Vec<(String, TupleId)>| {
+            for (table, tid) in refreshed {
+                *tid = shard.global_tid(table, *tid);
+            }
+        };
+        if query.group_by.is_empty() {
+            let mut result = cache.execute(query, &shard.gateway)?;
+            globalize(&mut result.refreshed);
+            Ok(QueryOutcome::Scalar(result))
+        } else {
+            let mut groups = cache.execute_grouped(query, &shard.gateway)?;
+            for g in &mut groups {
+                globalize(&mut g.result.refreshed);
+            }
+            Ok(QueryOutcome::Grouped(groups))
+        }
+    }
+
+    /// Resolves each shard's tuples to per-source object batches, with one
+    /// short lock per owning shard.
+    fn resolve_objects(
+        &self,
+        work: &[Vec<(String, TupleId)>],
+    ) -> Result<Vec<SourceBatches>, TrappError> {
+        let mut requests = vec![Vec::new(); work.len()];
+        for (s, items) in work.iter().enumerate().filter(|(_, w)| !w.is_empty()) {
+            let cache = self.router.shard(s).cache.lock();
+            let mut per_source: BTreeMap<SourceId, Vec<ObjectId>> = BTreeMap::new();
+            for (table, tid) in items {
+                for (object, source) in cache.objects_backing(table, *tid)? {
+                    per_source.entry(source).or_default().push(object);
+                }
+            }
+            requests[s] = per_source.into_iter().collect();
+        }
+        Ok(requests)
+    }
+
+    /// The tuples planning must treat as unrefreshable: every cached cell
+    /// whose backing object lives on a dark source, in the tuple-id space
+    /// the route plans in (shard-local for a single-shard route, global
+    /// for scatter). Empty dark set short-circuits to no exclusions — the
+    /// healthy fast path allocates nothing.
+    fn exclusions_for(&self, dark: &HashSet<SourceId>, route: Route) -> Exclusions {
+        let mut ex = Exclusions::default();
+        if dark.is_empty() {
+            return ex;
+        }
+        for s in self.router.footprint(route) {
+            let shard = self.router.shard(s);
+            let cache = shard.cache.lock();
+            for (_, r) in cache.objects().filter(|(_, r)| dark.contains(&r.source)) {
+                let (table, local) = (&r.cell.0, r.cell.1);
+                let tid = match route {
+                    Route::Single(_) => local,
+                    Route::Scatter => shard.global_tid(table, local),
+                };
+                ex.insert(table, tid);
+            }
+        }
+        ex
+    }
+
+    /// The strict-mode refusal when dark sources make a constraint
+    /// unachievable: a structured [`TrappError::PartialResult`] naming
+    /// which shards hold dark-source cells and which sources are down
+    /// (each with a [`TrappError::SourceUnavailable`] cause).
+    fn unavailable_error(&self, route: Route, dark: &HashSet<SourceId>) -> TrappError {
+        let mut surviving_shards = Vec::new();
+        let mut failed_shards = Vec::new();
+        for s in self.router.footprint(route) {
+            let cache = self.router.shard(s).cache.lock();
+            if cache.objects().any(|(_, r)| dark.contains(&r.source)) {
+                failed_shards.push(s);
+            } else {
+                surviving_shards.push(s);
+            }
+        }
+        TrappError::PartialResult(Box::new(PartialFailure {
+            surviving_shards,
+            failed_shards,
+            sources: sorted(dark.iter().copied())
+                .into_iter()
+                .map(|source| SourceFailure {
+                    source,
+                    cause: Box::new(TrappError::SourceUnavailable(source)),
+                })
+                .collect(),
+        }))
+    }
+
+    /// The scatter-side plan phase: gather every shard's
+    /// [`QueryPartial`] under *all* shard locks (in index order — the only
+    /// multi-lock acquisition in the service, so ordered acquisition
+    /// cannot deadlock), merge them shape-by-shape with no locks held, and
+    /// derive the plan once from the merged input. Holding all locks makes
+    /// the merged input a consistent snapshot: an update cannot land on
+    /// shard 1 after shard 0 was already gathered, which would merge
+    /// bounds from two different logical states into an answer that was
+    /// valid at no instant.
+    ///
+    /// Returns the plan, the gather instant, and the join-round budget.
+    fn plan_scatter(
+        &self,
+        query: &trapp_sql::Query,
+        exclusions: &Exclusions,
+    ) -> Result<(QueryPlan, f64, usize), TrappError> {
+        let mut strategy = trapp_core::SolverStrategy::default();
+        let mut heuristic = IterativeHeuristic::BestRatio;
+        let mut max_join_rounds = 0usize;
+        let mut partials: Vec<QueryPartial> = Vec::with_capacity(self.router.shard_count());
+        let mut join_meta: Option<(BoundQuery, JoinSchemas)> = None;
+        let now;
+        {
+            let mut guards: Vec<_> = self
+                .router
+                .shards()
+                .iter()
+                .map(|s| s.cache.lock())
+                .collect();
+            for (shard, cache) in self.router.shards().iter().zip(guards.iter_mut()) {
+                cache.materialize()?;
+                let config = &cache.session().config;
+                strategy = config.strategy;
+                heuristic = config.join_heuristic;
+                max_join_rounds = config.max_refresh_rounds;
+                let mut partial = cache.session().partial_query(query)?;
+                shard.note_view_work(cache);
+                globalize_partial(shard, &mut partial);
+                partials.push(partial);
+            }
+            // Join shape metadata comes from shard 0's catalog — every
+            // shard holds every table's schema.
+            if matches!(partials.first(), Some(QueryPartial::Join(_))) {
+                let catalog = guards[0].session().catalog();
+                let bound = bind_query(query, catalog)?;
+                let QuerySource::Join { left, right } = &bound.source else {
+                    return Err(TrappError::Internal(
+                        "join partial from a non-join query".into(),
+                    ));
+                };
+                let schemas = (
+                    catalog.table(left)?.schema().clone(),
+                    catalog.table(right)?.schema().clone(),
+                );
+                join_meta = Some((bound, schemas));
+            }
+            now = self.clock.now();
+        }
+        let plan = plan_merged(partials, join_meta, strategy, heuristic, exclusions)?;
+        Ok((plan, now, max_join_rounds))
+    }
+}
+
+/// Rewrites a shard's partial from shard-local to global tuple ids.
+fn globalize_partial(shard: &Shard, partial: &mut QueryPartial) {
+    match partial {
+        QueryPartial::Scalar(p) => {
+            let table = p.table.clone();
+            p.rewrite_tids(|tid| shard.global_tid(&table, tid));
+        }
+        QueryPartial::Grouped(groups) => {
+            for (_, p) in groups.iter_mut() {
+                let table = p.table.clone();
+                p.rewrite_tids(|tid| shard.global_tid(&table, tid));
+            }
+        }
+        QueryPartial::Join(jp) => {
+            let table = jp.left.table.clone();
+            jp.left.rewrite_tids(|tid| shard.global_tid(&table, tid));
+            let table = jp.right.table.clone();
+            jp.right.rewrite_tids(|tid| shard.global_tid(&table, tid));
+        }
+    }
+}
+
+/// The scatter plan's second half, with no locks held: merges the
+/// gathered partials shape by shape and derives the plan once from the
+/// merged input.
+fn plan_merged(
+    partials: Vec<QueryPartial>,
+    join_meta: Option<(BoundQuery, JoinSchemas)>,
+    strategy: trapp_core::SolverStrategy,
+    heuristic: IterativeHeuristic,
+    exclusions: &Exclusions,
+) -> Result<QueryPlan, TrappError> {
+    let shape_err = || TrappError::Internal("shards disagreed on query shape".into());
+    let plan = match partials.first().expect("at least one shard") {
+        QueryPartial::Scalar(_) => {
+            let mut shape: Option<(String, trapp_core::Aggregate, Option<f64>)> = None;
+            let mut inputs = Vec::with_capacity(partials.len());
+            for partial in partials {
+                let QueryPartial::Scalar(p) = partial else {
+                    return Err(shape_err());
+                };
+                shape.get_or_insert((p.table, p.agg, p.within));
+                inputs.push(p.input);
+            }
+            let (table, agg, within) = shape.expect("at least one shard");
+            let merged = trapp_core::merge_partials(inputs)?;
+            let unit = plan_unit(
+                agg,
+                within,
+                strategy,
+                &table,
+                Vec::new(),
+                &merged,
+                bounded_answer(agg, &merged)?,
+                None,
+                exclusions.for_table(&table),
+            )?;
+            assemble_units(vec![unit], false)
+        }
+        QueryPartial::Grouped(_) => {
+            let mut shards_groups = Vec::with_capacity(partials.len());
+            for partial in partials {
+                let QueryPartial::Grouped(groups) = partial else {
+                    return Err(shape_err());
+                };
+                shards_groups.push(groups);
+            }
+            let merged = merge_grouped_partials(shards_groups)?;
+            let mut units = Vec::with_capacity(merged.len());
+            for (key, p) in merged {
+                units.push(plan_unit(
+                    p.agg,
+                    p.within,
+                    strategy,
+                    &p.table,
+                    key,
+                    &p.input,
+                    bounded_answer(p.agg, &p.input)?,
+                    None,
+                    exclusions.for_table(&p.table),
+                )?);
+            }
+            assemble_units(units, true)
+        }
+        QueryPartial::Join(_) => {
+            let (bound, (lschema, rschema)) = join_meta.expect("set under the gather locks");
+            let mut lefts = Vec::with_capacity(partials.len());
+            let mut rights = Vec::with_capacity(partials.len());
+            for partial in partials {
+                let QueryPartial::Join(jp) = partial else {
+                    return Err(shape_err());
+                };
+                lefts.push(jp.left);
+                rights.push(jp.right);
+            }
+            let left = merge_table_slices(lschema, lefts)?;
+            let right = merge_table_slices(rschema, rights)?;
+            plan_join_round(&bound, &left, &right, heuristic, true, exclusions)?
+        }
+    };
+    Ok(plan)
+}
+
+/// One shard's fetch request: its objects, batched per source.
+type SourceBatches = Vec<(SourceId, Vec<ObjectId>)>;
+
+/// The per-side schemas of a gathered join.
+type JoinSchemas = (
+    std::sync::Arc<trapp_storage::Schema>,
+    std::sync::Arc<trapp_storage::Schema>,
+);
+
+/// The query loop's phases. Each phase method of [`QueryRun`] consumes
+/// its phase's data and returns the next phase; the deadline policy
+/// (widen, shed, refuse) and the degradation policy (exclude a failed
+/// source, or refuse) are transitions those methods take.
+enum Phase {
+    /// Lower the query into a [`QueryPlan`] under the shard lock(s).
+    Plan,
+    /// Fetch a plan's refresh sets with no lock held, then install what
+    /// came back. `now` is the instant the plan was made at, `cost` its
+    /// predicted §6 refresh cost.
+    Fetch {
+        plan: FetchPlan,
+        now: f64,
+        cost: f64,
+    },
+    /// Shape the reply from a `Ready` plan, or from iterative mode's
+    /// outcome.
+    Answer(QueryOutcome),
+}
+
+/// One query's trip through the loop: what the phases carry from one to
+/// the next.
+struct QueryRun<'a> {
+    core: &'a ServiceCore,
+    ctx: &'a mut QueryCtx,
+    route: Route,
+    /// The query being planned. The deadline policy rewrites its `within`.
+    query: trapp_sql::Query,
+    /// The user's `WITHIN`, before admission or deadline widening.
+    requested: Option<f64>,
+    /// Admission control widened the constraint at the front door.
+    admission_widened: bool,
+    /// When the query was submitted: the deadline counts from here, so
+    /// queue wait is charged like any other latency.
+    enqueued: Instant,
+    deadline: Option<Duration>,
+    widener: Option<AdaptiveWidth>,
+    /// Strict past the point of no return: keep widening and re-planning
+    /// *without fetching*, only to find the narrowest honorable
+    /// constraint to report in the typed refusal.
+    probing: bool,
+    /// The sources the latest plan excluded: breaker-open ones plus
+    /// `failed`.
+    dark: HashSet<SourceId>,
+    /// Sources this query saw fail (best-effort): excluded from its later
+    /// plans even before their breakers open. It only grows, so the fault
+    /// loop terminates.
+    failed: HashSet<SourceId>,
+    attr: HashMap<String, UnitAttr>,
+    /// Fetch rounds by kind. Each budget turns a loop that keeps
+    /// re-planning into a typed error: after the first, a complete round
+    /// means a concurrent clock advance re-widened bounds mid-query; join
+    /// rounds are heuristic steps, budgeted by the session; a fault round
+    /// lost a source.
+    complete_rounds: usize,
+    join_rounds: usize,
+    fault_rounds: usize,
+    max_join_rounds: usize,
+}
+
+impl<'a> QueryRun<'a> {
+    fn new(
+        core: &'a ServiceCore,
+        ctx: &'a mut QueryCtx,
+        mut query: trapp_sql::Query,
+        job: &Job,
+    ) -> QueryRun<'a> {
+        let requested = query.within;
+        // Admission widening happens before routing: the relaxed
+        // constraint is what plans, and the reply's `DegradedInfo` names
+        // the original ask.
+        let admission_widened = job.widen && requested.is_some();
+        if admission_widened {
+            query.within = requested.map(|w| w * core.admission.widen_factor());
+        }
+        // `DEADLINE` is in milliseconds; the parser guarantees a finite
+        // non-negative value.
+        let deadline = query.deadline.map(|ms| Duration::from_secs_f64(ms / 1e3));
+        let route = core.router.route(&query);
+        ctx.scattered = matches!(route, Route::Scatter);
+        QueryRun {
+            core,
+            ctx,
+            route,
+            query,
+            requested,
+            admission_widened,
+            enqueued: job.enqueued,
+            deadline,
+            widener: None,
+            probing: false,
+            dark: HashSet::new(),
+            failed: HashSet::new(),
+            attr: HashMap::new(),
+            complete_rounds: 0,
+            join_rounds: 0,
+            fault_rounds: 0,
+            max_join_rounds: 0,
+        }
+    }
+
+    /// Drives the phases to a reply — one loop for every route and shape:
+    ///
+    /// ```text
+    ///  pickup ─► Plan ──Ready──────────────────────────► Answer ─► reply
+    ///             ▲ │ NeedsFetch
+    ///             │ ├─ over budget: widen, or shed ─► Plan   (Strict: probe, refuse)
+    ///             │ ▼
+    ///             │ Fetch + install ─┬─ all arrived ──────────► Plan
+    ///             └──────────────────┴─ a source failed: exclude it ─► Plan
+    ///                                                  (Strict: refuse)
+    /// ```
+    ///
+    /// Scalar and grouped plans normally answer on their second plan pass
+    /// (the CHOOSE_REFRESH guarantee); join plans take one heuristic round
+    /// per pass until converged.
+    fn run(mut self) -> Result<(QueryOutcome, Option<DegradedInfo>), TrappError> {
+        let mut phase = self.start()?;
+        loop {
+            phase = match phase {
+                Phase::Plan => self.plan()?,
+                Phase::Fetch { plan, now, cost } => self.fetch(plan, now, cost)?,
+                Phase::Answer(outcome) => return self.answer(outcome),
+            };
+        }
+    }
+
+    /// Deadline policy at pickup: a budget that queue wait already ate is
+    /// refused outright (Strict) or shed to a cache-only answer
+    /// (BestEffort).
+    fn start(&mut self) -> Result<Phase, TrappError> {
+        let Some(limit) = self.deadline else {
+            return Ok(Phase::Plan);
+        };
+        let elapsed = self.enqueued.elapsed();
+        if elapsed < limit {
+            return Ok(Phase::Plan);
+        }
+        match self.core.degradation {
+            DegradationPolicy::Strict => Err(deadline_error(limit, elapsed, None)),
+            DegradationPolicy::BestEffort => {
+                self.ctx.deadline_widened = true;
+                self.query.within = None;
+                Ok(Phase::Plan)
+            }
+        }
+    }
+
+    /// The plan phase, under the shard lock(s). The plan excludes the
+    /// tuples of dark sources — breaker-open, or failed this query — so
+    /// CHOOSE_REFRESH spends no round-trip on a source that cannot answer.
+    fn plan(&mut self) -> Result<Phase, TrappError> {
+        self.dark.clone_from(&self.failed);
+        for s in self.core.router.footprint(self.route) {
+            self.dark
+                .extend(self.core.router.shard(s).health.dark_sources());
+        }
+        let exclusions = self.core.exclusions_for(&self.dark, self.route);
+        let started = Instant::now();
+        let (plan, now, max_join_rounds) = match self.route {
+            Route::Single(s) => self.core.plan_single(s, &self.query, &exclusions)?,
+            Route::Scatter => self.core.plan_scatter(&self.query, &exclusions)?,
+        };
+        self.ctx.plan_us += started.elapsed().as_micros() as u64;
+        self.max_join_rounds = max_join_rounds;
+        let plan = match plan {
+            QueryPlan::Ready(outcome) => return Ok(Phase::Answer(outcome)),
+            QueryPlan::NeedsFetch(plan) => plan,
+            QueryPlan::Iterative => return self.iterate(),
+        };
+        let cost: f64 = plan
+            .units
+            .iter()
+            .filter_map(|u| u.fetch.as_ref())
+            .map(|f| f.refresh_cost)
+            .sum();
+        self.guard(plan, now, cost)
+    }
+
+    /// Iterative mode (§8.2) plans and refreshes in one step under the
+    /// shard lock, and its outcome goes straight to the answer phase.
+    fn iterate(&mut self) -> Result<Phase, TrappError> {
+        // `plan_scatter` refuses iterative mode with a typed error before
+        // producing a plan.
+        let Route::Single(s) = self.route else {
+            return Err(TrappError::Internal(
+                "iterative plan escaped the locked fallback".into(),
+            ));
+        };
+        // Its refreshes go through the gateway whatever is dark, so it
+        // excludes no source, and its reply names none.
+        self.dark.clear();
+        let outcome = self.core.run_iterative(s, &self.query)?;
+        Ok(Phase::Answer(outcome))
+    }
+
+    /// Deadline policy before a fetch: does the plan's estimated fetch time
+    /// fit the remaining budget? If not, widen the constraint one doubling
+    /// and plan again (CHOOSE_REFRESH cost falls monotonically as the
+    /// constraint widens, so this walks toward the narrowest honorable
+    /// one), or shed it once the budget is gone or the ladder exhausted.
+    /// A widen spends no round budget.
+    fn guard(&mut self, plan: FetchPlan, now: f64, cost: f64) -> Result<Phase, TrappError> {
+        let fetch = Phase::Fetch { plan, now, cost };
+        let Some(limit) = self.deadline else {
+            return Ok(fetch);
+        };
+        let elapsed = self.enqueued.elapsed();
+        let remaining = limit.checked_sub(elapsed);
+        if remaining.is_some_and(|r| self.core.estimate_fetch_time(cost) <= r) {
+            if self.probing {
+                // The probe found a width whose plan fits what is left of
+                // the budget: report it and refuse.
+                return Err(deadline_error(limit, elapsed, self.query.within));
+            }
+            return Ok(fetch);
+        }
+        match self.core.degradation {
+            DegradationPolicy::Strict => self.probing = true,
+            DegradationPolicy::BestEffort => self.ctx.deadline_widened = true,
+        }
+        // Plan again under the new constraint; `None` sheds it, and the
+        // next plan is `Ready` from cache at zero fetch cost.
+        if remaining.is_none() || !widen_step(&mut self.query, &mut self.widener) {
+            self.query.within = None;
+        }
+        Ok(Phase::Plan)
+    }
+
+    /// The fetch phase, no lock held: charge the round, attribute the
+    /// plan's tuples, then submit every shard's slice through its gateway
+    /// *before* waiting on any — the round-trips ride the transport's
+    /// completion queues and overlap each other and other queries'
+    /// fetches. What came back goes straight to [`Self::install`].
+    fn fetch(&mut self, plan: FetchPlan, now: f64, cost: f64) -> Result<Phase, TrappError> {
+        if plan.complete {
+            self.complete_rounds += 1;
+            if self.complete_rounds > MAX_REPLAN_ROUNDS {
+                return Err(TrappError::Internal(format!(
+                    "phased execution did not converge in {} rounds \
+                     (bounds kept re-widening under the refresh plan)",
+                    self.complete_rounds
+                )));
+            }
+        } else {
+            self.join_rounds += 1;
+            if self.join_rounds > self.max_join_rounds {
+                return Err(TrappError::Internal(format!(
+                    "join refresh did not converge in {} rounds",
+                    self.join_rounds
+                )));
+            }
+        }
+        let work = self.attribute(&plan)?;
+        let requests = self.core.resolve_objects(&work)?;
+        let deadline = self.deadline.map(|d| self.enqueued + d);
+        let started = Instant::now();
+        let pending: Vec<(usize, PendingFetch)> = requests
+            .iter()
+            .enumerate()
+            .filter(|(_, batches)| !batches.is_empty())
+            .map(|(s, batches)| {
+                let shard = self.core.router.shard(s);
+                let pending = shard
+                    .gateway
+                    .begin_fetch(shard.cache_id, now, batches, deadline);
+                (s, pending)
+            })
+            .collect();
+        let outcomes: Vec<(usize, FetchOutcome)> = pending
+            .into_iter()
+            .map(|(s, pending)| (s, self.core.router.shard(s).gateway.finish_fetch(pending)))
+            .collect();
+        let took = started.elapsed();
+        self.ctx.fetch_us += took.as_micros() as u64;
+        self.core.observe_fetch(cost, took);
+        self.install(outcomes, plan.complete)
+    }
+
+    /// Records each unit's first cache-only answer, cost, rounds and
+    /// refreshed tuples — the final `Ready` pass sees pinned cells and
+    /// reports nothing refreshed — and splits the plan's tuples by owning
+    /// shard, in shard-local ids.
+    fn attribute(&mut self, plan: &FetchPlan) -> Result<Vec<Vec<(String, TupleId)>>, TrappError> {
+        let router = &self.core.router;
+        let mut work: Vec<Vec<(String, TupleId)>> = vec![Vec::new(); router.shard_count()];
+        // A batched join round may split one unit's picks across several
+        // same-key units (one per side-run); that is still one refresh
+        // round for the unit, counted once per key.
+        let mut counted_keys: HashSet<String> = HashSet::new();
+        for unit in &plan.units {
+            let rendered = render_key(&unit.key);
+            let entry = self.attr.entry(rendered.clone()).or_default();
+            entry.initial.get_or_insert(unit.initial);
+            let Some(fetch) = &unit.fetch else { continue };
+            entry.cost += fetch.refresh_cost;
+            if counted_keys.insert(rendered) {
+                entry.rounds += 1;
+            }
+            for &tid in &fetch.tuples {
+                let (s, local, global) = match self.route {
+                    Route::Single(s) => (s, tid, router.shard(s).global_tid(&fetch.table, tid)),
+                    Route::Scatter => {
+                        let (s, local) = router.locate(&fetch.table, tid)?;
+                        (s, local, tid)
+                    }
+                };
+                // A later round (concurrent clock advance) may re-plan a
+                // tuple already refreshed; report each tuple once.
+                if !entry
+                    .refreshed
+                    .iter()
+                    .any(|(t, id)| *id == global && t == &fetch.table)
+                {
+                    entry.refreshed.push((fetch.table.clone(), global));
+                }
+                work[s].push((fetch.table.clone(), local));
+            }
+        }
+        Ok(work)
+    }
+
+    /// The install phase: everything that arrived goes in — even from a
+    /// failed shard, whose sources already narrowed their tracked bounds —
+    /// before any failure surfaces. A clean round plans again; `complete`
+    /// is the round's [`FetchPlan::complete`].
+    fn install(
+        &mut self,
+        outcomes: Vec<(usize, FetchOutcome)>,
+        complete: bool,
+    ) -> Result<Phase, TrappError> {
+        let started = Instant::now();
+        let mut surviving = Vec::new();
+        let mut failed = Vec::new();
+        for (s, outcome) in outcomes {
+            {
+                let mut cache = self.core.router.shard(s).cache.lock();
+                for refresh in outcome.refreshes {
+                    cache.install_refresh(refresh)?;
+                }
+            }
+            let stats = &mut self.ctx.stats;
+            stats.round_trips += outcome.stats.round_trips;
+            stats.coalesced += outcome.stats.coalesced;
+            stats.forwarded += outcome.stats.forwarded;
+            if outcome.failures.is_empty() {
+                surviving.push(s);
+            } else {
+                failed.push((s, outcome.failures));
+            }
+        }
+        self.ctx.install_us += started.elapsed().as_micros() as u64;
+        if failed.is_empty() {
+            Ok(Phase::Plan)
+        } else {
+            self.degrade(surviving, failed, complete)
+        }
+    }
+
+    /// Degradation policy after a round lost sources. Strict refuses: with
+    /// the blown deadline when every failure was a timeout past it,
+    /// otherwise with the transport's error (one shard) or a
+    /// `PartialResult` (scatter). BestEffort excludes the failed sources
+    /// from the query's later plans and plans again over what is left —
+    /// a recovery, not a re-widening, so the round is refunded.
+    fn degrade(
+        &mut self,
+        surviving: Vec<usize>,
+        failed: Vec<(usize, Vec<(SourceId, TrappError)>)>,
+        complete: bool,
+    ) -> Result<Phase, TrappError> {
+        let first_error = failed[0].1[0].1.clone();
+        if self.core.degradation == DegradationPolicy::BestEffort {
+            self.fault_rounds += 1;
+            if self.fault_rounds > MAX_REPLAN_ROUNDS {
+                return Err(first_error);
+            }
+            let lost = failed
+                .iter()
+                .flat_map(|(_, fs)| fs.iter().map(|(src, _)| *src));
+            self.failed.extend(lost);
+            let refunded = if complete {
+                &mut self.complete_rounds
+            } else {
+                &mut self.join_rounds
+            };
+            *refunded = refunded.saturating_sub(1);
+            return Ok(Phase::Plan);
+        }
+        if let Some(limit) = self.deadline {
+            let elapsed = self.enqueued.elapsed();
+            let all_timeouts = failed
+                .iter()
+                .flat_map(|(_, fs)| fs)
+                .all(|(_, e)| matches!(e, TrappError::Timeout { .. }));
+            if all_timeouts && elapsed >= limit {
+                return Err(deadline_error(limit, elapsed, None));
+            }
+        }
+        Err(match self.route {
+            Route::Single(_) => first_error,
+            Route::Scatter => TrappError::PartialResult(Box::new(PartialFailure {
+                surviving_shards: surviving,
+                failed_shards: failed.iter().map(|(s, _)| *s).collect(),
+                sources: failed
+                    .into_iter()
+                    .flat_map(|(_, fs)| fs)
+                    .map(|(source, cause)| SourceFailure {
+                        source,
+                        cause: Box::new(cause),
+                    })
+                    .collect(),
+            })),
+        })
+    }
+
+    /// The answer phase. Strict never returns a late answer: past the
+    /// deadline, or at the end of an honorable-width probe, the installs
+    /// stand but the reply is the typed refusal. A constraint left unmet
+    /// because sources are dark is refused (Strict) or degraded
+    /// (BestEffort); one relaxed for load is degraded under either policy,
+    /// naming the original ask. The bound contains the exact answer
+    /// either way.
+    fn answer(
+        self,
+        outcome: QueryOutcome,
+    ) -> Result<(QueryOutcome, Option<DegradedInfo>), TrappError> {
+        let strict = self.core.degradation == DegradationPolicy::Strict;
+        if let (true, Some(limit)) = (strict, self.deadline) {
+            let elapsed = self.enqueued.elapsed();
+            if self.probing || elapsed >= limit {
+                let honorable = self.query.within.filter(|_| self.probing);
+                return Err(deadline_error(limit, elapsed, honorable));
+            }
+        }
+        let outcome = patch_outcome(outcome, &self.attr);
+        let (satisfied, width) = match &outcome {
+            QueryOutcome::Scalar(r) => (r.satisfied, r.answer.width()),
+            QueryOutcome::Grouped(gs) => (
+                gs.iter().all(|g| g.result.satisfied),
+                gs.iter()
+                    .map(|g| g.result.answer.width())
+                    .fold(0.0, f64::max),
+            ),
+        };
+        let short_of_sources = !satisfied && !self.dark.is_empty();
+        if short_of_sources && strict {
+            return Err(self.core.unavailable_error(self.route, &self.dark));
+        }
+        let load_shed = self.ctx.deadline_widened || self.admission_widened;
+        let degraded = (short_of_sources || load_shed).then(|| DegradedInfo {
+            dark_sources: sorted(self.dark.iter().copied()),
+            requested_width: self.requested,
+            achieved_width: width,
+            load_shed,
+        });
+        Ok((outcome, degraded))
+    }
+}
+
+/// Sources in ascending order.
+fn sorted(sources: impl Iterator<Item = SourceId>) -> Vec<SourceId> {
+    let mut sources: Vec<SourceId> = sources.collect();
+    sources.sort();
+    sources
+}

@@ -361,6 +361,37 @@ fn admission_ladder_widens_then_sheds_at_the_front_door() {
     service.shutdown();
 }
 
+/// Iterative mode (§8.2) reaches its reply through the same answer phase
+/// as every other shape, so an admission-widened iterative reply is
+/// marked degraded and names the original ask.
+#[test]
+fn admission_widened_iterative_reply_names_the_original_ask() {
+    let service = builder(
+        DegradationPolicy::BestEffort,
+        AdmissionConfig {
+            widen_watermark: 0,
+            widen_factor: 1000.0,
+            ..AdmissionConfig::default()
+        },
+    )
+    .build_direct()
+    .unwrap();
+    service.with_shard_cache(0, |cache| {
+        cache.session_mut().config.mode = trapp_core::ExecutionMode::Iterative(
+            trapp_core::refresh::iterative::IterativeHeuristic::BestRatio,
+        );
+    });
+    service.advance_clock(25.0);
+    let reply = service
+        .query("SELECT SUM(load) WITHIN 0.5 FROM metrics")
+        .unwrap();
+    assert_contains(&reply, 100.0, "admission-widened iterative global");
+    let degraded = reply.degraded.expect("a widened reply must be degraded");
+    assert!(degraded.load_shed);
+    assert_eq!(degraded.requested_width, Some(0.5));
+    service.shutdown();
+}
+
 /// BestEffort under uniform latency chaos with a deadline: zero errors,
 /// zero bound violations, and per-query latency bounded by the budget
 /// (plus scheduling slack) — precision floats instead of time.
