@@ -14,7 +14,11 @@
 //! unfiltered view pay after one pinned query's 212 installs landed in
 //! one group (`grouped_resync_one_group`, `unfiltered_resync_212_rows`),
 //! after a clock advance (`grouped_resync_after_advance`), and for an
-//! answer over a view nothing changed (`unfiltered_answer_unchanged`).
+//! answer over a view nothing changed (`unfiltered_answer_unchanged`);
+//! and the two whole-table rebuilds a clock advance costs the global
+//! queries, which are all per-tuple classification: the unfiltered view
+//! (`unfiltered_resync_after_advance`) and COUNT's `load > k` view
+//! (`filtered_resync_after_advance`).
 
 use std::cell::RefCell;
 
@@ -146,6 +150,7 @@ fn bench_view(c: &mut Criterion) {
             };
             let grouped = bind("SELECT SUM(load) FROM metrics GROUP BY grp");
             let unfiltered = bind("SELECT AVG(load) FROM metrics");
+            let filtered = bind("SELECT COUNT(*) FROM metrics WHERE load > 75");
             let one_group = &tids[5 * rows_per_group..][..INSTALLED];
             let mut views = ViewCache::default();
 
@@ -194,6 +199,33 @@ fn bench_view(c: &mut Criterion) {
                         view.sync(&table.borrow()).expect("no-op sync");
                         view.answer(Aggregate::Avg).expect("bounded")
                     })
+                },
+            );
+            group.bench_function(
+                BenchmarkId::new("unfiltered_resync_after_advance", &shape),
+                |b| {
+                    b.iter_with_setup(
+                        || {
+                            round += 1;
+                            rewiden(&mut table.borrow_mut(), &tids, round);
+                        },
+                        |()| view.sync(&table.borrow()).expect("resync"),
+                    )
+                },
+            );
+
+            let view = views.view_for("metrics", &filtered);
+            view.sync(&table.borrow()).expect("view builds");
+            group.bench_function(
+                BenchmarkId::new("filtered_resync_after_advance", &shape),
+                |b| {
+                    b.iter_with_setup(
+                        || {
+                            round += 1;
+                            rewiden(&mut table.borrow_mut(), &tids, round);
+                        },
+                        |()| view.sync(&table.borrow()).expect("resync"),
+                    )
                 },
             );
         }

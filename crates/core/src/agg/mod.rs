@@ -14,10 +14,10 @@ pub mod sum;
 
 use std::fmt;
 
-use trapp_expr::{eval, implied_interval, Band, Expr};
+use trapp_expr::{eval, implied_interval, Band, BinaryOp, Expr};
 use trapp_sql::AggregateFunc;
 use trapp_storage::Table;
-use trapp_types::{Interval, TrappError, TupleId};
+use trapp_types::{BoundedValue, Interval, TrappError, Tri, TupleId, Value};
 
 /// Re-export for convenience: the aggregate function enum comes from the
 /// SQL layer so parsed queries and direct API calls share one type.
@@ -174,12 +174,13 @@ pub(crate) fn refinement_for(
     }
 }
 
-/// The per-tuple classification + evaluation step shared by
-/// [`AggInput::build_filtered`] and the incremental band views
-/// ([`crate::view`]): classifies `row` against `predicate`, evaluates
-/// `arg`, and applies the Appendix D refinement. Returns `None` when the
-/// tuple lands in `T−` (including a `T?` tuple reclassified because the
-/// refinement emptied its bound).
+/// The per-tuple classification + evaluation step of
+/// [`AggInput::build_filtered`], and the reference [`Classifier`] — the
+/// band views' step ([`crate::view`]) — falls back to: classifies `row`
+/// against `predicate`, evaluates `arg` through the expression
+/// interpreter, and applies the Appendix D refinement. Returns `None`
+/// when the tuple lands in `T−` (including a `T?` tuple reclassified
+/// because the refinement emptied its bound).
 pub(crate) fn classify_tuple(
     predicate: Option<&Expr<usize>>,
     arg: Option<&Expr<usize>>,
@@ -199,6 +200,19 @@ pub(crate) fn classify_tuple(
         Some(e) => eval(e, row)?.as_interval()?,
         None => Interval::new_unchecked(1.0, 1.0),
     };
+    Ok(refine(band, interval, refinement, tid, cost))
+}
+
+/// The tail of the per-tuple step, shared by [`classify_tuple`] and
+/// [`Classifier`]: the item of a `T+`/`T?` tuple whose aggregation
+/// expression ranges over `interval`, after the Appendix D refinement.
+fn refine(
+    band: Band,
+    interval: Interval,
+    refinement: Option<Interval>,
+    tid: TupleId,
+    cost: f64,
+) -> Option<AggItem> {
     // Appendix D refinement: only sound for T? tuples (T+ tuples are
     // already known to satisfy the predicate, their values need no
     // conditioning — and for them the restriction holds anyway, so
@@ -213,16 +227,183 @@ pub(crate) fn classify_tuple(
             // original interval. A T? tuple cannot satisfy the predicate:
             // actually T−.
             None if band == Band::Plus => interval,
-            None => return Ok(None),
+            None => return None,
         },
         None => interval,
     };
-    Ok(Some(AggItem {
+    Some(AggItem {
         tid,
         band,
         interval,
         cost,
-    }))
+    })
+}
+
+/// The per-tuple step of the band views ([`crate::view`]): [`classify_tuple`]
+/// for one `(predicate, arg)`, compiled once.
+///
+/// The shapes the serving layer runs most — a bare-column argument (or
+/// none), and a predicate that is absent or an `AND` chain of numeric
+/// `column op literal` comparisons (literal on either side) — are read
+/// straight off the row: each comparison calls the `Interval::tri_*`
+/// method the interpreter would, on the operands in the order it would,
+/// and the chain folds with the same Kleene `AND`. Every other shape, and
+/// every row whose cell is not numeric, goes through [`classify_tuple`],
+/// which stays the reference: the two agree bit for bit, errors included
+/// (property-tested).
+pub(crate) struct Classifier {
+    predicate: Option<Expr<usize>>,
+    arg: Option<Expr<usize>>,
+    refinement: Option<Interval>,
+    /// The compiled form, when the shape has one.
+    direct: Option<Direct>,
+}
+
+/// A shape [`Classifier`] reads straight off the row.
+struct Direct {
+    /// The aggregation column; `None` is COUNT's unit interval.
+    arg: Option<usize>,
+    /// The predicate's conjuncts; none is no predicate.
+    tests: Vec<Test>,
+}
+
+/// One `column op literal` conjunct.
+struct Test {
+    column: usize,
+    op: BinaryOp,
+    literal: Interval,
+    /// The literal is the left operand (`5 < load`).
+    literal_left: bool,
+}
+
+impl Classifier {
+    pub(crate) fn new(predicate: Option<&Expr<usize>>, arg: Option<&Expr<usize>>) -> Classifier {
+        let direct = (|| {
+            let arg = match arg {
+                None => None,
+                Some(Expr::Column(c)) => Some(*c),
+                Some(_) => return None,
+            };
+            let mut tests = Vec::new();
+            if let Some(pred) = predicate {
+                compile_conjuncts(pred, &mut tests)?;
+            }
+            Some(Direct { arg, tests })
+        })();
+        Classifier {
+            refinement: refinement_for(predicate, arg),
+            predicate: predicate.cloned(),
+            arg: arg.cloned(),
+            direct,
+        }
+    }
+
+    /// The predicate this classifier was compiled from.
+    pub(crate) fn predicate(&self) -> Option<&Expr<usize>> {
+        self.predicate.as_ref()
+    }
+
+    /// [`classify_tuple`] of `row` under this classifier's shape.
+    pub(crate) fn classify(
+        &self,
+        tid: TupleId,
+        row: &trapp_storage::Row,
+        cost: f64,
+    ) -> Result<Option<AggItem>, TrappError> {
+        match self.direct.as_ref().and_then(|d| d.read(row)) {
+            Some(None) => Ok(None),
+            Some(Some((band, interval))) => Ok(refine(band, interval, self.refinement, tid, cost)),
+            None => classify_tuple(
+                self.predicate.as_ref(),
+                self.arg.as_ref(),
+                self.refinement,
+                tid,
+                row,
+                cost,
+            ),
+        }
+    }
+}
+
+/// Appends `e`'s conjuncts to `out`, or fails when one of them is not a
+/// numeric `column op literal` comparison.
+fn compile_conjuncts(e: &Expr<usize>, out: &mut Vec<Test>) -> Option<()> {
+    let Expr::Binary(op, l, r) = e else {
+        return None;
+    };
+    if *op == BinaryOp::And {
+        compile_conjuncts(l, out)?;
+        return compile_conjuncts(r, out);
+    }
+    if !op.is_comparison() {
+        return None;
+    }
+    let (column, literal, literal_left) = match (l.as_ref(), r.as_ref()) {
+        (Expr::Column(c), Expr::Literal(v)) => (*c, v, false),
+        (Expr::Literal(v), Expr::Column(c)) => (*c, v, true),
+        _ => return None,
+    };
+    let literal = match literal {
+        Value::Int(x) => Interval::point(*x as f64),
+        Value::Float(x) => Interval::point(*x),
+        Value::Str(_) | Value::Bool(_) => return None,
+    }
+    .ok()?;
+    out.push(Test {
+        column,
+        op: *op,
+        literal,
+        literal_left,
+    });
+    Some(())
+}
+
+/// The range of a numeric cell, as the interpreter reads a column: `None`
+/// for a cell it would not read as a number (the caller falls back).
+fn numeric(row: &trapp_storage::Row, column: usize) -> Option<Interval> {
+    match row.cell(column).ok()? {
+        BoundedValue::Bounded(iv) => Some(*iv),
+        BoundedValue::Exact(Value::Int(x)) => Interval::point(*x as f64).ok(),
+        BoundedValue::Exact(Value::Float(x)) => Interval::point(*x).ok(),
+        BoundedValue::Exact(_) => None,
+    }
+}
+
+impl Direct {
+    /// `Some(None)` for a `T−` row, `Some(Some((band, arg range)))` for
+    /// the others, `None` when a cell is not numeric.
+    fn read(&self, row: &trapp_storage::Row) -> Option<Option<(Band, Interval)>> {
+        let mut tri = Tri::True;
+        for t in &self.tests {
+            let cell = numeric(row, t.column)?;
+            let (x, y) = if t.literal_left {
+                (t.literal, cell)
+            } else {
+                (cell, t.literal)
+            };
+            tri = tri
+                & match t.op {
+                    BinaryOp::Eq => x.tri_eq(y),
+                    BinaryOp::Ne => x.tri_ne(y),
+                    BinaryOp::Lt => x.tri_lt(y),
+                    BinaryOp::Le => x.tri_le(y),
+                    BinaryOp::Gt => x.tri_gt(y),
+                    BinaryOp::Ge => x.tri_ge(y),
+                    _ => unreachable!("compiled from comparisons only"),
+                };
+        }
+        let band = Band::from_tri(tri);
+        if band == Band::Minus {
+            // Every remaining conjunct was read, so no row the
+            // interpreter would refuse slips through as `T−`.
+            return Some(None);
+        }
+        let interval = match self.arg {
+            Some(c) => numeric(row, c)?,
+            None => Interval::new_unchecked(1.0, 1.0),
+        };
+        Some(Some((band, interval)))
+    }
 }
 
 /// A bounded answer `[L_A, H_A]` guaranteed to contain the precise answer.
@@ -463,5 +644,243 @@ mod tests {
         assert!(sum.satisfies(Some(15.0)));
         assert!(!sum.satisfies(Some(14.9)));
         assert!(sum.satisfies(None));
+    }
+
+    /// A seeded generator of the rows and shapes the property test below
+    /// classifies (splitmix64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A value from a small grid, so that comparisons tie often;
+        /// `-0.0` rides along.
+        fn grid(&mut self) -> f64 {
+            [-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0][self.below(8)]
+        }
+    }
+
+    /// Columns of the property test's rows, by kind.
+    const INT: usize = 0;
+    const FLOAT: usize = 1;
+    const BOUNDED: [usize; 2] = [2, 3];
+    const STR: usize = 4;
+    const BOOL: usize = 5;
+    const NUMERIC: [usize; 4] = [INT, FLOAT, BOUNDED[0], BOUNDED[1]];
+
+    fn mixed_schema() -> std::sync::Arc<trapp_storage::Schema> {
+        use trapp_storage::{ColumnDef, Schema};
+        use trapp_types::ValueType;
+        Schema::new(vec![
+            ColumnDef::exact("i", ValueType::Int),
+            ColumnDef::exact("f", ValueType::Float),
+            ColumnDef::bounded_float("b1"),
+            ColumnDef::bounded_float("b2"),
+            ColumnDef::exact("s", ValueType::Str),
+            ColumnDef::exact("flag", ValueType::Bool),
+        ])
+        .unwrap()
+    }
+
+    fn mixed_row(rng: &mut Rng) -> trapp_storage::Row {
+        let mut bounded = || {
+            let lo = rng.grid();
+            let hi = lo + [0.0, 0.0, 0.5, 1.0, 3.0][rng.below(5)];
+            BoundedValue::bounded(lo, hi).unwrap()
+        };
+        let (b1, b2) = (bounded(), bounded());
+        let cells = vec![
+            BoundedValue::Exact(Value::Int(rng.below(5) as i64 - 2)),
+            BoundedValue::Exact(Value::Float(rng.grid())),
+            b1,
+            b2,
+            BoundedValue::Exact(Value::Str(["a", "b"][rng.below(2)].into())),
+            BoundedValue::Exact(Value::Bool(rng.below(2) == 0)),
+        ];
+        trapp_storage::Row::new(&mixed_schema(), cells).unwrap()
+    }
+
+    const COMPARISONS: [BinaryOp; 6] = [
+        BinaryOp::Eq,
+        BinaryOp::Ne,
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+    ];
+
+    /// `column op literal`, the literal on either side: an Int or Float
+    /// literal over any numeric column.
+    fn numeric_test(rng: &mut Rng) -> Expr<usize> {
+        let column = Expr::Column(NUMERIC[rng.below(4)]);
+        let literal = Expr::Literal(match rng.below(2) {
+            0 => Value::Int(rng.below(5) as i64 - 2),
+            _ => Value::Float(rng.grid()),
+        });
+        let op = COMPARISONS[rng.below(6)];
+        match rng.below(2) {
+            0 => Expr::binary(op, column, literal),
+            _ => Expr::binary(op, literal, column),
+        }
+    }
+
+    /// An `AND` of 1–4 numeric tests, nested at random.
+    fn numeric_chain(rng: &mut Rng) -> Expr<usize> {
+        let mut e = numeric_test(rng);
+        for _ in 0..rng.below(4) {
+            e = match rng.below(2) {
+                0 => Expr::and(e, numeric_test(rng)),
+                _ => Expr::and(numeric_test(rng), e),
+            };
+        }
+        e
+    }
+
+    /// A predicate `Classifier` must hand to `classify_tuple`, whole or
+    /// row by row, and whether its shape compiles (row by row) or not
+    /// (whole).
+    fn fallback_predicate(rng: &mut Rng) -> (Expr<usize>, bool) {
+        let lit = |v: f64| Expr::Literal(Value::Float(v));
+        match rng.below(7) {
+            0 => (
+                Expr::binary(BinaryOp::Or, numeric_test(rng), numeric_test(rng)),
+                false,
+            ),
+            1 => (
+                Expr::Unary(trapp_expr::UnaryOp::Not, Box::new(numeric_test(rng))),
+                false,
+            ),
+            2 => (
+                Expr::binary(
+                    COMPARISONS[rng.below(6)],
+                    Expr::binary(BinaryOp::Add, Expr::Column(BOUNDED[0]), lit(1.0)),
+                    lit(rng.grid()),
+                ),
+                false,
+            ),
+            3 => (
+                Expr::binary(
+                    BinaryOp::Lt,
+                    Expr::Column(BOUNDED[0]),
+                    Expr::Column(BOUNDED[1]),
+                ),
+                false,
+            ),
+            4 => (
+                Expr::binary(
+                    BinaryOp::Eq,
+                    Expr::Column(STR),
+                    Expr::Literal(Value::Str("a".into())),
+                ),
+                false,
+            ),
+            // A string or boolean column against a numeric literal: the
+            // shape compiles, every row falls back, and the refusal must
+            // be the interpreter's.
+            5 => (
+                Expr::binary(
+                    COMPARISONS[rng.below(6)],
+                    Expr::Column([STR, BOOL][rng.below(2)]),
+                    lit(rng.grid()),
+                ),
+                true,
+            ),
+            _ => {
+                let (tail, compiles) = fallback_predicate(rng);
+                (Expr::and(numeric_chain(rng), tail), compiles)
+            }
+        }
+    }
+
+    /// The direct per-tuple step against the interpreter's, bit for bit:
+    /// the item (band, interval bits, cost) or the error, over Int,
+    /// Float and bounded columns, literals on either side, `AND` chains,
+    /// and the shapes that must fall back — `OR`, `NOT`, arithmetic,
+    /// column-to-column, string and boolean columns.
+    #[test]
+    fn direct_classifier_matches_classify_tuple() {
+        // 10⁴ cases in release (CI's view-maintenance job); a smoke count
+        // in debug.
+        let cases = if cfg!(debug_assertions) { 300 } else { 10_000 };
+        let mut rng = Rng(0x5EED_C1A5);
+        let (mut direct_rows, mut errors) = (0, 0);
+        for case in 0..cases {
+            let (predicate, compiles) = match rng.below(6) {
+                0 => (None, true),
+                1..=3 => (Some(numeric_chain(&mut rng)), true),
+                _ => {
+                    let (p, compiles) = fallback_predicate(&mut rng);
+                    (Some(p), compiles)
+                }
+            };
+            let (arg, arg_compiles) = match rng.below(5) {
+                0 => (None, true),
+                1 => (Some(Expr::Column(STR)), true),
+                2 => (
+                    Some(Expr::binary(
+                        BinaryOp::Mul,
+                        Expr::Column(BOUNDED[1]),
+                        Expr::Literal(Value::Float(2.0)),
+                    )),
+                    false,
+                ),
+                _ => (Some(Expr::Column(NUMERIC[rng.below(4)])), true),
+            };
+            let classifier = Classifier::new(predicate.as_ref(), arg.as_ref());
+            assert_eq!(
+                classifier.direct.is_some(),
+                compiles && arg_compiles,
+                "case {case}: which shapes compile, {predicate:?} / {arg:?}"
+            );
+            let refinement = refinement_for(predicate.as_ref(), arg.as_ref());
+            for k in 0..16u64 {
+                let row = mixed_row(&mut rng);
+                let (tid, cost) = (TupleId::new(k + 1), 0.5 + rng.below(4) as f64);
+                if let Some(d) = &classifier.direct {
+                    direct_rows += u64::from(d.read(&row).is_some());
+                }
+                let got = classifier.classify(tid, &row, cost);
+                let want = classify_tuple(
+                    predicate.as_ref(),
+                    arg.as_ref(),
+                    refinement,
+                    tid,
+                    &row,
+                    cost,
+                );
+                let bits = |r: &Result<Option<AggItem>, TrappError>| match r {
+                    Ok(item) => Ok(item.map(|i| {
+                        let iv = i.interval;
+                        (
+                            i.tid,
+                            i.band,
+                            iv.lo().to_bits(),
+                            iv.hi().to_bits(),
+                            i.cost.to_bits(),
+                        )
+                    })),
+                    Err(e) => Err(e.to_string()),
+                };
+                errors += u64::from(want.is_err());
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "case {case}, row {k}: {predicate:?} / {arg:?} over {row:?}"
+                );
+            }
+        }
+        // Non-vacuity: both the direct reads and the refusals happened.
+        assert!(direct_rows > cases as u64 * 4, "{direct_rows} direct rows");
+        assert!(errors > 0);
     }
 }

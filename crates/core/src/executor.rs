@@ -200,15 +200,21 @@ impl QuerySession {
     /// replays, evicted views included) — the planning work that should
     /// track candidate-set sizes, not table sizes.
     pub fn view_tuples_classified(&self) -> u64 {
-        self.views().tuples_classified()
+        self.view_work().tuples_classified
     }
 
-    /// Items this session's band views have written into a canonical
-    /// vector or a group partition so far (repairs and rebuilds, evicted
-    /// views included) — the planning work that should track the groups
-    /// a change lands in, not the table.
+    /// Items this session's band views have written into an input or a
+    /// group partition so far (repairs and rebuilds, evicted views
+    /// included) — the planning work that should track the tuples a
+    /// change reaches, not the table.
     pub fn view_items_repartitioned(&self) -> u64 {
-        self.views().items_repartitioned()
+        self.view_work().items_repartitioned
+    }
+
+    /// Every maintenance counter of this session's band views, evicted
+    /// views included.
+    pub fn view_work(&self) -> crate::view::ViewWork {
+        self.views().work()
     }
 
     /// Mutable access (e.g. for value-initiated refreshes pushed by

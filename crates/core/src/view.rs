@@ -8,15 +8,26 @@
 //! rescan cost is gone; this module removes it.
 //!
 //! A [`BandView`] memoizes, per `(table, predicate, arg, group_by)` key,
-//! the classified view of the table: the canonical [`AggInput`] (all `T+`
-//! items in tuple-id order, then all `T?` items — exactly
-//! `build_filtered`'s order) plus, for grouped queries, one such input
-//! per group. The view stays valid across queries and plan passes; when
-//! the table changes, [`BandView::sync`] replays only the tuples the
-//! table's change log names ([`trapp_storage::Table::changes_since`]),
-//! re-running the *identical* per-tuple classification step
-//! (`classify_tuple`) the from-scratch build uses — which is why a synced
-//! view is bit-identical to a fresh build (property-tested).
+//! the classified view of the table. A *scalar* view holds one
+//! [`AggInput`] (all `T+` items in tuple-id order, then all `T?` items —
+//! exactly `build_filtered`'s order); a *grouped* view holds one such
+//! input per group and nothing for the whole table. The view stays valid
+//! across queries and plan passes; when the table changes,
+//! [`BandView::sync`] replays only the tuples the table's change log names
+//! ([`trapp_storage::Table::changes_since`]). Each replayed tuple goes
+//! through the per-tuple step the from-scratch build runs: a predicate
+//! that is absent or an `AND` chain of numeric `column op literal`
+//! comparisons, and a bare-column argument, are read straight off the row
+//! by the same `Interval::tri_*` calls the interpreter makes; every other
+//! shape runs `classify_tuple` itself. That is why a synced view is
+//! bit-identical to a fresh build (both property-tested).
+//!
+//! A replay costs the tuples it names, written where they already sit:
+//! while every replayed tuple keeps its band (a tuple with no item counts
+//! as `T−`), its item is overwritten at its slot in its band segment,
+//! found by galloping forward from the previous tuple's slot. Only a
+//! tuple that enters, leaves or changes band makes a partition re-merge
+//! — one linear walk per band segment.
 //!
 //! Invalidation is pull-based: every `Table` mutation (refresh install,
 //! value-initiated update, clock-advance re-materialization, cost change)
@@ -44,33 +55,34 @@
 //!   costs `O(|candidates|)`, and a view left idle until the log was
 //!   compacted past it still resyncs instead of rebuilding.
 //!
-//! Views without that structure (no predicate, or grouped) replay the
+//! Other scalar views (no predicate, or no exact conjunct) replay the
 //! full dirty set and fall back to a rebuild when more than half the
 //! table changed.
 //!
 //! A **grouped** view makes a cache-served `GROUP BY` cost the change,
-//! not the table. Its per-group inputs are the state it maintains, not a
-//! product re-derived from the canonical vector: every distinct group key
-//! is interned to a dense id the first time a row carries it, each row
-//! remembers its id, and a replay repairs exactly the partitions its
-//! dirty tuples leave or enter — by the same merge step that repairs the
-//! canonical vector — while every other group's input is not touched.
+//! not the table. Its per-group inputs are the only state it keeps: every
+//! distinct group key is interned to a dense id the first time a row
+//! carries it, and each row remembers its id. While no exact cell has
+//! moved since the last sync, a replayed row keeps that id without its
+//! key being looked up again, and no change set — not even a clock
+//! advance that re-widened every bound — makes the view rebuild: it
+//! replays the log tail, or every row it holds. A replay repairs exactly
+//! the partitions its tuples are in, leave or enter; every other group's
+//! input is not touched.
 //!
-//! Each input (the canonical one and every group's) also keeps the
+//! Each input (a scalar view's and every group's) also keeps the
 //! [`BoundedAnswer`]s folded over it since its last repair, so an input
 //! nothing has changed answers again without a fold. The one
-//! invalidation rule: the repair that rewrites an input drops that
-//! input's answers, and nothing else does.
+//! invalidation rule: a repair that writes an item of an input (or a
+//! slack change) drops that input's answers, and nothing else does.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use trapp_expr::{Band, BinaryOp, Expr};
 use trapp_storage::{Row, Table};
-use trapp_types::{Interval, TrappError, TupleId, Value};
+use trapp_types::{TrappError, TupleId, Value};
 
-use crate::agg::{
-    bounded_answer, classify_tuple, refinement_for, AggInput, AggItem, Aggregate, BoundedAnswer,
-};
+use crate::agg::{bounded_answer, AggInput, AggItem, Aggregate, BoundedAnswer, Classifier};
 use crate::group_by::{render_key, GroupKey};
 use crate::plan::BoundQuery;
 
@@ -88,31 +100,69 @@ const MAX_VIEWS: usize = 256;
 /// (256 reclassifications to dodge a 400-entry filter that names a few).
 const REPLAY_IN_LOG_ENTRIES: usize = 4;
 
-/// Replacement items for one partition, split by band, each ascending by
-/// tuple id (replays and scans both visit tuples in that order).
+/// One replayed tuple's outcome in one partition: its item after the
+/// pass, or `None` when it has none there (`T−`, deleted, or moved to
+/// another group). A pass lists its tuples ascending by id.
+type Replayed = (TupleId, Option<AggItem>);
+
+/// What one pass writes: the scalar view's replay, or each touched
+/// group's.
 #[derive(Default)]
-struct Fresh {
-    plus: Vec<AggItem>,
-    question: Vec<AggItem>,
+struct Patches {
+    whole: Vec<Replayed>,
+    /// Replays by group id; `touched` lists the ids with one.
+    groups: Vec<Vec<Replayed>>,
+    touched: Vec<u32>,
 }
 
-impl Fresh {
-    fn push(&mut self, item: AggItem) {
-        if item.band == Band::Plus {
-            self.plus.push(item);
-        } else {
-            self.question.push(item);
+impl Patches {
+    /// Files `replayed` under group `id`'s replay.
+    fn group(&mut self, id: u32, replayed: Replayed) {
+        let at = id as usize;
+        if at >= self.groups.len() {
+            self.groups.resize_with(at + 1, Vec::new);
         }
+        if self.groups[at].is_empty() {
+            self.touched.push(id);
+        }
+        self.groups[at].push(replayed);
     }
 }
 
-/// One classified input — the whole view's or one group's — with the
+/// What a view's maintenance has cost so far — the work counters the
+/// complexity claims in the module docs are checked against.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ViewWork {
+    /// Rows the per-tuple step (stickiness test → classification) has
+    /// run on: builds and replays.
+    pub tuples_classified: u64,
+    /// Items written into a partition by a repair or a rebuild.
+    pub items_repartitioned: u64,
+    /// Repairs that overwrote items where they sat: every replayed tuple
+    /// kept its band.
+    pub in_place_repairs: u64,
+    /// Repairs that re-merged a partition because a tuple entered, left
+    /// or changed band.
+    pub merge_repairs: u64,
+}
+
+impl std::ops::AddAssign for ViewWork {
+    fn add_assign(&mut self, other: ViewWork) {
+        self.tuples_classified += other.tuples_classified;
+        self.items_repartitioned += other.items_repartitioned;
+        self.in_place_repairs += other.in_place_repairs;
+        self.merge_repairs += other.merge_repairs;
+    }
+}
+
+/// One classified input — a scalar view's or one group's — with the
 /// bounded answers folded over it since it was last repaired.
 #[derive(Default)]
 struct Partition {
     /// Plus-prefix, question-suffix, each ascending by tuple id.
     input: AggInput,
-    /// `(aggregate, answer over input)`, dropped by [`Partition::repair`].
+    /// `(aggregate, answer over input)`, dropped by every repair that
+    /// writes an item.
     answers: Vec<(Aggregate, BoundedAnswer)>,
 }
 
@@ -129,44 +179,109 @@ impl Partition {
         Ok(answer)
     }
 
-    /// Repairs the item vector in **one** merge pass per band segment —
-    /// the `retracted` tuples' items dropped, `fresh` merged in — so a
-    /// replay costs `O(n + Δ)` memory traffic instead of `Δ` vector
-    /// splices. Returns the number of items the repaired input holds
+    /// Brings the input to `replay`'s outcome and returns the items
+    /// written. While every replayed tuple keeps its band (no item
+    /// counts as `T−`) each item is overwritten at its slot, found by
+    /// galloping forward through its band segment (replays ascend) —
+    /// `O(Δ log(n/Δ))`; the first tuple that enters, leaves or changes
+    /// band hands the whole replay to [`Partition::merge`].
+    fn repair(&mut self, replay: &[Replayed], work: &mut ViewWork) -> u64 {
+        let plus_items = self.input.plus_items;
+        let (mut plus_at, mut question_at) = (0, plus_items);
+        let mut written = 0;
+        for &(tid, fresh) in replay {
+            let items = &self.input.items;
+            plus_at = seek(&items[..plus_items], plus_at, tid, |i| i.tid);
+            question_at = seek(items, question_at, tid, |i| i.tid);
+            let slot = [plus_at, question_at]
+                .into_iter()
+                .find(|&at| items.get(at).is_some_and(|i| i.tid == tid));
+            match (slot, fresh) {
+                (None, None) => {}
+                (Some(at), Some(item)) if items[at].band == item.band => {
+                    self.input.items[at] = item;
+                    written += 1;
+                }
+                // The items already overwritten are replayed tuples',
+                // which the merge drops and files again.
+                _ => {
+                    work.merge_repairs += 1;
+                    return self.merge(replay);
+                }
+            }
+        }
+        if written > 0 {
+            work.in_place_repairs += 1;
+            self.answers.clear();
+        }
+        written
+    }
+
+    /// Rewrites the item vector in **one** merge pass per band segment —
+    /// the replayed tuples' old items dropped, their new ones merged in —
+    /// so a band change costs `O(n + Δ)` memory traffic instead of `Δ`
+    /// vector splices. Returns the number of items the input now holds
     /// (each was copied once).
-    fn repair(&mut self, retracted: &[TupleId], fresh: Fresh) -> u64 {
+    fn merge(&mut self, replay: &[Replayed]) -> u64 {
         let old = std::mem::take(&mut self.input.items);
         let (old_plus, old_question) = old.split_at(self.input.plus_items);
-        let mut items = Vec::with_capacity(old.len() + fresh.plus.len() + fresh.question.len());
-        merge_repair(&mut items, old_plus, retracted, &fresh.plus);
+        let mut items = Vec::with_capacity(old.len() + replay.len());
+        merge_band(&mut items, old_plus, replay, Band::Plus);
         self.input.plus_items = items.len();
-        merge_repair(&mut items, old_question, retracted, &fresh.question);
+        merge_band(&mut items, old_question, replay, Band::Question);
         self.input.items = items;
         self.answers.clear();
         self.input.items.len() as u64
     }
+
+    /// Sets the input's `T−` count and slack. Answers do not read the
+    /// count, but a value aggregate refuses under slack, so a slack
+    /// change drops them.
+    fn set_counts(&mut self, minus_count: usize, slack: (u64, u64)) {
+        self.input.minus_count = minus_count;
+        if self.input.cardinality_slack != slack {
+            self.input.cardinality_slack = slack;
+            self.answers.clear();
+        }
+    }
+}
+
+/// The first index at or after `from` whose key is not below `tid`, in
+/// `items` ascending by key: gallops from `from`, then bisects the last
+/// stride — a few steps when successive calls ask for nearby ids.
+fn seek<T>(items: &[T], from: usize, tid: TupleId, key: impl Fn(&T) -> TupleId) -> usize {
+    let (mut lo, mut hi, mut stride) = (from, from, 1);
+    while hi < items.len() && key(&items[hi]) < tid {
+        lo = hi + 1;
+        hi += stride;
+        stride *= 2;
+    }
+    let hi = hi.min(items.len());
+    lo + items[lo..hi].partition_point(|x| key(x) < tid)
 }
 
 /// Appends one repaired band segment to `out`: `old` (tid-sorted) without
-/// the tuples in `retracted` (sorted), and `fresh` (tid-sorted, disjoint
-/// from the kept old items) merged in by tuple id — one forward walk over
-/// all three.
-fn merge_repair(out: &mut Vec<AggItem>, old: &[AggItem], retracted: &[TupleId], fresh: &[AggItem]) {
-    let (mut r, mut f) = (0, 0);
+/// the replayed tuples, and the replayed tuples' `band` items merged in
+/// by tuple id — one forward walk over both.
+fn merge_band(out: &mut Vec<AggItem>, old: &[AggItem], replay: &[Replayed], band: Band) {
+    let mut fresh = replay
+        .iter()
+        .filter_map(|&(_, item)| item.filter(|i| i.band == band))
+        .peekable();
+    let mut r = 0;
     for item in old {
-        while r < retracted.len() && retracted[r] < item.tid {
+        while r < replay.len() && replay[r].0 < item.tid {
             r += 1;
         }
-        if r < retracted.len() && retracted[r] == item.tid {
+        if r < replay.len() && replay[r].0 == item.tid {
             continue; // its replacement, if any, rides `fresh`
         }
-        while f < fresh.len() && fresh[f].tid < item.tid {
-            out.push(fresh[f]);
-            f += 1;
+        while let Some(f) = fresh.next_if(|f| f.tid < item.tid) {
+            out.push(f);
         }
         out.push(*item);
     }
-    out.extend_from_slice(&fresh[f..]);
+    out.extend(fresh);
 }
 
 /// A hashable image of one group-key value. Two keys are made of equal
@@ -203,15 +318,6 @@ struct Group {
     /// The group's input — bit-identical to `build_filtered` under the
     /// group's member filter — and its answers.
     part: Partition,
-}
-
-/// What one replay changes in one group.
-#[derive(Default)]
-struct GroupPatch {
-    /// Tuples that were members before the replay (ascending): each left
-    /// the group or re-enters it through `fresh`.
-    retracted: Vec<TupleId>,
-    fresh: Fresh,
 }
 
 /// Marks a deleted tuple's [`Groups::of_tuple`] entry for the sweep at the
@@ -281,9 +387,17 @@ impl Groups {
             .partition_point(|&id| self.slots[id as usize].rendered.as_str() < rendered)
     }
 
-    /// Applies one group's patch: repairs its partition, or — when its
-    /// last member left — retires the group. Returns the items copied.
-    fn repair(&mut self, id: u32, patch: GroupPatch, slack: (u64, u64)) -> u64 {
+    /// Applies one group's replay: repairs its partition (`rebuilt`: fills
+    /// the fresh one), or — when its last member left — retires the
+    /// group. Returns the items written.
+    fn repair(
+        &mut self,
+        id: u32,
+        replay: &[Replayed],
+        slack: (u64, u64),
+        rebuilt: bool,
+        work: &mut ViewWork,
+    ) -> u64 {
         if self.slots[id as usize].members == 0 {
             let rank = self.rank_of(&self.slots[id as usize].rendered);
             self.order.remove(rank);
@@ -300,27 +414,31 @@ impl Groups {
             return 0;
         }
         let group = &mut self.slots[id as usize];
-        let copied = group.part.repair(&patch.retracted, patch.fresh);
-        group.part.input.minus_count = group.members - group.part.input.items.len();
-        group.part.input.cardinality_slack = slack;
-        copied
+        let written = if rebuilt {
+            group.part.merge(replay)
+        } else {
+            group.part.repair(replay, work)
+        };
+        let minus_count = group.members - group.part.input.items.len();
+        group.part.set_counts(minus_count, slack);
+        written
     }
 }
 
 /// A memoized classified view of one table under one `(predicate, arg,
 /// group_by)` shape. See the module docs.
 pub struct BandView {
-    predicate: Option<Expr<usize>>,
-    arg: Option<Expr<usize>>,
+    /// The per-tuple step, compiled from the predicate and argument.
+    step: Classifier,
     group_by: Vec<usize>,
-    refinement: Option<Interval>,
     /// The table version the view is synced to.
     version: u64,
-    /// The canonical whole-table input (plus-prefix, question-suffix,
-    /// each ascending by tuple id). Scalar views keep **no** per-tuple
-    /// side state at all: every live row is classified exactly once, so
+    /// A *scalar* view's input (plus-prefix, question-suffix, each
+    /// ascending by tuple id). Scalar views keep **no** per-tuple side
+    /// state at all: every live row is classified exactly once, so
     /// `minus_count ≡ table.len() − items.len()` and a rebuild costs
-    /// exactly what the scan-based build costs.
+    /// exactly what the scan-based build costs. Empty in a grouped view,
+    /// whose inputs are its partitions.
     whole: Partition,
     /// The per-group partitions of a *grouped* view; empty otherwise.
     groups: Groups,
@@ -335,7 +453,8 @@ pub struct BandView {
     /// Largest tuple id the view has accounted for; live ids above it
     /// are fresh inserts and always classify.
     max_tid: u64,
-    /// The table's exact-cell version the stickiness analysis holds for.
+    /// The table's exact-cell version at the last sync: while it stands,
+    /// the sticky analysis holds and a replayed row keeps its group.
     exact_epoch: u64,
     /// Bounded columns of the table (for the stickiness evaluation).
     bounded_cols: Vec<usize>,
@@ -346,12 +465,11 @@ pub struct BandView {
     exact_conjuncts: Vec<Expr<usize>>,
     /// LRU stamp maintained by [`ViewCache`].
     last_used: u64,
-    /// Rows the per-tuple step (stickiness test → `classify_tuple`) has
-    /// run on, over the view's lifetime.
-    tuples_classified: u64,
-    /// Items written into the canonical vector or a group partition by a
-    /// repair or rebuild, over the view's lifetime.
-    items_repartitioned: u64,
+    /// The last pass's emptied replay buffers, kept so that a pass over
+    /// the whole table does not allocate them again.
+    patches: Patches,
+    /// Maintenance work over the view's lifetime.
+    work: ViewWork,
     /// `bounded_answer` folds run because no memoized answer stood.
     answers_folded: u64,
 }
@@ -359,9 +477,7 @@ pub struct BandView {
 impl BandView {
     fn new(predicate: Option<&Expr<usize>>, arg: Option<&Expr<usize>>, group_by: &[usize]) -> Self {
         BandView {
-            refinement: refinement_for(predicate, arg),
-            predicate: predicate.cloned(),
-            arg: arg.cloned(),
+            step: Classifier::new(predicate, arg),
             group_by: group_by.to_vec(),
             version: 0,
             whole: Partition::default(),
@@ -372,8 +488,8 @@ impl BandView {
             bounded_cols: Vec::new(),
             exact_conjuncts: Vec::new(),
             last_used: 0,
-            tuples_classified: 0,
-            items_repartitioned: 0,
+            patches: Patches::default(),
+            work: ViewWork::default(),
             answers_folded: 0,
         }
     }
@@ -398,16 +514,28 @@ impl BandView {
         Ok(false)
     }
 
-    /// The synced whole-table input — bit-identical to
-    /// `AggInput::build_filtered(table, predicate, arg, |_, _| true)`.
+    /// A **scalar** view's synced input — bit-identical to
+    /// `AggInput::build_filtered(table, predicate, arg, |_, _| true)`. A
+    /// grouped view keeps no whole-table input; read its groups through
+    /// [`BandView::group`].
     pub fn input(&self) -> &AggInput {
+        debug_assert!(
+            self.group_by.is_empty(),
+            "a grouped view has no whole input"
+        );
         &self.whole.input
     }
 
-    /// The bounded `agg` answer over [`BandView::input`] — bit-identical
-    /// to `bounded_answer(agg, view.input())`, folded only when a repair
-    /// has changed the input since the last call for `agg`.
+    /// The bounded `agg` answer over a **scalar** view's
+    /// [`BandView::input`] — bit-identical to `bounded_answer(agg,
+    /// view.input())`, folded only when a repair has changed the input
+    /// since the last call for `agg`. Grouped views answer per group
+    /// ([`BandView::group_answer`]).
     pub fn answer(&mut self, agg: Aggregate) -> Result<BoundedAnswer, TrappError> {
+        debug_assert!(
+            self.group_by.is_empty(),
+            "a grouped view has no whole input"
+        );
         self.whole.answer(agg, &mut self.answers_folded)
     }
 
@@ -433,19 +561,12 @@ impl BandView {
         group.part.answer(agg, &mut self.answers_folded)
     }
 
-    /// How many rows this view has examined (built or replayed) so far:
-    /// the work a selective view is meant to keep proportional to its
-    /// candidate set rather than the table.
-    pub fn tuples_classified(&self) -> u64 {
-        self.tuples_classified
-    }
-
-    /// How many items this view has written into its canonical vector or
-    /// a group partition so far (repairs and rebuilds): the work a
-    /// grouped view is meant to keep proportional to the groups a change
-    /// lands in rather than the table.
-    pub fn items_repartitioned(&self) -> u64 {
-        self.items_repartitioned
+    /// What maintaining this view has cost so far: rows examined, which
+    /// a selective view keeps proportional to its candidate set, and items
+    /// written, which every view keeps proportional to the tuples a change
+    /// reaches rather than the table.
+    pub fn work(&self) -> ViewWork {
+        self.work
     }
 
     /// Brings the view up to `table`'s current version, replaying only the
@@ -489,12 +610,40 @@ impl BandView {
                 };
                 self.apply_changes(table, &dirty)
             }
-            // No candidate set (unfiltered or grouped view — a scalar
-            // predicate view whose exact epoch moved rebuilds instead,
-            // which is what re-derives its candidate set): replaying more
-            // than half the table costs more than a clean rebuild. The
-            // raw entry count over-approximates the distinct tuple count,
-            // so this can only over-rebuild, never under-replay.
+            // A grouped view whose exact epoch stands: every row it holds
+            // keeps its group, so no change set — a clock advance that
+            // re-widened every bound, a log compacted past the view —
+            // needs the groups derived again. It replays the log tail, or
+            // when that is longer, every row it holds plus the rows
+            // inserted since.
+            (None, entries)
+                if !self.group_by.is_empty()
+                    && self.version > 0
+                    && self.exact_epoch == table.exact_version() =>
+            {
+                let members = &self.groups.of_tuple;
+                let dirty: Vec<TupleId> = match entries {
+                    Some(entries) if entries.len() <= members.len() => {
+                        let mut dirty: Vec<TupleId> = entries.iter().map(|&(_, t)| t).collect();
+                        dirty.sort_unstable();
+                        dirty.dedup();
+                        dirty
+                    }
+                    _ => members
+                        .iter()
+                        .map(|m| m.0)
+                        .chain(table.tuple_ids_after(TupleId::new(self.max_tid)))
+                        .collect(),
+                };
+                self.apply_changes(table, &dirty)
+            }
+            // No candidate set and no groups to keep (an unfiltered view,
+            // a grouped one whose exact epoch moved — a scalar predicate
+            // view whose exact epoch moved rebuilds too, which is what
+            // re-derives its candidate set): replaying more than half the
+            // table costs more than a clean rebuild. The raw entry count
+            // over-approximates the distinct tuple count, so this can only
+            // over-rebuild, never under-replay.
             (None, Some(entries)) if entries.len() * 2 <= table.len() => {
                 let mut dirty: Vec<TupleId> = entries.iter().map(|&(_, t)| t).collect();
                 dirty.sort_unstable();
@@ -506,6 +655,7 @@ impl BandView {
         match result {
             Ok(()) => {
                 self.version = table.version();
+                self.exact_epoch = table.exact_version();
                 Ok(())
             }
             Err(e) => {
@@ -530,29 +680,34 @@ impl BandView {
     /// an evaluation error confined to them does not surface — as on the
     /// sticky replay path.
     fn rebuild(&mut self, table: &Table) -> Result<(), TrappError> {
+        let mut reused = std::mem::take(&mut self.whole.input.items);
+        reused.clear();
         self.reset();
         self.exact_epoch = table.exact_version();
         self.bounded_cols = table.schema().bounded_columns();
         let mut conjuncts = Vec::new();
-        if let Some(pred) = &self.predicate {
+        if let Some(pred) = self.step.predicate() {
             collect_exact_conjuncts(pred, &self.bounded_cols, &mut conjuncts);
         }
         self.exact_conjuncts = conjuncts;
         let mut candidates = self.sticky_eligible().then(Vec::new);
         // A pin is an exact conjunct of a scalar view, so only views that
         // keep a candidate set skip rows.
-        let pinned = pinned_rows(table, self.predicate.as_ref(), &self.group_by);
+        let pinned = pinned_rows(table, self.step.predicate(), &self.group_by);
         let rows: Box<dyn Iterator<Item = Result<(TupleId, &Row), TrappError>> + '_> = match &pinned
         {
             Some(tids) => Box::new(tids.iter().map(|&tid| Ok((tid, table.row(tid)?)))),
             None => Box::new(table.scan().map(Ok)),
         };
         self.max_tid = table.tuple_ids().next_back().map_or(0, TupleId::raw);
-        let mut whole = Fresh::default();
-        let mut patches = BTreeMap::new();
+        // A scalar input is filled directly, `T+` into the old input's
+        // allocation: a rebuild after every bound moved would otherwise
+        // fault a fresh vector's pages in each time.
+        let (mut plus, mut question) = (reused, Vec::new());
+        let mut patches = std::mem::take(&mut self.patches);
         for entry in rows {
             let (tid, row) = entry?;
-            self.tuples_classified += 1;
+            self.work.tuples_classified += 1;
             if let Some(cands) = &mut candidates {
                 if self.is_sticky_minus(row)? {
                     // Pinned in T− by exact cells: no item, and replays
@@ -561,51 +716,50 @@ impl BandView {
                 }
                 cands.push(tid);
             }
-            self.classify_into(table, tid, row, None, &mut whole, &mut patches)?;
+            if !self.group_by.is_empty() {
+                self.classify_into(table, tid, row, None, &mut patches)?;
+            } else if let Some(item) = self.step.classify(tid, row, table.cost(tid)?)? {
+                match item.band {
+                    Band::Plus => plus.push(item),
+                    _ => question.push(item),
+                }
+            }
         }
-        self.commit(table, &[], whole, patches);
+        self.whole.input.plus_items = plus.len();
+        plus.append(&mut question);
+        self.work.items_repartitioned += plus.len() as u64;
+        self.whole.input.items = plus;
+        self.commit(table, patches, true);
         self.candidates = candidates;
         Ok(())
     }
 
     /// Replays a batch of changed tuples (`dirty` sorted, deduplicated):
-    /// retracts each tuple's old group membership, reclassifies the live
-    /// ones with the *identical* per-tuple step the scan build uses, and
-    /// repairs the canonical vector and the partitions of the groups
-    /// those tuples left or entered — no other group's.
+    /// reclassifies the live ones with the per-tuple step the build uses,
+    /// moves a row between groups only when an exact cell has moved since
+    /// the last sync, and repairs exactly the partitions those tuples are
+    /// in or left — no other group's.
     fn apply_changes(&mut self, table: &Table, dirty: &[TupleId]) -> Result<(), TrappError> {
-        if dirty.is_empty() && self.whole.input.cardinality_slack == table.cardinality_slack() {
-            // The log named only rows this view holds no item for (other
-            // groups' rows, to a `grp = k` view): the input stands, and
-            // so do its answers. Deletes among those rows still count.
-            self.whole.input.minus_count = table.len() - self.whole.input.items.len();
-            return Ok(());
-        }
-        let mut whole = Fresh::default();
-        let mut patches: BTreeMap<u32, GroupPatch> = BTreeMap::new();
+        let mut patches = std::mem::take(&mut self.patches);
         let mut deleted = false;
+        let mut at = 0;
         for &tid in dirty {
-            // ---- Retract the old group membership (grouped views only;
-            // the item vectors are repaired wholesale in `commit`).
-            let member = self
-                .groups
-                .of_tuple
-                .binary_search_by_key(&tid, |m| m.0)
-                .ok();
-            if let Some(at) = member {
-                let id = self.groups.of_tuple[at].1;
-                self.groups.slots[id as usize].members -= 1;
-                patches.entry(id).or_default().retracted.push(tid);
-            }
-            // ---- Reclassify, if the tuple still exists.
+            let of_tuple = &self.groups.of_tuple;
+            at = seek(of_tuple, at, tid, |m| m.0);
+            let member = of_tuple.get(at).is_some_and(|m| m.0 == tid).then_some(at);
             let Ok(row) = table.row(tid) else {
                 deleted = true;
-                if let Some(at) = member {
-                    self.groups.of_tuple[at].1 = VACANT;
+                match member {
+                    Some(at) => {
+                        let id = std::mem::replace(&mut self.groups.of_tuple[at].1, VACANT);
+                        self.groups.slots[id as usize].members -= 1;
+                        patches.group(id, (tid, None));
+                    }
+                    None => patches.whole.push((tid, None)),
                 }
                 continue;
             };
-            self.tuples_classified += 1;
+            self.work.tuples_classified += 1;
             // A fresh insert joins the candidate set unless it is sticky
             // T− (new ids ascend past every existing candidate, so a push
             // keeps the set sorted); sticky inserts contribute nothing.
@@ -618,7 +772,7 @@ impl BandView {
                     cands.push(tid);
                 }
             }
-            self.classify_into(table, tid, row, member, &mut whole, &mut patches)?;
+            self.classify_into(table, tid, row, member, &mut patches)?;
         }
         if deleted {
             if let Some(cands) = &mut self.candidates {
@@ -626,73 +780,81 @@ impl BandView {
             }
             self.groups.of_tuple.retain(|m| m.1 != VACANT);
         }
-        self.commit(table, dirty, whole, patches);
+        self.commit(table, patches, false);
         Ok(())
     }
 
-    /// The per-tuple step of builds and replays alike: classifies one
-    /// live row and files its item (if it has one) under the canonical
-    /// vector and, in a grouped view, under its group — which also
-    /// records the row as that group's member, at `member` in
-    /// `Groups::of_tuple` if it was one before.
+    /// The per-tuple step of replays and of grouped builds: classifies one
+    /// live row and files the outcome under the scalar view's replay or,
+    /// in a grouped view, under its group's — which also records the row
+    /// as that group's member, at `member` in `Groups::of_tuple` if it was
+    /// one before. A member keeps its group id while no exact cell has
+    /// moved since the last sync; otherwise its key is looked up again,
+    /// and a row that changed group leaves its old one with no item.
     fn classify_into(
         &mut self,
         table: &Table,
         tid: TupleId,
         row: &Row,
         member: Option<usize>,
-        whole: &mut Fresh,
-        patches: &mut BTreeMap<u32, GroupPatch>,
+        patches: &mut Patches,
     ) -> Result<(), TrappError> {
-        let item = classify_tuple(
-            self.predicate.as_ref(),
-            self.arg.as_ref(),
-            self.refinement,
-            tid,
-            row,
-            table.cost(tid)?,
-        )?;
-        if !self.group_by.is_empty() {
-            let id = self.groups.intern(row, &self.group_by)?;
-            // Scanned and inserted rows arrive in ascending order, past
-            // every member there is.
-            match member {
-                Some(at) => self.groups.of_tuple[at].1 = id,
-                None => self.groups.of_tuple.push((tid, id)),
+        let item = self.step.classify(tid, row, table.cost(tid)?)?;
+        if self.group_by.is_empty() {
+            patches.whole.push((tid, item));
+            return Ok(());
+        }
+        let old = member.map(|at| self.groups.of_tuple[at].1);
+        let id = match old {
+            Some(id) if self.exact_epoch == table.exact_version() => id,
+            _ => self.groups.intern(row, &self.group_by)?,
+        };
+        // Scanned and inserted rows arrive in ascending order, past every
+        // member there is.
+        match member {
+            Some(at) => self.groups.of_tuple[at].1 = id,
+            None => self.groups.of_tuple.push((tid, id)),
+        }
+        if old != Some(id) {
+            if let Some(old) = old {
+                self.groups.slots[old as usize].members -= 1;
+                patches.group(old, (tid, None));
             }
             self.groups.slots[id as usize].members += 1;
-            let patch = patches.entry(id).or_default();
-            if let Some(item) = item {
-                patch.fresh.push(item);
-            }
         }
-        // Tuples arrive ascending, so every `Fresh` list stays tid-sorted.
-        if let Some(item) = item {
-            whole.push(item);
-        }
+        // Tuples arrive ascending, so every replay stays tid-sorted.
+        patches.group(id, (tid, item));
         Ok(())
     }
 
-    /// Writes one pass's outcome into the view: the canonical vector
-    /// repaired against every replayed tuple, each touched group repaired
-    /// against its own.
-    fn commit(
-        &mut self,
-        table: &Table,
-        dirty: &[TupleId],
-        whole: Fresh,
-        patches: BTreeMap<u32, GroupPatch>,
-    ) {
+    /// Writes one pass's outcome into the view: the scalar input, or each
+    /// touched group, repaired against its own replay (`rebuilt`: groups
+    /// filled from empty; a rebuild fills a scalar input itself). The
+    /// emptied buffers are kept for the next pass.
+    fn commit(&mut self, table: &Table, mut patches: Patches, rebuilt: bool) {
         // Slack is table-global and floors the log; the candidate replay
         // is the one path that syncs across such a floor.
         let slack = table.cardinality_slack();
-        let mut copied = self.whole.repair(dirty, whole);
-        self.whole.input.minus_count = table.len() - self.whole.input.items.len();
-        self.whole.input.cardinality_slack = slack;
-        for (id, patch) in patches {
-            copied += self.groups.repair(id, patch, slack);
+        let mut written = 0;
+        if self.group_by.is_empty() {
+            if !rebuilt {
+                written += self.whole.repair(&patches.whole, &mut self.work);
+            }
+            let minus_count = table.len() - self.whole.input.items.len();
+            self.whole.set_counts(minus_count, slack);
         }
-        self.items_repartitioned += copied;
+        patches.touched.sort_unstable();
+        for &id in &patches.touched {
+            let replay = &mut patches.groups[id as usize];
+            written += self
+                .groups
+                .repair(id, replay, slack, rebuilt, &mut self.work);
+            replay.clear();
+        }
+        patches.touched.clear();
+        patches.whole.clear();
+        self.work.items_repartitioned += written;
+        self.patches = patches;
     }
 }
 
@@ -756,10 +918,8 @@ fn pin_in(e: &Expr<usize>, table: &Table) -> Option<Vec<TupleId>> {
 pub struct ViewCache {
     views: HashMap<String, BandView>,
     tick: u64,
-    /// [`BandView::tuples_classified`] of the views evicted so far.
-    evicted_classified: u64,
-    /// [`BandView::items_repartitioned`] of the views evicted so far.
-    evicted_repartitioned: u64,
+    /// [`BandView::work`] of the views evicted so far.
+    evicted: ViewWork,
 }
 
 impl ViewCache {
@@ -776,8 +936,7 @@ impl ViewCache {
                 .map(|(k, _)| k.clone())
             {
                 if let Some(view) = self.views.remove(&oldest) {
-                    self.evicted_classified += view.tuples_classified;
-                    self.evicted_repartitioned += view.items_repartitioned;
+                    self.evicted += view.work;
                 }
             }
         }
@@ -792,26 +951,14 @@ impl ViewCache {
         view
     }
 
-    /// Rows examined by every view this cache has held, evicted ones
-    /// included; see [`BandView::tuples_classified`].
-    pub fn tuples_classified(&self) -> u64 {
-        self.evicted_classified
-            + self
-                .views
-                .values()
-                .map(|v| v.tuples_classified)
-                .sum::<u64>()
-    }
-
-    /// Items written by every view this cache has held, evicted ones
-    /// included; see [`BandView::items_repartitioned`].
-    pub fn items_repartitioned(&self) -> u64 {
-        self.evicted_repartitioned
-            + self
-                .views
-                .values()
-                .map(|v| v.items_repartitioned)
-                .sum::<u64>()
+    /// The maintenance work of every view this cache has held, evicted
+    /// ones included; see [`ViewWork`].
+    pub fn work(&self) -> ViewWork {
+        let mut work = self.evicted;
+        for view in self.views.values() {
+            work += view.work;
+        }
+        work
     }
 }
 
@@ -931,11 +1078,15 @@ mod tests {
         );
         let mut view = BandView::new(Some(&pred), None, &[]);
         assert_matches_scratch(&mut view, &t, Some(&pred), None);
-        assert_eq!(view.tuples_classified(), 6, "scan build");
+        assert_eq!(view.work().tuples_classified, 6, "scan build");
         t.set_cardinality_slack(2, 1);
         assert_matches_scratch(&mut view, &t, Some(&pred), None);
         assert_eq!(view.input().cardinality_slack, (2, 1));
-        assert_eq!(view.tuples_classified(), 6 + 2, "two candidates replayed");
+        assert_eq!(
+            view.work().tuples_classified,
+            6 + 2,
+            "two candidates replayed"
+        );
     }
 
     /// The complexity claim as exact counts, at the benchmark's
@@ -996,7 +1147,7 @@ mod tests {
         let arg = Expr::Column(ColumnRef::bare("load")).bind(&schema).unwrap();
         let check = |view: &mut BandView, t: &Table| {
             assert_matches_scratch(view, t, Some(&pred), Some(&arg));
-            view.tuples_classified()
+            view.work().tuples_classified
         };
 
         // Build: the index names the 8 rows of the group.
@@ -1035,9 +1186,11 @@ mod tests {
     }
 
     /// The grouped complexity claim as exact counts, at the benchmark's
-    /// `hot_cache` size: what a replay rewrites is the groups its dirty
-    /// tuples leave or enter (plus the canonical vector's one pass), and
-    /// an input no repair touched answers without a fold.
+    /// `hot_cache` size: a grouped view keeps its partitions and no
+    /// whole-table vector; a replay overwrites the items of the tuples it
+    /// names while they keep their band, re-merges only the partitions a
+    /// row enters or leaves, and an input no repair touched answers
+    /// without a fold.
     #[test]
     fn grouped_view_work_tracks_dirty_groups() {
         use trapp_storage::{ColumnDef, Schema};
@@ -1065,10 +1218,10 @@ mod tests {
         }
         let arg = Expr::Column(ColumnRef::bare("load")).bind(&schema).unwrap();
         let group_by = [0usize];
-        // Syncs, holds every group (keys, order, inputs) and the canonical
-        // vector to scratch builds, and reports the two work counters.
+        // Syncs, holds every group (keys, order, inputs) to scratch
+        // builds, and reports the work counters.
         let check = |view: &mut BandView, t: &Table| {
-            assert_matches_scratch(view, t, None, Some(&arg));
+            view.sync(t).unwrap();
             let partitions = crate::group_by::group_partitions(t, &group_by).unwrap();
             assert_eq!(view.group_count(), partitions.len());
             for (rank, (rendered, (_, tids))) in partitions.iter().enumerate() {
@@ -1082,62 +1235,68 @@ mod tests {
                 assert_eq!(input.minus_count, scratch.minus_count);
                 assert_eq!(input.plus_count(), scratch.plus_count());
             }
-            (view.tuples_classified(), view.items_repartitioned())
+            assert!(view.whole.input.items.is_empty(), "no whole-table vector");
+            view.work()
         };
-        // Every group's SUM and the whole view's, as the planner asks.
+        // Every group's SUM, as the planner asks.
         let answers = |view: &mut BandView| {
-            let mut all = vec![view.answer(Aggregate::Sum).unwrap()];
-            for rank in 0..view.group_count() {
-                all.push(view.group_answer(rank, Aggregate::Sum).unwrap());
-            }
-            all
+            (0..view.group_count())
+                .map(|rank| view.group_answer(rank, Aggregate::Sum).unwrap())
+                .collect::<Vec<_>>()
         };
 
         let mut view = BandView::new(None, Some(&arg), &group_by);
-        let (classified, copied) = check(&mut view, &t);
-        assert_eq!((classified, copied), (ROWS, 2 * ROWS), "scan build");
+        let built = check(&mut view, &t);
+        assert_eq!(
+            (built.tuples_classified, built.items_repartitioned),
+            (ROWS, ROWS),
+            "scan build: each row filed once"
+        );
 
-        // k bound writes inside group 5: k rows examined, that group's
-        // partition and the canonical vector rewritten, nothing else.
+        // k bound writes inside group 5: k rows examined, k items
+        // overwritten where they sit, in one repair of one partition.
         const K: u64 = 212;
         let group_5: Vec<TupleId> = t.tuple_ids().skip(5 * 256).take(K as usize).collect();
         for &tid in &group_5 {
             t.refresh_cell(tid, 1, 60.0).unwrap();
         }
-        let (classified_k, copied_k) = check(&mut view, &t);
-        assert_eq!(classified_k, classified + K);
-        assert!(copied_k > copied && copied_k <= copied + PER_GROUP + ROWS);
+        let written = check(&mut view, &t);
+        assert_eq!(written.tuples_classified, built.tuples_classified + K);
+        assert_eq!(written.items_repartitioned, built.items_repartitioned + K);
+        assert_eq!((written.in_place_repairs, written.merge_repairs), (1, 0));
 
         // An unchanged view answers from the memo: no fold at all.
         let first = answers(&mut view);
-        assert_eq!(view.answers_folded, 1 + GROUPS);
+        assert_eq!(view.answers_folded, GROUPS);
         view.sync(&t).unwrap();
         assert_eq!(answers(&mut view), first);
-        assert_eq!(view.answers_folded, 1 + GROUPS, "served from the memo");
-        for (rank, answer) in first[1..].iter().enumerate() {
+        assert_eq!(view.answers_folded, GROUPS, "served from the memo");
+        for (rank, answer) in first.iter().enumerate() {
             let scratch = bounded_answer(Aggregate::Sum, view.group(rank).1).unwrap();
             assert_eq!(*answer, scratch);
         }
-        // One write: the group it lands in and the whole view fold again.
+        // One write: only the group it lands in folds again.
         t.refresh_cell(group_5[0], 1, 61.0).unwrap();
         view.sync(&t).unwrap();
         let after = answers(&mut view);
-        assert_eq!(view.answers_folded, (1 + GROUPS) + 2);
-        assert_eq!(after[1..=5], first[1..=5], "ranks are i0, i1, i10, i11, …");
-        let (_, copied_k) = check(&mut view, &t);
+        assert_eq!(view.answers_folded, GROUPS + 1);
+        assert_eq!(after[..5], first[..5], "ranks are i0, i1, i10, i11, …");
+        let before_move = check(&mut view, &t);
 
         // An exact-cell write moves a row from group 3 to group 7:
-        // exactly those two partitions are repaired.
+        // exactly those two partitions are repaired, both by a merge.
         let mover = t.tuple_ids().nth(3 * 256).unwrap();
         t.update_cell(mover, 0, BoundedValue::Exact(Value::Int(7)))
             .unwrap();
-        let (classified_m, copied_m) = check(&mut view, &t);
-        assert_eq!(classified_m, classified_k + 2);
+        let moved = check(&mut view, &t);
+        assert_eq!(moved.tuples_classified, before_move.tuples_classified + 1);
         assert_eq!(
-            copied_m,
-            copied_k + ROWS + (PER_GROUP - 1) + (PER_GROUP + 1),
-            "canonical pass + the group left + the group entered"
+            moved.items_repartitioned,
+            before_move.items_repartitioned + (PER_GROUP - 1) + (PER_GROUP + 1),
+            "the group left + the group entered"
         );
+        assert_eq!(moved.merge_repairs, before_move.merge_repairs + 2);
+        assert_eq!(moved.in_place_repairs, before_move.in_place_repairs);
 
         // A new key is ranked by its rendering ("i100" sorts between
         // "i10" and "i11"), an emptied group disappears, and a vacated id
@@ -1151,6 +1310,47 @@ mod tests {
         t.insert(cells(-4, 70.0)).unwrap();
         check(&mut view, &t);
         assert_eq!(view.groups.slots.len() as u64, GROUPS + 1, "id reused");
+    }
+
+    /// A scalar view overwrites in place the items of tuples that keep
+    /// their band, writes nothing for a tuple that stays `T−`, and merges
+    /// only when a tuple enters, leaves or changes band.
+    #[test]
+    fn scalar_view_repairs_in_place_until_a_band_moves() {
+        let mut t = links_table();
+        let pred = cmp("latency", BinaryOp::Gt, 10.0);
+        let arg = col("latency");
+        let mut view = BandView::new(Some(&pred), Some(&arg), &[]);
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        let built = view.work();
+        // Tuple 3 ([12,16]) pinned at 13: still T+, overwritten in place.
+        t.refresh_cell(TupleId::new(3), LATENCY, 13.0).unwrap();
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        let in_place = view.work();
+        assert_eq!(in_place.items_repartitioned, built.items_repartitioned + 1);
+        assert_eq!((in_place.in_place_repairs, in_place.merge_repairs), (1, 0));
+        // Tuple 1 ([2,4], T−) pinned at 3: still T−, nothing written.
+        t.refresh_cell(TupleId::new(1), LATENCY, 3.0).unwrap();
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        assert_eq!(
+            view.work().items_repartitioned,
+            in_place.items_repartitioned
+        );
+        assert_eq!(view.work().in_place_repairs, 1);
+        // Tuple 4 ([9,11], T?) pinned at 11: T? → T+, one merge.
+        t.refresh_cell(TupleId::new(4), LATENCY, 11.0).unwrap();
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        assert_eq!(
+            (view.work().in_place_repairs, view.work().merge_repairs),
+            (1, 1)
+        );
+        // A delete of a T− tuple writes nothing; of a T+ one merges.
+        t.delete(TupleId::new(1)).unwrap();
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        assert_eq!(view.work().merge_repairs, 1);
+        t.delete(TupleId::new(3)).unwrap();
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        assert_eq!(view.work().merge_repairs, 2);
     }
 
     #[test]

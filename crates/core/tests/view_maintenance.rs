@@ -16,9 +16,11 @@
 //!   bit-for-bit.
 //!
 //! And after **every** step, query or not, [`assert_groups_match_scratch`]
-//! holds the grouped views' partitions — repaired in place, group by
-//! group — and the answers memoized over them to scratch builds under
-//! each group's member filter, for all four aggregates.
+//! holds the grouped views' partitions — repaired group by group, in
+//! place while the replayed tuples keep their bands and by a merge when
+//! one crosses — and the answers memoized over them to scratch builds
+//! under each group's member filter, for all four aggregates. Over the
+//! run, both repair paths must have been taken.
 //!
 //! `pinned_views_match_with_and_without_value_index` runs the same
 //! interleavings — plus exact-cell rewrites that move a row between
@@ -26,6 +28,8 @@
 //! against `grp = k` views on two sessions in lockstep, one whose table
 //! carries the value index on `grp` (index-driven build) and one without
 //! (scan fallback): same bits from both, and from scratch.
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 use trapp_core::group_by::group_partitions;
@@ -362,8 +366,16 @@ fn assert_groups_match_scratch(session: &QuerySession, context: &str) -> Result<
     Ok(())
 }
 
+/// Cases of `incremental_views_match_scratch_builds`: 10³ in release
+/// (CI's view-maintenance job), a smoke count in debug.
+const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 1_000 };
+
+/// In-place and merge repairs summed over the cases of
+/// `incremental_views_match_scratch_builds` run so far, and those cases.
+static REPAIRS: Mutex<(u64, u64, u32)> = Mutex::new((0, 0, 0));
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn incremental_views_match_scratch_builds(
@@ -448,6 +460,20 @@ proptest! {
                 mutation => apply_mutation(&mut session, mutation, uniform),
             }
             assert_groups_match_scratch(&session, &format!("after step {step} ({op:?})"))?;
+        }
+        // Non-vacuity, over the whole run: both repair paths were taken.
+        let work = session.view_work();
+        let mut repairs = REPAIRS.lock().unwrap();
+        repairs.0 += work.in_place_repairs;
+        repairs.1 += work.merge_repairs;
+        repairs.2 += 1;
+        if repairs.2 == CASES {
+            prop_assert!(
+                repairs.0 > 0 && repairs.1 > 0,
+                "in-place repairs {}, merge repairs {}",
+                repairs.0,
+                repairs.1
+            );
         }
     }
 

@@ -90,11 +90,17 @@ struct UnitAttr {
     initial: Option<BoundedAnswer>,
     /// Tuples refreshed (global ids), each reported once.
     refreshed: Vec<(String, TupleId)>,
+    /// `refreshed` by table, for the once-only check.
+    seen: HashMap<String, HashSet<TupleId>>,
     /// Total planned refresh cost.
     cost: f64,
     /// Rounds in which this unit fetched something.
     rounds: usize,
 }
+
+/// Per shard, the tuples a fetch round plans there (shard-local ids), in
+/// runs of one table each.
+type ShardWork<'p> = Vec<Vec<(&'p str, Vec<TupleId>)>>;
 
 /// Patches accumulated attribution into the final planned outcome.
 fn patch_outcome(outcome: QueryOutcome, attr: &HashMap<String, UnitAttr>) -> QueryOutcome {
@@ -230,19 +236,16 @@ impl ServiceCore {
     }
 
     /// Resolves each shard's tuples to per-source object batches, with one
-    /// short lock per owning shard.
-    fn resolve_objects(
-        &self,
-        work: &[Vec<(String, TupleId)>],
-    ) -> Result<Vec<SourceBatches>, TrappError> {
+    /// short lock per owning shard and one binding lookup per table batch.
+    fn resolve_objects(&self, work: &ShardWork<'_>) -> Result<Vec<SourceBatches>, TrappError> {
         let mut requests = vec![Vec::new(); work.len()];
-        for (s, items) in work.iter().enumerate().filter(|(_, w)| !w.is_empty()) {
+        for (s, batches) in work.iter().enumerate().filter(|(_, w)| !w.is_empty()) {
             let cache = self.router.shard(s).cache.lock();
             let mut per_source: BTreeMap<SourceId, Vec<ObjectId>> = BTreeMap::new();
-            for (table, tid) in items {
-                for (object, source) in cache.objects_backing(table, *tid)? {
-                    per_source.entry(source).or_default().push(object);
-                }
+            for (table, tids) in batches {
+                cache.for_objects_backing(table, tids, |object, source| {
+                    per_source.entry(source).or_default().push(object)
+                })?;
             }
             requests[s] = per_source.into_iter().collect();
         }
@@ -760,9 +763,9 @@ impl<'a> QueryRun<'a> {
     /// refreshed tuples — the final `Ready` pass sees pinned cells and
     /// reports nothing refreshed — and splits the plan's tuples by owning
     /// shard, in shard-local ids.
-    fn attribute(&mut self, plan: &FetchPlan) -> Result<Vec<Vec<(String, TupleId)>>, TrappError> {
+    fn attribute<'p>(&mut self, plan: &'p FetchPlan) -> Result<ShardWork<'p>, TrappError> {
         let router = &self.core.router;
-        let mut work: Vec<Vec<(String, TupleId)>> = vec![Vec::new(); router.shard_count()];
+        let mut work: ShardWork<'p> = vec![Vec::new(); router.shard_count()];
         // A batched join round may split one unit's picks across several
         // same-key units (one per side-run); that is still one refresh
         // round for the unit, counted once per key.
@@ -776,24 +779,29 @@ impl<'a> QueryRun<'a> {
             if counted_keys.insert(rendered) {
                 entry.rounds += 1;
             }
+            let table = fetch.table.as_str();
+            let UnitAttr {
+                refreshed, seen, ..
+            } = entry;
+            let seen = seen.entry(fetch.table.clone()).or_default();
             for &tid in &fetch.tuples {
                 let (s, local, global) = match self.route {
-                    Route::Single(s) => (s, tid, router.shard(s).global_tid(&fetch.table, tid)),
+                    Route::Single(s) => (s, tid, router.shard(s).global_tid(table, tid)),
                     Route::Scatter => {
-                        let (s, local) = router.locate(&fetch.table, tid)?;
+                        let (s, local) = router.locate(table, tid)?;
                         (s, local, tid)
                     }
                 };
                 // A later round (concurrent clock advance) may re-plan a
-                // tuple already refreshed; report each tuple once.
-                if !entry
-                    .refreshed
-                    .iter()
-                    .any(|(t, id)| *id == global && t == &fetch.table)
-                {
-                    entry.refreshed.push((fetch.table.clone(), global));
+                // tuple already refreshed; report each tuple once, in the
+                // order first planned.
+                if seen.insert(global) {
+                    refreshed.push((fetch.table.clone(), global));
                 }
-                work[s].push((fetch.table.clone(), local));
+                match work[s].last_mut() {
+                    Some((t, tids)) if *t == table => tids.push(local),
+                    _ => work[s].push((table, vec![local])),
+                }
             }
         }
         Ok(work)

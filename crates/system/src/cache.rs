@@ -102,6 +102,18 @@ impl Bindings {
     }
 }
 
+impl RowCells {
+    /// The newest object bound to the row's `column`.
+    fn newest(&self, column: usize) -> Option<ObjectId> {
+        self.bindings
+            .as_slice()
+            .iter()
+            .rev()
+            .find(|&&(c, _)| c == column)
+            .map(|&(_, object)| object)
+    }
+}
+
 /// The bound cells: which objects back each, their bound functions, and
 /// which rows hold those bounds evaluated at which instant.
 #[derive(Default)]
@@ -128,13 +140,7 @@ struct Tally {
 impl Cells {
     /// The newest object bound to `table[tid].column`.
     fn newest(&self, table: &str, tid: TupleId, column: usize) -> Option<ObjectId> {
-        let row = self.rows.get(table)?.get(&tid)?;
-        row.bindings
-            .as_slice()
-            .iter()
-            .rev()
-            .find(|&&(c, _)| c == column)
-            .map(|&(_, object)| object)
+        self.rows.get(table)?.get(&tid)?.newest(column)
     }
 
     /// Makes `object` the newest binding of `table[tid].column`.
@@ -295,16 +301,40 @@ impl CacheNode {
         table: &str,
         tuple: TupleId,
     ) -> Result<Vec<(ObjectId, SourceId)>, TrappError> {
+        let mut objects = Vec::new();
+        self.for_objects_backing(table, &[tuple], |object, source| {
+            objects.push((object, source))
+        })?;
+        Ok(objects)
+    }
+
+    /// [`CacheNode::objects_backing`] for a batch of `table`'s tuples,
+    /// each `(object, source)` handed to `each` in tuple order: the table,
+    /// its bounded columns and its bindings are looked up once per batch,
+    /// not once per tuple.
+    pub fn for_objects_backing(
+        &self,
+        table: &str,
+        tuples: &[TupleId],
+        mut each: impl FnMut(ObjectId, SourceId),
+    ) -> Result<(), TrappError> {
         let columns = self
             .session
             .catalog()
             .table(table)?
             .schema()
             .bounded_columns();
-        columns
-            .into_iter()
-            .map(|col| object_at(&self.cells, &self.routes, table, tuple, col))
-            .collect()
+        let rows = self.cells.rows.get(table);
+        for &tid in tuples {
+            let row = rows.and_then(|rows| rows.get(&tid));
+            for &column in &columns {
+                let object = row
+                    .and_then(|row| row.newest(column))
+                    .ok_or_else(|| unbacked(table, tid, column))?;
+                each(object, self.routes[&object].source);
+            }
+        }
+        Ok(())
     }
 
     /// Statistics so far.
@@ -551,12 +581,17 @@ fn object_at(
     tid: TupleId,
     column: usize,
 ) -> Result<(ObjectId, SourceId), TrappError> {
-    let object = cells.newest(table, tid, column).ok_or_else(|| {
-        TrappError::RefreshFailed(format!(
-            "no replicated object backs {table}[{tid}].{column}"
-        ))
-    })?;
+    let object = cells
+        .newest(table, tid, column)
+        .ok_or_else(|| unbacked(table, tid, column))?;
     Ok((object, routes[&object].source))
+}
+
+/// The refusal for a cell no replicated object backs.
+fn unbacked(table: &str, tid: TupleId, column: usize) -> TrappError {
+    TrappError::RefreshFailed(format!(
+        "no replicated object backs {table}[{tid}].{column}"
+    ))
 }
 
 impl RefreshOracle for SystemOracle<'_> {
