@@ -31,8 +31,9 @@
 //!
 //! Invalidation is pull-based: every `Table` mutation (refresh install,
 //! value-initiated update, clock-advance re-materialization, cost change)
-//! bumps the table's version and logs the touched tuple; the next access
-//! replays exactly those tuples.
+//! bumps the table's version, stamps the touched tuple with it and logs
+//! it; the next access replays exactly those tuples — found by their
+//! stamps in a view that keeps a candidate set, by the log otherwise.
 //!
 //! The piece that makes a selective view cost **its candidate set, not
 //! the table**, is the *sticky `T−`* analysis: a tuple for which some
@@ -49,11 +50,14 @@
 //!   index names are examined ([`pinned_rows`]); every other row is
 //!   sticky `T−` by that very conjunct. Without such an index the build
 //!   scans.
-//! * **resync** — replays whichever is cheaper, the candidates the
-//!   change-log tail names or the whole candidate set, plus the rows
-//!   inserted since, so a clock advance that re-widened all `n` bounds
-//!   costs `O(|candidates|)`, and a view left idle until the log was
-//!   compacted past it still resyncs instead of rebuilding.
+//! * **resync** — replays exactly the candidates the table stamped after
+//!   the view's version ([`trapp_storage::Table::stamp`]), plus the rows
+//!   inserted since, and never reads the change log: one stamp read per
+//!   candidate. Writes to other groups cost nothing but those reads and
+//!   leave the view's memoized answers standing; a clock advance that
+//!   re-widened all `n` bounds costs `O(|candidates|)`; and a view left
+//!   idle until the log was compacted past it still resyncs instead of
+//!   rebuilding.
 //!
 //! Other scalar views (no predicate, or no exact conjunct) replay the
 //! full dirty set and fall back to a rebuild when more than half the
@@ -90,15 +94,6 @@ use crate::plan::BoundQuery;
 /// recently used (workloads with per-query literal predicates — e.g.
 /// random COUNT thresholds — would otherwise grow without bound).
 const MAX_VIEWS: usize = 256;
-
-/// Reclassifying one candidate costs about what filtering this many log
-/// entries against the candidate set does (~100 ns against a ~25 ns binary
-/// search), so a sticky resync filters a log tail up to this many times
-/// its candidate count before it prefers replaying every candidate.
-/// Filtering first is then at worst twice the cheaper choice; comparing
-/// the raw lengths instead cost `hot_cache` 6 % of its median latency
-/// (256 reclassifications to dodge a 400-entry filter that names a few).
-const REPLAY_IN_LOG_ENTRIES: usize = 4;
 
 /// One replayed tuple's outcome in one partition: its item after the
 /// pass, or `None` when it has none there (`T−`, deleted, or moved to
@@ -579,44 +574,51 @@ impl BandView {
             // 0 and both empty, so version equality alone means synced.
             return Ok(());
         }
-        let result = match (&self.candidates, table.changes_since(self.version)) {
+        let result = match &self.candidates {
             // Sticky path: while no exact cell has moved, every tuple
             // outside the candidate set is still pinned in `T−`, so the
-            // dirty set is the candidates the log names — or, when
-            // filtering the log tail would cost more than replaying the
-            // lot (a clock advance re-widened all n bounds) or the log
-            // no longer reaches back (compacted, or floored by a slack
-            // change), simply every candidate. Either way the rows
-            // inserted since ride along and nothing else is touched.
-            (Some(cands), entries)
+            // dirty set is the candidates stamped after the view's
+            // version — a slack change stamps them all — plus the rows
+            // inserted since (ascending past every candidate). Nothing
+            // else is touched, and the change log is not read.
+            Some(cands)
                 if self.exact_epoch == table.exact_version() && self.version < table.version() =>
             {
-                let dirty: Vec<TupleId> = match entries {
-                    Some(entries) if entries.len() <= REPLAY_IN_LOG_ENTRIES * cands.len() => {
-                        let mut dirty: Vec<TupleId> = entries
-                            .iter()
-                            .map(|&(_, t)| t)
-                            .filter(|t| t.raw() > self.max_tid || cands.binary_search(t).is_ok())
-                            .collect();
-                        dirty.sort_unstable();
-                        dirty.dedup();
-                        dirty
-                    }
-                    _ => cands
-                        .iter()
-                        .copied()
-                        .chain(table.tuple_ids_after(TupleId::new(self.max_tid)))
-                        .collect(),
-                };
+                let dirty: Vec<TupleId> = cands
+                    .iter()
+                    .copied()
+                    .filter(|&tid| table.stamp(tid) > self.version)
+                    .chain(table.tuple_ids_after(TupleId::new(self.max_tid)))
+                    .collect();
                 self.apply_changes(table, &dirty)
             }
+            _ => self.replay_log(table),
+        };
+        match result {
+            Ok(()) => {
+                self.version = table.version();
+                self.exact_epoch = table.exact_version();
+                Ok(())
+            }
+            Err(e) => {
+                // Half-applied changes are unusable: poison the view.
+                self.reset();
+                Err(e)
+            }
+        }
+    }
+
+    /// The resync of a view with no usable candidate set: replays the
+    /// change-log tail, or every row, or rebuilds.
+    fn replay_log(&mut self, table: &Table) -> Result<(), TrappError> {
+        match table.changes_since(self.version) {
             // A grouped view whose exact epoch stands: every row it holds
             // keeps its group, so no change set — a clock advance that
             // re-widened every bound, a log compacted past the view —
             // needs the groups derived again. It replays the log tail, or
             // when that is longer, every row it holds plus the rows
             // inserted since.
-            (None, entries)
+            entries
                 if !self.group_by.is_empty()
                     && self.version > 0
                     && self.exact_epoch == table.exact_version() =>
@@ -638,31 +640,20 @@ impl BandView {
                 self.apply_changes(table, &dirty)
             }
             // No candidate set and no groups to keep (an unfiltered view,
-            // a grouped one whose exact epoch moved — a scalar predicate
-            // view whose exact epoch moved rebuilds too, which is what
-            // re-derives its candidate set): replaying more than half the
-            // table costs more than a clean rebuild. The raw entry count
-            // over-approximates the distinct tuple count, so this can only
-            // over-rebuild, never under-replay.
-            (None, Some(entries)) if entries.len() * 2 <= table.len() => {
+            // a grouped one whose exact epoch moved): replaying more than
+            // half the table costs more than a clean rebuild. The raw
+            // entry count over-approximates the distinct tuple count, so
+            // this can only over-rebuild, never under-replay.
+            Some(entries) if self.candidates.is_none() && entries.len() * 2 <= table.len() => {
                 let mut dirty: Vec<TupleId> = entries.iter().map(|&(_, t)| t).collect();
                 dirty.sort_unstable();
                 dirty.dedup();
                 self.apply_changes(table, &dirty)
             }
+            // Everything else rebuilds — a scalar predicate view whose
+            // exact epoch moved among them, which is what re-derives its
+            // candidate set.
             _ => self.rebuild(table),
-        };
-        match result {
-            Ok(()) => {
-                self.version = table.version();
-                self.exact_epoch = table.exact_version();
-                Ok(())
-            }
-            Err(e) => {
-                // Half-applied changes are unusable: poison the view.
-                self.reset();
-                Err(e)
-            }
         }
     }
 
@@ -1183,6 +1174,82 @@ mod tests {
         }
         assert!(plain.changes_since(synced_to).is_none());
         assert_eq!(check(&mut view, &plain), ROWS + 8);
+    }
+
+    /// A pinned view pays for its own group only, at the benchmark's
+    /// `hot_cache` size: installs into other groups — more log entries
+    /// than four times its candidate count — make it classify nothing and
+    /// keep its memoized answer, and installs into its own group classify
+    /// exactly the tuples they wrote.
+    #[test]
+    fn pinned_view_resync_reads_stamps_not_the_log() {
+        use trapp_storage::{ColumnDef, IndexKey, Schema};
+        use trapp_types::{BoundedValue, ValueType};
+        const GROUPS: i64 = 32;
+        const PER_GROUP: usize = 256;
+
+        let schema = Schema::new(vec![
+            ColumnDef::exact("grp", ValueType::Int),
+            ColumnDef::bounded_float("load"),
+        ])
+        .unwrap();
+        let mut t = Table::new("metrics", schema.clone());
+        for g in 0..GROUPS {
+            for i in 0..PER_GROUP {
+                let mid = 50.0 + (i % 50) as f64;
+                t.insert(vec![
+                    BoundedValue::Exact(Value::Int(g)),
+                    BoundedValue::bounded(mid - 1.0, mid + 1.0).unwrap(),
+                ])
+                .unwrap();
+            }
+        }
+        t.create_index(IndexKey::Lo { column: 0 }).unwrap();
+        let pred = Expr::binary(
+            BinaryOp::Eq,
+            Expr::Column(ColumnRef::bare("grp")),
+            Expr::Literal(Value::Int(5)),
+        )
+        .bind(&schema)
+        .unwrap();
+        let arg = Expr::Column(ColumnRef::bare("load")).bind(&schema).unwrap();
+        let mut view = BandView::new(Some(&pred), Some(&arg), &[]);
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        let sum = view.answer(Aggregate::Sum).unwrap();
+        let built = (view.work().tuples_classified, view.answers_folded);
+        assert_eq!(built, (PER_GROUP as u64, 1));
+
+        // 2,048 installs into groups 6 and 7: far more than 4 × 256 log
+        // entries, none of them the view's.
+        let others: Vec<TupleId> = t.tuple_ids().skip(6 * PER_GROUP).take(512).collect();
+        for round in 0..4 {
+            for &tid in &others {
+                t.refresh_cell(tid, 1, 60.0 + round as f64).unwrap();
+            }
+        }
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        assert_eq!(view.answer(Aggregate::Sum).unwrap(), sum);
+        assert_eq!(
+            (view.work().tuples_classified, view.answers_folded),
+            built,
+            "nothing classified, the memo kept"
+        );
+
+        // 40 installs into group 5: exactly those 40 classified, one fold.
+        let own: Vec<TupleId> = t.tuple_ids().skip(5 * PER_GROUP).take(40).collect();
+        for &tid in &own {
+            t.refresh_cell(tid, 1, 55.0).unwrap();
+        }
+        assert_matches_scratch(&mut view, &t, Some(&pred), Some(&arg));
+        let resummed = view.answer(Aggregate::Sum).unwrap();
+        assert_eq!(
+            resummed,
+            bounded_answer(Aggregate::Sum, view.input()).unwrap()
+        );
+        assert_eq!(
+            (view.work().tuples_classified, view.answers_folded),
+            (built.0 + 40, 2)
+        );
     }
 
     /// The grouped complexity claim as exact counts, at the benchmark's

@@ -24,10 +24,14 @@
 //!
 //! `pinned_views_match_with_and_without_value_index` runs the same
 //! interleavings — plus exact-cell rewrites that move a row between
-//! groups and idle gaps that compact the change log past every view —
-//! against `grp = k` views on two sessions in lockstep, one whose table
-//! carries the value index on `grp` (index-driven build) and one without
-//! (scan fallback): same bits from both, and from scratch.
+//! groups, idle gaps that compact the change log past every view, clock
+//! advances that rewrite every bound, and writes, deletes and inserts
+//! aimed at one group's candidate rows — against `grp = k` views on two
+//! sessions in lockstep, one whose table carries the value index on `grp`
+//! (index-driven build) and one without (scan fallback): same bits from
+//! both, and from scratch. Those views resync by the table's per-tuple
+//! stamps, never the log, so the gaps, the slack changes and the
+//! candidate deletes are what they must survive.
 
 use std::sync::Mutex;
 
@@ -78,6 +82,13 @@ enum Op {
     /// Rewrite one bound more often than the change log holds entries, so
     /// the log is compacted past every view's version.
     IdleGap(usize),
+    /// Re-widen every live tuple's `load` by `d` (a clock advance).
+    Advance(f64),
+    /// Pin `load` of the k-th live tuple of group `g` (a candidate row of
+    /// the `grp = g` views).
+    RefreshIn(i64, usize, f64),
+    /// Delete the k-th live tuple of group `g`.
+    DeleteIn(i64, usize),
     /// Run query shape `q` with constraint `r` and compare both layers.
     Query(usize, f64),
 }
@@ -92,6 +103,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..3, 0u64..2).prop_map(|(i, d)| Op::Slack(i, d)),
         (0usize..64, 0i64..5).prop_map(|(k, g)| Op::Regroup(k, g)),
         (0usize..64).prop_map(Op::IdleGap),
+        (0.0f64..4.0).prop_map(Op::Advance),
+        (0i64..5, 0usize..64, -50.0f64..50.0).prop_map(|(g, k, v)| Op::RefreshIn(g, k, v)),
+        (0i64..5, 0usize..64).prop_map(|(g, k)| Op::DeleteIn(g, k)),
         (0usize..7, 0.0f64..30.0).prop_map(|(q, r)| Op::Query(q, r)),
         (0usize..7, 0.0f64..30.0).prop_map(|(q, r)| Op::Query(q, r)),
         (0usize..7, 0.0f64..30.0).prop_map(|(q, r)| Op::Query(q, r)),
@@ -120,6 +134,16 @@ fn live_tuple(table: &Table, k: usize) -> Option<TupleId> {
     } else {
         Some(ids[k % ids.len()])
     }
+}
+
+/// The k-th live tuple of group `g`.
+fn group_tuple(table: &Table, g: i64, k: usize) -> Option<TupleId> {
+    let ids: Vec<TupleId> = table
+        .scan()
+        .filter(|(_, row)| row.exact(0).ok() == Some(Value::Int(g)))
+        .map(|(tid, _)| tid)
+        .collect();
+    (!ids.is_empty()).then(|| ids[k % ids.len()])
 }
 
 /// More writes than [`Table`]'s change log keeps (`max(2·rows, 1024)`
@@ -179,6 +203,23 @@ fn apply_mutation(session: &mut QuerySession, op: &Op, uniform: bool) {
                     t.changes_since(floor).is_none(),
                     "log compacted past {floor}"
                 );
+            }
+        }
+        Op::Advance(d) => {
+            for tid in t.tuple_ids().collect::<Vec<_>>() {
+                let iv = t.interval(tid, 1).unwrap();
+                let wider = BoundedValue::bounded(iv.lo() - d, iv.hi() + d).unwrap();
+                t.update_cell(tid, 1, wider).unwrap();
+            }
+        }
+        Op::RefreshIn(g, k, v) => {
+            if let Some(tid) = group_tuple(t, *g, *k) {
+                t.refresh_cell(tid, 1, *v).unwrap();
+            }
+        }
+        Op::DeleteIn(g, k) => {
+            if let Some(tid) = group_tuple(t, *g, *k) {
+                t.delete(tid).unwrap();
             }
         }
         Op::Query(..) => unreachable!("queries are compared by the caller"),
@@ -366,8 +407,8 @@ fn assert_groups_match_scratch(session: &QuerySession, context: &str) -> Result<
     Ok(())
 }
 
-/// Cases of `incremental_views_match_scratch_builds`: 10³ in release
-/// (CI's view-maintenance job), a smoke count in debug.
+/// Cases of each property test here: 10³ in release (CI's
+/// view-maintenance job), a smoke count in debug.
 const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 1_000 };
 
 /// In-place and merge repairs summed over the cases of

@@ -16,8 +16,9 @@
 //! for.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use trapp_types::SourceId;
 
@@ -70,7 +71,9 @@ impl Default for SourceHealth {
 
 /// Tracks per-source breaker state; shared (via `Arc`) between a shard's
 /// gateway (which records outcomes) and the query loop (which asks for
-/// the dark set before planning).
+/// the dark set before planning). Its lock does not poison: every update
+/// leaves the map valid at each step, so a panic elsewhere while it was
+/// held cannot make later breaker calls panic.
 #[derive(Debug, Default)]
 pub struct HealthTracker {
     cfg: HealthConfig,
@@ -88,7 +91,7 @@ impl HealthTracker {
 
     /// Records a successful refresh round-trip: the breaker snaps closed.
     pub fn record_success(&self, source: SourceId) {
-        let mut map = self.by_source.lock().expect("health lock");
+        let mut map = self.by_source.lock();
         let h = map.entry(source).or_default();
         h.consecutive_failures = 0;
         h.state = BreakerState::Closed;
@@ -99,7 +102,7 @@ impl HealthTracker {
     /// Opens the breaker at the threshold; a half-open probe failure
     /// re-opens immediately.
     pub fn record_failure(&self, source: SourceId) {
-        let mut map = self.by_source.lock().expect("health lock");
+        let mut map = self.by_source.lock();
         let h = map.entry(source).or_default();
         h.consecutive_failures = h.consecutive_failures.saturating_add(1);
         if h.state == BreakerState::HalfOpen || h.consecutive_failures >= self.cfg.failure_threshold
@@ -114,7 +117,7 @@ impl HealthTracker {
     /// (and are *not* reported dark), so planning itself schedules the
     /// probe.
     pub fn dark_sources(&self) -> HashSet<SourceId> {
-        let mut map = self.by_source.lock().expect("health lock");
+        let mut map = self.by_source.lock();
         let mut dark = HashSet::new();
         for (&source, h) in map.iter_mut() {
             if h.state == BreakerState::Open {
@@ -133,7 +136,6 @@ impl HealthTracker {
     pub fn state(&self, source: SourceId) -> BreakerState {
         self.by_source
             .lock()
-            .expect("health lock")
             .get(&source)
             .map(|h| h.state)
             .unwrap_or(BreakerState::Closed)
@@ -173,6 +175,27 @@ mod tests {
         t.record_success(src(1));
         t.record_failure(src(1));
         assert_eq!(t.state(src(1)), BreakerState::Closed);
+    }
+
+    /// A panic while the lock is held leaves every breaker call working.
+    #[test]
+    fn a_panic_under_the_lock_poisons_nothing() {
+        let t = HealthTracker::new(HealthConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(60),
+        });
+        t.record_failure(src(1));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = t.by_source.lock();
+            panic!("a panic while the health lock is held");
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(t.state(src(1)), BreakerState::Open);
+        assert_eq!(t.dark_sources(), HashSet::from([src(1)]));
+        t.record_failure(src(2));
+        t.record_success(src(1));
+        assert_eq!(t.state(src(1)), BreakerState::Closed);
+        assert_eq!(t.dark_sources(), HashSet::from([src(2)]));
     }
 
     #[test]

@@ -72,6 +72,8 @@ use crate::router::{Shard, ShardRouter, TidMap};
 
 mod query_loop;
 
+use query_loop::LockTime;
+
 /// Service tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
@@ -251,6 +253,15 @@ pub struct ServiceStats {
     pub fetch_us: u64,
     /// Total time spent installing fetched refreshes, µs.
     pub install_us: u64,
+    /// Total time queries waited to take a shard lock, µs: summed over
+    /// every shard-lock section a query takes (plan, scatter gather,
+    /// object resolution, install, dark-source scans), each lock of a
+    /// scatter gather counted.
+    pub shard_lock_wait_us: u64,
+    /// Total time queries held shard locks, µs, over the same sections
+    /// as [`ServiceStats::shard_lock_wait_us`]: what one query's lock
+    /// sections cost every other query on the shard.
+    pub shard_lock_hold_us: u64,
     /// Rows the shards' band views have examined (built or replayed) —
     /// planning work in rows, which selective queries keep proportional
     /// to their candidate sets.
@@ -277,7 +288,10 @@ struct ServiceCore {
     router: ShardRouter,
     clock: SimClock,
     degradation: DegradationPolicy,
-    counters: Mutex<ServiceStats>,
+    /// The counters, and the shard-lock wait and hold summed over every
+    /// query so far — kept at full precision, reported in µs by
+    /// [`QueryService::stats`].
+    counters: Mutex<(ServiceStats, LockTime)>,
     admission: Arc<AdmissionController>,
     /// EWMA of observed fetch-phase cost rate, µs of wall time per unit
     /// of planned refresh cost — the deadline guard's estimator for "can
@@ -331,7 +345,7 @@ impl QueryService {
             router,
             clock,
             degradation: config.degradation,
-            counters: Mutex::new(ServiceStats::default()),
+            counters: Mutex::new(Default::default()),
             admission,
             fetch_rate: Mutex::new(0.0),
         });
@@ -379,7 +393,7 @@ impl QueryService {
         if let Some(jobs) = &self.jobs {
             match self.core.admission.admit() {
                 Err(e) => {
-                    self.core.counters.lock().errors += 1;
+                    self.core.counters.lock().0.errors += 1;
                     let _ = reply.send(Err(e));
                 }
                 Ok(verdict) => {
@@ -468,14 +482,15 @@ impl QueryService {
             match completion.wait() {
                 Ok(refreshes) => {
                     let mut cache = self.core.router.shard(idx).cache.lock();
-                    for (cache_id, refresh) in refreshes {
-                        debug_assert_eq!(cache_id, cache.id());
-                        match cache.install_refresh(refresh) {
-                            Ok(()) => delivered += 1,
-                            Err(e) => {
-                                failure.get_or_insert(e);
-                            }
-                        }
+                    let id = cache.id();
+                    delivered += refreshes.len();
+                    let installed =
+                        cache.install_refreshes(refreshes.into_iter().map(|(to, r)| {
+                            debug_assert_eq!(to, id);
+                            r
+                        }));
+                    if let Err(e) = installed {
+                        failure.get_or_insert(e);
                     }
                 }
                 Err(e) => {
@@ -523,7 +538,9 @@ impl QueryService {
 
     /// A consistent snapshot of the aggregate counters.
     pub fn stats(&self) -> ServiceStats {
-        let mut s = *self.core.counters.lock();
+        let (mut s, locks) = *self.core.counters.lock();
+        s.shard_lock_wait_us = locks.wait.as_micros() as u64;
+        s.shard_lock_hold_us = locks.hold.as_micros() as u64;
         for shard in self.core.router.shards() {
             s.refreshes_coalesced += shard.gateway.refreshes_coalesced();
             s.refreshes_forwarded += shard.gateway.refreshes_forwarded();
@@ -948,6 +965,7 @@ impl ServiceBuilder {
                 .insert(global_tid, (shard_idx, tid));
 
             let mut tuple_cost = 0.0;
+            let mut subscriptions = Vec::with_capacity(bounded_cols.len());
             for &col in &bounded_cols {
                 let initial = cells
                     .get(col)
@@ -960,11 +978,15 @@ impl ServiceBuilder {
                 shard
                     .cache
                     .bind_object(object, source_id, table_name.as_str(), tid, col)?;
-                let refresh =
-                    source.subscribe(shard.cache.id(), object, self.initial_width, now)?;
-                shard.cache.install_refresh(refresh)?;
+                subscriptions.push(source.subscribe(
+                    shard.cache.id(),
+                    object,
+                    self.initial_width,
+                    now,
+                )?);
                 tuple_cost += self.cost_model.cost(source_id, object);
             }
+            shard.cache.install_refreshes(subscriptions)?;
             shard
                 .cache
                 .session_mut()

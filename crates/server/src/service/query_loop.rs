@@ -15,6 +15,7 @@ use trapp_core::query_plan::{
 };
 use trapp_core::refresh::iterative::IterativeHeuristic;
 use trapp_core::{bounded_answer, merge_grouped_partials, merge_table_slices, BoundedAnswer};
+use trapp_system::CacheNode;
 use trapp_types::{ObjectId, PartialFailure, SourceFailure, SourceId, TrappError, TupleId};
 
 use super::{rollup, DegradationPolicy, DegradedInfo, Job, ServiceCore, ServiceReply};
@@ -39,6 +40,32 @@ struct QueryCtx {
     plan_us: u64,
     fetch_us: u64,
     install_us: u64,
+    locks: LockTime,
+}
+
+/// What one query's shard-lock sections cost: the time spent waiting for
+/// each lock and the time each was held, summed over every section —
+/// plans, scatter gathers, object resolution, installs and the dark-source
+/// scans.
+#[derive(Clone, Copy, Default)]
+pub(super) struct LockTime {
+    pub(super) wait: Duration,
+    pub(super) hold: Duration,
+}
+
+impl LockTime {
+    /// Runs `f` under `shard`'s cache lock, charging the wait for the lock
+    /// and the time it is held.
+    fn locked<R>(&mut self, shard: &Shard, f: impl FnOnce(&mut CacheNode) -> R) -> R {
+        let asked = Instant::now();
+        let mut cache = shard.cache.lock();
+        let acquired = Instant::now();
+        let out = f(&mut cache);
+        drop(cache);
+        self.wait += acquired - asked;
+        self.hold += acquired.elapsed();
+        out
+    }
 }
 
 /// The typed refusal for a blown deadline.
@@ -137,7 +164,9 @@ impl ServiceCore {
             .and_then(|query| QueryRun::new(self, &mut ctx, query, job).run());
         let exec_time = started.elapsed();
 
-        let mut counters = self.counters.lock();
+        let (counters, locks) = &mut *self.counters.lock();
+        locks.wait += ctx.locks.wait;
+        locks.hold += ctx.locks.hold;
         counters.queue_wait_us += queue_wait.as_micros() as u64;
         counters.plan_us += ctx.plan_us;
         counters.fetch_us += ctx.fetch_us;
@@ -196,13 +225,15 @@ impl ServiceCore {
         s: usize,
         query: &trapp_sql::Query,
         exclusions: &Exclusions,
+        locks: &mut LockTime,
     ) -> Result<(QueryPlan, f64, usize), TrappError> {
         let shard = self.router.shard(s);
-        let mut cache = shard.cache.lock();
-        let plan = cache.plan_query_excluding(query, exclusions)?;
-        shard.note_view_work(&cache);
-        let max_join_rounds = cache.session().config.max_refresh_rounds;
-        Ok((plan, self.clock.now(), max_join_rounds))
+        locks.locked(shard, |cache| {
+            let plan = cache.plan_query_excluding(query, exclusions)?;
+            shard.note_view_work(cache);
+            let max_join_rounds = cache.session().config.max_refresh_rounds;
+            Ok((plan, self.clock.now(), max_join_rounds))
+        })
     }
 
     /// Iterative mode (§8.2) picks each refresh from live master values,
@@ -214,20 +245,21 @@ impl ServiceCore {
         &self,
         s: usize,
         query: &trapp_sql::Query,
+        locks: &mut LockTime,
     ) -> Result<QueryOutcome, TrappError> {
         let shard = self.router.shard(s);
-        let mut cache = shard.cache.lock();
         let globalize = |refreshed: &mut Vec<(String, TupleId)>| {
             for (table, tid) in refreshed {
                 *tid = shard.global_tid(table, *tid);
             }
         };
         if query.group_by.is_empty() {
-            let mut result = cache.execute(query, &shard.gateway)?;
+            let mut result = locks.locked(shard, |cache| cache.execute(query, &shard.gateway))?;
             globalize(&mut result.refreshed);
             Ok(QueryOutcome::Scalar(result))
         } else {
-            let mut groups = cache.execute_grouped(query, &shard.gateway)?;
+            let mut groups =
+                locks.locked(shard, |cache| cache.execute_grouped(query, &shard.gateway))?;
             for g in &mut groups {
                 globalize(&mut g.result.refreshed);
             }
@@ -237,16 +269,22 @@ impl ServiceCore {
 
     /// Resolves each shard's tuples to per-source object batches, with one
     /// short lock per owning shard and one binding lookup per table batch.
-    fn resolve_objects(&self, work: &ShardWork<'_>) -> Result<Vec<SourceBatches>, TrappError> {
+    fn resolve_objects(
+        &self,
+        work: &ShardWork<'_>,
+        locks: &mut LockTime,
+    ) -> Result<Vec<SourceBatches>, TrappError> {
         let mut requests = vec![Vec::new(); work.len()];
         for (s, batches) in work.iter().enumerate().filter(|(_, w)| !w.is_empty()) {
-            let cache = self.router.shard(s).cache.lock();
             let mut per_source: BTreeMap<SourceId, Vec<ObjectId>> = BTreeMap::new();
-            for (table, tids) in batches {
-                cache.for_objects_backing(table, tids, |object, source| {
-                    per_source.entry(source).or_default().push(object)
-                })?;
-            }
+            locks.locked(self.router.shard(s), |cache| {
+                for (table, tids) in batches {
+                    cache.for_objects_backing(table, tids, |object, source| {
+                        per_source.entry(source).or_default().push(object)
+                    })?;
+                }
+                Ok::<_, TrappError>(())
+            })?;
             requests[s] = per_source.into_iter().collect();
         }
         Ok(requests)
@@ -257,22 +295,28 @@ impl ServiceCore {
     /// the route plans in (shard-local for a single-shard route, global
     /// for scatter). Empty dark set short-circuits to no exclusions — the
     /// healthy fast path allocates nothing.
-    fn exclusions_for(&self, dark: &HashSet<SourceId>, route: Route) -> Exclusions {
+    fn exclusions_for(
+        &self,
+        dark: &HashSet<SourceId>,
+        route: Route,
+        locks: &mut LockTime,
+    ) -> Exclusions {
         let mut ex = Exclusions::default();
         if dark.is_empty() {
             return ex;
         }
         for s in self.router.footprint(route) {
             let shard = self.router.shard(s);
-            let cache = shard.cache.lock();
-            for (_, r) in cache.objects().filter(|(_, r)| dark.contains(&r.source)) {
-                let (table, local) = (&r.cell.0, r.cell.1);
-                let tid = match route {
-                    Route::Single(_) => local,
-                    Route::Scatter => shard.global_tid(table, local),
-                };
-                ex.insert(table, tid);
-            }
+            locks.locked(shard, |cache| {
+                for (_, r) in cache.objects().filter(|(_, r)| dark.contains(&r.source)) {
+                    let (table, local) = (&r.cell.0, r.cell.1);
+                    let tid = match route {
+                        Route::Single(_) => local,
+                        Route::Scatter => shard.global_tid(table, local),
+                    };
+                    ex.insert(table, tid);
+                }
+            });
         }
         ex
     }
@@ -281,12 +325,20 @@ impl ServiceCore {
     /// unachievable: a structured [`TrappError::PartialResult`] naming
     /// which shards hold dark-source cells and which sources are down
     /// (each with a [`TrappError::SourceUnavailable`] cause).
-    fn unavailable_error(&self, route: Route, dark: &HashSet<SourceId>) -> TrappError {
+    fn unavailable_error(
+        &self,
+        route: Route,
+        dark: &HashSet<SourceId>,
+        locks: &mut LockTime,
+    ) -> TrappError {
         let mut surviving_shards = Vec::new();
         let mut failed_shards = Vec::new();
         for s in self.router.footprint(route) {
-            let cache = self.router.shard(s).cache.lock();
-            if cache.objects().any(|(_, r)| dark.contains(&r.source)) {
+            let shard = self.router.shard(s);
+            let dark_cells = locks.locked(shard, |cache| {
+                cache.objects().any(|(_, r)| dark.contains(&r.source))
+            });
+            if dark_cells {
                 failed_shards.push(s);
             } else {
                 surviving_shards.push(s);
@@ -320,20 +372,26 @@ impl ServiceCore {
         &self,
         query: &trapp_sql::Query,
         exclusions: &Exclusions,
+        locks: &mut LockTime,
     ) -> Result<(QueryPlan, f64, usize), TrappError> {
         let mut strategy = trapp_core::SolverStrategy::default();
         let mut heuristic = IterativeHeuristic::BestRatio;
         let mut max_join_rounds = 0usize;
         let mut partials: Vec<QueryPartial> = Vec::with_capacity(self.router.shard_count());
         let mut join_meta: Option<(BoundQuery, JoinSchemas)> = None;
-        let now;
-        {
-            let mut guards: Vec<_> = self
-                .router
-                .shards()
-                .iter()
-                .map(|s| s.cache.lock())
-                .collect();
+        let asked = Instant::now();
+        let mut acquired = Vec::with_capacity(self.router.shard_count());
+        let mut guards: Vec<_> = self
+            .router
+            .shards()
+            .iter()
+            .map(|s| {
+                let guard = s.cache.lock();
+                acquired.push(Instant::now());
+                guard
+            })
+            .collect();
+        let gathered = (|| {
             for (shard, cache) in self.router.shards().iter().zip(guards.iter_mut()) {
                 cache.materialize()?;
                 let config = &cache.session().config;
@@ -361,8 +419,13 @@ impl ServiceCore {
                 );
                 join_meta = Some((bound, schemas));
             }
-            now = self.clock.now();
-        }
+            Ok(self.clock.now())
+        })();
+        drop(guards);
+        let released = Instant::now();
+        locks.wait += acquired.last().map_or(Duration::ZERO, |&last| last - asked);
+        locks.hold += acquired.iter().map(|&at| released - at).sum::<Duration>();
+        let now = gathered?;
         let plan = plan_merged(partials, join_meta, strategy, heuristic, exclusions)?;
         Ok((plan, now, max_join_rounds))
     }
@@ -637,11 +700,12 @@ impl<'a> QueryRun<'a> {
             self.dark
                 .extend(self.core.router.shard(s).health.dark_sources());
         }
-        let exclusions = self.core.exclusions_for(&self.dark, self.route);
+        let locks = &mut self.ctx.locks;
+        let exclusions = self.core.exclusions_for(&self.dark, self.route, locks);
         let started = Instant::now();
         let (plan, now, max_join_rounds) = match self.route {
-            Route::Single(s) => self.core.plan_single(s, &self.query, &exclusions)?,
-            Route::Scatter => self.core.plan_scatter(&self.query, &exclusions)?,
+            Route::Single(s) => self.core.plan_single(s, &self.query, &exclusions, locks)?,
+            Route::Scatter => self.core.plan_scatter(&self.query, &exclusions, locks)?,
         };
         self.ctx.plan_us += started.elapsed().as_micros() as u64;
         self.max_join_rounds = max_join_rounds;
@@ -672,7 +736,9 @@ impl<'a> QueryRun<'a> {
         // Its refreshes go through the gateway whatever is dark, so it
         // excludes no source, and its reply names none.
         self.dark.clear();
-        let outcome = self.core.run_iterative(s, &self.query)?;
+        let outcome = self
+            .core
+            .run_iterative(s, &self.query, &mut self.ctx.locks)?;
         Ok(Phase::Answer(outcome))
     }
 
@@ -734,7 +800,7 @@ impl<'a> QueryRun<'a> {
             }
         }
         let work = self.attribute(&plan)?;
-        let requests = self.core.resolve_objects(&work)?;
+        let requests = self.core.resolve_objects(&work, &mut self.ctx.locks)?;
         let deadline = self.deadline.map(|d| self.enqueued + d);
         let started = Instant::now();
         let pending: Vec<(usize, PendingFetch)> = requests
@@ -807,10 +873,11 @@ impl<'a> QueryRun<'a> {
         Ok(work)
     }
 
-    /// The install phase: everything that arrived goes in — even from a
-    /// failed shard, whose sources already narrowed their tracked bounds —
-    /// before any failure surfaces. A clean round plans again; `complete`
-    /// is the round's [`FetchPlan::complete`].
+    /// The install phase: everything that arrived goes in — every shard's
+    /// batch, even from a failed shard, whose sources already narrowed
+    /// their tracked bounds — before any failure surfaces: the first
+    /// refusal to install, then a lost source. A clean round plans again;
+    /// `complete` is the round's [`FetchPlan::complete`].
     fn install(
         &mut self,
         outcomes: Vec<(usize, FetchOutcome)>,
@@ -819,12 +886,15 @@ impl<'a> QueryRun<'a> {
         let started = Instant::now();
         let mut surviving = Vec::new();
         let mut failed = Vec::new();
+        let mut refused = None;
         for (s, outcome) in outcomes {
-            {
-                let mut cache = self.core.router.shard(s).cache.lock();
-                for refresh in outcome.refreshes {
-                    cache.install_refresh(refresh)?;
-                }
+            let shard = self.core.router.shard(s);
+            let installed = self
+                .ctx
+                .locks
+                .locked(shard, |cache| cache.install_refreshes(outcome.refreshes));
+            if let Err(e) = installed {
+                refused.get_or_insert(e);
             }
             let stats = &mut self.ctx.stats;
             stats.round_trips += outcome.stats.round_trips;
@@ -837,6 +907,9 @@ impl<'a> QueryRun<'a> {
             }
         }
         self.ctx.install_us += started.elapsed().as_micros() as u64;
+        if let Some(e) = refused {
+            return Err(e);
+        }
         if failed.is_empty() {
             Ok(Phase::Plan)
         } else {
@@ -932,7 +1005,9 @@ impl<'a> QueryRun<'a> {
         };
         let short_of_sources = !satisfied && !self.dark.is_empty();
         if short_of_sources && strict {
-            return Err(self.core.unavailable_error(self.route, &self.dark));
+            return Err(self
+                .core
+                .unavailable_error(self.route, &self.dark, &mut self.ctx.locks));
         }
         let load_shed = self.ctx.deadline_widened || self.admission_widened;
         let degraded = (short_of_sources || load_shed).then(|| DegradedInfo {

@@ -212,3 +212,40 @@ fn coalescing_saves_refreshes_under_latency() {
     );
     assert_eq!(stats.errors, 0);
 }
+
+/// The shard-lock counters cover every lock section a query takes: after
+/// queries that fetch on a 1-shard service both have moved, and neither
+/// ever moves backwards.
+#[test]
+fn shard_lock_counters_grow_with_fetching_queries() {
+    let w = small_workload();
+    let service = build_service(
+        &w,
+        ServiceConfig {
+            workers: 1,
+            shards: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let mut last = service.stats();
+    assert_eq!((last.shard_lock_wait_us, last.shard_lock_hold_us), (0, 0));
+    for (i, q) in w.queries.iter().chain(&w.queries).enumerate() {
+        if i % 8 == 0 {
+            service.advance_clock(25.0);
+        }
+        service.query(&q.sql).unwrap();
+        let now = service.stats();
+        assert!(
+            now.shard_lock_wait_us >= last.shard_lock_wait_us,
+            "query {i}"
+        );
+        assert!(
+            now.shard_lock_hold_us >= last.shard_lock_hold_us,
+            "query {i}"
+        );
+        last = now;
+    }
+    assert!(last.round_trips > 0, "the queries fetched");
+    assert!(last.shard_lock_wait_us > 0);
+    assert!(last.shard_lock_hold_us > 0);
+}

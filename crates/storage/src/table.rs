@@ -1,4 +1,6 @@
-//! Tables: tuple storage with refresh costs and maintained indexes.
+//! Tables: tuple storage with refresh costs and maintained indexes, and
+//! the change tracking memoized views sync by — a per-tuple version stamp
+//! and a bounded change log.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -21,10 +23,12 @@ use crate::schema::Schema;
 ///   which the CHOOSE_REFRESH algorithms probe for their sub-linear paths.
 ///
 /// Mutations keep all registered indexes consistent, bump a monotonic
-/// [`version`](Table::version), and append the touched tuple to a bounded
-/// **change log** ([`Table::changes_since`]) so memoized views over the
-/// table (`trapp_core`'s band views) can re-derive only the tuples that
-/// actually changed instead of rescanning.
+/// [`version`](Table::version), stamp the touched slot with it
+/// ([`Table::stamp`]), and append the touched tuple to a bounded **change
+/// log** ([`Table::changes_since`]), so memoized views over the table
+/// (`trapp_core`'s band views) can re-derive only the tuples that actually
+/// changed instead of rescanning: a view that knows which few tuples it
+/// depends on asks each one's stamp, one that does not reads the log.
 ///
 /// **Layout.** Tuples live in dense id-indexed slots: one
 /// `Vec<Option<(Row, f64)>>` whose slot `i` holds tuple id `i + 1` with its
@@ -35,12 +39,16 @@ use crate::schema::Schema;
 /// deleted tuple leaves its slot empty (`None`, 32 bytes) for good. That
 /// is the trade for the index: nothing outside tests deletes today, so
 /// there is no compaction, which would also have to renumber ids that
-/// views, indexes and the change log hold.
+/// views, indexes and the change log hold. Beside the slots runs one
+/// `u64` stamp per slot (8 bytes), the version of the slot's last
+/// mutation; a deleted slot keeps the stamp of its delete.
 #[derive(Clone)]
 pub struct Table {
     name: String,
     schema: Arc<Schema>,
     slots: Vec<Option<(Row, f64)>>,
+    /// `stamps[i]`: the version of slot `i`'s last mutation.
+    stamps: Vec<u64>,
     /// Number of occupied slots.
     live: usize,
     indexes: HashMap<IndexKey, OrderedIndex>,
@@ -55,6 +63,9 @@ pub struct Table {
     /// cells alone stays `T−` through any amount of bound movement, so
     /// replays skip it as long as this counter stands still.
     exact_version: u64,
+    /// The version of the last table-global change (cardinality slack),
+    /// which every slot counts as its own.
+    global_stamp: u64,
     /// Versions at or below this are no longer covered by `change_log`
     /// (the log was compacted, or a table-global change invalidated
     /// everything); readers behind the floor must rebuild.
@@ -70,6 +81,7 @@ impl Table {
             name: name.into(),
             schema,
             slots: Vec::new(),
+            stamps: Vec::new(),
             live: 0,
             indexes: HashMap::new(),
             default_cost: 1.0,
@@ -77,6 +89,7 @@ impl Table {
             pending_deletes: 0,
             version: 0,
             exact_version: 0,
+            global_stamp: 0,
             log_floor: 0,
             change_log: Vec::new(),
         }
@@ -91,6 +104,18 @@ impl Table {
     /// The exact-cell mutation version; see the field docs.
     pub fn exact_version(&self) -> u64 {
         self.exact_version
+    }
+
+    /// The version of the last mutation that can have changed `tid`: its
+    /// own last write (insert, cell, cost or delete) or the last
+    /// table-global change, whichever is later — `0` for an id nothing has
+    /// touched. A reader synced to version `v` has seen every change to
+    /// `tid` exactly when `stamp(tid) <= v`. Unlike the change log this
+    /// never forgets, so a reader that knows which tuples it depends on
+    /// can catch up after any gap by asking each one.
+    pub fn stamp(&self, tid: TupleId) -> u64 {
+        let own = slot_of(tid).and_then(|i| self.stamps.get(i)).copied();
+        own.unwrap_or(0).max(self.global_stamp)
     }
 
     /// The `(version, tuple)` log entries after version `since`, in
@@ -124,12 +149,16 @@ impl Table {
         }
         self.version += 1;
         self.change_log.push((self.version, tid));
+        if let Some(stamp) = slot_of(tid).and_then(|i| self.stamps.get_mut(i)) {
+            *stamp = self.version;
+        }
     }
 
     /// Records a table-global mutation (e.g. cardinality slack): every
     /// memoized view must rebuild.
     fn log_global_change(&mut self) {
         self.version += 1;
+        self.global_stamp = self.version;
         self.change_log.clear();
         self.log_floor = self.version;
     }
@@ -181,6 +210,7 @@ impl Table {
         let tid = tid_at(self.slots.len());
         self.index_row(tid, &row, cost);
         self.slots.push(Some((row, cost)));
+        self.stamps.push(0);
         self.live += 1;
         self.log_change(tid);
         Ok(tid)
@@ -725,6 +755,30 @@ mod tests {
         // versions are rejected too.
         assert!(t.changes_since(0).is_none());
         assert!(t.changes_since(t.version() + 1).is_none());
+    }
+
+    #[test]
+    fn stamps_outlive_the_change_log() {
+        let mut t = table();
+        let a = t.insert(row(1, 0.0, 1.0)).unwrap();
+        let b = t.insert(row(2, 0.0, 1.0)).unwrap();
+        assert_eq!((t.stamp(a), t.stamp(b)), (1, 2));
+        assert_eq!(t.stamp(TupleId::new(0)), 0);
+        assert_eq!(t.stamp(TupleId::new(99)), 0);
+        // Far more writes to `a` than the log keeps: `b` still reads as
+        // untouched since its insert.
+        for i in 0..5000 {
+            t.refresh_cell(a, 1, i as f64).unwrap();
+        }
+        assert!(t.changes_since(2).is_none());
+        assert_eq!((t.stamp(a), t.stamp(b)), (t.version(), 2));
+        // A delete stamps the emptied slot; a global change stamps all.
+        t.delete(b).unwrap();
+        assert_eq!(t.stamp(b), t.version());
+        let before = t.version();
+        t.set_cardinality_slack(1, 0);
+        assert!(t.stamp(a) > before && t.stamp(b) > before);
+        assert_eq!(t.stamp(TupleId::new(99)), t.version());
     }
 
     #[test]

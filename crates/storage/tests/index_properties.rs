@@ -4,8 +4,8 @@
 //! * maintained indexes stay exactly consistent with a full table scan;
 //! * the table reads exactly like a `BTreeMap<TupleId, (cells, cost)>`
 //!   model — the per-tuple maps `Table` kept before its dense id-indexed
-//!   slots — through every accessor, iterator and the change log, and
-//!   every call on an id it does not hold returns `UnknownTuple` and
+//!   slots — through every accessor, iterator, the change log and the
+//!   per-tuple stamps, and every call on an id it does not hold returns `UnknownTuple` and
 //!   changes nothing.
 //!
 //! 128 cases in debug, 10⁴ in release (CI's `view-maintenance` job).
@@ -200,6 +200,15 @@ fn matches_model(table: &Table, model: &Model) -> Result<(), String> {
         prop_assert!(
             table.tuple_ids_after(t).eq(want),
             "tuple_ids_after({:?})",
+            t
+        );
+        // The stamp is the tuple's last logged version, and stays on a
+        // deleted tuple.
+        let stamp = model.log.iter().rev().find(|&&(_, w)| w == t);
+        prop_assert_eq!(
+            table.stamp(t),
+            stamp.map_or(0, |&(v, _)| v),
+            "stamp({:?})",
             t
         );
     }

@@ -12,13 +12,24 @@
 //! so a second query over the same rows at the same instant writes
 //! nothing. An install or a rebinding rewrites its own row on the spot.
 //!
+//! **Layout.** The cell state of each table lives in dense tuple-id slots,
+//! as the table's own rows do: slot `i` holds tuple `i + 1`'s bindings,
+//! and each binding carries its object's current bound function and
+//! owning source. The per-row step, a fetch's object resolution
+//! ([`CacheNode::for_objects_backing`]) and an install therefore index
+//! a slot instead of probing a map. One map keyed by [`ObjectId`] holds
+//! what an object needs beyond its cell: its route and the sequence of
+//! its last installed refresh. [`CacheNode::install_refreshes`] lands a
+//! whole batch with one probe of that map per refresh and one catalog
+//! and slot-table lookup per run of refreshes into the same table.
+//!
 //! Query-initiated refreshes flow through an internal transport-backed
 //! oracle (`SystemOracle`), which routes
 //! each `(table, tuple, column)` request to the owning source via the
 //! transport, hands the exact value to the executor, and records the new
 //! bound function for installation after the query completes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use trapp_bounds::BoundFunction;
 use trapp_core::executor::{QueryResult, QuerySession, RefreshOracle};
@@ -45,7 +56,29 @@ pub struct ObjectRoute {
     pub cell: CellKey,
 }
 
-/// One cached row's bound cells, and the instant they were last written.
+/// A bound object, beyond its cell's binding.
+struct Object {
+    route: ObjectRoute,
+    /// Its table's index in [`Cells::tables`].
+    table: usize,
+    /// Sequence of its last installed refresh (see [`Refresh::seq`]);
+    /// installs arriving out of order are skipped.
+    seq: Option<u64>,
+}
+
+/// One `(column, object)` binding of a row, with what the per-row step
+/// and a fetch need of the object.
+#[derive(Clone, Copy)]
+struct Binding {
+    column: usize,
+    object: ObjectId,
+    source: SourceId,
+    /// The object's current bound function; `None` until its
+    /// subscription refresh is installed.
+    bound: Option<BoundFunction>,
+}
+
+/// One cached row's bindings, and the instant its cells were last written.
 #[derive(Default)]
 struct RowCells {
     bindings: Bindings,
@@ -54,15 +87,14 @@ struct RowCells {
     current_at: Option<f64>,
 }
 
-/// A row's `(column, object)` bindings, by column, each cell's objects
-/// oldest first. The newest is the one a refresh of the cell fetches; the
-/// newest *with a bound* is the one the cell shows (a fresh binding has
-/// none until its subscription is installed). Nearly every row has one
-/// binding, held inline: a full pass then walks the row index without a
-/// pointer to chase per row.
+/// A row's bindings, by column, each cell's objects oldest first. The
+/// newest is the one a refresh of the cell fetches; the newest *with a
+/// bound* is the one the cell shows. Nearly every row has one binding,
+/// held inline: a full pass then walks the slots without a pointer to
+/// chase per row.
 enum Bindings {
-    One([(usize, ObjectId); 1]),
-    Many(Vec<(usize, ObjectId)>),
+    One([Binding; 1]),
+    Many(Vec<Binding>),
 }
 
 impl Default for Bindings {
@@ -71,8 +103,8 @@ impl Default for Bindings {
     }
 }
 
-impl From<Vec<(usize, ObjectId)>> for Bindings {
-    fn from(all: Vec<(usize, ObjectId)>) -> Bindings {
+impl From<Vec<Binding>> for Bindings {
+    fn from(all: Vec<Binding>) -> Bindings {
         match *all {
             [one] => Bindings::One([one]),
             _ => Bindings::Many(all),
@@ -81,7 +113,14 @@ impl From<Vec<(usize, ObjectId)>> for Bindings {
 }
 
 impl Bindings {
-    fn as_slice(&self) -> &[(usize, ObjectId)] {
+    fn as_slice(&self) -> &[Binding] {
+        match self {
+            Bindings::One(one) => one,
+            Bindings::Many(all) => all,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Binding] {
         match self {
             Bindings::One(one) => one,
             Bindings::Many(all) => all,
@@ -89,40 +128,61 @@ impl Bindings {
     }
 
     /// Adds `binding` as the newest of its cell.
-    fn insert(&mut self, binding: (usize, ObjectId)) {
+    fn insert(&mut self, binding: Binding) {
         let mut all = self.as_slice().to_vec();
-        all.insert(all.partition_point(|&(c, _)| c <= binding.0), binding);
+        all.insert(all.partition_point(|b| b.column <= binding.column), binding);
         *self = all.into();
     }
 
-    fn remove(&mut self, binding: (usize, ObjectId)) {
+    /// Removes and returns `object`'s binding, if the row has one.
+    fn remove(&mut self, object: ObjectId) -> Option<Binding> {
         let mut all = self.as_slice().to_vec();
-        all.retain(|&b| b != binding);
+        let at = all.iter().position(|b| b.object == object)?;
+        let removed = all.remove(at);
         *self = all.into();
+        Some(removed)
     }
 }
 
 impl RowCells {
-    /// The newest object bound to the row's `column`.
-    fn newest(&self, column: usize) -> Option<ObjectId> {
+    /// The newest binding of the row's `column`.
+    fn newest(&self, column: usize) -> Option<&Binding> {
         self.bindings
             .as_slice()
             .iter()
             .rev()
-            .find(|&&(c, _)| c == column)
-            .map(|&(_, object)| object)
+            .find(|b| b.column == column)
     }
 }
 
-/// The bound cells: which objects back each, their bound functions, and
-/// which rows hold those bounds evaluated at which instant.
+/// One cached table's rows in dense tuple-id slots: slot `i` holds tuple
+/// `i + 1`, `None` until a cell of it is first bound.
+struct TableCells {
+    name: String,
+    rows: Vec<Option<RowCells>>,
+}
+
+/// The row of `tid` in `rows`, if one of its cells was ever bound.
+fn slot(rows: &[Option<RowCells>], tid: TupleId) -> Option<&RowCells> {
+    let at = usize::try_from(tid.raw().checked_sub(1)?).ok()?;
+    rows.get(at)?.as_ref()
+}
+
+/// [`slot`], mutably.
+fn slot_mut(rows: &mut [Option<RowCells>], tid: TupleId) -> Option<&mut RowCells> {
+    let at = usize::try_from(tid.raw().checked_sub(1)?).ok()?;
+    rows.get_mut(at)?.as_mut()
+}
+
+/// The bound cells: which objects back each, with their bound functions,
+/// and which rows hold those bounds evaluated at which instant.
 #[derive(Default)]
 struct Cells {
-    /// table → tuple → the row's cells, ordered: the reverse of
-    /// [`ObjectRoute::cell`], and the order a full pass writes rows in.
-    rows: BTreeMap<String, BTreeMap<TupleId, RowCells>>,
-    /// Current bound function per object.
-    bounds: HashMap<ObjectId, BoundFunction>,
+    /// Per cached table with a bound cell, in the order first bound.
+    tables: Vec<TableCells>,
+    /// Rows with a slot, over every table: the count a full pass at one
+    /// instant brings current.
+    slotted: usize,
     tally: Tally,
 }
 
@@ -138,32 +198,60 @@ struct Tally {
 }
 
 impl Cells {
-    /// The newest object bound to `table[tid].column`.
-    fn newest(&self, table: &str, tid: TupleId, column: usize) -> Option<ObjectId> {
-        self.rows.get(table)?.get(&tid)?.newest(column)
+    /// The index of table `name` in [`Cells::tables`], if any cell of it
+    /// is bound.
+    fn position(&self, name: &str) -> Option<usize> {
+        self.tables.iter().position(|t| t.name == name)
     }
 
-    /// Makes `object` the newest binding of `table[tid].column`.
-    fn bind(&mut self, table: &str, tid: TupleId, column: usize, object: ObjectId) {
-        let row = self
-            .rows
-            .entry(table.to_owned())
-            .or_default()
-            .entry(tid)
-            .or_default();
-        row.bindings.insert((column, object));
+    /// The row slots of table `name`.
+    fn rows_of(&self, name: &str) -> Option<&[Option<RowCells>]> {
+        self.position(name)
+            .map(|at| self.tables[at].rows.as_slice())
     }
 
-    /// Drops `object`'s binding of `table[tid].column`, if it has one.
-    fn unbind(&mut self, table: &str, tid: TupleId, column: usize, object: ObjectId) {
-        if let Some(row) = self.rows.get_mut(table).and_then(|rows| rows.get_mut(&tid)) {
-            row.bindings.remove((column, object));
+    /// The newest binding of `table[tid].column`.
+    fn newest(&self, table: &str, tid: TupleId, column: usize) -> Option<&Binding> {
+        slot(self.rows_of(table)?, tid)?.newest(column)
+    }
+
+    /// The index of table `name`, adding it on its first binding.
+    fn table_index(&mut self, name: &str) -> usize {
+        self.position(name).unwrap_or_else(|| {
+            self.tables.push(TableCells {
+                name: name.to_owned(),
+                rows: Vec::new(),
+            });
+            self.tables.len() - 1
+        })
+    }
+
+    /// Makes `binding` the newest of its cell in row `tid` of table
+    /// `table`.
+    fn bind(&mut self, table: usize, tid: TupleId, binding: Binding) {
+        let rows = &mut self.tables[table].rows;
+        let at = usize::try_from(tid.raw() - 1).expect("a bound row is in the table");
+        if at >= rows.len() {
+            rows.resize_with(at + 1, || None);
         }
+        let row = rows[at].get_or_insert_with(|| {
+            self.slotted += 1;
+            RowCells::default()
+        });
+        row.bindings.insert(binding);
+    }
+
+    /// Removes and returns `object`'s binding in row `tid` of table
+    /// `table`.
+    fn unbind(&mut self, table: usize, tid: TupleId, object: ObjectId) -> Option<Binding> {
+        slot_mut(&mut self.tables[table].rows, tid)?
+            .bindings
+            .remove(object)
     }
 
     /// Whether every row is counted current at `now`.
     fn all_current_at(&self, now: f64) -> bool {
-        self.tally.current == (now, self.rows.values().map(BTreeMap::len).sum())
+        self.tally.current == (now, self.slotted)
     }
 
     /// The full pass: the per-row step over every bound row of every
@@ -172,34 +260,34 @@ impl Cells {
         if self.all_current_at(now) {
             return Ok(());
         }
-        for (name, rows) in &mut self.rows {
+        for TableCells { name, rows } in &mut self.tables {
             let table = catalog.table_mut(name)?;
-            for (&tid, row) in rows {
-                self.tally.step(&self.bounds, table, tid, row, now, false)?;
+            for (i, row) in rows.iter_mut().enumerate() {
+                if let Some(row) = row {
+                    let tid = TupleId::new(i as u64 + 1);
+                    self.tally.step(table, tid, row, now, false)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// The per-row step over `tids` of table `name` — or, when
+    /// The per-row step over `tids` of table number `table` — or, when
     /// `changed`, a rewrite of them whether they are current or not: one
     /// of their bounds or bindings just changed.
     fn bring_current(
         &mut self,
         catalog: &mut Catalog,
         now: f64,
-        name: &str,
+        table: usize,
         tids: &[TupleId],
         changed: bool,
     ) -> Result<(), TrappError> {
-        let Some(rows) = self.rows.get_mut(name) else {
-            return Ok(());
-        };
+        let TableCells { name, rows } = &mut self.tables[table];
         let table = catalog.table_mut(name)?;
-        for tid in tids {
-            if let Some(row) = rows.get_mut(tid) {
-                self.tally
-                    .step(&self.bounds, table, *tid, row, now, changed)?;
+        for &tid in tids {
+            if let Some(row) = slot_mut(rows, tid) {
+                self.tally.step(table, tid, row, now, changed)?;
             }
         }
         Ok(())
@@ -214,7 +302,6 @@ impl Tally {
     /// nothing to write.
     fn step(
         &mut self,
-        bounds: &HashMap<ObjectId, BoundFunction>,
         table: &mut Table,
         tid: TupleId,
         row: &mut RowCells,
@@ -227,13 +314,17 @@ impl Tally {
         if row.current_at.take() == Some(self.current.0) {
             self.current.1 -= 1;
         }
-        for cell in row.bindings.as_slice().chunk_by(|a, b| a.0 == b.0) {
+        for cell in row
+            .bindings
+            .as_slice()
+            .chunk_by(|a, b| a.column == b.column)
+        {
             // Bound but not yet subscribed: nothing to evaluate.
-            let Some(bound) = cell.iter().rev().find_map(|(_, o)| bounds.get(o)) else {
+            let Some(bound) = cell.iter().rev().find_map(|b| b.bound) else {
                 continue;
             };
             let interval = BoundedValue::Bounded(bound.interval_at(now));
-            match table.update_cell(tid, cell[0].0, interval) {
+            match table.update_cell(tid, cell[0].column, interval) {
                 Ok(()) => self.written += 1,
                 // Deleted from the table since it was bound.
                 Err(TrappError::UnknownTuple(_)) => break,
@@ -249,19 +340,25 @@ impl Tally {
     }
 }
 
+/// Where an accepted refresh lands.
+#[derive(Clone, Copy)]
+struct Target {
+    /// Its table's index in [`Cells::tables`].
+    table: usize,
+    tuple: TupleId,
+    column: usize,
+}
+
 /// A TRAPP data cache.
 pub struct CacheNode {
     id: CacheId,
     session: QuerySession,
     clock: SimClock,
-    /// object → route (source + cell).
-    routes: HashMap<ObjectId, ObjectRoute>,
+    /// Every bound object: route, table, last installed sequence.
+    objects: HashMap<ObjectId, Object>,
     /// Which objects back each cell, their bounds, and which rows are
     /// current.
     cells: Cells,
-    /// Sequence of the last installed refresh per object (see
-    /// [`Refresh::seq`]); installs arriving out of order are skipped.
-    installed_seq: HashMap<ObjectId, u64>,
     stats: CacheStats,
 }
 
@@ -272,9 +369,8 @@ impl CacheNode {
             id,
             session: QuerySession::with_catalog(Catalog::new()),
             clock,
-            routes: HashMap::new(),
+            objects: HashMap::new(),
             cells: Cells::default(),
-            installed_seq: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -286,12 +382,12 @@ impl CacheNode {
 
     /// Where `object` lives and which cell it backs, if bound here.
     pub fn route(&self, object: ObjectId) -> Option<&ObjectRoute> {
-        self.routes.get(&object)
+        self.objects.get(&object).map(|o| &o.route)
     }
 
     /// Iterates all bound objects with their routes.
     pub fn objects(&self) -> impl Iterator<Item = (ObjectId, &ObjectRoute)> {
-        self.routes.iter().map(|(&o, r)| (o, r))
+        self.objects.iter().map(|(&o, entry)| (o, &entry.route))
     }
 
     /// The replicated objects backing `tid`'s bounded cells, with their
@@ -310,8 +406,8 @@ impl CacheNode {
 
     /// [`CacheNode::objects_backing`] for a batch of `table`'s tuples,
     /// each `(object, source)` handed to `each` in tuple order: the table,
-    /// its bounded columns and its bindings are looked up once per batch,
-    /// not once per tuple.
+    /// its bounded columns and its row slots are looked up once per batch,
+    /// and each tuple's bindings by index.
     pub fn for_objects_backing(
         &self,
         table: &str,
@@ -324,14 +420,14 @@ impl CacheNode {
             .table(table)?
             .schema()
             .bounded_columns();
-        let rows = self.cells.rows.get(table);
+        let rows = self.cells.rows_of(table).unwrap_or_default();
         for &tid in tuples {
-            let row = rows.and_then(|rows| rows.get(&tid));
+            let row = slot(rows, tid);
             for &column in &columns {
-                let object = row
+                let binding = row
                     .and_then(|row| row.newest(column))
                     .ok_or_else(|| unbacked(table, tid, column))?;
-                each(object, self.routes[&object].source);
+                each(binding.object, binding.source);
             }
         }
         Ok(())
@@ -364,7 +460,8 @@ impl CacheNode {
     /// newest object: the one a refresh of the cell fetches. Until
     /// `object`'s subscription refresh is installed the cell keeps showing
     /// the bound of the object bound there before it, if any. Rebinding an
-    /// object moves it: the cell it backed falls back the same way.
+    /// object moves it, with its bound: the cell it backed falls back the
+    /// same way.
     pub fn bind_object(
         &mut self,
         object: ObjectId,
@@ -384,67 +481,132 @@ impl CacheNode {
             )));
         }
         t.row(tuple)?;
-        let name = cell.0.clone();
         let now = self.clock.now();
-        if let Some(old) = self.routes.insert(object, ObjectRoute { source, cell }) {
-            let (old_table, old_tuple, old_column) = old.cell;
-            self.cells.unbind(&old_table, old_tuple, old_column, object);
-            let catalog = self.session.catalog_mut();
-            self.cells
-                .bring_current(catalog, now, &old_table, &[old_tuple], true)?;
-        }
-        self.cells.bind(&name, tuple, column, object);
+        let table = self.cells.table_index(&cell.0);
+        let old = self.objects.remove(&object);
+        let seq = old.as_ref().and_then(|o| o.seq);
+        let route = ObjectRoute { source, cell };
+        self.objects.insert(object, Object { route, table, seq });
+        let bound = match old {
+            Some(old) => {
+                let old_tuple = old.route.cell.1;
+                let moved = self.cells.unbind(old.table, old_tuple, object);
+                let catalog = self.session.catalog_mut();
+                self.cells
+                    .bring_current(catalog, now, old.table, &[old_tuple], true)?;
+                moved.and_then(|b| b.bound)
+            }
+            None => None,
+        };
+        let binding = Binding {
+            column,
+            object,
+            source,
+            bound,
+        };
+        self.cells.bind(table, tuple, binding);
         self.cells
-            .bring_current(self.session.catalog_mut(), now, &name, &[tuple], true)
+            .bring_current(self.session.catalog_mut(), now, table, &[tuple], true)
     }
 
-    /// Installs a refresh (any kind): records the bound function, pins
-    /// the cell to the refreshed exact value, and rewrites the cell's row
-    /// at the current instant (the bound at `T_r` is the point `V(T_r)`;
-    /// it widens again as the clock moves).
+    /// Installs one refresh (any kind); see
+    /// [`CacheNode::install_refreshes`], of which this is the one-refresh
+    /// case.
+    pub fn install_refresh(&mut self, refresh: Refresh) -> Result<(), TrappError> {
+        self.install_refreshes(std::iter::once(refresh))
+    }
+
+    /// Installs a batch of refreshes (any kinds), in order. Each records
+    /// its object's bound function, pins the cell to the refreshed exact
+    /// value, and rewrites the cell's row at the current instant (the
+    /// bound at `T_r` is the point `V(T_r)`; it widens again as the clock
+    /// moves).
     ///
     /// Installs are *ordered*: a refresh whose [`Refresh::seq`] is behind
     /// one already installed for the object is stale — a newer bound from
     /// the source has already landed, e.g. a value-initiated refresh that
     /// raced a concurrently fetched query refresh — and is skipped, so the
     /// cache can never regress behind the Refresh Monitor's tracked bound.
-    pub fn install_refresh(&mut self, refresh: Refresh) -> Result<(), TrappError> {
-        let route = self.routes.get(&refresh.object).ok_or_else(|| {
-            TrappError::RefreshFailed(format!("{} is not bound here", refresh.object))
-        })?;
-        if self
-            .installed_seq
-            .get(&refresh.object)
-            .is_some_and(|&last| refresh.seq < last)
-        {
-            self.stats.stale_skipped += 1;
-            return Ok(());
+    ///
+    /// A refresh that cannot land (its object is not bound here, or its
+    /// row is gone) does not stop the batch: every other refresh is
+    /// installed, and the first error is returned afterwards. The batch
+    /// costs one object lookup per refresh, and one catalog and slot-table
+    /// lookup per run of refreshes into the same table.
+    pub fn install_refreshes(
+        &mut self,
+        refreshes: impl IntoIterator<Item = Refresh>,
+    ) -> Result<(), TrappError> {
+        let CacheNode {
+            session,
+            clock,
+            objects,
+            cells,
+            stats,
+            ..
+        } = self;
+        let now = clock.now();
+        let catalog = session.catalog_mut();
+        let mut refreshes = refreshes.into_iter();
+        let mut first_error = None;
+        // The next refresh that is neither stale nor refused.
+        let mut claim_next = |stats: &mut CacheStats, first_error: &mut Option<TrappError>| {
+            for refresh in refreshes.by_ref() {
+                match claim(objects, stats, &refresh) {
+                    Ok(Some(target)) => return Some((refresh, target)),
+                    Ok(None) => {}
+                    Err(e) => {
+                        first_error.get_or_insert(e);
+                    }
+                }
+            }
+            None
+        };
+        let mut next = claim_next(stats, &mut first_error);
+        // One run of refreshes into the same table per pass.
+        while let Some(mut at) = next.take() {
+            let run = at.1.table;
+            let TableCells { name, rows } = &mut cells.tables[run];
+            let table = match catalog.table_mut(name) {
+                Ok(table) => table,
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                    next = claim_next(stats, &mut first_error);
+                    continue;
+                }
+            };
+            loop {
+                let (refresh, target) = at;
+                match land(table, rows, &mut cells.tally, now, &refresh, target) {
+                    Ok(()) => match refresh.kind {
+                        RefreshKind::ValueInitiated => stats.value_initiated += 1,
+                        RefreshKind::QueryInitiated => stats.query_initiated += 1,
+                        RefreshKind::Subscription => stats.subscriptions += 1,
+                        RefreshKind::PreRefresh => stats.pre_refreshes += 1,
+                    },
+                    Err(e) => {
+                        first_error.get_or_insert(e);
+                    }
+                }
+                match claim_next(stats, &mut first_error) {
+                    Some(following) if following.1.table == run => at = following,
+                    other => {
+                        next = other;
+                        break;
+                    }
+                }
+            }
         }
-        self.installed_seq.insert(refresh.object, refresh.seq);
-        let (table, tuple, column) = &route.cell;
-        self.cells.bounds.insert(refresh.object, refresh.bound);
-        let catalog = self.session.catalog_mut();
-        catalog
-            .table_mut(table)?
-            .refresh_cell(*tuple, *column, refresh.value)?;
-        self.cells
-            .bring_current(catalog, self.clock.now(), table, &[*tuple], true)?;
-        match refresh.kind {
-            RefreshKind::ValueInitiated => self.stats.value_initiated += 1,
-            RefreshKind::QueryInitiated => self.stats.query_initiated += 1,
-            RefreshKind::Subscription => self.stats.subscriptions += 1,
-            RefreshKind::PreRefresh => self.stats.pre_refreshes += 1,
-        }
-        Ok(())
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Brings every bounded cell of every cached table current: each row
     /// not yet written at the current instant gets its bounds evaluated
     /// there, by the same per-row step a pinned plan runs over its group
     /// ([`CacheNode::materialize_for`]). After a clock advance that
-    /// is every row, in `(table, tuple)` order — one catalog lookup per
-    /// table, each table's rows and change log written front to back; at
-    /// an instant every row is current at already, it writes nothing.
+    /// is every row, in tuple order — one catalog lookup per table, each
+    /// table's slots and change log written front to back; at an instant
+    /// every row is current at already, it writes nothing.
     /// `Table::update_cell` skips no-op writes, so unchanged cells also
     /// leave table versions (and thus memoized band views) untouched.
     ///
@@ -471,8 +633,11 @@ impl CacheNode {
         let table = self.session.catalog().table(name)?;
         match pinned_rows(table, bound.predicate.as_ref(), &bound.group_by) {
             Some(tids) => {
+                let Some(at) = self.cells.position(name) else {
+                    return Ok(());
+                };
                 let catalog = self.session.catalog_mut();
-                self.cells.bring_current(catalog, now, name, &tids, false)
+                self.cells.bring_current(catalog, now, at, &tids, false)
             }
             None => self.materialize(),
         }
@@ -538,7 +703,7 @@ impl CacheNode {
 
     /// Shared execution harness: materializes bounds, runs `f` with a
     /// transport-backed oracle, and installs every refresh that arrived
-    /// through [`CacheNode::install_refresh`] — even on error paths (the
+    /// through [`CacheNode::install_refreshes`] — even on error paths (the
     /// exact values are already in the table; the bound functions must
     /// follow or the cell would widen again from a stale bound).
     fn with_oracle<R>(
@@ -551,15 +716,62 @@ impl CacheNode {
             cache: self.id,
             now: self.clock.now(),
             cells: &self.cells,
-            routes: &self.routes,
             transport,
             received: Vec::new(),
         };
         let result = f(&mut self.session, &mut oracle);
-        for refresh in oracle.received {
-            self.install_refresh(refresh)?;
-        }
+        self.install_refreshes(oracle.received)?;
         result
+    }
+}
+
+/// Accepts `refresh` for installation: its target, or `None` when it is
+/// sequence-stale (counted, skipped). Records its sequence as the
+/// object's last installed one.
+fn claim(
+    objects: &mut HashMap<ObjectId, Object>,
+    stats: &mut CacheStats,
+    refresh: &Refresh,
+) -> Result<Option<Target>, TrappError> {
+    let object = objects.get_mut(&refresh.object).ok_or_else(|| {
+        TrappError::RefreshFailed(format!("{} is not bound here", refresh.object))
+    })?;
+    if object.seq.is_some_and(|last| refresh.seq < last) {
+        stats.stale_skipped += 1;
+        return Ok(None);
+    }
+    object.seq = Some(refresh.seq);
+    let (_, tuple, column) = object.route.cell;
+    Ok(Some(Target {
+        table: object.table,
+        tuple,
+        column,
+    }))
+}
+
+/// Lands one claimed refresh in its table: records the bound on the
+/// object's binding, pins the cell to the refreshed value, and rewrites
+/// the row at `now`.
+fn land(
+    table: &mut Table,
+    rows: &mut [Option<RowCells>],
+    tally: &mut Tally,
+    now: f64,
+    refresh: &Refresh,
+    target: Target,
+) -> Result<(), TrappError> {
+    let mut row = slot_mut(rows, target.tuple);
+    let binding = row.as_mut().and_then(|row| {
+        let mut bindings = row.bindings.as_mut_slice().iter_mut();
+        bindings.find(|b| b.object == refresh.object)
+    });
+    if let Some(binding) = binding {
+        binding.bound = Some(refresh.bound);
+    }
+    table.refresh_cell(target.tuple, target.column, refresh.value)?;
+    match row {
+        Some(row) => tally.step(table, target.tuple, row, now, true),
+        None => Ok(()),
     }
 }
 
@@ -568,7 +780,6 @@ struct SystemOracle<'a> {
     cache: CacheId,
     now: f64,
     cells: &'a Cells,
-    routes: &'a HashMap<ObjectId, ObjectRoute>,
     transport: &'a dyn Transport,
     received: Vec<Refresh>,
 }
@@ -576,15 +787,14 @@ struct SystemOracle<'a> {
 /// The object backing `table[tid].column`, with its owning source.
 fn object_at(
     cells: &Cells,
-    routes: &HashMap<ObjectId, ObjectRoute>,
     table: &str,
     tid: TupleId,
     column: usize,
 ) -> Result<(ObjectId, SourceId), TrappError> {
-    let object = cells
+    let binding = cells
         .newest(table, tid, column)
         .ok_or_else(|| unbacked(table, tid, column))?;
-    Ok((object, routes[&object].source))
+    Ok((binding.object, binding.source))
 }
 
 /// The refusal for a cell no replicated object backs.
@@ -623,7 +833,7 @@ impl RefreshOracle for SystemOracle<'_> {
         for &tid in tids {
             let mut row = Vec::with_capacity(columns.len());
             for &column in columns {
-                let (object, source) = object_at(self.cells, self.routes, table, tid, column)?;
+                let (object, source) = object_at(self.cells, table, tid, column)?;
                 let bucket = per_source.entry(source).or_default();
                 bucket.push(object);
                 row.push((source, bucket.len() - 1));
@@ -865,6 +1075,29 @@ mod tests {
             seq: 0,
         };
         assert!(cache.install_refresh(r).is_err());
+    }
+
+    /// A refresh that cannot land does not cost the batch the ones after
+    /// it: they are installed, and the error is still reported.
+    #[test]
+    fn a_refused_refresh_mid_batch_installs_the_rest() {
+        let (clock, mut cache, _t) = setup();
+        clock.advance(1.0);
+        let now = clock.now();
+        let kind = RefreshKind::QueryInitiated;
+        let batch = [
+            refresh(ObjectId::new(1), 31.0, now, kind, 1),
+            refresh(ObjectId::new(42), 1.0, now, kind, 1),
+            refresh(ObjectId::new(2), 32.0, now, kind, 1),
+        ];
+        let err = cache.install_refreshes(batch).unwrap_err();
+        assert!(err.to_string().contains("not bound here"), "{err}");
+        assert_eq!(cache.stats().query_initiated, 2);
+        let t = cache.session().catalog().table("sensors").unwrap();
+        for (tid, value) in [(1, 31.0), (2, 32.0)] {
+            let iv = t.interval(TupleId::new(tid), 1).unwrap();
+            assert_eq!((iv.lo(), iv.hi()), (value, value));
+        }
     }
 
     /// Installs are ordered by [`Refresh::seq`]: a refresh that arrives
@@ -1220,6 +1453,115 @@ mod tests {
                 prop_assert_eq!(a, b, "load of {} in group {}", tid, g);
             }
             Ok(())
+        }
+    }
+
+    /// A cache over two tables, `metrics` and `spare`, of `rows` rows
+    /// each, every `load` backed by its own subscribed object: `metrics`
+    /// holds objects `1..=rows`, `spare` the next `rows`.
+    fn two_table_cache(rows: usize, clock: &SimClock) -> CacheNode {
+        let mut cache = metrics_cache(1, clock);
+        let spare = cache.session().catalog().table("metrics").unwrap();
+        let spare = Table::new("spare", spare.schema().clone());
+        cache.add_table(spare).unwrap();
+        let mut object = 1;
+        for name in ["metrics", "spare"] {
+            for i in 0..rows {
+                let value = 40.0 + i as f64;
+                let cells = vec![
+                    BoundedValue::Exact(Value::Int(i as i64 % 3)),
+                    BoundedValue::exact_f64(value).unwrap(),
+                ];
+                let table = cache.session_mut().catalog_mut().table_mut(name);
+                let tid = table.unwrap().insert(cells).unwrap();
+                let id = ObjectId::new(object);
+                object += 1;
+                cache
+                    .bind_object(id, SourceId::new(1), name, tid, 1)
+                    .unwrap();
+                let subscription = refresh(id, value, 0.0, RefreshKind::Subscription, 0);
+                cache.install_refresh(subscription).unwrap();
+            }
+        }
+        cache
+    }
+
+    /// What an install can change: every table's version, the change log
+    /// since `since`, and every cell's bits.
+    #[allow(clippy::type_complexity)]
+    fn install_image(
+        cache: &CacheNode,
+        since: &[u64],
+    ) -> Vec<(u64, Vec<(u64, TupleId)>, Vec<(u64, u64)>)> {
+        ["metrics", "spare"]
+            .iter()
+            .zip(since)
+            .map(|(name, &since)| {
+                let table = cache.session().catalog().table(name).unwrap();
+                let cells = table
+                    .tuple_ids()
+                    .map(|tid| {
+                        let iv = table.interval(tid, 1).unwrap();
+                        (iv.lo().to_bits(), iv.hi().to_bits())
+                    })
+                    .collect();
+                let log = table.changes_since(since).unwrap().to_vec();
+                (table.version(), log, cells)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One batched install lands exactly what installing its refreshes
+        /// one at a time does — cells, table versions and change logs,
+        /// counters (stale skips included) and the first error — over
+        /// duplicate objects, out-of-order sequences, two tables, every
+        /// refresh kind and an object bound nowhere.
+        #[test]
+        fn batched_installs_match_one_at_a_time(
+            rows in 1usize..6,
+            advance in 0.0f64..4.0,
+            batch in proptest::collection::vec(
+                (0usize..13, 0usize..4, 0u64..4, 30.0f64..60.0, 0.0f64..1.0), 0..40),
+        ) {
+            let clock = SimClock::new();
+            let [mut single, mut batched] = [(), ()].map(|_| two_table_cache(rows, &clock));
+            clock.advance(advance);
+            let kinds = [
+                RefreshKind::ValueInitiated,
+                RefreshKind::QueryInitiated,
+                RefreshKind::Subscription,
+                RefreshKind::PreRefresh,
+            ];
+            // Object `2 * rows + 1` (and past it) is bound nowhere.
+            let refreshes: Vec<Refresh> = batch
+                .iter()
+                .map(|&(object, kind, seq, value, at)| {
+                    let object = ObjectId::new((object % (2 * rows + 2)) as u64 + 1);
+                    refresh(object, value, advance * at, kinds[kind], seq)
+                })
+                .collect();
+            let since: Vec<u64> = ["metrics", "spare"]
+                .iter()
+                .map(|name| single.session().catalog().table(name).unwrap().version())
+                .collect();
+            let mut first_error = None;
+            for &r in &refreshes {
+                if let Err(e) = single.install_refresh(r) {
+                    first_error.get_or_insert(e);
+                }
+            }
+            let batch_error = batched.install_refreshes(refreshes).err();
+            prop_assert_eq!(batch_error, first_error);
+            prop_assert_eq!(batched.stats(), single.stats());
+            prop_assert_eq!(install_image(&batched, &since), install_image(&single, &since));
+            // Both still bring the same rows current afterwards.
+            clock.advance(1.0);
+            single.materialize().unwrap();
+            batched.materialize().unwrap();
+            prop_assert_eq!(install_image(&batched, &since), install_image(&single, &since));
         }
     }
 

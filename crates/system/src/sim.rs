@@ -144,6 +144,7 @@ impl Simulation {
         };
 
         let mut tuple_cost = 0.0;
+        let mut subscriptions = Vec::with_capacity(bounded_cols.len());
         for &col in &bounded_cols {
             let initial = cells
                 .get(col)
@@ -155,13 +156,16 @@ impl Simulation {
 
             src.lock().register_object(object, initial)?;
             self.cache.bind_object(object, source, table, tid, col)?;
-            let refresh = src
-                .lock()
-                .subscribe(self.cache.id(), object, self.initial_width, now)?;
-            self.cache.install_refresh(refresh)?;
+            subscriptions.push(src.lock().subscribe(
+                self.cache.id(),
+                object,
+                self.initial_width,
+                now,
+            )?);
             self.source_of.insert(object, source);
             tuple_cost += self.cost_model.cost(source, object);
         }
+        self.cache.install_refreshes(subscriptions)?;
 
         self.cache
             .session_mut()
@@ -184,10 +188,12 @@ impl Simulation {
             .ok_or_else(|| TrappError::RefreshFailed(format!("unknown source {source}")))?;
         let refreshes = src.lock().apply_update(object, value, self.clock.now())?;
         let n = refreshes.len();
-        for (cache_id, refresh) in refreshes {
-            debug_assert_eq!(cache_id, self.cache.id());
-            self.cache.install_refresh(refresh)?;
-        }
+        let id = self.cache.id();
+        self.cache
+            .install_refreshes(refreshes.into_iter().map(|(to, refresh)| {
+                debug_assert_eq!(to, id);
+                refresh
+            }))?;
         Ok(n)
     }
 
