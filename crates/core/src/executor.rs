@@ -336,7 +336,8 @@ impl QuerySession {
                             "iterative refresh did not converge in {rounds} rounds"
                         )));
                     }
-                    let Some(tid) = next_refresh(bound.agg, &input, r, heuristic) else {
+                    let none = crate::query_plan::empty_tuple_set();
+                    let Some(tid) = next_refresh(bound.agg, &input, r, heuristic, none) else {
                         break; // no refresh can help further
                     };
                     cost += self.refresh_tuple(&table_name, tid, oracle)?;

@@ -113,7 +113,7 @@ impl QuerySession {
                     }
                     return Ok(groups);
                 }
-                QueryPlan::Ready(QueryOutcome::Scalar(_)) | QueryPlan::Iterative => {
+                QueryPlan::Ready(QueryOutcome::Scalar(_)) => {
                     return Err(TrappError::Internal(
                         "grouped join planning produced a non-grouped plan".into(),
                     ));

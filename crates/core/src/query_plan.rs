@@ -2,12 +2,7 @@
 //! lowers into, and one [`QueryPartial`] every shape decomposes into for
 //! sharded scatter-gather.
 //!
-//! Historically the read-only planning surface was two parallel enums —
-//! `PlannedQuery` for the serving layer's phased plan/fetch/install loop
-//! and `PartialQuery` for the scatter half of a sharded deployment — each
-//! with an ad-hoc `Unsupported` arm for joins, `GROUP BY`, and iterative
-//! mode. This module replaces both with a single lowering that covers the
-//! paper's full query surface:
+//! Each shape's lowering:
 //!
 //! * **scalar** (single table, no `GROUP BY`) — one [`UnitState`] holding
 //!   the cache-only answer and, if unsatisfied, the batch CHOOSE_REFRESH
@@ -19,16 +14,18 @@
 //!   disjoint (groups partition the table), so a serving layer merges
 //!   them into one multi-tuple fetch round.
 //! * **join** (§7) — the paper stops at per-round heuristics for join
-//!   refresh, so a join lowers into *incomplete* single-tuple fetch
-//!   rounds ([`FetchPlan::complete`]` = false`): each round the best
-//!   base-tuple candidate under the session's
-//!   [`IterativeHeuristic`] is fetched and the plan re-derived. The
-//!   fetches still run outside any cache lock — that is the point.
+//!   refresh, so a join lowers into *incomplete* fetch rounds
+//!   ([`FetchPlan::complete`]` = false`): each round the best base-tuple
+//!   candidates under the session's [`IterativeHeuristic`] are fetched
+//!   and the plan re-derived. The fetches still run outside any cache
+//!   lock — that is the point.
 //!
-//! Iterative mode (§8.2) picks each refresh from *live* master values and
-//! therefore cannot be planned ahead; it is the one remaining
-//! [`QueryPlan::Iterative`] escape hatch, executed by the caller under
-//! its cache lock.
+//! Iterative mode (§8.2, [`ExecutionMode::Iterative`]) turns the scalar
+//! and grouped shapes into incomplete rounds too: each unsatisfied unit
+//! asks for the one tuple [`next_refresh`] ranks first over the bounds
+//! installed so far, the caller fetches and installs the round, and plans
+//! again until the answer meets `R` or no refresh can help. Joins plan
+//! the same heuristic rounds in either mode.
 //!
 //! The scatter side mirrors the same three shapes: a scalar partial is
 //! today's [`ShardPartial`], a grouped partial is a key-indexed list of
@@ -50,13 +47,13 @@ use trapp_storage::Table;
 use trapp_types::{BoundedValue, TrappError, TupleId};
 
 use crate::agg::{bounded_answer, AggInput, Aggregate, BoundedAnswer};
-use crate::executor::{ExecutionMode, QueryResult, QuerySession};
+use crate::executor::{ExecutionMode, QueryResult, QuerySession, SessionConfig};
 use crate::group_by::{render_key, GroupKey, GroupResult};
 use crate::merge::ShardPartial;
 use crate::plan::{bind_query, BoundQuery, QuerySource};
-use crate::refresh::iterative::IterativeHeuristic;
+use crate::refresh::iterative::{next_refresh, IterativeHeuristic};
 use crate::refresh::join::{build_join_input, join_refresh_batch_excluding, JoinSide};
-use crate::refresh::{choose_refresh_available, choose_refresh_probed, PlanProbe, SolverStrategy};
+use crate::refresh::{choose_refresh_available, choose_refresh_probed, PlanProbe};
 
 /// Tuples the planner must not schedule for refresh, keyed by table —
 /// typically because their backing source is dark (circuit breaker open,
@@ -102,7 +99,7 @@ impl Exclusions {
 
 /// The shared empty exclusion set (`&'static` so lookups can hand out a
 /// reference without holding storage per [`Exclusions`]).
-fn empty_tuple_set() -> &'static HashSet<TupleId> {
+pub(crate) fn empty_tuple_set() -> &'static HashSet<TupleId> {
     static EMPTY: OnceLock<HashSet<TupleId>> = OnceLock::new();
     EMPTY.get_or_init(HashSet::new)
 }
@@ -162,9 +159,10 @@ pub struct FetchPlan {
     /// `true` for `GROUP BY` plans (units carry group keys).
     pub grouped: bool,
     /// `true` when installing the whole round guarantees the constraint
-    /// (the CHOOSE_REFRESH batch guarantee — scalar and grouped shapes);
-    /// `false` for join rounds, which are heuristic single-tuple steps
-    /// and re-plan until the answer converges.
+    /// (the CHOOSE_REFRESH batch guarantee — scalar and grouped shapes in
+    /// batch mode); `false` for heuristic rounds — join rounds, and every
+    /// round of iterative mode (§8.2) — which re-plan until the answer
+    /// converges.
     pub complete: bool,
 }
 
@@ -179,9 +177,6 @@ pub enum QueryPlan {
     /// Refresh the units' tuples (outside any cache lock), install, and
     /// plan again.
     NeedsFetch(FetchPlan),
-    /// Iterative mode (§8.2) chooses refreshes from live values and is
-    /// not plannable ahead — run [`QuerySession::execute`] instead.
-    Iterative,
 }
 
 /// One shard's materialized rows of one base table — the join partial's
@@ -238,22 +233,26 @@ pub enum QueryPartial {
 /// given the cache-only answer `initial` — `bounded_answer(agg, input)`,
 /// which [`QuerySession::plan_query`] takes from its view's memo and a
 /// sharded serving layer folds over the merged input — derives, if the
-/// constraint is unmet, the CHOOSE_REFRESH set that will meet it. Shared
-/// by [`QuerySession::plan_query`] (local inputs, with ordered-index
+/// constraint is unmet, the refresh set that will meet it: in batch mode
+/// the CHOOSE_REFRESH set, in iterative mode (§8.2) the one tuple
+/// [`next_refresh`] picks under the session's heuristic. Shared by
+/// [`QuerySession::plan_query`] (local inputs, with ordered-index
 /// `probe`s) and sharded serving layers (merged inputs, `probe = None`)
 /// — both derive bit-identical plans either way (the probed planners
 /// reproduce the scan planners exactly).
 ///
 /// `excluded` names tuples of `table` that cannot be refreshed (dark
 /// sources): with a non-empty set the unit is planned by the
-/// exclusion-aware CHOOSE_REFRESH variants (index probes do not apply)
-/// and [`UnitState::degraded`] reports whether the constraint is still
-/// guaranteeable over available tuples.
+/// exclusion-aware CHOOSE_REFRESH variants (index probes do not apply),
+/// or iterative mode skips them, and [`UnitState::degraded`] reports
+/// whether the constraint is still guaranteeable over available tuples
+/// (in iterative mode: no available refresh helps while some tuple is
+/// excluded).
 #[allow(clippy::too_many_arguments)]
 pub fn plan_unit(
     agg: Aggregate,
     within: Option<f64>,
-    strategy: SolverStrategy,
+    config: &SessionConfig,
     table: &str,
     key: GroupKey,
     input: &AggInput,
@@ -271,13 +270,27 @@ pub fn plan_unit(
         });
     }
     let r = within.expect("unsatisfied implies finite R");
-    let (plan, achievable) = if excluded.is_empty() {
-        (choose_refresh_probed(agg, input, r, strategy, probe)?, true)
-    } else {
-        let available = choose_refresh_available(agg, input, r, strategy, excluded)?;
-        (available.plan, available.achievable)
+    let (tuples, refresh_cost, achievable) = match config.mode {
+        ExecutionMode::Batch if excluded.is_empty() => {
+            let plan = choose_refresh_probed(agg, input, r, config.strategy, probe)?;
+            (plan.tuples, plan.planned_cost, true)
+        }
+        ExecutionMode::Batch => {
+            let available = choose_refresh_available(agg, input, r, config.strategy, excluded)?;
+            let plan = available.plan;
+            (plan.tuples, plan.planned_cost, available.achievable)
+        }
+        ExecutionMode::Iterative(heuristic) => {
+            match next_refresh(agg, input, r, heuristic, excluded) {
+                Some(tid) => {
+                    let item = input.items.iter().find(|i| i.tid == tid);
+                    (vec![tid], item.map_or(0.0, |i| i.cost), true)
+                }
+                None => (Vec::new(), 0.0, excluded.is_empty()),
+            }
+        }
     };
-    if plan.tuples.is_empty() {
+    if tuples.is_empty() {
         // No refresh can help further (e.g. cardinality slack, or every
         // useful tuple sits on a dark source).
         return Ok(UnitState {
@@ -295,20 +308,21 @@ pub fn plan_unit(
         degraded: !achievable,
         fetch: Some(UnitFetch {
             table: table.to_owned(),
-            tuples: plan.tuples,
-            refresh_cost: plan.planned_cost,
+            tuples,
+            refresh_cost,
         }),
     })
 }
 
-/// Assembles unit states into a [`QueryPlan`]: a complete fetch round if
-/// any unit still needs tuples, the finished outcome otherwise.
-pub fn assemble_units(units: Vec<UnitState>, grouped: bool) -> QueryPlan {
+/// Assembles unit states into a [`QueryPlan`]: a fetch round if any unit
+/// still needs tuples — complete in batch mode, one heuristic round in
+/// iterative mode — the finished outcome otherwise.
+pub fn assemble_units(units: Vec<UnitState>, grouped: bool, mode: ExecutionMode) -> QueryPlan {
     if units.iter().any(|u| u.fetch.is_some()) {
         QueryPlan::NeedsFetch(FetchPlan {
             units,
             grouped,
-            complete: true,
+            complete: mode == ExecutionMode::Batch,
         })
     } else {
         QueryPlan::Ready(units_outcome(&units, grouped))
@@ -349,12 +363,12 @@ pub fn units_outcome(units: &[UnitState], grouped: bool) -> QueryOutcome {
 /// serving layers (tables merged from [`TableSlice`]s), so both walk the
 /// identical refresh sequence.
 ///
-/// With `batch = true` — what every planner in the tree passes — each
-/// round carries the whole provable prefix of the sequential pick order
-/// ([`crate::refresh::join::join_refresh_batch`]), collapsing round counts
-/// without changing any answer; `batch = false` is the §7
-/// one-tuple-per-round sequence, kept as the reference the equivalence
-/// tests replay. A `GROUP BY` bound query
+/// With `batch = true` — what every planner in the tree passes, in either
+/// [`ExecutionMode`] — each round carries the whole provable prefix of the
+/// sequential pick order ([`crate::refresh::join::join_refresh_batch`]),
+/// collapsing round counts without changing any answer; `batch = false`
+/// is the §7 one-tuple-per-round sequence, kept as the reference the
+/// equivalence tests replay. A `GROUP BY` bound query
 /// partitions the joined pairs by group key and plans every group's round
 /// in one pass; a base tuple picked by several groups is fetched once
 /// (first group in key order wins — later groups re-plan against the
@@ -551,14 +565,14 @@ pub fn plan_join_round(
 
 impl QuerySession {
     /// Plans a query read-only: lowers any supported shape — scalar,
-    /// `GROUP BY`, or two-table join — into a [`QueryPlan`] without
-    /// touching the catalog or any oracle. Callers install the planned
-    /// refreshes themselves (e.g. a concurrent serving layer fetching
-    /// with its cache lock released) and plan again; for complete
-    /// (scalar/grouped) plans the CHOOSE_REFRESH guarantee makes the
-    /// second pass [`QueryPlan::Ready`] unless the clock advanced in
-    /// between, while join plans are heuristic single-tuple rounds that
-    /// converge over several iterations.
+    /// `GROUP BY`, or two-table join, in either [`ExecutionMode`] — into a
+    /// [`QueryPlan`] without touching the catalog or any oracle. Callers
+    /// install the planned refreshes themselves (e.g. a concurrent serving
+    /// layer fetching with its cache lock released) and plan again; for
+    /// complete (batch scalar/grouped) plans the CHOOSE_REFRESH guarantee
+    /// makes the second pass [`QueryPlan::Ready`] unless the clock
+    /// advanced in between, while join plans and iterative rounds are
+    /// heuristic steps that converge over several iterations.
     pub fn plan_query(&self, query: &Query) -> Result<QueryPlan, TrappError> {
         self.plan_query_excluding(query, &Exclusions::default())
     }
@@ -586,9 +600,6 @@ impl QuerySession {
         bound: &BoundQuery,
         exclusions: &Exclusions,
     ) -> Result<QueryPlan, TrappError> {
-        if !matches!(self.config.mode, ExecutionMode::Batch) {
-            return Ok(QueryPlan::Iterative);
-        }
         match &bound.source {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
                 let table = self.catalog().table(name)?;
@@ -600,7 +611,7 @@ impl QuerySession {
                 let unit = plan_unit(
                     bound.agg,
                     bound.within,
-                    self.config.strategy,
+                    &self.config,
                     name,
                     Vec::new(),
                     view.input(),
@@ -608,7 +619,7 @@ impl QuerySession {
                     Some(&probe),
                     exclusions.for_table(name),
                 )?;
-                Ok(assemble_units(vec![unit], false))
+                Ok(assemble_units(vec![unit], false, self.config.mode))
             }
             QuerySource::Table(name) => {
                 let table = self.catalog().table(name)?;
@@ -631,7 +642,7 @@ impl QuerySession {
                     units.push(plan_unit(
                         bound.agg,
                         bound.within,
-                        self.config.strategy,
+                        &self.config,
                         name,
                         key.clone(),
                         input,
@@ -640,7 +651,7 @@ impl QuerySession {
                         exclusions.for_table(name),
                     )?);
                 }
-                Ok(assemble_units(units, true))
+                Ok(assemble_units(units, true, self.config.mode))
             }
             QuerySource::Join { left, right } => plan_join_round(
                 bound,
@@ -660,20 +671,7 @@ impl QuerySession {
     /// [`crate::merge`]), and derives answers and refresh plans once from
     /// the merged input — bit-identical to a single cache holding every
     /// row.
-    ///
-    /// Iterative mode is the one shape that cannot be decomposed: each
-    /// refresh decision depends on live master values, so it returns
-    /// [`TrappError::Unsupported`] naming the alternative.
     pub fn partial_query(&self, query: &Query) -> Result<QueryPartial, TrappError> {
-        if !matches!(self.config.mode, ExecutionMode::Batch) {
-            return Err(TrappError::Unsupported(
-                "iterative execution (§8.2) picks each refresh from live master \
-                 values and cannot be scatter-gathered across shards; use batch \
-                 mode (the default ExecutionMode) or a single-shard service \
-                 (ServiceConfig.shards = 1)"
-                    .into(),
-            ));
-        }
         let bound = bind_query(query, self.catalog())?;
         match &bound.source {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
@@ -872,7 +870,7 @@ mod tests {
                     rounds += 1;
                     assert!(rounds < 100, "join rounds must converge");
                 }
-                other => panic!("unexpected plan {other:?}"),
+                QueryPlan::Ready(other) => panic!("unexpected outcome {other:?}"),
             }
         };
         (answer, refreshed, rounds)
@@ -943,21 +941,74 @@ mod tests {
         }
     }
 
-    /// Iterative mode is the one remaining non-plannable shape, and the
-    /// partial side names the supported alternative.
+    /// Iterative mode (§8.2) lowers into incomplete rounds of one tuple
+    /// per unsatisfied unit; fetching and re-planning them by hand walks
+    /// exactly the executor's iterative loop — same tuples in the same
+    /// order, same cost, same rounds, same answer — for scalar and
+    /// grouped queries alike.
     #[test]
-    fn iterative_mode_is_the_only_escape_hatch() {
-        let mut s = QuerySession::new(links_table());
-        s.config.mode =
-            ExecutionMode::Iterative(crate::refresh::iterative::IterativeHeuristic::BestRatio);
-        let q = parse("SELECT SUM(latency) WITHIN 5 FROM links");
-        assert!(matches!(s.plan_query(&q).unwrap(), QueryPlan::Iterative));
-        let err = s.partial_query(&q).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("iterative") && msg.contains("shards = 1"),
-            "error must name the feature and the alternative: {msg}"
-        );
+    fn iterative_rounds_replay_the_executor_loop() {
+        let iterative = ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
+        for sql in [
+            "SELECT SUM(traffic) WITHIN 30 FROM links",
+            "SELECT MIN(bandwidth) WITHIN 2 FROM links WHERE on_path = TRUE",
+            "SELECT SUM(latency) WITHIN 1 FROM links GROUP BY from_node",
+        ] {
+            let q = parse(sql);
+            let mut s = QuerySession::new(links_table());
+            s.config.mode = iterative;
+            let mut o = TableOracle::from_table(master_table());
+            // What each unit key paid: refreshed, cost, rounds.
+            type Paid = (Vec<(String, TupleId)>, f64, usize);
+            let mut paid: BTreeMap<String, Paid> = BTreeMap::new();
+            let outcome = loop {
+                match s.plan_query(&q).unwrap() {
+                    QueryPlan::Ready(outcome) => break outcome,
+                    QueryPlan::NeedsFetch(fp) => {
+                        assert!(!fp.complete, "{sql}: iterative rounds are heuristic");
+                        for unit in fp.units {
+                            let Some(fetch) = unit.fetch else { continue };
+                            assert_eq!(fetch.tuples.len(), 1, "{sql}: one tuple per unit");
+                            s.refresh_tuples(&fetch.table, &fetch.tuples, &mut o)
+                                .unwrap();
+                            let unit_paid = paid.entry(render_key(&unit.key)).or_default();
+                            unit_paid.0.push((fetch.table, fetch.tuples[0]));
+                            unit_paid.1 += fetch.refresh_cost;
+                            unit_paid.2 += 1;
+                        }
+                    }
+                }
+            };
+            let mut reference = QuerySession::new(links_table());
+            reference.config.mode = iterative;
+            let mut o = TableOracle::from_table(master_table());
+            let expected: Vec<(String, QueryResult)> = if q.group_by.is_empty() {
+                vec![(String::new(), reference.execute(&q, &mut o).unwrap())]
+            } else {
+                let groups = reference.execute_grouped(&q, &mut o).unwrap();
+                groups
+                    .into_iter()
+                    .map(|g| (render_key(&g.key), g.result))
+                    .collect()
+            };
+            let answers: Vec<(String, BoundedAnswer)> = match outcome {
+                QueryOutcome::Scalar(r) => vec![(String::new(), r.answer)],
+                QueryOutcome::Grouped(gs) => gs
+                    .iter()
+                    .map(|g| (render_key(&g.key), g.result.answer))
+                    .collect(),
+            };
+            assert_eq!(answers.len(), expected.len(), "{sql}");
+            assert!(!paid.is_empty(), "{sql}: the query must refresh");
+            for ((key, answer), (rkey, r)) in answers.iter().zip(&expected) {
+                assert_eq!(key, rkey, "{sql}");
+                assert_eq!(answer.range, r.answer.range, "{sql} [{key}]");
+                let (refreshed, cost, rounds) = paid.remove(key).unwrap_or_default();
+                assert_eq!(refreshed, r.refreshed, "{sql} [{key}]");
+                assert_eq!(cost, r.refresh_cost, "{sql} [{key}]");
+                assert_eq!(rounds, r.rounds, "{sql} [{key}]");
+            }
+        }
     }
 
     /// Grouped and join shapes now produce partials instead of erroring.

@@ -9,8 +9,12 @@
 //! behaviour the paper points at ([HAC+99]): the caller sees a bound that
 //! tightens monotonically.
 //!
-//! This module chooses the *next* tuple; the loop lives in the executor,
-//! which owns the oracle.
+//! This module chooses the *next* tuple. In iterative mode query planning
+//! ([`crate::query_plan::plan_unit`]) asks it for every unsatisfied unit,
+//! so each round is an incomplete fetch plan: the caller fetches the
+//! round's tuples, installs them, and plans again.
+
+use std::collections::HashSet;
 
 use trapp_types::TupleId;
 
@@ -30,12 +34,14 @@ pub enum IterativeHeuristic {
 }
 
 /// Picks the next tuple to refresh, or `None` if no refresh can improve the
-/// answer (already satisfied, or everything relevant is exact).
+/// answer (already satisfied, or everything relevant is exact). Tuples in
+/// `excluded` (dark sources) are never picked.
 pub fn next_refresh(
     agg: Aggregate,
     input: &AggInput,
     r: f64,
     heuristic: IterativeHeuristic,
+    excluded: &HashSet<TupleId>,
 ) -> Option<TupleId> {
     // Candidates and their "benefit" scores are aggregate-specific.
     let scored: Vec<(TupleId, f64, f64)> = match agg {
@@ -103,6 +109,7 @@ pub fn next_refresh(
 
     scored
         .into_iter()
+        .filter(|(tid, _, _)| !excluded.contains(tid))
         .max_by(|a, b| {
             let score = |c: &(TupleId, f64, f64)| match heuristic {
                 IterativeHeuristic::BestRatio => {
@@ -141,7 +148,13 @@ mod tests {
         let input = AggInput::build(&t, None, Some(&col("traffic"))).unwrap();
         // widths {10,10,15,25,20,15}, costs {3,6,6,8,4,2}: ratios
         // {3.3,1.7,2.5,3.1,5,7.5} → tuple 6 wins.
-        let next = next_refresh(Aggregate::Sum, &input, 10.0, IterativeHeuristic::BestRatio);
+        let next = next_refresh(
+            Aggregate::Sum,
+            &input,
+            10.0,
+            IterativeHeuristic::BestRatio,
+            &HashSet::new(),
+        );
         assert_eq!(next, Some(trapp_types::TupleId::new(6)));
         // Cheapest-first also picks tuple 6 (cost 2).
         let next = next_refresh(
@@ -149,6 +162,7 @@ mod tests {
             &input,
             10.0,
             IterativeHeuristic::CheapestFirst,
+            &HashSet::new(),
         );
         assert_eq!(next, Some(trapp_types::TupleId::new(6)));
         // Widest-first picks tuple 4 (width 25).
@@ -157,8 +171,20 @@ mod tests {
             &input,
             10.0,
             IterativeHeuristic::WidestFirst,
+            &HashSet::new(),
         );
         assert_eq!(next, Some(trapp_types::TupleId::new(4)));
+        // A dark source's tuple is never picked: with tuple 6 excluded the
+        // best ratio left is tuple 5's.
+        let excluded = HashSet::from([trapp_types::TupleId::new(6)]);
+        let next = next_refresh(
+            Aggregate::Sum,
+            &input,
+            10.0,
+            IterativeHeuristic::BestRatio,
+            &excluded,
+        );
+        assert_eq!(next, Some(trapp_types::TupleId::new(5)));
     }
 
     #[test]
@@ -173,10 +199,22 @@ mod tests {
         .unwrap();
         let input = AggInput::build(&t, Some(&pred), Some(&col("bandwidth"))).unwrap();
         // Q1 setting with R = 10: only tuple 5 blocks.
-        let next = next_refresh(Aggregate::Min, &input, 10.0, IterativeHeuristic::BestRatio);
+        let next = next_refresh(
+            Aggregate::Min,
+            &input,
+            10.0,
+            IterativeHeuristic::BestRatio,
+            &HashSet::new(),
+        );
         assert_eq!(next, Some(trapp_types::TupleId::new(5)));
         // R = 15: nothing blocks.
-        let next = next_refresh(Aggregate::Min, &input, 15.0, IterativeHeuristic::BestRatio);
+        let next = next_refresh(
+            Aggregate::Min,
+            &input,
+            15.0,
+            IterativeHeuristic::BestRatio,
+            &HashSet::new(),
+        );
         assert_eq!(next, None);
     }
 
@@ -196,6 +234,7 @@ mod tests {
             &input,
             0.0,
             IterativeHeuristic::CheapestFirst,
+            &HashSet::new(),
         );
         assert_eq!(next, Some(trapp_types::TupleId::new(5))); // cost 4 < 8
     }
@@ -211,6 +250,7 @@ mod tests {
             &input,
             0.5,
             IterativeHeuristic::WidestFirst,
+            &HashSet::new(),
         )
         .unwrap();
         assert_ne!(next, trapp_types::TupleId::new(3));
@@ -227,7 +267,13 @@ mod tests {
             Aggregate::Median,
         ] {
             assert_eq!(
-                next_refresh(agg, &input, 0.0, IterativeHeuristic::BestRatio),
+                next_refresh(
+                    agg,
+                    &input,
+                    0.0,
+                    IterativeHeuristic::BestRatio,
+                    &HashSet::new()
+                ),
                 None,
                 "{agg:?}"
             );

@@ -268,7 +268,6 @@ fn plan_parts(plan: &QueryPlan) -> Vec<(String, (f64, f64), bool, Vec<TupleId>, 
                 )
             })
             .collect(),
-        QueryPlan::Iterative => vec![],
     }
 }
 
@@ -282,7 +281,7 @@ fn scan_plan(session: &QuerySession, q: &Query) -> Result<QueryPlan, TrappError>
         plan_unit(
             bound.agg,
             bound.within,
-            session.config.strategy,
+            &session.config,
             "t",
             key,
             input,
@@ -303,6 +302,7 @@ fn scan_plan(session: &QuerySession, q: &Query) -> Result<QueryPlan, TrappError>
         return Ok(assemble_units(
             vec![unit(Vec::new(), &scratch(&|_| true)?)?],
             false,
+            session.config.mode,
         ));
     }
     let mut units = Vec::new();
@@ -312,7 +312,7 @@ fn scan_plan(session: &QuerySession, q: &Query) -> Result<QueryPlan, TrappError>
             &scratch(&|tid| tids.binary_search(&tid).is_ok())?,
         )?);
     }
-    Ok(assemble_units(units, true))
+    Ok(assemble_units(units, true, session.config.mode))
 }
 
 fn assert_inputs_equal(a: &AggInput, b: &AggInput, context: &str) -> Result<(), String> {

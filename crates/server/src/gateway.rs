@@ -682,6 +682,23 @@ impl<T: Transport> RefreshGateway<T> {
         }
     }
 
+    /// Forwards a batch of master-value updates to `source` through the
+    /// transport's nonblocking [`Transport::submit_update_batch`] —
+    /// invalidating first: the updated objects' memoized results are
+    /// removed and the epoch bumped *before* any write reaches the source,
+    /// so an in-flight fetch that claimed before any update in the batch
+    /// refuses to memoize its (possibly pre-update) result. The fetcher's
+    /// own install is ordered by [`Refresh::seq`].
+    pub(crate) fn submit_update_batch(
+        &self,
+        source: SourceId,
+        updates: Vec<(ObjectId, f64)>,
+        now: f64,
+    ) -> Completion<Vec<(CacheId, Refresh)>> {
+        self.invalidate(updates.iter().map(|&(object, _)| object));
+        self.inner.submit_update_batch(source, updates, now)
+    }
+
     /// Removes memoized entries and bumps the invalidation epoch for the
     /// given objects — the pre-write half of every update path.
     fn invalidate(&self, objects: impl Iterator<Item = ObjectId>) {
@@ -744,62 +761,6 @@ fn abort_locked(state: &mut TableState, cache: CacheId, now: f64, object: Object
     }
 }
 
-/// The gateway as a transport — how the locked fallback execution path
-/// (iterative mode) shares the in-flight table. Refreshes resolve *before*
-/// `submit_refresh_batch` returns: the claim/await/publish protocol runs
-/// inline.
-impl<T: Transport> Transport for RefreshGateway<T> {
-    fn submit_refresh_batch(
-        &self,
-        source: SourceId,
-        cache: CacheId,
-        objects: Vec<ObjectId>,
-        now: f64,
-    ) -> Completion<Vec<Refresh>> {
-        let outcome = self.fetch(cache, now, &[(source, objects.clone())], true);
-        // Single-source batches are atomic at the source, so on error
-        // nothing was mutated and plain Err is safe here.
-        if let Some((_, e)) = outcome.failures.into_iter().next() {
-            return Completion::ready(Err(e));
-        }
-        // Restore request order (fetch() does not guarantee one).
-        let by_object: HashMap<ObjectId, Refresh> = outcome
-            .refreshes
-            .into_iter()
-            .map(|r| (r.object, r))
-            .collect();
-        Completion::ready(
-            objects
-                .iter()
-                .map(|o| {
-                    by_object.get(o).copied().ok_or_else(|| {
-                        TrappError::RefreshFailed(format!("source {source} did not return {o}"))
-                    })
-                })
-                .collect(),
-        )
-    }
-
-    fn submit_update_batch(
-        &self,
-        source: SourceId,
-        updates: Vec<(ObjectId, f64)>,
-        now: f64,
-    ) -> Completion<Vec<(CacheId, Refresh)>> {
-        // Invalidate *before* any write reaches the source: remove the
-        // memoized results and bump the epoch so an in-flight fetch that
-        // claimed before *any* update in the batch refuses to memoize its
-        // (possibly pre-update) result. The fetcher's own install is
-        // ordered by `Refresh::seq`.
-        self.invalidate(updates.iter().map(|&(object, _)| object));
-        self.inner.submit_update_batch(source, updates, now)
-    }
-
-    fn messages(&self) -> u64 {
-        self.inner.messages()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,13 +785,21 @@ mod tests {
         t
     }
 
-    /// Pulls `objects` through the gateway's [`Transport`] face.
-    fn pull(g: &impl Transport, objects: &[u64], now: f64) -> Result<Vec<Refresh>, TrappError> {
-        let objects = objects.iter().map(|&o| ObjectId::new(o)).collect();
-        g.submit_refresh_batch(SOURCE, CACHE, objects, now).wait()
+    /// Fetches `objects` from the one test source: the refreshes, or the
+    /// first failure.
+    fn pull<T: Transport>(
+        g: &RefreshGateway<T>,
+        objects: &[u64],
+        now: f64,
+    ) -> Result<Vec<Refresh>, TrappError> {
+        let outcome = g.fetch(CACHE, now, &plan(objects), true);
+        match outcome.failures.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(outcome.refreshes),
+        }
     }
 
-    fn update(g: &impl Transport, object: u64, value: f64, now: f64) {
+    fn update<T: Transport>(g: &RefreshGateway<T>, object: u64, value: f64, now: f64) {
         g.submit_update_batch(SOURCE, vec![(ObjectId::new(object), value)], now)
             .wait()
             .unwrap();
@@ -846,7 +815,11 @@ mod tests {
         let a = pull(&g, &[1], 1.0).unwrap();
         let b = pull(&g, &[1], 1.0).unwrap();
         assert_eq!(a[0].value, b[0].value);
-        assert_eq!(g.messages(), 1, "second refresh must not reach the source");
+        assert_eq!(
+            g.inner.messages(),
+            1,
+            "second refresh must not reach the source"
+        );
         assert_eq!(g.refreshes_coalesced(), 1);
         assert_eq!(g.refreshes_forwarded(), 1);
     }
@@ -856,7 +829,7 @@ mod tests {
         let g = RefreshGateway::new(transport(), true);
         pull(&g, &[1], 1.0).unwrap();
         pull(&g, &[1], 2.0).unwrap();
-        assert_eq!(g.messages(), 2);
+        assert_eq!(g.inner.messages(), 2);
         assert_eq!(g.refreshes_coalesced(), 0);
     }
 
@@ -882,13 +855,13 @@ mod tests {
         assert_eq!(rs[0].value, 10.0);
         assert_eq!(rs[1].value, 20.0);
         // One single-object message, then one batch message for the miss.
-        assert_eq!(g.messages(), 2);
+        assert_eq!(g.inner.messages(), 2);
         assert_eq!(g.refreshes_coalesced(), 1);
 
         // A fully-hit batch costs zero messages.
         let rs = pull(&g, &[1, 2], 1.0).unwrap();
         assert_eq!(rs.len(), 2);
-        assert_eq!(g.messages(), 2);
+        assert_eq!(g.inner.messages(), 2);
     }
 
     #[test]
@@ -896,7 +869,7 @@ mod tests {
         let g = RefreshGateway::new(transport(), false);
         pull(&g, &[1], 1.0).unwrap();
         pull(&g, &[1], 1.0).unwrap();
-        assert_eq!(g.messages(), 2);
+        assert_eq!(g.inner.messages(), 2);
         assert_eq!(g.refreshes_coalesced(), 0);
     }
 
@@ -909,10 +882,10 @@ mod tests {
         assert!(outcome.failures.is_empty());
         assert_eq!(outcome.refreshes.len(), 2);
         assert_eq!(outcome.stats.round_trips, 2);
-        assert_eq!(g.messages(), 2);
+        assert_eq!(g.inner.messages(), 2);
         let outcome = g.fetch(CACHE, 2.0, &plan(&[1, 2]), true);
         assert_eq!(outcome.stats.round_trips, 1);
-        assert_eq!(g.messages(), 3);
+        assert_eq!(g.inner.messages(), 3);
     }
 
     /// Many threads fetching the same object at the same instant: exactly
@@ -935,7 +908,7 @@ mod tests {
             assert_eq!(outcome.refreshes.len(), 1);
             assert_eq!(outcome.refreshes[0].value, 10.0);
         }
-        assert_eq!(g.messages(), 1, "eight fetches, one round-trip");
+        assert_eq!(g.inner.messages(), 1, "eight fetches, one round-trip");
         let total_coalesced: u64 = results.iter().map(|o| o.stats.coalesced).sum();
         assert_eq!(total_coalesced, 7);
     }

@@ -428,8 +428,8 @@ impl QueryService {
     /// completion per `(shard, source)` batch instead of one blocking
     /// round-trip per write: updates are grouped by the owning shard and
     /// source (submission order preserved within each source), every
-    /// batch is submitted through the gateways' nonblocking
-    /// [`Transport::submit_update_batch`] before any is waited on, and
+    /// batch is submitted through its shard's gateway (which invalidates
+    /// the objects' memoized refreshes first) before any is waited on, and
     /// the triggered value-initiated refreshes install on their owning
     /// shards. Returns how many refreshes were delivered; on a failed
     /// batch the surviving batches' refreshes are still installed before

@@ -13,8 +13,9 @@ use trapp_core::query_plan::{
     assemble_units, plan_join_round, plan_unit, Exclusions, FetchPlan, QueryOutcome, QueryPartial,
     QueryPlan,
 };
-use trapp_core::refresh::iterative::IterativeHeuristic;
-use trapp_core::{bounded_answer, merge_grouped_partials, merge_table_slices, BoundedAnswer};
+use trapp_core::{
+    bounded_answer, merge_grouped_partials, merge_table_slices, BoundedAnswer, SessionConfig,
+};
 use trapp_system::CacheNode;
 use trapp_types::{ObjectId, PartialFailure, SourceFailure, SourceId, TrappError, TupleId};
 
@@ -219,7 +220,8 @@ impl ServiceCore {
     }
 
     /// The single-shard plan phase, under that shard's lock. Returns the
-    /// plan, the instant it was planned at, and the join-round budget.
+    /// plan, the instant it was planned at, and the heuristic-round
+    /// budget.
     fn plan_single(
         &self,
         s: usize,
@@ -231,40 +233,9 @@ impl ServiceCore {
         locks.locked(shard, |cache| {
             let plan = cache.plan_query_excluding(query, exclusions)?;
             shard.note_view_work(cache);
-            let max_join_rounds = cache.session().config.max_refresh_rounds;
-            Ok((plan, self.clock.now(), max_join_rounds))
+            let max_rounds = cache.session().config.max_refresh_rounds;
+            Ok((plan, self.clock.now(), max_rounds))
         })
-    }
-
-    /// Iterative mode (§8.2) picks each refresh from live master values,
-    /// so it can neither be planned ahead nor costed against a deadline
-    /// (the shed at pickup still applies): it executes whole under the
-    /// shard lock, through the shard's gateway so coalescing and the
-    /// global counters stay coherent.
-    fn run_iterative(
-        &self,
-        s: usize,
-        query: &trapp_sql::Query,
-        locks: &mut LockTime,
-    ) -> Result<QueryOutcome, TrappError> {
-        let shard = self.router.shard(s);
-        let globalize = |refreshed: &mut Vec<(String, TupleId)>| {
-            for (table, tid) in refreshed {
-                *tid = shard.global_tid(table, *tid);
-            }
-        };
-        if query.group_by.is_empty() {
-            let mut result = locks.locked(shard, |cache| cache.execute(query, &shard.gateway))?;
-            globalize(&mut result.refreshed);
-            Ok(QueryOutcome::Scalar(result))
-        } else {
-            let mut groups =
-                locks.locked(shard, |cache| cache.execute_grouped(query, &shard.gateway))?;
-            for g in &mut groups {
-                globalize(&mut g.result.refreshed);
-            }
-            Ok(QueryOutcome::Grouped(groups))
-        }
     }
 
     /// Resolves each shard's tuples to per-source object batches, with one
@@ -367,16 +338,14 @@ impl ServiceCore {
     /// bounds from two different logical states into an answer that was
     /// valid at no instant.
     ///
-    /// Returns the plan, the gather instant, and the join-round budget.
+    /// Returns the plan, the gather instant, and the heuristic-round
+    /// budget.
     fn plan_scatter(
         &self,
         query: &trapp_sql::Query,
         exclusions: &Exclusions,
         locks: &mut LockTime,
     ) -> Result<(QueryPlan, f64, usize), TrappError> {
-        let mut strategy = trapp_core::SolverStrategy::default();
-        let mut heuristic = IterativeHeuristic::BestRatio;
-        let mut max_join_rounds = 0usize;
         let mut partials: Vec<QueryPartial> = Vec::with_capacity(self.router.shard_count());
         let mut join_meta: Option<(BoundQuery, JoinSchemas)> = None;
         let asked = Instant::now();
@@ -394,17 +363,15 @@ impl ServiceCore {
         let gathered = (|| {
             for (shard, cache) in self.router.shards().iter().zip(guards.iter_mut()) {
                 cache.materialize()?;
-                let config = &cache.session().config;
-                strategy = config.strategy;
-                heuristic = config.join_heuristic;
-                max_join_rounds = config.max_refresh_rounds;
                 let mut partial = cache.session().partial_query(query)?;
                 shard.note_view_work(cache);
                 globalize_partial(shard, &mut partial);
                 partials.push(partial);
             }
-            // Join shape metadata comes from shard 0's catalog — every
-            // shard holds every table's schema.
+            // The session config and join shape metadata come from shard
+            // 0 — every shard runs one config and holds every table's
+            // schema.
+            let config = guards[0].session().config;
             if matches!(partials.first(), Some(QueryPartial::Join(_))) {
                 let catalog = guards[0].session().catalog();
                 let bound = bind_query(query, catalog)?;
@@ -419,15 +386,15 @@ impl ServiceCore {
                 );
                 join_meta = Some((bound, schemas));
             }
-            Ok(self.clock.now())
+            Ok((self.clock.now(), config))
         })();
         drop(guards);
         let released = Instant::now();
         locks.wait += acquired.last().map_or(Duration::ZERO, |&last| last - asked);
         locks.hold += acquired.iter().map(|&at| released - at).sum::<Duration>();
-        let now = gathered?;
-        let plan = plan_merged(partials, join_meta, strategy, heuristic, exclusions)?;
-        Ok((plan, now, max_join_rounds))
+        let (now, config) = gathered?;
+        let plan = plan_merged(partials, join_meta, config, exclusions)?;
+        Ok((plan, now, config.max_refresh_rounds))
     }
 }
 
@@ -455,12 +422,11 @@ fn globalize_partial(shard: &Shard, partial: &mut QueryPartial) {
 
 /// The scatter plan's second half, with no locks held: merges the
 /// gathered partials shape by shape and derives the plan once from the
-/// merged input.
+/// merged input, under the shards' session `config`.
 fn plan_merged(
     partials: Vec<QueryPartial>,
     join_meta: Option<(BoundQuery, JoinSchemas)>,
-    strategy: trapp_core::SolverStrategy,
-    heuristic: IterativeHeuristic,
+    config: SessionConfig,
     exclusions: &Exclusions,
 ) -> Result<QueryPlan, TrappError> {
     let shape_err = || TrappError::Internal("shards disagreed on query shape".into());
@@ -480,7 +446,7 @@ fn plan_merged(
             let unit = plan_unit(
                 agg,
                 within,
-                strategy,
+                &config,
                 &table,
                 Vec::new(),
                 &merged,
@@ -488,7 +454,7 @@ fn plan_merged(
                 None,
                 exclusions.for_table(&table),
             )?;
-            assemble_units(vec![unit], false)
+            assemble_units(vec![unit], false, config.mode)
         }
         QueryPartial::Grouped(_) => {
             let mut shards_groups = Vec::with_capacity(partials.len());
@@ -504,7 +470,7 @@ fn plan_merged(
                 units.push(plan_unit(
                     p.agg,
                     p.within,
-                    strategy,
+                    &config,
                     &p.table,
                     key,
                     &p.input,
@@ -513,7 +479,7 @@ fn plan_merged(
                     exclusions.for_table(&p.table),
                 )?);
             }
-            assemble_units(units, true)
+            assemble_units(units, true, config.mode)
         }
         QueryPartial::Join(_) => {
             let (bound, (lschema, rschema)) = join_meta.expect("set under the gather locks");
@@ -528,7 +494,14 @@ fn plan_merged(
             }
             let left = merge_table_slices(lschema, lefts)?;
             let right = merge_table_slices(rschema, rights)?;
-            plan_join_round(&bound, &left, &right, heuristic, true, exclusions)?
+            plan_join_round(
+                &bound,
+                &left,
+                &right,
+                config.join_heuristic,
+                true,
+                exclusions,
+            )?
         }
     };
     Ok(plan)
@@ -558,8 +531,7 @@ enum Phase {
         now: f64,
         cost: f64,
     },
-    /// Shape the reply from a `Ready` plan, or from iterative mode's
-    /// outcome.
+    /// Shape the reply from a `Ready` plan.
     Answer(QueryOutcome),
 }
 
@@ -594,13 +566,13 @@ struct QueryRun<'a> {
     attr: HashMap<String, UnitAttr>,
     /// Fetch rounds by kind. Each budget turns a loop that keeps
     /// re-planning into a typed error: after the first, a complete round
-    /// means a concurrent clock advance re-widened bounds mid-query; join
-    /// rounds are heuristic steps, budgeted by the session; a fault round
-    /// lost a source.
+    /// means a concurrent clock advance re-widened bounds mid-query;
+    /// heuristic rounds (join rounds, and iterative mode's §8.2 rounds)
+    /// are steps budgeted by the session; a fault round lost a source.
     complete_rounds: usize,
-    join_rounds: usize,
+    heuristic_rounds: usize,
     fault_rounds: usize,
-    max_join_rounds: usize,
+    max_heuristic_rounds: usize,
 }
 
 impl<'a> QueryRun<'a> {
@@ -638,9 +610,9 @@ impl<'a> QueryRun<'a> {
             failed: HashSet::new(),
             attr: HashMap::new(),
             complete_rounds: 0,
-            join_rounds: 0,
+            heuristic_rounds: 0,
             fault_rounds: 0,
-            max_join_rounds: 0,
+            max_heuristic_rounds: 0,
         }
     }
 
@@ -656,9 +628,9 @@ impl<'a> QueryRun<'a> {
     ///                                                  (Strict: refuse)
     /// ```
     ///
-    /// Scalar and grouped plans normally answer on their second plan pass
-    /// (the CHOOSE_REFRESH guarantee); join plans take one heuristic round
-    /// per pass until converged.
+    /// Batch scalar and grouped plans normally answer on their second plan
+    /// pass (the CHOOSE_REFRESH guarantee); join plans and iterative mode
+    /// (§8.2) take one heuristic round per pass until converged.
     fn run(mut self) -> Result<(QueryOutcome, Option<DegradedInfo>), TrappError> {
         let mut phase = self.start()?;
         loop {
@@ -703,16 +675,15 @@ impl<'a> QueryRun<'a> {
         let locks = &mut self.ctx.locks;
         let exclusions = self.core.exclusions_for(&self.dark, self.route, locks);
         let started = Instant::now();
-        let (plan, now, max_join_rounds) = match self.route {
+        let (plan, now, max_rounds) = match self.route {
             Route::Single(s) => self.core.plan_single(s, &self.query, &exclusions, locks)?,
             Route::Scatter => self.core.plan_scatter(&self.query, &exclusions, locks)?,
         };
         self.ctx.plan_us += started.elapsed().as_micros() as u64;
-        self.max_join_rounds = max_join_rounds;
+        self.max_heuristic_rounds = max_rounds;
         let plan = match plan {
             QueryPlan::Ready(outcome) => return Ok(Phase::Answer(outcome)),
             QueryPlan::NeedsFetch(plan) => plan,
-            QueryPlan::Iterative => return self.iterate(),
         };
         let cost: f64 = plan
             .units
@@ -723,32 +694,16 @@ impl<'a> QueryRun<'a> {
         self.guard(plan, now, cost)
     }
 
-    /// Iterative mode (§8.2) plans and refreshes in one step under the
-    /// shard lock, and its outcome goes straight to the answer phase.
-    fn iterate(&mut self) -> Result<Phase, TrappError> {
-        // `plan_scatter` refuses iterative mode with a typed error before
-        // producing a plan.
-        let Route::Single(s) = self.route else {
-            return Err(TrappError::Internal(
-                "iterative plan escaped the locked fallback".into(),
-            ));
-        };
-        // Its refreshes go through the gateway whatever is dark, so it
-        // excludes no source, and its reply names none.
-        self.dark.clear();
-        let outcome = self
-            .core
-            .run_iterative(s, &self.query, &mut self.ctx.locks)?;
-        Ok(Phase::Answer(outcome))
-    }
-
     /// Deadline policy before a fetch: does the plan's estimated fetch time
     /// fit the remaining budget? If not, widen the constraint one doubling
-    /// and plan again (CHOOSE_REFRESH cost falls monotonically as the
-    /// constraint widens, so this walks toward the narrowest honorable
-    /// one), or shed it once the budget is gone or the ladder exhausted.
-    /// A widen spends no round budget.
+    /// and plan again (a complete plan's CHOOSE_REFRESH cost falls
+    /// monotonically as the constraint widens, so this walks toward the
+    /// narrowest honorable one), or shed it once the budget is gone or the
+    /// ladder exhausted. A widen spends no round budget. A heuristic round
+    /// (join, iterative mode) is costed alone, not the rounds after it,
+    /// so a Strict probe that ends on one names no honorable width.
     fn guard(&mut self, plan: FetchPlan, now: f64, cost: f64) -> Result<Phase, TrappError> {
+        let complete = plan.complete;
         let fetch = Phase::Fetch { plan, now, cost };
         let Some(limit) = self.deadline else {
             return Ok(fetch);
@@ -758,8 +713,10 @@ impl<'a> QueryRun<'a> {
         if remaining.is_some_and(|r| self.core.estimate_fetch_time(cost) <= r) {
             if self.probing {
                 // The probe found a width whose plan fits what is left of
-                // the budget: report it and refuse.
-                return Err(deadline_error(limit, elapsed, self.query.within));
+                // the budget: report it (if the plan covers the whole
+                // query) and refuse.
+                let honorable = self.query.within.filter(|_| complete);
+                return Err(deadline_error(limit, elapsed, honorable));
             }
             return Ok(fetch);
         }
@@ -791,11 +748,11 @@ impl<'a> QueryRun<'a> {
                 )));
             }
         } else {
-            self.join_rounds += 1;
-            if self.join_rounds > self.max_join_rounds {
+            self.heuristic_rounds += 1;
+            if self.heuristic_rounds > self.max_heuristic_rounds {
                 return Err(TrappError::Internal(format!(
-                    "join refresh did not converge in {} rounds",
-                    self.join_rounds
+                    "heuristic refresh did not converge in {} rounds",
+                    self.heuristic_rounds
                 )));
             }
         }
@@ -942,7 +899,7 @@ impl<'a> QueryRun<'a> {
             let refunded = if complete {
                 &mut self.complete_rounds
             } else {
-                &mut self.join_rounds
+                &mut self.heuristic_rounds
             };
             *refunded = refunded.saturating_sub(1);
             return Ok(Phase::Plan);
@@ -1025,4 +982,133 @@ fn sorted(sources: impl Iterator<Item = SourceId>) -> Vec<SourceId> {
     let mut sources: Vec<SourceId> = sources.collect();
     sources.sort();
     sources
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use crossbeam::channel::{unbounded, Receiver, Sender};
+    use trapp_core::refresh::iterative::IterativeHeuristic;
+    use trapp_core::ExecutionMode;
+    use trapp_storage::{ColumnDef, Schema, Table};
+    use trapp_system::message::Refresh;
+    use trapp_system::{Completion, DirectTransport, Transport};
+    use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, Value, ValueType};
+
+    use crate::service::{ServiceBuilder, ServiceConfig};
+
+    /// A transport that holds one source's refreshes at the door: it
+    /// reports each such fetch as open, then blocks it until the test
+    /// opens the gate for good by dropping the `release` sender.
+    struct Gate {
+        inner: DirectTransport,
+        gated: SourceId,
+        opened: Sender<()>,
+        release: Receiver<()>,
+    }
+
+    impl Transport for Gate {
+        fn submit_refresh_batch(
+            &self,
+            source: SourceId,
+            cache: CacheId,
+            objects: Vec<ObjectId>,
+            now: f64,
+        ) -> Completion<Vec<Refresh>> {
+            if source == self.gated {
+                let _ = self.opened.send(());
+                let _ = self.release.recv();
+            }
+            self.inner.submit_refresh_batch(source, cache, objects, now)
+        }
+
+        fn submit_update_batch(
+            &self,
+            source: SourceId,
+            updates: Vec<(ObjectId, f64)>,
+            now: f64,
+        ) -> Completion<Vec<(CacheId, Refresh)>> {
+            self.inner.submit_update_batch(source, updates, now)
+        }
+
+        fn messages(&self) -> u64 {
+            self.inner.messages()
+        }
+    }
+
+    /// An iterative (§8.2) query releases its shard's lock while a round
+    /// fetches: with its fetch from source 2 held open, a query the cache
+    /// can answer runs on the same shard; once the gate opens, the
+    /// iterative query finishes with the exact answer.
+    #[test]
+    fn iterative_rounds_fetch_with_the_shard_lock_released() {
+        let schema = Schema::new(vec![
+            ColumnDef::exact("grp", ValueType::Int),
+            ColumnDef::bounded_float("load"),
+        ])
+        .unwrap();
+        let mut builder = ServiceBuilder::new()
+            .config(ServiceConfig {
+                workers: 2,
+                shards: 1,
+                ..ServiceConfig::default()
+            })
+            .table(Table::new("metrics", schema));
+        for (grp, source, load) in [(0i64, 1u64, 10.0), (0, 1, 20.0), (1, 2, 30.0), (1, 2, 40.0)] {
+            let cells = vec![
+                BoundedValue::Exact(Value::Int(grp)),
+                BoundedValue::exact_f64(load).unwrap(),
+            ];
+            builder = builder.row("metrics", SourceId::new(source), cells);
+        }
+        let (opened_tx, opened) = unbounded();
+        let (release_tx, release_rx) = unbounded::<()>();
+        let service = builder
+            .build_with(
+                |sources| {
+                    let mut inner = DirectTransport::new();
+                    for source in sources {
+                        inner.add_source(source);
+                    }
+                    let gate = Gate {
+                        inner,
+                        gated: SourceId::new(2),
+                        opened: opened_tx.clone(),
+                        release: release_rx.clone(),
+                    };
+                    Box::new(gate) as Box<dyn Transport>
+                },
+                None,
+            )
+            .unwrap();
+        // Declared after the service so that it drops first: a failing
+        // assertion opens the gate before the service joins its workers.
+        let release = release_tx;
+        service.with_shard_cache(0, |cache| {
+            cache.session_mut().config.mode =
+                ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
+        });
+        service.advance_clock(25.0);
+
+        let iterative = service.submit("SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 1");
+        opened
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the iterative query never fetched from source 2");
+        let cached = service.submit("SELECT SUM(load) FROM metrics WHERE grp = 0");
+        let reply = cached
+            .rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the shard lock was held across an iterative fetch")
+            .unwrap();
+        assert!(reply.result.satisfied);
+        assert_eq!(reply.round_trips, 0);
+
+        drop(release);
+        let reply = iterative.wait().unwrap();
+        assert!(reply.result.answer.is_exact());
+        assert_eq!(reply.result.answer.range.lo(), 70.0);
+        assert_eq!(reply.result.rounds, 2);
+        assert_eq!(reply.round_trips, 2);
+    }
 }

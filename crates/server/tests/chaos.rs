@@ -25,6 +25,8 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use trapp_core::refresh::iterative::IterativeHeuristic;
+use trapp_core::ExecutionMode;
 use trapp_server::{
     DegradationPolicy, HealthConfig, QueryService, RetryPolicy, ServiceBuilder, ServiceConfig,
 };
@@ -287,6 +289,79 @@ fn breaker_recovers_full_precision_after_a_scripted_outage() {
             "breakers must close again after recovery ({stack:?})"
         );
         service.shutdown();
+    }
+}
+
+/// Iterative mode (§8.2) runs the same loop as every other shape, so a
+/// downed source is excluded or refused like anywhere else: BestEffort
+/// answers a degraded `Ok` whose bound contains the truth and names the
+/// dark source, Strict refuses with a typed unavailability — on both
+/// stacks, for a scatter-gathered global query and a `GROUP BY`.
+#[test]
+fn iterative_mode_with_a_downed_source_degrades_or_refuses() {
+    let down = SourceId::new(2);
+    let w = workload(29, 0);
+    let query = |sql: &str, shape| GeneratedQuery {
+        sql: sql.to_string(),
+        group: None,
+        agg: AggTemplate::Sum,
+        within: 0.5,
+        deadline: None,
+        shape,
+    };
+    let scalar = query(
+        "SELECT SUM(load) WITHIN 0.5 FROM metrics",
+        loadgen::QueryShape::Scalar,
+    );
+    let grouped = query(
+        "SELECT SUM(load) WITHIN 0.5 FROM metrics GROUP BY grp",
+        loadgen::QueryShape::Grouped,
+    );
+    for stack in STACKS {
+        for policy in [DegradationPolicy::BestEffort, DegradationPolicy::Strict] {
+            let service = build(&w, stack, policy, ChaosConfig::default());
+            for s in 0..service.shard_count() {
+                service.with_shard_cache(s, |cache| {
+                    cache.session_mut().config.mode =
+                        ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
+                });
+            }
+            service.chaos_control().unwrap().force_down(down);
+            for q in [&scalar, &grouped] {
+                service.advance_clock(25.0);
+                let context = format!("`{}` ({stack:?}, {policy:?})", q.sql);
+                match (policy, service.query(&q.sql)) {
+                    (DegradationPolicy::BestEffort, Ok(reply)) => {
+                        if q.shape == loadgen::QueryShape::Scalar {
+                            assert!(check_reply(&w, q, &reply), "{context}: not degraded");
+                        } else {
+                            let truths = loadgen::ground_truth_groups(&w, q);
+                            assert_eq!(reply.groups.len(), truths.len(), "{context}");
+                            for (g, (_, truth)) in reply.groups.iter().zip(truths) {
+                                let range = g.result.answer.range;
+                                assert!(
+                                    range.lo() <= truth + 1e-9 && truth <= range.hi() + 1e-9,
+                                    "{context}: group {:?} bound {range:?} misses {truth}",
+                                    g.key
+                                );
+                            }
+                        }
+                        let degraded = reply.degraded.expect("a dark source must degrade");
+                        assert_eq!(degraded.dark_sources, vec![down], "{context}");
+                        assert!(!reply.result.satisfied, "{context}");
+                    }
+                    (DegradationPolicy::Strict, Err(e)) => assert!(
+                        matches!(
+                            e,
+                            TrappError::SourceUnavailable(s) if s == down
+                        ) || matches!(e, TrappError::PartialResult(_)),
+                        "{context}: untyped refusal {e:?}"
+                    ),
+                    (_, other) => panic!("{context}: got {other:?}"),
+                }
+            }
+            service.shutdown();
+        }
     }
 }
 

@@ -430,3 +430,57 @@ fn best_effort_deadline_bounds_latency_not_precision() {
         service.shutdown();
     }
 }
+
+/// Iterative mode (§8.2) runs the same deadline guard as every other
+/// shape: each round's fetch is costed against what is left of the
+/// budget, so a BestEffort iterative query against slow sources widens
+/// its constraint (ultimately answering from cache) within its
+/// `DEADLINE` instead of erroring or answering late.
+#[test]
+fn best_effort_iterative_query_widens_within_its_deadline() {
+    const DEADLINE_MS: u64 = 120;
+    for stack in STACKS {
+        let service = build(
+            stack,
+            DegradationPolicy::BestEffort,
+            AdmissionConfig::default(),
+            ChaosConfig {
+                seed: 17,
+                default_delay: Some(DelaySpec::fixed(Duration::from_millis(250))),
+                ..ChaosConfig::default()
+            },
+        );
+        service.with_shard_cache(0, |cache| {
+            cache.session_mut().config.mode = trapp_core::ExecutionMode::Iterative(
+                trapp_core::refresh::iterative::IterativeHeuristic::BestRatio,
+            );
+        });
+        for _ in 0..4 {
+            service.advance_clock(50.0);
+            let started = Instant::now();
+            let reply = service
+                .query(format!(
+                    "SELECT SUM(load) WITHIN 0.5 DEADLINE {DEADLINE_MS} FROM metrics"
+                ))
+                .unwrap_or_else(|e| panic!("BestEffort must never error, got {e} ({stack:?})"));
+            let took = started.elapsed();
+            assert_contains(&reply, 100.0, "best-effort iterative deadline global");
+            // The budget plus scheduling slack.
+            assert!(
+                took < Duration::from_millis(DEADLINE_MS + 100),
+                "iterative query answered late: {took:?} ({stack:?})"
+            );
+            assert!(
+                reply.result.satisfied || reply.degraded.is_some(),
+                "an unmet constraint must surface as degraded ({stack:?})"
+            );
+        }
+        let stats = service.stats();
+        assert_eq!(stats.errors, 0);
+        assert!(
+            stats.deadline_widened > 0,
+            "the deadline guard never widened an iterative query ({stack:?})"
+        );
+        service.shutdown();
+    }
+}

@@ -13,6 +13,8 @@ mod common;
 use std::time::Duration;
 
 use common::{loadgen_tables, service_builder, Stack};
+use trapp_core::refresh::iterative::IterativeHeuristic;
+use trapp_core::ExecutionMode;
 use trapp_server::{QueryService, ServiceConfig};
 use trapp_system::Simulation;
 use trapp_workload::loadgen::{self, LoadConfig, ServiceWorkload};
@@ -248,4 +250,53 @@ fn shard_lock_counters_grow_with_fetching_queries() {
     assert!(last.round_trips > 0, "the queries fetched");
     assert!(last.shard_lock_wait_us > 0);
     assert!(last.shard_lock_hold_us > 0);
+}
+
+/// An iterative (§8.2) reply accounts for the round trips its rounds
+/// took, like every other shape: one tuple per round is one round trip,
+/// the reply's count matches the service counters' delta, and the fetch
+/// phase's time grows.
+#[test]
+fn iterative_replies_account_for_their_round_trips() {
+    let w = loadgen::generate(&LoadConfig {
+        seed: 7,
+        groups: 2,
+        rows_per_group: 4,
+        sources: 2,
+        queries: 0,
+        ..LoadConfig::default()
+    });
+    let config = ServiceConfig {
+        workers: 1,
+        shards: 1,
+        ..ServiceConfig::default()
+    };
+    let service = Stack::Completion.build(
+        service_builder(loadgen_tables(&w), config),
+        Duration::from_millis(1),
+    );
+    service.with_shard_cache(0, |cache| {
+        cache.session_mut().config.mode = ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
+    });
+    service.advance_clock(25.0);
+    let before = service.stats();
+    let reply = service
+        .query("SELECT SUM(load) WITHIN 0.5 FROM metrics")
+        .unwrap();
+    let after = service.stats();
+    assert!(reply.result.satisfied);
+    assert!(
+        reply.result.rounds > 1,
+        "the query must take several rounds"
+    );
+    assert_eq!(reply.round_trips, reply.result.rounds as u64);
+    assert_eq!(after.round_trips - before.round_trips, reply.round_trips);
+    assert_eq!(
+        after.refreshes_forwarded - before.refreshes_forwarded,
+        reply.result.refreshed.len() as u64
+    );
+    assert!(
+        after.fetch_us > before.fetch_us,
+        "fetch time must be charged"
+    );
 }

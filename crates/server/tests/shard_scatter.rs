@@ -16,11 +16,18 @@
 
 mod common;
 
-use common::{loadgen_tables, service_builder, Stack};
+use std::collections::HashSet;
+
+use common::{loadgen_tables, reference, run_reference, service_builder, Stack, STACKS};
 use proptest::prelude::*;
+use trapp_core::executor::QueryResult;
+use trapp_core::refresh::iterative::IterativeHeuristic;
+use trapp_core::ExecutionMode;
 use trapp_server::{QueryService, ServiceConfig, ServiceReply};
 use trapp_types::{shard_of, ObjectId, SourceId, TrappError, Value};
-use trapp_workload::loadgen::{self, LoadConfig, QueryShape, ServiceWorkload};
+use trapp_workload::loadgen::{
+    self, LoadConfig, QueryShape, ServiceWorkload, JOIN_WEIGHT_THRESHOLD,
+};
 
 fn build_on(w: &ServiceWorkload, shards: usize, workers: usize, stack: Stack) -> QueryService {
     let config = ServiceConfig {
@@ -360,38 +367,119 @@ fn lost_shard_mid_join_gather_surfaces_partial_result() {
     assert!(reply.result.answer.is_exact());
 }
 
-/// Iterative mode stays the one unsupported shape on a multi-shard
-/// service — and the error now names the feature and the alternative.
+/// Asserts one reply result matches the reference's: answer, initial
+/// answer, satisfaction, refreshed sequence (order included), cost and,
+/// with `rounds`, the round count.
+fn assert_result_matches(a: &QueryResult, b: &QueryResult, rounds: bool, context: &str) {
+    assert_eq!(a.answer.range, b.answer.range, "answer for {context}");
+    assert_eq!(
+        a.initial_answer.range, b.initial_answer.range,
+        "initial answer for {context}"
+    );
+    assert_eq!(a.satisfied, b.satisfied, "satisfied for {context}");
+    assert_eq!(a.refreshed, b.refreshed, "refreshed sequence for {context}");
+    assert_eq!(a.refresh_cost, b.refresh_cost, "cost for {context}");
+    if rounds {
+        assert_eq!(a.rounds, b.rounds, "rounds for {context}");
+    }
+}
+
+/// Iterative mode (§8.2) runs the one query loop on any shard count: on
+/// 1–3 shards and both stacks, every scalar, pinned, grouped and join
+/// iterative reply — per-group answers, refreshed sequences and costs —
+/// matches the single-cache §8.2 executor (the reference in
+/// `ExecutionMode::Iterative`) over the same rows. Single-table shapes
+/// match its rounds too; a join round carries the whole provable prefix
+/// of the §7 pick order, so joins reach the same refreshes in fewer
+/// rounds.
 #[test]
-fn iterative_mode_error_names_feature_and_alternative() {
+fn iterative_mode_matches_the_single_cache_executor_on_any_shard_count() {
+    let iterative = ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
     let w = loadgen::generate(&LoadConfig {
-        seed: 2,
-        groups: 4,
-        rows_per_group: 2,
+        seed: 19,
+        groups: 6,
+        rows_per_group: 3,
         sources: 2,
-        queries: 0,
+        queries: 24,
+        global_fraction: 0.4,
+        grouped_fraction: 0.25,
+        join_fraction: 0.25,
         ..LoadConfig::default()
     });
-    let service = build(&w, 3, 1);
-    for s in 0..3 {
-        service.with_shard_cache(s, |cache| {
-            cache.session_mut().config.mode = trapp_core::ExecutionMode::Iterative(
-                trapp_core::refresh::iterative::IterativeHeuristic::BestRatio,
-            );
-        });
+    assert!(!w.segments.is_empty(), "joins need the segments table");
+    let mut queries: Vec<(String, &str)> = w
+        .queries
+        .iter()
+        .map(|q| {
+            let shape = match (q.shape, q.group) {
+                (QueryShape::Scalar, Some(_)) => "pinned",
+                (QueryShape::Scalar, None) => "scalar",
+                (QueryShape::Grouped, _) => "grouped",
+                (QueryShape::Join, _) => "join",
+            };
+            (q.sql.clone(), shape)
+        })
+        .collect();
+    // First, right after a clock advance, so its groups must refresh.
+    queries.insert(
+        0,
+        (
+            format!(
+                "SELECT SUM(load) WITHIN 0 FROM metrics, segments \
+             WHERE metrics.grp = segments.grp AND weight > {JOIN_WEIGHT_THRESHOLD} \
+             GROUP BY metrics.grp"
+            ),
+            "grouped join",
+        ),
+    );
+    for shards in 1..=3 {
+        for stack in STACKS {
+            let service = build_on(&w, shards, 1, stack);
+            for s in 0..shards {
+                service.with_shard_cache(s, |c| c.session_mut().config.mode = iterative);
+            }
+            let mut sim = reference(loadgen_tables(&w), w.config.sources);
+            sim.cache.session_mut().config.mode = iterative;
+            // Shapes that took several iterative rounds (joins: refreshed
+            // several tuples).
+            let mut multi_step: HashSet<&str> = HashSet::new();
+            for (i, (sql, shape)) in queries.iter().enumerate() {
+                if i % 5 == 0 {
+                    service.advance_clock(25.0);
+                    sim.clock.advance(25.0);
+                }
+                let context = format!("query {i} ({shape}): {sql} (shards={shards}, {stack:?})");
+                let reply = service.query(sql).unwrap();
+                let (scalar, groups) = run_reference(&mut sim, sql);
+                let rounds = !shape.contains("join");
+                if let Some(r) = scalar {
+                    assert_result_matches(&reply.result, &r, rounds, &context);
+                }
+                assert_eq!(reply.groups.len(), groups.len(), "groups for {context}");
+                for (a, b) in reply.groups.iter().zip(&groups) {
+                    assert_eq!(a.key, b.key, "group keys for {context}");
+                    let context = format!("group {:?} of {context}", a.key);
+                    assert_result_matches(&a.result, &b.result, rounds, &context);
+                }
+                let refreshed = reply.result.refreshed.len()
+                    + reply
+                        .groups
+                        .iter()
+                        .map(|g| g.result.refreshed.len())
+                        .sum::<usize>();
+                if reply.result.rounds > 1 || (!rounds && refreshed > 1) {
+                    multi_step.insert(shape);
+                }
+            }
+            for shape in ["pinned", "scalar", "grouped", "join", "grouped join"] {
+                assert!(
+                    multi_step.contains(shape),
+                    "no {shape} query took several iterative steps \
+                     (shards={shards}, {stack:?})"
+                );
+            }
+        }
     }
-    let err = service
-        .query("SELECT SUM(load) WITHIN 1 FROM metrics")
-        .unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        matches!(err, TrappError::Unsupported(_)),
-        "expected Unsupported, got {err:?}"
-    );
-    assert!(
-        msg.contains("iterative") && msg.contains("shards = 1"),
-        "error must name the feature and the supported alternative: {msg}"
-    );
 }
 
 /// A shard that fails mid-fetch must not produce an answer: the merged

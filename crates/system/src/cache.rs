@@ -610,9 +610,9 @@ impl CacheNode {
     /// `Table::update_cell` skips no-op writes, so unchanged cells also
     /// leave table versions (and thus memoized band views) untouched.
     ///
-    /// Scatter gathers, joins, `GROUP BY` and unfiltered queries, the
-    /// iterative path and [`crate::Simulation`] read every row, so they
-    /// call this before planning.
+    /// Scatter gathers, joins, `GROUP BY` and unfiltered queries and
+    /// [`crate::Simulation`] read every row, so they call this before
+    /// planning.
     pub fn materialize(&mut self) -> Result<(), TrappError> {
         self.cells
             .all_current(self.session.catalog_mut(), self.clock.now())
@@ -684,10 +684,10 @@ impl CacheNode {
 
     /// Executes a parsed `GROUP BY` query through the same
     /// materialize/execute/install pipeline as [`CacheNode::execute`],
-    /// returning one result per group in key-sorted order. Used as the
-    /// locked fallback for grouped queries in iterative execution mode
-    /// (batch mode plans grouped queries ahead via
-    /// [`trapp_core::query_plan`] instead).
+    /// returning one result per group in key-sorted order — the
+    /// single-cache reference grouped answers are checked against (a
+    /// serving layer plans grouped queries through
+    /// [`trapp_core::query_plan`] instead, fetching with no lock held).
     pub fn execute_grouped(
         &mut self,
         query: &trapp_sql::Query,

@@ -10,6 +10,8 @@
 //! cargo run --release --example online_aggregation
 //! ```
 
+use std::collections::HashSet;
+
 use trapp_core::agg::{bounded_answer, AggInput, Aggregate};
 use trapp_core::refresh::iterative::{next_refresh, IterativeHeuristic};
 use trapp_core::{QuerySession, RefreshOracle, TableOracle};
@@ -51,8 +53,14 @@ fn main() -> Result<(), TrappError> {
             println!("\nconstraint met after {round} rounds (cost {spent:.0}).");
             break;
         }
-        let Some(tid) = next_refresh(Aggregate::Sum, &input, r, IterativeHeuristic::BestRatio)
-        else {
+        let none = HashSet::new(); // no source is dark here
+        let Some(tid) = next_refresh(
+            Aggregate::Sum,
+            &input,
+            r,
+            IterativeHeuristic::BestRatio,
+            &none,
+        ) else {
             println!("\nno further refresh can improve the bound.");
             break;
         };
