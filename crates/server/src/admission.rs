@@ -17,11 +17,13 @@
 //!    typed [`TrappError::Overloaded`] before any work is started.
 //!
 //! Both watermarks default to "off" (`u64::MAX`): an unconfigured service
-//! behaves exactly as before. Depth accounting is shared with the worker
-//! pool — [`AdmissionController::admit`] increments at submit,
-//! [`AdmissionController::dequeued`] decrements at worker pickup — so the
-//! gauge is the number of queries waiting for a worker, not in-flight
-//! executions.
+//! behaves exactly as before. Depth accounting is shared with the
+//! service's dispatch path — [`AdmissionController::admit`] increments
+//! when `query` or `submit` admits a query,
+//! [`AdmissionController::dequeued`] decrements when the query takes its
+//! execution permit and starts — so the gauge is the number of admitted
+//! queries that have not started executing (waiting for a permit, or for
+//! a worker to pick a submitted one up), not in-flight executions.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -71,7 +73,7 @@ pub enum Admission {
     Widened,
 }
 
-/// Live admission state shared between submitters and workers. See the
+/// Live admission state shared by every entry point and worker. See the
 /// module docs for the ladder.
 pub struct AdmissionController {
     cfg: AdmissionConfig,
@@ -127,9 +129,9 @@ impl AdmissionController {
         }
     }
 
-    /// A worker picked the query up: the queue is one shallower. Once the
-    /// queue drains empty, a boosted fetch pool falls back to its base
-    /// size.
+    /// An admitted query started executing: the queue is one shallower.
+    /// Once the queue drains empty, a boosted fetch pool falls back to its
+    /// base size.
     pub fn dequeued(&self) {
         let depth = self.depth.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
         self.react_to_depth(depth);
@@ -153,7 +155,7 @@ impl AdmissionController {
         }
     }
 
-    /// Current queue depth (submitted, not yet picked up by a worker).
+    /// Current queue depth (admitted, not yet started executing).
     pub fn depth(&self) -> u64 {
         self.depth.load(Ordering::SeqCst)
     }

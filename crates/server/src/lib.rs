@@ -4,8 +4,10 @@
 //! replication substrate — the serving layer the paper's single-cache,
 //! one-query-at-a-time loop (§3–§4) grows into under heavy traffic.
 //!
-//! Clients submit TRAPP/AG SQL with precision constraints from many
-//! threads. A worker pool executes them against
+//! Clients send TRAPP/AG SQL with precision constraints from many
+//! threads — run on the caller's thread by [`QueryService::query`], or
+//! on a worker by [`QueryService::submit`], at most
+//! [`ServiceConfig::workers`] at once — against
 //! [`ServiceConfig::shards`] independent [`CacheNode`]s whose group key
 //! space is hash-partitioned by a [`ShardRouter`]:
 //!

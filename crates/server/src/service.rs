@@ -1,9 +1,16 @@
 //! The query service: a concurrent multi-client front-end over one or
 //! more TRAPP cache shards.
 //!
-//! Clients [`submit`](QueryService::submit) TRAPP/AG SQL with precision
-//! constraints from any thread; a pool of worker threads drains the shared
-//! job queue. The service hash-partitions the group key space over
+//! Clients send TRAPP/AG SQL with precision constraints from any thread.
+//! [`query`](QueryService::query) runs the query to completion on the
+//! calling thread; [`submit`](QueryService::submit) hands it to a pool of
+//! worker threads and returns a ticket. Both reach one dispatch path: a
+//! FIFO gate of [`ServiceConfig::workers`] permits bounds the queries
+//! executing at once across both entry points, and a panic in a query
+//! comes back as a typed [`TrappError::Internal`] without costing the
+//! calling or worker thread.
+//!
+//! The service hash-partitions the group key space over
 //! [`ServiceConfig::shards`] independent [`CacheNode`]s (see
 //! [`crate::ShardRouter`]) and executes each query on the
 //! narrowest footprint that can answer it:
@@ -44,10 +51,11 @@
 //! between phases, decided by the query's `DEADLINE` and the
 //! [`DegradationPolicy`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -77,7 +85,9 @@ use query_loop::LockTime;
 /// Service tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads draining the query queue.
+    /// Queries that may execute at once, across [`QueryService::query`]
+    /// (on the caller's thread) and [`QueryService::submit`] (on one of
+    /// this many worker threads). Further queries wait at a FIFO gate.
     pub workers: usize,
     /// Number of cache shards the group key space is hash-partitioned
     /// over. `1` reproduces the single-cache service exactly.
@@ -94,8 +104,9 @@ pub struct ServiceConfig {
     /// Per-source circuit-breaker tuning.
     pub health: HealthConfig,
     /// Admission-control watermarks — the widen/shed ladder applied at
-    /// [`QueryService::submit`] before a query reaches the worker queue.
-    /// Defaults to fully off. See [`AdmissionConfig`].
+    /// [`QueryService::query`] and [`QueryService::submit`] before a query
+    /// waits for an execution permit. Defaults to fully off. See
+    /// [`AdmissionConfig`].
     pub admission: AdmissionConfig,
 }
 
@@ -239,13 +250,15 @@ pub struct ServiceStats {
     pub admission_widened: u64,
     /// Queries shed at the front door with [`TrappError::Overloaded`].
     pub admission_rejected: u64,
-    /// Live queue depth at the moment of the snapshot (submitted, not yet
-    /// picked up by a worker).
+    /// Live queue depth at the moment of the snapshot (admitted, not yet
+    /// started executing).
     pub queue_depth: u64,
     /// The shared fetch pool's *actual* current thread count (reflects
     /// burst resizing); `0` when the service has no resizable pool.
     pub fetch_pool_threads: u64,
-    /// Total time queries spent waiting for a worker, µs.
+    /// Total time queries spent between admission and the start of their
+    /// execution (waiting for a permit, and for a worker under
+    /// [`QueryService::submit`]), µs.
     pub queue_wait_us: u64,
     /// Total time spent in plan phases (under shard locks), µs.
     pub plan_us: u64,
@@ -273,15 +286,97 @@ pub struct ServiceStats {
     pub view_items_repartitioned: u64,
 }
 
+type Reply = Result<ServiceReply, TrappError>;
+
 struct Job {
     sql: String,
-    /// When [`QueryService::submit`] accepted the query — queue wait and
-    /// any `DEADLINE` both count from here, so time spent waiting for a
-    /// worker is charged against the deadline like any other latency.
+    /// When admission control accepted the query — queue wait and any
+    /// `DEADLINE` both count from here, so time spent waiting for an
+    /// execution permit (or a worker) is charged against the deadline like
+    /// any other latency.
     enqueued: Instant,
     /// Admission control asked for this query's constraint to be widened.
     widen: bool,
-    reply: Sender<Result<ServiceReply, TrappError>>,
+}
+
+/// The typed error a query gets from a service that has shut down.
+fn shut_down() -> TrappError {
+    TrappError::Internal("query service shut down".into())
+}
+
+/// A FIFO counting semaphore over query executions: at most `permits`
+/// queries run at once, whichever entry point they came through, and a
+/// freed permit passes straight to the longest waiter, so queries start
+/// in the order they reached the gate.
+struct ExecGate {
+    state: Mutex<GateState>,
+}
+
+struct GateState {
+    /// Permits no execution holds. Non-zero only while nobody waits: a
+    /// released permit goes to the oldest waiter before it goes back here.
+    free: usize,
+    /// Threads waiting for a permit, oldest first.
+    waiting: VecDeque<Arc<GateWaiter>>,
+}
+
+struct GateWaiter {
+    thread: Thread,
+    granted: AtomicBool,
+}
+
+/// One execution permit. Dropping it releases the permit, so a query that
+/// unwinds cannot keep it.
+struct Permit<'a>(&'a ExecGate);
+
+impl ExecGate {
+    fn new(permits: usize) -> ExecGate {
+        ExecGate {
+            state: Mutex::new(GateState {
+                free: permits,
+                waiting: VecDeque::new(),
+            }),
+        }
+    }
+
+    /// Takes a permit, parking the calling thread behind every earlier
+    /// waiter until one is handed to it.
+    fn acquire(&self) -> Permit<'_> {
+        let waiter = {
+            let mut state = self.state.lock();
+            if state.free > 0 {
+                state.free -= 1;
+                return Permit(self);
+            }
+            let waiter = Arc::new(GateWaiter {
+                thread: std::thread::current(),
+                granted: AtomicBool::new(false),
+            });
+            state.waiting.push_back(waiter.clone());
+            waiter
+        };
+        while !waiter.granted.load(Ordering::Acquire) {
+            std::thread::park();
+        }
+        Permit(self)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let next = {
+            let mut state = self.0.state.lock();
+            let next = state.waiting.pop_front();
+            if next.is_none() {
+                state.free += 1;
+            }
+            next
+        };
+        if let Some(next) = next {
+            next.granted.store(true, Ordering::Release);
+            next.thread.unpark();
+        }
+    }
 }
 
 struct ServiceCore {
@@ -293,6 +388,9 @@ struct ServiceCore {
     /// [`QueryService::stats`].
     counters: Mutex<(ServiceStats, LockTime)>,
     admission: Arc<AdmissionController>,
+    /// [`ServiceConfig::workers`] execution permits, shared by both entry
+    /// points.
+    gate: ExecGate,
     /// EWMA of observed fetch-phase cost rate, µs of wall time per unit
     /// of planned refresh cost — the deadline guard's estimator for "can
     /// this plan's fetch fit the remaining budget?". `0.0` until the
@@ -301,24 +399,48 @@ struct ServiceCore {
     fetch_rate: Mutex<f64>,
 }
 
+impl ServiceCore {
+    /// The one dispatch path of both entry points: wait at the gate for a
+    /// permit, leave the admission queue, and run the query, a panic in it
+    /// coming back as a typed [`TrappError::Internal`] counted in
+    /// [`ServiceStats::errors`]. The permit is released on the way out,
+    /// panic or not.
+    fn execute(&self, job: &Job) -> Reply {
+        let _permit = self.gate.acquire();
+        self.admission.dequeued();
+        // Before a query takes a shard lock or a gateway claim, all it
+        // holds is its own state, which unwinding drops. A panic under a
+        // shard lock or after a claim is caught the same way, but may leave
+        // that shard half-written or the claim never published.
+        panic::catch_unwind(AssertUnwindSafe(|| self.run_query(job))).unwrap_or_else(|payload| {
+            self.counters.lock().0.errors += 1;
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Err(TrappError::Internal(format!("query panicked: {message}")))
+        })
+    }
+}
+
 /// A pending answer; see [`QueryService::submit`].
 pub struct QueryTicket {
-    rx: Receiver<Result<ServiceReply, TrappError>>,
+    rx: Receiver<Reply>,
 }
 
 impl QueryTicket {
     /// Blocks until the answer is ready.
     pub fn wait(self) -> Result<ServiceReply, TrappError> {
-        self.rx
-            .recv()
-            .map_err(|_| TrappError::Internal("query service shut down mid-query".into()))?
+        self.rx.recv().map_err(|_| shut_down())?
     }
 }
 
 /// A running query service. See the module docs.
 pub struct QueryService {
     core: Arc<ServiceCore>,
-    jobs: Option<Sender<Job>>,
+    /// The [`QueryService::submit`] queue; `None` once shut down.
+    jobs: Option<Sender<(Job, Sender<Reply>)>>,
     workers: Vec<JoinHandle<()>>,
     /// Live handle over the chaos layer, when the service was built with
     /// [`ServiceBuilder::chaos`].
@@ -326,10 +448,11 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Starts workers over an assembled router. `pool` is the shared
-    /// resizable fetch pool plus its build-time base size, when the
-    /// service was built over a completion transport — the admission
-    /// controller resizes it live under queue pressure.
+    /// Starts the [`QueryService::submit`] workers over an assembled
+    /// router. `pool` is the shared resizable fetch pool plus its
+    /// build-time base size, when the service was built over a completion
+    /// transport — the admission controller resizes it live under queue
+    /// pressure.
     fn start_router(
         router: ShardRouter,
         clock: SimClock,
@@ -347,9 +470,10 @@ impl QueryService {
             degradation: config.degradation,
             counters: Mutex::new(Default::default()),
             admission,
+            gate: ExecGate::new(config.workers.max(1)),
             fetch_rate: Mutex::new(0.0),
         });
-        let (jobs_tx, jobs_rx) = unbounded::<Job>();
+        let (jobs_tx, jobs_rx) = unbounded::<(Job, Sender<Reply>)>();
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let core = core.clone();
@@ -357,9 +481,8 @@ impl QueryService {
                 std::thread::Builder::new()
                     .name(format!("trapp-query-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            core.admission.dequeued();
-                            let _ = job.reply.send(core.run_query(&job));
+                        while let Ok((job, reply)) = rx.recv() {
+                            let _ = reply.send(core.execute(&job));
                         }
                     })
                     .expect("spawn query worker")
@@ -380,41 +503,66 @@ impl QueryService {
         self.chaos.as_ref()
     }
 
-    /// Enqueues a query; the returned ticket resolves to the answer.
+    /// Enqueues a query for a worker thread; the returned ticket resolves
+    /// to the answer.
     ///
-    /// This is also the admission-control choke point: above the
-    /// configured reject watermark the ticket resolves immediately to a
-    /// typed [`TrappError::Overloaded`] without the query ever touching
-    /// the worker queue, and between the widen and reject watermarks the
-    /// query runs with a relaxed precision constraint (the reply's
+    /// Like [`QueryService::query`], this passes admission control first:
+    /// above the configured reject watermark the ticket resolves
+    /// immediately to a typed [`TrappError::Overloaded`] without the query
+    /// ever reaching a worker, and between the widen and reject watermarks
+    /// the query runs with a relaxed precision constraint (the reply's
     /// [`ServiceReply::degraded`] names the original ask).
     pub fn submit(&self, sql: impl Into<String>) -> QueryTicket {
         let (reply, rx) = unbounded();
         if let Some(jobs) = &self.jobs {
-            match self.core.admission.admit() {
+            match self.admit(sql.into()) {
                 Err(e) => {
-                    self.core.counters.lock().0.errors += 1;
                     let _ = reply.send(Err(e));
                 }
-                Ok(verdict) => {
-                    let job = Job {
-                        sql: sql.into(),
-                        enqueued: Instant::now(),
-                        widen: verdict == Admission::Widened,
-                        reply,
-                    };
-                    // A send only fails after shutdown; the ticket then
-                    // reports it.
-                    let _ = jobs.send(job);
+                // The workers hold the queue's receiver until it closes
+                // at shutdown, so the send cannot fail here.
+                Ok(job) => {
+                    let _ = jobs.send((job, reply));
                 }
             }
         }
         QueryTicket { rx }
     }
 
-    /// Convenience: submit and wait.
+    /// Runs a query to completion on the calling thread and returns its
+    /// answer.
+    ///
+    /// The query passes the same admission control as
+    /// [`QueryService::submit`] and then waits, in arrival order, for one
+    /// of the [`ServiceConfig::workers`] execution permits the two entry
+    /// points share.
     pub fn query(&self, sql: impl Into<String>) -> Result<ServiceReply, TrappError> {
-        self.submit(sql).wait()
+        if self.jobs.is_none() {
+            return Err(shut_down());
+        }
+        let reply = self.core.execute(&self.admit(sql.into())?);
+        // A scheduling point: a caller that never blocks would otherwise
+        // keep its core through a whole scheduler slice, starving the
+        // fetch pool's timer and demux threads.
+        std::thread::yield_now();
+        reply
+    }
+
+    /// The front door of both entry points: sheds (counting the error) or
+    /// admits the query, stamping the instant its queue wait and
+    /// `DEADLINE` count from.
+    fn admit(&self, sql: String) -> Result<Job, TrappError> {
+        match self.core.admission.admit() {
+            Err(e) => {
+                self.core.counters.lock().0.errors += 1;
+                Err(e)
+            }
+            Ok(verdict) => Ok(Job {
+                sql,
+                enqueued: Instant::now(),
+                widen: verdict == Admission::Widened,
+            }),
+        }
     }
 
     /// Applies an update to a replicated object's master value, delivering
@@ -554,7 +702,8 @@ impl QueryService {
         s
     }
 
-    /// Stops accepting work and joins every worker.
+    /// Stops accepting work and joins every worker, after the workers
+    /// have answered every query already submitted.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }

@@ -158,6 +158,10 @@ fn patch_outcome(outcome: QueryOutcome, attr: &HashMap<String, UnitAttr>) -> Que
 
 impl ServiceCore {
     pub(super) fn run_query(&self, job: &Job) -> Result<ServiceReply, TrappError> {
+        #[cfg(test)]
+        if job.sql == tests::PANIC_HOOK_SQL {
+            panic!("test hook, before any lock or claim");
+        }
         let started = Instant::now();
         let queue_wait = started.duration_since(job.enqueued);
         let mut ctx = QueryCtx::default();
@@ -986,7 +990,8 @@ fn sorted(sources: impl Iterator<Item = SourceId>) -> Vec<SourceId> {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     use crossbeam::channel::{unbounded, Receiver, Sender};
     use trapp_core::refresh::iterative::IterativeHeuristic;
@@ -994,17 +999,23 @@ mod tests {
     use trapp_storage::{ColumnDef, Schema, Table};
     use trapp_system::message::Refresh;
     use trapp_system::{Completion, DirectTransport, Transport};
-    use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, Value, ValueType};
+    use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, TrappError, Value, ValueType};
 
-    use crate::service::{ServiceBuilder, ServiceConfig};
+    use crate::admission::AdmissionConfig;
+    use crate::service::{QueryService, ServiceBuilder, ServiceConfig};
+
+    /// The SQL text at which `run_query` panics, before it takes any shard
+    /// lock or gateway claim.
+    pub(super) const PANIC_HOOK_SQL: &str = "-- panic in run_query";
 
     /// A transport that holds one source's refreshes at the door: it
-    /// reports each such fetch as open, then blocks it until the test
-    /// opens the gate for good by dropping the `release` sender.
+    /// reports each such fetch as open, naming its objects, then blocks it
+    /// until the test releases it with one message, or opens the gate for
+    /// good by dropping the `release` sender.
     struct Gate {
         inner: DirectTransport,
         gated: SourceId,
-        opened: Sender<()>,
+        opened: Sender<Vec<ObjectId>>,
         release: Receiver<()>,
     }
 
@@ -1017,7 +1028,7 @@ mod tests {
             now: f64,
         ) -> Completion<Vec<Refresh>> {
             if source == self.gated {
-                let _ = self.opened.send(());
+                let _ = self.opened.send(objects.clone());
                 let _ = self.release.recv();
             }
             self.inner.submit_refresh_batch(source, cache, objects, now)
@@ -1037,12 +1048,14 @@ mod tests {
         }
     }
 
-    /// An iterative (§8.2) query releases its shard's lock while a round
-    /// fetches: with its fetch from source 2 held open, a query the cache
-    /// can answer runs on the same shard; once the gate opens, the
-    /// iterative query finishes with the exact answer.
-    #[test]
-    fn iterative_rounds_fetch_with_the_shard_lock_released() {
+    /// A one-shard service over `metrics(grp, load)` holding `rows` of
+    /// `(grp, source, load)` in order, so row `k` is backed by object
+    /// `k + 1`, with source 2's fetches held behind a [`Gate`]. Returns
+    /// the service, the gate's "fetch open" receiver and its release.
+    fn gated_service(
+        config: ServiceConfig,
+        rows: &[(i64, u64, f64)],
+    ) -> (QueryService, Receiver<Vec<ObjectId>>, Sender<()>) {
         let schema = Schema::new(vec![
             ColumnDef::exact("grp", ValueType::Int),
             ColumnDef::bounded_float("load"),
@@ -1050,12 +1063,11 @@ mod tests {
         .unwrap();
         let mut builder = ServiceBuilder::new()
             .config(ServiceConfig {
-                workers: 2,
                 shards: 1,
-                ..ServiceConfig::default()
+                ..config
             })
             .table(Table::new("metrics", schema));
-        for (grp, source, load) in [(0i64, 1u64, 10.0), (0, 1, 20.0), (1, 2, 30.0), (1, 2, 40.0)] {
+        for &(grp, source, load) in rows {
             let cells = vec![
                 BoundedValue::Exact(Value::Int(grp)),
                 BoundedValue::exact_f64(load).unwrap(),
@@ -1063,7 +1075,7 @@ mod tests {
             builder = builder.row("metrics", SourceId::new(source), cells);
         }
         let (opened_tx, opened) = unbounded();
-        let (release_tx, release_rx) = unbounded::<()>();
+        let (release, release_rx) = unbounded::<()>();
         let service = builder
             .build_with(
                 |sources| {
@@ -1082,6 +1094,28 @@ mod tests {
                 None,
             )
             .unwrap();
+        (service, opened, release)
+    }
+
+    fn exact_sum(reply: Result<crate::ServiceReply, TrappError>, expected: f64) {
+        let reply = reply.unwrap();
+        assert!(reply.result.answer.is_exact());
+        assert_eq!(reply.result.answer.range.lo(), expected);
+    }
+
+    /// An iterative (§8.2) query releases its shard's lock while a round
+    /// fetches: with its fetch from source 2 held open, a query the cache
+    /// can answer runs on the same shard; once the gate opens, the
+    /// iterative query finishes with the exact answer.
+    #[test]
+    fn iterative_rounds_fetch_with_the_shard_lock_released() {
+        let (service, opened, release_tx) = gated_service(
+            ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+            &[(0, 1, 10.0), (0, 1, 20.0), (1, 2, 30.0), (1, 2, 40.0)],
+        );
         // Declared after the service so that it drops first: a failing
         // assertion opens the gate before the service joins its workers.
         let release = release_tx;
@@ -1110,5 +1144,148 @@ mod tests {
         assert_eq!(reply.result.answer.range.lo(), 70.0);
         assert_eq!(reply.result.rounds, 2);
         assert_eq!(reply.round_trips, 2);
+    }
+
+    /// `ServiceConfig::workers` caps executions across both entry points:
+    /// with one permit, held by a `query()` whose fetch is open, a second
+    /// caller's `query()` and a `submit()` ticket both wait (the admission
+    /// gauge reads 2), a fourth query sheds at `reject_watermark: 2`, and
+    /// the waiters run one at a time in admission order once the fetch
+    /// is released.
+    #[test]
+    fn one_permit_gates_query_and_submit_in_admission_order() {
+        let (service, opened, release) = gated_service(
+            ServiceConfig {
+                workers: 1,
+                admission: AdmissionConfig {
+                    reject_watermark: 2,
+                    ..AdmissionConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+            // Group g's rows are backed by objects 2g - 1 and 2g.
+            &[
+                (1, 2, 10.0),
+                (1, 2, 20.0),
+                (2, 2, 30.0),
+                (2, 2, 40.0),
+                (3, 2, 50.0),
+                (3, 2, 60.0),
+            ],
+        );
+        service.advance_clock(25.0);
+        let sql = |grp: i64| format!("SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = {grp}");
+        let objects = |grp: u64| vec![ObjectId::new(2 * grp - 1), ObjectId::new(2 * grp)];
+        let next_fetch = || {
+            let mut fetched = opened
+                .recv_timeout(Duration::from_secs(10))
+                .expect("no fetch opened");
+            fetched.sort();
+            fetched
+        };
+        // Callers on detached threads, and `release` declared after the
+        // service so that it drops first: a failing assertion fails the
+        // test rather than joining a caller stuck at the gate or a fetch.
+        let service = Arc::new(service);
+        let release = release;
+        let caller = |grp: i64| {
+            let service = service.clone();
+            std::thread::spawn(move || service.query(sql(grp)))
+        };
+
+        let a = caller(1);
+        assert_eq!(next_fetch(), objects(1));
+        let b = caller(2);
+        let admitted = Instant::now();
+        while service.stats().queue_depth < 1 {
+            assert!(
+                admitted.elapsed() < Duration::from_secs(10),
+                "B never admitted"
+            );
+            std::thread::yield_now();
+        }
+        let ticket = service.submit(sql(3));
+        assert_eq!(service.stats().queue_depth, 2, "B and the ticket wait");
+        match service.query(sql(1)) {
+            Err(TrappError::Overloaded { queue_depth, limit }) => {
+                assert_eq!((queue_depth, limit), (2, 2));
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+
+        release.send(()).unwrap();
+        assert_eq!(next_fetch(), objects(2), "B was admitted first");
+        release.send(()).unwrap();
+        assert_eq!(next_fetch(), objects(3));
+        release.send(()).unwrap();
+        exact_sum(a.join().unwrap(), 30.0);
+        exact_sum(b.join().unwrap(), 70.0);
+        exact_sum(ticket.wait(), 110.0);
+        let stats = service.stats();
+        assert_eq!((stats.queries, stats.errors, stats.queue_depth), (3, 1, 0));
+    }
+
+    /// A panic in `run_query` comes back from either entry point as a
+    /// typed `Internal` error counted in `errors`; the permit is released
+    /// and the worker lives, so the next queries answer correctly.
+    #[test]
+    fn a_panicking_query_is_a_typed_error_and_costs_no_permit_or_worker() {
+        let (service, _opened, _release) = gated_service(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            &[(1, 1, 10.0), (1, 1, 20.0)],
+        );
+        // Dropped only on success: dropping joins the worker, which a
+        // leaked permit would leave parked at the gate for good.
+        let service = std::mem::ManuallyDrop::new(service);
+        service.advance_clock(25.0);
+        let panicked = |reply: Result<crate::ServiceReply, TrappError>| match reply {
+            Err(TrappError::Internal(message)) => {
+                assert!(message.starts_with("query panicked: "), "{message}");
+            }
+            other => panic!("expected a typed panic, got {other:?}"),
+        };
+        let within = Duration::from_secs(10);
+        let exact = "SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 1";
+
+        panicked(service.query(PANIC_HOOK_SQL));
+        // A leaked permit or a dead worker would make these time out.
+        panicked(
+            service
+                .submit(PANIC_HOOK_SQL)
+                .rx
+                .recv_timeout(within)
+                .unwrap(),
+        );
+        exact_sum(service.submit(exact).rx.recv_timeout(within).unwrap(), 30.0);
+        exact_sum(service.query(exact), 30.0);
+
+        let stats = service.stats();
+        assert_eq!((stats.queries, stats.errors, stats.queue_depth), (2, 2, 0));
+        assert_eq!(service.workers.len(), 1);
+        assert!(service.workers.iter().all(|w| !w.is_finished()));
+        drop(std::mem::ManuallyDrop::into_inner(service));
+    }
+
+    /// After shutdown both entry points answer with the typed error.
+    #[test]
+    fn queries_after_shutdown_get_a_typed_error() {
+        let (mut service, _opened, _release) =
+            gated_service(ServiceConfig::default(), &[(1, 1, 10.0)]);
+        service.shutdown_in_place();
+        let shut_down = TrappError::Internal("query service shut down".into());
+        assert_eq!(
+            service.query("SELECT SUM(load) FROM metrics").unwrap_err(),
+            shut_down
+        );
+        assert_eq!(
+            service
+                .submit("SELECT SUM(load) FROM metrics")
+                .wait()
+                .unwrap_err(),
+            shut_down
+        );
     }
 }

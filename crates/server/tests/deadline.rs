@@ -310,7 +310,7 @@ fn zero_deadline_sheds_before_execution() {
 /// The admission ladder at the front door: above the widen watermark a
 /// query runs with a relaxed constraint (reply names the original ask);
 /// above the reject watermark it sheds with a typed
-/// [`TrappError::Overloaded`] before touching the worker queue.
+/// [`TrappError::Overloaded`] before it waits for an execution permit.
 #[test]
 fn admission_ladder_widens_then_sheds_at_the_front_door() {
     // widen_watermark 0: every query admits widened ×1000 — wide enough

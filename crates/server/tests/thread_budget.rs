@@ -68,8 +68,15 @@ fn completion_service_threads_are_o_pool_plus_workers() {
     let completion = builder(&w)
         .build_completion(Duration::ZERO, POOL)
         .expect("completion service");
-    let completion_added = os_threads() - baseline;
+    let built = os_threads();
+    let completion_added = built - baseline;
     exercise(&completion, &w);
+    // `query()` runs on the calling thread: answering spawns nothing.
+    assert_eq!(
+        os_threads(),
+        built,
+        "answering queries changed the thread count"
+    );
 
     // workers + pool demux threads + 1 timer; a little slack for runtime
     // housekeeping threads, none of which scale with sources.
