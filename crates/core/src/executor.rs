@@ -1,4 +1,4 @@
-//! Query execution: the three-step loop of §4.
+//! Query execution: the three-step loop of §4, written once.
 //!
 //! 1. Compute an initial bounded answer from the cached bounds; if it meets
 //!    the precision constraint, done.
@@ -7,19 +7,29 @@
 //! 3. Recompute the bounded answer over the partially refreshed cache; the
 //!    CHOOSE_REFRESH guarantee makes it satisfy the constraint.
 //!
-//! The executor also provides the §8.2 *iterative* mode (refresh one tuple
-//! at a time, stop early when actual values cooperate) and the §7 join
-//! loop, both driven by the heuristics in [`crate::refresh`].
+//! [`QuerySession::drive`] is that loop, written once over any planner
+//! that lowers the query into a [`QueryPlan`]: plan, refresh the planned
+//! tuples through the oracle, plan again until the plan is ready. The
+//! §8.2 iterative mode and the §7 join rounds are plan states, not loops
+//! of their own. [`QuerySession::execute`] drives the *scan* planner
+//! ([`QuerySession::plan_scan`]: scan-built inputs, scan CHOOSE_REFRESH,
+//! one-tuple join rounds), which shares no code with the band views
+//! [`QuerySession::plan_query`] plans from, so the equivalence suites keep
+//! an independent reference.
 
 use trapp_sql::Query;
 use trapp_storage::{Catalog, Table};
 use trapp_types::{TrappError, TupleId};
 
 use crate::agg::{bounded_answer, AggInput, Aggregate, BoundedAnswer};
+use crate::group_by::{group_partitions, GroupKey};
 use crate::plan::{bind_query, BoundQuery, QuerySource};
-use crate::refresh::iterative::{next_refresh, IterativeHeuristic};
-use crate::refresh::join::{build_join_input, next_join_refresh, JoinSide};
-use crate::refresh::{choose_refresh, SolverStrategy};
+use crate::query_plan::{
+    assemble_units, empty_tuple_set, plan_join_round, plan_unit, Attribution, Exclusions,
+    QueryOutcome, QueryPlan,
+};
+use crate::refresh::iterative::IterativeHeuristic;
+use crate::refresh::SolverStrategy;
 
 /// How a session resolves precision shortfalls.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,7 +49,9 @@ pub struct SessionConfig {
     pub mode: ExecutionMode,
     /// Heuristic for join refresh rounds.
     pub join_heuristic: IterativeHeuristic,
-    /// Safety valve for iterative loops.
+    /// Refresh rounds a query may take before its loop gives up with an
+    /// error ([`QuerySession::drive`], and the serving layer's heuristic
+    /// rounds).
     pub max_refresh_rounds: usize,
 }
 
@@ -57,31 +69,17 @@ impl Default for SessionConfig {
 /// Supplies master values on demand — the cache-side stand-in for a
 /// query-initiated refresh request to the Refresh Monitor (§3.1).
 pub trait RefreshOracle {
-    /// Returns the current master values for the requested columns of
-    /// `tid` in `table`, in the same order as `columns`.
-    fn refresh(
-        &mut self,
-        table: &str,
-        tid: TupleId,
-        columns: &[usize],
-    ) -> Result<Vec<f64>, TrappError>;
-
     /// Returns the current master values for `columns` of *each* tuple in
     /// `tids` (outer order matches `tids`, inner order matches `columns`).
-    ///
-    /// The default forwards tuple-by-tuple; transport-backed oracles
-    /// override this to serve a whole CHOOSE_REFRESH plan with one
-    /// round-trip per *source* instead of one per object.
+    /// A whole round of one table's planned tuples arrives in one call, so
+    /// a transport-backed oracle serves it with one round-trip per
+    /// *source* instead of one per object.
     fn refresh_batch(
         &mut self,
         table: &str,
         tids: &[TupleId],
         columns: &[usize],
-    ) -> Result<Vec<Vec<f64>>, TrappError> {
-        tids.iter()
-            .map(|&tid| self.refresh(table, tid, columns))
-            .collect()
-    }
+    ) -> Result<Vec<Vec<f64>>, TrappError>;
 }
 
 /// A [`RefreshOracle`] backed by master tables with exact values — the
@@ -115,20 +113,24 @@ impl TableOracle {
 }
 
 impl RefreshOracle for TableOracle {
-    fn refresh(
+    fn refresh_batch(
         &mut self,
         table: &str,
-        tid: TupleId,
+        tids: &[TupleId],
         columns: &[usize],
-    ) -> Result<Vec<f64>, TrappError> {
+    ) -> Result<Vec<Vec<f64>>, TrappError> {
         let t = self.master.table(table)?;
-        let row = t.row(tid)?;
-        let mut out = Vec::with_capacity(columns.len());
-        for &c in columns {
-            out.push(row.exact(c)?.as_f64()?);
+        let mut rows = Vec::with_capacity(tids.len());
+        for &tid in tids {
+            let row = t.row(tid)?;
+            let mut out = Vec::with_capacity(columns.len());
+            for &c in columns {
+                out.push(row.exact(c)?.as_f64()?);
+            }
+            self.refreshes_served += 1;
+            rows.push(out);
         }
-        self.refreshes_served += 1;
-        Ok(out)
+        Ok(rows)
     }
 }
 
@@ -233,7 +235,8 @@ impl QuerySession {
         self.execute(&query, oracle)
     }
 
-    /// Executes a parsed query.
+    /// Executes a parsed single-row query (scalar or join) by driving the
+    /// scan planner.
     pub fn execute(
         &mut self,
         query: &Query,
@@ -245,11 +248,11 @@ impl QuerySession {
                 "grouped queries return multiple rows; use execute_grouped".into(),
             ));
         }
-        match &bound.source {
-            QuerySource::Table(name) => self.run_single(name.clone(), &bound, oracle),
-            QuerySource::Join { left, right } => {
-                self.run_join(left.clone(), right.clone(), &bound, oracle)
-            }
+        match self.drive(oracle, |s| s.plan_scan(&bound))? {
+            QueryOutcome::Scalar(result) => Ok(result),
+            QueryOutcome::Grouped(_) => Err(TrappError::Internal(
+                "scalar planning produced a grouped outcome".into(),
+            )),
         }
     }
 
@@ -274,194 +277,125 @@ impl QuerySession {
         self.execute(&constrained, oracle)
     }
 
-    fn run_single(
+    /// The §4 loop over any planner: plans, refreshes every planned tuple
+    /// through `oracle` ([`QuerySession::refresh_tuples`], one call per
+    /// unit's fetch), and plans again until the plan is
+    /// [`QueryPlan::Ready`]. The outcome reports, per unit, its first
+    /// cache-only answer and the tuples, cost and rounds it paid for
+    /// ([`Attribution`]). A plan that keeps asking for refreshes past
+    /// [`SessionConfig::max_refresh_rounds`] rounds is an error.
+    ///
+    /// Debug builds check the CHOOSE_REFRESH guarantee: a complete round
+    /// ([`crate::query_plan::FetchPlan::complete`]) must leave the next
+    /// plan ready. [`QuerySession::plan_scan`] checks its other half.
+    pub fn drive(
         &mut self,
-        table_name: String,
-        bound: &BoundQuery,
         oracle: &mut dyn RefreshOracle,
-    ) -> Result<QueryResult, TrappError> {
-        self.run_single_filtered(table_name, bound, oracle, |_, _| true)
-    }
-
-    pub(crate) fn run_single_filtered(
-        &mut self,
-        table_name: String,
-        bound: &BoundQuery,
-        oracle: &mut dyn RefreshOracle,
-        filter: impl Fn(TupleId, &trapp_storage::Row) -> bool + Copy,
-    ) -> Result<QueryResult, TrappError> {
-        let build = |catalog: &Catalog| -> Result<AggInput, TrappError> {
-            AggInput::build_filtered(
-                catalog.table(&table_name)?,
-                bound.predicate.as_ref(),
-                bound.arg.as_ref(),
-                filter,
-            )
-        };
-
-        let input = build(&self.catalog)?;
-        let initial = bounded_answer(bound.agg, &input)?;
-        if initial.satisfies(bound.within) {
-            return Ok(QueryResult {
-                answer: initial,
-                initial_answer: initial,
-                refreshed: Vec::new(),
-                refresh_cost: 0.0,
-                rounds: 0,
-                satisfied: true,
-            });
-        }
-        let r = bound.within.expect("unsatisfied implies finite R");
-
-        let mut refreshed: Vec<(String, TupleId)> = Vec::new();
-        let mut cost = 0.0;
+        mut plan: impl FnMut(&QuerySession) -> Result<QueryPlan, TrappError>,
+    ) -> Result<QueryOutcome, TrappError> {
+        let mut attribution = Attribution::default();
         let mut rounds = 0usize;
-
-        match self.config.mode {
-            ExecutionMode::Batch => {
-                let plan = choose_refresh(bound.agg, &input, r, self.config.strategy)?;
-                rounds = 1;
-                cost += self.refresh_tuples(&table_name, &plan.tuples, oracle)?;
-                refreshed.extend(plan.tuples.iter().map(|&tid| (table_name.clone(), tid)));
-            }
-            ExecutionMode::Iterative(heuristic) => {
-                loop {
-                    let input = build(&self.catalog)?;
-                    let answer = bounded_answer(bound.agg, &input)?;
-                    if answer.satisfies(bound.within) {
-                        break;
-                    }
-                    if rounds >= self.config.max_refresh_rounds {
-                        return Err(TrappError::Internal(format!(
-                            "iterative refresh did not converge in {rounds} rounds"
-                        )));
-                    }
-                    let none = crate::query_plan::empty_tuple_set();
-                    let Some(tid) = next_refresh(bound.agg, &input, r, heuristic, none) else {
-                        break; // no refresh can help further
-                    };
-                    cost += self.refresh_tuple(&table_name, tid, oracle)?;
-                    refreshed.push((table_name.clone(), tid));
-                    rounds += 1;
-                }
-            }
-        }
-
-        let input = build(&self.catalog)?;
-        let answer = bounded_answer(bound.agg, &input)?;
-        let satisfied = answer.satisfies(bound.within);
-        debug_assert!(
-            satisfied || bound.agg == Aggregate::Median || input.cardinality_slack != (0, 0),
-            "CHOOSE_REFRESH must guarantee the constraint: width {} > R {r}",
-            answer.width(),
-        );
-        Ok(QueryResult {
-            answer,
-            initial_answer: initial,
-            refreshed,
-            refresh_cost: cost,
-            rounds,
-            satisfied,
-        })
-    }
-
-    fn run_join(
-        &mut self,
-        left: String,
-        right: String,
-        bound: &BoundQuery,
-        oracle: &mut dyn RefreshOracle,
-    ) -> Result<QueryResult, TrappError> {
-        let build = |catalog: &Catalog| -> Result<_, TrappError> {
-            build_join_input(
-                catalog.table(&left)?,
-                catalog.table(&right)?,
-                bound.predicate.as_ref(),
-                bound.arg.as_ref(),
-                &[],
-            )
-        };
-
-        let initial = bounded_answer(bound.agg, &build(&self.catalog)?.input)?;
-        if initial.satisfies(bound.within) {
-            return Ok(QueryResult {
-                answer: initial,
-                initial_answer: initial,
-                refreshed: Vec::new(),
-                refresh_cost: 0.0,
-                rounds: 0,
-                satisfied: true,
-            });
-        }
-
-        let mut refreshed: Vec<(String, TupleId)> = Vec::new();
-        let mut cost = 0.0;
-        let mut rounds = 0usize;
-        let answer = loop {
-            let ji = build(&self.catalog)?;
-            let answer = bounded_answer(bound.agg, &ji.input)?;
-            if answer.satisfies(bound.within) {
-                break answer;
-            }
+        let mut after_complete = false;
+        loop {
+            let fetch = match plan(self)? {
+                QueryPlan::Ready(outcome) => return Ok(attribution.patch(outcome)),
+                QueryPlan::NeedsFetch(fetch) => fetch,
+            };
+            debug_assert!(
+                !after_complete,
+                "CHOOSE_REFRESH must guarantee the constraint: a complete round left it unmet"
+            );
             if rounds >= self.config.max_refresh_rounds {
                 return Err(TrappError::Internal(format!(
-                    "join refresh did not converge in {rounds} rounds"
+                    "refresh did not converge in {rounds} rounds"
                 )));
             }
-            let next = next_join_refresh(
-                &ji,
-                self.catalog.table(&left)?,
-                self.catalog.table(&right)?,
-                bound.agg,
-                self.config.join_heuristic,
-            );
-            let Some((side, tid)) = next else {
-                break answer;
-            };
-            let table = match side {
-                JoinSide::Left => &left,
-                JoinSide::Right => &right,
-            };
-            cost += self.refresh_tuple(&table.clone(), tid, oracle)?;
-            refreshed.push((table.clone(), tid));
             rounds += 1;
-        };
-
-        let satisfied = answer.satisfies(bound.within);
-        Ok(QueryResult {
-            answer,
-            initial_answer: initial,
-            refreshed,
-            refresh_cost: cost,
-            rounds,
-            satisfied,
-        })
+            attribution.record(&fetch, |_, tid| Ok(tid))?;
+            for unit in fetch.units.iter().filter_map(|u| u.fetch.as_ref()) {
+                self.refresh_tuples(&unit.table, &unit.tuples, oracle)?;
+            }
+            after_complete = fetch.complete;
+        }
     }
 
-    /// Performs one query-initiated refresh: fetches master values for all
-    /// bounded columns of `tid` and pins them in the cache. Returns the
-    /// refresh cost paid.
-    pub fn refresh_tuple(
-        &mut self,
-        table_name: &str,
-        tid: TupleId,
-        oracle: &mut dyn RefreshOracle,
-    ) -> Result<f64, TrappError> {
-        self.refresh_tuples(table_name, &[tid], oracle)
+    /// The scan reference planner: lowers a bound query into a
+    /// [`QueryPlan`] from inputs built by scanning the table
+    /// ([`AggInput::build_filtered`], with [`group_partitions`] membership
+    /// for `GROUP BY`), planned by the scan CHOOSE_REFRESH — or
+    /// [`crate::refresh::iterative::next_refresh`] in iterative mode —
+    /// with no index probe and no exclusions; joins, scalar and grouped,
+    /// take the §7 one-tuple rounds of [`plan_join_round`]. It shares no
+    /// code with the band views, which is what makes it the reference.
+    ///
+    /// Debug builds check that CHOOSE_REFRESH never gives up on a unit it
+    /// must guarantee: an unsatisfied unit with nothing to refresh is
+    /// allowed only for MEDIAN or under cardinality slack.
+    pub fn plan_scan(&self, bound: &BoundQuery) -> Result<QueryPlan, TrappError> {
+        let name = match &bound.source {
+            QuerySource::Table(name) => name,
+            QuerySource::Join { left, right } => {
+                let (left, right) = (self.catalog.table(left)?, self.catalog.table(right)?);
+                let none = Exclusions::default();
+                let heuristic = self.config.join_heuristic;
+                return plan_join_round(bound, left, right, heuristic, false, &none);
+            }
+        };
+        let table = self.catalog.table(name)?;
+        let grouped = !bound.group_by.is_empty();
+        let groups: Vec<(GroupKey, Option<Vec<TupleId>>)> = if grouped {
+            let groups = group_partitions(table, &bound.group_by)?.into_values();
+            groups.map(|(key, tids)| (key, Some(tids))).collect()
+        } else {
+            vec![(Vec::new(), None)]
+        };
+        let (predicate, arg) = (bound.predicate.as_ref(), bound.arg.as_ref());
+        let mut units = Vec::with_capacity(groups.len());
+        for (key, members) in groups {
+            let member = |tid, _: &_| {
+                members
+                    .as_ref()
+                    .is_none_or(|m| m.binary_search(&tid).is_ok())
+            };
+            let input = AggInput::build_filtered(table, predicate, arg, member)?;
+            let initial = bounded_answer(bound.agg, &input)?;
+            let unit = plan_unit(
+                bound.agg,
+                bound.within,
+                &self.config,
+                name,
+                key,
+                &input,
+                initial,
+                None,
+                empty_tuple_set(),
+            )?;
+            debug_assert!(
+                unit.satisfied
+                    || unit.fetch.is_some()
+                    || bound.agg == Aggregate::Median
+                    || input.cardinality_slack != (0, 0),
+                "CHOOSE_REFRESH must guarantee the constraint: width {} > R {}",
+                initial.width(),
+                bound.within.unwrap_or(f64::INFINITY),
+            );
+            units.push(unit);
+        }
+        Ok(assemble_units(units, grouped, self.config.mode))
     }
 
     /// Refreshes a whole plan's worth of tuples through one
     /// [`RefreshOracle::refresh_batch`] call, letting batching-aware
-    /// oracles collapse the plan into one round-trip per source. Returns
-    /// the total refresh cost paid.
+    /// oracles collapse the plan into one round-trip per source, and pins
+    /// the master values in the cache.
     pub fn refresh_tuples(
         &mut self,
         table_name: &str,
         tids: &[TupleId],
         oracle: &mut dyn RefreshOracle,
-    ) -> Result<f64, TrappError> {
+    ) -> Result<(), TrappError> {
         if tids.is_empty() {
-            return Ok(0.0);
+            return Ok(());
         }
         let columns = self.catalog.table(table_name)?.schema().bounded_columns();
         let per_tuple = oracle.refresh_batch(table_name, tids, &columns)?;
@@ -473,7 +407,6 @@ impl QuerySession {
             )));
         }
         let table = self.catalog.table_mut(table_name)?;
-        let mut cost = 0.0;
         for (&tid, values) in tids.iter().zip(&per_tuple) {
             if values.len() != columns.len() {
                 return Err(TrappError::RefreshFailed(format!(
@@ -485,9 +418,8 @@ impl QuerySession {
             for (&c, &v) in columns.iter().zip(values) {
                 table.refresh_cell(tid, c, v)?;
             }
-            cost += table.cost(tid)?;
         }
-        Ok(cost)
+        Ok(())
     }
 }
 
@@ -532,6 +464,23 @@ mod tests {
         );
         assert_eq!(after, fresh);
         assert_eq!(after, before);
+    }
+
+    /// A complete round must leave the next plan ready: a planner that
+    /// asks for the same complete round twice trips `drive`'s half of
+    /// the CHOOSE_REFRESH guarantee check.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "CHOOSE_REFRESH must guarantee the constraint")]
+    fn a_complete_round_must_leave_the_plan_ready() {
+        let (mut s, mut o) = session_and_oracle();
+        let q = trapp_sql::parse_query(
+            "SELECT MIN(bandwidth) WITHIN 10 FROM links WHERE on_path = TRUE",
+        )
+        .unwrap();
+        let round = s.plan_query(&q).unwrap();
+        assert!(matches!(&round, QueryPlan::NeedsFetch(fp) if fp.complete));
+        let _ = s.drive(&mut o, |_| Ok(round.clone()));
     }
 
     /// End-to-end Q1 (§5.1): initial [40,55]; R=10 refreshes tuple 5

@@ -3,21 +3,22 @@
 //! The paper defers *grouping on bounded values* (where group membership
 //! itself is uncertain) to future work; grouping on exact columns is
 //! well-defined and implemented here: partition the table by the group
-//! key, then run the ordinary single-group pipeline — including
-//! CHOOSE_REFRESH with the per-group precision constraint — on each
-//! partition. Refresh batching across groups (§8.2) is deliberately not
-//! attempted, matching the paper.
+//! key, and give each partition the ordinary single-group pipeline —
+//! including CHOOSE_REFRESH with the per-group precision constraint. Each
+//! group is one unit of a [`crate::query_plan::QueryPlan`], so
+//! [`QuerySession::drive`] refreshes every unsatisfied group's tuples in
+//! the same round; groups partition the table, so no group's plan depends
+//! on another's refreshes.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use trapp_sql::Query;
-use trapp_storage::{Row, Table};
+use trapp_storage::Table;
 use trapp_types::{TrappError, TupleId, Value};
 
-use crate::agg::BoundedAnswer;
 use crate::executor::{QueryResult, QuerySession, RefreshOracle};
-use crate::plan::{bind_query, BoundQuery, QuerySource};
-use crate::query_plan::{plan_join_round, QueryOutcome, QueryPlan};
+use crate::plan::bind_query;
+use crate::query_plan::QueryOutcome;
 
 /// The exact values of the `GROUP BY` columns identifying one group.
 pub type GroupKey = Vec<Value>;
@@ -32,7 +33,8 @@ pub struct GroupResult {
 }
 
 impl QuerySession {
-    /// Executes a grouped query, returning one bounded answer per group in
+    /// Executes a grouped query — over one table or a two-table join — by
+    /// driving the scan planner, returning one bounded answer per group in
     /// deterministic (key-sorted) order. Each group independently receives
     /// the query's `WITHIN` constraint.
     pub fn execute_grouped(
@@ -46,106 +48,11 @@ impl QuerySession {
                 "execute_grouped requires a GROUP BY clause".into(),
             ));
         }
-        let table_name = match &bound.source {
-            QuerySource::Table(t) => t.clone(),
-            QuerySource::Join { .. } => return self.run_join_grouped(&bound, oracle),
-        };
-
-        let groups = group_partitions(self.catalog().table(&table_name)?, &bound.group_by)?;
-
-        let mut out = Vec::with_capacity(groups.len());
-        for (_, (key, tids)) in groups {
-            let member = move |tid: TupleId, _row: &Row| tids.binary_search(&tid).is_ok();
-            let result = self.run_single_filtered(table_name.clone(), &bound, oracle, &member)?;
-            out.push(GroupResult { key, result });
-        }
-        Ok(out)
-    }
-
-    /// Grouped aggregation over a join result (§7 + §8.1): the joined
-    /// pairs are partitioned by their exact group key and each group
-    /// independently receives the `WITHIN` constraint. Execution drives
-    /// [`plan_join_round`] — the same planner a serving layer uses — in a
-    /// plan/refresh loop, so session and scatter-gather results are
-    /// identical by construction.
-    fn run_join_grouped(
-        &mut self,
-        bound: &BoundQuery,
-        oracle: &mut dyn RefreshOracle,
-    ) -> Result<Vec<GroupResult>, TrappError> {
-        let QuerySource::Join { left, right } = &bound.source else {
-            return Err(TrappError::Internal(
-                "run_join_grouped requires a join-shaped bound query".into(),
-            ));
-        };
-        let (left, right) = (left.clone(), right.clone());
-
-        /// Per-group refresh attribution across planning rounds.
-        #[derive(Default)]
-        struct Attr {
-            initial: Option<BoundedAnswer>,
-            refreshed: Vec<(String, TupleId)>,
-            cost: f64,
-            rounds: usize,
-        }
-        let mut attr: HashMap<String, Attr> = HashMap::new();
-        let mut guard = 0usize;
-        loop {
-            let plan = plan_join_round(
-                bound,
-                self.catalog().table(&left)?,
-                self.catalog().table(&right)?,
-                self.config.join_heuristic,
-                true,
-                &crate::query_plan::Exclusions::default(),
-            )?;
-            match plan {
-                QueryPlan::Ready(QueryOutcome::Grouped(mut groups)) => {
-                    for g in &mut groups {
-                        if let Some(a) = attr.get(&render_key(&g.key)) {
-                            if let Some(init) = a.initial {
-                                g.result.initial_answer = init;
-                            }
-                            g.result.refreshed = a.refreshed.clone();
-                            g.result.refresh_cost = a.cost;
-                            g.result.rounds = a.rounds;
-                        }
-                    }
-                    return Ok(groups);
-                }
-                QueryPlan::Ready(QueryOutcome::Scalar(_)) => {
-                    return Err(TrappError::Internal(
-                        "grouped join planning produced a non-grouped plan".into(),
-                    ));
-                }
-                QueryPlan::NeedsFetch(fp) => {
-                    guard += 1;
-                    if guard > self.config.max_refresh_rounds {
-                        return Err(TrappError::Internal(format!(
-                            "grouped join refresh did not converge in {guard} rounds"
-                        )));
-                    }
-                    // A group may span several units (one per picked
-                    // side-run); it pays one round per planning round.
-                    let mut counted: HashSet<String> = HashSet::new();
-                    for unit in fp.units {
-                        let rendered = render_key(&unit.key);
-                        attr.entry(rendered.clone())
-                            .or_default()
-                            .initial
-                            .get_or_insert(unit.initial);
-                        let Some(fetch) = unit.fetch else { continue };
-                        let cost = self.refresh_tuples(&fetch.table, &fetch.tuples, oracle)?;
-                        let a = attr.get_mut(&rendered).expect("inserted above");
-                        a.cost += cost;
-                        a.refreshed
-                            .extend(fetch.tuples.iter().map(|&tid| (fetch.table.clone(), tid)));
-                        if counted.insert(rendered) {
-                            a.rounds += 1;
-                        }
-                    }
-                }
-            }
+        match self.drive(oracle, |s| s.plan_scan(&bound))? {
+            QueryOutcome::Grouped(groups) => Ok(groups),
+            QueryOutcome::Scalar(_) => Err(TrappError::Internal(
+                "grouped planning produced a non-grouped outcome".into(),
+            )),
         }
     }
 }

@@ -22,8 +22,10 @@
 //!   [`QueryPlan`] for phased plan/fetch/install execution and one
 //!   [`QueryPartial`] for sharded scatter-gather;
 //! * [`executor`] — the three-step query execution loop of §4
-//!   (answer from cache → CHOOSE_REFRESH → refresh → recompute), wired to a
-//!   pluggable [`executor::RefreshOracle`];
+//!   (answer from cache → CHOOSE_REFRESH → refresh → recompute), written
+//!   once as [`QuerySession::drive`] over any planner and wired to a
+//!   pluggable [`executor::RefreshOracle`], with the scan reference planner
+//!   [`QuerySession::plan_scan`];
 //! * [`merge`] — cross-shard partial-aggregate merging: per-shard
 //!   [`AggInput`]s recombine into the exact single-cache input, so a
 //!   sharded deployment's answers and refresh plans are bit-equivalent to

@@ -52,7 +52,7 @@ use crate::group_by::{render_key, GroupKey, GroupResult};
 use crate::merge::ShardPartial;
 use crate::plan::{bind_query, BoundQuery, QuerySource};
 use crate::refresh::iterative::{next_refresh, IterativeHeuristic};
-use crate::refresh::join::{build_join_input, join_refresh_batch_excluding, JoinSide};
+use crate::refresh::join::{build_join_input, join_refresh_batch_excluding, JoinInput, JoinSide};
 use crate::refresh::{choose_refresh_available, choose_refresh_probed, PlanProbe};
 
 /// Tuples the planner must not schedule for refresh, keyed by table —
@@ -355,6 +355,95 @@ pub fn units_outcome(units: &[UnitState], grouped: bool) -> QueryOutcome {
     }
 }
 
+/// What each unit (whole query, or one group) paid for across a query's
+/// fetch rounds. A loop pays round by round, but the final
+/// [`QueryPlan::Ready`] pass sees pinned cells and reports nothing
+/// refreshed; this records what the query actually planned and paid for,
+/// keyed by rendered group key, and patches it into the final outcome.
+/// [`QuerySession::drive`] and the serving layer's loop both keep one.
+#[derive(Default)]
+pub struct Attribution {
+    units: HashMap<String, UnitPaid>,
+}
+
+#[derive(Default)]
+struct UnitPaid {
+    /// The unit's cache-only answer from its first planning round.
+    initial: Option<BoundedAnswer>,
+    /// Tuples refreshed, each reported once, in the order first planned.
+    refreshed: Vec<(String, TupleId)>,
+    /// `refreshed` by table, for the once-only check.
+    seen: HashMap<String, HashSet<TupleId>>,
+    /// Total planned refresh cost.
+    cost: f64,
+    /// Rounds in which this unit fetched something.
+    rounds: usize,
+}
+
+impl Attribution {
+    /// Records one fetch round: each unit's first cache-only answer, its
+    /// planned cost, one round per unit key that fetched, and its tuples.
+    /// `report` sees every planned tuple in plan order and returns the id
+    /// the outcome reports it under (a serving layer maps shard-local ids
+    /// to global ones there, and splits the round by shard as it goes).
+    pub fn record<'p>(
+        &mut self,
+        plan: &'p FetchPlan,
+        mut report: impl FnMut(&'p str, TupleId) -> Result<TupleId, TrappError>,
+    ) -> Result<(), TrappError> {
+        // A batched join round may split one unit's picks across several
+        // same-key units (one per side-run); that is still one refresh
+        // round for the unit, counted once per key.
+        let mut counted: HashSet<String> = HashSet::new();
+        for unit in &plan.units {
+            let rendered = render_key(&unit.key);
+            let entry = self.units.entry(rendered.clone()).or_default();
+            entry.initial.get_or_insert(unit.initial);
+            let Some(fetch) = &unit.fetch else { continue };
+            entry.cost += fetch.refresh_cost;
+            if counted.insert(rendered) {
+                entry.rounds += 1;
+            }
+            let seen = entry.seen.entry(fetch.table.clone()).or_default();
+            for &tid in &fetch.tuples {
+                // A later round (a concurrent clock advance) may re-plan a
+                // tuple already refreshed; report each tuple once.
+                let reported = report(&fetch.table, tid)?;
+                if seen.insert(reported) {
+                    entry.refreshed.push((fetch.table.clone(), reported));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Patches the recorded attribution into the final outcome.
+    pub fn patch(&self, outcome: QueryOutcome) -> QueryOutcome {
+        let patch = |result: &mut QueryResult, rendered: &str| {
+            if let Some(a) = self.units.get(rendered) {
+                if let Some(initial) = a.initial {
+                    result.initial_answer = initial;
+                }
+                result.refreshed = a.refreshed.clone();
+                result.refresh_cost = a.cost;
+                result.rounds = a.rounds;
+            }
+        };
+        match outcome {
+            QueryOutcome::Scalar(mut r) => {
+                patch(&mut r, &render_key(&Vec::new()));
+                QueryOutcome::Scalar(r)
+            }
+            QueryOutcome::Grouped(mut groups) => {
+                for g in &mut groups {
+                    patch(&mut g.result, &render_key(&g.key));
+                }
+                QueryOutcome::Grouped(groups)
+            }
+        }
+    }
+}
+
 /// Plans one round of a two-table join: computes the bounded answer(s)
 /// over the (possibly merged) base tables and, if a constraint is unmet,
 /// picks the next base tuples to refresh under `heuristic` — an
@@ -363,12 +452,13 @@ pub fn units_outcome(units: &[UnitState], grouped: bool) -> QueryOutcome {
 /// serving layers (tables merged from [`TableSlice`]s), so both walk the
 /// identical refresh sequence.
 ///
-/// With `batch = true` — what every planner in the tree passes, in either
-/// [`ExecutionMode`] — each round carries the whole provable prefix of the
-/// sequential pick order ([`crate::refresh::join::join_refresh_batch`]),
-/// collapsing round counts without changing any answer; `batch = false`
-/// is the §7 one-tuple-per-round sequence, kept as the reference the
-/// equivalence tests replay. A `GROUP BY` bound query
+/// With `batch = true` — what [`QuerySession::plan_query`] and serving
+/// layers pass, in either [`ExecutionMode`] — each round carries the whole
+/// provable prefix of the sequential pick order
+/// ([`crate::refresh::join::join_refresh_batch`]), collapsing round counts
+/// without changing any answer; `batch = false` is the §7
+/// one-tuple-per-round sequence the scan reference planner
+/// ([`QuerySession::plan_scan`]) takes. A `GROUP BY` bound query
 /// partitions the joined pairs by group key and plans every group's round
 /// in one pass; a base tuple picked by several groups is fetched once
 /// (first group in key order wins — later groups re-plan against the
@@ -383,7 +473,8 @@ pub fn plan_join_round(
     left: &Table,
     right: &Table,
     heuristic: IterativeHeuristic,
-    // Pinned by `benchmark/src/traced.rs`; drop with the next [benchmark] PR.
+    // `false` is the scan reference's; the benchmark's `traced.rs` pins
+    // the parameter.
     batch: bool,
     exclusions: &Exclusions,
 ) -> Result<QueryPlan, TrappError> {
@@ -408,9 +499,7 @@ pub fn plan_join_round(
     // provable prefix when batching, the heuristic argmax otherwise.
     // Excluded tuples never enter the candidate pool on either side.
     let (lex, rex) = (exclusions.for_table(lname), exclusions.for_table(rname));
-    let picks_for = |unit: &crate::refresh::join::JoinInput,
-                     answer: &BoundedAnswer|
-     -> Vec<(JoinSide, TupleId)> {
+    let picks_for = |unit: &JoinInput, answer: &BoundedAnswer| -> Vec<(JoinSide, TupleId)> {
         // Deficit 0 makes the batch walk stop after the heuristic's
         // argmax — exactly the one-tuple round.
         let deficit = if batch {
@@ -461,61 +550,44 @@ pub fn plan_join_round(
         Ok(units)
     };
 
-    if bound.group_by.is_empty() {
-        let answer = bounded_answer(bound.agg, &ji.input)?;
-        let ready = |satisfied: bool| {
-            QueryPlan::Ready(QueryOutcome::Scalar(QueryResult {
-                answer,
-                initial_answer: answer,
-                refreshed: Vec::new(),
-                refresh_cost: 0.0,
-                rounds: 0,
-                satisfied,
-            }))
-        };
-        if answer.satisfies(bound.within) {
-            return Ok(ready(true));
-        }
-        let picks = picks_for(&ji, &answer);
-        if picks.is_empty() {
-            return Ok(ready(false));
-        }
-        return Ok(QueryPlan::NeedsFetch(FetchPlan {
-            units: units_for(&Vec::new(), answer, &picks)?,
-            grouped: false,
-            complete: false,
-        }));
-    }
-
-    // Grouped over the join result: partition items by group key, give
-    // each group the query's constraint independently (§8.1 semantics,
-    // over joined pairs instead of base rows). Groups are keyed by their
+    // A `GROUP BY` partitions the joined pairs by group key and gives each
+    // group the query's constraint independently (§8.1 semantics, over
+    // joined pairs instead of base rows). Groups are keyed by their
     // rendered form for a deterministic, merge-compatible order.
-    let mut groups: BTreeMap<String, (GroupKey, Vec<usize>)> = BTreeMap::new();
-    for (k, key) in ji.group_keys.iter().enumerate() {
+    let grouped = !bound.group_by.is_empty();
+    let subs: Vec<(GroupKey, JoinInput)> = if grouped {
+        let mut groups: BTreeMap<String, (GroupKey, Vec<usize>)> = BTreeMap::new();
+        for (k, key) in ji.group_keys.iter().enumerate() {
+            groups
+                .entry(render_key(key))
+                .or_insert_with(|| (key.clone(), Vec::new()))
+                .1
+                .push(k);
+        }
         groups
-            .entry(render_key(key))
-            .or_insert_with(|| (key.clone(), Vec::new()))
-            .1
-            .push(k);
-    }
+            .into_values()
+            .map(|(key, item_ids)| {
+                let sub = JoinInput {
+                    input: AggInput::new(
+                        item_ids.iter().map(|&k| ji.input.items[k]).collect(),
+                        0,
+                        (0, 0),
+                    ),
+                    pairs: item_ids.iter().map(|&k| ji.pairs[k]).collect(),
+                    group_keys: Vec::new(),
+                    left_arity: ji.left_arity,
+                    arg_cols: ji.arg_cols.clone(),
+                    pred_cols: ji.pred_cols.clone(),
+                };
+                (key, sub)
+            })
+            .collect()
+    } else {
+        vec![(Vec::new(), ji)]
+    };
     let mut units: Vec<UnitState> = Vec::new();
-    let mut results: Vec<GroupResult> = Vec::new();
     let mut picked: HashSet<(JoinSide, TupleId)> = HashSet::new();
-    let mut any_fetch = false;
-    for (_, (key, item_ids)) in groups {
-        let sub = crate::refresh::join::JoinInput {
-            input: AggInput::new(
-                item_ids.iter().map(|&k| ji.input.items[k]).collect(),
-                0,
-                (0, 0),
-            ),
-            pairs: item_ids.iter().map(|&k| ji.pairs[k]).collect(),
-            group_keys: Vec::new(),
-            left_arity: ji.left_arity,
-            arg_cols: ji.arg_cols.clone(),
-            pred_cols: ji.pred_cols.clone(),
-        };
+    for (key, sub) in subs {
         let answer = bounded_answer(bound.agg, &sub.input)?;
         let satisfied = answer.satisfies(bound.within);
         let picks: Vec<(JoinSide, TupleId)> = if satisfied {
@@ -530,37 +602,25 @@ pub fn plan_join_round(
         };
         if picks.is_empty() {
             units.push(UnitState {
-                key: key.clone(),
+                key,
                 initial: answer,
                 satisfied,
                 degraded: false,
                 fetch: None,
             });
         } else {
-            any_fetch = true;
             units.extend(units_for(&key, answer, &picks)?);
         }
-        results.push(GroupResult {
-            key,
-            result: QueryResult {
-                answer,
-                initial_answer: answer,
-                refreshed: Vec::new(),
-                refresh_cost: 0.0,
-                rounds: 0,
-                satisfied,
-            },
-        });
     }
-    if any_fetch {
-        Ok(QueryPlan::NeedsFetch(FetchPlan {
+    Ok(if units.iter().any(|u| u.fetch.is_some()) {
+        QueryPlan::NeedsFetch(FetchPlan {
             units,
-            grouped: true,
+            grouped,
             complete: false,
-        }))
+        })
     } else {
-        Ok(QueryPlan::Ready(QueryOutcome::Grouped(results)))
-    }
+        QueryPlan::Ready(units_outcome(&units, grouped))
+    })
 }
 
 impl QuerySession {
@@ -825,62 +885,11 @@ mod tests {
         assert_eq!(seen, executed);
     }
 
-    /// Drives the plan/fetch/install loop by hand — through
-    /// [`QuerySession::plan_query`] (batched rounds, what serving layers
-    /// run), or through [`plan_join_round`] with `batch = false` (the §7
-    /// one-tuple reference) — returning the final answer, the flattened
-    /// refresh sequence, and the round count.
-    fn drive_join_rounds(
-        q: &trapp_sql::Query,
-        batch: bool,
-    ) -> (crate::agg::BoundedAnswer, Vec<(String, TupleId)>, usize) {
-        let (mut s, mut oracle) = join_fixture();
-        let mut refreshed = Vec::new();
-        let mut rounds = 0;
-        let answer = loop {
-            let plan = if batch {
-                s.plan_query(q).unwrap()
-            } else {
-                let bound = bind_query(q, s.catalog()).unwrap();
-                plan_join_round(
-                    &bound,
-                    s.catalog().table("links").unwrap(),
-                    s.catalog().table("nodes").unwrap(),
-                    s.config.join_heuristic,
-                    false,
-                    &Exclusions::default(),
-                )
-                .unwrap()
-            };
-            match plan {
-                QueryPlan::Ready(QueryOutcome::Scalar(r)) => break r.answer,
-                QueryPlan::NeedsFetch(fp) => {
-                    assert!(!fp.complete, "join plans are heuristic rounds");
-                    for unit in &fp.units {
-                        let fetch = unit.fetch.clone().unwrap();
-                        if !batch {
-                            assert_eq!(fetch.tuples.len(), 1, "one tuple per one-tuple round");
-                        }
-                        s.refresh_tuples(&fetch.table, &fetch.tuples, &mut oracle)
-                            .unwrap();
-                        for &tid in &fetch.tuples {
-                            refreshed.push((fetch.table.clone(), tid));
-                        }
-                    }
-                    rounds += 1;
-                    assert!(rounds < 100, "join rounds must converge");
-                }
-                QueryPlan::Ready(other) => panic!("unexpected outcome {other:?}"),
-            }
-        };
-        (answer, refreshed, rounds)
-    }
-
-    /// Join lowering: heuristic rounds that, replayed against an oracle,
-    /// converge to the same refresh sequence as the locked executor loop.
-    /// With batching off each round fetches exactly one tuple (the §7
-    /// reference); with batching on the flattened per-unit sequence is
-    /// bit-identical and takes no more rounds.
+    /// Join lowering: heuristic rounds that, driven against an oracle,
+    /// converge to the same refresh sequence as the executor, whose scan
+    /// reference takes the §7 one-tuple rounds. The batched rounds
+    /// [`QuerySession::plan_query`] plans (what serving layers run) replay
+    /// that sequence bit for bit and take no more rounds.
     #[test]
     fn join_rounds_replay_the_executor_sequence() {
         let q = parse(
@@ -889,20 +898,36 @@ mod tests {
         );
         let (mut exec_session, mut exec_oracle) = join_fixture();
         let reference = exec_session.execute(&q, &mut exec_oracle).unwrap();
-
-        let (one_answer, one_refreshed, one_rounds) = drive_join_rounds(&q, false);
-        assert_eq!(one_answer.range, reference.answer.range);
-        assert_eq!(one_refreshed, reference.refreshed);
-
-        let (batch_answer, batch_refreshed, batch_rounds) = drive_join_rounds(&q, true);
-        assert_eq!(batch_answer.range, reference.answer.range);
         assert_eq!(
-            batch_refreshed, reference.refreshed,
+            reference.rounds,
+            reference.refreshed.len(),
+            "one tuple per one-tuple round"
+        );
+
+        let (mut s, mut oracle) = join_fixture();
+        s.config.max_refresh_rounds = 99; // join rounds must converge
+        let outcome = s
+            .drive(&mut oracle, |s| {
+                let plan = s.plan_query(&q);
+                if let Ok(QueryPlan::NeedsFetch(fp)) = &plan {
+                    assert!(!fp.complete, "join plans are heuristic rounds");
+                }
+                plan
+            })
+            .unwrap();
+        let QueryOutcome::Scalar(batched) = outcome else {
+            panic!("unexpected outcome {outcome:?}");
+        };
+        assert_eq!(batched.answer.range, reference.answer.range);
+        assert_eq!(
+            batched.refreshed, reference.refreshed,
             "batched rounds must replay the one-tuple sequence exactly"
         );
         assert!(
-            batch_rounds <= one_rounds,
-            "batching must not add rounds ({batch_rounds} > {one_rounds})"
+            batched.rounds <= reference.rounds,
+            "batching must not add rounds ({} > {})",
+            batched.rounds,
+            reference.rounds
         );
     }
 
@@ -931,24 +956,35 @@ mod tests {
                 }
             }
         }
-        // The session executor converges on the same shape.
+        // The session executor converges on the same shape, one tuple per
+        // group per round (the §7 reference).
         let (mut s2, mut o) = join_fixture();
         let groups = s2.execute_grouped(&q, &mut o).unwrap();
         assert_eq!(groups.len(), 2);
         for g in &groups {
             assert!(g.result.satisfied, "group {:?} unsatisfied", g.key);
             assert!(g.result.answer.width() <= 1.0);
+            assert_eq!(g.result.rounds, g.result.refreshed.len(), "{:?}", g.key);
         }
     }
 
     /// Iterative mode (§8.2) lowers into incomplete rounds of one tuple
-    /// per unsatisfied unit; fetching and re-planning them by hand walks
-    /// exactly the executor's iterative loop — same tuples in the same
-    /// order, same cost, same rounds, same answer — for scalar and
+    /// per unsatisfied unit; driving the view planner's rounds walks
+    /// exactly the scan reference's iterative rounds — same tuples in the
+    /// same order, same cost, same rounds, same answer — for scalar and
     /// grouped queries alike.
     #[test]
     fn iterative_rounds_replay_the_executor_loop() {
         let iterative = ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
+        let keyed = |outcome: QueryOutcome| -> Vec<(String, QueryResult)> {
+            match outcome {
+                QueryOutcome::Scalar(r) => vec![(String::new(), r)],
+                QueryOutcome::Grouped(gs) => gs
+                    .into_iter()
+                    .map(|g| (render_key(&g.key), g.result))
+                    .collect(),
+            }
+        };
         for sql in [
             "SELECT SUM(traffic) WITHIN 30 FROM links",
             "SELECT MIN(bandwidth) WITHIN 2 FROM links WHERE on_path = TRUE",
@@ -958,55 +994,38 @@ mod tests {
             let mut s = QuerySession::new(links_table());
             s.config.mode = iterative;
             let mut o = TableOracle::from_table(master_table());
-            // What each unit key paid: refreshed, cost, rounds.
-            type Paid = (Vec<(String, TupleId)>, f64, usize);
-            let mut paid: BTreeMap<String, Paid> = BTreeMap::new();
-            let outcome = loop {
-                match s.plan_query(&q).unwrap() {
-                    QueryPlan::Ready(outcome) => break outcome,
-                    QueryPlan::NeedsFetch(fp) => {
+            let outcome = s
+                .drive(&mut o, |s| {
+                    let plan = s.plan_query(&q);
+                    if let Ok(QueryPlan::NeedsFetch(fp)) = &plan {
                         assert!(!fp.complete, "{sql}: iterative rounds are heuristic");
-                        for unit in fp.units {
-                            let Some(fetch) = unit.fetch else { continue };
+                        for fetch in fp.units.iter().filter_map(|u| u.fetch.as_ref()) {
                             assert_eq!(fetch.tuples.len(), 1, "{sql}: one tuple per unit");
-                            s.refresh_tuples(&fetch.table, &fetch.tuples, &mut o)
-                                .unwrap();
-                            let unit_paid = paid.entry(render_key(&unit.key)).or_default();
-                            unit_paid.0.push((fetch.table, fetch.tuples[0]));
-                            unit_paid.1 += fetch.refresh_cost;
-                            unit_paid.2 += 1;
                         }
                     }
-                }
-            };
+                    plan
+                })
+                .unwrap();
             let mut reference = QuerySession::new(links_table());
             reference.config.mode = iterative;
             let mut o = TableOracle::from_table(master_table());
-            let expected: Vec<(String, QueryResult)> = if q.group_by.is_empty() {
-                vec![(String::new(), reference.execute(&q, &mut o).unwrap())]
+            let expected = if q.group_by.is_empty() {
+                QueryOutcome::Scalar(reference.execute(&q, &mut o).unwrap())
             } else {
-                let groups = reference.execute_grouped(&q, &mut o).unwrap();
-                groups
-                    .into_iter()
-                    .map(|g| (render_key(&g.key), g.result))
-                    .collect()
+                QueryOutcome::Grouped(reference.execute_grouped(&q, &mut o).unwrap())
             };
-            let answers: Vec<(String, BoundedAnswer)> = match outcome {
-                QueryOutcome::Scalar(r) => vec![(String::new(), r.answer)],
-                QueryOutcome::Grouped(gs) => gs
-                    .iter()
-                    .map(|g| (render_key(&g.key), g.result.answer))
-                    .collect(),
-            };
-            assert_eq!(answers.len(), expected.len(), "{sql}");
-            assert!(!paid.is_empty(), "{sql}: the query must refresh");
-            for ((key, answer), (rkey, r)) in answers.iter().zip(&expected) {
+            let (results, expected) = (keyed(outcome), keyed(expected));
+            assert_eq!(results.len(), expected.len(), "{sql}");
+            assert!(
+                results.iter().any(|(_, r)| !r.refreshed.is_empty()),
+                "{sql}: the query must refresh"
+            );
+            for ((key, r), (rkey, e)) in results.iter().zip(&expected) {
                 assert_eq!(key, rkey, "{sql}");
-                assert_eq!(answer.range, r.answer.range, "{sql} [{key}]");
-                let (refreshed, cost, rounds) = paid.remove(key).unwrap_or_default();
-                assert_eq!(refreshed, r.refreshed, "{sql} [{key}]");
-                assert_eq!(cost, r.refresh_cost, "{sql} [{key}]");
-                assert_eq!(rounds, r.rounds, "{sql} [{key}]");
+                assert_eq!(r.answer.range, e.answer.range, "{sql} [{key}]");
+                assert_eq!(r.refreshed, e.refreshed, "{sql} [{key}]");
+                assert_eq!(r.refresh_cost, e.refresh_cost, "{sql} [{key}]");
+                assert_eq!(r.rounds, e.rounds, "{sql} [{key}]");
             }
         }
     }

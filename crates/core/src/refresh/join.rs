@@ -228,26 +228,13 @@ fn side_can_help(
     })
 }
 
-/// Scores every base tuple whose refresh can actually reduce the answer's
-/// uncertainty — through the aggregation expression for the item's value,
-/// or through the predicate for a `T?` item's membership — and returns the
-/// best candidate under the heuristic, or `None` when no refresh can help.
-pub fn next_join_refresh(
-    join: &JoinInput,
-    left: &Table,
-    right: &Table,
-    agg: Aggregate,
-    heuristic: IterativeHeuristic,
-) -> Option<(JoinSide, TupleId)> {
-    // Deficit 0 makes the batch walk stop after the heuristic's argmax.
-    join_refresh_batch(join, left, right, agg, heuristic, 0.0)
-        .into_iter()
-        .next()
-}
-
-/// Multi-tuple join refresh rounds: returns the longest prefix of the
-/// heuristic-ordered candidates that provably replays what the one-tuple
-/// loop of [`next_join_refresh`] would pick across consecutive rounds —
+/// Multi-tuple join refresh rounds. Scores every base tuple whose refresh
+/// can actually reduce the answer's uncertainty — through the aggregation
+/// expression for the item's value, or through the predicate for a `T?`
+/// item's membership — and returns the longest prefix of the
+/// heuristic-ordered candidates that provably replays what the §7
+/// one-tuple loop (each round the head of this order, `deficit = 0`)
+/// would pick across consecutive rounds —
 /// the batch's combined worst-case width reduction still leaves the answer
 /// violating the precision constraint, so the sequential loop could not
 /// have stopped (or re-scored anything the batch touches) in between.
@@ -545,8 +532,14 @@ mod tests {
         let ji = build_join_input(&n, &l, Some(&join_pred()), Some(&latency_arg()), &[]).unwrap();
         // For SUM over latency, only links carry width on the aggregation
         // column; nodes.load never appears → candidates are link tuples.
-        let next =
-            next_join_refresh(&ji, &n, &l, Aggregate::Sum, IterativeHeuristic::BestRatio).unwrap();
+        let next = join_refresh_batch(
+            &ji,
+            &n,
+            &l,
+            Aggregate::Sum,
+            IterativeHeuristic::BestRatio,
+            0.0,
+        )[0];
         assert_eq!(next.0, JoinSide::Right);
         // widths/costs: l1 2/1, l2 2/2, l3 2/3 → l1.
         assert_eq!(next.1, TupleId::new(1));
@@ -562,10 +555,15 @@ mod tests {
             l.refresh_cell(TupleId::new(tid), 1, 5.0).unwrap();
         }
         let ji = build_join_input(&n, &l, Some(&join_pred()), Some(&latency_arg()), &[]).unwrap();
-        assert_eq!(
-            next_join_refresh(&ji, &n, &l, Aggregate::Sum, IterativeHeuristic::BestRatio),
-            None
-        );
+        assert!(join_refresh_batch(
+            &ji,
+            &n,
+            &l,
+            Aggregate::Sum,
+            IterativeHeuristic::BestRatio,
+            0.0
+        )
+        .is_empty());
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! * `partial_query` (the view-backed classified input) against a fresh
 //!   `build_filtered` over the same table state — items, order, bands,
 //!   intervals, costs, minus counts, slack;
-//! * `plan_query` (views, indexes, probes) against [`scan_plan`] — the
-//!   same units planned from scratch-built inputs by the scan
-//!   CHOOSE_REFRESH — initial answers, refresh sets, and planned costs,
-//!   which pins the ordered-index planners to the scan planners
-//!   bit-for-bit.
+//! * `plan_query` (views, indexes, probes) against `plan_scan` — the
+//!   reference planner: the same units planned from scratch-built inputs
+//!   (one scan per group) by the scan CHOOSE_REFRESH, no view, no index —
+//!   initial answers, refresh sets, and planned costs, which pins the
+//!   ordered-index planners to the scan planners bit-for-bit.
 //!
 //! And after **every** step, query or not, [`assert_groups_match_scratch`]
 //! holds the grouped views' partitions — repaired group by group, in
@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use trapp_core::group_by::group_partitions;
 use trapp_core::plan::bind_query;
-use trapp_core::query_plan::{assemble_units, plan_unit, QueryOutcome, QueryPartial, QueryPlan};
+use trapp_core::query_plan::{QueryOutcome, QueryPartial, QueryPlan};
 use trapp_core::{bounded_answer, AggInput, QuerySession, SolverStrategy};
 use trapp_sql::Query;
 use trapp_storage::{ColumnDef, IndexKey, Schema, Table};
@@ -271,48 +271,10 @@ fn plan_parts(plan: &QueryPlan) -> Vec<(String, (f64, f64), bool, Vec<TupleId>, 
     }
 }
 
-/// The reference planner: every unit's input rebuilt by a full scan
-/// (`AggInput::build_filtered`, one scan per group) and planned by the
-/// scan CHOOSE_REFRESH (`probe = None`) — no view, no index.
+/// The reference planner, [`QuerySession::plan_scan`]: every unit's input
+/// rebuilt by a full scan and planned by the scan CHOOSE_REFRESH.
 fn scan_plan(session: &QuerySession, q: &Query) -> Result<QueryPlan, TrappError> {
-    let bound = bind_query(q, session.catalog())?;
-    let table = session.catalog().table("t")?;
-    let unit = |key, input: &AggInput| {
-        plan_unit(
-            bound.agg,
-            bound.within,
-            &session.config,
-            "t",
-            key,
-            input,
-            bounded_answer(bound.agg, input)?,
-            None,
-            &Default::default(),
-        )
-    };
-    let scratch = |member: &dyn Fn(TupleId) -> bool| {
-        AggInput::build_filtered(
-            table,
-            bound.predicate.as_ref(),
-            bound.arg.as_ref(),
-            |tid, _| member(tid),
-        )
-    };
-    if bound.group_by.is_empty() {
-        return Ok(assemble_units(
-            vec![unit(Vec::new(), &scratch(&|_| true)?)?],
-            false,
-            session.config.mode,
-        ));
-    }
-    let mut units = Vec::new();
-    for (_, (key, tids)) in group_partitions(table, &bound.group_by)? {
-        units.push(unit(
-            key,
-            &scratch(&|tid| tids.binary_search(&tid).is_ok())?,
-        )?);
-    }
-    Ok(assemble_units(units, true, session.config.mode))
+    session.plan_scan(&bind_query(q, session.catalog())?)
 }
 
 fn assert_inputs_equal(a: &AggInput, b: &AggInput, context: &str) -> Result<(), String> {

@@ -188,18 +188,53 @@ enum AwaitResult {
     Gone,
 }
 
+/// The objects a fetch claimed `InFlight` and has not yet published or
+/// released. Only the fetch that claimed an object publishes or releases
+/// it, so a claim dropped unfinished — a panic between the claim and the
+/// publish, in the transport or in the caller — is released here and its
+/// waiters woken: they fetch the object themselves instead of waiting out
+/// the await timeout on a fetch that will never publish.
+struct Claims<'g> {
+    table: &'g Mutex<TableState>,
+    done: &'g Condvar,
+    cache: CacheId,
+    now: f64,
+    objects: Vec<ObjectId>,
+}
+
+impl Claims<'_> {
+    /// Releases every claim still held.
+    fn release_locked(&mut self, state: &mut TableState) {
+        for object in self.objects.drain(..) {
+            abort_locked(state, self.cache, self.now, object);
+        }
+    }
+}
+
+impl Drop for Claims<'_> {
+    fn drop(&mut self) {
+        if self.objects.is_empty() {
+            return;
+        }
+        let table = self.table;
+        self.release_locked(&mut table.lock());
+        self.done.notify_all();
+    }
+}
+
 /// A fetch whose requests are on the wire but not yet awaited — the
 /// product of [`RefreshGateway::begin_fetch`], consumed by
-/// [`RefreshGateway::finish_fetch`] on the same gateway.
-pub(crate) struct PendingFetch {
+/// [`RefreshGateway::finish_fetch`] on the same gateway. Dropped
+/// unfinished, it releases its claims.
+pub(crate) struct PendingFetch<'g> {
     cache: CacheId,
     now: f64,
     claim_epoch: u64,
     /// Refreshes already in hand from the in-flight table.
     out: Vec<Refresh>,
     stats: FetchStats,
-    /// Objects this fetch claimed `InFlight` (for failure cleanup).
-    claimed: Vec<ObjectId>,
+    /// Objects this fetch claimed `InFlight`.
+    claimed: Claims<'g>,
     /// Submitted requests, in plan order.
     waits: Vec<PendingReply>,
     /// Objects another query is fetching; awaited in the finish phase.
@@ -331,7 +366,7 @@ impl<T: Transport> RefreshGateway<T> {
         now: f64,
         plan: &[(SourceId, Vec<ObjectId>)],
         deadline: Option<Instant>,
-    ) -> PendingFetch {
+    ) -> PendingFetch<'_> {
         let mut stats = FetchStats::default();
         let mut out: Vec<Refresh> = Vec::new();
 
@@ -339,6 +374,13 @@ impl<T: Transport> RefreshGateway<T> {
         // ours to fetch; objects in flight elsewhere are awaited later.
         let mut to_fetch: Vec<(SourceId, Vec<ObjectId>)> = Vec::new();
         let mut to_await: Vec<(SourceId, ObjectId)> = Vec::new();
+        let mut claimed = Claims {
+            table: &self.table,
+            done: &self.done,
+            cache,
+            now,
+            objects: Vec::new(),
+        };
         let claim_epoch;
         {
             let mut state = self.table.lock();
@@ -370,6 +412,7 @@ impl<T: Transport> RefreshGateway<T> {
                                     slot: Slot::InFlight,
                                 },
                             );
+                            claimed.objects.push(object);
                             mine.push(object);
                         }
                     }
@@ -382,10 +425,8 @@ impl<T: Transport> RefreshGateway<T> {
 
         // Submit phase — no locks held, nothing awaited yet: all of this
         // plan's round-trips go on the wire together.
-        let mut claimed: Vec<ObjectId> = Vec::new();
         let mut waits: Vec<PendingReply> = Vec::new();
         for (source, objects) in to_fetch {
-            claimed.extend(objects.iter().copied());
             waits.push(self.submit(source, cache, objects, now));
         }
         PendingFetch {
@@ -406,14 +447,14 @@ impl<T: Transport> RefreshGateway<T> {
     /// submitted completions, publishes what arrived (waking parked
     /// waiters), releases failed claims, and awaits objects other queries
     /// were fetching.
-    pub(crate) fn finish_fetch(&self, pending: PendingFetch) -> FetchOutcome {
+    pub(crate) fn finish_fetch(&self, pending: PendingFetch<'_>) -> FetchOutcome {
         let PendingFetch {
             cache,
             now,
             claim_epoch,
             mut out,
             mut stats,
-            claimed,
+            mut claimed,
             waits,
             to_await,
             deadline,
@@ -446,12 +487,13 @@ impl<T: Transport> RefreshGateway<T> {
             for &refresh in &fetched {
                 publish_locked(&mut state, cache, now, claim_epoch, refresh);
             }
-            if !failures.is_empty() {
-                for &object in &claimed {
-                    if !fetched.iter().any(|r| r.object == object) {
-                        abort_locked(&mut state, cache, now, object);
-                    }
-                }
+            if failures.is_empty() {
+                claimed.objects.clear();
+            } else {
+                claimed
+                    .objects
+                    .retain(|&object| !fetched.iter().any(|r| r.object == object));
+                claimed.release_locked(&mut state);
             }
             drop(state);
             self.done.notify_all();

@@ -2,20 +2,16 @@
 //! ([`QueryRun`]), the deadline and degradation policies that move it
 //! between phases, and the shard-facing steps each phase calls.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
 
 use trapp_bounds::AdaptiveWidth;
-use trapp_core::executor::QueryResult;
-use trapp_core::group_by::render_key;
 use trapp_core::plan::{bind_query, BoundQuery, QuerySource};
 use trapp_core::query_plan::{
-    assemble_units, plan_join_round, plan_unit, Exclusions, FetchPlan, QueryOutcome, QueryPartial,
-    QueryPlan,
+    assemble_units, plan_join_round, plan_unit, Attribution, Exclusions, FetchPlan, QueryOutcome,
+    QueryPartial, QueryPlan,
 };
-use trapp_core::{
-    bounded_answer, merge_grouped_partials, merge_table_slices, BoundedAnswer, SessionConfig,
-};
+use trapp_core::{bounded_answer, merge_grouped_partials, merge_table_slices, SessionConfig};
 use trapp_system::CacheNode;
 use trapp_types::{ObjectId, PartialFailure, SourceFailure, SourceId, TrappError, TupleId};
 
@@ -107,54 +103,9 @@ fn widen_step(query: &mut trapp_sql::Query, widener: &mut Option<AdaptiveWidth>)
     true
 }
 
-/// Attribution one unit (whole query, or one group) accumulates across
-/// fetch rounds: the serving layer pays for refreshes round by round, but
-/// the final [`QueryPlan::Ready`] pass sees pinned cells and reports
-/// nothing refreshed — this records what the query actually planned and
-/// paid for, keyed by rendered group key.
-#[derive(Default)]
-struct UnitAttr {
-    /// The unit's cache-only answer from its first planning round.
-    initial: Option<BoundedAnswer>,
-    /// Tuples refreshed (global ids), each reported once.
-    refreshed: Vec<(String, TupleId)>,
-    /// `refreshed` by table, for the once-only check.
-    seen: HashMap<String, HashSet<TupleId>>,
-    /// Total planned refresh cost.
-    cost: f64,
-    /// Rounds in which this unit fetched something.
-    rounds: usize,
-}
-
 /// Per shard, the tuples a fetch round plans there (shard-local ids), in
 /// runs of one table each.
 type ShardWork<'p> = Vec<Vec<(&'p str, Vec<TupleId>)>>;
-
-/// Patches accumulated attribution into the final planned outcome.
-fn patch_outcome(outcome: QueryOutcome, attr: &HashMap<String, UnitAttr>) -> QueryOutcome {
-    let patch = |result: &mut QueryResult, rendered: &str| {
-        if let Some(a) = attr.get(rendered) {
-            if let Some(initial) = a.initial {
-                result.initial_answer = initial;
-            }
-            result.refreshed = a.refreshed.clone();
-            result.refresh_cost = a.cost;
-            result.rounds = a.rounds;
-        }
-    };
-    match outcome {
-        QueryOutcome::Scalar(mut r) => {
-            patch(&mut r, &render_key(&Vec::new()));
-            QueryOutcome::Scalar(r)
-        }
-        QueryOutcome::Grouped(mut groups) => {
-            for g in &mut groups {
-                patch(&mut g.result, &render_key(&g.key));
-            }
-            QueryOutcome::Grouped(groups)
-        }
-    }
-}
 
 impl ServiceCore {
     pub(super) fn run_query(&self, job: &Job) -> Result<ServiceReply, TrappError> {
@@ -567,7 +518,7 @@ struct QueryRun<'a> {
     /// plans even before their breakers open. It only grows, so the fault
     /// loop terminates.
     failed: HashSet<SourceId>,
-    attr: HashMap<String, UnitAttr>,
+    attr: Attribution,
     /// Fetch rounds by kind. Each budget turns a loop that keeps
     /// re-planning into a typed error: after the first, a complete round
     /// means a concurrent clock advance re-widened bounds mid-query;
@@ -612,7 +563,7 @@ impl<'a> QueryRun<'a> {
             probing: false,
             dark: HashSet::new(),
             failed: HashSet::new(),
-            attr: HashMap::new(),
+            attr: Attribution::default(),
             complete_rounds: 0,
             heuristic_rounds: 0,
             fault_rounds: 0,
@@ -764,7 +715,7 @@ impl<'a> QueryRun<'a> {
         let requests = self.core.resolve_objects(&work, &mut self.ctx.locks)?;
         let deadline = self.deadline.map(|d| self.enqueued + d);
         let started = Instant::now();
-        let pending: Vec<(usize, PendingFetch)> = requests
+        let pending: Vec<(usize, PendingFetch<'_>)> = requests
             .iter()
             .enumerate()
             .filter(|(_, batches)| !batches.is_empty())
@@ -786,51 +737,26 @@ impl<'a> QueryRun<'a> {
         self.install(outcomes, plan.complete)
     }
 
-    /// Records each unit's first cache-only answer, cost, rounds and
-    /// refreshed tuples — the final `Ready` pass sees pinned cells and
-    /// reports nothing refreshed — and splits the plan's tuples by owning
-    /// shard, in shard-local ids.
+    /// Records the round in the query's [`Attribution`] — the final
+    /// `Ready` pass sees pinned cells and reports nothing refreshed — and
+    /// splits the plan's tuples by owning shard, in shard-local ids.
     fn attribute<'p>(&mut self, plan: &'p FetchPlan) -> Result<ShardWork<'p>, TrappError> {
         let router = &self.core.router;
         let mut work: ShardWork<'p> = vec![Vec::new(); router.shard_count()];
-        // A batched join round may split one unit's picks across several
-        // same-key units (one per side-run); that is still one refresh
-        // round for the unit, counted once per key.
-        let mut counted_keys: HashSet<String> = HashSet::new();
-        for unit in &plan.units {
-            let rendered = render_key(&unit.key);
-            let entry = self.attr.entry(rendered.clone()).or_default();
-            entry.initial.get_or_insert(unit.initial);
-            let Some(fetch) = &unit.fetch else { continue };
-            entry.cost += fetch.refresh_cost;
-            if counted_keys.insert(rendered) {
-                entry.rounds += 1;
-            }
-            let table = fetch.table.as_str();
-            let UnitAttr {
-                refreshed, seen, ..
-            } = entry;
-            let seen = seen.entry(fetch.table.clone()).or_default();
-            for &tid in &fetch.tuples {
-                let (s, local, global) = match self.route {
-                    Route::Single(s) => (s, tid, router.shard(s).global_tid(table, tid)),
-                    Route::Scatter => {
-                        let (s, local) = router.locate(table, tid)?;
-                        (s, local, tid)
-                    }
-                };
-                // A later round (concurrent clock advance) may re-plan a
-                // tuple already refreshed; report each tuple once, in the
-                // order first planned.
-                if seen.insert(global) {
-                    refreshed.push((fetch.table.clone(), global));
+        self.attr.record(plan, |table, tid| {
+            let (s, local, global) = match self.route {
+                Route::Single(s) => (s, tid, router.shard(s).global_tid(table, tid)),
+                Route::Scatter => {
+                    let (s, local) = router.locate(table, tid)?;
+                    (s, local, tid)
                 }
-                match work[s].last_mut() {
-                    Some((t, tids)) if *t == table => tids.push(local),
-                    _ => work[s].push((table, vec![local])),
-                }
+            };
+            match work[s].last_mut() {
+                Some((t, tids)) if *t == table => tids.push(local),
+                _ => work[s].push((table, vec![local])),
             }
-        }
+            Ok(global)
+        })?;
         Ok(work)
     }
 
@@ -954,7 +880,7 @@ impl<'a> QueryRun<'a> {
                 return Err(deadline_error(limit, elapsed, honorable));
             }
         }
-        let outcome = patch_outcome(outcome, &self.attr);
+        let outcome = self.attr.patch(outcome);
         let (satisfied, width) = match &outcome {
             QueryOutcome::Scalar(r) => (r.satisfied, r.answer.width()),
             QueryOutcome::Grouped(gs) => (
@@ -990,6 +916,7 @@ fn sorted(sources: impl Iterator<Item = SourceId>) -> Vec<SourceId> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -1050,12 +977,12 @@ mod tests {
 
     /// A one-shard service over `metrics(grp, load)` holding `rows` of
     /// `(grp, source, load)` in order, so row `k` is backed by object
-    /// `k + 1`, with source 2's fetches held behind a [`Gate`]. Returns
-    /// the service, the gate's "fetch open" receiver and its release.
-    fn gated_service(
+    /// `k + 1`, over the transport `wrap` builds around the direct one.
+    fn metrics_service(
         config: ServiceConfig,
         rows: &[(i64, u64, f64)],
-    ) -> (QueryService, Receiver<Vec<ObjectId>>, Sender<()>) {
+        wrap: impl Fn(DirectTransport) -> Box<dyn Transport>,
+    ) -> QueryService {
         let schema = Schema::new(vec![
             ColumnDef::exact("grp", ValueType::Int),
             ColumnDef::bounded_float("load"),
@@ -1074,27 +1001,73 @@ mod tests {
             ];
             builder = builder.row("metrics", SourceId::new(source), cells);
         }
-        let (opened_tx, opened) = unbounded();
-        let (release, release_rx) = unbounded::<()>();
-        let service = builder
+        builder
             .build_with(
                 |sources| {
                     let mut inner = DirectTransport::new();
                     for source in sources {
                         inner.add_source(source);
                     }
-                    let gate = Gate {
-                        inner,
-                        gated: SourceId::new(2),
-                        opened: opened_tx.clone(),
-                        release: release_rx.clone(),
-                    };
-                    Box::new(gate) as Box<dyn Transport>
+                    wrap(inner)
                 },
                 None,
             )
-            .unwrap();
+            .unwrap()
+    }
+
+    /// [`metrics_service`] with source 2's fetches held behind a [`Gate`].
+    /// Returns the service, the gate's "fetch open" receiver and its
+    /// release.
+    fn gated_service(
+        config: ServiceConfig,
+        rows: &[(i64, u64, f64)],
+    ) -> (QueryService, Receiver<Vec<ObjectId>>, Sender<()>) {
+        let (opened_tx, opened) = unbounded();
+        let (release, release_rx) = unbounded::<()>();
+        let service = metrics_service(config, rows, |inner| {
+            Box::new(Gate {
+                inner,
+                gated: SourceId::new(2),
+                opened: opened_tx.clone(),
+                release: release_rx.clone(),
+            })
+        });
         (service, opened, release)
+    }
+
+    /// A transport whose first refresh round-trip panics — after the
+    /// gateway claimed the round's objects, before any reply exists.
+    struct PanicOnce {
+        inner: DirectTransport,
+        armed: AtomicBool,
+    }
+
+    impl Transport for PanicOnce {
+        fn submit_refresh_batch(
+            &self,
+            source: SourceId,
+            cache: CacheId,
+            objects: Vec<ObjectId>,
+            now: f64,
+        ) -> Completion<Vec<Refresh>> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("transport bug after the gateway claim");
+            }
+            self.inner.submit_refresh_batch(source, cache, objects, now)
+        }
+
+        fn submit_update_batch(
+            &self,
+            source: SourceId,
+            updates: Vec<(ObjectId, f64)>,
+            now: f64,
+        ) -> Completion<Vec<(CacheId, Refresh)>> {
+            self.inner.submit_update_batch(source, updates, now)
+        }
+
+        fn messages(&self) -> u64 {
+            self.inner.messages()
+        }
     }
 
     fn exact_sum(reply: Result<crate::ServiceReply, TrappError>, expected: f64) {
@@ -1267,6 +1240,49 @@ mod tests {
         assert_eq!(service.workers.len(), 1);
         assert!(service.workers.iter().all(|w| !w.is_finished()));
         drop(std::mem::ManuallyDrop::into_inner(service));
+    }
+
+    /// A panic after the gateway claimed a fetch's objects releases the
+    /// claims: the panicking query gets the typed `Internal` error, and
+    /// the next query for the same objects at the same instant fetches
+    /// them itself at once — it does not wait out the await timeout on a
+    /// claim nobody will publish, and no healthy source is charged with a
+    /// timeout.
+    #[test]
+    fn a_panic_after_the_gateway_claim_releases_it() {
+        let await_timeout = Duration::from_secs(5);
+        let service = metrics_service(
+            ServiceConfig {
+                workers: 1,
+                gateway_await_timeout: await_timeout,
+                ..ServiceConfig::default()
+            },
+            &[(1, 1, 10.0), (1, 1, 20.0)],
+            |inner| {
+                Box::new(PanicOnce {
+                    inner,
+                    armed: AtomicBool::new(true),
+                })
+            },
+        );
+        service.advance_clock(25.0);
+        let exact = "SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 1";
+        match service.query(exact) {
+            Err(TrappError::Internal(message)) => {
+                assert!(message.starts_with("query panicked: "), "{message}");
+            }
+            other => panic!("expected a typed panic, got {other:?}"),
+        }
+        let started = Instant::now();
+        exact_sum(service.query(exact), 30.0);
+        assert!(
+            started.elapsed() < await_timeout / 5,
+            "the second query waited {:?} on a stranded claim",
+            started.elapsed()
+        );
+        assert!(service.dark_sources().is_empty(), "a breaker opened");
+        let stats = service.stats();
+        assert_eq!((stats.queries, stats.errors), (1, 1));
     }
 
     /// After shutdown both entry points answer with the typed error.

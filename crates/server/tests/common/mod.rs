@@ -1,8 +1,10 @@
 //! Fixtures shared by the server integration tests: the service under test
 //! on either transport stack, beside the paper's own §4 loop run in a
-//! single cache ([`Simulation`]: scan-built inputs, scan CHOOSE_REFRESH,
-//! one-tuple join rounds) over the same rows — the reference that shares
-//! no code with the service's view-planned, batched fast path.
+//! single cache over the same rows ([`Simulation`]: `QuerySession::drive`
+//! over the scan reference planner `plan_scan` — scan-built inputs, scan
+//! CHOOSE_REFRESH, one-tuple join rounds, grouped joins included) — the
+//! reference that shares no planning code with the service's
+//! view-planned, batched fast path.
 
 #![allow(dead_code)] // every test binary uses its own subset
 
@@ -82,7 +84,8 @@ pub fn reference(tables: Tables<'_>, sources: usize) -> Simulation {
 /// What the reference answered: a scalar result, or one per group.
 pub type Reference = (Option<QueryResult>, Vec<GroupResult>);
 
-/// Runs `sql` through the §4 loop.
+/// Runs `sql` through the §4 loop: `QuerySession::execute` or
+/// `execute_grouped` at the reference's cache.
 pub fn run_reference(sim: &mut Simulation, sql: &str) -> Reference {
     let query = trapp_sql::parse_query(sql).unwrap();
     if query.group_by.is_empty() {

@@ -1,6 +1,6 @@
 //! Batched multi-tuple join refresh rounds — the only join rounds the
 //! service plans — against the paper's §7 one-tuple-per-round loop run in
-//! a single cache ([`Simulation`]): batching must never change *what* a
+//! a single cache (`Simulation`): batching must never change *what* a
 //! join query answers or refreshes, only how many planning rounds it
 //! takes.
 //!
@@ -13,24 +13,19 @@
 //!   cross-shard group keys), and every served group respects the
 //!   workload's ground-truth checker.
 //!
-//! The reference is `QuerySession::execute` (scan-built join input,
-//! `next_join_refresh`) for scalar joins and, for grouped joins,
-//! [`plan_join_round`] called with `batch = false` — one tuple per group
-//! per round.
+//! The reference is `QuerySession::execute` / `execute_grouped`
+//! (`run_reference`): `QuerySession::drive` over the scan planner, whose
+//! join rounds are `plan_join_round` with `batch = false` — one tuple per
+//! round, per group for grouped joins.
 
 mod common;
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use common::{loadgen_tables, run_reference, service_builder, Reference, Stack, Tables, STACKS};
 use proptest::prelude::*;
 use trapp_core::executor::QueryResult;
-use trapp_core::group_by::render_key;
-use trapp_core::plan::bind_query;
-use trapp_core::query_plan::{plan_join_round, Exclusions, QueryOutcome, QueryPlan};
 use trapp_server::{QueryService, ServiceConfig, ServiceReply};
-use trapp_system::{Simulation, Transport};
 use trapp_workload::loadgen::{self, LoadConfig};
 use trapp_workload::tpch::{self, TpchClass, TpchWorkload, Truth};
 
@@ -64,79 +59,6 @@ fn build_service(
 fn reference_rounds((scalar, groups): &Reference) -> usize {
     let grouped = groups.iter().map(|g| g.result.rounds).max();
     scalar.as_ref().map(|r| r.rounds).or(grouped).unwrap_or(0)
-}
-
-/// The §7 reference. `execute_grouped` plans grouped joins through the
-/// batched planner, so that one shape is driven here instead.
-fn one_tuple_reference(sim: &mut Simulation, sql: &str) -> Reference {
-    let query = trapp_sql::parse_query(sql).unwrap();
-    if query.group_by.is_empty() || query.tables.len() == 1 {
-        return run_reference(sim, sql);
-    }
-    // Grouped join: one tuple per group per round, fetched object by
-    // object and installed before the next planning pass.
-    let mut attr: BTreeMap<String, QueryResult> = BTreeMap::new();
-    loop {
-        sim.cache.materialize().unwrap();
-        let catalog = sim.cache.session().catalog();
-        let bound = bind_query(&query, catalog).unwrap();
-        let plan = plan_join_round(
-            &bound,
-            catalog.table(&query.tables[0]).unwrap(),
-            catalog.table(&query.tables[1]).unwrap(),
-            sim.cache.session().config.join_heuristic,
-            false,
-            &Exclusions::default(),
-        )
-        .unwrap();
-        let fp = match plan {
-            QueryPlan::Ready(QueryOutcome::Grouped(mut groups)) => {
-                for g in &mut groups {
-                    if let Some(a) = attr.remove(&render_key(&g.key)) {
-                        g.result = QueryResult {
-                            answer: g.result.answer,
-                            satisfied: g.result.satisfied,
-                            ..a
-                        };
-                    }
-                }
-                return (None, groups);
-            }
-            QueryPlan::NeedsFetch(fp) => fp,
-            other => panic!("{sql}: unexpected plan {other:?}"),
-        };
-        for unit in fp.units {
-            let a = attr.entry(render_key(&unit.key)).or_insert(QueryResult {
-                answer: unit.initial,
-                initial_answer: unit.initial,
-                refreshed: Vec::new(),
-                refresh_cost: 0.0,
-                rounds: 0,
-                satisfied: false,
-            });
-            let Some(fetch) = unit.fetch else { continue };
-            assert_eq!(
-                fetch.tuples.len(),
-                1,
-                "{sql}: one tuple per one-tuple round"
-            );
-            a.rounds += 1;
-            a.refresh_cost += fetch.refresh_cost;
-            a.refreshed.push((fetch.table.clone(), fetch.tuples[0]));
-            let objects = sim
-                .cache
-                .objects_backing(&fetch.table, fetch.tuples[0])
-                .unwrap();
-            for (object, source) in objects {
-                let refreshes = sim
-                    .transport
-                    .submit_refresh_batch(source, sim.cache.id(), vec![object], sim.clock.now())
-                    .wait()
-                    .unwrap();
-                sim.cache.install_refresh(refreshes[0]).unwrap();
-            }
-        }
-    }
 }
 
 fn assert_same_result(batched: &QueryResult, one: &QueryResult, context: &str) {
@@ -224,7 +146,7 @@ proptest! {
                 }
                 assert_same_work(
                     &batched.query(&q.sql).unwrap(),
-                    &one_tuple_reference(&mut one, &q.sql),
+                    &run_reference(&mut one, &q.sql),
                     &format!("query {i}: {} (shards={shards}, {stack:?})", q.sql),
                 );
             }
@@ -253,7 +175,7 @@ fn tpch_join_suite_agrees_across_modes_and_collapses_rounds() {
         batched.advance_clock(1.0);
         one.clock.advance(1.0);
         let a = batched.query(&q.sql).unwrap();
-        let b = one_tuple_reference(&mut one, &q.sql);
+        let b = run_reference(&mut one, &q.sql);
         assert_same_work(&a, &b, &q.sql);
         collapsed |= a.result.rounds < reference_rounds(&b);
     }

@@ -1,8 +1,9 @@
 //! Serving-layer acceptance for incremental band views: the service —
 //! which plans every pass from memoized views, ordered indexes and probes —
 //! must be **bit-identical** to the paper's own §4 loop
-//! ([`Simulation`]: `QuerySession::execute` over a scan-built input and
-//! the scan CHOOSE_REFRESH, which shares no code with the view path) under
+//! (`Simulation`: `QuerySession::execute`, which drives the scan reference
+//! planner `plan_scan` — scan-built inputs and the scan CHOOSE_REFRESH,
+//! sharing no code with the view path — through `QuerySession::drive`) under
 //! random interleavings of master-value updates (which install
 //! value-initiated refreshes), clock advances (which re-widen every
 //! bound), and queries (whose query-initiated refreshes install between

@@ -805,17 +805,6 @@ fn unbacked(table: &str, tid: TupleId, column: usize) -> TrappError {
 }
 
 impl RefreshOracle for SystemOracle<'_> {
-    /// A one-tuple refresh is a one-tuple plan.
-    fn refresh(
-        &mut self,
-        table: &str,
-        tid: TupleId,
-        columns: &[usize],
-    ) -> Result<Vec<f64>, TrappError> {
-        let mut rows = self.refresh_batch(table, &[tid], columns)?;
-        Ok(rows.swap_remove(0))
-    }
-
     /// Serves a whole refresh plan with one round-trip per source: the
     /// plan's `(tuple, column)` cells are resolved to objects, grouped by
     /// owning source, fetched via [`Transport::submit_refresh_batch`], and

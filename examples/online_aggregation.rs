@@ -67,11 +67,11 @@ fn main() -> Result<(), TrappError> {
         // Ask the source for the master value and pin it in the cache —
         // the user sees the bound shrink on the next line.
         let columns = [trapp_workload::stocks::PRICE];
-        let values = oracle.refresh("stocks", tid, &columns)?;
+        let values = oracle.refresh_batch("stocks", &[tid], &columns)?;
         session
             .catalog_mut()
             .table_mut("stocks")?
-            .refresh_cell(tid, columns[0], values[0])?;
+            .refresh_cell(tid, columns[0], values[0][0])?;
         spent += session.catalog().table("stocks")?.cost(tid)?;
     }
     Ok(())

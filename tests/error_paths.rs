@@ -99,12 +99,12 @@ fn median_with_predicate_is_rejected() {
 /// without corrupting the already-applied part of the cache.
 struct BrokenOracle;
 impl RefreshOracle for BrokenOracle {
-    fn refresh(
+    fn refresh_batch(
         &mut self,
         _table: &str,
-        _tid: TupleId,
+        _tids: &[TupleId],
         _columns: &[usize],
-    ) -> Result<Vec<f64>, TrappError> {
+    ) -> Result<Vec<Vec<f64>>, TrappError> {
         Err(TrappError::RefreshFailed("source unreachable".into()))
     }
 }
@@ -128,13 +128,13 @@ fn oracle_failures_propagate_cleanly() {
 /// An oracle returning the wrong arity is a protocol violation.
 struct ShortOracle;
 impl RefreshOracle for ShortOracle {
-    fn refresh(
+    fn refresh_batch(
         &mut self,
         _table: &str,
-        _tid: TupleId,
+        tids: &[TupleId],
         _columns: &[usize],
-    ) -> Result<Vec<f64>, TrappError> {
-        Ok(vec![]) // always empty
+    ) -> Result<Vec<Vec<f64>>, TrappError> {
+        Ok(vec![vec![]; tids.len()]) // a row per tuple, every row empty
     }
 }
 
@@ -192,11 +192,11 @@ fn refreshing_unknown_tuples_errors() {
     let (mut s, _o) = session();
     let mut o = TableOracle::from_table(figure2::master_table());
     let err = s
-        .refresh_tuple("links", TupleId::new(99), &mut o)
+        .refresh_tuples("links", &[TupleId::new(99)], &mut o)
         .unwrap_err();
     assert!(matches!(err, TrappError::UnknownTuple(99)));
     let err = s
-        .refresh_tuple("ghosts", TupleId::new(1), &mut o)
+        .refresh_tuples("ghosts", &[TupleId::new(1)], &mut o)
         .unwrap_err();
     assert!(matches!(err, TrappError::UnknownTable(_)));
 }
