@@ -12,6 +12,7 @@
 //! CHOOSE_REFRESH_AVG guarantees the loose one (Appendix F) — which is
 //! sound for the tight bound too, since tight ⊆ loose (verified by tests).
 
+use trapp_expr::Band;
 use trapp_types::{Interval, TrappError};
 
 use super::count::bounded_count;
@@ -36,52 +37,52 @@ pub fn bounded_avg_tight(input: &AggInput) -> Result<Interval, TrappError> {
             "AVG over a certainly-empty selection is undefined".into(),
         ));
     }
-
-    // Lower endpoint.
-    let mut sl: f64 = input.plus().map(|i| i.interval.lo()).sum();
-    let mut kl = input.plus_count();
-    let mut lows: Vec<f64> = input.question().map(|i| i.interval.lo()).collect();
+    // One pass for both endpoints: the `T+` sums (summed in item order from
+    // `-0.0`, the identity `f64`'s `Sum` starts from) and the `T?`
+    // endpoints to fold in.
+    let (mut sl, mut sh) = (-0.0, -0.0);
+    let (mut lows, mut highs) = (Vec::new(), Vec::new());
+    for item in &input.items {
+        let (lo, hi) = (item.interval.lo(), item.interval.hi());
+        match item.band {
+            Band::Plus => {
+                sl += lo;
+                sh += hi;
+            }
+            Band::Question => {
+                lows.push(lo);
+                highs.push(hi);
+            }
+            Band::Minus => {}
+        }
+    }
+    let k = input.plus_count();
     lows.sort_by(f64::total_cmp);
-    if kl == 0 {
-        // Conditioned on non-emptiness: the minimum possible average is the
-        // smallest single low endpoint (averaging in anything ≥ it cannot
-        // decrease the mean).
-        sl = lows[0];
-        kl = 1;
-        // Continue folding in equal elements is harmless but cannot improve.
-    } else {
-        for &la in &lows {
-            if la < sl / kl as f64 {
-                sl += la;
-                kl += 1;
-            } else {
-                break;
-            }
-        }
-    }
-    let lo = sl / kl as f64;
-
-    // Upper endpoint (mirror).
-    let mut sh: f64 = input.plus().map(|i| i.interval.hi()).sum();
-    let mut kh = input.plus_count();
-    let mut highs: Vec<f64> = input.question().map(|i| i.interval.hi()).collect();
     highs.sort_by(|a, b| f64::total_cmp(b, a));
-    if kh == 0 {
-        sh = highs[0];
-        kh = 1;
-    } else {
-        for &ha in &highs {
-            if ha > sh / kh as f64 {
-                sh += ha;
-                kh += 1;
-            } else {
-                break;
-            }
+    let lo = extreme_mean(sl, k, &lows, |x, mean| x < mean);
+    let hi = extreme_mean(sh, k, &highs, |x, mean| x > mean);
+    Interval::new(lo, hi)
+}
+
+/// One endpoint of the tight AVG: from the `T+` anchor `sum / k`, average
+/// in the sorted `T?` endpoints while each `improves` the running mean.
+/// With `k = 0` the mean is conditioned on a non-empty selection: the
+/// first (most extreme) endpoint alone — averaging in anything no more
+/// extreme cannot improve it.
+fn extreme_mean(sum: f64, k: usize, sorted: &[f64], improves: impl Fn(f64, f64) -> bool) -> f64 {
+    if k == 0 {
+        return sorted[0];
+    }
+    let (mut sum, mut k) = (sum, k);
+    for &x in sorted {
+        if improves(x, sum / k as f64) {
+            sum += x;
+            k += 1;
+        } else {
+            break;
         }
     }
-    let hi = sh / kh as f64;
-
-    Interval::new(lo, hi)
+    sum / k as f64
 }
 
 /// Loose bounded AVG (§6.4.1): derived from the SUM and COUNT bounds,

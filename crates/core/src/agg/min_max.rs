@@ -12,19 +12,23 @@
 //! improve, never anchor the guaranteed side. Empty aggregates follow the
 //! paper's footnote 1: `min(∅) = +∞`, `max(∅) = −∞`.
 
+use trapp_expr::Band;
 use trapp_types::Interval;
 
 use super::AggInput;
 
-/// Bounded MIN per §5.1/§6.1.
+/// Bounded MIN per §5.1/§6.1, both endpoints in one pass.
 pub fn bounded_min(input: &AggInput) -> Interval {
     let mut lo = f64::INFINITY;
+    let mut hi = f64::INFINITY;
     for item in &input.items {
         lo = lo.min(item.interval.lo());
-    }
-    let mut hi = f64::INFINITY;
-    for item in input.plus() {
-        hi = hi.min(item.interval.hi());
+        // A `T?` item contributes `+∞`, which leaves `hi` as it was.
+        let plus_hi = match item.band {
+            Band::Plus => item.interval.hi(),
+            _ => f64::INFINITY,
+        };
+        hi = hi.min(plus_hi);
     }
     // All-T? inputs give [lo, +∞]; the fully empty input gives [+∞, +∞].
     if lo > hi {
@@ -35,15 +39,17 @@ pub fn bounded_min(input: &AggInput) -> Interval {
     Interval::new_unchecked(lo, hi)
 }
 
-/// Bounded MAX per Appendix C (mirror of MIN).
+/// Bounded MAX per Appendix C (mirror of MIN), both endpoints in one pass.
 pub fn bounded_max(input: &AggInput) -> Interval {
     let mut hi = f64::NEG_INFINITY;
+    let mut lo = f64::NEG_INFINITY;
     for item in &input.items {
         hi = hi.max(item.interval.hi());
-    }
-    let mut lo = f64::NEG_INFINITY;
-    for item in input.plus() {
-        lo = lo.max(item.interval.lo());
+        let plus_lo = match item.band {
+            Band::Plus => item.interval.lo(),
+            _ => f64::NEG_INFINITY,
+        };
+        lo = lo.max(plus_lo);
     }
     if lo > hi {
         debug_assert!(lo == f64::NEG_INFINITY && hi == f64::NEG_INFINITY);

@@ -883,4 +883,174 @@ mod tests {
         assert!(direct_rows > cases as u64 * 4, "{direct_rows} direct rows");
         assert!(errors > 0);
     }
+
+    /// The two-pass folds the one-pass [`avg::bounded_avg_tight`],
+    /// [`min_max::bounded_min`] and [`min_max::bounded_max`] replaced: the
+    /// reference they must match bit for bit.
+    mod two_pass {
+        use super::super::AggInput;
+        use trapp_types::{Interval, TrappError};
+
+        pub fn avg_tight(input: &AggInput) -> Result<Interval, TrappError> {
+            if input.items.is_empty() {
+                return Err(TrappError::Unsupported(
+                    "AVG over a certainly-empty selection is undefined".into(),
+                ));
+            }
+            let mut sl: f64 = input.plus().map(|i| i.interval.lo()).sum();
+            let mut kl = input.plus_count();
+            let mut lows: Vec<f64> = input.question().map(|i| i.interval.lo()).collect();
+            lows.sort_by(f64::total_cmp);
+            if kl == 0 {
+                sl = lows[0];
+                kl = 1;
+            } else {
+                for &la in &lows {
+                    if la < sl / kl as f64 {
+                        sl += la;
+                        kl += 1;
+                    } else {
+                        break;
+                    }
+                }
+            }
+            let lo = sl / kl as f64;
+            let mut sh: f64 = input.plus().map(|i| i.interval.hi()).sum();
+            let mut kh = input.plus_count();
+            let mut highs: Vec<f64> = input.question().map(|i| i.interval.hi()).collect();
+            highs.sort_by(|a, b| f64::total_cmp(b, a));
+            if kh == 0 {
+                sh = highs[0];
+                kh = 1;
+            } else {
+                for &ha in &highs {
+                    if ha > sh / kh as f64 {
+                        sh += ha;
+                        kh += 1;
+                    } else {
+                        break;
+                    }
+                }
+            }
+            Interval::new(lo, sh / kh as f64)
+        }
+
+        pub fn min(input: &AggInput) -> Interval {
+            let mut lo = f64::INFINITY;
+            for item in &input.items {
+                lo = lo.min(item.interval.lo());
+            }
+            let mut hi = f64::INFINITY;
+            for item in input.plus() {
+                hi = hi.min(item.interval.hi());
+            }
+            if lo > hi {
+                return Interval::new_unchecked(f64::INFINITY, f64::INFINITY);
+            }
+            Interval::new_unchecked(lo, hi)
+        }
+
+        pub fn max(input: &AggInput) -> Interval {
+            let mut hi = f64::NEG_INFINITY;
+            for item in &input.items {
+                hi = hi.max(item.interval.hi());
+            }
+            let mut lo = f64::NEG_INFINITY;
+            for item in input.plus() {
+                lo = lo.max(item.interval.lo());
+            }
+            if lo > hi {
+                return Interval::new_unchecked(f64::NEG_INFINITY, f64::NEG_INFINITY);
+            }
+            Interval::new_unchecked(lo, hi)
+        }
+    }
+
+    /// The one-pass AVG and MIN/MAX folds against the two-pass reference,
+    /// bit for bit (endpoint bits, or the same error), over seeded inputs
+    /// of mixed `T+`/`T?` items whose endpoints come from a grid with
+    /// `±0.0` and `±∞`, including empty, all-`T+` and all-`T?` inputs.
+    #[test]
+    fn one_pass_folds_match_the_two_pass_reference() {
+        // 10⁴ cases in release (CI's view-maintenance job); a smoke count
+        // in debug.
+        let cases = if cfg!(debug_assertions) { 500 } else { 10_000 };
+        let mut rng = Rng(0xF01D_0A55);
+        let endpoints = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -1.0,
+            -0.0,
+            0.0,
+            0.25,
+            1.0,
+            7.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let bits = |r: Result<Interval, TrappError>| {
+            r.map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+                .map_err(|e| e.to_string())
+        };
+        let mut shapes = [0usize; 4];
+        for case in 0..cases {
+            let len = match rng.below(8) {
+                0 => 0,
+                1 => 1,
+                _ => rng.below(40),
+            };
+            // Band mix: all T+, all T?, or mixed.
+            let mix = rng.below(3);
+            let mut items = Vec::with_capacity(len);
+            for k in 0..len {
+                let (a, b) = (
+                    endpoints[rng.below(endpoints.len())],
+                    endpoints[rng.below(endpoints.len())],
+                );
+                let (lo, hi) = if f64::total_cmp(&a, &b).is_le() {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                let plus = match mix {
+                    0 => true,
+                    1 => false,
+                    _ => rng.below(2) == 0,
+                };
+                items.push(AggItem {
+                    tid: TupleId::new(k as u64 + 1),
+                    band: if plus { Band::Plus } else { Band::Question },
+                    interval: Interval::new_unchecked(lo, hi),
+                    cost: 1.0,
+                });
+            }
+            let input = AggInput::new(items, 0, (0, 0));
+            shapes[match (input.items.len(), input.plus_count()) {
+                (0, _) => 0,
+                (n, p) if p == n => 1,
+                (_, 0) => 2,
+                _ => 3,
+            }] += 1;
+            assert_eq!(
+                bits(avg::bounded_avg_tight(&input)),
+                bits(two_pass::avg_tight(&input)),
+                "case {case}: AVG over {:?}",
+                input.items
+            );
+            assert_eq!(
+                bits(Ok(min_max::bounded_min(&input))),
+                bits(Ok(two_pass::min(&input))),
+                "case {case}: MIN over {:?}",
+                input.items
+            );
+            assert_eq!(
+                bits(Ok(min_max::bounded_max(&input))),
+                bits(Ok(two_pass::max(&input))),
+                "case {case}: MAX over {:?}",
+                input.items
+            );
+        }
+        // Non-vacuity: empty, all-T+, all-T? and mixed inputs all ran.
+        assert!(shapes.iter().all(|&n| n > cases / 50), "{shapes:?}");
+    }
 }

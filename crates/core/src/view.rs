@@ -867,10 +867,10 @@ fn collect_exact_conjuncts(e: &Expr<usize>, bounded: &[usize], out: &mut Vec<Exp
 
 /// The rows a scalar query over `table` with `predicate` can read: when a
 /// top-level `AND` conjunct pins an exact, value-indexed column to a
-/// numeric literal (`grp = k`), the rows the index names, ascending —
-/// every other row is sticky `T−` by that conjunct, whatever its bounds
-/// say — and `None`, meaning every row, otherwise (no such conjunct, or
-/// a grouped query, whose groups span the table).
+/// numeric literal (`grp = k`, see [`pinned_value`]), the rows the index
+/// names, ascending — every other row is sticky `T−` by that conjunct,
+/// whatever its bounds say — and `None`, meaning every row, otherwise (no
+/// such conjunct, or a grouped query, whose groups span the table).
 ///
 /// Band views build from exactly these rows, and a cache brings exactly
 /// these rows' bounds up to date before planning such a query, so the
@@ -880,17 +880,29 @@ pub fn pinned_rows(
     predicate: Option<&Expr<usize>>,
     group_by: &[usize],
 ) -> Option<Vec<TupleId>> {
+    let (column, value) = pinned_value(table, predicate, group_by)?;
+    table.tuples_with_value(column, value)
+}
+
+/// The conjunct [`pinned_rows`] reads by: the first top-level `AND`
+/// conjunct, left to right, that is `column = literal` (either way round)
+/// over a column `table` can look up by value
+/// ([`Table::has_value_index`]), as `(column, value)`. `None` for grouped
+/// queries and when no conjunct pins. A bounded column has no value
+/// index, so only exact conjuncts pin, and a row's pinned cell never
+/// moves with its bounds.
+pub fn pinned_value(
+    table: &Table,
+    predicate: Option<&Expr<usize>>,
+    group_by: &[usize],
+) -> Option<(usize, f64)> {
     if !group_by.is_empty() {
         return None;
     }
     pin_in(predicate?, table)
 }
 
-/// The first top-level conjunct of `e`, left to right, that is
-/// `column = literal` (either way round) over a column `table` can look
-/// up by value, answered from that index. A bounded column has no such
-/// index, so only exact conjuncts pin.
-fn pin_in(e: &Expr<usize>, table: &Table) -> Option<Vec<TupleId>> {
+fn pin_in(e: &Expr<usize>, table: &Table) -> Option<(usize, f64)> {
     let Expr::Binary(op, l, r) = e else {
         return None;
     };
@@ -898,7 +910,8 @@ fn pin_in(e: &Expr<usize>, table: &Table) -> Option<Vec<TupleId>> {
         (BinaryOp::And, l, r) => pin_in(l, table).or_else(|| pin_in(r, table)),
         (BinaryOp::Eq, Expr::Column(c), Expr::Literal(v))
         | (BinaryOp::Eq, Expr::Literal(v), Expr::Column(c)) => {
-            table.tuples_with_value(*c, v.as_f64().ok()?)
+            let value = v.as_f64().ok()?;
+            (!value.is_nan() && table.has_value_index(*c)).then_some((*c, value))
         }
         _ => None,
     }

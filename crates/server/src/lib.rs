@@ -80,6 +80,7 @@ pub mod gateway;
 pub mod health;
 pub mod router;
 pub mod service;
+mod snapshots;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController};
 pub use gateway::{RefreshGateway, RetryPolicy};

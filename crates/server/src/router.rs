@@ -41,6 +41,7 @@ use trapp_types::{shard_of, CacheId, ObjectId, TrappError, TupleId, Value};
 
 use crate::gateway::{RefreshGateway, RetryPolicy};
 use crate::health::{HealthConfig, HealthTracker};
+use crate::snapshots::AnswerSnapshots;
 
 /// A tuple-id translation map, bucketed per table so lookups hash a
 /// `&str` instead of allocating a `(String, TupleId)` key per probe.
@@ -50,6 +51,8 @@ pub(crate) type TidMap<V> = HashMap<String, HashMap<TupleId, V>>;
 /// stack plus its local→global tuple-id map.
 pub struct Shard {
     pub(crate) cache: Mutex<CacheNode>,
+    /// Answers published from `cache`, read with no lock on it.
+    pub(crate) snapshots: AnswerSnapshots,
     pub(crate) cache_id: CacheId,
     pub(crate) gateway: RefreshGateway<Box<dyn Transport>>,
     /// This shard's per-source circuit breakers (shared with the gateway,
@@ -79,6 +82,7 @@ impl Shard {
         Shard {
             cache_id: cache.id(),
             cache: Mutex::new(cache),
+            snapshots: AnswerSnapshots::default(),
             gateway: RefreshGateway::with_policy(transport, await_timeout, retry, health.clone()),
             health,
             to_global,

@@ -50,6 +50,14 @@
 //! **answer**. Deadline widening and source failures are transitions
 //! between phases, decided by the query's `DEADLINE` and the
 //! [`DegradationPolicy`].
+//!
+//! A single-shard plan pass first consults the shard's answer snapshots,
+//! with no lock: a single-table plan that came back `Ready` publishes its
+//! outcome under its SQL text, and a repeat at the same clock instant
+//! whose answers meet its `WITHIN` goes straight to answer. Every write
+//! retracts the snapshots it can stale before it releases the shard lock,
+//! so a snapshot never answers after the write that staled it has
+//! returned ([`ServiceStats::snapshot_served`] counts the hits).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -65,6 +73,7 @@ use trapp_core::executor::QueryResult;
 use trapp_core::group_by::GroupResult;
 use trapp_core::BoundedAnswer;
 use trapp_storage::{IndexKey, Table};
+use trapp_system::message::Refresh;
 use trapp_system::{
     CacheNode, ChaosConfig, ChaosControl, ChaosTransport, CompletionTransport, CostModel,
     DirectTransport, FetchPool, SimClock, Source, Transport,
@@ -80,7 +89,7 @@ use crate::router::{Shard, ShardRouter, TidMap};
 
 mod query_loop;
 
-use query_loop::LockTime;
+use query_loop::LockSplit;
 
 /// Service tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -227,6 +236,13 @@ fn rollup(groups: &[GroupResult]) -> QueryResult {
 }
 
 /// Aggregate service counters.
+///
+/// The shard-lock counters sum every lock section a query takes, split
+/// exactly by query kind: a *served* query ran no fetch round (answered
+/// from cache, or failed before fetching), a *fetching* query ran at
+/// least one. A query answered from an answer snapshot
+/// ([`ServiceStats::snapshot_served`]) takes no shard lock and adds
+/// nothing to them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Queries answered successfully.
@@ -269,12 +285,34 @@ pub struct ServiceStats {
     /// Total time queries waited to take a shard lock, µs: summed over
     /// every shard-lock section a query takes (plan, scatter gather,
     /// object resolution, install, dark-source scans), each lock of a
-    /// scatter gather counted.
+    /// scatter gather counted. Exactly
+    /// [`ServiceStats::shard_lock_wait_served_us`] plus
+    /// [`ServiceStats::shard_lock_wait_fetching_us`].
     pub shard_lock_wait_us: u64,
     /// Total time queries held shard locks, µs, over the same sections
     /// as [`ServiceStats::shard_lock_wait_us`]: what one query's lock
-    /// sections cost every other query on the shard.
+    /// sections cost every other query on the shard. Exactly
+    /// [`ServiceStats::shard_lock_hold_served_us`] plus
+    /// [`ServiceStats::shard_lock_hold_fetching_us`].
     pub shard_lock_hold_us: u64,
+    /// The part of [`ServiceStats::shard_lock_wait_us`] charged to served
+    /// queries: those that ran no fetch round, answered from cache or
+    /// failed before fetching.
+    pub shard_lock_wait_served_us: u64,
+    /// The part of [`ServiceStats::shard_lock_hold_us`] charged to served
+    /// queries.
+    pub shard_lock_hold_served_us: u64,
+    /// The part of [`ServiceStats::shard_lock_wait_us`] charged to
+    /// fetching queries: those that ran at least one fetch round.
+    pub shard_lock_wait_fetching_us: u64,
+    /// The part of [`ServiceStats::shard_lock_hold_us`] charged to
+    /// fetching queries.
+    pub shard_lock_hold_fetching_us: u64,
+    /// Queries answered from a shard's published answer snapshot, with no
+    /// shard lock taken: a repeat of a single-shard query's SQL text at the
+    /// instant its snapshot was planned at, with no write to the rows it
+    /// read since, whose cached answer meets its `WITHIN`.
+    pub snapshot_served: u64,
     /// Rows the shards' band views have examined (built or replayed) —
     /// planning work in rows, which selective queries keep proportional
     /// to their candidate sets.
@@ -384,9 +422,9 @@ struct ServiceCore {
     clock: SimClock,
     degradation: DegradationPolicy,
     /// The counters, and the shard-lock wait and hold summed over every
-    /// query so far — kept at full precision, reported in µs by
-    /// [`QueryService::stats`].
-    counters: Mutex<(ServiceStats, LockTime)>,
+    /// query so far by query kind — kept at full precision, reported in µs
+    /// by [`QueryService::stats`].
+    counters: Mutex<(ServiceStats, LockSplit)>,
     admission: Arc<AdmissionController>,
     /// [`ServiceConfig::workers`] execution permits, shared by both entry
     /// points.
@@ -623,27 +661,32 @@ impl QueryService {
         // Drain every completion even after a failure: the sources behind
         // the other batches already applied their writes and narrowed
         // their tracked bounds — their refreshes must install or cache
-        // and Refresh Monitor diverge.
+        // and Refresh Monitor diverge. Each shard installs everything that
+        // arrived for it in one lock section.
         let mut delivered = 0usize;
         let mut failure: Option<TrappError> = None;
+        let mut arrived: BTreeMap<usize, Vec<Refresh>> = BTreeMap::new();
         for (idx, completion) in pending {
             match completion.wait() {
                 Ok(refreshes) => {
-                    let mut cache = self.core.router.shard(idx).cache.lock();
-                    let id = cache.id();
                     delivered += refreshes.len();
-                    let installed =
-                        cache.install_refreshes(refreshes.into_iter().map(|(to, r)| {
-                            debug_assert_eq!(to, id);
-                            r
-                        }));
-                    if let Err(e) = installed {
-                        failure.get_or_insert(e);
-                    }
+                    let id = self.core.router.shard(idx).cache_id;
+                    let refreshes = refreshes.into_iter().map(|(to, r)| {
+                        debug_assert_eq!(to, id);
+                        r
+                    });
+                    arrived.entry(idx).or_default().extend(refreshes);
                 }
                 Err(e) => {
                     failure.get_or_insert(e);
                 }
+            }
+        }
+        for (idx, refreshes) in arrived {
+            let shard = self.core.router.shard(idx);
+            let install = |cache: &mut CacheNode| cache.install_refreshes(refreshes);
+            if let Err(e) = shard.snapshots.retracting(&mut shard.cache.lock(), install) {
+                failure.get_or_insert(e);
             }
         }
         match failure {
@@ -668,9 +711,15 @@ impl QueryService {
     }
 
     /// Runs `f` against one shard's cache; serialized with query execution
-    /// on that shard.
+    /// on that shard. Retracts every answer snapshot the shard published
+    /// before it releases the lock, even if `f` unwinds: `f` may change
+    /// anything a planned answer depends on.
     pub fn with_shard_cache<R>(&self, shard: usize, f: impl FnOnce(&mut CacheNode) -> R) -> R {
-        f(&mut self.core.router.shard(shard).cache.lock())
+        let shard = self.core.router.shard(shard);
+        let mut cache = shard.cache.lock();
+        // Dropped before `cache`, so it retracts under the lock.
+        let _retract = shard.snapshots.retract_all_on_drop();
+        f(&mut cache)
     }
 
     /// The union of every shard's currently-dark (breaker-open) sources.
@@ -687,8 +736,13 @@ impl QueryService {
     /// A consistent snapshot of the aggregate counters.
     pub fn stats(&self) -> ServiceStats {
         let (mut s, locks) = *self.core.counters.lock();
-        s.shard_lock_wait_us = locks.wait.as_micros() as u64;
-        s.shard_lock_hold_us = locks.hold.as_micros() as u64;
+        let us = |d: Duration| d.as_micros() as u64;
+        s.shard_lock_wait_served_us = us(locks.served.wait);
+        s.shard_lock_hold_served_us = us(locks.served.hold);
+        s.shard_lock_wait_fetching_us = us(locks.fetching.wait);
+        s.shard_lock_hold_fetching_us = us(locks.fetching.hold);
+        s.shard_lock_wait_us = s.shard_lock_wait_served_us + s.shard_lock_wait_fetching_us;
+        s.shard_lock_hold_us = s.shard_lock_hold_served_us + s.shard_lock_hold_fetching_us;
         for shard in self.core.router.shards() {
             s.refreshes_coalesced += shard.gateway.refreshes_coalesced();
             s.refreshes_forwarded += shard.gateway.refreshes_forwarded();

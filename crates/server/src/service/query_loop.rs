@@ -38,6 +38,10 @@ struct QueryCtx {
     fetch_us: u64,
     install_us: u64,
     locks: LockTime,
+    /// The query ran a fetch round: its lock time is a fetching query's.
+    fetched: bool,
+    /// The reply came from a shard's answer snapshot.
+    snapshot_served: bool,
 }
 
 /// What one query's shard-lock sections cost: the time spent waiting for
@@ -48,6 +52,14 @@ struct QueryCtx {
 pub(super) struct LockTime {
     pub(super) wait: Duration,
     pub(super) hold: Duration,
+}
+
+/// Shard-lock time summed over queries, split by query kind: served
+/// (no fetch round) and fetching.
+#[derive(Clone, Copy, Default)]
+pub(super) struct LockSplit {
+    pub(super) served: LockTime,
+    pub(super) fetching: LockTime,
 }
 
 impl LockTime {
@@ -121,8 +133,13 @@ impl ServiceCore {
         let exec_time = started.elapsed();
 
         let (counters, locks) = &mut *self.counters.lock();
-        locks.wait += ctx.locks.wait;
-        locks.hold += ctx.locks.hold;
+        let kind = if ctx.fetched {
+            &mut locks.fetching
+        } else {
+            &mut locks.served
+        };
+        kind.wait += ctx.locks.wait;
+        kind.hold += ctx.locks.hold;
         counters.queue_wait_us += queue_wait.as_micros() as u64;
         counters.plan_us += ctx.plan_us;
         counters.fetch_us += ctx.fetch_us;
@@ -134,6 +151,7 @@ impl ServiceCore {
                 counters.round_trips += ctx.stats.round_trips;
                 counters.scatter_queries += u64::from(ctx.scattered);
                 counters.degraded_queries += u64::from(degraded.is_some());
+                counters.snapshot_served += u64::from(ctx.snapshot_served);
                 let (result, groups) = match outcome {
                     QueryOutcome::Scalar(result) => (result, Vec::new()),
                     QueryOutcome::Grouped(groups) => (rollup(&groups), groups),
@@ -174,20 +192,28 @@ impl ServiceCore {
         };
     }
 
-    /// The single-shard plan phase, under that shard's lock. Returns the
-    /// plan, the instant it was planned at, and the heuristic-round
-    /// budget.
+    /// The single-shard plan phase, under that shard's lock: brings the
+    /// rows the plan reads current, plans, and publishes a `Ready` plan's
+    /// outcome as the shard's answer snapshot for `sql`. Returns the plan,
+    /// the instant it was planned at, and the heuristic-round budget.
     fn plan_single(
         &self,
         s: usize,
+        sql: &str,
         query: &trapp_sql::Query,
         exclusions: &Exclusions,
         locks: &mut LockTime,
     ) -> Result<(QueryPlan, f64, usize), TrappError> {
         let shard = self.router.shard(s);
         locks.locked(shard, |cache| {
-            let plan = cache.plan_query_excluding(query, exclusions)?;
+            // Read before the rows are brought current: an instant read
+            // after could postdate theirs.
+            let at = self.clock.now();
+            let (bound, plan) = cache.plan_query_excluding(query, exclusions)?;
             shard.note_view_work(cache);
+            if let QueryPlan::Ready(outcome) = &plan {
+                shard.snapshots.publish(sql, at, &bound, cache, outcome);
+            }
             let max_rounds = cache.session().config.max_refresh_rounds;
             Ok((plan, self.clock.now(), max_rounds))
         })
@@ -496,6 +522,8 @@ struct QueryRun<'a> {
     core: &'a ServiceCore,
     ctx: &'a mut QueryCtx,
     route: Route,
+    /// The query's SQL text: its answer snapshots' key.
+    sql: &'a str,
     /// The query being planned. The deadline policy rewrites its `within`.
     query: trapp_sql::Query,
     /// The user's `WITHIN`, before admission or deadline widening.
@@ -535,7 +563,7 @@ impl<'a> QueryRun<'a> {
         core: &'a ServiceCore,
         ctx: &'a mut QueryCtx,
         mut query: trapp_sql::Query,
-        job: &Job,
+        job: &'a Job,
     ) -> QueryRun<'a> {
         let requested = query.within;
         // Admission widening happens before routing: the relaxed
@@ -554,6 +582,7 @@ impl<'a> QueryRun<'a> {
             core,
             ctx,
             route,
+            sql: &job.sql,
             query,
             requested,
             admission_widened,
@@ -618,20 +647,33 @@ impl<'a> QueryRun<'a> {
         }
     }
 
-    /// The plan phase, under the shard lock(s). The plan excludes the
-    /// tuples of dark sources — breaker-open, or failed this query — so
-    /// CHOOSE_REFRESH spends no round-trip on a source that cannot answer.
+    /// The plan phase, under the shard lock(s). A single-shard query first
+    /// consults its shard's answer snapshots, with no lock: a hit answers
+    /// as the plan would, `Ready`. The plan excludes the tuples of dark
+    /// sources — breaker-open, or failed this query — so CHOOSE_REFRESH
+    /// spends no round-trip on a source that cannot answer.
     fn plan(&mut self) -> Result<Phase, TrappError> {
         self.dark.clone_from(&self.failed);
         for s in self.core.router.footprint(self.route) {
             self.dark
                 .extend(self.core.router.shard(s).health.dark_sources());
         }
+        if let Route::Single(s) = self.route {
+            let snapshots = &self.core.router.shard(s).snapshots;
+            let now = self.core.clock.now();
+            if let Some(outcome) = snapshots.answer(self.sql, now, self.query.within) {
+                self.ctx.snapshot_served = true;
+                return Ok(Phase::Answer(outcome));
+            }
+        }
         let locks = &mut self.ctx.locks;
         let exclusions = self.core.exclusions_for(&self.dark, self.route, locks);
         let started = Instant::now();
         let (plan, now, max_rounds) = match self.route {
-            Route::Single(s) => self.core.plan_single(s, &self.query, &exclusions, locks)?,
+            Route::Single(s) => {
+                self.core
+                    .plan_single(s, self.sql, &self.query, &exclusions, locks)?
+            }
             Route::Scatter => self.core.plan_scatter(&self.query, &exclusions, locks)?,
         };
         self.ctx.plan_us += started.elapsed().as_micros() as u64;
@@ -711,6 +753,7 @@ impl<'a> QueryRun<'a> {
                 )));
             }
         }
+        self.ctx.fetched = true;
         let work = self.attribute(&plan)?;
         let requests = self.core.resolve_objects(&work, &mut self.ctx.locks)?;
         let deadline = self.deadline.map(|d| self.enqueued + d);
@@ -776,10 +819,10 @@ impl<'a> QueryRun<'a> {
         let mut refused = None;
         for (s, outcome) in outcomes {
             let shard = self.core.router.shard(s);
-            let installed = self
-                .ctx
-                .locks
-                .locked(shard, |cache| cache.install_refreshes(outcome.refreshes));
+            let installed = self.ctx.locks.locked(shard, |cache| {
+                let install = |cache: &mut CacheNode| cache.install_refreshes(outcome.refreshes);
+                shard.snapshots.retracting(cache, install)
+            });
             if let Err(e) = installed {
                 refused.get_or_insert(e);
             }

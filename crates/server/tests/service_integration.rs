@@ -217,7 +217,8 @@ fn coalescing_saves_refreshes_under_latency() {
 
 /// The shard-lock counters cover every lock section a query takes: after
 /// queries that fetch on a 1-shard service both have moved, and neither
-/// ever moves backwards.
+/// ever moves backwards; each is exactly its served plus its fetching
+/// part.
 #[test]
 fn shard_lock_counters_grow_with_fetching_queries() {
     let w = small_workload();
@@ -245,11 +246,52 @@ fn shard_lock_counters_grow_with_fetching_queries() {
             now.shard_lock_hold_us >= last.shard_lock_hold_us,
             "query {i}"
         );
+        // The served / fetching split sums exactly to the totals, and
+        // neither kind moves backwards.
+        assert_eq!(
+            now.shard_lock_wait_served_us + now.shard_lock_wait_fetching_us,
+            now.shard_lock_wait_us,
+            "query {i}"
+        );
+        assert_eq!(
+            now.shard_lock_hold_served_us + now.shard_lock_hold_fetching_us,
+            now.shard_lock_hold_us,
+            "query {i}"
+        );
+        for (kind, now, last) in [
+            (
+                "served wait",
+                now.shard_lock_wait_served_us,
+                last.shard_lock_wait_served_us,
+            ),
+            (
+                "served hold",
+                now.shard_lock_hold_served_us,
+                last.shard_lock_hold_served_us,
+            ),
+            (
+                "fetching wait",
+                now.shard_lock_wait_fetching_us,
+                last.shard_lock_wait_fetching_us,
+            ),
+            (
+                "fetching hold",
+                now.shard_lock_hold_fetching_us,
+                last.shard_lock_hold_fetching_us,
+            ),
+        ] {
+            assert!(now >= last, "query {i}: {kind}");
+        }
         last = now;
     }
     assert!(last.round_trips > 0, "the queries fetched");
     assert!(last.shard_lock_wait_us > 0);
     assert!(last.shard_lock_hold_us > 0);
+    assert!(last.shard_lock_hold_served_us > 0, "served queries planned");
+    assert!(
+        last.shard_lock_hold_fetching_us > 0,
+        "fetching queries held"
+    );
 }
 
 /// An iterative (§8.2) reply accounts for the round trips its rounds

@@ -307,6 +307,13 @@ impl Table {
         Some(tids)
     }
 
+    /// Whether [`Table::tuples_with_value`] can answer for `column`: the
+    /// column is exact and carries a `Lo` index.
+    pub fn has_value_index(&self, column: usize) -> bool {
+        self.schema.column_at(column).is_ok_and(|d| !d.bounded)
+            && self.indexes.contains_key(&IndexKey::Lo { column })
+    }
+
     /// Numeric range view of one cell.
     pub fn interval(&self, tid: TupleId, column: usize) -> Result<Interval, TrappError> {
         self.row(tid)?.interval(column)

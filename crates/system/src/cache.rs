@@ -645,15 +645,17 @@ impl CacheNode {
 
     /// Plans `query` ([`QuerySession::plan_bound_excluding`]) after
     /// bringing current the rows its plan can read
-    /// ([`CacheNode::materialize_for`]), binding it once for both.
+    /// ([`CacheNode::materialize_for`]), binding it once for both. Returns
+    /// the bound query beside the plan.
     pub fn plan_query_excluding(
         &mut self,
         query: &trapp_sql::Query,
         exclusions: &Exclusions,
-    ) -> Result<QueryPlan, TrappError> {
+    ) -> Result<(BoundQuery, QueryPlan), TrappError> {
         let bound = bind_query(query, self.session.catalog())?;
         self.materialize_for(&bound)?;
-        self.session.plan_bound_excluding(&bound, exclusions)
+        let plan = self.session.plan_bound_excluding(&bound, exclusions)?;
+        Ok((bound, plan))
     }
 
     /// Executes a query from SQL text; see [`CacheNode::execute`].
@@ -1408,7 +1410,7 @@ mod tests {
         /// the tuples the plan fetches.
         fn plan_both(&mut self, q: &trapp_sql::Query) -> Result<Vec<TupleId>, String> {
             let none = Exclusions::default();
-            let demand = self.demand.plan_query_excluding(q, &none).unwrap();
+            let (_, demand) = self.demand.plan_query_excluding(q, &none).unwrap();
             self.full.materialize().unwrap();
             let full = self.full.session().plan_query_excluding(q, &none).unwrap();
             prop_assert_eq!(
