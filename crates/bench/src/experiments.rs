@@ -118,7 +118,9 @@ mod tests {
     }
 
     /// Figure 6's qualitative claim: the tradeoff is monotonically
-    /// non-increasing in R and hits 0 once R exceeds the total width.
+    /// non-increasing in R and hits 0 once R exceeds the total width —
+    /// by the fold's rounding allowance, since at exactly the total width
+    /// a rounded fold can overrun R (ARCHITECTURE §2).
     #[test]
     fn fig6_tradeoff_is_monotone_and_terminates_at_zero() {
         let config = quick_config();
@@ -138,7 +140,11 @@ mod tests {
             );
         }
         assert!(rows[0].refresh_cost > 0.0, "R=0 must refresh things");
-        assert_eq!(rows.last().unwrap().refresh_cost, 0.0);
+        let free = total_width + trapp_core::refresh::fold_allowance(&input);
+        assert_eq!(
+            fig6_sweep(&config, 0.1, &[free]).unwrap()[0].refresh_cost,
+            0.0
+        );
     }
 
     #[test]

@@ -61,7 +61,30 @@ pub fn bounded_avg_tight(input: &AggInput) -> Result<Interval, TrappError> {
     highs.sort_by(|a, b| f64::total_cmp(b, a));
     let lo = extreme_mean(sl, k, &lows, |x, mean| x < mean);
     let hi = extreme_mean(sh, k, &highs, |x, mean| x > mean);
-    Interval::new(lo, hi)
+    let margin = question_margin(input);
+    Interval::new(lo - margin, hi + margin)
+}
+
+/// How far both AVG bounds widen each endpoint when `T?` tuples exist:
+/// `4·γ·Σ max(|Lᵢ|,|Hᵢ|) / max(1, |T+|)`, `γ = γₙ₊₈`. The endpoints are
+/// then means of subsets folded in sorted order, the exact answer a mean
+/// of the realized members folded in tuple order, and the two can round
+/// apart where their real values tie; the margin covers both folds and
+/// the greedy's rounded comparisons, so containment holds exactly
+/// (ARCHITECTURE §2). Without `T?` both fold the same members in the same
+/// order, and with at most two items every mean is one rounded sum of
+/// the same terms: monotone rounding needs no margin.
+pub(crate) fn question_margin(input: &AggInput) -> f64 {
+    if input.question_count() == 0 || input.items.len() <= 2 {
+        return 0.0;
+    }
+    let magnitude: f64 = input
+        .items
+        .iter()
+        .map(|i| i.interval.lo().abs().max(i.interval.hi().abs()))
+        .sum();
+    let gamma = trapp_types::float::gamma(input.items.len() + 8);
+    4.0 * gamma * magnitude / input.plus_count().max(1) as f64
 }
 
 /// One endpoint of the tight AVG: from the `T+` anchor `sum / k`, average
@@ -92,7 +115,8 @@ fn extreme_mean(sum: f64, k: usize, sorted: &[f64], improves: impl Fn(f64, f64) 
 /// ```
 ///
 /// `L_COUNT` is clamped to at least 1 — the bound is conditioned on the
-/// selection being non-empty, like the tight computation.
+/// selection being non-empty, like the tight computation — and both
+/// endpoints carry the tight bound's `T?` margin.
 pub fn bounded_avg_loose(input: &AggInput) -> Result<Interval, TrappError> {
     if input.items.is_empty() {
         return Err(TrappError::Unsupported(
@@ -103,8 +127,9 @@ pub fn bounded_avg_loose(input: &AggInput) -> Result<Interval, TrappError> {
     let count = bounded_count(input);
     let lc = count.lo().max(1.0);
     let hc = count.hi().max(1.0);
-    let lo = (sum.lo() / hc).min(sum.lo() / lc);
-    let hi = (sum.hi() / lc).max(sum.hi() / hc);
+    let margin = question_margin(input);
+    let lo = (sum.lo() / hc).min(sum.lo() / lc) - margin;
+    let hi = (sum.hi() / lc).max(sum.hi() / hc) + margin;
     Interval::new(lo, hi)
 }
 

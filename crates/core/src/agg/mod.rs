@@ -932,7 +932,9 @@ mod tests {
                     }
                 }
             }
-            Interval::new(lo, sh / kh as f64)
+            let hi = sh / kh as f64;
+            let margin = super::super::avg::question_margin(input);
+            Interval::new(lo - margin, hi + margin)
         }
 
         pub fn min(input: &AggInput) -> Interval {

@@ -13,13 +13,28 @@
 use trapp_expr::Band;
 use trapp_types::Interval;
 
-use super::AggInput;
+use super::{AggInput, AggItem};
 
-/// Bounded SUM per §5.2/§6.2.
+/// Bounded SUM per §5.2/§6.2, folded in ascending tuple-id order.
+///
+/// Inputs keep `T+` items ahead of `T?` items, but the exact answer folds
+/// its members in tuple order; folding the bound in that same order makes
+/// each endpoint a termwise-monotone image of the exact fold (a `T?` item
+/// that drops out adds `min(L, 0) ≤ 0` below and `max(H, 0) ≥ 0` above),
+/// so rounding can never push the exact answer outside the bound.
 pub fn bounded_sum(input: &AggInput) -> Interval {
+    if input.question_count() == 0 || input.items.is_sorted_by_key(|i| i.tid) {
+        return fold_sum(input.items.iter());
+    }
+    let mut canonical: Vec<&AggItem> = input.items.iter().collect();
+    canonical.sort_unstable_by_key(|i| i.tid);
+    fold_sum(canonical.into_iter())
+}
+
+fn fold_sum<'a>(items: impl Iterator<Item = &'a AggItem>) -> Interval {
     let mut lo = 0.0;
     let mut hi = 0.0;
-    for item in &input.items {
+    for item in items {
         let iv = match item.band {
             Band::Plus => item.interval,
             _ => item.interval.extended_to_zero(),

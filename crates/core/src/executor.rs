@@ -501,7 +501,10 @@ mod tests {
         assert!(r.satisfied);
     }
 
-    /// End-to-end Q2 (§5.2): initial [19,28]; R=5 refreshes {1,6} → [21,26].
+    /// End-to-end Q2 (§5.2): initial [19,28], R = 5. The paper refreshes
+    /// {1,6} (cost 5) and keeps widths summing to exactly 5, which some
+    /// realizations overrun once the folds round; the certified capacity
+    /// keeps {1,2} instead, refreshing {5,6} (cost 6) → [23,27].
     #[test]
     fn q2_end_to_end() {
         let (mut s, mut o) = session_and_oracle();
@@ -513,11 +516,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.initial_answer.range, Interval::new(19.0, 28.0).unwrap());
-        assert_eq!(r.answer.range, Interval::new(21.0, 26.0).unwrap());
-        assert_eq!(r.refresh_cost, 5.0);
+        assert_eq!(r.answer.range, Interval::new(23.0, 27.0).unwrap());
+        assert_eq!(r.refresh_cost, 6.0);
     }
 
-    /// End-to-end Q3 (§5.4): AVG traffic R=10 refreshes {5,6} → [103, 113].
+    /// End-to-end Q3 (§5.4): AVG traffic, R = 10. The paper refreshes
+    /// {5,6} and keeps widths summing to exactly `R·COUNT = 60`; the
+    /// certified capacity keeps less, refreshing {1,5,6} (cost 9).
     #[test]
     fn q3_end_to_end() {
         let (mut s, mut o) = session_and_oracle();
@@ -525,8 +530,12 @@ mod tests {
         let r = s
             .execute_sql("SELECT AVG(traffic) WITHIN 10 FROM links", &mut o)
             .unwrap();
-        assert_eq!(r.answer.range, Interval::new(103.0, 113.0).unwrap());
-        assert_eq!(r.refreshed.len(), 2);
+        assert_eq!(
+            r.answer.range,
+            Interval::new(103.5, 111.83333333333333).unwrap()
+        );
+        assert_eq!(r.refreshed.len(), 3);
+        assert_eq!(r.refresh_cost, 9.0);
     }
 
     /// End-to-end Q4 (§6.1): MIN traffic with predicate, R=10 → [95, 105].
@@ -558,8 +567,10 @@ mod tests {
         assert_eq!(r.refresh_cost, 4.0);
     }
 
-    /// End-to-end Q6 (§6.4/App. F): AVG latency WHERE traffic>100, R=2 →
-    /// [8, 9] after refreshing {1,3,5,6}.
+    /// End-to-end Q6 (§6.4/App. F): AVG latency WHERE traffic>100, R = 2.
+    /// The paper refreshes {1,3,5,6}, keeping `T+` weights that sum to
+    /// exactly the capacity `L′_COUNT·R = 4`; the certified capacity is
+    /// below 4, so one `T+` tuple refreshes too → [8.5, 9].
     #[test]
     fn q6_end_to_end() {
         let (mut s, mut o) = session_and_oracle();
@@ -570,9 +581,9 @@ mod tests {
                 &mut o,
             )
             .unwrap();
-        assert_eq!(r.answer.range, Interval::new(8.0, 9.0).unwrap());
-        assert_eq!(r.refreshed.len(), 4);
-        assert_eq!(r.refresh_cost, 3.0 + 6.0 + 4.0 + 2.0);
+        assert_eq!(r.answer.range, Interval::new(8.5, 9.0).unwrap());
+        assert_eq!(r.refreshed.len(), 5);
+        assert_eq!(r.refresh_cost, 3.0 + 6.0 + 6.0 + 4.0 + 2.0);
     }
 
     #[test]
@@ -652,7 +663,7 @@ mod tests {
         assert!(r.satisfied);
         let width = r.answer.width();
         let mid = r.answer.range.midpoint();
-        assert!(width <= 2.0 * mid.abs() * 0.05 + 1e-9);
+        assert!(width <= 2.0 * mid.abs() * 0.05);
     }
 
     #[test]

@@ -62,6 +62,5 @@ pub use query_plan::{
     UnitFetch, UnitState,
 };
 pub use refresh::{
-    choose_refresh, choose_refresh_available, choose_refresh_probed, AvailablePlan, PlanProbe,
-    RefreshPlan, SolverStrategy,
+    choose_refresh, plan_refresh, AvailablePlan, PlanProbe, RefreshPlan, SolverStrategy,
 };

@@ -52,15 +52,14 @@ use crate::group_by::{render_key, GroupKey, GroupResult};
 use crate::merge::ShardPartial;
 use crate::plan::{bind_query, BoundQuery, QuerySource};
 use crate::refresh::iterative::{next_refresh, IterativeHeuristic};
-use crate::refresh::join::{build_join_input, join_refresh_batch_excluding, JoinInput, JoinSide};
-use crate::refresh::{choose_refresh_available, choose_refresh_probed, PlanProbe};
+use crate::refresh::join::{build_join_input, join_refresh_batch, JoinInput, JoinSide};
+use crate::refresh::{fold_allowance, plan_refresh, PlanProbe};
 
 /// Tuples the planner must not schedule for refresh, keyed by table —
 /// typically because their backing source is dark (circuit breaker open,
-/// or it already failed this query). Planners handed a non-empty set run
-/// the exclusion-aware CHOOSE_REFRESH variants, which pick the cheapest
-/// refresh set over *available* tuples and report whether the precision
-/// constraint is still guaranteeable ([`UnitState::degraded`]).
+/// or it already failed this query). CHOOSE_REFRESH then picks the
+/// cheapest refresh set over *available* tuples and reports whether the
+/// precision constraint is still guaranteeable ([`UnitState::degraded`]).
 #[derive(Clone, Debug, Default)]
 pub struct Exclusions {
     by_table: HashMap<String, HashSet<TupleId>>,
@@ -234,20 +233,18 @@ pub enum QueryPartial {
 /// which [`QuerySession::plan_query`] takes from its view's memo and a
 /// sharded serving layer folds over the merged input — derives, if the
 /// constraint is unmet, the refresh set that will meet it: in batch mode
-/// the CHOOSE_REFRESH set, in iterative mode (§8.2) the one tuple
-/// [`next_refresh`] picks under the session's heuristic. Shared by
-/// [`QuerySession::plan_query`] (local inputs, with ordered-index
-/// `probe`s) and sharded serving layers (merged inputs, `probe = None`)
-/// — both derive bit-identical plans either way (the probed planners
-/// reproduce the scan planners exactly).
+/// the one CHOOSE_REFRESH entry, [`plan_refresh`], in iterative mode
+/// (§8.2) the one tuple [`next_refresh`] picks under the session's
+/// heuristic. Shared by [`QuerySession::plan_query`] (local inputs, with
+/// ordered-index `probe`s), the scan reference and sharded serving layers
+/// (merged inputs, `probe = None`) — all derive bit-identical plans (the
+/// probed paths reproduce the scan exactly).
 ///
 /// `excluded` names tuples of `table` that cannot be refreshed (dark
-/// sources): with a non-empty set the unit is planned by the
-/// exclusion-aware CHOOSE_REFRESH variants (index probes do not apply),
-/// or iterative mode skips them, and [`UnitState::degraded`] reports
-/// whether the constraint is still guaranteeable over available tuples
-/// (in iterative mode: no available refresh helps while some tuple is
-/// excluded).
+/// sources): CHOOSE_REFRESH plans over the rest, or iterative mode skips
+/// them, and [`UnitState::degraded`] reports whether the constraint is
+/// still guaranteeable over available tuples (in iterative mode: no
+/// available refresh helps while some tuple is excluded).
 #[allow(clippy::too_many_arguments)]
 pub fn plan_unit(
     agg: Aggregate,
@@ -271,14 +268,10 @@ pub fn plan_unit(
     }
     let r = within.expect("unsatisfied implies finite R");
     let (tuples, refresh_cost, achievable) = match config.mode {
-        ExecutionMode::Batch if excluded.is_empty() => {
-            let plan = choose_refresh_probed(agg, input, r, config.strategy, probe)?;
-            (plan.tuples, plan.planned_cost, true)
-        }
         ExecutionMode::Batch => {
-            let available = choose_refresh_available(agg, input, r, config.strategy, excluded)?;
-            let plan = available.plan;
-            (plan.tuples, plan.planned_cost, available.achievable)
+            let planned = plan_refresh(agg, input, r, config.strategy, probe, excluded)?;
+            let plan = planned.plan;
+            (plan.tuples, plan.planned_cost, planned.achievable)
         }
         ExecutionMode::Iterative(heuristic) => {
             match next_refresh(agg, input, r, heuristic, excluded) {
@@ -501,15 +494,22 @@ pub fn plan_join_round(
     let (lex, rex) = (exclusions.for_table(lname), exclusions.for_table(rname));
     let picks_for = |unit: &JoinInput, answer: &BoundedAnswer| -> Vec<(JoinSide, TupleId)> {
         // Deficit 0 makes the batch walk stop after the heuristic's
-        // argmax — exactly the one-tuple round.
-        let deficit = if batch {
-            answer.width() - bound.within.unwrap_or(f64::INFINITY)
-        } else {
-            0.0
+        // argmax — exactly the one-tuple round. A batch pick must leave
+        // the refolded answer provably unmet, so the deficit pays the
+        // fold's rounding allowance twice (before and after the picks).
+        let deficit = match (batch, bound.agg) {
+            (false, _) => 0.0,
+            (true, agg) => {
+                let r = bound.within.unwrap_or(f64::INFINITY);
+                let rounding = if agg == Aggregate::Sum {
+                    2.0 * fold_allowance(&unit.input)
+                } else {
+                    0.0
+                };
+                answer.width() - r - rounding
+            }
         };
-        let picks = join_refresh_batch_excluding(
-            unit, left, right, bound.agg, heuristic, deficit, lex, rex,
-        );
+        let picks = join_refresh_batch(unit, left, right, bound.agg, heuristic, deficit, lex, rex);
         if batch {
             picks
         } else {

@@ -15,54 +15,62 @@
 //! where primed quantities are computed over the *current* cached bounds
 //! (conservative stand-ins, since refreshes only shrink them).
 
+use std::collections::HashSet;
+
 use trapp_expr::Band;
 use trapp_types::{TrappError, TupleId};
 
 use crate::agg::sum::{bounded_sum, sum_weight};
 use crate::agg::AggInput;
 
-use super::sum::{solve_keep_set, solve_keep_set_excluding};
-use super::{RefreshPlan, SolverStrategy};
+use super::sum::keep_set_plan;
+use super::{fold_gamma, forced, magnitude_and_weight, AvailablePlan, RefreshPlan, SolverStrategy};
 
-/// CHOOSE_REFRESH for AVG.
-pub fn choose_refresh_avg(
+/// CHOOSE_REFRESH for AVG against the certified capacity `r` (answer
+/// units; see [`super::certified_capacity`]).
+pub(crate) fn plan_avg(
     input: &AggInput,
     r: f64,
     strategy: SolverStrategy,
-) -> Result<RefreshPlan, TrappError> {
+    excluded: &HashSet<TupleId>,
+) -> Result<AvailablePlan, TrappError> {
     if input.items.is_empty() {
-        return Ok(RefreshPlan::empty());
+        return Ok(AvailablePlan::guaranteed(RefreshPlan::empty()));
     }
-
     let plus_count = input.plus_count();
     if input.question_count() == 0 {
-        // §5.4: COUNT is exact; delegate to SUM with R·COUNT. (The capacity
-        // may be +∞ if R is huge; the solver handles any finite f64.)
+        // §5.4: COUNT is exact; the knapsack is SUM's with capacity
+        // R·COUNT. (The capacity may be +∞ if R is huge; the solver
+        // handles any finite f64.)
         let weights: Vec<f64> = input.items.iter().map(sum_weight).collect();
-        return solve_keep_set(input, &weights, r * plus_count as f64, strategy);
+        return keep_set_plan(input, &weights, r * plus_count as f64, strategy, excluded);
     }
-
     if plus_count == 0 {
         // Appendix F divides by L′_COUNT; with no certain tuples the loose
         // bound gives no leverage. Refresh every T? tuple: afterwards the
         // selection is fully resolved and the answer exact (width 0 ≤ R).
-        let tuples: Vec<TupleId> = input.question().map(|i| i.tid).collect();
-        return Ok(RefreshPlan::from_tuples(input, tuples));
+        return Ok(forced(
+            input,
+            input.question().map(|i| i.tid).collect(),
+            excluded,
+        ));
     }
-
     let (weights, capacity) = appendix_f_weights(input, r);
-    solve_keep_set(input, &weights, capacity, strategy)
+    keep_set_plan(input, &weights, capacity, strategy, excluded)
 }
 
 /// The Appendix-F weight vector and capacity for the mixed SUM/COUNT case
-/// (`plus_count > 0`, `question_count > 0`), shared by the full and
-/// exclusion-aware planners.
+/// (`plus_count > 0`, `question_count > 0`).
 fn appendix_f_weights(input: &AggInput, r: f64) -> (Vec<f64>, f64) {
-    // Conservative SUM/COUNT estimates over current bounds.
+    // Conservative SUM/COUNT estimates over current bounds. The spread is
+    // widened by its own fold's rounding, so the slope it derives is never
+    // below the real-arithmetic one the Appendix F argument needs.
     let sum = bounded_sum(input);
     let (l_sum, h_sum) = (sum.lo(), sum.hi());
     let l_count = input.plus_count() as f64;
-    let spread = h_sum.max(-l_sum).max(h_sum - l_sum);
+    let (magnitude, _) = magnitude_and_weight(input);
+    let fold_error = 2.0 * fold_gamma(input) * magnitude;
+    let spread = h_sum.max(-l_sum).max(h_sum - l_sum) + fold_error;
     let slope = spread / l_count - r;
 
     let weights: Vec<f64> = input
@@ -80,66 +88,6 @@ fn appendix_f_weights(input: &AggInput, r: f64) -> (Vec<f64>, f64) {
         })
         .collect();
     (weights, l_count * r)
-}
-
-/// [`choose_refresh_avg`] over *available* tuples only (tuples in
-/// `excluded` cannot be refreshed). Returns the plan plus an `achievable`
-/// flag: `false` means no available refresh set can guarantee the
-/// constraint — the returned plan is then the best-effort maximal
-/// narrowing over available tuples.
-pub(crate) fn choose_refresh_avg_excluding(
-    input: &AggInput,
-    r: f64,
-    strategy: SolverStrategy,
-    excluded: &std::collections::HashSet<TupleId>,
-) -> Result<(RefreshPlan, bool), TrappError> {
-    if input.items.is_empty() {
-        return Ok((RefreshPlan::empty(), true));
-    }
-
-    let plus_count = input.plus_count();
-    if input.question_count() == 0 {
-        let weights: Vec<f64> = input.items.iter().map(sum_weight).collect();
-        let capacity = r * plus_count as f64;
-        return match solve_keep_set_excluding(input, &weights, capacity, strategy, excluded)? {
-            Some(plan) => Ok((plan, true)),
-            None => Ok((best_effort_plan(input, &weights, excluded), false)),
-        };
-    }
-
-    if plus_count == 0 {
-        let tuples: Vec<TupleId> = input
-            .question()
-            .filter(|i| !excluded.contains(&i.tid))
-            .map(|i| i.tid)
-            .collect();
-        let achievable = input.question().all(|i| !excluded.contains(&i.tid));
-        return Ok((RefreshPlan::from_tuples(input, tuples), achievable));
-    }
-
-    let (weights, capacity) = appendix_f_weights(input, r);
-    match solve_keep_set_excluding(input, &weights, capacity, strategy, excluded)? {
-        Some(plan) => Ok((plan, true)),
-        None => Ok((best_effort_plan(input, &weights, excluded), false)),
-    }
-}
-
-/// The maximal-narrowing fallback when the constraint is unachievable over
-/// available tuples: refresh every available tuple that carries weight
-/// (anything with zero weight cannot change the bound).
-pub(crate) fn best_effort_plan(
-    input: &AggInput,
-    weights: &[f64],
-    excluded: &std::collections::HashSet<TupleId>,
-) -> RefreshPlan {
-    let tuples: Vec<TupleId> = input
-        .items
-        .iter()
-        .zip(weights)
-        .filter(|(item, &w)| w > 0.0 && !excluded.contains(&item.tid))
-        .map(|(item, _)| item.tid)
-        .collect();
-    RefreshPlan::from_tuples(input, tuples)
 }
 
 #[cfg(test)]
@@ -167,6 +115,16 @@ mod tests {
 
     fn ids(v: &[u64]) -> Vec<trapp_types::TupleId> {
         v.iter().copied().map(trapp_types::TupleId::new).collect()
+    }
+
+    /// The §5.4 / Appendix F reduction at constraint `r`, nothing
+    /// excluded — the paper's plan, before the certified capacity.
+    fn choose_refresh_avg(
+        input: &AggInput,
+        r: f64,
+        strategy: SolverStrategy,
+    ) -> Result<RefreshPlan, TrappError> {
+        Ok(plan_avg(input, r, strategy, &HashSet::new())?.plan)
     }
 
     /// Q3 (§5.4): AVG traffic, no predicate, R = 10 → SUM with capacity 60
@@ -233,7 +191,7 @@ mod tests {
         }
         let post = AggInput::build(&t, Some(&traffic_gt_100()), Some(&col("latency"))).unwrap();
         let loose = bounded_avg_loose(&post).unwrap();
-        assert!(loose.width() <= 2.0 + 1e-9, "loose width {}", loose.width());
+        assert!(loose.width() <= 2.0, "loose width {}", loose.width());
         // The paper reports the final bounded AVG as [8, 9].
         let tight = crate::agg::avg::bounded_avg_tight(&post).unwrap();
         assert_eq!(tight.lo(), 8.0);

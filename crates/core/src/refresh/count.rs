@@ -13,12 +13,11 @@ use trapp_types::TupleId;
 
 use crate::agg::AggInput;
 
-use super::RefreshPlan;
+use super::{AvailablePlan, PlanProbe, RefreshPlan};
 
 /// How many `T?` tuples must refresh to meet `r` under the input's
-/// cardinality slack, shared by the scan and index planners. `None` means
-/// the constraint is already met.
-pub(crate) fn tuples_needed(input: &AggInput, r: f64) -> Option<usize> {
+/// cardinality slack. `None` means the constraint is already met.
+fn tuples_needed(input: &AggInput, r: f64) -> Option<usize> {
     let (inserts, deletes) = input.cardinality_slack;
     let effective_r = r - inserts as f64 - deletes as f64;
     let question = input.question_count();
@@ -30,92 +29,76 @@ pub(crate) fn tuples_needed(input: &AggInput, r: f64) -> Option<usize> {
     }
 }
 
-/// CHOOSE_REFRESH for COUNT: refresh the `⌈|T?| − R⌉` cheapest `T?` tuples.
+/// CHOOSE_REFRESH for COUNT: refresh the `⌈|T?| − R⌉` cheapest available
+/// `T?` tuples, walking the table's cost index when `probe` has one.
 ///
 /// Under §8.3 cardinality slack `(i, d)`, the answer width is
 /// `|T?| + i + d` and refreshes can only remove the `|T?|` part; the plan
 /// targets the remaining budget `R − i − d` (refreshing everything in `T?`
 /// when even that cannot meet `R` — the executor then reports the honest
-/// `satisfied = false`).
-pub fn choose_refresh_count(input: &AggInput, r: f64) -> RefreshPlan {
-    let Some(need) = tuples_needed(input, r) else {
-        return RefreshPlan::empty();
-    };
-    let mut by_cost: Vec<_> = input.question().collect();
-    by_cost.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.tid.cmp(&b.tid)));
-    let tuples: Vec<TupleId> = by_cost.iter().take(need).map(|i| i.tid).collect();
-    RefreshPlan::from_tuples(input, tuples)
-}
-
-/// [`choose_refresh_count`] over *available* tuples only: `T?` members in
-/// `excluded` cannot be refreshed, so the plan takes the `need` cheapest
-/// available ones. When fewer than `need` are available the constraint is
-/// unachievable — the plan refreshes everything available (maximal
-/// narrowing) and the flag comes back `false`.
-pub(crate) fn choose_refresh_count_excluding(
+/// `satisfied = false`). Fewer available `T?` tuples than needed means
+/// unachievable; the plan then refreshes every available one.
+pub(crate) fn plan_count(
     input: &AggInput,
     r: f64,
-    excluded: &std::collections::HashSet<TupleId>,
-) -> (RefreshPlan, bool) {
+    probe: Option<&PlanProbe<'_>>,
+    excluded: &HashSet<TupleId>,
+) -> AvailablePlan {
     let Some(need) = tuples_needed(input, r) else {
-        return (RefreshPlan::empty(), true);
+        return AvailablePlan::guaranteed(RefreshPlan::empty());
     };
+    if let Some(tuples) = probe.and_then(|p| cost_walk(input, p.table, need, excluded)) {
+        return AvailablePlan::guaranteed(RefreshPlan::from_tuples(input, tuples));
+    }
     let mut by_cost: Vec<_> = input
         .question()
         .filter(|i| !excluded.contains(&i.tid))
         .collect();
     by_cost.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.tid.cmp(&b.tid)));
-    let achievable = by_cost.len() >= need;
-    let take = need.min(by_cost.len());
-    let tuples: Vec<TupleId> = by_cost.iter().take(take).map(|i| i.tid).collect();
-    (RefreshPlan::from_tuples(input, tuples), achievable)
+    let tuples: Vec<TupleId> = by_cost.iter().take(need).map(|i| i.tid).collect();
+    AvailablePlan {
+        achievable: tuples.len() == need,
+        plan: RefreshPlan::from_tuples(input, tuples),
+    }
 }
 
-/// Index-accelerated CHOOSE_REFRESH for COUNT (§6.3's sub-linear remark):
-/// instead of sorting the full `T?` candidate vector per pass, walk the
-/// table's maintained refresh-cost index in ascending `(cost, tuple)`
-/// order — the exact order the scan planner sorts into — keeping the
-/// first `⌈|T?| − R⌉` tuples that are members of `T?`. Works with any
-/// selection predicate because membership comes from the classified
-/// input; only the *ordering* comes from the index.
+/// Index-accelerated COUNT planning (§6.3's sub-linear remark): instead of
+/// sorting the full `T?` candidate vector, walk the table's maintained
+/// refresh-cost index in ascending `(cost, tuple)` order — the exact order
+/// the scan sorts into — keeping the first `need` available `T?` members.
+/// Works with any selection predicate because membership comes from the
+/// classified input; only the *ordering* comes from the index.
 ///
-/// Returns `None` when the cost index is missing (callers fall back to
-/// [`choose_refresh_count`]). The returned plan — tuples and bit-exact
-/// planned cost — is identical to the scan planner's.
-pub fn choose_refresh_count_indexed(
+/// Returns `None` when the cost index is missing, the walk runs over
+/// budget, or fewer than `need` members surface — the scan then plans
+/// (and reports unachievable when exclusions are to blame).
+fn cost_walk(
     input: &AggInput,
     table: &Table,
-    r: f64,
-) -> Option<RefreshPlan> {
+    need: usize,
+    excluded: &HashSet<TupleId>,
+) -> Option<Vec<TupleId>> {
     let cost_ix = table.index(IndexKey::Cost)?;
-    let Some(need) = tuples_needed(input, r) else {
-        return Some(RefreshPlan::empty());
-    };
     let members: HashSet<TupleId> = input.question().map(|i| i.tid).collect();
     // The walk visits index entries until `need` members surface. When
     // the input is a thin slice of the table (a small group against the
     // table-global cost index) its members are scattered through the
     // whole order, so an unbounded walk would cost O(index) — worse than
     // the O(|T?| log |T?|) sort it replaces. Budget the walk and hand
-    // narrow inputs back to the scan planner.
+    // narrow inputs back to the scan.
     let budget = (members.len() * 4).max(256);
     let mut tuples: Vec<TupleId> = Vec::with_capacity(need);
     for (visited, (_, tid)) in cost_ix.ascending().enumerate() {
-        if members.contains(&tid) {
+        if members.contains(&tid) && !excluded.contains(&tid) {
             tuples.push(tid);
             if tuples.len() == need {
-                break;
+                return Some(tuples);
             }
         } else if visited >= budget {
             return None;
         }
     }
-    if tuples.len() < need {
-        // The index does not cover every T? member (e.g. an input merged
-        // from elsewhere): refuse rather than under-plan.
-        return None;
-    }
-    Some(RefreshPlan::from_tuples(input, tuples))
+    None
 }
 
 #[cfg(test)]
@@ -138,6 +121,10 @@ mod tests {
 
     fn ids(v: &[u64]) -> Vec<trapp_types::TupleId> {
         v.iter().copied().map(trapp_types::TupleId::new).collect()
+    }
+
+    fn choose_refresh_count(input: &AggInput, r: f64) -> RefreshPlan {
+        plan_count(input, r, None, &HashSet::new()).plan
     }
 
     /// Q5 (§6.3): COUNT latency > 10 with R = 1. |T?| = 2 ({4, 5} with

@@ -45,29 +45,24 @@ pub fn next_refresh(
 ) -> Option<TupleId> {
     // Candidates and their "benefit" scores are aggregate-specific.
     let scored: Vec<(TupleId, f64, f64)> = match agg {
-        Aggregate::Min => {
-            // Only tuples below the guarantee threshold block the answer.
-            let min_plus_hi = input
-                .plus()
-                .map(|i| i.interval.hi())
-                .fold(f64::INFINITY, f64::min);
+        Aggregate::Min | Aggregate::Max => {
+            // Only tuples past the guarantee threshold block the answer —
+            // the batch planner's forced set, against the same certified
+            // threshold.
+            let anchor = super::min_max::anchor(agg, input);
+            let threshold = super::min_max::threshold(agg, anchor, r);
             input
                 .items
                 .iter()
-                .filter(|i| i.interval.lo() < min_plus_hi - r)
-                .map(|i| (i.tid, min_plus_hi - r - i.interval.lo(), i.cost))
-                .collect()
-        }
-        Aggregate::Max => {
-            let max_plus_lo = input
-                .plus()
-                .map(|i| i.interval.lo())
-                .fold(f64::NEG_INFINITY, f64::max);
-            input
-                .items
-                .iter()
-                .filter(|i| i.interval.hi() > max_plus_lo + r)
-                .map(|i| (i.tid, i.interval.hi() - max_plus_lo - r, i.cost))
+                .filter_map(|i| match agg {
+                    Aggregate::Min if i.interval.lo() < threshold => {
+                        Some((i.tid, threshold - i.interval.lo(), i.cost))
+                    }
+                    Aggregate::Max if i.interval.hi() > threshold => {
+                        Some((i.tid, i.interval.hi() - anchor - r, i.cost))
+                    }
+                    _ => None,
+                })
                 .collect()
         }
         Aggregate::Count => input.question().map(|i| (i.tid, 1.0, i.cost)).collect(),

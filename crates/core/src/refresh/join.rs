@@ -239,15 +239,19 @@ fn side_can_help(
 /// violating the precision constraint, so the sequential loop could not
 /// have stopped (or re-scored anything the batch touches) in between.
 ///
-/// `deficit` is `answer width − R`, the uncertainty that must disappear
-/// before the constraint is met. The first candidate is always returned
-/// (when any exists); each further candidate is appended only while
+/// `deficit` is the uncertainty that must disappear before the constraint
+/// is met: `answer width − R`, less twice the fold's rounding allowance
+/// ([`crate::refresh::fold_allowance`]) — once for the fold before the
+/// picks, once for the fold after — so a pick is admitted only when the
+/// refolded answer provably still misses `R`. The first candidate is
+/// always returned (when any exists); each further candidate is appended
+/// only while
 ///
 /// * the aggregate is *additive* (SUM or COUNT), where each item's scored
 ///   weight bounds its possible contribution to the answer width, so the
 ///   picked candidates' summed benefit under-approximates nothing;
-/// * the benefit already picked stays below `deficit` (minus a relative
-///   epsilon — stopping early is always safe, overshooting is not); and
+/// * the benefit already picked stays below `deficit` (stopping early is
+///   always safe, overshooting is not); and
 /// * the candidate's benefiting item set is disjoint from every picked
 ///   candidate's, so its score — and everything behind it in the order —
 ///   is unchanged by the picked refreshes.
@@ -257,26 +261,13 @@ fn side_can_help(
 /// candidates behind it, so picking past it would diverge from the
 /// sequential order. Non-additive aggregates (AVG/MIN/MAX/MEDIAN) batch
 /// one candidate per round, which is exactly the one-tuple loop.
-pub fn join_refresh_batch(
-    join: &JoinInput,
-    left: &Table,
-    right: &Table,
-    agg: Aggregate,
-    heuristic: IterativeHeuristic,
-    deficit: f64,
-) -> Vec<(JoinSide, TupleId)> {
-    let none = HashSet::new();
-    join_refresh_batch_excluding(join, left, right, agg, heuristic, deficit, &none, &none)
-}
-
-/// [`join_refresh_batch`] over *available* base tuples only: candidates in
-/// the per-side `excluded` sets (e.g. tuples backed by a dark source) are
-/// never scored or picked, so each round fetches the best *reachable*
-/// refreshes and convergence stalls only when no available tuple can still
-/// narrow the answer. With both sets empty this is exactly
-/// [`join_refresh_batch`].
+///
+/// Candidates in the per-side `excluded` sets (e.g. tuples backed by a
+/// dark source) are never scored or picked, so each round fetches the
+/// best *reachable* refreshes and convergence stalls only when no
+/// available tuple can still narrow the answer.
 #[allow(clippy::too_many_arguments)]
-pub fn join_refresh_batch_excluding(
+pub fn join_refresh_batch(
     join: &JoinInput,
     left: &Table,
     right: &Table,
@@ -290,29 +281,20 @@ pub fn join_refresh_batch_excluding(
     let total = la + right.schema().arity();
     let mut benefit: HashMap<(JoinSide, TupleId), (f64, Vec<usize>)> = HashMap::new();
     for (k, (item, &(ltid, rtid))) in join.input.items.iter().zip(&join.pairs).enumerate() {
+        let membership = item.band == Band::Question;
+        let doubt = if membership { 1.0 } else { 0.0 };
         let w = match agg {
-            Aggregate::Sum | Aggregate::Avg => sum_weight(item),
-            Aggregate::Count => {
-                if item.band == Band::Question {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            _ => {
-                // MIN/MAX/MEDIAN: width plus membership uncertainty.
-                item.interval.width()
-                    + if item.band == Band::Question {
-                        1.0
-                    } else {
-                        0.0
-                    }
-            }
+            Aggregate::Sum => sum_weight(item),
+            Aggregate::Count => doubt,
+            // AVG moves with its count too: a `T?` pair of exact value 0
+            // still perturbs it (as in the iterative mode's scores).
+            Aggregate::Avg => sum_weight(item) + doubt,
+            // MIN/MAX/MEDIAN: width plus membership uncertainty.
+            _ => item.interval.width() + doubt,
         };
         if w <= 0.0 {
             continue;
         }
-        let membership = item.band == Band::Question;
         for (side, table, tid, range) in [
             (JoinSide::Left, left, ltid, 0..la),
             (JoinSide::Right, right, rtid, la..total),
@@ -363,13 +345,12 @@ pub fn join_refresh_batch_excluding(
     });
 
     let additive = matches!(agg, Aggregate::Sum | Aggregate::Count);
-    let margin = 1e-9 * (1.0 + deficit.abs());
     let mut covered = vec![false; join.input.items.len()];
     let mut resolved = 0.0f64;
     let mut picks: Vec<(JoinSide, TupleId)> = Vec::new();
     for (key, (w, items)) in candidates {
         if !picks.is_empty() {
-            if !additive || resolved + margin >= deficit {
+            if !additive || resolved >= deficit {
                 break;
             }
             if items.iter().any(|&k| covered[k]) {
@@ -407,6 +388,10 @@ mod tests {
     use trapp_expr::{BinaryOp, ColumnRef};
     use trapp_storage::{ColumnDef, Schema};
     use trapp_types::{BoundedValue, Value, ValueType};
+
+    fn none() -> HashSet<TupleId> {
+        HashSet::new()
+    }
 
     /// Two small tables:
     /// nodes(node_id INT, load BOUNDED)     — 2 rows
@@ -539,6 +524,8 @@ mod tests {
             Aggregate::Sum,
             IterativeHeuristic::BestRatio,
             0.0,
+            &none(),
+            &none(),
         )[0];
         assert_eq!(next.0, JoinSide::Right);
         // widths/costs: l1 2/1, l2 2/2, l3 2/3 → l1.
@@ -561,7 +548,9 @@ mod tests {
             &l,
             Aggregate::Sum,
             IterativeHeuristic::BestRatio,
-            0.0
+            0.0,
+            &none(),
+            &none()
         )
         .is_empty());
     }
@@ -635,6 +624,8 @@ mod tests {
                 Aggregate::Sum,
                 IterativeHeuristic::BestRatio,
                 deficit,
+                &none(),
+                &none(),
             )
         };
         // Answer width 6; a huge deficit licenses every candidate.
@@ -676,6 +667,8 @@ mod tests {
             Aggregate::Sum,
             IterativeHeuristic::BestRatio,
             1_000.0,
+            &none(),
+            &none(),
         );
         // node1 w=24 c=2 (ratio 12) ties link1 w=12 c=1; Left wins the
         // tie, and link1 then overlaps pair 1 → batch is just node1.
@@ -688,6 +681,8 @@ mod tests {
             Aggregate::Avg,
             IterativeHeuristic::BestRatio,
             1_000.0,
+            &none(),
+            &none(),
         );
         assert_eq!(avg.len(), 1);
     }

@@ -13,102 +13,101 @@
 //! refreshes can only lower). MAX mirrors with
 //! `Hᵢ > max over T+ of Lₖ + R`.
 
+use std::collections::HashSet;
+
 use trapp_storage::{IndexKey, Table};
-use trapp_types::TupleId;
+use trapp_types::{OrderedF64, TupleId};
 
-use crate::agg::AggInput;
+use crate::agg::{AggInput, Aggregate};
 
-use super::RefreshPlan;
+use super::{forced, AvailablePlan, PlanProbe, RefreshPlan};
 
-/// The *forced* refresh set for MIN: every tuple with `Lᵢ < min(Hₖ) − R`.
-/// Appendix B proves membership both necessary and sufficient, so this is
-/// exactly the set of tuples that MUST refresh — there is no cheaper
-/// substitute for any member.
-pub(crate) fn min_forced_set(input: &AggInput, r: f64) -> Vec<TupleId> {
-    // min over T+ of H — +∞ when T+ is empty, which forces refreshing every
-    // tuple whose low endpoint is finite (correct: nothing anchors the
-    // guaranteed side of the answer).
-    let mut min_plus_hi = f64::INFINITY;
-    for item in input.plus() {
-        min_plus_hi = min_plus_hi.min(item.interval.hi());
+/// CHOOSE_REFRESH for MIN or MAX (optimal, cost-independent) against the
+/// certified capacity `r`: the forced set, from the §5.1 index probes
+/// when `probe` licenses them and nothing is excluded, from a scan
+/// otherwise.
+pub(crate) fn plan_extreme(
+    agg: Aggregate,
+    input: &AggInput,
+    r: f64,
+    probe: Option<&PlanProbe<'_>>,
+    excluded: &HashSet<TupleId>,
+) -> AvailablePlan {
+    let indexed = probe.filter(|p| p.unfiltered && excluded.is_empty());
+    if let Some(plan) = indexed.and_then(|p| endpoint_probe(agg, p.table, p.column?, r)) {
+        return AvailablePlan::guaranteed(plan);
     }
-    let threshold = min_plus_hi - r;
-    input
-        .items
-        .iter()
-        .filter(|i| i.interval.lo() < threshold)
-        .map(|i| i.tid)
-        .collect()
+    let threshold = threshold(agg, anchor(agg, input), r);
+    let blocking = input.items.iter().filter(|i| match agg {
+        Aggregate::Min => i.interval.lo() < threshold,
+        _ => i.interval.hi() > threshold,
+    });
+    forced(input, blocking.map(|i| i.tid).collect(), excluded)
 }
 
-/// The forced refresh set for MAX (mirror of [`min_forced_set`]).
-pub(crate) fn max_forced_set(input: &AggInput, r: f64) -> Vec<TupleId> {
-    let mut max_plus_lo = f64::NEG_INFINITY;
-    for item in input.plus() {
-        max_plus_lo = max_plus_lo.max(item.interval.lo());
+/// The guaranteed side of the answer: `min H` over `T+` for MIN (`+∞`
+/// when `T+` is empty, which forces refreshing every tuple whose low
+/// endpoint is finite — nothing anchors the answer), `max L` over `T+`
+/// for MAX.
+pub(crate) fn anchor(agg: Aggregate, input: &AggInput) -> f64 {
+    let plus = input.plus();
+    match agg {
+        Aggregate::Min => plus.map(|i| i.interval.hi()).fold(f64::INFINITY, f64::min),
+        _ => plus
+            .map(|i| i.interval.lo())
+            .fold(f64::NEG_INFINITY, f64::max),
     }
-    let threshold = max_plus_lo + r;
-    input
-        .items
-        .iter()
-        .filter(|i| i.interval.hi() > threshold)
-        .map(|i| i.tid)
-        .collect()
 }
 
-/// CHOOSE_REFRESH for MIN (optimal, cost-independent).
-pub fn choose_refresh_min(input: &AggInput, r: f64) -> RefreshPlan {
-    RefreshPlan::from_tuples(input, min_forced_set(input, r))
+/// The forced-set threshold `anchor ∓ r`: MIN refreshes every tuple with
+/// `Lᵢ` below it, MAX every tuple with `Hᵢ` above it. The sum is rounded
+/// toward the anchor (Knuth's TwoSum gives its exact error), so every
+/// kept endpoint lies within `r` of the anchor in exact arithmetic and
+/// the answer's rounded width cannot pass `r` — the certified threshold
+/// of ARCHITECTURE §2, equal to the plain one whenever `anchor ∓ r` is
+/// exact.
+pub(crate) fn threshold(agg: Aggregate, anchor: f64, r: f64) -> f64 {
+    let step = if agg == Aggregate::Min { -r } else { r };
+    let t = anchor + step;
+    if !t.is_finite() {
+        return t;
+    }
+    let rounding = t - anchor;
+    let error = (anchor - (t - rounding)) + (step - rounding);
+    match agg {
+        Aggregate::Min if error > 0.0 => t.next_up(),
+        Aggregate::Max if error < 0.0 => t.next_down(),
+        _ => t,
+    }
 }
 
-/// Index-accelerated CHOOSE_REFRESH for MIN without a predicate (§5.1's
-/// sub-linear path): "If B-tree indexes exist on both the upper and lower
-/// bounds, the set T_R can be found in time less than O(|T|) by first using
-/// the index on upper bounds to find min(Hₖ), and then using the index on
-/// lower bounds to find tuples that satisfy Lᵢ < min(Hₖ) − R."
-///
-/// Returns `None` if either index is missing (callers fall back to the
-/// scan-based [`choose_refresh_min`]). The returned plan is identical to
-/// the scan planner's — verified by tests and usable interchangeably.
-pub fn choose_refresh_min_indexed(table: &Table, column: usize, r: f64) -> Option<RefreshPlan> {
+/// The §5.1 sub-linear path for an unfiltered input: "If B-tree indexes
+/// exist on both the upper and lower bounds, the set T_R can be found in
+/// time less than O(|T|) by first using the index on upper bounds to find
+/// min(Hₖ), and then using the index on lower bounds to find tuples that
+/// satisfy Lᵢ < min(Hₖ) − R." MAX mirrors it. `None` when either index is
+/// missing; the plan is otherwise identical to the scan's.
+fn endpoint_probe(agg: Aggregate, table: &Table, column: usize, r: f64) -> Option<RefreshPlan> {
     let hi = table.index(IndexKey::Hi { column })?;
     let lo = table.index(IndexKey::Lo { column })?;
-    let min_hi = match hi.min_key() {
-        Some(k) => k.get(),
-        None => return Some(RefreshPlan::empty()), // empty table
+    let anchor = match agg {
+        Aggregate::Min => hi.min_key(),
+        _ => lo.max_key(),
     };
-    let threshold = trapp_types::OrderedF64::new(min_hi - r).ok()?;
-    let mut tuples: Vec<TupleId> = lo.below(threshold).collect();
+    let Some(anchor) = anchor else {
+        return Some(RefreshPlan::empty()); // empty table
+    };
+    let threshold = OrderedF64::new(threshold(agg, anchor.get(), r)).ok()?;
+    let mut tuples: Vec<TupleId> = match agg {
+        Aggregate::Min => lo.below(threshold).collect(),
+        _ => hi.above(threshold).collect(),
+    };
     tuples.sort_unstable();
-    let cost = tuples.iter().map(|&t| table.cost(t).unwrap_or(0.0)).sum();
+    let planned_cost = tuples.iter().map(|&t| table.cost(t).unwrap_or(0.0)).sum();
     Some(RefreshPlan {
         tuples,
-        planned_cost: cost,
+        planned_cost,
     })
-}
-
-/// Index-accelerated CHOOSE_REFRESH for MAX without a predicate (mirror of
-/// [`choose_refresh_min_indexed`]).
-pub fn choose_refresh_max_indexed(table: &Table, column: usize, r: f64) -> Option<RefreshPlan> {
-    let hi = table.index(IndexKey::Hi { column })?;
-    let lo = table.index(IndexKey::Lo { column })?;
-    let max_lo = match lo.max_key() {
-        Some(k) => k.get(),
-        None => return Some(RefreshPlan::empty()),
-    };
-    let threshold = trapp_types::OrderedF64::new(max_lo + r).ok()?;
-    let mut tuples: Vec<TupleId> = hi.above(threshold).collect();
-    tuples.sort_unstable();
-    let cost = tuples.iter().map(|&t| table.cost(t).unwrap_or(0.0)).sum();
-    Some(RefreshPlan {
-        tuples,
-        planned_cost: cost,
-    })
-}
-
-/// CHOOSE_REFRESH for MAX (mirror of MIN).
-pub fn choose_refresh_max(input: &AggInput, r: f64) -> RefreshPlan {
-    RefreshPlan::from_tuples(input, max_forced_set(input, r))
 }
 
 #[cfg(test)]
@@ -135,6 +134,22 @@ mod tests {
 
     fn ids(v: &[u64]) -> Vec<trapp_types::TupleId> {
         v.iter().copied().map(trapp_types::TupleId::new).collect()
+    }
+
+    fn choose_refresh_min(input: &AggInput, r: f64) -> RefreshPlan {
+        plan_extreme(Aggregate::Min, input, r, None, &HashSet::new()).plan
+    }
+
+    fn choose_refresh_max(input: &AggInput, r: f64) -> RefreshPlan {
+        plan_extreme(Aggregate::Max, input, r, None, &HashSet::new()).plan
+    }
+
+    fn choose_refresh_min_indexed(t: &Table, column: usize, r: f64) -> Option<RefreshPlan> {
+        endpoint_probe(Aggregate::Min, t, column, r)
+    }
+
+    fn choose_refresh_max_indexed(t: &Table, column: usize, r: f64) -> Option<RefreshPlan> {
+        endpoint_probe(Aggregate::Max, t, column, r)
     }
 
     /// Q1 (§5.1): MIN bandwidth over {1,2,5,6} with R = 10: min H = 55,

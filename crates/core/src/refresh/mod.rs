@@ -7,6 +7,15 @@
 //! `H_A − L_A ≤ R` **for any master values within the current bounds** —
 //! the paper's correctness criterion — at minimum (or provably
 //! near-minimum) total refresh cost.
+//!
+//! Every route plans through one entry, [`plan_refresh`]: one planner per
+//! aggregate, each aware of excluded (unrefreshable) tuples and of the
+//! ordered-index probes the paper licenses, all run against the
+//! [`certified_capacity`] of `R` — the constraint with the answer fold's
+//! own rounding paid for, so the rule holds of the rounded answer
+//! (ARCHITECTURE §2). [`choose_refresh`] is its exclusion-free,
+//! probe-free caller; the join rounds ([`join`]) and the iterative mode
+//! ([`iterative`]) pick tuples heuristically under the same rule.
 
 pub mod avg;
 pub mod count;
@@ -15,10 +24,12 @@ pub mod join;
 pub mod min_max;
 pub mod sum;
 
+use std::collections::HashSet;
 use std::fmt;
 
-use trapp_types::{TrappError, TupleId};
+use trapp_types::{float, TrappError, TupleId};
 
+use crate::agg::sum::sum_weight;
 use crate::agg::{AggInput, Aggregate};
 
 /// How the knapsack sub-problems (SUM, AVG) are solved.
@@ -101,139 +112,37 @@ impl RefreshPlan {
     }
 }
 
-/// Dispatches to the aggregate-specific CHOOSE_REFRESH algorithm.
-///
-/// `r` is the precision constraint (finite; `R = ∞` never reaches
-/// planning). `MEDIAN` has no batch planner with a non-trivial guarantee
-/// (the paper defers it to [FMP+00]); it refreshes every inexact tuple —
-/// use the iterative executor mode for the cost-aware strategy.
+/// CHOOSE_REFRESH for `agg` with nothing excluded and no index probe:
+/// [`plan_refresh`]'s plan, for callers that plan over a bare input.
 pub fn choose_refresh(
     agg: Aggregate,
     input: &AggInput,
     r: f64,
     strategy: SolverStrategy,
 ) -> Result<RefreshPlan, TrappError> {
-    if r < 0.0 || r.is_nan() {
-        return Err(TrappError::NegativePrecision(r));
-    }
-    match agg {
-        Aggregate::Min => Ok(min_max::choose_refresh_min(input, r)),
-        Aggregate::Max => Ok(min_max::choose_refresh_max(input, r)),
-        Aggregate::Sum => sum::choose_refresh_sum(input, r, strategy),
-        Aggregate::Count => Ok(count::choose_refresh_count(input, r)),
-        Aggregate::Avg => avg::choose_refresh_avg(input, r, strategy),
-        Aggregate::Median => {
-            // Conservative batch plan: refresh everything inexact. The
-            // iterative mode implements the cost-aware heuristic.
-            let tuples: Vec<TupleId> = input
-                .items
-                .iter()
-                .filter(|i| !i.is_exact())
-                .map(|i| i.tid)
-                .collect();
-            Ok(RefreshPlan::from_tuples(input, tuples))
-        }
-    }
+    let none = crate::query_plan::empty_tuple_set();
+    Ok(plan_refresh(agg, input, r, strategy, None, none)?.plan)
 }
 
-/// A CHOOSE_REFRESH plan restricted to *available* tuples, with a flag
-/// saying whether the precision constraint is still guaranteed.
+/// A CHOOSE_REFRESH plan over *available* tuples, with a flag saying
+/// whether the precision constraint is guaranteed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AvailablePlan {
     /// Tuples to refresh — never includes an excluded tuple.
     pub plan: RefreshPlan,
     /// `true`: executing `plan` guarantees `H_A − L_A ≤ R` for any master
-    /// values within the current bounds, exactly like [`choose_refresh`].
-    /// `false`: no refresh set over available tuples can guarantee the
-    /// constraint; `plan` is the best-effort maximal narrowing instead
-    /// (callers decide between a degraded answer and an error).
+    /// values within the current bounds. `false`: no refresh set over
+    /// available tuples can guarantee the constraint; `plan` is the
+    /// best-effort maximal narrowing instead (callers decide between a
+    /// degraded answer and an error).
     pub achievable: bool,
 }
 
-/// [`choose_refresh`] over *available* tuples only: tuples in `excluded`
-/// (typically: backed by a source whose circuit breaker is open) cannot be
-/// refreshed, so they are forced to stay cached and the aggregate-specific
-/// planners solve for the cheapest refresh set among the rest.
-///
-/// Per aggregate (§5/§6 adapted):
-/// * **SUM / AVG** — excluded tuples are forced into the knapsack keep
-///   set: their weights are charged against the capacity up front and the
-///   solver runs over available items; a negative reduced capacity means
-///   unachievable.
-/// * **COUNT** — the `⌈|T?| − R⌉` cheapest *available* `T?` tuples; fewer
-///   available than needed means unachievable.
-/// * **MIN / MAX** — the forced set is necessary *and* sufficient, so any
-///   excluded forced tuple means unachievable; the plan refreshes the
-///   available part of the forced set either way.
-/// * **MEDIAN** — the conservative all-inexact plan restricted to
-///   available tuples; any excluded inexact tuple means unachievable.
-///
-/// With `excluded` empty this is exactly [`choose_refresh`] with
-/// `achievable = true`.
-pub fn choose_refresh_available(
-    agg: Aggregate,
-    input: &AggInput,
-    r: f64,
-    strategy: SolverStrategy,
-    excluded: &std::collections::HashSet<TupleId>,
-) -> Result<AvailablePlan, TrappError> {
-    if r < 0.0 || r.is_nan() {
-        return Err(TrappError::NegativePrecision(r));
-    }
-    if excluded.is_empty() {
-        return Ok(AvailablePlan {
-            plan: choose_refresh(agg, input, r, strategy)?,
-            achievable: true,
-        });
-    }
-    let split_forced = |forced: Vec<TupleId>| {
-        let achievable = forced.iter().all(|t| !excluded.contains(t));
-        let available: Vec<TupleId> = forced
-            .into_iter()
-            .filter(|t| !excluded.contains(t))
-            .collect();
+impl AvailablePlan {
+    fn guaranteed(plan: RefreshPlan) -> AvailablePlan {
         AvailablePlan {
-            plan: RefreshPlan::from_tuples(input, available),
-            achievable,
-        }
-    };
-    match agg {
-        Aggregate::Min => Ok(split_forced(min_max::min_forced_set(input, r))),
-        Aggregate::Max => Ok(split_forced(min_max::max_forced_set(input, r))),
-        Aggregate::Sum => {
-            let weights: Vec<f64> = input
-                .items
-                .iter()
-                .map(crate::agg::sum::sum_weight)
-                .collect();
-            match sum::solve_keep_set_excluding(input, &weights, r, strategy, excluded)? {
-                Some(plan) => Ok(AvailablePlan {
-                    plan,
-                    achievable: true,
-                }),
-                None => Ok(AvailablePlan {
-                    plan: avg::best_effort_plan(input, &weights, excluded),
-                    achievable: false,
-                }),
-            }
-        }
-        Aggregate::Count => {
-            let (plan, achievable) = count::choose_refresh_count_excluding(input, r, excluded);
-            Ok(AvailablePlan { plan, achievable })
-        }
-        Aggregate::Avg => {
-            let (plan, achievable) =
-                avg::choose_refresh_avg_excluding(input, r, strategy, excluded)?;
-            Ok(AvailablePlan { plan, achievable })
-        }
-        Aggregate::Median => {
-            let inexact: Vec<TupleId> = input
-                .items
-                .iter()
-                .filter(|i| !i.is_exact())
-                .map(|i| i.tid)
-                .collect();
-            Ok(split_forced(inexact))
+            plan,
+            achievable: true,
         }
     }
 }
@@ -242,9 +151,9 @@ pub fn choose_refresh_available(
 /// was classified directly from a cached [`trapp_storage::Table`] — the
 /// single-cache / single-shard planning routes. Merged scatter-gather
 /// inputs have no backing table and plan without probes; every probed
-/// planner produces plans **bit-identical** to its scan counterpart
-/// (same tuple set, same tie-breaking, same cost-summation order), so
-/// routes with and without probes stay interchangeable.
+/// path produces plans **bit-identical** to its scan counterpart (same
+/// tuple set, same tie-breaking, same cost-summation order), so routes
+/// with and without probes stay interchangeable.
 #[derive(Clone, Copy)]
 pub struct PlanProbe<'a> {
     /// The cached table the input was classified from.
@@ -260,40 +169,140 @@ pub struct PlanProbe<'a> {
     pub unfiltered: bool,
 }
 
-/// [`choose_refresh`] with ordered-index acceleration where the paper
-/// licenses it (§5.1 endpoint probes for MIN/MAX, the §5.2 uniform-cost
-/// width walk for SUM under [`SolverStrategy::GreedyByWeight`], the §6.3
-/// cheapest-`T?` cost walk for COUNT). Falls back to the scan planners —
-/// with identical output — whenever a precondition or index is missing.
-pub fn choose_refresh_probed(
+/// CHOOSE_REFRESH: the one entry every planning route takes.
+///
+/// `r` is the precision constraint (finite; `R = ∞` never reaches
+/// planning). The plan is derived against the [`certified_capacity`] of
+/// `r`, computed once here, so the *rounded* answer refolded after the
+/// refresh meets `r` — not only its real-arithmetic value (ARCHITECTURE
+/// §2). Per aggregate (§5/§6, each adapted to exclusions):
+///
+/// * **SUM / AVG** — the knapsack keep set (§5.2, §5.4, Appendix F).
+///   Excluded tuples are forced into the keep set: their weights are
+///   charged against the capacity up front, and a negative reduced
+///   capacity means unachievable.
+/// * **COUNT** — the `⌈|T?| − R⌉` cheapest available `T?` tuples (§6.3);
+///   fewer available than needed means unachievable.
+/// * **MIN / MAX** — the forced set (§5.1, Appendix B), necessary *and*
+///   sufficient, so any excluded member means unachievable; the plan
+///   refreshes the available part either way.
+/// * **MEDIAN** — no batch planner with a non-trivial guarantee (the
+///   paper defers it to \[FMP+00\]): refresh every inexact tuple; the
+///   iterative mode holds the cost-aware strategy.
+///
+/// `excluded` names tuples that cannot be refreshed (typically: backed by
+/// a source whose circuit breaker is open). `probe` adds the ordered-index
+/// paths the paper licenses (§5.1 endpoint probes for MIN/MAX, the §5.2
+/// uniform-cost width walk for SUM under
+/// [`SolverStrategy::GreedyByWeight`], the §6.3 cheapest-`T?` cost walk
+/// for COUNT); each falls back to the scan — with identical output —
+/// whenever a precondition or an index is missing.
+pub fn plan_refresh(
     agg: Aggregate,
     input: &AggInput,
     r: f64,
     strategy: SolverStrategy,
     probe: Option<&PlanProbe<'_>>,
-) -> Result<RefreshPlan, TrappError> {
+    excluded: &HashSet<TupleId>,
+) -> Result<AvailablePlan, TrappError> {
     if r < 0.0 || r.is_nan() {
         return Err(TrappError::NegativePrecision(r));
     }
-    if let Some(p) = probe {
-        let indexed = match agg {
-            Aggregate::Min if p.unfiltered => p
-                .column
-                .and_then(|c| min_max::choose_refresh_min_indexed(p.table, c, r)),
-            Aggregate::Max if p.unfiltered => p
-                .column
-                .and_then(|c| min_max::choose_refresh_max_indexed(p.table, c, r)),
-            Aggregate::Count => count::choose_refresh_count_indexed(input, p.table, r),
-            Aggregate::Sum if p.unfiltered && strategy == SolverStrategy::GreedyByWeight => p
-                .column
-                .and_then(|c| sum::choose_refresh_sum_uniform_indexed(p.table, c, r)),
-            _ => None,
-        };
-        if let Some(plan) = indexed {
-            return Ok(plan);
+    let capacity = certified_capacity(agg, input, r);
+    match agg {
+        Aggregate::Min | Aggregate::Max => {
+            Ok(min_max::plan_extreme(agg, input, capacity, probe, excluded))
+        }
+        Aggregate::Sum => sum::plan_sum(input, capacity, strategy, probe, excluded),
+        Aggregate::Count => Ok(count::plan_count(input, capacity, probe, excluded)),
+        Aggregate::Avg => avg::plan_avg(input, capacity, strategy, excluded),
+        Aggregate::Median => {
+            let inexact = input.items.iter().filter(|i| !i.is_exact());
+            Ok(forced(input, inexact.map(|i| i.tid).collect(), excluded))
         }
     }
-    choose_refresh(agg, input, r, strategy)
+}
+
+/// The certified capacity: the `R′ ≤ R` CHOOSE_REFRESH plans against so
+/// that the answer refolded after the refresh — rounded, in canonical
+/// tuple order — has width `≤ R` for every realization (ARCHITECTURE §2
+/// derives each case).
+///
+/// * **SUM** — `R − `[`fold_allowance`]: the endpoint folds' rounding,
+///   the knapsack's own summation and the items' rounded widths.
+/// * **AVG** — `R − γ·((4·Σ max(|Lᵢ|,|Hᵢ|) + Σ Wᵢ)/K + R) − 2·margin`
+///   in answer units, `K = max(1, |T+|)`: the SUM terms over the count
+///   and the division's rounding, the knapsack's arithmetic on its
+///   capacity `K·R′`, and the `T?` margin both AVG bounds widen by
+///   ([`crate::agg::avg::bounded_avg_tight`]).
+/// * **MIN / MAX** — `R`: the answer's endpoints are cached endpoints,
+///   not sums, so the only rounding is the threshold `anchor ∓ R`'s, and
+///   the planner rounds that toward the anchor exactly.
+/// * **COUNT** (integer widths) and **MEDIAN** (refreshes every inexact
+///   tuple) — `R`.
+///
+/// Each is clamped at 0. `WITHIN 0` stays exact: `R′ = 0` keeps only
+/// zero-width items, which fold to width exactly 0.
+pub fn certified_capacity(agg: Aggregate, input: &AggInput, r: f64) -> f64 {
+    let allowance = match agg {
+        Aggregate::Count | Aggregate::Median | Aggregate::Min | Aggregate::Max => 0.0,
+        Aggregate::Sum => fold_allowance(input),
+        Aggregate::Avg => {
+            let (magnitude, weight) = magnitude_and_weight(input);
+            let count = input.plus_count().max(1) as f64;
+            let fold = fold_gamma(input) * ((4.0 * magnitude + weight) / count + r);
+            fold + 2.0 * crate::agg::avg::question_margin(input)
+        }
+    };
+    let certified = r - allowance;
+    // `!(x > 0)` also maps a NaN allowance (∞ − ∞) to 0: refresh all.
+    if certified > 0.0 {
+        certified
+    } else {
+        0.0
+    }
+}
+
+/// The most rounding can move a SUM fold's width, for `n` items:
+/// `γ·(2·Σ max(|Lᵢ|,|Hᵢ|) + Σ Wᵢ)`, `Wᵢ` the §5.2/§6.2 weights. Each
+/// endpoint fold of canonical order errs by at most `γ·Σ max(|Lᵢ|,|Hᵢ|)`
+/// (post-refresh values stay inside the current bounds); the `Σ Wᵢ` term
+/// pays for the rounded item widths and the knapsack's own summation.
+pub fn fold_allowance(input: &AggInput) -> f64 {
+    let (magnitude, weight) = magnitude_and_weight(input);
+    fold_gamma(input) * (2.0 * magnitude + weight)
+}
+
+/// `γₙ₊₈` for an input of `n` items: eight roundings beyond the fold's
+/// `n − 1` cover the item widths, the solver's comparisons, computing
+/// `R′`, and AVG's product and division.
+pub(crate) fn fold_gamma(input: &AggInput) -> f64 {
+    float::gamma(input.items.len() + 8)
+}
+
+/// `Σ max(|Lᵢ|,|Hᵢ|)` and `Σ Wᵢ` (the §5.2/§6.2 SUM weights) in one pass.
+pub(crate) fn magnitude_and_weight(input: &AggInput) -> (f64, f64) {
+    input.items.iter().fold((0.0, 0.0), |(m, w), item| {
+        let iv = item.interval;
+        (m + iv.lo().abs().max(iv.hi().abs()), w + sum_weight(item))
+    })
+}
+
+/// The plan for a *forced* set — tuples every sufficient refresh set must
+/// contain (MIN/MAX's Appendix B set, MEDIAN's inexact tuples, AVG's `T?`
+/// with no `T+` anchor): its available part, achievable only if nothing
+/// in it is excluded.
+pub(crate) fn forced(
+    input: &AggInput,
+    tuples: Vec<TupleId>,
+    excluded: &HashSet<TupleId>,
+) -> AvailablePlan {
+    let achievable = tuples.iter().all(|t| !excluded.contains(t));
+    let available = tuples.into_iter().filter(|t| !excluded.contains(t));
+    AvailablePlan {
+        plan: RefreshPlan::from_tuples(input, available.collect()),
+        achievable,
+    }
 }
 
 /// Solves a knapsack instance under the configured strategy.
@@ -353,8 +362,7 @@ mod tests {
         ] {
             let full = choose_refresh(agg, &input, 10.0, SolverStrategy::Exact).unwrap();
             let avail =
-                choose_refresh_available(agg, &input, 10.0, SolverStrategy::Exact, &excluded)
-                    .unwrap();
+                plan_refresh(agg, &input, 10.0, SolverStrategy::Exact, None, &excluded).unwrap();
             assert!(avail.achievable, "{agg:?}");
             assert_eq!(avail.plan, full, "{agg:?}");
         }
@@ -367,11 +375,12 @@ mod tests {
         let full = choose_refresh(Aggregate::Min, &input, 1.0, SolverStrategy::Exact).unwrap();
         assert!(!full.tuples.is_empty());
         let excluded: std::collections::HashSet<_> = [full.tuples[0]].into();
-        let avail = choose_refresh_available(
+        let avail = plan_refresh(
             Aggregate::Min,
             &input,
             1.0,
             SolverStrategy::Exact,
+            None,
             &excluded,
         )
         .unwrap();
@@ -396,11 +405,12 @@ mod tests {
         // excluded, and the plan must avoid it.
         let some_tid = input.items[2].tid;
         let excluded: std::collections::HashSet<_> = [some_tid].into();
-        let avail = choose_refresh_available(
+        let avail = plan_refresh(
             Aggregate::Sum,
             &input,
             40.0,
             SolverStrategy::Exact,
+            None,
             &excluded,
         )
         .unwrap();
@@ -413,15 +423,16 @@ mod tests {
             .filter(|i| !avail.plan.tuples.contains(&i.tid))
             .map(|i| i.interval.width())
             .sum();
-        assert!(kept <= 40.0 + 1e-12, "kept width {kept}");
+        assert!(kept <= 40.0, "kept width {kept}");
 
         // R = 0 with anything bounded excluded is unachievable; the
         // best-effort plan refreshes every available weighted tuple.
-        let avail = choose_refresh_available(
+        let avail = plan_refresh(
             Aggregate::Sum,
             &input,
             0.0,
             SolverStrategy::Exact,
+            None,
             &excluded,
         )
         .unwrap();
@@ -444,22 +455,24 @@ mod tests {
         // Q5 fixture: T? = {4 (cost 8), 5 (cost 4)}; R = 1 needs 1 tuple —
         // normally tuple 5, but with 5 dark it must take 4.
         let excluded: std::collections::HashSet<_> = [trapp_types::TupleId::new(5)].into();
-        let avail = choose_refresh_available(
+        let avail = plan_refresh(
             Aggregate::Count,
             &input,
             1.0,
             SolverStrategy::Exact,
+            None,
             &excluded,
         )
         .unwrap();
         assert!(avail.achievable);
         assert_eq!(avail.plan.tuples, vec![trapp_types::TupleId::new(4)]);
         // R = 0 needs both → unachievable with 5 dark.
-        let avail = choose_refresh_available(
+        let avail = plan_refresh(
             Aggregate::Count,
             &input,
             0.0,
             SolverStrategy::Exact,
+            None,
             &excluded,
         )
         .unwrap();

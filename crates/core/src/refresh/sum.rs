@@ -16,40 +16,45 @@ use trapp_types::{TrappError, TupleId};
 use crate::agg::sum::sum_weight;
 use crate::agg::AggInput;
 
-use super::{run_solver, RefreshPlan, SolverStrategy};
+use super::{run_solver, AvailablePlan, PlanProbe, RefreshPlan, SolverStrategy};
 
-/// CHOOSE_REFRESH for SUM with an explicit knapsack capacity.
-///
-/// AVG reuses this with its own capacity and adjusted weights, so the
-/// worker takes `(weights, capacity)` and maps the solution's complement
-/// back to tuple ids.
-pub(crate) fn solve_keep_set(
+/// CHOOSE_REFRESH for SUM (§5.2 without predicate, §6.2 with) against the
+/// certified `capacity`: the §5.2 uniform-cost width walk when `probe`
+/// licenses it and nothing is excluded, the knapsack keep set otherwise.
+pub(crate) fn plan_sum(
     input: &AggInput,
-    weights: &[f64],
     capacity: f64,
     strategy: SolverStrategy,
-) -> Result<RefreshPlan, TrappError> {
-    match solve_keep_set_excluding(input, weights, capacity, strategy, &HashSet::new())? {
-        Some(plan) => Ok(plan),
-        // Unreachable with no exclusions: the capacity is never reduced.
-        None => Err(TrappError::Plan(format!("bad capacity: {capacity}"))),
+    probe: Option<&PlanProbe<'_>>,
+    excluded: &HashSet<TupleId>,
+) -> Result<AvailablePlan, TrappError> {
+    let walk = probe.filter(|p| {
+        p.unfiltered && strategy == SolverStrategy::GreedyByWeight && excluded.is_empty()
+    });
+    if let Some(plan) = walk.and_then(|p| uniform_width_walk(p, capacity)) {
+        return Ok(AvailablePlan::guaranteed(plan));
     }
+    let weights: Vec<f64> = input.items.iter().map(sum_weight).collect();
+    keep_set_plan(input, &weights, capacity, strategy, excluded)
 }
 
-/// [`solve_keep_set`] restricted to *available* tuples: every tuple in
-/// `excluded` (e.g. backed by a dark source) is forced into the keep set —
-/// its weight is charged against the capacity up front — and the knapsack
-/// runs over the remaining items only. `Ok(None)` means the reduced
-/// capacity went negative: no refresh set over available tuples can meet
-/// the constraint. With `excluded` empty this is bit-identical to
-/// [`solve_keep_set`] (same items, same order, same capacity).
-pub(crate) fn solve_keep_set_excluding(
+/// The knapsack keep set for SUM, and for AVG with its own weights and
+/// capacity: place each tuple in the knapsack with profit = its refresh
+/// cost and the given weight, and refresh the complement of the solution.
+///
+/// Every tuple in `excluded` (e.g. backed by a dark source) is forced into
+/// the keep set — its weight is charged against the capacity up front —
+/// and the knapsack runs over the remaining items only. A negative reduced
+/// capacity means no refresh set over available tuples can meet the
+/// constraint: the plan is then the maximal narrowing, every available
+/// tuple that carries weight, and comes back unachievable.
+pub(crate) fn keep_set_plan(
     input: &AggInput,
     weights: &[f64],
     capacity: f64,
     strategy: SolverStrategy,
     excluded: &HashSet<TupleId>,
-) -> Result<Option<RefreshPlan>, TrappError> {
+) -> Result<AvailablePlan, TrappError> {
     debug_assert_eq!(weights.len(), input.items.len());
     let mut cap = capacity;
     let mut available: Vec<usize> = Vec::with_capacity(input.items.len());
@@ -61,7 +66,12 @@ pub(crate) fn solve_keep_set_excluding(
         }
     }
     if cap < 0.0 {
-        return Ok(None);
+        let narrowing = available.iter().filter(|&&i| weights[i] > 0.0);
+        let tuples = narrowing.map(|&i| input.items[i].tid).collect();
+        return Ok(AvailablePlan {
+            plan: RefreshPlan::from_tuples(input, tuples),
+            achievable: false,
+        });
     }
     let items: Result<Vec<Item>, _> = available
         .iter()
@@ -76,17 +86,9 @@ pub(crate) fn solve_keep_set_excluding(
         .into_iter()
         .map(|j| input.items[available[j]].tid)
         .collect();
-    Ok(Some(RefreshPlan::from_tuples(input, refresh)))
-}
-
-/// CHOOSE_REFRESH for SUM (§5.2 without predicate, §6.2 with).
-pub fn choose_refresh_sum(
-    input: &AggInput,
-    r: f64,
-    strategy: SolverStrategy,
-) -> Result<RefreshPlan, TrappError> {
-    let weights: Vec<f64> = input.items.iter().map(sum_weight).collect();
-    solve_keep_set(input, &weights, r, strategy)
+    Ok(AvailablePlan::guaranteed(RefreshPlan::from_tuples(
+        input, refresh,
+    )))
 }
 
 /// The §5.2 uniform-cost special case over a width index: "The optimal
@@ -96,15 +98,14 @@ pub fn choose_refresh_sum(
 /// in sublinear time."
 ///
 /// Preconditions: no selection predicate (all tuples contribute their plain
-/// width) and uniform refresh costs. Returns `None` when the width index is
-/// missing or costs are not uniform — callers fall back to
-/// [`choose_refresh_sum`].
-pub fn choose_refresh_sum_uniform_indexed(
-    table: &trapp_storage::Table,
-    column: usize,
-    r: f64,
-) -> Option<RefreshPlan> {
-    let width_ix = table.index(trapp_storage::IndexKey::Width { column })?;
+/// width) and uniform refresh costs. Returns `None` when the width index or
+/// the argument column is missing or costs are not uniform — the caller
+/// falls back to the knapsack, which plans identically.
+fn uniform_width_walk(probe: &PlanProbe<'_>, capacity: f64) -> Option<RefreshPlan> {
+    let table = probe.table;
+    let width_ix = table.index(trapp_storage::IndexKey::Width {
+        column: probe.column?,
+    })?;
 
     // Uniform-cost check (cheap linear scan of the cost map; the *solve*
     // below is what the index makes sublinear in the kept prefix).
@@ -119,10 +120,10 @@ pub fn choose_refresh_sum_uniform_indexed(
     // same order the greedy-by-weight knapsack sorts the canonical item
     // vector into, so the kept set (and thus the plan) is identical.
     let mut kept_width = 0.0;
-    let mut refresh: Vec<trapp_types::TupleId> = Vec::new();
+    let mut refresh: Vec<TupleId> = Vec::new();
     let mut keeping = true;
     for (w, tid) in width_ix.ascending() {
-        if keeping && kept_width + w.get() <= r {
+        if keeping && kept_width + w.get() <= capacity {
             kept_width += w.get();
         } else {
             keeping = false;
@@ -143,7 +144,7 @@ pub fn choose_refresh_sum_uniform_indexed(
 mod tests {
     use super::*;
     use crate::agg::test_fixture::*;
-    use crate::agg::AggInput;
+    use crate::agg::{AggInput, Aggregate};
     use trapp_expr::{BinaryOp, ColumnRef, Expr};
     use trapp_types::Value;
 
@@ -165,6 +166,24 @@ mod tests {
         v.iter().copied().map(trapp_types::TupleId::new).collect()
     }
 
+    /// The §5.2 reduction at knapsack capacity `capacity`, nothing
+    /// excluded — the paper's plan, before the certified capacity.
+    fn keep(input: &AggInput, capacity: f64, strategy: SolverStrategy) -> RefreshPlan {
+        let weights: Vec<f64> = input.items.iter().map(sum_weight).collect();
+        keep_set_plan(input, &weights, capacity, strategy, &HashSet::new())
+            .unwrap()
+            .plan
+    }
+
+    fn walk(t: &trapp_storage::Table, r: f64) -> Option<RefreshPlan> {
+        let probe = PlanProbe {
+            table: t,
+            column: Some(TRAFFIC),
+            unfiltered: true,
+        };
+        uniform_width_walk(&probe, r)
+    }
+
     /// Q2 (§5.2): SUM latency over {1,2,5,6}, R = 5. Knapsack weights
     /// W = {2,2,3,2}, profits = costs {3,6,4,2}; optimum keeps {2,5},
     /// refreshing {1,6}.
@@ -172,7 +191,7 @@ mod tests {
     fn paper_q2_choose_refresh() {
         let t = links_table();
         let input = AggInput::build(&t, Some(&on_path()), Some(&col("latency"))).unwrap();
-        let plan = choose_refresh_sum(&input, 5.0, SolverStrategy::Exact).unwrap();
+        let plan = keep(&input, 5.0, SolverStrategy::Exact);
         assert_eq!(plan.tuples, ids(&[1, 6]));
         assert_eq!(plan.planned_cost, 5.0);
     }
@@ -187,17 +206,15 @@ mod tests {
                 SolverStrategy::Fptas(0.1),
                 SolverStrategy::GreedyDensity,
             ] {
-                let plan = choose_refresh_sum(&input, r, strategy).unwrap();
+                let plan =
+                    crate::refresh::choose_refresh(Aggregate::Sum, &input, r, strategy).unwrap();
                 let kept_width: f64 = input
                     .items
                     .iter()
                     .filter(|i| !plan.tuples.contains(&i.tid))
                     .map(|i| i.interval.width())
                     .sum();
-                assert!(
-                    kept_width <= r + 1e-12,
-                    "r={r} {strategy}: kept width {kept_width}"
-                );
+                assert!(kept_width <= r, "r={r} {strategy}: kept width {kept_width}");
             }
         }
     }
@@ -206,8 +223,8 @@ mod tests {
     fn loose_r_keeps_everything() {
         let t = links_table();
         let input = AggInput::build(&t, None, Some(&col("traffic"))).unwrap();
-        // Total width = 95; R = 95 keeps all tuples.
-        let plan = choose_refresh_sum(&input, 95.0, SolverStrategy::Exact).unwrap();
+        // Total width = 95; capacity 95 keeps all tuples.
+        let plan = keep(&input, 95.0, SolverStrategy::Exact);
         assert!(plan.is_empty());
     }
 
@@ -215,7 +232,9 @@ mod tests {
     fn r_zero_refreshes_every_inexact_tuple() {
         let t = links_table();
         let input = AggInput::build(&t, None, Some(&col("traffic"))).unwrap();
-        let plan = choose_refresh_sum(&input, 0.0, SolverStrategy::Exact).unwrap();
+        let plan =
+            crate::refresh::choose_refresh(Aggregate::Sum, &input, 0.0, SolverStrategy::Exact)
+                .unwrap();
         assert_eq!(plan.tuples.len(), 6);
     }
 
@@ -232,8 +251,8 @@ mod tests {
             .unwrap();
         for r in [0.0, 10.0, 24.9, 25.0, 40.0, 60.0, 95.0, 200.0] {
             let input = AggInput::build(&t, None, Some(&col("traffic"))).unwrap();
-            let exact = choose_refresh_sum(&input, r, SolverStrategy::Exact).unwrap();
-            let indexed = choose_refresh_sum_uniform_indexed(&t, TRAFFIC, r).unwrap();
+            let exact = keep(&input, r, SolverStrategy::Exact);
+            let indexed = walk(&t, r).unwrap();
             assert_eq!(
                 exact.planned_cost, indexed.planned_cost,
                 "R = {r}: exact {:?} vs indexed {:?}",
@@ -246,19 +265,19 @@ mod tests {
                 .filter(|i| !indexed.tuples.contains(&i.tid))
                 .map(|i| i.interval.width())
                 .sum();
-            assert!(kept <= r + 1e-12, "R = {r}");
+            assert!(kept <= r, "R = {r}");
         }
     }
 
     #[test]
     fn uniform_indexed_requires_index_and_uniform_costs() {
         let t = links_table(); // non-uniform costs, no index
-        assert!(choose_refresh_sum_uniform_indexed(&t, TRAFFIC, 10.0).is_none());
+        assert!(walk(&t, 10.0).is_none());
         let mut t = links_table();
         t.create_index(trapp_storage::IndexKey::Width { column: TRAFFIC })
             .unwrap();
         // Index present but costs differ → refuse.
-        assert!(choose_refresh_sum_uniform_indexed(&t, TRAFFIC, 10.0).is_none());
+        assert!(walk(&t, 10.0).is_none());
     }
 
     /// §6.2: a T? tuple whose aggregation value is exactly known still has

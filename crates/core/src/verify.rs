@@ -110,13 +110,9 @@ pub fn check_containment(
     let bounded = bounded_answer(agg, &input)?;
     let truth = true_answer(agg, master, predicate, arg)?;
     if let Some(v) = truth {
-        // Exact containment first (also correct for the ±∞ conventions of
-        // empty MIN/MAX); then tolerate floating-point summation slop.
-        let contained = bounded.range.contains(v) || {
-            let slack = 1e-9 * (1.0 + v.abs().min(1e300));
-            bounded.range.lo() - slack <= v && v <= bounded.range.hi() + slack
-        };
-        if !contained {
+        // Zero tolerance: truth and bound fold in the same canonical tuple
+        // order, and rounded addition is monotone (ARCHITECTURE §2).
+        if !bounded.range.contains(v) {
             return Err(TrappError::Internal(format!(
                 "containment violated: true {agg} = {v} outside {bounded}"
             )));

@@ -41,8 +41,8 @@
 //!    about `2k·2⁻⁵³·Σwᵢ`. Every solver does this: on random instances of
 //!    2–20 items with one-decimal widths and a subset-sum capacity, 0.2–0.8 %
 //!    of solutions overrun, depending on the solver. The fix is upstream,
-//!    not here: plan against a capacity certified for any summation order
-//!    (ROADMAP direction 1's `R′`).
+//!    not here: callers plan against a capacity certified for any
+//!    summation order (`trapp_core::refresh::certified_capacity`).
 //! 2. **Zero-weight items ride free**: already-exact tuples are always kept
 //!    in the knapsack.
 

@@ -19,11 +19,10 @@
 //! Both watermarks default to "off" (`u64::MAX`): an unconfigured service
 //! behaves exactly as before. Depth accounting is shared with the
 //! service's dispatch path — [`AdmissionController::admit`] increments
-//! when `query` or `submit` admits a query,
-//! [`AdmissionController::dequeued`] decrements when the query takes its
-//! execution permit and starts — so the gauge is the number of admitted
-//! queries that have not started executing (waiting for a permit, or for
-//! a worker to pick a submitted one up), not in-flight executions.
+//! when `query` admits a query, [`AdmissionController::dequeued`]
+//! decrements when the query takes its execution permit and starts — so
+//! the gauge is the number of admitted queries waiting for a permit, not
+//! in-flight executions.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

@@ -5,9 +5,8 @@
 //! one-query-at-a-time loop (§3–§4) grows into under heavy traffic.
 //!
 //! Clients send TRAPP/AG SQL with precision constraints from many
-//! threads — run on the caller's thread by [`QueryService::query`], or
-//! on a worker by [`QueryService::submit`], at most
-//! [`ServiceConfig::workers`] at once — against
+//! threads — each run on its caller's thread by [`QueryService::query`],
+//! at most [`ServiceConfig::workers`] at once — against
 //! [`ServiceConfig::shards`] independent [`CacheNode`]s whose group key
 //! space is hash-partitioned by a [`ShardRouter`]:
 //!
@@ -87,8 +86,8 @@ pub use gateway::{RefreshGateway, RetryPolicy};
 pub use health::{BreakerState, HealthConfig, HealthTracker};
 pub use router::{Route, ShardRouter};
 pub use service::{
-    default_fetch_pool_size, DegradationPolicy, DegradedInfo, QueryService, QueryTicket,
-    ServiceBuilder, ServiceConfig, ServiceReply, ServiceStats,
+    default_fetch_pool_size, DegradationPolicy, DegradedInfo, QueryService, ServiceBuilder,
+    ServiceConfig, ServiceReply, ServiceStats,
 };
 // The grouped half of [`ServiceReply`], re-exported for callers.
 pub use trapp_core::group_by::{GroupKey, GroupResult};

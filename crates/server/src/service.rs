@@ -1,14 +1,11 @@
 //! The query service: a concurrent multi-client front-end over one or
 //! more TRAPP cache shards.
 //!
-//! Clients send TRAPP/AG SQL with precision constraints from any thread.
-//! [`query`](QueryService::query) runs the query to completion on the
-//! calling thread; [`submit`](QueryService::submit) hands it to a pool of
-//! worker threads and returns a ticket. Both reach one dispatch path: a
-//! FIFO gate of [`ServiceConfig::workers`] permits bounds the queries
-//! executing at once across both entry points, and a panic in a query
-//! comes back as a typed [`TrappError::Internal`] without costing the
-//! calling or worker thread.
+//! Clients send TRAPP/AG SQL with precision constraints from any thread;
+//! [`query`](QueryService::query) runs each to completion on the calling
+//! thread, behind a FIFO gate of [`ServiceConfig::workers`] execution
+//! permits. A panic in a query comes back as a typed
+//! [`TrappError::Internal`].
 //!
 //! The service hash-partitions the group key space over
 //! [`ServiceConfig::shards`] independent [`CacheNode`]s (see
@@ -63,10 +60,9 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use trapp_bounds::BoundShape;
 use trapp_core::executor::QueryResult;
@@ -94,9 +90,8 @@ use query_loop::LockSplit;
 /// Service tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Queries that may execute at once, across [`QueryService::query`]
-    /// (on the caller's thread) and [`QueryService::submit`] (on one of
-    /// this many worker threads). Further queries wait at a FIFO gate.
+    /// Execution permits: queries that may execute at once. Further
+    /// [`QueryService::query`] callers wait at a FIFO gate.
     pub workers: usize,
     /// Number of cache shards the group key space is hash-partitioned
     /// over. `1` reproduces the single-cache service exactly.
@@ -113,8 +108,8 @@ pub struct ServiceConfig {
     /// Per-source circuit-breaker tuning.
     pub health: HealthConfig,
     /// Admission-control watermarks — the widen/shed ladder applied at
-    /// [`QueryService::query`] and [`QueryService::submit`] before a query
-    /// waits for an execution permit. Defaults to fully off. See
+    /// [`QueryService::query`] before a query waits for an execution
+    /// permit. Defaults to fully off. See
     /// [`AdmissionConfig`].
     pub admission: AdmissionConfig,
 }
@@ -273,8 +268,7 @@ pub struct ServiceStats {
     /// burst resizing); `0` when the service has no resizable pool.
     pub fetch_pool_threads: u64,
     /// Total time queries spent between admission and the start of their
-    /// execution (waiting for a permit, and for a worker under
-    /// [`QueryService::submit`]), µs.
+    /// execution (waiting for a permit), µs.
     pub queue_wait_us: u64,
     /// Total time spent in plan phases (under shard locks), µs.
     pub plan_us: u64,
@@ -330,8 +324,8 @@ struct Job {
     sql: String,
     /// When admission control accepted the query — queue wait and any
     /// `DEADLINE` both count from here, so time spent waiting for an
-    /// execution permit (or a worker) is charged against the deadline like
-    /// any other latency.
+    /// execution permit is charged against the deadline like any other
+    /// latency.
     enqueued: Instant,
     /// Admission control asked for this query's constraint to be widened.
     widen: bool,
@@ -343,9 +337,8 @@ fn shut_down() -> TrappError {
 }
 
 /// A FIFO counting semaphore over query executions: at most `permits`
-/// queries run at once, whichever entry point they came through, and a
-/// freed permit passes straight to the longest waiter, so queries start
-/// in the order they reached the gate.
+/// queries run at once, and a freed permit passes straight to the longest
+/// waiter, so queries start in the order they reached the gate.
 struct ExecGate {
     state: Mutex<GateState>,
 }
@@ -426,8 +419,7 @@ struct ServiceCore {
     /// by [`QueryService::stats`].
     counters: Mutex<(ServiceStats, LockSplit)>,
     admission: Arc<AdmissionController>,
-    /// [`ServiceConfig::workers`] execution permits, shared by both entry
-    /// points.
+    /// [`ServiceConfig::workers`] execution permits.
     gate: ExecGate,
     /// EWMA of observed fetch-phase cost rate, µs of wall time per unit
     /// of planned refresh cost — the deadline guard's estimator for "can
@@ -438,11 +430,10 @@ struct ServiceCore {
 }
 
 impl ServiceCore {
-    /// The one dispatch path of both entry points: wait at the gate for a
-    /// permit, leave the admission queue, and run the query, a panic in it
-    /// coming back as a typed [`TrappError::Internal`] counted in
-    /// [`ServiceStats::errors`]. The permit is released on the way out,
-    /// panic or not.
+    /// Wait at the gate for a permit, leave the admission queue, and run
+    /// the query, a panic in it coming back as a typed
+    /// [`TrappError::Internal`] counted in [`ServiceStats::errors`]. The
+    /// permit is released on the way out, panic or not.
     fn execute(&self, job: &Job) -> Reply {
         let _permit = self.gate.acquire();
         self.admission.dequeued();
@@ -462,32 +453,19 @@ impl ServiceCore {
     }
 }
 
-/// A pending answer; see [`QueryService::submit`].
-pub struct QueryTicket {
-    rx: Receiver<Reply>,
-}
-
-impl QueryTicket {
-    /// Blocks until the answer is ready.
-    pub fn wait(self) -> Result<ServiceReply, TrappError> {
-        self.rx.recv().map_err(|_| shut_down())?
-    }
-}
-
 /// A running query service. See the module docs.
 pub struct QueryService {
-    core: Arc<ServiceCore>,
-    /// The [`QueryService::submit`] queue; `None` once shut down.
-    jobs: Option<Sender<(Job, Sender<Reply>)>>,
-    workers: Vec<JoinHandle<()>>,
+    core: ServiceCore,
+    /// `false` once shut down: queries get a typed error.
+    open: bool,
     /// Live handle over the chaos layer, when the service was built with
     /// [`ServiceBuilder::chaos`].
     chaos: Option<Arc<ChaosControl>>,
 }
 
 impl QueryService {
-    /// Starts the [`QueryService::submit`] workers over an assembled
-    /// router. `pool` is the shared resizable fetch pool plus its
+    /// Starts a service over an assembled router. `pool` is the shared
+    /// resizable fetch pool plus its
     /// build-time base size, when the service was built over a completion
     /// transport — the admission controller resizes it live under queue
     /// pressure.
@@ -502,7 +480,7 @@ impl QueryService {
         if let Some((pool, base)) = pool {
             admission.attach_pool(pool, base);
         }
-        let core = Arc::new(ServiceCore {
+        let core = ServiceCore {
             router,
             clock,
             degradation: config.degradation,
@@ -510,26 +488,10 @@ impl QueryService {
             admission,
             gate: ExecGate::new(config.workers.max(1)),
             fetch_rate: Mutex::new(0.0),
-        });
-        let (jobs_tx, jobs_rx) = unbounded::<(Job, Sender<Reply>)>();
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let core = core.clone();
-                let rx = jobs_rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("trapp-query-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok((job, reply)) = rx.recv() {
-                            let _ = reply.send(core.execute(&job));
-                        }
-                    })
-                    .expect("spawn query worker")
-            })
-            .collect();
+        };
         QueryService {
             core,
-            jobs: Some(jobs_tx),
-            workers,
+            open: true,
             chaos,
         }
     }
@@ -541,41 +503,17 @@ impl QueryService {
         self.chaos.as_ref()
     }
 
-    /// Enqueues a query for a worker thread; the returned ticket resolves
-    /// to the answer.
-    ///
-    /// Like [`QueryService::query`], this passes admission control first:
-    /// above the configured reject watermark the ticket resolves
-    /// immediately to a typed [`TrappError::Overloaded`] without the query
-    /// ever reaching a worker, and between the widen and reject watermarks
-    /// the query runs with a relaxed precision constraint (the reply's
-    /// [`ServiceReply::degraded`] names the original ask).
-    pub fn submit(&self, sql: impl Into<String>) -> QueryTicket {
-        let (reply, rx) = unbounded();
-        if let Some(jobs) = &self.jobs {
-            match self.admit(sql.into()) {
-                Err(e) => {
-                    let _ = reply.send(Err(e));
-                }
-                // The workers hold the queue's receiver until it closes
-                // at shutdown, so the send cannot fail here.
-                Ok(job) => {
-                    let _ = jobs.send((job, reply));
-                }
-            }
-        }
-        QueryTicket { rx }
-    }
-
     /// Runs a query to completion on the calling thread and returns its
     /// answer.
     ///
-    /// The query passes the same admission control as
-    /// [`QueryService::submit`] and then waits, in arrival order, for one
-    /// of the [`ServiceConfig::workers`] execution permits the two entry
-    /// points share.
+    /// Above the configured reject watermark the query is shed with a
+    /// typed [`TrappError::Overloaded`]; between the widen and reject
+    /// watermarks it runs with a relaxed precision constraint (the reply's
+    /// [`ServiceReply::degraded`] names the original ask). An admitted
+    /// query waits, in arrival order, for one of the
+    /// [`ServiceConfig::workers`] execution permits.
     pub fn query(&self, sql: impl Into<String>) -> Result<ServiceReply, TrappError> {
-        if self.jobs.is_none() {
+        if !self.open {
             return Err(shut_down());
         }
         let reply = self.core.execute(&self.admit(sql.into())?);
@@ -586,9 +524,8 @@ impl QueryService {
         reply
     }
 
-    /// The front door of both entry points: sheds (counting the error) or
-    /// admits the query, stamping the instant its queue wait and
-    /// `DEADLINE` count from.
+    /// The front door: sheds (counting the error) or admits the query,
+    /// stamping the instant its queue wait and `DEADLINE` count from.
     fn admit(&self, sql: String) -> Result<Job, TrappError> {
         match self.core.admission.admit() {
             Err(e) => {
@@ -756,23 +693,15 @@ impl QueryService {
         s
     }
 
-    /// Stops accepting work and joins every worker, after the workers
-    /// have answered every query already submitted.
+    /// Ends the service. Queries run on their callers' threads, so none
+    /// is left to drain.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
+    /// Stops accepting queries: every later one gets a typed error.
     fn shutdown_in_place(&mut self) {
-        self.jobs = None; // closes the queue; workers drain and exit
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        self.shutdown_in_place();
+        self.open = false;
     }
 }
 

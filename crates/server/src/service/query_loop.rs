@@ -1125,51 +1125,57 @@ mod tests {
     /// iterative query finishes with the exact answer.
     #[test]
     fn iterative_rounds_fetch_with_the_shard_lock_released() {
-        let (service, opened, release_tx) = gated_service(
+        let (service, opened, release) = gated_service(
             ServiceConfig {
                 workers: 2,
                 ..ServiceConfig::default()
             },
             &[(0, 1, 10.0), (0, 1, 20.0), (1, 2, 30.0), (1, 2, 40.0)],
         );
-        // Declared after the service so that it drops first: a failing
-        // assertion opens the gate before the service joins its workers.
-        let release = release_tx;
         service.with_shard_cache(0, |cache| {
             cache.session_mut().config.mode =
                 ExecutionMode::Iterative(IterativeHeuristic::BestRatio);
         });
         service.advance_clock(25.0);
 
-        let iterative = service.submit("SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 1");
-        opened
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the iterative query never fetched from source 2");
-        let cached = service.submit("SELECT SUM(load) FROM metrics WHERE grp = 0");
-        let reply = cached
-            .rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the shard lock was held across an iterative fetch")
-            .unwrap();
-        assert!(reply.result.satisfied);
-        assert_eq!(reply.round_trips, 0);
+        std::thread::scope(|scope| {
+            // Moved in, so a failing assertion drops it — opening the gate —
+            // before the scope joins the callers.
+            let release = release;
+            let service = &service;
+            let iterative = scope
+                .spawn(|| service.query("SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 1"));
+            opened
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the iterative query never fetched from source 2");
+            let (cached_tx, cached) = unbounded();
+            scope.spawn(move || {
+                let _ =
+                    cached_tx.send(service.query("SELECT SUM(load) FROM metrics WHERE grp = 0"));
+            });
+            let reply = cached
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the shard lock was held across an iterative fetch")
+                .unwrap();
+            assert!(reply.result.satisfied);
+            assert_eq!(reply.round_trips, 0);
 
-        drop(release);
-        let reply = iterative.wait().unwrap();
-        assert!(reply.result.answer.is_exact());
-        assert_eq!(reply.result.answer.range.lo(), 70.0);
-        assert_eq!(reply.result.rounds, 2);
-        assert_eq!(reply.round_trips, 2);
+            drop(release);
+            let reply = iterative.join().unwrap().unwrap();
+            assert!(reply.result.answer.is_exact());
+            assert_eq!(reply.result.answer.range.lo(), 70.0);
+            assert_eq!(reply.result.rounds, 2);
+            assert_eq!(reply.round_trips, 2);
+        });
     }
 
-    /// `ServiceConfig::workers` caps executions across both entry points:
-    /// with one permit, held by a `query()` whose fetch is open, a second
-    /// caller's `query()` and a `submit()` ticket both wait (the admission
-    /// gauge reads 2), a fourth query sheds at `reject_watermark: 2`, and
-    /// the waiters run one at a time in admission order once the fetch
-    /// is released.
+    /// `ServiceConfig::workers` caps executions: with one permit, held by
+    /// a `query()` whose fetch is open, two more callers wait (the
+    /// admission gauge reads 2), a fourth query sheds at
+    /// `reject_watermark: 2`, and the waiters run one at a time in
+    /// admission order once the fetch is released.
     #[test]
-    fn one_permit_gates_query_and_submit_in_admission_order() {
+    fn one_permit_gates_callers_in_admission_order() {
         let (service, opened, release) = gated_service(
             ServiceConfig {
                 workers: 1,
@@ -1199,51 +1205,53 @@ mod tests {
             fetched.sort();
             fetched
         };
-        // Callers on detached threads, and `release` declared after the
-        // service so that it drops first: a failing assertion fails the
-        // test rather than joining a caller stuck at the gate or a fetch.
-        let service = Arc::new(service);
-        let release = release;
-        let caller = |grp: i64| {
-            let service = service.clone();
-            std::thread::spawn(move || service.query(sql(grp)))
-        };
-
-        let a = caller(1);
-        assert_eq!(next_fetch(), objects(1));
-        let b = caller(2);
-        let admitted = Instant::now();
-        while service.stats().queue_depth < 1 {
-            assert!(
-                admitted.elapsed() < Duration::from_secs(10),
-                "B never admitted"
-            );
-            std::thread::yield_now();
-        }
-        let ticket = service.submit(sql(3));
-        assert_eq!(service.stats().queue_depth, 2, "B and the ticket wait");
-        match service.query(sql(1)) {
-            Err(TrappError::Overloaded { queue_depth, limit }) => {
-                assert_eq!((queue_depth, limit), (2, 2));
+        let admitted = |depth: u64, who: &str| {
+            let start = Instant::now();
+            while service.stats().queue_depth < depth {
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "{who} never admitted"
+                );
+                std::thread::yield_now();
             }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
+        };
+        std::thread::scope(|scope| {
+            // Moved in, so a failing assertion drops it — opening the gate —
+            // before the scope joins a caller stuck at the gate or a fetch.
+            let release = release;
+            let service = &service;
+            let caller = |grp: i64| scope.spawn(move || service.query(sql(grp)));
 
-        release.send(()).unwrap();
-        assert_eq!(next_fetch(), objects(2), "B was admitted first");
-        release.send(()).unwrap();
-        assert_eq!(next_fetch(), objects(3));
-        release.send(()).unwrap();
-        exact_sum(a.join().unwrap(), 30.0);
-        exact_sum(b.join().unwrap(), 70.0);
-        exact_sum(ticket.wait(), 110.0);
+            let a = caller(1);
+            assert_eq!(next_fetch(), objects(1));
+            let b = caller(2);
+            admitted(1, "B");
+            let c = caller(3);
+            admitted(2, "C");
+            assert_eq!(service.stats().queue_depth, 2, "B and C wait");
+            match service.query(sql(1)) {
+                Err(TrappError::Overloaded { queue_depth, limit }) => {
+                    assert_eq!((queue_depth, limit), (2, 2));
+                }
+                other => panic!("expected Overloaded, got {other:?}"),
+            }
+
+            release.send(()).unwrap();
+            assert_eq!(next_fetch(), objects(2), "B was admitted first");
+            release.send(()).unwrap();
+            assert_eq!(next_fetch(), objects(3));
+            release.send(()).unwrap();
+            exact_sum(a.join().unwrap(), 30.0);
+            exact_sum(b.join().unwrap(), 70.0);
+            exact_sum(c.join().unwrap(), 110.0);
+        });
         let stats = service.stats();
         assert_eq!((stats.queries, stats.errors, stats.queue_depth), (3, 1, 0));
     }
 
-    /// A panic in `run_query` comes back from either entry point as a
-    /// typed `Internal` error counted in `errors`; the permit is released
-    /// and the worker lives, so the next queries answer correctly.
+    /// A panic in `run_query` comes back as a typed `Internal` error
+    /// counted in `errors`; the permit is released, so the next queries
+    /// answer correctly.
     #[test]
     fn a_panicking_query_is_a_typed_error_and_costs_no_permit_or_worker() {
         let (service, _opened, _release) = gated_service(
@@ -1253,9 +1261,6 @@ mod tests {
             },
             &[(1, 1, 10.0), (1, 1, 20.0)],
         );
-        // Dropped only on success: dropping joins the worker, which a
-        // leaked permit would leave parked at the gate for good.
-        let service = std::mem::ManuallyDrop::new(service);
         service.advance_clock(25.0);
         let panicked = |reply: Result<crate::ServiceReply, TrappError>| match reply {
             Err(TrappError::Internal(message)) => {
@@ -1263,26 +1268,28 @@ mod tests {
             }
             other => panic!("expected a typed panic, got {other:?}"),
         };
+        // Each query runs on a detached caller: a leaked permit parks it at
+        // the gate for good, which fails the timeout instead of hanging.
+        let service = Arc::new(service);
         let within = Duration::from_secs(10);
+        let query = |sql: &'static str| {
+            let (tx, rx) = unbounded();
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send(service.query(sql));
+            });
+            rx.recv_timeout(within)
+                .expect("the query never got a permit")
+        };
         let exact = "SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 1";
 
-        panicked(service.query(PANIC_HOOK_SQL));
-        // A leaked permit or a dead worker would make these time out.
-        panicked(
-            service
-                .submit(PANIC_HOOK_SQL)
-                .rx
-                .recv_timeout(within)
-                .unwrap(),
-        );
-        exact_sum(service.submit(exact).rx.recv_timeout(within).unwrap(), 30.0);
-        exact_sum(service.query(exact), 30.0);
+        panicked(query(PANIC_HOOK_SQL));
+        panicked(query(PANIC_HOOK_SQL));
+        exact_sum(query(exact), 30.0);
+        exact_sum(query(exact), 30.0);
 
         let stats = service.stats();
         assert_eq!((stats.queries, stats.errors, stats.queue_depth), (2, 2, 0));
-        assert_eq!(service.workers.len(), 1);
-        assert!(service.workers.iter().all(|w| !w.is_finished()));
-        drop(std::mem::ManuallyDrop::into_inner(service));
     }
 
     /// A panic after the gateway claimed a fetch's objects releases the
@@ -1328,7 +1335,7 @@ mod tests {
         assert_eq!((stats.queries, stats.errors), (1, 1));
     }
 
-    /// After shutdown both entry points answer with the typed error.
+    /// After shutdown a query answers with the typed error.
     #[test]
     fn queries_after_shutdown_get_a_typed_error() {
         let (mut service, _opened, _release) =
@@ -1337,13 +1344,6 @@ mod tests {
         let shut_down = TrappError::Internal("query service shut down".into());
         assert_eq!(
             service.query("SELECT SUM(load) FROM metrics").unwrap_err(),
-            shut_down
-        );
-        assert_eq!(
-            service
-                .submit("SELECT SUM(load) FROM metrics")
-                .wait()
-                .unwrap_err(),
             shut_down
         );
     }

@@ -95,13 +95,13 @@ fn check_reply(
     let exact = loadgen::ground_truth(w, q);
     let range = reply.result.answer.range;
     assert!(
-        range.lo() <= exact + 1e-9 && exact <= range.hi() + 1e-9,
+        range.lo() <= exact && exact <= range.hi(),
         "wrong answer for `{}`: {range:?} does not contain {exact}",
         q.sql
     );
     if reply.result.satisfied {
         assert!(
-            range.width() <= q.within + 1e-9,
+            range.width() <= q.within,
             "precision violation for `{}`: width {} > WITHIN {}",
             q.sql,
             range.width(),
@@ -340,7 +340,7 @@ fn iterative_mode_with_a_downed_source_degrades_or_refuses() {
                             for (g, (_, truth)) in reply.groups.iter().zip(truths) {
                                 let range = g.result.answer.range;
                                 assert!(
-                                    range.lo() <= truth + 1e-9 && truth <= range.hi() + 1e-9,
+                                    range.lo() <= truth && truth <= range.hi(),
                                     "{context}: group {:?} bound {range:?} misses {truth}",
                                     g.key
                                 );

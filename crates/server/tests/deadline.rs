@@ -98,7 +98,7 @@ fn build(
 fn assert_contains(reply: &ServiceReply, exact: f64, sql: &str) {
     let range = reply.result.answer.range;
     assert!(
-        range.lo() <= exact + 1e-9 && exact <= range.hi() + 1e-9,
+        range.lo() <= exact && exact <= range.hi(),
         "wrong answer for `{sql}`: {range:?} does not contain {exact}"
     );
 }

@@ -265,7 +265,7 @@ fn grouped_and_join_on_eight_shard_completion_service() {
                     let range = g.result.answer.range;
                     assert!(g.result.satisfied, "{}: group {id}", q.sql);
                     assert!(
-                        range.lo() - 1e-9 <= t && t <= range.hi() + 1e-9,
+                        range.lo() <= t && t <= range.hi(),
                         "{}: group {id} truth {t} outside {range:?}",
                         q.sql
                     );
@@ -276,7 +276,7 @@ fn grouped_and_join_on_eight_shard_completion_service() {
                 let range = b.result.answer.range;
                 assert!(b.result.satisfied, "{}", q.sql);
                 assert!(
-                    range.lo() - 1e-9 <= t && t <= range.hi() + 1e-9,
+                    range.lo() <= t && t <= range.hi(),
                     "{}: truth {t} outside {range:?}",
                     q.sql
                 );
@@ -618,7 +618,7 @@ fn concurrent_mixed_load_on_four_shards_is_correct() {
                     let range = reply.result.answer.range;
                     assert!(reply.result.satisfied, "{}", q.sql);
                     assert!(
-                        range.lo() - 1e-9 <= t && t <= range.hi() + 1e-9,
+                        range.lo() <= t && t <= range.hi(),
                         "{}: {range:?} excludes truth {t}",
                         q.sql
                     );

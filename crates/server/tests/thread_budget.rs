@@ -1,7 +1,8 @@
 //! The acceptance property of the completion-based transport: a service
-//! built over [`ServiceBuilder::build_completion`] uses `O(pool + workers)`
-//! OS threads **independent of the source × shard count** — an absolute
-//! budget, checked against a 64-source × 4-shard topology.
+//! built over [`ServiceBuilder::build_completion`] uses `O(pool)` OS
+//! threads **independent of the source × shard count** — an absolute
+//! budget, checked against a 64-source × 4-shard topology. Queries run on
+//! their callers' threads: the service spawns no query thread.
 //!
 //! Kept in its own integration-test binary so no sibling test's threads
 //! pollute the `/proc/self/task` census.
@@ -63,8 +64,8 @@ fn completion_service_threads_are_o_pool_plus_workers() {
     let w = workload();
     let baseline = os_threads();
 
-    // One service-wide pool, O(pool + workers)
-    // threads no matter how many sources × shards exist.
+    // One service-wide pool, O(pool) threads no matter how many
+    // sources × shards exist, and none per execution permit.
     let completion = builder(&w)
         .build_completion(Duration::ZERO, POOL)
         .expect("completion service");
@@ -78,9 +79,9 @@ fn completion_service_threads_are_o_pool_plus_workers() {
         "answering queries changed the thread count"
     );
 
-    // workers + pool demux threads + 1 timer; a little slack for runtime
+    // Pool demux threads + 1 timer; a little slack for runtime
     // housekeeping threads, none of which scale with sources.
-    let budget = WORKERS + POOL + 1 + 2;
+    let budget = POOL + 1 + 2;
     assert!(
         completion_added <= budget,
         "completion service spawned {completion_added} threads (budget {budget})"

@@ -223,7 +223,7 @@ fn grouped_queries_between_pinned_installs_match_simulation() {
     let w = loadgen::generate(&LoadConfig {
         seed: 23,
         groups: GROUPS,
-        rows_per_group: 32,
+        rows_per_group: 40,
         sources: 3,
         queries: 0,
         ..LoadConfig::default()

@@ -276,7 +276,7 @@ fn monitor_view_matches_cache_view() {
         let r = sim.run_query("SELECT SUM(temp) FROM sensors").unwrap();
         let truth: f64 = values.iter().sum();
         assert!(
-            r.answer.range.lo() <= truth + 1e-9 && truth <= r.answer.range.hi() + 1e-9,
+            r.answer.range.lo() <= truth && truth <= r.answer.range.hi(),
             "tick {tick}: {} excludes {truth}",
             r.answer
         );

@@ -184,6 +184,14 @@ impl Neg for OrderedF64 {
     }
 }
 
+/// `γₖ = k·u / (1 − k·u)`, with unit roundoff `u = 2⁻⁵³`: `k` rounded
+/// `f64` operations move a result by at most a factor `1 ± γₖ` (Higham,
+/// *Accuracy and Stability of Numerical Algorithms*, Lemma 3.1).
+pub fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * (f64::EPSILON / 2.0);
+    ku / (1.0 - ku)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,5 +250,12 @@ mod tests {
         s.insert(OrderedF64::new(1.0).unwrap());
         assert!(s.contains(&OrderedF64::new(1.0).unwrap()));
         assert!(!s.contains(&OrderedF64::new(2.0).unwrap()));
+    }
+
+    #[test]
+    fn gamma_bounds_k_roundings() {
+        assert_eq!(gamma(0), 0.0);
+        let u = f64::EPSILON / 2.0;
+        assert!(gamma(4) > 4.0 * u && gamma(4) < 4.0 * u * (1.0 + 8.0 * u));
     }
 }

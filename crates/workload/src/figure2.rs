@@ -107,10 +107,25 @@ pub struct WorkedExample {
     pub sql: &'static str,
     /// Expected cache-only bounded answer.
     pub expect_initial: (f64, f64),
-    /// Expected bounded answer after CHOOSE_REFRESH + refresh.
+    /// The bounded answer the paper reports after CHOOSE_REFRESH + refresh.
     pub expect_final: (f64, f64),
-    /// Expected tuples refreshed (1-based Figure 2 row numbers).
+    /// The tuples the paper refreshes (1-based Figure 2 row numbers).
     pub expect_refreshed: &'static [u64],
+    /// The final answer and refresh set the planner delivers where they
+    /// differ from the paper's: Q2, Q3 and Q6 keep widths that sum to
+    /// exactly their knapsack capacity, which a rounded fold can overrun,
+    /// so the certified capacity (ARCHITECTURE §2) keeps less.
+    pub certified: Option<((f64, f64), &'static [u64])>,
+}
+
+impl WorkedExample {
+    /// The final answer and refresh set a [`trapp_core::QuerySession`]
+    /// delivers: [`WorkedExample::certified`] where set, the paper's
+    /// otherwise.
+    pub fn delivered(&self) -> ((f64, f64), &'static [u64]) {
+        self.certified
+            .unwrap_or((self.expect_final, self.expect_refreshed))
+    }
 }
 
 /// The six worked examples of the paper, with the answers it reports.
@@ -123,6 +138,7 @@ pub fn worked_examples() -> Vec<WorkedExample> {
             expect_initial: (40.0, 55.0),
             expect_final: (45.0, 50.0),
             expect_refreshed: &[5],
+            certified: None,
         },
         WorkedExample {
             id: "Q2",
@@ -131,6 +147,7 @@ pub fn worked_examples() -> Vec<WorkedExample> {
             expect_initial: (19.0, 28.0),
             expect_final: (21.0, 26.0),
             expect_refreshed: &[1, 6],
+            certified: Some(((23.0, 27.0), &[5, 6])),
         },
         WorkedExample {
             id: "Q3",
@@ -139,6 +156,7 @@ pub fn worked_examples() -> Vec<WorkedExample> {
             expect_initial: (100.0, 695.0 / 6.0),
             expect_final: (103.0, 113.0),
             expect_refreshed: &[5, 6],
+            certified: Some(((103.5, 671.0 / 6.0), &[1, 5, 6])),
         },
         WorkedExample {
             id: "Q4",
@@ -148,6 +166,7 @@ pub fn worked_examples() -> Vec<WorkedExample> {
             expect_initial: (90.0, 105.0),
             expect_final: (95.0, 105.0),
             expect_refreshed: &[5, 6],
+            certified: None,
         },
         WorkedExample {
             id: "Q5",
@@ -156,6 +175,7 @@ pub fn worked_examples() -> Vec<WorkedExample> {
             expect_initial: (1.0, 3.0),
             expect_final: (2.0, 3.0),
             expect_refreshed: &[5],
+            certified: None,
         },
         WorkedExample {
             id: "Q6",
@@ -164,6 +184,7 @@ pub fn worked_examples() -> Vec<WorkedExample> {
             expect_initial: (5.0, 34.0 / 3.0),
             expect_final: (8.0, 9.0),
             expect_refreshed: &[1, 3, 5, 6],
+            certified: Some(((8.5, 9.0), &[1, 2, 3, 5, 6])),
         },
     ]
 }
@@ -174,7 +195,8 @@ mod tests {
     use trapp_core::{QuerySession, SolverStrategy, TableOracle};
 
     /// The fixture is an executable specification: every worked example
-    /// reproduces the paper's numbers end-to-end.
+    /// reproduces its numbers end-to-end — the paper's, or the certified
+    /// planner's where the paper keeps an exact tie.
     #[test]
     fn all_worked_examples_reproduce() {
         for ex in worked_examples() {
@@ -191,16 +213,17 @@ mod tests {
                 r.initial_answer,
                 ex.expect_initial
             );
+            let (expect_final, expect_refreshed) = ex.delivered();
             assert!(
-                close(r.answer.range.lo(), ex.expect_final.0)
-                    && close(r.answer.range.hi(), ex.expect_final.1),
+                close(r.answer.range.lo(), expect_final.0)
+                    && close(r.answer.range.hi(), expect_final.1),
                 "{}: final {} vs expected {:?}",
                 ex.id,
                 r.answer,
-                ex.expect_final
+                expect_final
             );
             let refreshed: Vec<u64> = r.refreshed.iter().map(|(_, t)| t.raw()).collect();
-            assert_eq!(refreshed, ex.expect_refreshed, "{}: refresh set", ex.id);
+            assert_eq!(refreshed, expect_refreshed, "{}: refresh set", ex.id);
             assert!(r.satisfied, "{}", ex.id);
         }
     }

@@ -881,8 +881,7 @@ mod tests {
         let mut session = QuerySession::with_catalog(catalog);
         let mut oracle = TableOracle::new(masters);
 
-        let contains =
-            |range: trapp_types::Interval, t: f64| range.lo() - 1e-9 <= t && t <= range.hi() + 1e-9;
+        let contains = |range: trapp_types::Interval, t: f64| range.lo() <= t && t <= range.hi();
         for q in &w.queries {
             let query = trapp_sql::parse_query(&q.sql).unwrap();
             match q.shape {

@@ -800,7 +800,7 @@ mod tests {
                 Truth::Scalar(_) => {
                     let r = session.execute(&query, &mut oracle).unwrap();
                     assert!(r.satisfied, "{}", q.sql);
-                    assert!(r.answer.width() <= q.within + 1e-9, "{}", q.sql);
+                    assert!(r.answer.width() <= q.within, "{}", q.sql);
                     assert!(
                         !scalar_violation(q, r.answer.range.lo(), r.answer.range.hi()),
                         "{}: truth outside {}",

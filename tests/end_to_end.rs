@@ -20,13 +20,14 @@ fn paper_worked_examples_via_public_api() {
         let mut oracle = TableOracle::from_table(figure2::master_table());
         let r = session.execute_sql(ex.sql, &mut oracle).unwrap();
         assert!(r.satisfied, "{}", ex.id);
+        let (expect_final, _) = ex.delivered();
         assert!(
-            (r.answer.range.lo() - ex.expect_final.0).abs() < 1e-9
-                && (r.answer.range.hi() - ex.expect_final.1).abs() < 1e-9,
+            (r.answer.range.lo() - expect_final.0).abs() < 1e-9
+                && (r.answer.range.hi() - expect_final.1).abs() < 1e-9,
             "{}: {} vs {:?}",
             ex.id,
             r.answer,
-            ex.expect_final
+            expect_final
         );
     }
 }
@@ -78,8 +79,8 @@ fn all_strategies_guarantee_the_constraint() {
             let r = s.execute_sql(sql, &mut o).unwrap();
             assert!(r.satisfied, "{sql} with {strategy} {mode:?}");
             assert!(
-                r.answer.range.lo() <= expected.range.lo() + 1e-9
-                    && expected.range.hi() <= r.answer.range.hi() + 1e-9,
+                r.answer.range.lo() <= expected.range.lo()
+                    && expected.range.hi() <= r.answer.range.hi(),
                 "{sql} with {strategy}: {} should contain truth {}",
                 r.answer,
                 expected
@@ -165,7 +166,7 @@ fn system_simulation_answers_contain_master_truth() {
                 "tick {tick}: {} missing {truth}",
                 r.answer
             );
-            assert!(r.answer.width() <= 4.0 + 1e-9);
+            assert!(r.answer.width() <= 4.0);
         }
     }
     let stats = sim.stats();
@@ -196,7 +197,7 @@ fn group_by_partitions_and_satisfies() {
     assert_eq!(groups.len(), 2);
     for g in groups {
         assert!(g.result.satisfied);
-        assert!(g.result.answer.width() <= 3.0 + 1e-9);
+        assert!(g.result.answer.width() <= 3.0);
     }
 }
 
@@ -282,7 +283,7 @@ fn join_query_end_to_end_contains_truth() {
         .unwrap();
     assert!(r.satisfied);
     assert!(r.answer.range.contains(450.0), "{}", r.answer);
-    assert!(r.answer.width() <= 10.0 + 1e-9);
+    assert!(r.answer.width() <= 10.0);
 }
 
 /// Insertions and deletions propagate eagerly (§3): COUNT without a
