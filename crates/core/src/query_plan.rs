@@ -732,12 +732,18 @@ impl QuerySession {
     /// the merged input — bit-identical to a single cache holding every
     /// row.
     pub fn partial_query(&self, query: &Query) -> Result<QueryPartial, TrappError> {
-        let bound = bind_query(query, self.catalog())?;
+        self.partial_bound(&bind_query(query, self.catalog())?)
+    }
+
+    /// [`partial_query`](QuerySession::partial_query) for a query already
+    /// bound: a serving layer binds once per scatter pass and asks every
+    /// shard with the one binding (every shard holds the same schemas).
+    pub fn partial_bound(&self, bound: &BoundQuery) -> Result<QueryPartial, TrappError> {
         match &bound.source {
             QuerySource::Table(name) if bound.group_by.is_empty() => {
                 let table = self.catalog().table(name)?;
                 let mut views = self.views();
-                let view = views.view_for(name, &bound);
+                let view = views.view_for(name, bound);
                 view.sync(table)?;
                 let input = view.input().clone();
                 Ok(QueryPartial::Scalar(ShardPartial {
@@ -750,7 +756,7 @@ impl QuerySession {
             QuerySource::Table(name) => {
                 let table = self.catalog().table(name)?;
                 let mut views = self.views();
-                let view = views.view_for(name, &bound);
+                let view = views.view_for(name, bound);
                 view.sync(table)?;
                 let groups = (0..view.group_count())
                     .map(|rank| {

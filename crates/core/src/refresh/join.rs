@@ -72,6 +72,9 @@ pub struct JoinInput {
 /// same `(left tid, right tid)` order the nested loop would, and charges
 /// the skipped pairs to `minus_count` (exact = exact is certainly false,
 /// and `false AND x` is certainly false, so every skipped pair is `J−`).
+/// The index keys are the `f64` images of the integers, the points the
+/// evaluator compares: two integers past 2⁵³ that round to one `f64` are
+/// equal to the predicate, so they must share a key.
 pub fn build_join_input(
     left: &Table,
     right: &Table,
@@ -93,16 +96,16 @@ pub fn build_join_input(
     if let Some((lcol, rcol)) = predicate.and_then(|p| equi_conjunct(p, left, right, la)) {
         // Hash the smaller-keyed side: right tids per key, in scan order
         // (ascending), so pair order matches the nested loop's.
-        let mut index: HashMap<i64, Vec<(TupleId, &Row)>> = HashMap::new();
+        let mut index: HashMap<u64, Vec<(TupleId, &Row)>> = HashMap::new();
         for (rtid, rrow) in right.scan() {
             if let Ok(Value::Int(k)) = rrow.exact(rcol - la) {
-                index.entry(k).or_default().push((rtid, rrow));
+                index.entry(point_key(k)).or_default().push((rtid, rrow));
             }
         }
         let rlen = right.len();
         for (ltid, lrow) in left.scan() {
             let matches = match lrow.exact(lcol) {
-                Ok(Value::Int(k)) => index.get(&k).map(Vec::as_slice).unwrap_or(&[]),
+                Ok(Value::Int(k)) => index.get(&point_key(k)).map(Vec::as_slice).unwrap_or(&[]),
                 _ => &[],
             };
             out.input.minus_count += rlen - matches.len();
@@ -122,6 +125,13 @@ pub fn build_join_input(
         }
     }
     Ok(out)
+}
+
+/// The hash-join key of an exact integer: the bits of the `f64` point the
+/// evaluator compares it as (an integer never converts to `-0.0`, so equal
+/// points have equal bits).
+fn point_key(k: i64) -> u64 {
+    (k as f64).to_bits()
 }
 
 /// Classifies one `(left row, right row)` pair and appends its item (or
@@ -566,9 +576,10 @@ mod tests {
     /// The hash equi-join path must be invisible: same pairs, same items,
     /// same J− count as the nested loop. The control build uses
     /// `node_id + 0 = src` — semantically identical but not hash-eligible.
+    /// Besides the fixture tables, keys `2⁵³` and `2⁵³ + 1` — distinct
+    /// integers, one `f64` point — must pair on both paths.
     #[test]
     fn hash_and_nested_paths_agree() {
-        let (n, l) = (nodes(), links());
         let obfuscated = Expr::binary(
             BinaryOp::Eq,
             Expr::binary(
@@ -580,15 +591,36 @@ mod tests {
         )
         .bind(&combined_schema())
         .unwrap();
-        assert!(equi_conjunct(&join_pred(), &n, &l, 2).is_some());
-        assert!(equi_conjunct(&obfuscated, &n, &l, 2).is_none());
+        let big = 1i64 << 53;
+        for (n, l) in [
+            (nodes(), links()),
+            (keyed(nodes(), big), keyed(links(), big + 1)),
+        ] {
+            assert!(equi_conjunct(&join_pred(), &n, &l, 2).is_some());
+            assert!(equi_conjunct(&obfuscated, &n, &l, 2).is_none());
+            let hashed =
+                build_join_input(&n, &l, Some(&join_pred()), Some(&latency_arg()), &[]).unwrap();
+            let nested =
+                build_join_input(&n, &l, Some(&obfuscated), Some(&latency_arg()), &[]).unwrap();
+            assert_eq!(hashed.pairs, nested.pairs);
+            assert_eq!(hashed.input.items, nested.input.items);
+            assert_eq!(hashed.input.minus_count, nested.input.minus_count);
+        }
+        let (n, l) = (keyed(nodes(), big), keyed(links(), big + 1));
         let hashed =
             build_join_input(&n, &l, Some(&join_pred()), Some(&latency_arg()), &[]).unwrap();
-        let nested =
-            build_join_input(&n, &l, Some(&obfuscated), Some(&latency_arg()), &[]).unwrap();
-        assert_eq!(hashed.pairs, nested.pairs);
-        assert_eq!(hashed.input.items, nested.input.items);
-        assert_eq!(hashed.input.minus_count, nested.input.minus_count);
+        assert_eq!(hashed.pairs, vec![(TupleId::new(1), TupleId::new(1))]);
+    }
+
+    /// `table`'s first row alone, its key column (column 0) set to `key`.
+    fn keyed(table: Table, key: i64) -> Table {
+        let tid = TupleId::new(1);
+        let row = table.row(tid).unwrap();
+        let mut cells = row.cells().to_vec();
+        cells[0] = BoundedValue::Exact(Value::Int(key));
+        let mut t = Table::new(table.name(), table.schema().clone());
+        t.insert_with_cost(cells, table.cost(tid).unwrap()).unwrap();
+        t
     }
 
     /// Group keys are extracted per surviving pair, parallel to `pairs`.

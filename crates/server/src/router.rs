@@ -26,7 +26,9 @@
 //! shard; the maps here translate both directions. Global ids equal the
 //! ids a single cache ingesting the same rows would have assigned, which
 //! is what makes scatter-gathered answers bit-equivalent to single-cache
-//! answers (see [`trapp_core::merge`]).
+//! answers (see [`trapp_core::merge`]). Both spaces count `1..=n` per
+//! table, so each map is one dense array per table (`TidMap`) and a
+//! translation is an array index.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +38,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use trapp_expr::{BinaryOp, ColumnRef, Expr};
 use trapp_sql::Query;
+use trapp_storage::{Catalog, Table};
 use trapp_system::{CacheNode, Transport};
 use trapp_types::{shard_of, CacheId, ObjectId, TrappError, TupleId, Value};
 
@@ -43,9 +46,86 @@ use crate::gateway::{RefreshGateway, RetryPolicy};
 use crate::health::{HealthConfig, HealthTracker};
 use crate::snapshots::AnswerSnapshots;
 
-/// A tuple-id translation map, bucketed per table so lookups hash a
-/// `&str` instead of allocating a `(String, TupleId)` key per probe.
-pub(crate) type TidMap<V> = HashMap<String, HashMap<TupleId, V>>;
+/// A tuple-id translation: per table, one dense array whose entry `i`
+/// translates the table's id `i + 1`. Ids count `1..=n` per table on both
+/// sides of the translation (`ServiceBuilder::wire` inserts every row into
+/// tables that start empty), so the array has no holes.
+pub(crate) struct TidMap<V> {
+    by_table: HashMap<String, Vec<V>>,
+}
+
+impl<V> Default for TidMap<V> {
+    fn default() -> TidMap<V> {
+        TidMap {
+            by_table: HashMap::new(),
+        }
+    }
+}
+
+impl<V: Copy> TidMap<V> {
+    /// Records the translation of `table`'s id `tid`, which must be the
+    /// table's next id.
+    pub(crate) fn push(&mut self, table: &str, tid: TupleId, to: V) -> Result<(), TrappError> {
+        let ids = self.by_table.entry(table.to_owned()).or_default();
+        if tid.raw() != ids.len() as u64 + 1 {
+            return Err(TrappError::Internal(format!(
+                "{table} tuple {tid} is not the next dense id (tables must start empty)"
+            )));
+        }
+        ids.push(to);
+        Ok(())
+    }
+
+    /// `table`'s translations, resolved once for a run of its ids.
+    pub(crate) fn table(&self, table: &str) -> TidRun<'_, V> {
+        TidRun(self.by_table.get(table).map_or(&[], Vec::as_slice))
+    }
+
+    /// A translator for a stream of `(table, id)` pairs: it resolves a
+    /// table again only when the table changes.
+    pub(crate) fn runs(&self) -> TidRuns<'_, V> {
+        TidRuns {
+            map: self,
+            table: "",
+            run: TidRun(&[]),
+        }
+    }
+}
+
+/// One table's translations ([`TidMap::table`]).
+#[derive(Clone, Copy)]
+pub(crate) struct TidRun<'m, V>(&'m [V]);
+
+impl<V: Copy> TidRun<'_, V> {
+    /// The translation of `tid`, if the table holds it.
+    pub(crate) fn get(self, tid: TupleId) -> Option<V> {
+        let slot = usize::try_from(tid.raw().checked_sub(1)?).ok()?;
+        self.0.get(slot).copied()
+    }
+}
+
+/// A [`TidMap`] read by runs of one table ([`TidMap::runs`]).
+pub(crate) struct TidRuns<'m, V> {
+    map: &'m TidMap<V>,
+    table: &'m str,
+    run: TidRun<'m, V>,
+}
+
+impl<'m, V: Copy> TidRuns<'m, V> {
+    /// The translation of `table`'s id `tid`, if the table holds it.
+    pub(crate) fn get(&mut self, table: &str, tid: TupleId) -> Option<V> {
+        if self.table != table {
+            let (name, ids) = self
+                .map
+                .by_table
+                .get_key_value(table)
+                .map_or(("", &[][..]), |(k, v)| (k.as_str(), v.as_slice()));
+            self.table = name;
+            self.run = TidRun(ids);
+        }
+        self.run.get(tid)
+    }
+}
 
 /// One shard of the service: an independent cache + gateway + transport
 /// stack plus its local→global tuple-id map.
@@ -59,7 +139,7 @@ pub struct Shard {
     /// which records round-trip outcomes into it).
     pub(crate) health: Arc<HealthTracker>,
     /// table → (local tid → global tid).
-    to_global: TidMap<TupleId>,
+    pub(crate) to_global: TidMap<TupleId>,
     /// The cache session's `view_tuples_classified` as of the last plan
     /// on this shard, mirrored so `stats()` reads it without the cache
     /// lock.
@@ -100,15 +180,6 @@ impl Shard {
         self.view_items_repartitioned
             .store(session.view_items_repartitioned(), Ordering::Relaxed);
     }
-
-    /// Translates a shard-local tuple id to the global id space.
-    pub(crate) fn global_tid(&self, table: &str, local: TupleId) -> TupleId {
-        self.to_global
-            .get(table)
-            .and_then(|m| m.get(&local))
-            .copied()
-            .unwrap_or(local)
-    }
 }
 
 /// Where a query must run.
@@ -132,6 +203,10 @@ pub struct ShardRouter {
     from_global: TidMap<(usize, TupleId)>,
     /// Replicated object → owning shard.
     object_shard: HashMap<ObjectId, usize>,
+    /// Every table's schema, with no rows: what a scatter pass binds its
+    /// query against and reads a join's side schemas from, with no shard
+    /// lock held. Every shard holds these same schemas.
+    schemas: Catalog,
 }
 
 impl ShardRouter {
@@ -150,12 +225,23 @@ impl ShardRouter {
                 object_shard.insert(object, idx);
             }
         }
+        let mut schemas = Catalog::new();
+        let cache = shards[0].cache.lock();
+        let catalog = cache.session().catalog();
+        for name in catalog.table_names() {
+            let schema = catalog.table(name).expect("a listed table").schema();
+            schemas
+                .add_table(Table::new(name, schema.clone()))
+                .expect("catalog names are unique");
+        }
+        drop(cache);
         ShardRouter {
             shards,
             partition_column,
             group_placed,
             from_global,
             object_shard,
+            schemas,
         }
     }
 
@@ -208,22 +294,36 @@ impl ShardRouter {
         }
     }
 
-    /// Resolves a global tuple id to its shard and local id.
-    pub(crate) fn locate(
-        &self,
-        table: &str,
-        global: TupleId,
-    ) -> Result<(usize, TupleId), TrappError> {
-        self.from_global
-            .get(table)
-            .and_then(|m| m.get(&global))
-            .copied()
-            .ok_or_else(|| TrappError::Internal(format!("no shard holds {table} tuple {global}")))
+    /// Resolves global tuple ids to their shard and local id, by runs of
+    /// one table.
+    pub(crate) fn locator(&self) -> Locator<'_> {
+        Locator(self.from_global.runs())
+    }
+
+    /// Every table's schema, readable with no shard lock held.
+    pub(crate) fn schemas(&self) -> &Catalog {
+        &self.schemas
     }
 
     /// The shard whose cache is subscribed to `object`, if any.
     pub(crate) fn object_shard(&self, object: ObjectId) -> Option<usize> {
         self.object_shard.get(&object).copied()
+    }
+}
+
+/// Global → (shard, local) tuple-id resolution ([`ShardRouter::locator`]).
+pub(crate) struct Locator<'r>(TidRuns<'r, (usize, TupleId)>);
+
+impl Locator<'_> {
+    /// Where `table`'s global tuple `global` lives.
+    pub(crate) fn locate(
+        &mut self,
+        table: &str,
+        global: TupleId,
+    ) -> Result<(usize, TupleId), TrappError> {
+        self.0
+            .get(table, global)
+            .ok_or_else(|| TrappError::Internal(format!("no shard holds {table} tuple {global}")))
     }
 }
 
@@ -263,6 +363,9 @@ fn eq_group(lhs: &Expr<ColumnRef>, rhs: &Expr<ColumnRef>, col: &str, table: &str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{ServiceBuilder, ServiceConfig};
+    use trapp_storage::{ColumnDef, Schema};
+    use trapp_types::{BoundedValue, SourceId, ValueType};
 
     fn pred(sql: &str) -> Expr<ColumnRef> {
         trapp_sql::parse_query(&format!("SELECT SUM(load) FROM metrics WHERE {sql}"))
@@ -298,6 +401,76 @@ mod tests {
             "NOT grp = 3",        // negation
         ] {
             assert_eq!(pinned_group(&pred(p), "grp", "metrics"), None, "{p}");
+        }
+    }
+
+    /// Every row's ids round-trip through the dense maps: on each shard,
+    /// locating a local id's global id names that shard and local id back.
+    /// Rows placed by group and by tuple id alike — no partition column,
+    /// or `hosts`, which lacks it — and each table's global ids are exactly
+    /// `1..=n`, interleaved across the shards when placed by tuple id.
+    #[test]
+    fn every_row_locates_back_to_its_shard_and_local_id() {
+        let table = |name: &str, key: &str, value: &str| {
+            let schema = Schema::new(vec![
+                ColumnDef::exact(key, ValueType::Int),
+                ColumnDef::bounded_float(value),
+            ])
+            .unwrap();
+            Table::new(name, schema)
+        };
+        for partitioned in [false, true] {
+            let mut builder = ServiceBuilder::new()
+                .config(ServiceConfig {
+                    shards: 3,
+                    ..ServiceConfig::default()
+                })
+                .table(table("metrics", "grp", "load"))
+                .table(table("hosts", "rack", "cpu"));
+            if partitioned {
+                builder = builder.partition_by("grp");
+            }
+            for k in 0..40u64 {
+                let name = if k % 3 == 0 { "hosts" } else { "metrics" };
+                let cells = vec![
+                    BoundedValue::Exact(Value::Int((k % 7) as i64)),
+                    BoundedValue::exact_f64(k as f64).unwrap(),
+                ];
+                builder = builder.row(name, SourceId::new(1 + k % 2), cells);
+            }
+            let service = builder.build_direct().unwrap();
+            let router = service.router();
+            let mut locator = router.locator();
+            let mut globals: HashMap<String, Vec<Vec<u64>>> = HashMap::new();
+            for (s, shard) in router.shards().iter().enumerate() {
+                let cache = shard.cache.lock();
+                let catalog = cache.session().catalog();
+                for name in catalog.table_names() {
+                    let to_global = shard.to_global.table(name);
+                    let mut ids = Vec::new();
+                    for (local, _) in catalog.table(name).unwrap().scan() {
+                        let global = to_global.get(local).expect("every row has a global id");
+                        assert_eq!(locator.locate(name, global).unwrap(), (s, local));
+                        ids.push(global.raw());
+                    }
+                    assert_eq!(to_global.get(TupleId::new(ids.len() as u64 + 1)), None);
+                    globals.entry(name.to_owned()).or_default().push(ids);
+                }
+            }
+            for (name, per_shard) in globals {
+                let mut all: Vec<u64> = per_shard.concat();
+                all.sort_unstable();
+                assert_eq!(all, (1..=all.len() as u64).collect::<Vec<_>>(), "{name}");
+                let interleaved = per_shard
+                    .iter()
+                    .any(|ids| ids.windows(2).any(|w| w[1] != w[0] + 1));
+                if name == "hosts" || !partitioned {
+                    assert!(interleaved, "{name}: tuple-id placement left runs");
+                }
+                assert!(locator.locate(&name, TupleId::new(0)).is_err());
+                let past = TupleId::new(all.len() as u64 + 1);
+                assert!(locator.locate(&name, past).is_err());
+            }
         }
     }
 }

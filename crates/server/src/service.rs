@@ -647,6 +647,12 @@ impl QueryService {
         self.core.router.shard_count()
     }
 
+    /// The shard router, for the crate's unit tests.
+    #[cfg(test)]
+    pub(crate) fn router(&self) -> &ShardRouter {
+        &self.core.router
+    }
+
     /// Runs `f` against one shard's cache; serialized with query execution
     /// on that shard. Retracts every answer snapshot the shard published
     /// before it releases the lock, even if `f` unwinds: `f` may change
@@ -1025,7 +1031,7 @@ impl ServiceBuilder {
                         cache
                     },
                     sources: Vec::new(),
-                    to_global: HashMap::new(),
+                    to_global: TidMap::default(),
                 })
             })
             .collect::<Result<_, TrappError>>()?;
@@ -1034,7 +1040,7 @@ impl ServiceBuilder {
         // tuple-id placement revokes single-shard routing for its table.
         let mut group_placed: HashSet<String> =
             self.tables.iter().map(|t| t.name().to_owned()).collect();
-        let mut from_global: TidMap<(usize, TupleId)> = HashMap::new();
+        let mut from_global: TidMap<(usize, TupleId)> = TidMap::default();
 
         // Global id assignment matches the single-shard build exactly:
         // tuple ids count up per table in row order, object ids count up
@@ -1086,15 +1092,8 @@ impl ServiceBuilder {
                 .catalog_mut()
                 .table_mut(&table_name)?
                 .insert(cells.clone())?;
-            shard
-                .to_global
-                .entry(table_name.clone())
-                .or_default()
-                .insert(tid, global_tid);
-            from_global
-                .entry(table_name.clone())
-                .or_default()
-                .insert(global_tid, (shard_idx, tid));
+            shard.to_global.push(&table_name, tid, global_tid)?;
+            from_global.push(&table_name, global_tid, (shard_idx, tid))?;
 
             let mut tuple_cost = 0.0;
             let mut subscriptions = Vec::with_capacity(bounded_cols.len());

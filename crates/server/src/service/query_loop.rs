@@ -12,12 +12,13 @@ use trapp_core::query_plan::{
     QueryPartial, QueryPlan,
 };
 use trapp_core::{bounded_answer, merge_grouped_partials, merge_table_slices, SessionConfig};
+use trapp_storage::Catalog;
 use trapp_system::CacheNode;
 use trapp_types::{ObjectId, PartialFailure, SourceFailure, SourceId, TrappError, TupleId};
 
 use super::{rollup, DegradationPolicy, DegradedInfo, Job, ServiceCore, ServiceReply};
 use crate::gateway::{FetchOutcome, FetchStats, PendingFetch};
-use crate::router::{Route, Shard};
+use crate::router::{Locator, Route, Shard, TidRuns};
 
 /// Safety valve for the query loop's complete and fault rounds: each
 /// extra complete round means a concurrent clock advance re-widened bounds
@@ -259,12 +260,13 @@ impl ServiceCore {
         }
         for s in self.router.footprint(route) {
             let shard = self.router.shard(s);
+            let mut globals = shard.to_global.runs();
             locks.locked(shard, |cache| {
                 for (_, r) in cache.objects().filter(|(_, r)| dark.contains(&r.source)) {
                     let (table, local) = (&r.cell.0, r.cell.1);
                     let tid = match route {
                         Route::Single(_) => local,
-                        Route::Scatter => shard.global_tid(table, local),
+                        Route::Scatter => globals.get(table, local).unwrap_or(local),
                     };
                     ex.insert(table, tid);
                 }
@@ -309,15 +311,18 @@ impl ServiceCore {
         }))
     }
 
-    /// The scatter-side plan phase: gather every shard's
+    /// The scatter-side plan phase: bind the query once, with no lock
+    /// (every shard holds the same schemas), gather every shard's
     /// [`QueryPartial`] under *all* shard locks (in index order — the only
     /// multi-lock acquisition in the service, so ordered acquisition
-    /// cannot deadlock), merge them shape-by-shape with no locks held, and
-    /// derive the plan once from the merged input. Holding all locks makes
-    /// the merged input a consistent snapshot: an update cannot land on
-    /// shard 1 after shard 0 was already gathered, which would merge
-    /// bounds from two different logical states into an answer that was
-    /// valid at no instant.
+    /// cannot deadlock), then rewrite the partials to global tuple ids,
+    /// merge them shape-by-shape and derive the plan once from the merged
+    /// input with no locks held. Holding all locks makes the merged input
+    /// a consistent snapshot: an update cannot land on shard 1 after shard
+    /// 0 was already gathered, which would merge bounds from two different
+    /// logical states into an answer that was valid at no instant. The
+    /// locks cover only what needs them: materializing each shard's bounds
+    /// and copying its partial out.
     ///
     /// Returns the plan, the gather instant, and the heuristic-round
     /// budget.
@@ -327,8 +332,8 @@ impl ServiceCore {
         exclusions: &Exclusions,
         locks: &mut LockTime,
     ) -> Result<(QueryPlan, f64, usize), TrappError> {
+        let bound = bind_query(query, self.router.schemas())?;
         let mut partials: Vec<QueryPartial> = Vec::with_capacity(self.router.shard_count());
-        let mut join_meta: Option<(BoundQuery, JoinSchemas)> = None;
         let asked = Instant::now();
         let mut acquired = Vec::with_capacity(self.router.shard_count());
         let mut guards: Vec<_> = self
@@ -344,69 +349,63 @@ impl ServiceCore {
         let gathered = (|| {
             for (shard, cache) in self.router.shards().iter().zip(guards.iter_mut()) {
                 cache.materialize()?;
-                let mut partial = cache.session().partial_query(query)?;
+                partials.push(cache.session().partial_bound(&bound)?);
                 shard.note_view_work(cache);
-                globalize_partial(shard, &mut partial);
-                partials.push(partial);
             }
-            // The session config and join shape metadata come from shard
-            // 0 — every shard runs one config and holds every table's
-            // schema.
-            let config = guards[0].session().config;
-            if matches!(partials.first(), Some(QueryPartial::Join(_))) {
-                let catalog = guards[0].session().catalog();
-                let bound = bind_query(query, catalog)?;
-                let QuerySource::Join { left, right } = &bound.source else {
-                    return Err(TrappError::Internal(
-                        "join partial from a non-join query".into(),
-                    ));
-                };
-                let schemas = (
-                    catalog.table(left)?.schema().clone(),
-                    catalog.table(right)?.schema().clone(),
-                );
-                join_meta = Some((bound, schemas));
-            }
-            Ok((self.clock.now(), config))
+            // Every shard runs one session config: shard 0's stands for all.
+            Ok((self.clock.now(), guards[0].session().config))
         })();
         drop(guards);
         let released = Instant::now();
         locks.wait += acquired.last().map_or(Duration::ZERO, |&last| last - asked);
         locks.hold += acquired.iter().map(|&at| released - at).sum::<Duration>();
         let (now, config) = gathered?;
-        let plan = plan_merged(partials, join_meta, config, exclusions)?;
+        for (shard, partial) in self.router.shards().iter().zip(&mut partials) {
+            globalize_partial(shard, partial);
+        }
+        let plan = plan_merged(partials, &bound, self.router.schemas(), config, exclusions)?;
         Ok((plan, now, config.max_refresh_rounds))
     }
 }
 
-/// Rewrites a shard's partial from shard-local to global tuple ids.
+/// Rewrites a shard's partial from shard-local to global tuple ids, one
+/// array index per id.
 fn globalize_partial(shard: &Shard, partial: &mut QueryPartial) {
+    #[cfg(test)]
+    tests::globalize_hook();
+    let to_global = &shard.to_global;
     match partial {
         QueryPartial::Scalar(p) => {
-            let table = p.table.clone();
-            p.rewrite_tids(|tid| shard.global_tid(&table, tid));
+            let ids = to_global.table(&p.table);
+            p.rewrite_tids(|tid| ids.get(tid).unwrap_or(tid));
         }
         QueryPartial::Grouped(groups) => {
+            // Every group reads the one queried table.
+            let Some((_, first)) = groups.first() else {
+                return;
+            };
+            let ids = to_global.table(&first.table);
             for (_, p) in groups.iter_mut() {
-                let table = p.table.clone();
-                p.rewrite_tids(|tid| shard.global_tid(&table, tid));
+                p.rewrite_tids(|tid| ids.get(tid).unwrap_or(tid));
             }
         }
         QueryPartial::Join(jp) => {
-            let table = jp.left.table.clone();
-            jp.left.rewrite_tids(|tid| shard.global_tid(&table, tid));
-            let table = jp.right.table.clone();
-            jp.right.rewrite_tids(|tid| shard.global_tid(&table, tid));
+            for side in [&mut jp.left, &mut jp.right] {
+                let ids = to_global.table(&side.table);
+                side.rewrite_tids(|tid| ids.get(tid).unwrap_or(tid));
+            }
         }
     }
 }
 
 /// The scatter plan's second half, with no locks held: merges the
-/// gathered partials shape by shape and derives the plan once from the
-/// merged input, under the shards' session `config`.
+/// gathered partials of `bound` shape by shape and derives the plan once
+/// from the merged input, under the shards' session `config`. A join's
+/// side schemas come from `schemas`.
 fn plan_merged(
     partials: Vec<QueryPartial>,
-    join_meta: Option<(BoundQuery, JoinSchemas)>,
+    bound: &BoundQuery,
+    schemas: &Catalog,
     config: SessionConfig,
     exclusions: &Exclusions,
 ) -> Result<QueryPlan, TrappError> {
@@ -463,7 +462,9 @@ fn plan_merged(
             assemble_units(units, true, config.mode)
         }
         QueryPartial::Join(_) => {
-            let (bound, (lschema, rschema)) = join_meta.expect("set under the gather locks");
+            let QuerySource::Join { left, right } = &bound.source else {
+                return Err(shape_err());
+            };
             let mut lefts = Vec::with_capacity(partials.len());
             let mut rights = Vec::with_capacity(partials.len());
             for partial in partials {
@@ -473,10 +474,10 @@ fn plan_merged(
                 lefts.push(jp.left);
                 rights.push(jp.right);
             }
-            let left = merge_table_slices(lschema, lefts)?;
-            let right = merge_table_slices(rschema, rights)?;
+            let left = merge_table_slices(schemas.table(left)?.schema().clone(), lefts)?;
+            let right = merge_table_slices(schemas.table(right)?.schema().clone(), rights)?;
             plan_join_round(
-                &bound,
+                bound,
                 &left,
                 &right,
                 config.join_heuristic,
@@ -488,14 +489,17 @@ fn plan_merged(
     Ok(plan)
 }
 
+/// The id space a plan's tuples are in, with the translation the fetch
+/// round needs from it.
+enum PlanIds<'r> {
+    /// Shard-local ids of this shard, reported under their global ids.
+    Local(usize, TidRuns<'r, TupleId>),
+    /// Global ids, located on their shards.
+    Global(Locator<'r>),
+}
+
 /// One shard's fetch request: its objects, batched per source.
 type SourceBatches = Vec<(SourceId, Vec<ObjectId>)>;
-
-/// The per-side schemas of a gathered join.
-type JoinSchemas = (
-    std::sync::Arc<trapp_storage::Schema>,
-    std::sync::Arc<trapp_storage::Schema>,
-);
 
 /// The query loop's phases. Each phase method of [`QueryRun`] consumes
 /// its phase's data and returns the next phase; the deadline policy
@@ -786,11 +790,16 @@ impl<'a> QueryRun<'a> {
     fn attribute<'p>(&mut self, plan: &'p FetchPlan) -> Result<ShardWork<'p>, TrappError> {
         let router = &self.core.router;
         let mut work: ShardWork<'p> = vec![Vec::new(); router.shard_count()];
+        // A single-shard plan speaks local ids, a scatter plan global ones.
+        let mut ids = match self.route {
+            Route::Single(s) => PlanIds::Local(s, router.shard(s).to_global.runs()),
+            Route::Scatter => PlanIds::Global(router.locator()),
+        };
         self.attr.record(plan, |table, tid| {
-            let (s, local, global) = match self.route {
-                Route::Single(s) => (s, tid, router.shard(s).global_tid(table, tid)),
-                Route::Scatter => {
-                    let (s, local) = router.locate(table, tid)?;
+            let (s, local, global) = match &mut ids {
+                PlanIds::Local(s, globals) => (*s, tid, globals.get(table, tid).unwrap_or(tid)),
+                PlanIds::Global(locator) => {
+                    let (s, local) = locator.locate(table, tid)?;
                     (s, local, tid)
                 }
             };
@@ -959,6 +968,7 @@ fn sorted(sources: impl Iterator<Item = SourceId>) -> Vec<SourceId> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -977,6 +987,20 @@ mod tests {
     /// The SQL text at which `run_query` panics, before it takes any shard
     /// lock or gateway claim.
     pub(super) const PANIC_HOOK_SQL: &str = "-- panic in run_query";
+
+    thread_local! {
+        /// How long `globalize_partial` stalls on this thread per shard
+        /// partial (zero: not at all).
+        static GLOBALIZE_STALL: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+    }
+
+    /// Stalls `globalize_partial` by this thread's `GLOBALIZE_STALL`.
+    pub(super) fn globalize_hook() {
+        let stall = GLOBALIZE_STALL.get();
+        if !stall.is_zero() {
+            std::thread::sleep(stall);
+        }
+    }
 
     /// A transport that holds one source's refreshes at the door: it
     /// reports each such fetch as open, naming its objects, then blocks it
@@ -1346,5 +1370,51 @@ mod tests {
             service.query("SELECT SUM(load) FROM metrics").unwrap_err(),
             shut_down
         );
+    }
+
+    /// A scatter pass holds the shard locks only to materialize and copy
+    /// each shard's partial: the tuple-id rewrite runs after they drop.
+    /// With the rewrite stalled 50 ms per shard partial, a 4-shard query's
+    /// summed lock hold stays under one stall, scalar and grouped alike.
+    #[test]
+    fn scatter_rewrites_tuple_ids_after_the_shard_locks_drop() {
+        let schema = Schema::new(vec![
+            ColumnDef::exact("grp", ValueType::Int),
+            ColumnDef::bounded_float("load"),
+        ])
+        .unwrap();
+        let mut builder = ServiceBuilder::new()
+            .config(ServiceConfig {
+                shards: 4,
+                ..ServiceConfig::default()
+            })
+            .table(Table::new("metrics", schema));
+        for k in 0..32u64 {
+            let cells = vec![
+                BoundedValue::Exact(Value::Int((k % 8) as i64)),
+                BoundedValue::exact_f64(k as f64).unwrap(),
+            ];
+            builder = builder.row("metrics", SourceId::new(1 + k % 2), cells);
+        }
+        let service = builder.build_direct().unwrap();
+        let stall = Duration::from_millis(50);
+        for sql in [
+            "SELECT SUM(load) FROM metrics",
+            "SELECT AVG(load) FROM metrics GROUP BY grp",
+        ] {
+            let before = service.stats();
+            GLOBALIZE_STALL.set(stall);
+            let reply = service.query(sql);
+            GLOBALIZE_STALL.set(Duration::ZERO);
+            let reply = reply.unwrap();
+            let after = service.stats();
+            assert_eq!(after.scatter_queries - before.scatter_queries, 1, "{sql}");
+            assert!(reply.exec_time >= 4 * stall, "{sql}: the stall never ran");
+            let held = after.shard_lock_hold_us - before.shard_lock_hold_us;
+            assert!(
+                held < stall.as_micros() as u64,
+                "{sql}: shard locks held {held} µs across a {stall:?} rewrite stall"
+            );
+        }
     }
 }

@@ -12,7 +12,10 @@
 //!   [`TrappError::PartialResult`], while healthy shards keep serving;
 //! * updates route to the shard whose cache subscribes the object;
 //! * concurrent mixed pinned/global load over 4 shards stays within every
-//!   precision contract.
+//!   precision contract;
+//! * rows placed by tuple id — no partition column, or a table that lacks
+//!   it — interleave each shard's global ids, and scatter answers still
+//!   match the 1-shard service bit for bit.
 
 mod common;
 
@@ -24,9 +27,10 @@ use trapp_core::executor::QueryResult;
 use trapp_core::refresh::iterative::IterativeHeuristic;
 use trapp_core::ExecutionMode;
 use trapp_server::{QueryService, ServiceConfig, ServiceReply};
-use trapp_types::{shard_of, ObjectId, SourceId, TrappError, Value};
+use trapp_storage::{ColumnDef, Schema, Table};
+use trapp_types::{shard_of, BoundedValue, ObjectId, SourceId, TrappError, Value, ValueType};
 use trapp_workload::loadgen::{
-    self, LoadConfig, QueryShape, ServiceWorkload, JOIN_WEIGHT_THRESHOLD,
+    self, LoadConfig, QueryShape, RowSpec, ServiceWorkload, JOIN_WEIGHT_THRESHOLD,
 };
 
 fn build_on(w: &ServiceWorkload, shards: usize, workers: usize, stack: Stack) -> QueryService {
@@ -634,4 +638,93 @@ fn concurrent_mixed_load_on_four_shards_is_correct() {
         stats.scatter_queries < stats.queries,
         "pinned queries must route single-shard"
     );
+}
+
+/// Rows placed by tuple id: a service with no partition column, and one
+/// partitioned by `grp` that also holds `hosts`, a table without `grp`.
+/// Either way each shard's global ids interleave with the other shards'
+/// instead of forming runs. On 2–5 shards every scalar, `GROUP BY` and
+/// join answer — refresh sets, costs and rounds included — equals the
+/// 1-shard service's, across clock advances that force refreshes. Only
+/// `exec_time` and `round_trips` may differ: a sharded fetch sends one
+/// batch per shard and source.
+#[test]
+fn scatter_is_bit_equivalent_when_rows_are_placed_by_tuple_id() {
+    let w = loadgen::generate(&LoadConfig {
+        seed: 31,
+        groups: 6,
+        rows_per_group: 4,
+        sources: 3,
+        queries: 24,
+        global_fraction: 0.5,
+        grouped_fraction: 0.3,
+        join_fraction: 0.3,
+        ..LoadConfig::default()
+    });
+    let hosts_schema = Schema::new(vec![
+        ColumnDef::exact("rack", ValueType::Int),
+        ColumnDef::bounded_float("cpu"),
+    ])
+    .unwrap();
+    let hosts: Vec<RowSpec> = (0..22u64)
+        .map(|k| RowSpec {
+            source: SourceId::new(1 + k % 3),
+            cells: vec![
+                BoundedValue::Exact(Value::Int((k % 5) as i64)),
+                BoundedValue::exact_f64(10.0 + 3.5 * k as f64).unwrap(),
+            ],
+        })
+        .collect();
+    let tables = || {
+        let mut tables = loadgen_tables(&w);
+        tables.push((Table::new("hosts", hosts_schema.clone()), &hosts[..]));
+        tables
+    };
+    let mut sqls: Vec<String> = w.queries.iter().map(|q| q.sql.clone()).collect();
+    sqls.extend(
+        [
+            "SELECT SUM(cpu) WITHIN 4 FROM hosts",
+            "SELECT AVG(cpu) WITHIN 1 FROM hosts GROUP BY rack",
+            "SELECT MIN(cpu) WITHIN 2 FROM hosts WHERE rack = 3",
+            "SELECT COUNT(*) WITHIN 1 FROM hosts WHERE cpu > 40",
+            "SELECT SUM(load) WITHIN 6 FROM metrics, hosts WHERE metrics.grp = hosts.rack",
+            "SELECT SUM(cpu) WITHIN 3 FROM hosts, segments \
+             WHERE hosts.rack = segments.grp AND weight > 0.5",
+        ]
+        .map(str::to_owned),
+    );
+    let config = |shards| ServiceConfig {
+        workers: 1,
+        shards,
+        ..ServiceConfig::default()
+    };
+    for partitioned in [false, true] {
+        for shards in 2..=5 {
+            let build = |shards| {
+                let builder = service_builder(tables(), config(shards));
+                let builder = if partitioned {
+                    builder.partition_by("grp")
+                } else {
+                    builder
+                };
+                builder.build_direct().unwrap()
+            };
+            let single = build(1);
+            let sharded = build(shards);
+            for (i, sql) in sqls.iter().enumerate() {
+                if i % 4 == 0 {
+                    single.advance_clock(25.0);
+                    sharded.advance_clock(25.0);
+                }
+                let context =
+                    format!("query {i}: {sql} (shards={shards}, partitioned={partitioned})");
+                let a = single.query(sql).unwrap();
+                let b = sharded.query(sql).unwrap();
+                assert_replies_match(&a, &b, &context);
+                assert_eq!(a.refreshes_saved, b.refreshes_saved, "{context}");
+                assert_eq!(a.degraded.is_some(), b.degraded.is_some(), "{context}");
+            }
+            assert!(sharded.stats().scatter_queries > 0);
+        }
+    }
 }
