@@ -2,16 +2,16 @@
 //!
 //! 1. Compute an initial bounded answer from the cached bounds; if it meets
 //!    the precision constraint, done.
-//! 2. Otherwise run CHOOSE_REFRESH and ask the sources (via the
-//!    [`RefreshOracle`]) for the chosen tuples' master values.
+//! 2. Otherwise run CHOOSE_REFRESH and ask the sources for the chosen
+//!    tuples' master values.
 //! 3. Recompute the bounded answer over the partially refreshed cache; the
 //!    CHOOSE_REFRESH guarantee makes it satisfy the constraint.
 //!
-//! [`QuerySession::drive`] is that loop, written once over any planner
-//! that lowers the query into a [`QueryPlan`]: plan, refresh the planned
-//! tuples through the oracle, plan again until the plan is ready. The
-//! §8.2 iterative mode and the §7 join rounds are plan states, not loops
-//! of their own. [`QuerySession::execute`] drives the *scan* planner
+//! [`drive_rounds`] is that loop, over the two moves of a [`Rounds`]:
+//! [`QuerySession::drive`]'s over a [`RefreshOracle`], and the serving
+//! layer's over its shard locks and gateways. The §8.2 iterative mode and
+//! the §7 join rounds are plan states, not loops of their own.
+//! [`QuerySession::execute`] drives the *scan* planner
 //! ([`QuerySession::plan_scan`]: scan-built inputs, scan CHOOSE_REFRESH,
 //! one-tuple join rounds), which shares no code with the band views
 //! [`QuerySession::plan_query`] plans from, so the equivalence suites keep
@@ -26,7 +26,7 @@ use crate::group_by::{group_partitions, GroupKey};
 use crate::plan::{bind_query, BoundQuery, QuerySource};
 use crate::query_plan::{
     assemble_units, empty_tuple_set, plan_join_round, plan_unit, Attribution, Exclusions,
-    QueryOutcome, QueryPlan,
+    FetchPlan, QueryOutcome, QueryPlan,
 };
 use crate::refresh::iterative::IterativeHeuristic;
 use crate::refresh::SolverStrategy;
@@ -49,9 +49,8 @@ pub struct SessionConfig {
     pub mode: ExecutionMode,
     /// Heuristic for join refresh rounds.
     pub join_heuristic: IterativeHeuristic,
-    /// Refresh rounds a query may take before its loop gives up with an
-    /// error ([`QuerySession::drive`], and the serving layer's heuristic
-    /// rounds).
+    /// Heuristic refresh rounds (join rounds, and iterative mode's) a
+    /// query may take before [`drive_rounds`] gives up with an error.
     pub max_refresh_rounds: usize,
 }
 
@@ -131,6 +130,86 @@ impl RefreshOracle for TableOracle {
             rows.push(out);
         }
         Ok(rows)
+    }
+}
+
+/// Complete rounds a query may fetch: past the first, each means bounds
+/// re-widened between install and plan (a concurrent clock advance).
+const MAX_COMPLETE_ROUNDS: usize = 8;
+
+/// The two moves of the §4 loop, as one query's executor makes them.
+pub trait Rounds {
+    /// Plans the query over the cache as it stands.
+    fn plan(&mut self) -> Result<QueryPlan, TrappError>;
+
+    /// Fetches and installs one round, recording what it paid in `paid`.
+    /// Returns whether the round counts against the budget: `false` when
+    /// it lost a source the next plan routes around.
+    fn fetch(&mut self, round: &FetchPlan, paid: &mut Attribution) -> Result<bool, TrappError>;
+}
+
+/// The §4 loop: plan and fetch until the plan is `Ready`, then return its
+/// outcome patched with what each unit paid ([`Attribution`]). The one
+/// budget: 8 counted complete rounds ([`FetchPlan::complete`]) and
+/// `max_refresh_rounds` counted heuristic ones; a plan past either is a
+/// typed [`TrappError::Internal`].
+pub fn drive_rounds(
+    rounds: &mut impl Rounds,
+    max_refresh_rounds: usize,
+) -> Result<QueryOutcome, TrappError> {
+    let mut attribution = Attribution::default();
+    let (mut complete, mut heuristic) = (0usize, 0usize);
+    loop {
+        let round = match rounds.plan()? {
+            QueryPlan::Ready(outcome) => return Ok(attribution.patch(outcome)),
+            QueryPlan::NeedsFetch(round) => round,
+        };
+        let (spent, cap) = if round.complete {
+            (&mut complete, MAX_COMPLETE_ROUNDS)
+        } else {
+            (&mut heuristic, max_refresh_rounds)
+        };
+        if *spent >= cap {
+            return Err(TrappError::Internal(format!(
+                "refresh did not converge: {complete} complete and {heuristic} heuristic rounds"
+            )));
+        }
+        if rounds.fetch(&round, &mut attribution)? {
+            *spent += 1;
+        }
+    }
+}
+
+/// [`QuerySession::drive`]'s moves: a planner, and the oracle's refreshes.
+struct OracleRounds<'s, P> {
+    session: &'s mut QuerySession,
+    oracle: &'s mut dyn RefreshOracle,
+    plan: P,
+    /// The last round fetched was complete.
+    after_complete: bool,
+}
+
+impl<P> Rounds for OracleRounds<'_, P>
+where
+    P: FnMut(&QuerySession) -> Result<QueryPlan, TrappError>,
+{
+    fn plan(&mut self) -> Result<QueryPlan, TrappError> {
+        let plan = (self.plan)(self.session)?;
+        debug_assert!(
+            !self.after_complete || matches!(plan, QueryPlan::Ready(_)),
+            "CHOOSE_REFRESH must guarantee the constraint: a complete round left it unmet"
+        );
+        Ok(plan)
+    }
+
+    fn fetch(&mut self, round: &FetchPlan, paid: &mut Attribution) -> Result<bool, TrappError> {
+        paid.record(round, |_, tid| Ok(tid))?;
+        for unit in round.units.iter().filter_map(|u| u.fetch.as_ref()) {
+            self.session
+                .refresh_tuples(&unit.table, &unit.tuples, self.oracle)?;
+        }
+        self.after_complete = round.complete;
+        Ok(true)
     }
 }
 
@@ -277,46 +356,26 @@ impl QuerySession {
         self.execute(&constrained, oracle)
     }
 
-    /// The §4 loop over any planner: plans, refreshes every planned tuple
-    /// through `oracle` ([`QuerySession::refresh_tuples`], one call per
-    /// unit's fetch), and plans again until the plan is
-    /// [`QueryPlan::Ready`]. The outcome reports, per unit, its first
-    /// cache-only answer and the tuples, cost and rounds it paid for
-    /// ([`Attribution`]). A plan that keeps asking for refreshes past
-    /// [`SessionConfig::max_refresh_rounds`] rounds is an error.
+    /// [`drive_rounds`] over any planner, refreshing each planned unit's
+    /// tuples through `oracle` ([`QuerySession::refresh_tuples`]).
     ///
-    /// Debug builds check the CHOOSE_REFRESH guarantee: a complete round
-    /// ([`crate::query_plan::FetchPlan::complete`]) must leave the next
-    /// plan ready. [`QuerySession::plan_scan`] checks its other half.
+    /// Debug builds check the CHOOSE_REFRESH guarantee: with no clock to
+    /// re-widen bounds, a complete round ([`FetchPlan::complete`]) must
+    /// leave the next plan ready. [`QuerySession::plan_scan`] checks its
+    /// other half.
     pub fn drive(
         &mut self,
         oracle: &mut dyn RefreshOracle,
-        mut plan: impl FnMut(&QuerySession) -> Result<QueryPlan, TrappError>,
+        plan: impl FnMut(&QuerySession) -> Result<QueryPlan, TrappError>,
     ) -> Result<QueryOutcome, TrappError> {
-        let mut attribution = Attribution::default();
-        let mut rounds = 0usize;
-        let mut after_complete = false;
-        loop {
-            let fetch = match plan(self)? {
-                QueryPlan::Ready(outcome) => return Ok(attribution.patch(outcome)),
-                QueryPlan::NeedsFetch(fetch) => fetch,
-            };
-            debug_assert!(
-                !after_complete,
-                "CHOOSE_REFRESH must guarantee the constraint: a complete round left it unmet"
-            );
-            if rounds >= self.config.max_refresh_rounds {
-                return Err(TrappError::Internal(format!(
-                    "refresh did not converge in {rounds} rounds"
-                )));
-            }
-            rounds += 1;
-            attribution.record(&fetch, |_, tid| Ok(tid))?;
-            for unit in fetch.units.iter().filter_map(|u| u.fetch.as_ref()) {
-                self.refresh_tuples(&unit.table, &unit.tuples, oracle)?;
-            }
-            after_complete = fetch.complete;
-        }
+        let max_refresh_rounds = self.config.max_refresh_rounds;
+        let mut rounds = OracleRounds {
+            session: self,
+            oracle,
+            plan,
+            after_complete: false,
+        };
+        drive_rounds(&mut rounds, max_refresh_rounds)
     }
 
     /// The scan reference planner: lowers a bound query into a
@@ -481,6 +540,102 @@ mod tests {
         let round = s.plan_query(&q).unwrap();
         assert!(matches!(&round, QueryPlan::NeedsFetch(fp) if fp.complete));
         let _ = s.drive(&mut o, |_| Ok(round.clone()));
+    }
+
+    /// A synthetic [`Rounds`]: plans `round` every time until `ready_after`
+    /// fetches have happened, then answers from the session; every fetch
+    /// counts iff `counted`.
+    struct Replay {
+        session: QuerySession,
+        round: FetchPlan,
+        counted: bool,
+        ready_after: usize,
+        fetched: usize,
+    }
+
+    impl Replay {
+        /// Replays the MIN query's first round, marked `complete` or not.
+        fn new(complete: bool, counted: bool, ready_after: usize) -> Replay {
+            let session = QuerySession::new(links_table());
+            let q = trapp_sql::parse_query(
+                "SELECT MIN(bandwidth) WITHIN 10 FROM links WHERE on_path = TRUE",
+            )
+            .unwrap();
+            let QueryPlan::NeedsFetch(mut round) = session.plan_query(&q).unwrap() else {
+                panic!("the MIN query needs a fetch from cache");
+            };
+            round.complete = complete;
+            Replay {
+                session,
+                round,
+                counted,
+                ready_after,
+                fetched: 0,
+            }
+        }
+    }
+
+    impl Rounds for Replay {
+        fn plan(&mut self) -> Result<QueryPlan, TrappError> {
+            if self.fetched < self.ready_after {
+                return Ok(QueryPlan::NeedsFetch(self.round.clone()));
+            }
+            let q = trapp_sql::parse_query("SELECT MIN(bandwidth) FROM links").unwrap();
+            self.session.plan_query(&q)
+        }
+
+        fn fetch(&mut self, round: &FetchPlan, paid: &mut Attribution) -> Result<bool, TrappError> {
+            paid.record(round, |_, tid| Ok(tid))?;
+            self.fetched += 1;
+            Ok(self.counted)
+        }
+    }
+
+    fn not_converged(result: Result<QueryOutcome, TrappError>) {
+        match result {
+            Err(TrappError::Internal(message)) => {
+                assert!(message.starts_with("refresh did not converge"), "{message}");
+            }
+            other => panic!("expected the typed non-convergence error, got {other:?}"),
+        }
+    }
+
+    /// A plan that keeps asking for the same complete round gets the typed
+    /// error after exactly 8 fetched rounds, whatever the heuristic budget.
+    #[test]
+    fn complete_rounds_are_capped_at_eight() {
+        let mut replay = Replay::new(true, true, usize::MAX);
+        not_converged(drive_rounds(&mut replay, 100_000));
+        assert_eq!(replay.fetched, 8);
+        let mut replay = Replay::new(true, true, 8);
+        let QueryOutcome::Scalar(result) = drive_rounds(&mut replay, 0).unwrap() else {
+            panic!("a scalar query answers with a scalar outcome");
+        };
+        assert_eq!(result.rounds, 8);
+    }
+
+    /// A repeating heuristic round gets the typed error after exactly
+    /// `max_refresh_rounds` fetched rounds.
+    #[test]
+    fn heuristic_rounds_are_capped_at_max_refresh_rounds() {
+        for max_refresh_rounds in [0, 1, 13] {
+            let mut replay = Replay::new(false, true, usize::MAX);
+            not_converged(drive_rounds(&mut replay, max_refresh_rounds));
+            assert_eq!(replay.fetched, max_refresh_rounds);
+        }
+        let mut replay = Replay::new(false, true, 13);
+        drive_rounds(&mut replay, 13).unwrap();
+    }
+
+    /// Rounds whose fetch lost a source do not count: however many there
+    /// are, neither cap trips.
+    #[test]
+    fn rounds_that_lost_a_source_never_trip_the_budget() {
+        for complete in [true, false] {
+            let mut replay = Replay::new(complete, false, 50);
+            drive_rounds(&mut replay, 1).unwrap();
+            assert_eq!(replay.fetched, 50);
+        }
     }
 
     /// End-to-end Q1 (§5.1): initial [40,55]; R=10 refreshes tuple 5

@@ -5,10 +5,11 @@
 //! well-defined and implemented here: partition the table by the group
 //! key, and give each partition the ordinary single-group pipeline —
 //! including CHOOSE_REFRESH with the per-group precision constraint. Each
-//! group is one unit of a [`crate::query_plan::QueryPlan`], so
-//! [`QuerySession::drive`] refreshes every unsatisfied group's tuples in
-//! the same round; groups partition the table, so no group's plan depends
-//! on another's refreshes.
+//! group is one unit of a [`crate::query_plan::QueryPlan`], so the one
+//! query loop ([`crate::executor::drive_rounds`], on the oracle side
+//! through [`QuerySession::drive`]) refreshes every unsatisfied group's
+//! tuples in the same round; groups partition the table, so no group's
+//! plan depends on another's refreshes.
 
 use std::collections::BTreeMap;
 

@@ -23,7 +23,8 @@
 //!   [`QueryPartial`] for sharded scatter-gather;
 //! * [`executor`] — the three-step query execution loop of §4
 //!   (answer from cache → CHOOSE_REFRESH → refresh → recompute), written
-//!   once as [`QuerySession::drive`] over any planner and wired to a
+//!   once as [`executor::drive_rounds`] over an [`executor::Rounds`]; the
+//!   oracle side's is [`QuerySession::drive`], over any planner and a
 //!   pluggable [`executor::RefreshOracle`], with the scan reference planner
 //!   [`QuerySession::plan_scan`];
 //! * [`merge`] — cross-shard partial-aggregate merging: per-shard

@@ -73,6 +73,11 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+// No panic reaches a caller: a site that stays names its invariant.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod admission;
 pub mod gateway;

@@ -217,32 +217,29 @@ impl ShardRouter {
         partition_column: Option<String>,
         group_placed: HashSet<String>,
         from_global: TidMap<(usize, TupleId)>,
-    ) -> ShardRouter {
+    ) -> Result<ShardRouter, TrappError> {
         assert!(!shards.is_empty(), "a service needs at least one shard");
+        let mut schemas = Catalog::new();
+        let cache = shards[0].cache.lock();
+        let catalog = cache.session().catalog();
+        for name in catalog.table_names() {
+            schemas.add_table(Table::new(name, catalog.table(name)?.schema().clone()))?;
+        }
+        drop(cache);
         let mut object_shard = HashMap::new();
         for (idx, shard) in shards.iter().enumerate() {
             for (object, _) in shard.cache.lock().objects() {
                 object_shard.insert(object, idx);
             }
         }
-        let mut schemas = Catalog::new();
-        let cache = shards[0].cache.lock();
-        let catalog = cache.session().catalog();
-        for name in catalog.table_names() {
-            let schema = catalog.table(name).expect("a listed table").schema();
-            schemas
-                .add_table(Table::new(name, schema.clone()))
-                .expect("catalog names are unique");
-        }
-        drop(cache);
-        ShardRouter {
+        Ok(ShardRouter {
             shards,
             partition_column,
             group_placed,
             from_global,
             object_shard,
             schemas,
-        }
+        })
     }
 
     /// Number of shards.
@@ -343,17 +340,20 @@ fn pinned_group(pred: &Expr<ColumnRef>, col: &str, table: &str) -> Option<i64> {
     }
 }
 
+/// 2⁵³: integers this far from zero or farther share their `f64` image.
+const UNIQUE_IN_F64: f64 = 9_007_199_254_740_992.0;
+
 /// `lhs = rhs` where `lhs` is the partition column and `rhs` an integer
-/// literal (the SQL lexer produces floats, so integral floats count).
+/// literal (the SQL lexer produces floats, so integral floats count) below
+/// 2⁵³ in magnitude: past it, one `f64` image, which is what the evaluator
+/// compares, admits several ints — groups placed on different shards.
 fn eq_group(lhs: &Expr<ColumnRef>, rhs: &Expr<ColumnRef>, col: &str, table: &str) -> Option<i64> {
     let Expr::Column(c) = lhs else {
         return None;
     };
     let g = match rhs {
-        Expr::Literal(Value::Int(g)) => *g,
-        Expr::Literal(Value::Float(g)) if g.fract() == 0.0 && g.abs() <= i64::MAX as f64 => {
-            *g as i64
-        }
+        Expr::Literal(Value::Int(g)) if (*g as f64).abs() < UNIQUE_IN_F64 => *g,
+        Expr::Literal(Value::Float(g)) if g.fract() == 0.0 && g.abs() < UNIQUE_IN_F64 => *g as i64,
         _ => return None,
     };
     let qualified_ok = c.table.as_deref().is_none_or(|t| t == table);
@@ -402,6 +402,48 @@ mod tests {
         ] {
             assert_eq!(pinned_group(&pred(p), "grp", "metrics"), None, "{p}");
         }
+    }
+
+    /// Past 2⁵³ distinct ints share one `f64` image, so an equality there
+    /// may admit groups on several shards: it never pins, from the SQL
+    /// lexer's floats or from an `Int` literal. Just inside, it does.
+    #[test]
+    fn refuses_to_pin_where_ints_share_an_f64_image() {
+        let two_53 = 1i64 << 53;
+        for p in [
+            "grp = 9007199254740992",    // 2⁵³
+            "grp = -9007199254740992",   // −2⁵³
+            "grp = 9007199254740993",    // lexes to 2⁵³
+            "grp = 9223372036854775808", // 2⁶³
+            "grp = -9223372036854775808",
+        ] {
+            assert_eq!(pinned_group(&pred(p), "grp", "metrics"), None, "{p}");
+        }
+        let int_eq = |g: i64| {
+            let col = Expr::Column(ColumnRef {
+                table: None,
+                column: "grp".into(),
+            });
+            pinned_group(
+                &Expr::Binary(
+                    BinaryOp::Eq,
+                    Box::new(col),
+                    Box::new(Expr::Literal(Value::Int(g))),
+                ),
+                "grp",
+                "metrics",
+            )
+        };
+        for g in [two_53, -two_53, two_53 + 1, i64::MAX, i64::MIN] {
+            assert_eq!(int_eq(g), None, "{g}");
+        }
+        for g in [two_53 - 1, -(two_53 - 1), 0] {
+            assert_eq!(int_eq(g), Some(g), "{g}");
+        }
+        assert_eq!(
+            pinned_group(&pred("grp = 9007199254740991"), "grp", "metrics"),
+            Some(two_53 - 1)
+        );
     }
 
     /// Every row's ids round-trip through the dense maps: on each shard,

@@ -36,17 +36,13 @@
 //! [`RefreshGateway`](crate::RefreshGateway); keying the in-flight table
 //! per shard is free because objects never span shards).
 //!
-//! Every query, of every shape and route, runs one loop of four phases,
-//! so source round-trips run *outside* every cache lock: **plan** (shard
-//! lock: bring the rows the plan reads current, see
-//! [`CacheNode::materialize_for`], and lower the query into a
-//! [`trapp_core::query_plan::QueryPlan`]), **fetch** (no lock: every
-//! shard's slice submitted before any is awaited), **install** (shard
-//! lock: everything that arrived — even from a shard that failed, whose
-//! sources already narrowed their tracked bounds), then plan again or
-//! **answer**. Deadline widening and source failures are transitions
-//! between phases, decided by the query's `DEADLINE` and the
-//! [`DegradationPolicy`].
+//! Every query runs `trapp-core`'s one loop
+//! ([`trapp_core::executor::drive_rounds`]), so source round-trips run
+//! *outside* every cache lock: **plan** under the shard lock(s) (see
+//! [`CacheNode::materialize_for`]), **fetch** with none held, **install**
+//! under the lock(s) again, then plan again or answer. The query's
+//! `DEADLINE` and the [`DegradationPolicy`] decide each plan pass and
+//! each lost source.
 //!
 //! A single-shard plan pass first consults the shard's answer snapshots,
 //! with no lock: a single-table plan that came back `Ready` publishes its
@@ -970,7 +966,7 @@ impl ServiceBuilder {
                 config.health,
             ));
         }
-        let router = ShardRouter::new(shards, partition_column, group_placed, from_global);
+        let router = ShardRouter::new(shards, partition_column, group_placed, from_global)?;
         Ok(QueryService::start_router(
             router,
             clock,
@@ -1070,14 +1066,14 @@ impl ServiceBuilder {
             }
             let shard = &mut wired[shard_idx];
 
-            if !shard.sources.iter().any(|s| s.id() == source_id) {
-                shard.sources.push(Source::new(source_id, self.shape));
-            }
-            let source = shard
-                .sources
-                .iter_mut()
-                .find(|s| s.id() == source_id)
-                .expect("just ensured");
+            let source = match shard.sources.iter().position(|s| s.id() == source_id) {
+                Some(at) => &mut shard.sources[at],
+                None => {
+                    shard.sources.push(Source::new(source_id, self.shape));
+                    let at = shard.sources.len() - 1;
+                    &mut shard.sources[at]
+                }
+            };
 
             let bounded_cols = shard
                 .cache

@@ -1,11 +1,11 @@
-//! One query's execution: the plan → fetch → install → answer loop
-//! ([`QueryRun`]), the deadline and degradation policies that move it
-//! between phases, and the shard-facing steps each phase calls.
+//! One query's execution: [`QueryRun`], the service's two moves of
+//! `trapp-core`'s one query loop ([`drive_rounds`]), and the shard-facing
+//! steps they call.
 
 use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
 
-use trapp_bounds::AdaptiveWidth;
+use trapp_core::executor::{drive_rounds, Rounds};
 use trapp_core::plan::{bind_query, BoundQuery, QuerySource};
 use trapp_core::query_plan::{
     assemble_units, plan_join_round, plan_unit, Attribution, Exclusions, FetchPlan, QueryOutcome,
@@ -20,10 +20,8 @@ use super::{rollup, DegradationPolicy, DegradedInfo, Job, ServiceCore, ServiceRe
 use crate::gateway::{FetchOutcome, FetchStats, PendingFetch};
 use crate::router::{Locator, Route, Shard, TidRuns};
 
-/// Safety valve for the query loop's complete and fault rounds: each
-/// extra complete round means a concurrent clock advance re-widened bounds
-/// mid-query, each fault round that a source failed mid-fetch.
-const MAX_REPLAN_ROUNDS: usize = 8;
+/// Rounds a best-effort query may lose a source in before it gives up.
+const MAX_FAULT_ROUNDS: usize = 8;
 
 /// What one query's execution accounts for. It outlives the query loop,
 /// errors included, and is folded into [`super::ServiceStats`] and the reply
@@ -87,29 +85,18 @@ fn deadline_error(limit: Duration, elapsed: Duration, honorable: Option<f64>) ->
     }
 }
 
-/// One deadline-driven widening step: grows the query's `WITHIN` through
-/// an [`AdaptiveWidth`] controller seeded from the constraint itself
-/// (grow ×2 per step, capped at 1024× — the §6 knapsack cost falls
-/// monotonically as the constraint widens, so each step strictly shrinks
-/// the refresh plan). Returns `false` when the constraint cannot widen
-/// further (absent, non-positive, or at cap) — the caller then drops it
-/// entirely and answers from cache.
-fn widen_step(query: &mut trapp_sql::Query, widener: &mut Option<AdaptiveWidth>) -> bool {
-    let Some(w) = query.within else { return false };
-    if w.is_nan() || w <= 0.0 {
+/// One deadline-driven widening step: doubles the query's `WITHIN`, up to
+/// `ceiling`, 1024× the constraint the first step widened (the §6
+/// knapsack cost falls monotonically as the constraint widens, so each
+/// step strictly shrinks the refresh plan). Returns `false` when the
+/// constraint cannot widen further (absent, non-positive, or at the
+/// ceiling) — the caller then drops it entirely and answers from cache.
+fn widen_step(query: &mut trapp_sql::Query, ceiling: &mut Option<f64>) -> bool {
+    let Some(w) = query.within.filter(|&w| w > 0.0) else {
         return false;
-    }
-    if widener.is_none() {
-        match AdaptiveWidth::new(w, 2.0, 0.5, w, w * 1024.0) {
-            Ok(ctl) => *widener = Some(ctl),
-            Err(_) => return false,
-        }
-    }
-    let ctl = widener.as_mut().expect("seeded above");
-    let before = ctl.width();
-    ctl.on_value_initiated_refresh();
-    let after = ctl.width();
-    if after <= before {
+    };
+    let after = (w * 2.0).min(*ceiling.get_or_insert(w * 1024.0));
+    if after <= w {
         return false;
     }
     query.within = Some(after);
@@ -129,8 +116,12 @@ impl ServiceCore {
         let started = Instant::now();
         let queue_wait = started.duration_since(job.enqueued);
         let mut ctx = QueryCtx::default();
-        let outcome = trapp_sql::parse_query(&job.sql)
-            .and_then(|query| QueryRun::new(self, &mut ctx, query, job).run());
+        let outcome = trapp_sql::parse_query(&job.sql).and_then(|query| {
+            let mut run = QueryRun::new(self, &mut ctx, query, job);
+            run.start()?;
+            let outcome = drive_rounds(&mut run, SessionConfig::default().max_refresh_rounds)?;
+            run.answer(outcome)
+        });
         let exec_time = started.elapsed();
 
         let (counters, locks) = &mut *self.counters.lock();
@@ -173,10 +164,12 @@ impl ServiceCore {
         }
     }
 
-    /// The deadline guard's estimate of one fetch phase's wall time for a
-    /// plan of the given §6 refresh cost.
+    /// The deadline guard's estimate of one fetch's wall time for a round
+    /// of the given §6 refresh cost. An estimate past what a [`Duration`]
+    /// holds, or not a number, saturates: no budget fits it.
     fn estimate_fetch_time(&self, cost: f64) -> Duration {
-        Duration::from_secs_f64((*self.fetch_rate.lock() * cost.max(0.0)) / 1e6)
+        let secs = (*self.fetch_rate.lock() * cost.max(0.0)) / 1e6;
+        Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX)
     }
 
     /// Folds one observed fetch phase into the EWMA cost rate.
@@ -193,10 +186,10 @@ impl ServiceCore {
         };
     }
 
-    /// The single-shard plan phase, under that shard's lock: brings the
+    /// The single-shard plan pass, under that shard's lock: brings the
     /// rows the plan reads current, plans, and publishes a `Ready` plan's
-    /// outcome as the shard's answer snapshot for `sql`. Returns the plan,
-    /// the instant it was planned at, and the heuristic-round budget.
+    /// outcome as the shard's answer snapshot for `sql`. Returns the plan
+    /// and the instant it was planned at.
     fn plan_single(
         &self,
         s: usize,
@@ -204,7 +197,7 @@ impl ServiceCore {
         query: &trapp_sql::Query,
         exclusions: &Exclusions,
         locks: &mut LockTime,
-    ) -> Result<(QueryPlan, f64, usize), TrappError> {
+    ) -> Result<(QueryPlan, f64), TrappError> {
         let shard = self.router.shard(s);
         locks.locked(shard, |cache| {
             // Read before the rows are brought current: an instant read
@@ -215,8 +208,7 @@ impl ServiceCore {
             if let QueryPlan::Ready(outcome) = &plan {
                 shard.snapshots.publish(sql, at, &bound, cache, outcome);
             }
-            let max_rounds = cache.session().config.max_refresh_rounds;
-            Ok((plan, self.clock.now(), max_rounds))
+            Ok((plan, self.clock.now()))
         })
     }
 
@@ -245,9 +237,7 @@ impl ServiceCore {
 
     /// The tuples planning must treat as unrefreshable: every cached cell
     /// whose backing object lives on a dark source, in the tuple-id space
-    /// the route plans in (shard-local for a single-shard route, global
-    /// for scatter). Empty dark set short-circuits to no exclusions — the
-    /// healthy fast path allocates nothing.
+    /// the route plans in. With no dark source it allocates nothing.
     fn exclusions_for(
         &self,
         dark: &HashSet<SourceId>,
@@ -298,40 +288,25 @@ impl ServiceCore {
                 surviving_shards.push(s);
             }
         }
-        TrappError::PartialResult(Box::new(PartialFailure {
-            surviving_shards,
-            failed_shards,
-            sources: sorted(dark.iter().copied())
-                .into_iter()
-                .map(|source| SourceFailure {
-                    source,
-                    cause: Box::new(TrappError::SourceUnavailable(source)),
-                })
-                .collect(),
-        }))
+        let causes = sorted(dark.iter().copied()).into_iter();
+        let causes = causes.map(|source| (source, TrappError::SourceUnavailable(source)));
+        partial_result(surviving_shards, failed_shards, causes)
     }
 
-    /// The scatter-side plan phase: bind the query once, with no lock
+    /// The scatter-side plan pass: bind the query once, with no lock
     /// (every shard holds the same schemas), gather every shard's
     /// [`QueryPartial`] under *all* shard locks (in index order — the only
-    /// multi-lock acquisition in the service, so ordered acquisition
-    /// cannot deadlock), then rewrite the partials to global tuple ids,
-    /// merge them shape-by-shape and derive the plan once from the merged
-    /// input with no locks held. Holding all locks makes the merged input
-    /// a consistent snapshot: an update cannot land on shard 1 after shard
-    /// 0 was already gathered, which would merge bounds from two different
-    /// logical states into an answer that was valid at no instant. The
-    /// locks cover only what needs them: materializing each shard's bounds
-    /// and copying its partial out.
-    ///
-    /// Returns the plan, the gather instant, and the heuristic-round
-    /// budget.
+    /// multi-lock acquisition in the service, so it cannot deadlock), then
+    /// rewrite the partials to global tuple ids, merge them and plan once
+    /// with no locks held. Holding all locks makes the merged input a
+    /// consistent snapshot: no update lands on shard 1 after shard 0 was
+    /// gathered. Returns the plan and the gather instant.
     fn plan_scatter(
         &self,
         query: &trapp_sql::Query,
         exclusions: &Exclusions,
         locks: &mut LockTime,
-    ) -> Result<(QueryPlan, f64, usize), TrappError> {
+    ) -> Result<(QueryPlan, f64), TrappError> {
         let bound = bind_query(query, self.router.schemas())?;
         let mut partials: Vec<QueryPartial> = Vec::with_capacity(self.router.shard_count());
         let asked = Instant::now();
@@ -364,7 +339,7 @@ impl ServiceCore {
             globalize_partial(shard, partial);
         }
         let plan = plan_merged(partials, &bound, self.router.schemas(), config, exclusions)?;
-        Ok((plan, now, config.max_refresh_rounds))
+        Ok((plan, now))
     }
 }
 
@@ -410,18 +385,16 @@ fn plan_merged(
     exclusions: &Exclusions,
 ) -> Result<QueryPlan, TrappError> {
     let shape_err = || TrappError::Internal("shards disagreed on query shape".into());
-    let plan = match partials.first().expect("at least one shard") {
-        QueryPartial::Scalar(_) => {
-            let mut shape: Option<(String, trapp_core::Aggregate, Option<f64>)> = None;
+    let plan = match partials.first().ok_or_else(shape_err)? {
+        QueryPartial::Scalar(first) => {
+            let (table, agg, within) = (first.table.clone(), first.agg, first.within);
             let mut inputs = Vec::with_capacity(partials.len());
             for partial in partials {
                 let QueryPartial::Scalar(p) = partial else {
                     return Err(shape_err());
                 };
-                shape.get_or_insert((p.table, p.agg, p.within));
                 inputs.push(p.input);
             }
-            let (table, agg, within) = shape.expect("at least one shard");
             let merged = trapp_core::merge_partials(inputs)?;
             let unit = plan_unit(
                 agg,
@@ -501,27 +474,22 @@ enum PlanIds<'r> {
 /// One shard's fetch request: its objects, batched per source.
 type SourceBatches = Vec<(SourceId, Vec<ObjectId>)>;
 
-/// The query loop's phases. Each phase method of [`QueryRun`] consumes
-/// its phase's data and returns the next phase; the deadline policy
-/// (widen, shed, refuse) and the degradation policy (exclude a failed
-/// source, or refuse) are transitions those methods take.
-enum Phase {
-    /// Lower the query into a [`QueryPlan`] under the shard lock(s).
-    Plan,
-    /// Fetch a plan's refresh sets with no lock held, then install what
-    /// came back. `now` is the instant the plan was made at, `cost` its
-    /// predicted §6 refresh cost.
-    Fetch {
-        plan: FetchPlan,
-        now: f64,
-        cost: f64,
-    },
-    /// Shape the reply from a `Ready` plan.
-    Answer(QueryOutcome),
-}
-
-/// One query's trip through the loop: what the phases carry from one to
-/// the next.
+/// One query's trip through the core loop, for every route and shape:
+///
+/// ```text
+///  start ─► plan ──Ready───────────────────────────► answer ─► reply
+///            ▲ │ NeedsFetch
+///            │ ├─ over the deadline: widen, or shed ─► plan (Strict: probe, refuse)
+///            │ ▼
+///            │ fetch + install ─┬─ all arrived ──────────────► plan
+///            └──────────────────┴─ a source failed: exclude it ─► plan
+///                                                (Strict: refuse)
+/// ```
+///
+/// Plan takes the shard lock(s), fetch none, install the lock(s) again.
+/// A round that lost a source does not count against the loop's budget;
+/// [`MAX_FAULT_ROUNDS`] caps those. Heuristic rounds are budgeted by the
+/// default [`SessionConfig`], which every shard's session is built with.
 struct QueryRun<'a> {
     core: &'a ServiceCore,
     ctx: &'a mut QueryCtx,
@@ -538,7 +506,8 @@ struct QueryRun<'a> {
     /// queue wait is charged like any other latency.
     enqueued: Instant,
     deadline: Option<Duration>,
-    widener: Option<AdaptiveWidth>,
+    /// The widest `WITHIN` the deadline policy may widen to.
+    ceiling: Option<f64>,
     /// Strict past the point of no return: keep widening and re-planning
     /// *without fetching*, only to find the narrowest honorable
     /// constraint to report in the typed refusal.
@@ -547,19 +516,12 @@ struct QueryRun<'a> {
     /// `failed`.
     dark: HashSet<SourceId>,
     /// Sources this query saw fail (best-effort): excluded from its later
-    /// plans even before their breakers open. It only grows, so the fault
-    /// loop terminates.
+    /// plans even before their breakers open.
     failed: HashSet<SourceId>,
-    attr: Attribution,
-    /// Fetch rounds by kind. Each budget turns a loop that keeps
-    /// re-planning into a typed error: after the first, a complete round
-    /// means a concurrent clock advance re-widened bounds mid-query;
-    /// heuristic rounds (join rounds, and iterative mode's §8.2 rounds)
-    /// are steps budgeted by the session; a fault round lost a source.
-    complete_rounds: usize,
-    heuristic_rounds: usize,
+    /// Rounds that lost a source (best-effort).
     fault_rounds: usize,
-    max_heuristic_rounds: usize,
+    /// The instant the latest plan was made at.
+    planned_at: f64,
 }
 
 impl<'a> QueryRun<'a> {
@@ -592,134 +554,55 @@ impl<'a> QueryRun<'a> {
             admission_widened,
             enqueued: job.enqueued,
             deadline,
-            widener: None,
+            ceiling: None,
             probing: false,
             dark: HashSet::new(),
             failed: HashSet::new(),
-            attr: Attribution::default(),
-            complete_rounds: 0,
-            heuristic_rounds: 0,
             fault_rounds: 0,
-            max_heuristic_rounds: 0,
-        }
-    }
-
-    /// Drives the phases to a reply — one loop for every route and shape:
-    ///
-    /// ```text
-    ///  pickup ─► Plan ──Ready──────────────────────────► Answer ─► reply
-    ///             ▲ │ NeedsFetch
-    ///             │ ├─ over budget: widen, or shed ─► Plan   (Strict: probe, refuse)
-    ///             │ ▼
-    ///             │ Fetch + install ─┬─ all arrived ──────────► Plan
-    ///             └──────────────────┴─ a source failed: exclude it ─► Plan
-    ///                                                  (Strict: refuse)
-    /// ```
-    ///
-    /// Batch scalar and grouped plans normally answer on their second plan
-    /// pass (the CHOOSE_REFRESH guarantee); join plans and iterative mode
-    /// (§8.2) take one heuristic round per pass until converged.
-    fn run(mut self) -> Result<(QueryOutcome, Option<DegradedInfo>), TrappError> {
-        let mut phase = self.start()?;
-        loop {
-            phase = match phase {
-                Phase::Plan => self.plan()?,
-                Phase::Fetch { plan, now, cost } => self.fetch(plan, now, cost)?,
-                Phase::Answer(outcome) => return self.answer(outcome),
-            };
+            planned_at: 0.0,
         }
     }
 
     /// Deadline policy at pickup: a budget that queue wait already ate is
     /// refused outright (Strict) or shed to a cache-only answer
     /// (BestEffort).
-    fn start(&mut self) -> Result<Phase, TrappError> {
+    fn start(&mut self) -> Result<(), TrappError> {
         let Some(limit) = self.deadline else {
-            return Ok(Phase::Plan);
+            return Ok(());
         };
         let elapsed = self.enqueued.elapsed();
-        if elapsed < limit {
-            return Ok(Phase::Plan);
-        }
-        match self.core.degradation {
-            DegradationPolicy::Strict => Err(deadline_error(limit, elapsed, None)),
-            DegradationPolicy::BestEffort => {
-                self.ctx.deadline_widened = true;
-                self.query.within = None;
-                Ok(Phase::Plan)
+        if elapsed >= limit {
+            if self.core.degradation == DegradationPolicy::Strict {
+                return Err(deadline_error(limit, elapsed, None));
             }
+            self.ctx.deadline_widened = true;
+            self.query.within = None;
         }
+        Ok(())
     }
 
-    /// The plan phase, under the shard lock(s). A single-shard query first
-    /// consults its shard's answer snapshots, with no lock: a hit answers
-    /// as the plan would, `Ready`. The plan excludes the tuples of dark
-    /// sources — breaker-open, or failed this query — so CHOOSE_REFRESH
-    /// spends no round-trip on a source that cannot answer.
-    fn plan(&mut self) -> Result<Phase, TrappError> {
-        self.dark.clone_from(&self.failed);
-        for s in self.core.router.footprint(self.route) {
-            self.dark
-                .extend(self.core.router.shard(s).health.dark_sources());
-        }
-        if let Route::Single(s) = self.route {
-            let snapshots = &self.core.router.shard(s).snapshots;
-            let now = self.core.clock.now();
-            if let Some(outcome) = snapshots.answer(self.sql, now, self.query.within) {
-                self.ctx.snapshot_served = true;
-                return Ok(Phase::Answer(outcome));
-            }
-        }
-        let locks = &mut self.ctx.locks;
-        let exclusions = self.core.exclusions_for(&self.dark, self.route, locks);
-        let started = Instant::now();
-        let (plan, now, max_rounds) = match self.route {
-            Route::Single(s) => {
-                self.core
-                    .plan_single(s, self.sql, &self.query, &exclusions, locks)?
-            }
-            Route::Scatter => self.core.plan_scatter(&self.query, &exclusions, locks)?,
-        };
-        self.ctx.plan_us += started.elapsed().as_micros() as u64;
-        self.max_heuristic_rounds = max_rounds;
-        let plan = match plan {
-            QueryPlan::Ready(outcome) => return Ok(Phase::Answer(outcome)),
-            QueryPlan::NeedsFetch(plan) => plan,
-        };
-        let cost: f64 = plan
-            .units
-            .iter()
-            .filter_map(|u| u.fetch.as_ref())
-            .map(|f| f.refresh_cost)
-            .sum();
-        self.guard(plan, now, cost)
-    }
-
-    /// Deadline policy before a fetch: does the plan's estimated fetch time
-    /// fit the remaining budget? If not, widen the constraint one doubling
-    /// and plan again (a complete plan's CHOOSE_REFRESH cost falls
-    /// monotonically as the constraint widens, so this walks toward the
-    /// narrowest honorable one), or shed it once the budget is gone or the
-    /// ladder exhausted. A widen spends no round budget. A heuristic round
-    /// (join, iterative mode) is costed alone, not the rounds after it,
-    /// so a Strict probe that ends on one names no honorable width.
-    fn guard(&mut self, plan: FetchPlan, now: f64, cost: f64) -> Result<Phase, TrappError> {
-        let complete = plan.complete;
-        let fetch = Phase::Fetch { plan, now, cost };
+    /// Deadline policy before a fetch: does the round's estimated fetch
+    /// time fit the remaining budget? If not, widen the constraint one
+    /// step, or shed it once the budget is gone or the ladder exhausted,
+    /// and return `false`: plan again. A heuristic round (join, iterative
+    /// mode) is costed alone, not the rounds after it, so a Strict probe
+    /// that ends on one names no honorable width.
+    fn fits_deadline(&mut self, round: &FetchPlan) -> Result<bool, TrappError> {
         let Some(limit) = self.deadline else {
-            return Ok(fetch);
+            return Ok(true);
         };
         let elapsed = self.enqueued.elapsed();
         let remaining = limit.checked_sub(elapsed);
-        if remaining.is_some_and(|r| self.core.estimate_fetch_time(cost) <= r) {
+        let estimate = || self.core.estimate_fetch_time(refresh_cost(round));
+        if remaining.is_some_and(|r| estimate() <= r) {
             if self.probing {
                 // The probe found a width whose plan fits what is left of
                 // the budget: report it (if the plan covers the whole
                 // query) and refuse.
-                let honorable = self.query.within.filter(|_| complete);
+                let honorable = self.query.within.filter(|_| round.complete);
                 return Err(deadline_error(limit, elapsed, honorable));
             }
-            return Ok(fetch);
+            return Ok(true);
         }
         match self.core.degradation {
             DegradationPolicy::Strict => self.probing = true,
@@ -727,67 +610,19 @@ impl<'a> QueryRun<'a> {
         }
         // Plan again under the new constraint; `None` sheds it, and the
         // next plan is `Ready` from cache at zero fetch cost.
-        if remaining.is_none() || !widen_step(&mut self.query, &mut self.widener) {
+        if remaining.is_none() || !widen_step(&mut self.query, &mut self.ceiling) {
             self.query.within = None;
         }
-        Ok(Phase::Plan)
+        Ok(false)
     }
 
-    /// The fetch phase, no lock held: charge the round, attribute the
-    /// plan's tuples, then submit every shard's slice through its gateway
-    /// *before* waiting on any — the round-trips ride the transport's
-    /// completion queues and overlap each other and other queries'
-    /// fetches. What came back goes straight to [`Self::install`].
-    fn fetch(&mut self, plan: FetchPlan, now: f64, cost: f64) -> Result<Phase, TrappError> {
-        if plan.complete {
-            self.complete_rounds += 1;
-            if self.complete_rounds > MAX_REPLAN_ROUNDS {
-                return Err(TrappError::Internal(format!(
-                    "phased execution did not converge in {} rounds \
-                     (bounds kept re-widening under the refresh plan)",
-                    self.complete_rounds
-                )));
-            }
-        } else {
-            self.heuristic_rounds += 1;
-            if self.heuristic_rounds > self.max_heuristic_rounds {
-                return Err(TrappError::Internal(format!(
-                    "heuristic refresh did not converge in {} rounds",
-                    self.heuristic_rounds
-                )));
-            }
-        }
-        self.ctx.fetched = true;
-        let work = self.attribute(&plan)?;
-        let requests = self.core.resolve_objects(&work, &mut self.ctx.locks)?;
-        let deadline = self.deadline.map(|d| self.enqueued + d);
-        let started = Instant::now();
-        let pending: Vec<(usize, PendingFetch<'_>)> = requests
-            .iter()
-            .enumerate()
-            .filter(|(_, batches)| !batches.is_empty())
-            .map(|(s, batches)| {
-                let shard = self.core.router.shard(s);
-                let pending = shard
-                    .gateway
-                    .begin_fetch(shard.cache_id, now, batches, deadline);
-                (s, pending)
-            })
-            .collect();
-        let outcomes: Vec<(usize, FetchOutcome)> = pending
-            .into_iter()
-            .map(|(s, pending)| (s, self.core.router.shard(s).gateway.finish_fetch(pending)))
-            .collect();
-        let took = started.elapsed();
-        self.ctx.fetch_us += took.as_micros() as u64;
-        self.core.observe_fetch(cost, took);
-        self.install(outcomes, plan.complete)
-    }
-
-    /// Records the round in the query's [`Attribution`] — the final
-    /// `Ready` pass sees pinned cells and reports nothing refreshed — and
-    /// splits the plan's tuples by owning shard, in shard-local ids.
-    fn attribute<'p>(&mut self, plan: &'p FetchPlan) -> Result<ShardWork<'p>, TrappError> {
+    /// Records the round in the query's [`Attribution`] and splits its
+    /// tuples by owning shard, in shard-local ids.
+    fn attribute<'p>(
+        &self,
+        round: &'p FetchPlan,
+        paid: &mut Attribution,
+    ) -> Result<ShardWork<'p>, TrappError> {
         let router = &self.core.router;
         let mut work: ShardWork<'p> = vec![Vec::new(); router.shard_count()];
         // A single-shard plan speaks local ids, a scatter plan global ones.
@@ -795,7 +630,7 @@ impl<'a> QueryRun<'a> {
             Route::Single(s) => PlanIds::Local(s, router.shard(s).to_global.runs()),
             Route::Scatter => PlanIds::Global(router.locator()),
         };
-        self.attr.record(plan, |table, tid| {
+        paid.record(round, |table, tid| {
             let (s, local, global) = match &mut ids {
                 PlanIds::Local(s, globals) => (*s, tid, globals.get(table, tid).unwrap_or(tid)),
                 PlanIds::Global(locator) => {
@@ -812,16 +647,11 @@ impl<'a> QueryRun<'a> {
         Ok(work)
     }
 
-    /// The install phase: everything that arrived goes in — every shard's
+    /// The install step: everything that arrived goes in — every shard's
     /// batch, even from a failed shard, whose sources already narrowed
     /// their tracked bounds — before any failure surfaces: the first
-    /// refusal to install, then a lost source. A clean round plans again;
-    /// `complete` is the round's [`FetchPlan::complete`].
-    fn install(
-        &mut self,
-        outcomes: Vec<(usize, FetchOutcome)>,
-        complete: bool,
-    ) -> Result<Phase, TrappError> {
+    /// refusal to install, then a lost source.
+    fn install(&mut self, outcomes: Vec<(usize, FetchOutcome)>) -> Result<bool, TrappError> {
         let started = Instant::now();
         let mut surviving = Vec::new();
         let mut failed = Vec::new();
@@ -850,9 +680,9 @@ impl<'a> QueryRun<'a> {
             return Err(e);
         }
         if failed.is_empty() {
-            Ok(Phase::Plan)
+            Ok(true)
         } else {
-            self.degrade(surviving, failed, complete)
+            self.degrade(surviving, failed)
         }
     }
 
@@ -861,30 +691,27 @@ impl<'a> QueryRun<'a> {
     /// otherwise with the transport's error (one shard) or a
     /// `PartialResult` (scatter). BestEffort excludes the failed sources
     /// from the query's later plans and plans again over what is left —
-    /// a recovery, not a re-widening, so the round is refunded.
+    /// a recovery, not a re-widening, so the round does not count.
     fn degrade(
         &mut self,
         surviving: Vec<usize>,
         failed: Vec<(usize, Vec<(SourceId, TrappError)>)>,
-        complete: bool,
-    ) -> Result<Phase, TrappError> {
-        let first_error = failed[0].1[0].1.clone();
+    ) -> Result<bool, TrappError> {
+        let mut causes = failed.iter().flat_map(|(_, fs)| fs);
+        let first_error = causes.next().map_or_else(
+            || TrappError::Internal("a failed shard named no failed source".into()),
+            |(_, e)| e.clone(),
+        );
         if self.core.degradation == DegradationPolicy::BestEffort {
             self.fault_rounds += 1;
-            if self.fault_rounds > MAX_REPLAN_ROUNDS {
+            if self.fault_rounds > MAX_FAULT_ROUNDS {
                 return Err(first_error);
             }
             let lost = failed
                 .iter()
                 .flat_map(|(_, fs)| fs.iter().map(|(src, _)| *src));
             self.failed.extend(lost);
-            let refunded = if complete {
-                &mut self.complete_rounds
-            } else {
-                &mut self.heuristic_rounds
-            };
-            *refunded = refunded.saturating_sub(1);
-            return Ok(Phase::Plan);
+            return Ok(false);
         }
         if let Some(limit) = self.deadline {
             let elapsed = self.enqueued.elapsed();
@@ -898,28 +725,21 @@ impl<'a> QueryRun<'a> {
         }
         Err(match self.route {
             Route::Single(_) => first_error,
-            Route::Scatter => TrappError::PartialResult(Box::new(PartialFailure {
-                surviving_shards: surviving,
-                failed_shards: failed.iter().map(|(s, _)| *s).collect(),
-                sources: failed
-                    .into_iter()
-                    .flat_map(|(_, fs)| fs)
-                    .map(|(source, cause)| SourceFailure {
-                        source,
-                        cause: Box::new(cause),
-                    })
-                    .collect(),
-            })),
+            Route::Scatter => {
+                let failed_shards = failed.iter().map(|(s, _)| *s).collect();
+                let causes = failed.into_iter().flat_map(|(_, fs)| fs);
+                partial_result(surviving, failed_shards, causes)
+            }
         })
     }
 
-    /// The answer phase. Strict never returns a late answer: past the
+    /// The answer step. Strict never returns a late answer: past the
     /// deadline, or at the end of an honorable-width probe, the installs
     /// stand but the reply is the typed refusal. A constraint left unmet
     /// because sources are dark is refused (Strict) or degraded
     /// (BestEffort); one relaxed for load is degraded under either policy,
-    /// naming the original ask. The bound contains the exact answer
-    /// either way.
+    /// naming the original ask. The bound contains the exact answer either
+    /// way.
     fn answer(
         self,
         outcome: QueryOutcome,
@@ -932,7 +752,6 @@ impl<'a> QueryRun<'a> {
                 return Err(deadline_error(limit, elapsed, honorable));
             }
         }
-        let outcome = self.attr.patch(outcome);
         let (satisfied, width) = match &outcome {
             QueryOutcome::Scalar(r) => (r.satisfied, r.answer.width()),
             QueryOutcome::Grouped(gs) => (
@@ -959,6 +778,107 @@ impl<'a> QueryRun<'a> {
     }
 }
 
+impl Rounds for QueryRun<'_> {
+    /// Plan passes under the shard lock(s) until one is `Ready` or its
+    /// round fits the deadline. A single-shard query first consults its
+    /// shard's answer snapshots, with no lock: a hit answers as the plan
+    /// would, `Ready`. The plan excludes the tuples of dark sources —
+    /// breaker-open, or failed this query — so CHOOSE_REFRESH spends no
+    /// round-trip on a source that cannot answer.
+    fn plan(&mut self) -> Result<QueryPlan, TrappError> {
+        loop {
+            self.dark.clone_from(&self.failed);
+            for s in self.core.router.footprint(self.route) {
+                self.dark
+                    .extend(self.core.router.shard(s).health.dark_sources());
+            }
+            if let Route::Single(s) = self.route {
+                let snapshots = &self.core.router.shard(s).snapshots;
+                let now = self.core.clock.now();
+                if let Some(outcome) = snapshots.answer(self.sql, now, self.query.within) {
+                    self.ctx.snapshot_served = true;
+                    return Ok(QueryPlan::Ready(outcome));
+                }
+            }
+            let locks = &mut self.ctx.locks;
+            let exclusions = self.core.exclusions_for(&self.dark, self.route, locks);
+            let started = Instant::now();
+            let (plan, now) = match self.route {
+                Route::Single(s) => {
+                    self.core
+                        .plan_single(s, self.sql, &self.query, &exclusions, locks)?
+                }
+                Route::Scatter => self.core.plan_scatter(&self.query, &exclusions, locks)?,
+            };
+            self.ctx.plan_us += started.elapsed().as_micros() as u64;
+            self.planned_at = now;
+            match &plan {
+                QueryPlan::NeedsFetch(round) if !self.fits_deadline(round)? => {}
+                _ => return Ok(plan),
+            }
+        }
+    }
+
+    /// The fetch, no lock held: every shard's slice is submitted through
+    /// its gateway *before* any is awaited, so the round-trips overlap
+    /// each other and other queries' fetches; then the install.
+    fn fetch(&mut self, round: &FetchPlan, paid: &mut Attribution) -> Result<bool, TrappError> {
+        self.ctx.fetched = true;
+        let work = self.attribute(round, paid)?;
+        let requests = self.core.resolve_objects(&work, &mut self.ctx.locks)?;
+        let (now, deadline) = (self.planned_at, self.deadline.map(|d| self.enqueued + d));
+        let started = Instant::now();
+        let pending: Vec<(usize, PendingFetch<'_>)> = requests
+            .iter()
+            .enumerate()
+            .filter(|(_, batches)| !batches.is_empty())
+            .map(|(s, batches)| {
+                let shard = self.core.router.shard(s);
+                let pending = shard
+                    .gateway
+                    .begin_fetch(shard.cache_id, now, batches, deadline);
+                (s, pending)
+            })
+            .collect();
+        let outcomes: Vec<(usize, FetchOutcome)> = pending
+            .into_iter()
+            .map(|(s, pending)| (s, self.core.router.shard(s).gateway.finish_fetch(pending)))
+            .collect();
+        let took = started.elapsed();
+        self.ctx.fetch_us += took.as_micros() as u64;
+        self.core.observe_fetch(refresh_cost(round), took);
+        self.install(outcomes)
+    }
+}
+
+/// A round's predicted §6 refresh cost.
+fn refresh_cost(round: &FetchPlan) -> f64 {
+    round
+        .units
+        .iter()
+        .filter_map(|u| u.fetch.as_ref())
+        .map(|f| f.refresh_cost)
+        .sum()
+}
+
+/// A [`TrappError::PartialResult`] naming the shards that answered, the
+/// ones that could not, and each lost source with its cause.
+fn partial_result(
+    surviving_shards: Vec<usize>,
+    failed_shards: Vec<usize>,
+    causes: impl Iterator<Item = (SourceId, TrappError)>,
+) -> TrappError {
+    let sources = causes.map(|(source, cause)| SourceFailure {
+        source,
+        cause: Box::new(cause),
+    });
+    TrappError::PartialResult(Box::new(PartialFailure {
+        surviving_shards,
+        failed_shards,
+        sources: sources.collect(),
+    }))
+}
+
 /// Sources in ascending order.
 fn sorted(sources: impl Iterator<Item = SourceId>) -> Vec<SourceId> {
     let mut sources: Vec<SourceId> = sources.collect();
@@ -969,8 +889,8 @@ fn sorted(sources: impl Iterator<Item = SourceId>) -> Vec<SourceId> {
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, OnceLock};
     use std::time::{Duration, Instant};
 
     use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -978,7 +898,7 @@ mod tests {
     use trapp_core::ExecutionMode;
     use trapp_storage::{ColumnDef, Schema, Table};
     use trapp_system::message::Refresh;
-    use trapp_system::{Completion, DirectTransport, Transport};
+    use trapp_system::{Completion, DirectTransport, SimClock, Transport};
     use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, TrappError, Value, ValueType};
 
     use crate::admission::AdmissionConfig;
@@ -1357,6 +1277,125 @@ mod tests {
         assert!(service.dark_sources().is_empty(), "a breaker opened");
         let stats = service.stats();
         assert_eq!((stats.queries, stats.errors), (1, 1));
+    }
+
+    /// A transport that advances the service clock by 25 s inside each of
+    /// its next `advances` refresh round-trips, counting them all: each
+    /// advance re-widens the bounds the round is about to install, as a
+    /// concurrent `advance_clock` would.
+    struct Advancing {
+        inner: DirectTransport,
+        clock: Arc<OnceLock<SimClock>>,
+        advances: Arc<AtomicUsize>,
+        round_trips: Arc<AtomicUsize>,
+    }
+
+    impl Transport for Advancing {
+        fn submit_refresh_batch(
+            &self,
+            source: SourceId,
+            cache: CacheId,
+            objects: Vec<ObjectId>,
+            now: f64,
+        ) -> Completion<Vec<Refresh>> {
+            self.round_trips.fetch_add(1, Ordering::SeqCst);
+            let take = |n: usize| n.checked_sub(1);
+            if self
+                .advances
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, take)
+                .is_ok()
+            {
+                if let Some(clock) = self.clock.get() {
+                    clock.advance(25.0);
+                }
+            }
+            self.inner.submit_refresh_batch(source, cache, objects, now)
+        }
+
+        fn submit_update_batch(
+            &self,
+            source: SourceId,
+            updates: Vec<(ObjectId, f64)>,
+            now: f64,
+        ) -> Completion<Vec<(CacheId, Refresh)>> {
+            self.inner.submit_update_batch(source, updates, now)
+        }
+
+        fn messages(&self) -> u64 {
+            self.inner.messages()
+        }
+    }
+
+    /// The core loop's complete-round budget on the service. One clock
+    /// advance inside a fetch makes a `WITHIN 0` SUM plan a second
+    /// complete round and answer exactly; an advance inside every fetch
+    /// gets the typed non-convergence error after exactly 8 rounds. Its
+    /// permit and gateway claims are released: with one permit, the next
+    /// query answers at once.
+    #[test]
+    fn complete_rounds_that_keep_rewidening_stop_after_eight() {
+        let clock = Arc::new(OnceLock::new());
+        let advances = Arc::new(AtomicUsize::new(0));
+        let round_trips = Arc::new(AtomicUsize::new(0));
+        let service = metrics_service(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            &[(1, 1, 10.0), (1, 1, 20.0)],
+            |inner| {
+                Box::new(Advancing {
+                    inner,
+                    clock: clock.clone(),
+                    advances: advances.clone(),
+                    round_trips: round_trips.clone(),
+                })
+            },
+        );
+        clock.set(service.clock().clone()).unwrap();
+        let service = Arc::new(service);
+        // On a detached caller: a leaked permit parks it at the gate for
+        // good, which fails the timeout instead of hanging.
+        let query = || {
+            let (tx, rx) = unbounded();
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let sql = "SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 1";
+                let _ = tx.send(service.query(sql));
+            });
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("the query never got a permit")
+        };
+
+        service.advance_clock(25.0);
+        advances.store(1, Ordering::SeqCst);
+        let reply = query().unwrap();
+        assert!(reply.result.answer.is_exact());
+        assert_eq!(reply.result.answer.range.lo(), 30.0);
+        assert_eq!(reply.result.rounds, 2);
+        assert_eq!(round_trips.swap(0, Ordering::SeqCst), 2);
+
+        service.advance_clock(25.0);
+        advances.store(usize::MAX, Ordering::SeqCst);
+        match query() {
+            Err(TrappError::Internal(message)) => {
+                assert!(message.starts_with("refresh did not converge"), "{message}");
+            }
+            other => panic!("expected the typed non-convergence error, got {other:?}"),
+        }
+        assert_eq!(round_trips.swap(0, Ordering::SeqCst), 8);
+
+        advances.store(0, Ordering::SeqCst);
+        let started = Instant::now();
+        exact_sum(query(), 30.0);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the next query waited {:?}",
+            started.elapsed()
+        );
+        assert!(service.dark_sources().is_empty(), "a breaker opened");
+        let stats = service.stats();
+        assert_eq!((stats.queries, stats.errors), (2, 1));
     }
 
     /// After shutdown a query answers with the typed error.

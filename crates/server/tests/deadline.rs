@@ -25,7 +25,7 @@ use trapp_server::{
     ServiceConfig, ServiceReply,
 };
 use trapp_storage::{ColumnDef, Schema, Table};
-use trapp_system::{ChaosConfig, DelaySpec};
+use trapp_system::{ChaosConfig, CostModel, DelaySpec};
 use trapp_types::{BoundedValue, SourceId, TrappError, Value, ValueType};
 
 mod common;
@@ -305,6 +305,44 @@ fn zero_deadline_sheds_before_execution() {
     assert_eq!(reply.round_trips, 0, "no fetch inside a zero budget");
     assert_eq!(best.stats().deadline_widened, 1);
     best.shutdown();
+}
+
+/// The deadline guard's estimate never panics. A source whose refreshes
+/// cost 10⁻³⁰⁰ teaches the fetch-rate estimate about 10³⁰¹ µs per cost
+/// unit; costing a unit-cost plan against it overflows a `Duration`. The
+/// estimate saturates instead: no budget fits it, so Strict refuses with
+/// the typed `DeadlineExceeded` and BestEffort sheds to a degraded
+/// cache-only answer that still contains the exact one.
+#[test]
+fn an_estimate_past_what_a_duration_holds_refuses_or_sheds() {
+    for degradation in [DegradationPolicy::Strict, DegradationPolicy::BestEffort] {
+        let service = builder(degradation, AdmissionConfig::default())
+            .cost_model(CostModel::PerSource {
+                costs: [(SourceId::new(1), 1e-300), (SourceId::new(2), 1.0)]
+                    .into_iter()
+                    .collect(),
+                default: 1.0,
+            })
+            .build_direct()
+            .unwrap();
+        service.advance_clock(100.0);
+        let seed = service
+            .query("SELECT SUM(load) WITHIN 0 FROM metrics WHERE grp = 0")
+            .unwrap();
+        assert!(seed.round_trips > 0, "the seeding query must fetch");
+        let sql = "SELECT SUM(load) WITHIN 0 DEADLINE 1000 FROM metrics WHERE grp = 1";
+        match (degradation, service.query(sql)) {
+            (DegradationPolicy::Strict, Err(TrappError::DeadlineExceeded { .. })) => {}
+            (DegradationPolicy::BestEffort, Ok(reply)) => {
+                assert_contains(&reply, 70.0, sql);
+                let degraded = reply.degraded.expect("a shed answer is degraded");
+                assert!(degraded.load_shed);
+                assert_eq!(reply.round_trips, 0);
+            }
+            (policy, other) => panic!("{policy:?}: unexpected reply {other:?}"),
+        }
+        service.shutdown();
+    }
 }
 
 /// The admission ladder at the front door: above the widen watermark a

@@ -728,3 +728,75 @@ fn scatter_is_bit_equivalent_when_rows_are_placed_by_tuple_id() {
         }
     }
 }
+
+/// Ints at or past 2⁵³ share their `f64` image with a neighbour, and the
+/// evaluator compares INT cells as `f64` points, so `grp = 2⁵³` admits
+/// both 2⁵³ and 2⁵³ + 1. Placed on different shards, both rows must count
+/// on the sharded service as they do on one shard: pinning the query to
+/// the literal's shard answered exactly `[1, 1]` where the truth is 2.
+#[test]
+fn an_equality_shared_by_several_ints_is_not_pinned_to_one_shard() {
+    let two_53 = 1i64 << 53;
+    let rows = [
+        (two_53, 10.0),
+        (two_53 + 1, 10.0),
+        (i64::MAX, 5.0),
+        (i64::MAX - 1, 7.0),
+        (-two_53, 1.0),
+        (-two_53 - 1, 2.0),
+        (3, 4.0),
+    ];
+    assert_ne!(
+        shard_of(two_53 as u64, 3),
+        shard_of((two_53 + 1) as u64, 3),
+        "the two rows must land on different shards"
+    );
+    let schema = Schema::new(vec![
+        ColumnDef::exact("grp", ValueType::Int),
+        ColumnDef::bounded_float("load"),
+    ])
+    .unwrap();
+    let build = |shards| {
+        let mut builder = trapp_server::ServiceBuilder::new()
+            .config(ServiceConfig {
+                workers: 1,
+                shards,
+                ..ServiceConfig::default()
+            })
+            .partition_by("grp")
+            .table(Table::new("metrics", schema.clone()));
+        for (k, &(grp, load)) in rows.iter().enumerate() {
+            let cells = vec![
+                BoundedValue::Exact(Value::Int(grp)),
+                BoundedValue::exact_f64(load).unwrap(),
+            ];
+            builder = builder.row("metrics", SourceId::new(1 + k as u64 % 2), cells);
+        }
+        builder.build_direct().unwrap()
+    };
+    let single = build(1);
+    let count = single
+        .query("SELECT COUNT(*) FROM metrics WHERE grp = 9007199254740992")
+        .unwrap();
+    assert_eq!(count.result.answer.range.lo(), 2.0);
+    assert_eq!(count.result.answer.range.hi(), 2.0);
+    for shards in [2, 3, 4] {
+        let sharded = build(shards);
+        for literal in [
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740992",
+            "9223372036854775807",
+            "9223372036854775808",
+            "3",
+        ] {
+            for agg in ["COUNT(*)", "SUM(load)"] {
+                let sql = format!("SELECT {agg} FROM metrics WHERE grp = {literal}");
+                let a = single.query(&sql).unwrap();
+                let b = sharded.query(&sql).unwrap();
+                assert_replies_match(&a, &b, &format!("{sql} (shards={shards})"));
+                assert!(b.degraded.is_none(), "{sql}");
+            }
+        }
+    }
+}

@@ -164,14 +164,17 @@ struct TableCells {
 
 /// The row of `tid` in `rows`, if one of its cells was ever bound.
 fn slot(rows: &[Option<RowCells>], tid: TupleId) -> Option<&RowCells> {
-    let at = usize::try_from(tid.raw().checked_sub(1)?).ok()?;
-    rows.get(at)?.as_ref()
+    rows.get(slot_index(tid)?)?.as_ref()
 }
 
 /// [`slot`], mutably.
 fn slot_mut(rows: &mut [Option<RowCells>], tid: TupleId) -> Option<&mut RowCells> {
-    let at = usize::try_from(tid.raw().checked_sub(1)?).ok()?;
-    rows.get_mut(at)?.as_mut()
+    rows.get_mut(slot_index(tid)?)?.as_mut()
+}
+
+/// The index of `tid`'s row slot: tuple ids start at 1.
+fn slot_index(tid: TupleId) -> Option<usize> {
+    usize::try_from(tid.raw().checked_sub(1)?).ok()
 }
 
 /// The bound cells: which objects back each, with their bound functions,
@@ -228,9 +231,9 @@ impl Cells {
 
     /// Makes `binding` the newest of its cell in row `tid` of table
     /// `table`.
-    fn bind(&mut self, table: usize, tid: TupleId, binding: Binding) {
+    fn bind(&mut self, table: usize, tid: TupleId, binding: Binding) -> Result<(), TrappError> {
         let rows = &mut self.tables[table].rows;
-        let at = usize::try_from(tid.raw() - 1).expect("a bound row is in the table");
+        let at = slot_index(tid).ok_or(TrappError::UnknownTuple(tid.raw()))?;
         if at >= rows.len() {
             rows.resize_with(at + 1, || None);
         }
@@ -239,6 +242,7 @@ impl Cells {
             RowCells::default()
         });
         row.bindings.insert(binding);
+        Ok(())
     }
 
     /// Removes and returns `object`'s binding in row `tid` of table
@@ -504,7 +508,7 @@ impl CacheNode {
             source,
             bound,
         };
-        self.cells.bind(table, tuple, binding);
+        self.cells.bind(table, tuple, binding)?;
         self.cells
             .bring_current(self.session.catalog_mut(), now, table, &[tuple], true)
     }

@@ -136,17 +136,17 @@ fn timer_loop(shared: &PoolShared) {
             return;
         }
         let now = Instant::now();
-        match q.heap.peek() {
+        match q.heap.peek().map(|t| t.at) {
             None => shared.timer_wake.wait(&mut q),
-            Some(t) if t.at <= now => {
-                let t = q.heap.pop().expect("peeked entry");
-                drop(q);
-                enqueue(shared, &t.actor, t.job);
-                q = shared.timer.lock();
+            Some(at) if at <= now => {
+                if let Some(t) = q.heap.pop() {
+                    drop(q);
+                    enqueue(shared, &t.actor, t.job);
+                    q = shared.timer.lock();
+                }
             }
-            Some(t) => {
-                let sleep = t.at - now;
-                shared.timer_wake.wait_for(&mut q, sleep);
+            Some(at) => {
+                shared.timer_wake.wait_for(&mut q, at - now);
             }
         }
     }
@@ -262,6 +262,8 @@ impl FetchPool {
             timer_wake: Condvar::new(),
         });
         let timer_shared = shared.clone();
+        // A pool without its timer never fires a delayed submission.
+        #[allow(clippy::expect_used)]
         let timer_thread = std::thread::Builder::new()
             .name("trapp-fetch-timer".into())
             .spawn(move || timer_loop(&timer_shared))
@@ -325,6 +327,8 @@ impl FetchPool {
             let live = self.core.live.clone();
             let target = self.core.target.clone();
             let id = self.core.spawned.fetch_add(1, Ordering::SeqCst);
+            // A pool with no worker never runs an accepted job.
+            #[allow(clippy::expect_used)]
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("trapp-fetch-{id}"))
