@@ -540,8 +540,10 @@ impl<'a> QueryRun<'a> {
             query.within = requested.map(|w| w * core.admission.widen_factor());
         }
         // `DEADLINE` is in milliseconds; the parser guarantees a finite
-        // non-negative value.
-        let deadline = query.deadline.map(|ms| Duration::from_secs_f64(ms / 1e3));
+        // non-negative value. One past what a `Duration` holds saturates.
+        let deadline = query
+            .deadline
+            .map(|ms| Duration::try_from_secs_f64(ms / 1e3).unwrap_or(Duration::MAX));
         let route = core.router.route(&query);
         ctx.scattered = matches!(route, Route::Scatter);
         QueryRun {
@@ -826,7 +828,9 @@ impl Rounds for QueryRun<'_> {
         self.ctx.fetched = true;
         let work = self.attribute(round, paid)?;
         let requests = self.core.resolve_objects(&work, &mut self.ctx.locks)?;
-        let (now, deadline) = (self.planned_at, self.deadline.map(|d| self.enqueued + d));
+        // A deadline past what an `Instant` holds is no reachable deadline.
+        let deadline = self.deadline.and_then(|d| self.enqueued.checked_add(d));
+        let now = self.planned_at;
         let started = Instant::now();
         let pending: Vec<(usize, PendingFetch<'_>)> = requests
             .iter()

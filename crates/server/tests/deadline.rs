@@ -345,6 +345,31 @@ fn an_estimate_past_what_a_duration_holds_refuses_or_sheds() {
     }
 }
 
+/// A `DEADLINE` past what a `Duration` (or an `Instant` after the query's
+/// submission) holds saturates: it is a budget no fetch can blow, so a
+/// `WITHIN 0` query fetches and answers exactly under both policies
+/// instead of panicking inside the service.
+#[test]
+fn a_deadline_past_what_a_duration_holds_answers() {
+    for degradation in [DegradationPolicy::Strict, DegradationPolicy::BestEffort] {
+        let service = builder(degradation, AdmissionConfig::default())
+            .build_direct()
+            .unwrap();
+        for d in ["1e23", "1e300"] {
+            service.advance_clock(100.0);
+            let sql = format!("SELECT SUM(load) WITHIN 0 DEADLINE {d} FROM metrics WHERE grp = 1");
+            let reply = service
+                .query(&sql)
+                .unwrap_or_else(|e| panic!("{degradation:?}: `{sql}` failed: {e:?}"));
+            assert_contains(&reply, 70.0, &sql);
+            assert!(reply.result.answer.is_exact(), "{degradation:?}: `{sql}`");
+            assert!(reply.degraded.is_none(), "{degradation:?}: `{sql}`");
+            assert!(reply.round_trips > 0, "the widened bounds must be fetched");
+        }
+        service.shutdown();
+    }
+}
+
 /// The admission ladder at the front door: above the widen watermark a
 /// query runs with a relaxed constraint (reply names the original ask);
 /// above the reject watermark it sheds with a typed
