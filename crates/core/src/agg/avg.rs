@@ -13,7 +13,7 @@
 //! sound for the tight bound too, since tight ⊆ loose (verified by tests).
 
 use trapp_expr::Band;
-use trapp_types::{Interval, TrappError};
+use trapp_types::{ExactSum, Interval, TrappError};
 
 use super::count::bounded_count;
 use super::sum::bounded_sum;
@@ -24,7 +24,8 @@ use super::AggInput;
 /// Lower endpoint: start from `S_L/K_L` = sum/count of `T+` low endpoints;
 /// walk `T?` low endpoints in increasing order, averaging each in while it
 /// decreases the running mean. Upper endpoint mirrors with high endpoints
-/// in decreasing order.
+/// in decreasing order. Every running sum is exact ([`ExactSum`]), so the
+/// bound does not depend on the items' order.
 ///
 /// Degenerate cases (the paper leaves them implicit):
 /// * `T+ = T? = ∅` (certainly empty set) — an error: AVG is undefined;
@@ -37,17 +38,16 @@ pub fn bounded_avg_tight(input: &AggInput) -> Result<Interval, TrappError> {
             "AVG over a certainly-empty selection is undefined".into(),
         ));
     }
-    // One pass for both endpoints: the `T+` sums (summed in item order from
-    // `-0.0`, the identity `f64`'s `Sum` starts from) and the `T?`
-    // endpoints to fold in.
-    let (mut sl, mut sh) = (-0.0, -0.0);
+    // One pass for both endpoints: the `T+` sums and the `T?` endpoints
+    // to fold in.
+    let (mut sl, mut sh) = (ExactSum::new(), ExactSum::new());
     let (mut lows, mut highs) = (Vec::new(), Vec::new());
     for item in &input.items {
         let (lo, hi) = (item.interval.lo(), item.interval.hi());
         match item.band {
             Band::Plus => {
-                sl += lo;
-                sh += hi;
+                sl.add(lo);
+                sh.add(hi);
             }
             Band::Question => {
                 lows.push(lo);
@@ -61,30 +61,29 @@ pub fn bounded_avg_tight(input: &AggInput) -> Result<Interval, TrappError> {
     highs.sort_by(|a, b| f64::total_cmp(b, a));
     let lo = extreme_mean(sl, k, &lows, |x, mean| x < mean);
     let hi = extreme_mean(sh, k, &highs, |x, mean| x > mean);
-    let margin = question_margin(input);
-    Interval::new(lo - margin, hi + margin)
+    let (lo, hi) = step_out(input, lo, hi);
+    Interval::new(lo, hi)
 }
 
-/// How far both AVG bounds widen each endpoint when `T?` tuples exist:
-/// `4·γ·Σ max(|Lᵢ|,|Hᵢ|) / max(1, |T+|)`, `γ = γₙ₊₈`. The endpoints are
-/// then means of subsets folded in sorted order, the exact answer a mean
-/// of the realized members folded in tuple order, and the two can round
-/// apart where their real values tie; the margin covers both folds and
-/// the greedy's rounded comparisons, so containment holds exactly
-/// (ARCHITECTURE §2). Without `T?` both fold the same members in the same
-/// order, and with at most two items every mean is one rounded sum of
-/// the same terms: monotone rounding needs no margin.
-pub(crate) fn question_margin(input: &AggInput) -> f64 {
-    if input.question_count() == 0 || input.items.len() <= 2 {
-        return 0.0;
+/// How far both AVG bounds step each endpoint outward, in ulps, when `T?`
+/// tuples exist among three or more items ([`step_out`]). The greedy then
+/// picks subsets by rounded comparisons, and its mean and the exact
+/// answer's (each rounded twice) can lie about `6u·|mean|` apart where
+/// they tie in real arithmetic; each step moves at least `u·|mean|`
+/// (ARCHITECTURE §2). Without `T?` bound and answer divide by one count,
+/// and with at most two items every mean is one rounded sum of the same
+/// terms: monotone rounding needs no step.
+const AVG_STEP_ULPS: usize = 8;
+
+/// Steps `lo` down and `hi` up by [`AVG_STEP_ULPS`] where `input` needs it.
+pub(crate) fn step_out(input: &AggInput, mut lo: f64, mut hi: f64) -> (f64, f64) {
+    if input.question_count() > 0 && input.items.len() > 2 {
+        for _ in 0..AVG_STEP_ULPS {
+            lo = lo.next_down();
+            hi = hi.next_up();
+        }
     }
-    let magnitude: f64 = input
-        .items
-        .iter()
-        .map(|i| i.interval.lo().abs().max(i.interval.hi().abs()))
-        .sum();
-    let gamma = trapp_types::float::gamma(input.items.len() + 8);
-    4.0 * gamma * magnitude / input.plus_count().max(1) as f64
+    (lo, hi)
 }
 
 /// One endpoint of the tight AVG: from the `T+` anchor `sum / k`, average
@@ -92,20 +91,24 @@ pub(crate) fn question_margin(input: &AggInput) -> f64 {
 /// With `k = 0` the mean is conditioned on a non-empty selection: the
 /// first (most extreme) endpoint alone — averaging in anything no more
 /// extreme cannot improve it.
-fn extreme_mean(sum: f64, k: usize, sorted: &[f64], improves: impl Fn(f64, f64) -> bool) -> f64 {
+fn extreme_mean(
+    mut sum: ExactSum,
+    mut k: usize,
+    sorted: &[f64],
+    improves: impl Fn(f64, f64) -> bool,
+) -> f64 {
     if k == 0 {
         return sorted[0];
     }
-    let (mut sum, mut k) = (sum, k);
     for &x in sorted {
-        if improves(x, sum / k as f64) {
-            sum += x;
+        if improves(x, sum.read() / k as f64) {
+            sum.add(x);
             k += 1;
         } else {
             break;
         }
     }
-    sum / k as f64
+    sum.read() / k as f64
 }
 
 /// Loose bounded AVG (§6.4.1): derived from the SUM and COUNT bounds,
@@ -116,7 +119,7 @@ fn extreme_mean(sum: f64, k: usize, sorted: &[f64], improves: impl Fn(f64, f64) 
 ///
 /// `L_COUNT` is clamped to at least 1 — the bound is conditioned on the
 /// selection being non-empty, like the tight computation — and both
-/// endpoints carry the tight bound's `T?` margin.
+/// endpoints take the tight bound's outward step.
 pub fn bounded_avg_loose(input: &AggInput) -> Result<Interval, TrappError> {
     if input.items.is_empty() {
         return Err(TrappError::Unsupported(
@@ -127,9 +130,9 @@ pub fn bounded_avg_loose(input: &AggInput) -> Result<Interval, TrappError> {
     let count = bounded_count(input);
     let lc = count.lo().max(1.0);
     let hc = count.hi().max(1.0);
-    let margin = question_margin(input);
-    let lo = (sum.lo() / hc).min(sum.lo() / lc) - margin;
-    let hi = (sum.hi() / lc).max(sum.hi() / hc) + margin;
+    let lo = (sum.lo() / hc).min(sum.lo() / lc);
+    let hi = (sum.hi() / lc).max(sum.hi() / hc);
+    let (lo, hi) = step_out(input, lo, hi);
     Interval::new(lo, hi)
 }
 

@@ -886,10 +886,13 @@ mod tests {
 
     /// The two-pass folds the one-pass [`avg::bounded_avg_tight`],
     /// [`min_max::bounded_min`] and [`min_max::bounded_max`] replaced: the
-    /// reference they must match bit for bit.
+    /// reference they must match bit for bit. Its running sums are the
+    /// same [`ExactSum`](trapp_types::ExactSum)s, so it checks the
+    /// greedy's structure (one pass for both endpoints), not the
+    /// summation.
     mod two_pass {
         use super::super::AggInput;
-        use trapp_types::{Interval, TrappError};
+        use trapp_types::{ExactSum, Interval, TrappError};
 
         pub fn avg_tight(input: &AggInput) -> Result<Interval, TrappError> {
             if input.items.is_empty() {
@@ -897,44 +900,42 @@ mod tests {
                     "AVG over a certainly-empty selection is undefined".into(),
                 ));
             }
-            let mut sl: f64 = input.plus().map(|i| i.interval.lo()).sum();
+            let mut sl: ExactSum = input.plus().map(|i| i.interval.lo()).collect();
             let mut kl = input.plus_count();
             let mut lows: Vec<f64> = input.question().map(|i| i.interval.lo()).collect();
             lows.sort_by(f64::total_cmp);
-            if kl == 0 {
-                sl = lows[0];
-                kl = 1;
+            let lo = if kl == 0 {
+                lows[0]
             } else {
                 for &la in &lows {
-                    if la < sl / kl as f64 {
-                        sl += la;
+                    if la < sl.read() / kl as f64 {
+                        sl.add(la);
                         kl += 1;
                     } else {
                         break;
                     }
                 }
-            }
-            let lo = sl / kl as f64;
-            let mut sh: f64 = input.plus().map(|i| i.interval.hi()).sum();
+                sl.read() / kl as f64
+            };
+            let mut sh: ExactSum = input.plus().map(|i| i.interval.hi()).collect();
             let mut kh = input.plus_count();
             let mut highs: Vec<f64> = input.question().map(|i| i.interval.hi()).collect();
             highs.sort_by(|a, b| f64::total_cmp(b, a));
-            if kh == 0 {
-                sh = highs[0];
-                kh = 1;
+            let hi = if kh == 0 {
+                highs[0]
             } else {
                 for &ha in &highs {
-                    if ha > sh / kh as f64 {
-                        sh += ha;
+                    if ha > sh.read() / kh as f64 {
+                        sh.add(ha);
                         kh += 1;
                     } else {
                         break;
                     }
                 }
-            }
-            let hi = sh / kh as f64;
-            let margin = super::super::avg::question_margin(input);
-            Interval::new(lo - margin, hi + margin)
+                sh.read() / kh as f64
+            };
+            let (lo, hi) = super::super::avg::step_out(input, lo, hi);
+            Interval::new(lo, hi)
         }
 
         pub fn min(input: &AggInput) -> Interval {

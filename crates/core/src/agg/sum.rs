@@ -11,38 +11,30 @@
 //! which is exactly `Σ_{T+} [Lᵢ,Hᵢ] + Σ_{T?} hull([Lᵢ,Hᵢ], {0})`.
 
 use trapp_expr::Band;
-use trapp_types::Interval;
+use trapp_types::{ExactSum, Interval};
 
-use super::{AggInput, AggItem};
+use super::AggInput;
 
-/// Bounded SUM per §5.2/§6.2, folded in ascending tuple-id order.
+/// Bounded SUM per §5.2/§6.2: each endpoint is the exact sum of its
+/// terms, rounded once ([`ExactSum`]), so the answer does not depend on
+/// the items' order.
 ///
-/// Inputs keep `T+` items ahead of `T?` items, but the exact answer folds
-/// its members in tuple order; folding the bound in that same order makes
-/// each endpoint a termwise-monotone image of the exact fold (a `T?` item
-/// that drops out adds `min(L, 0) ≤ 0` below and `max(H, 0) ≥ 0` above),
-/// so rounding can never push the exact answer outside the bound.
+/// The exact answer over any realization lies between the exact endpoint
+/// sums (a `T?` item that drops out adds `min(L, 0) ≤ 0` below and
+/// `max(H, 0) ≥ 0` above), and it is rounded once the same way; rounding
+/// is monotone, so the bound contains it with no slack.
 pub fn bounded_sum(input: &AggInput) -> Interval {
-    if input.question_count() == 0 || input.items.is_sorted_by_key(|i| i.tid) {
-        return fold_sum(input.items.iter());
-    }
-    let mut canonical: Vec<&AggItem> = input.items.iter().collect();
-    canonical.sort_unstable_by_key(|i| i.tid);
-    fold_sum(canonical.into_iter())
-}
-
-fn fold_sum<'a>(items: impl Iterator<Item = &'a AggItem>) -> Interval {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for item in items {
+    let (mut lo, mut hi) = (ExactSum::new(), ExactSum::new());
+    for item in &input.items {
         let iv = match item.band {
             Band::Plus => item.interval,
             _ => item.interval.extended_to_zero(),
         };
-        lo += iv.lo();
-        hi += iv.hi();
+        lo.add(iv.lo());
+        hi.add(iv.hi());
     }
-    Interval::new_unchecked(lo, hi)
+    // `+ 0.0`: an empty or all-`-0.0` sum reads `+0.0`.
+    Interval::new_unchecked(lo.read() + 0.0, hi.read() + 0.0)
 }
 
 /// The knapsack weight each item contributes to CHOOSE_REFRESH_SUM

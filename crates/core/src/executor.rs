@@ -658,7 +658,7 @@ mod tests {
 
     /// End-to-end Q2 (§5.2): initial [19,28], R = 5. The paper refreshes
     /// {1,6} (cost 5) and keeps widths summing to exactly 5, which some
-    /// realizations overrun once the folds round; the certified capacity
+    /// realizations overrun once the endpoints round; the certified capacity
     /// keeps {1,2} instead, refreshing {5,6} (cost 6) → [23,27].
     #[test]
     fn q2_end_to_end() {

@@ -17,13 +17,14 @@
 //!   algorithm over the union of items;
 //! * MIN/MAX merge by folding interval endpoints (associative and exact).
 //!
-//! Deriving the bounds from the merged *input* — rather than combining
-//! per-shard answer intervals — is what makes the sharded answer
-//! **bit-equivalent** to the single-cache answer: floating-point addition
-//! is not associative, so summing per-shard partial sums would drift in
-//! the last ulp, and the tight AVG bound is not decomposable at all. It
-//! also lets CHOOSE_REFRESH plan globally, so a sharded deployment
-//! refreshes exactly the tuples a single cache would have chosen.
+//! SUM endpoints are exact sums rounded once
+//! ([`ExactSum`](trapp_types::ExactSum)), so per-shard partial sums would
+//! merge without drift; the items still ship because CHOOSE_REFRESH plans
+//! over them — globally, so a sharded deployment refreshes exactly the
+//! tuples a single cache would have chosen — and because the tight AVG
+//! bound does not decompose into per-shard parts. Deriving the bounds
+//! from the merged *input* makes the sharded answer **bit-equivalent** to
+//! the single-cache answer.
 //!
 //! ## Tuple-id spaces
 //!

@@ -24,7 +24,7 @@ use crate::agg::sum::{bounded_sum, sum_weight};
 use crate::agg::AggInput;
 
 use super::sum::keep_set_plan;
-use super::{fold_gamma, forced, magnitude_and_weight, AvailablePlan, RefreshPlan, SolverStrategy};
+use super::{endpoint_ulps, forced, AvailablePlan, RefreshPlan, SolverStrategy};
 
 /// CHOOSE_REFRESH for AVG against the certified capacity `r` (answer
 /// units; see [`super::certified_capacity`]).
@@ -63,14 +63,13 @@ pub(crate) fn plan_avg(
 /// (`plus_count > 0`, `question_count > 0`).
 fn appendix_f_weights(input: &AggInput, r: f64) -> (Vec<f64>, f64) {
     // Conservative SUM/COUNT estimates over current bounds. The spread is
-    // widened by its own fold's rounding, so the slope it derives is never
+    // widened by four ulps of the SUM bound's magnitude — its endpoints'
+    // roundings and the subtraction's — so the slope it derives is never
     // below the real-arithmetic one the Appendix F argument needs.
     let sum = bounded_sum(input);
     let (l_sum, h_sum) = (sum.lo(), sum.hi());
     let l_count = input.plus_count() as f64;
-    let (magnitude, _) = magnitude_and_weight(input);
-    let fold_error = 2.0 * fold_gamma(input) * magnitude;
-    let spread = h_sum.max(-l_sum).max(h_sum - l_sum) + fold_error;
+    let spread = h_sum.max(-l_sum).max(h_sum - l_sum) + endpoint_ulps(4.0, sum);
     let slope = spread / l_count - r;
 
     let weights: Vec<f64> = input

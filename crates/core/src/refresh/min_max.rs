@@ -16,7 +16,7 @@
 use std::collections::HashSet;
 
 use trapp_storage::{IndexKey, Table};
-use trapp_types::{OrderedF64, TupleId};
+use trapp_types::{ExactSum, OrderedF64, TupleId};
 
 use crate::agg::{AggInput, Aggregate};
 
@@ -103,7 +103,8 @@ fn endpoint_probe(agg: Aggregate, table: &Table, column: usize, r: f64) -> Optio
         _ => hi.above(threshold).collect(),
     };
     tuples.sort_unstable();
-    let planned_cost = tuples.iter().map(|&t| table.cost(t).unwrap_or(0.0)).sum();
+    let costs = tuples.iter().map(|&t| table.cost(t).unwrap_or(0.0));
+    let planned_cost = costs.collect::<ExactSum>().read();
     Some(RefreshPlan {
         tuples,
         planned_cost,

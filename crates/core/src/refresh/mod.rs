@@ -11,8 +11,8 @@
 //! Every route plans through one entry, [`plan_refresh`]: one planner per
 //! aggregate, each aware of excluded (unrefreshable) tuples and of the
 //! ordered-index probes the paper licenses, all run against the
-//! [`certified_capacity`] of `R` — the constraint with the answer fold's
-//! own rounding paid for, so the rule holds of the rounded answer
+//! [`certified_capacity`] of `R` — the constraint with the answer's own
+//! rounding and the knapsack's paid for, so the rule holds of the rounded answer
 //! (ARCHITECTURE §2). [`choose_refresh`] is its exclusion-free,
 //! probe-free caller; the join rounds ([`join`]) and the iterative mode
 //! ([`iterative`]) pick tuples heuristically under the same rule.
@@ -27,7 +27,7 @@ pub mod sum;
 use std::collections::HashSet;
 use std::fmt;
 
-use trapp_types::{float, TrappError, TupleId};
+use trapp_types::{float, ExactSum, Interval, TrappError, TupleId};
 
 use crate::agg::sum::sum_weight;
 use crate::agg::{AggInput, Aggregate};
@@ -86,23 +86,14 @@ impl RefreshPlan {
     pub(crate) fn from_tuples(input: &AggInput, mut tuples: Vec<TupleId>) -> RefreshPlan {
         tuples.sort_unstable();
         tuples.dedup();
-        // One pass over the items instead of one scan per chosen tuple;
-        // the cost sum still runs in ascending tuple order so the float
-        // total is bit-stable against the old quadratic path.
-        let mut costs: std::collections::HashMap<TupleId, f64> =
-            std::collections::HashMap::with_capacity(tuples.len());
-        for item in &input.items {
-            if tuples.binary_search(&item.tid).is_ok() {
-                costs.insert(item.tid, item.cost);
-            }
-        }
-        let cost = tuples
+        let chosen = input
+            .items
             .iter()
-            .map(|tid| costs.get(tid).copied().unwrap_or(0.0))
-            .sum();
+            .filter(|i| tuples.binary_search(&i.tid).is_ok());
+        let planned_cost = chosen.map(|i| i.cost).collect::<ExactSum>().read();
         RefreshPlan {
             tuples,
-            planned_cost: cost,
+            planned_cost,
         }
     }
 
@@ -152,7 +143,7 @@ impl AvailablePlan {
 /// single-cache / single-shard planning routes. Merged scatter-gather
 /// inputs have no backing table and plan without probes; every probed
 /// path produces plans **bit-identical** to its scan counterpart (same
-/// tuple set, same tie-breaking, same cost-summation order), so routes
+/// tuple set, same tie-breaking, same exact cost total), so routes
 /// with and without probes stay interchangeable.
 #[derive(Clone, Copy)]
 pub struct PlanProbe<'a> {
@@ -173,7 +164,7 @@ pub struct PlanProbe<'a> {
 ///
 /// `r` is the precision constraint (finite; `R = ∞` never reaches
 /// planning). The plan is derived against the [`certified_capacity`] of
-/// `r`, computed once here, so the *rounded* answer refolded after the
+/// `r`, computed once here, so the *rounded* answer recomputed after the
 /// refresh meets `r` — not only its real-arithmetic value (ARCHITECTURE
 /// §2). Per aggregate (§5/§6, each adapted to exclusions):
 ///
@@ -224,17 +215,17 @@ pub fn plan_refresh(
 }
 
 /// The certified capacity: the `R′ ≤ R` CHOOSE_REFRESH plans against so
-/// that the answer refolded after the refresh — rounded, in canonical
-/// tuple order — has width `≤ R` for every realization (ARCHITECTURE §2
+/// that the answer recomputed after the refresh — each endpoint exact and
+/// rounded once — has width `≤ R` for every realization (ARCHITECTURE §2
 /// derives each case).
 ///
-/// * **SUM** — `R − `[`fold_allowance`]: the endpoint folds' rounding,
-///   the knapsack's own summation and the items' rounded widths.
-/// * **AVG** — `R − γ·((4·Σ max(|Lᵢ|,|Hᵢ|) + Σ Wᵢ)/K + R) − 2·margin`
-///   in answer units, `K = max(1, |T+|)`: the SUM terms over the count
-///   and the division's rounding, the knapsack's arithmetic on its
-///   capacity `K·R′`, and the `T?` margin both AVG bounds widen by
-///   ([`crate::agg::avg::bounded_avg_tight`]).
+/// * **SUM** — `R − `[`fold_allowance`]: the endpoints' rounding, the
+///   knapsack's own summation and the items' rounded widths.
+/// * **AVG** — `R − 32 ulps of the loose bound's larger endpoint
+///   magnitude − γ·(Σ Wᵢ/K + R)` in answer units, `K = max(1, |T+|)`:
+///   both endpoints' roundings and their 8-ulp outward steps, then the
+///   knapsack's arithmetic on its capacity `K·R′` and the division's
+///   rounding.
 /// * **MIN / MAX** — `R`: the answer's endpoints are cached endpoints,
 ///   not sums, so the only rounding is the threshold `anchor ∓ R`'s, and
 ///   the planner rounds that toward the anchor exactly.
@@ -242,17 +233,18 @@ pub fn plan_refresh(
 ///   tuple) — `R`.
 ///
 /// Each is clamped at 0. `WITHIN 0` stays exact: `R′ = 0` keeps only
-/// zero-width items, which fold to width exactly 0.
+/// zero-width items, which sum to width exactly 0.
 pub fn certified_capacity(agg: Aggregate, input: &AggInput, r: f64) -> f64 {
     let allowance = match agg {
         Aggregate::Count | Aggregate::Median | Aggregate::Min | Aggregate::Max => 0.0,
         Aggregate::Sum => fold_allowance(input),
-        Aggregate::Avg => {
-            let (magnitude, weight) = magnitude_and_weight(input);
-            let count = input.plus_count().max(1) as f64;
-            let fold = fold_gamma(input) * ((4.0 * magnitude + weight) / count + r);
-            fold + 2.0 * crate::agg::avg::question_margin(input)
-        }
+        Aggregate::Avg => match crate::agg::avg::bounded_avg_loose(input) {
+            Ok(loose) => {
+                let count = input.plus_count().max(1) as f64;
+                endpoint_ulps(32.0, loose) + fold_gamma(input) * (summed_weight(input) / count + r)
+            }
+            Err(_) => 0.0,
+        },
     };
     let certified = r - allowance;
     // `!(x > 0)` also maps a NaN allowance (∞ − ∞) to 0: refresh all.
@@ -263,29 +255,36 @@ pub fn certified_capacity(agg: Aggregate, input: &AggInput, r: f64) -> f64 {
     }
 }
 
-/// The most rounding can move a SUM fold's width, for `n` items:
-/// `γ·(2·Σ max(|Lᵢ|,|Hᵢ|) + Σ Wᵢ)`, `Wᵢ` the §5.2/§6.2 weights. Each
-/// endpoint fold of canonical order errs by at most `γ·Σ max(|Lᵢ|,|Hᵢ|)`
-/// (post-refresh values stay inside the current bounds); the `Σ Wᵢ` term
-/// pays for the rounded item widths and the knapsack's own summation.
+/// The most rounding can move a SUM answer's width past the kept weight:
+/// two ulps of the current answer's larger endpoint magnitude, plus
+/// `γ·Σ Wᵢ`, `Wᵢ` the §5.2/§6.2 weights. Each endpoint is exact and
+/// rounded once, and refreshed endpoints stay inside the current bound,
+/// so each rounding moves an endpoint by at most half an ulp of that
+/// magnitude; the `Σ Wᵢ` term pays for the rounded item widths and the
+/// knapsack's own summation, which runs in each solver's own order.
 pub fn fold_allowance(input: &AggInput) -> f64 {
-    let (magnitude, weight) = magnitude_and_weight(input);
-    fold_gamma(input) * (2.0 * magnitude + weight)
+    let answer = crate::agg::sum::bounded_sum(input);
+    endpoint_ulps(2.0, answer) + fold_gamma(input) * summed_weight(input)
 }
 
-/// `γₙ₊₈` for an input of `n` items: eight roundings beyond the fold's
-/// `n − 1` cover the item widths, the solver's comparisons, computing
-/// `R′`, and AVG's product and division.
-pub(crate) fn fold_gamma(input: &AggInput) -> f64 {
+/// `k` ulps of `answer`'s larger endpoint magnitude `a`: `k·ε·a`, and at
+/// least `k` subnormal steps. `ε·a` bounds the spacing of every `f64` of
+/// magnitude up to `a`, so this covers `2k` roundings to nearest there.
+pub(crate) fn endpoint_ulps(k: f64, answer: Interval) -> f64 {
+    let magnitude = answer.lo().abs().max(answer.hi().abs());
+    k * (magnitude * f64::EPSILON).max(f64::from_bits(1))
+}
+
+/// `γₙ₊₈` for an input of `n` items: eight roundings beyond the
+/// knapsack's `n − 1` additions cover the item widths, the solver's
+/// comparisons, computing `R′`, and AVG's product and division.
+fn fold_gamma(input: &AggInput) -> f64 {
     float::gamma(input.items.len() + 8)
 }
 
-/// `Σ max(|Lᵢ|,|Hᵢ|)` and `Σ Wᵢ` (the §5.2/§6.2 SUM weights) in one pass.
-pub(crate) fn magnitude_and_weight(input: &AggInput) -> (f64, f64) {
-    input.items.iter().fold((0.0, 0.0), |(m, w), item| {
-        let iv = item.interval;
-        (m + iv.lo().abs().max(iv.hi().abs()), w + sum_weight(item))
-    })
+/// `Σ Wᵢ`, the §5.2/§6.2 SUM weights.
+fn summed_weight(input: &AggInput) -> f64 {
+    input.items.iter().map(sum_weight).sum()
 }
 
 /// The plan for a *forced* set — tuples every sufficient refresh set must

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 use trapp_knapsack::{Instance, Item};
-use trapp_types::{TrappError, TupleId};
+use trapp_types::{ExactSum, TrappError, TupleId};
 
 use crate::agg::sum::sum_weight;
 use crate::agg::AggInput;
@@ -131,9 +131,10 @@ fn uniform_width_walk(probe: &PlanProbe<'_>, capacity: f64) -> Option<RefreshPla
         }
     }
     refresh.sort_unstable();
-    // Sum in ascending tuple order — the scan planner's summation order —
-    // so the planned cost is bit-equal, not merely mathematically equal.
-    let planned_cost = refresh.iter().map(|&t| table.cost(t).unwrap_or(0.0)).sum();
+    // An exact total, as the scan planner's is, so the planned cost is
+    // bit-equal, not merely mathematically equal.
+    let costs = refresh.iter().map(|&t| table.cost(t).unwrap_or(0.0));
+    let planned_cost = costs.collect::<ExactSum>().read();
     Some(RefreshPlan {
         tuples: refresh,
         planned_cost,

@@ -110,8 +110,8 @@ pub fn check_containment(
     let bounded = bounded_answer(agg, &input)?;
     let truth = true_answer(agg, master, predicate, arg)?;
     if let Some(v) = truth {
-        // Zero tolerance: truth and bound fold in the same canonical tuple
-        // order, and rounded addition is monotone (ARCHITECTURE §2).
+        // Zero tolerance: every endpoint and the truth are exact sums
+        // rounded once, and rounding is monotone (ARCHITECTURE §2).
         if !bounded.range.contains(v) {
             return Err(TrappError::Internal(format!(
                 "containment violated: true {agg} = {v} outside {bounded}"

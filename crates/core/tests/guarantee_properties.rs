@@ -440,8 +440,8 @@ mod adversarial {
         Ok(units(outcome))
     }
 
-    /// The exact aggregate per unit, folded in canonical tuple order over
-    /// the master values.
+    /// The exact aggregate per unit over the master values (sums exact,
+    /// rounded once).
     pub fn truth(case: &Case, q: &Query) -> Result<Units, TrappError> {
         let mut exact = q.clone();
         exact.within = None;

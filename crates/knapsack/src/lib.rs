@@ -42,7 +42,9 @@
 //!    2–20 items with one-decimal widths and a subset-sum capacity, 0.2–0.8 %
 //!    of solutions overrun, depending on the solver. The fix is upstream,
 //!    not here: callers plan against a capacity certified for any
-//!    summation order (`trapp_core::refresh::certified_capacity`).
+//!    summation order — its `γₙ·Σwᵢ` term pays for exactly this
+//!    (`trapp_core::refresh::certified_capacity`, ARCHITECTURE §2); the
+//!    answer's own endpoints are exact sums and need no such term.
 //! 2. **Zero-weight items ride free**: already-exact tuples are always kept
 //!    in the knapsack.
 

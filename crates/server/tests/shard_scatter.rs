@@ -28,7 +28,9 @@ use trapp_core::refresh::iterative::IterativeHeuristic;
 use trapp_core::ExecutionMode;
 use trapp_server::{QueryService, ServiceConfig, ServiceReply};
 use trapp_storage::{ColumnDef, Schema, Table};
-use trapp_types::{shard_of, BoundedValue, ObjectId, SourceId, TrappError, Value, ValueType};
+use trapp_types::{
+    shard_of, BoundedValue, ExactSum, Interval, ObjectId, SourceId, TrappError, Value, ValueType,
+};
 use trapp_workload::loadgen::{
     self, LoadConfig, QueryShape, RowSpec, ServiceWorkload, JOIN_WEIGHT_THRESHOLD,
 };
@@ -647,7 +649,10 @@ fn concurrent_mixed_load_on_four_shards_is_correct() {
 /// join answer — refresh sets, costs and rounds included — equals the
 /// 1-shard service's, across clock advances that force refreshes. Only
 /// `exec_time` and `round_trips` may differ: a sharded fetch sends one
-/// batch per shard and source.
+/// batch per shard and source. `edges` holds cancelling and edge-valued
+/// rows (±1e16 against 1, 1e308 twice against −1e308, 2⁵³, a subnormal,
+/// −0.0): its `WITHIN 0` SUM and AVG answers, scalar and per group,
+/// equal the exact sums rounded once.
 #[test]
 fn scatter_is_bit_equivalent_when_rows_are_placed_by_tuple_id() {
     let w = loadgen::generate(&LoadConfig {
@@ -675,10 +680,68 @@ fn scatter_is_bit_equivalent_when_rows_are_placed_by_tuple_id() {
             ],
         })
         .collect();
+    // Cancelling and edge-valued rows, three groups interleaved: each
+    // group's exact sum differs from a left-to-right fold of its rows.
+    let edge_values: [(i64, f64); 16] = [
+        (0, 1e16),
+        (1, 1e308),
+        (0, 1.0),
+        (2, 9007199254740992.0),
+        (0, -1e16),
+        (1, 1e308),
+        (2, 1.0),
+        (0, 1.0),
+        (1, -1e308),
+        (2, 1.0),
+        (2, 5e-324),
+        (1, 0.1),
+        (0, -0.0),
+        (2, -1e-300),
+        (1, 0.2),
+        (0, 0.3),
+    ];
+    let edges: Vec<RowSpec> = edge_values
+        .iter()
+        .enumerate()
+        .map(|(k, &(rack, v))| RowSpec {
+            source: SourceId::new(1 + k as u64 % 3),
+            cells: vec![
+                BoundedValue::Exact(Value::Int(rack)),
+                BoundedValue::exact_f64(v).unwrap(),
+            ],
+        })
+        .collect();
     let tables = || {
         let mut tables = loadgen_tables(&w);
         tables.push((Table::new("hosts", hosts_schema.clone()), &hosts[..]));
+        tables.push((Table::new("edges", hosts_schema.clone()), &edges[..]));
         tables
+    };
+    let edge_sqls = [
+        "SELECT SUM(cpu) WITHIN 0 FROM edges",
+        "SELECT AVG(cpu) WITHIN 0 FROM edges",
+        "SELECT SUM(cpu) WITHIN 0 FROM edges WHERE cpu < 1e300",
+        "SELECT AVG(cpu) WITHIN 0 FROM edges WHERE cpu < 1e300",
+        "SELECT SUM(cpu) WITHIN 0 FROM edges GROUP BY rack",
+        "SELECT AVG(cpu) WITHIN 0 FROM edges GROUP BY rack",
+    ];
+    // What `WITHIN 0` must answer over the edge rows of `group` (all of
+    // them for `None`) that pass the query's filter: their exact sum, or
+    // that over their count, rounded once.
+    let expected = |sql: &str, group: Option<i64>| {
+        let kept: Vec<f64> = edge_values
+            .iter()
+            .filter(|&&(rack, v)| {
+                group.is_none_or(|g| g == rack) && (!sql.contains("WHERE") || v < 1e300)
+            })
+            .map(|&(_, v)| v)
+            .collect();
+        let sum = kept.iter().copied().collect::<ExactSum>().read();
+        if sql.contains("AVG") {
+            sum / kept.len() as f64
+        } else {
+            sum
+        }
     };
     let mut sqls: Vec<String> = w.queries.iter().map(|q| q.sql.clone()).collect();
     sqls.extend(
@@ -693,6 +756,7 @@ fn scatter_is_bit_equivalent_when_rows_are_placed_by_tuple_id() {
         ]
         .map(str::to_owned),
     );
+    sqls.extend(edge_sqls.map(str::to_owned));
     let config = |shards| ServiceConfig {
         workers: 1,
         shards,
@@ -723,6 +787,23 @@ fn scatter_is_bit_equivalent_when_rows_are_placed_by_tuple_id() {
                 assert_replies_match(&a, &b, &context);
                 assert_eq!(a.refreshes_saved, b.refreshes_saved, "{context}");
                 assert_eq!(a.degraded.is_some(), b.degraded.is_some(), "{context}");
+                if !edge_sqls.contains(&sql.as_str()) {
+                    continue;
+                }
+                assert!(a.result.satisfied && a.degraded.is_none(), "{context}");
+                let point = |x: f64| Interval::new(x, x).unwrap();
+                if a.groups.is_empty() {
+                    let want = point(expected(sql, None));
+                    assert_eq!(a.result.answer.range, want, "{context}");
+                }
+                for g in &a.groups {
+                    let rack = match g.key.as_slice() {
+                        [Value::Int(rack)] => *rack,
+                        key => panic!("{context}: group key {key:?}"),
+                    };
+                    let want = point(expected(sql, Some(rack)));
+                    assert_eq!(g.result.answer.range, want, "{context}: rack {rack}");
+                }
             }
             assert!(sharded.stats().scatter_queries > 0);
         }

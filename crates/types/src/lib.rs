@@ -10,6 +10,8 @@
 //! quantitative *precision constraints*. This crate provides the numeric and
 //! logical substrate for that model:
 //!
+//! * [`ExactSum`] — exact, order-free `f64` summation, rounded once on
+//!   read: every SUM-family endpoint folds through it.
 //! * [`OrderedF64`] — a totally ordered, hashable `f64` wrapper (NaN rejected),
 //!   usable as a B-tree index key over bound endpoints.
 //! * [`Interval`] — closed real intervals with the arithmetic needed to
@@ -28,6 +30,7 @@
 #![deny(unsafe_code)]
 
 pub mod error;
+pub mod exact_sum;
 pub mod float;
 pub mod id;
 pub mod interval;
@@ -36,6 +39,7 @@ pub mod tri;
 pub mod value;
 
 pub use error::{PartialFailure, SourceFailure, TrappError, TrappResult};
+pub use exact_sum::ExactSum;
 pub use float::OrderedF64;
 pub use id::{CacheId, ObjectId, SourceId, TupleId};
 pub use interval::Interval;

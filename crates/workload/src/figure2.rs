@@ -113,8 +113,9 @@ pub struct WorkedExample {
     pub expect_refreshed: &'static [u64],
     /// The final answer and refresh set the planner delivers where they
     /// differ from the paper's: Q2, Q3 and Q6 keep widths that sum to
-    /// exactly their knapsack capacity, which a rounded fold can overrun,
-    /// so the certified capacity (ARCHITECTURE §2) keeps less.
+    /// exactly their knapsack capacity, which the knapsack's own rounded
+    /// sums and the answer's rounded endpoints can overrun, so the
+    /// certified capacity (ARCHITECTURE §2) keeps less.
     pub certified: Option<((f64, f64), &'static [u64])>,
 }
 

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trapp_storage::{ColumnDef, Schema, Table};
-use trapp_types::{shard_of, BoundedValue, SourceId, Value, ValueType};
+use trapp_types::{shard_of, BoundedValue, ExactSum, SourceId, Value, ValueType};
 
 /// The `weight > thr` threshold join queries filter segments by.
 pub const JOIN_WEIGHT_THRESHOLD: f64 = 0.5;
@@ -271,6 +271,9 @@ pub fn segment_weight(w: &ServiceWorkload, group: i64) -> f64 {
 /// per-row envelopes — the shared kernel of every ground-truth checker.
 fn agg_bounds(agg: AggTemplate, selected: &[(f64, f64)], mid: f64) -> (f64, f64) {
     let n = selected.len() as f64;
+    // Sums are exact, rounded once: what a `WITHIN 0` SUM answers,
+    // whatever order the rows are stored in.
+    let sum = |end: fn(&(f64, f64)) -> f64| selected.iter().map(end).collect::<ExactSum>().read();
     match agg {
         // A row certainly passes `load > mid` only if its whole envelope
         // does; it possibly passes if any of it does.
@@ -278,14 +281,8 @@ fn agg_bounds(agg: AggTemplate, selected: &[(f64, f64)], mid: f64) -> (f64, f64)
             selected.iter().filter(|&&(lo, _)| lo > mid).count() as f64,
             selected.iter().filter(|&&(_, hi)| hi > mid).count() as f64,
         ),
-        AggTemplate::Sum => (
-            selected.iter().map(|&(lo, _)| lo).sum(),
-            selected.iter().map(|&(_, hi)| hi).sum(),
-        ),
-        AggTemplate::Avg => (
-            selected.iter().map(|&(lo, _)| lo).sum::<f64>() / n,
-            selected.iter().map(|&(_, hi)| hi).sum::<f64>() / n,
-        ),
+        AggTemplate::Sum => (sum(|r| r.0), sum(|r| r.1)),
+        AggTemplate::Avg => (sum(|r| r.0) / n, sum(|r| r.1) / n),
         AggTemplate::Min => (
             selected.iter().fold(f64::INFINITY, |a, &(lo, _)| a.min(lo)),
             selected.iter().fold(f64::INFINITY, |a, &(_, hi)| a.min(hi)),

@@ -310,3 +310,65 @@ fn eager_insert_delete_keeps_count_exact() {
     assert_eq!(r.answer.range.lo(), 5.0);
     assert!(r.answer.is_exact());
 }
+
+/// `WITHIN 0` SUM and AVG answer the exact aggregate, rounded once, in any
+/// insertion order: cancelling terms (`{1e16, 1, −1e16, 1}`) and a partial
+/// sum past `f64::MAX` (`{1e308, 1e308, −1e308}`). Through
+/// `QuerySession::execute_sql`, and through the service on 1 and 3
+/// shards, from cache and again after the bounds widen.
+#[test]
+fn within_zero_sum_and_avg_are_exact_in_any_insertion_order() {
+    let schema = Schema::new(vec![ColumnDef::bounded_float("v")]).unwrap();
+    let cases: [(&[f64], f64, f64); 4] = [
+        (&[1e16, 1.0, -1e16, 1.0], 2.0, 0.5),
+        (&[1.0, 1.0, 1e16, -1e16], 2.0, 0.5),
+        (&[1e308, 1e308, -1e308], 1e308, 1e308 / 3.0),
+        (&[-1e308, 1e308, 1e308], 1e308, 1e308 / 3.0),
+    ];
+    for (values, sum, avg) in cases {
+        for (agg, want) in [("SUM", sum), ("AVG", avg)] {
+            let sql = format!("SELECT {agg}(v) WITHIN 0 FROM t");
+            let point = Interval::new(want, want).unwrap();
+            // One cache holding bounds of ±50 % around the masters.
+            let mut cache = Table::new("t", schema.clone());
+            let mut master = Table::new("t", schema.clone());
+            for &v in values {
+                let half = v.abs() / 2.0;
+                let bound = BoundedValue::bounded(v - half, v + half).unwrap();
+                cache.insert_with_cost(vec![bound], 1.0).unwrap();
+                let exact = BoundedValue::exact_f64(v).unwrap();
+                master.insert_with_cost(vec![exact], 1.0).unwrap();
+            }
+            let mut session = QuerySession::new(cache);
+            let mut oracle = TableOracle::from_table(master);
+            let r = session.execute_sql(&sql, &mut oracle).unwrap();
+            assert!(r.satisfied, "session: {sql} over {values:?}");
+            assert_eq!(r.answer.range, point, "session: {sql} over {values:?}");
+            for shards in [1, 3] {
+                let config = ServiceConfig {
+                    shards,
+                    ..ServiceConfig::default()
+                };
+                let mut builder = ServiceBuilder::new()
+                    .config(config)
+                    .table(Table::new("t", schema.clone()));
+                for &v in values {
+                    let cell = BoundedValue::exact_f64(v).unwrap();
+                    builder = builder.row("t", SourceId::new(1), vec![cell]);
+                }
+                let service = builder.build_direct().unwrap();
+                for advanced in [false, true] {
+                    if advanced {
+                        service.advance_clock(25.0);
+                    }
+                    let context =
+                        format!("{shards} shards, advanced {advanced}: {sql} over {values:?}");
+                    let reply = service.query(&sql).unwrap();
+                    assert!(reply.degraded.is_none(), "{context}");
+                    assert!(reply.result.satisfied, "{context}");
+                    assert_eq!(reply.result.answer.range, point, "{context}");
+                }
+            }
+        }
+    }
+}
