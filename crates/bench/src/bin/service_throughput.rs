@@ -784,7 +784,6 @@ fn run_overload(
             ..trapp_server::HealthConfig::default()
         },
         admission,
-        ..ServiceConfig::default()
     };
     let service = build_service(
         w,

@@ -16,7 +16,7 @@ use trapp_expr::Band;
 use trapp_types::{ExactSum, Interval, TrappError};
 
 use super::count::bounded_count;
-use super::sum::bounded_sum;
+use super::sum::endpoint_sums;
 use super::AggInput;
 
 /// Tight bounded AVG (Appendix E).
@@ -86,6 +86,19 @@ pub(crate) fn step_out(input: &AggInput, mut lo: f64, mut hi: f64) -> (f64, f64)
     (lo, hi)
 }
 
+/// `sum / count`, rounded twice: the exact sum read, then divided. A sum
+/// that reads `±∞` from finite terms is read a chunk down instead (an
+/// exact scaling by 2⁻³²), divided and scaled back, so a mean that is
+/// representable stays finite. Every AVG division goes through here.
+pub(crate) fn mean(sum: &ExactSum, count: f64) -> f64 {
+    let s = sum.read();
+    if s.is_finite() {
+        return s / count;
+    }
+    const CHUNK: f64 = 4_294_967_296.0; // 2³²
+    sum.read_scaled(1) / count * CHUNK
+}
+
 /// One endpoint of the tight AVG: from the `T+` anchor `sum / k`, average
 /// in the sorted `T?` endpoints while each `improves` the running mean.
 /// With `k = 0` the mean is conditioned on a non-empty selection: the
@@ -101,14 +114,14 @@ fn extreme_mean(
         return sorted[0];
     }
     for &x in sorted {
-        if improves(x, sum.read() / k as f64) {
+        if improves(x, mean(&sum, k as f64)) {
             sum.add(x);
             k += 1;
         } else {
             break;
         }
     }
-    sum.read() / k as f64
+    mean(&sum, k as f64)
 }
 
 /// Loose bounded AVG (§6.4.1): derived from the SUM and COUNT bounds,
@@ -126,12 +139,12 @@ pub fn bounded_avg_loose(input: &AggInput) -> Result<Interval, TrappError> {
             "AVG over a certainly-empty selection is undefined".into(),
         ));
     }
-    let sum = bounded_sum(input);
+    let (sl, sh) = endpoint_sums(input);
     let count = bounded_count(input);
     let lc = count.lo().max(1.0);
     let hc = count.hi().max(1.0);
-    let lo = (sum.lo() / hc).min(sum.lo() / lc);
-    let hi = (sum.hi() / lc).max(sum.hi() / hc);
+    let lo = mean(&sl, hc).min(mean(&sl, lc));
+    let hi = mean(&sh, lc).max(mean(&sh, hc));
     let (lo, hi) = step_out(input, lo, hi);
     Interval::new(lo, hi)
 }
@@ -147,17 +160,17 @@ pub fn bounded_avg_no_predicate(input: &AggInput) -> Result<Interval, TrappError
     }
     debug_assert_eq!(input.question_count(), 0, "use the predicate-aware path");
     let n = input.items.len() as f64;
-    let sum = bounded_sum(input);
-    Interval::new(sum.lo() / n, sum.hi() / n)
+    let (sl, sh) = endpoint_sums(input);
+    Interval::new(mean(&sl, n), mean(&sh, n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_fixture::*;
-    use super::super::AggInput;
+    use super::super::{AggInput, AggItem};
     use super::*;
     use trapp_expr::{BinaryOp, ColumnRef, Expr};
-    use trapp_types::Value;
+    use trapp_types::{TupleId, Value};
 
     fn col(name: &str) -> Expr<usize> {
         Expr::Column(ColumnRef::bare(name)).bind(&schema()).unwrap()
@@ -238,6 +251,75 @@ mod tests {
         // Conditioned on non-emptiness the average is tuple 4's latency.
         let tight = bounded_avg_tight(&input).unwrap();
         assert_eq!(tight, Interval::new(9.0, 11.0).unwrap());
+    }
+
+    fn point(tid: u64, band: Band, v: f64) -> AggItem {
+        AggItem {
+            tid: TupleId::new(tid),
+            band,
+            interval: Interval::point(v).unwrap(),
+            cost: 1.0,
+        }
+    }
+
+    fn points(items: &[(Band, f64)]) -> AggInput {
+        let items = items
+            .iter()
+            .enumerate()
+            .map(|(i, &(band, v))| point(i as u64, band, v))
+            .collect();
+        AggInput::new(items, 0, (0, 0))
+    }
+
+    /// Two `T+` points at 1e308: their exact sum passes `f64::MAX`, their
+    /// mean does not. Every AVG path answers the mean, not `±∞`.
+    #[test]
+    fn avg_past_max_sum_answers_the_representable_mean() {
+        for v in [1e308, -1e308] {
+            let input = points(&[(Band::Plus, v), (Band::Plus, v)]);
+            let exact = Interval::point(v).unwrap();
+            let answer = crate::agg::bounded_answer(crate::Aggregate::Avg, &input).unwrap();
+            assert_eq!(answer.range, exact);
+            assert_eq!(bounded_avg_tight(&input).unwrap(), exact);
+            assert_eq!(bounded_avg_loose(&input).unwrap(), exact);
+            assert_eq!(bounded_avg_no_predicate(&input).unwrap(), exact);
+        }
+    }
+
+    /// With a `T?` point the tight and loose bounds step outward, and still
+    /// contain the mean of every realization, finite.
+    #[test]
+    fn avg_past_max_sum_with_a_question_point_contains_every_mean() {
+        let input = points(&[
+            (Band::Plus, 1e308),
+            (Band::Plus, 1e308),
+            (Band::Question, 1e308),
+        ]);
+        for bound in [bounded_avg_tight(&input), bounded_avg_loose(&input)] {
+            let bound = bound.unwrap();
+            assert!(bound.lo().is_finite() && bound.hi().is_finite(), "{bound}");
+            assert!(bound.contains(1e308), "{bound}");
+        }
+    }
+
+    /// The greedy compares a `T?` endpoint with the running mean: a mean
+    /// read as `∞` would refuse to fold in 1.5e308 and answer `∞` above.
+    #[test]
+    fn avg_greedy_folds_against_the_representable_mean() {
+        let input = points(&[
+            (Band::Plus, 1e308),
+            (Band::Plus, 1e308),
+            (Band::Question, 1.5e308),
+        ]);
+        let tight = bounded_avg_tight(&input).unwrap();
+        // The largest mean: all three selected, 3.5e308 / 3.
+        let most = 1e308 / 1.5 + 0.5e308;
+        assert!(tight.hi().is_finite(), "{tight}");
+        assert!(
+            tight.hi() >= most && tight.hi() <= most * (1.0 + 1e-14),
+            "{tight}"
+        );
+        assert!(tight.contains(1e308), "{tight}");
     }
 
     /// Property: the tight bound is always contained in the loose bound.

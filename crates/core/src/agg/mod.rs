@@ -891,6 +891,7 @@ mod tests {
     /// greedy's structure (one pass for both endpoints), not the
     /// summation.
     mod two_pass {
+        use super::super::avg::mean;
         use super::super::AggInput;
         use trapp_types::{ExactSum, Interval, TrappError};
 
@@ -908,14 +909,14 @@ mod tests {
                 lows[0]
             } else {
                 for &la in &lows {
-                    if la < sl.read() / kl as f64 {
+                    if la < mean(&sl, kl as f64) {
                         sl.add(la);
                         kl += 1;
                     } else {
                         break;
                     }
                 }
-                sl.read() / kl as f64
+                mean(&sl, kl as f64)
             };
             let mut sh: ExactSum = input.plus().map(|i| i.interval.hi()).collect();
             let mut kh = input.plus_count();
@@ -925,14 +926,14 @@ mod tests {
                 highs[0]
             } else {
                 for &ha in &highs {
-                    if ha > sh.read() / kh as f64 {
+                    if ha > mean(&sh, kh as f64) {
                         sh.add(ha);
                         kh += 1;
                     } else {
                         break;
                     }
                 }
-                sh.read() / kh as f64
+                mean(&sh, kh as f64)
             };
             let (lo, hi) = super::super::avg::step_out(input, lo, hi);
             Interval::new(lo, hi)

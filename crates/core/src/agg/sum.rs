@@ -24,7 +24,15 @@ use super::AggInput;
 /// `max(H, 0) ≥ 0` above), and it is rounded once the same way; rounding
 /// is monotone, so the bound contains it with no slack.
 pub fn bounded_sum(input: &AggInput) -> Interval {
-    let (mut lo, mut hi) = (ExactSum::new(), ExactSum::new());
+    let (lo, hi) = endpoint_sums(input);
+    Interval::new_unchecked(lo.read(), hi.read())
+}
+
+/// The exact lower and upper endpoint sums [`bounded_sum`] reads. Each
+/// starts from a `+0.0` term, so an empty or all-`-0.0` sum reads `+0.0`.
+pub(crate) fn endpoint_sums(input: &AggInput) -> (ExactSum, ExactSum) {
+    let mut lo: ExactSum = [0.0].into_iter().collect();
+    let mut hi = lo.clone();
     for item in &input.items {
         let iv = match item.band {
             Band::Plus => item.interval,
@@ -33,8 +41,7 @@ pub fn bounded_sum(input: &AggInput) -> Interval {
         lo.add(iv.lo());
         hi.add(iv.hi());
     }
-    // `+ 0.0`: an empty or all-`-0.0` sum reads `+0.0`.
-    Interval::new_unchecked(lo.read() + 0.0, hi.read() + 0.0)
+    (lo, hi)
 }
 
 /// The knapsack weight each item contributes to CHOOSE_REFRESH_SUM

@@ -49,9 +49,6 @@ pub struct SessionConfig {
     pub mode: ExecutionMode,
     /// Heuristic for join refresh rounds.
     pub join_heuristic: IterativeHeuristic,
-    /// Heuristic refresh rounds (join rounds, and iterative mode's) a
-    /// query may take before [`drive_rounds`] gives up with an error.
-    pub max_refresh_rounds: usize,
 }
 
 impl Default for SessionConfig {
@@ -60,7 +57,6 @@ impl Default for SessionConfig {
             strategy: SolverStrategy::default(),
             mode: ExecutionMode::Batch,
             join_heuristic: IterativeHeuristic::BestRatio,
-            max_refresh_rounds: 100_000,
         }
     }
 }
@@ -137,6 +133,10 @@ impl RefreshOracle for TableOracle {
 /// re-widened between install and plan (a concurrent clock advance).
 const MAX_COMPLETE_ROUNDS: usize = 8;
 
+/// Heuristic refresh rounds (join rounds, and iterative mode's) a query
+/// may take before [`drive_rounds`] gives up with an error.
+pub const MAX_REFRESH_ROUNDS: usize = 100_000;
+
 /// The two moves of the §4 loop, as one query's executor makes them.
 pub trait Rounds {
     /// Plans the query over the cache as it stands.
@@ -151,8 +151,9 @@ pub trait Rounds {
 /// The §4 loop: plan and fetch until the plan is `Ready`, then return its
 /// outcome patched with what each unit paid ([`Attribution`]). The one
 /// budget: 8 counted complete rounds ([`FetchPlan::complete`]) and
-/// `max_refresh_rounds` counted heuristic ones; a plan past either is a
-/// typed [`TrappError::Internal`].
+/// `max_refresh_rounds` counted heuristic ones (every query loop passes
+/// [`MAX_REFRESH_ROUNDS`]); a plan past either is a typed
+/// [`TrappError::Internal`].
 pub fn drive_rounds(
     rounds: &mut impl Rounds,
     max_refresh_rounds: usize,
@@ -368,14 +369,13 @@ impl QuerySession {
         oracle: &mut dyn RefreshOracle,
         plan: impl FnMut(&QuerySession) -> Result<QueryPlan, TrappError>,
     ) -> Result<QueryOutcome, TrappError> {
-        let max_refresh_rounds = self.config.max_refresh_rounds;
         let mut rounds = OracleRounds {
             session: self,
             oracle,
             plan,
             after_complete: false,
         };
-        drive_rounds(&mut rounds, max_refresh_rounds)
+        drive_rounds(&mut rounds, MAX_REFRESH_ROUNDS)
     }
 
     /// The scan reference planner: lowers a bound query into a

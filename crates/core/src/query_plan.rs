@@ -911,7 +911,6 @@ mod tests {
         );
 
         let (mut s, mut oracle) = join_fixture();
-        s.config.max_refresh_rounds = 99; // join rounds must converge
         let outcome = s
             .drive(&mut oracle, |s| {
                 let plan = s.plan_query(&q);

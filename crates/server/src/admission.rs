@@ -10,24 +10,20 @@
 //! 2. **at/above `widen_watermark`** — admit, but widen the query's
 //!    `WITHIN` constraint by [`AdmissionConfig::widen_factor`] (the reply
 //!    carries [`DegradedInfo`](crate::DegradedInfo) naming the original
-//!    constraint), and boost the shared fetch pool to
-//!    [`AdmissionConfig::burst_pool_threads`] so the backlog drains with
-//!    more fetch parallelism;
+//!    constraint), so the backlog drains at a lower refresh cost;
 //! 3. **at/above `reject_watermark`** — shed: the query is refused with a
 //!    typed [`TrappError::Overloaded`] before any work is started.
 //!
 //! Both watermarks default to "off" (`u64::MAX`): an unconfigured service
-//! behaves exactly as before. Depth accounting is shared with the
+//! admits every query untouched. Depth accounting is shared with the
 //! service's dispatch path — [`AdmissionController::admit`] increments
 //! when `query` admits a query, [`AdmissionController::dequeued`]
 //! decrements when the query takes its execution permit and starts — so
 //! the gauge is the number of admitted queries waiting for a permit, not
 //! in-flight executions.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-use trapp_system::FetchPool;
 use trapp_types::TrappError;
 
 /// Watermarks and reactions for the admission ladder. All knobs default
@@ -44,11 +40,6 @@ pub struct AdmissionConfig {
     /// [`TrappError::Overloaded`]. `u64::MAX` (default) disables
     /// rejection.
     pub reject_watermark: u64,
-    /// Fetch-pool size to [`FetchPool::resize`] to while depth sits at or
-    /// above the widen watermark; the pool falls back to its build-time
-    /// size once the queue drains empty. `0` (default) leaves the pool
-    /// alone.
-    pub burst_pool_threads: usize,
 }
 
 impl Default for AdmissionConfig {
@@ -57,7 +48,6 @@ impl Default for AdmissionConfig {
             widen_watermark: u64::MAX,
             widen_factor: 4.0,
             reject_watermark: u64::MAX,
-            burst_pool_threads: 0,
         }
     }
 }
@@ -79,30 +69,17 @@ pub struct AdmissionController {
     depth: AtomicU64,
     widened: AtomicU64,
     rejected: AtomicU64,
-    /// Whether the fetch pool is currently boosted above its base size.
-    boosted: AtomicBool,
-    /// The resizable fetch pool plus its build-time base size, when the
-    /// service was built over a completion transport.
-    pool: Mutex<Option<(FetchPool, usize)>>,
 }
 
 impl AdmissionController {
-    /// A controller over `cfg` with an empty queue and no pool attached.
+    /// A controller over `cfg` with an empty queue.
     pub fn new(cfg: AdmissionConfig) -> AdmissionController {
         AdmissionController {
             cfg,
             depth: AtomicU64::new(0),
             widened: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            boosted: AtomicBool::new(false),
-            pool: Mutex::new(None),
         }
-    }
-
-    /// Attaches the service's shared fetch pool so load reactions can
-    /// resize it; `base` is the build-time thread count to fall back to.
-    pub fn attach_pool(&self, pool: FetchPool, base: usize) {
-        *self.pool.lock() = Some((pool, base));
     }
 
     /// One query at the front door: sheds with
@@ -121,7 +98,6 @@ impl AdmissionController {
         self.depth.fetch_add(1, Ordering::SeqCst);
         if depth >= self.cfg.widen_watermark {
             self.widened.fetch_add(1, Ordering::Relaxed);
-            self.react_to_depth(depth + 1);
             Ok(Admission::Widened)
         } else {
             Ok(Admission::Normal)
@@ -129,29 +105,8 @@ impl AdmissionController {
     }
 
     /// An admitted query started executing: the queue is one shallower.
-    /// Once the queue drains empty, a boosted fetch pool falls back to its
-    /// base size.
     pub fn dequeued(&self) {
-        let depth = self.depth.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
-        self.react_to_depth(depth);
-    }
-
-    /// Applies the pool-sizing half of the ladder for an observed depth.
-    fn react_to_depth(&self, depth: u64) {
-        if self.cfg.burst_pool_threads == 0 {
-            return;
-        }
-        if depth >= self.cfg.widen_watermark {
-            if !self.boosted.swap(true, Ordering::SeqCst) {
-                if let Some((pool, _)) = &*self.pool.lock() {
-                    pool.resize(self.cfg.burst_pool_threads);
-                }
-            }
-        } else if depth == 0 && self.boosted.swap(false, Ordering::SeqCst) {
-            if let Some((pool, base)) = &*self.pool.lock() {
-                pool.resize(*base);
-            }
-        }
+        self.depth.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Current queue depth (admitted, not yet started executing).
@@ -172,12 +127,6 @@ impl AdmissionController {
     /// The constraint-widening multiplier.
     pub fn widen_factor(&self) -> f64 {
         self.cfg.widen_factor
-    }
-
-    /// The attached fetch pool's current thread target, when a pool was
-    /// attached — the *actual* live size, reflecting any burst resizing.
-    pub fn pool_threads(&self) -> Option<usize> {
-        self.pool.lock().as_ref().map(|(pool, _)| pool.threads())
     }
 }
 
@@ -224,24 +173,5 @@ mod tests {
         }
         assert_eq!(c.depth(), 0);
         assert_eq!(c.admit().unwrap(), Admission::Normal);
-    }
-
-    #[test]
-    fn pool_boosts_over_watermark_and_falls_back_when_drained() {
-        let pool = FetchPool::new(2);
-        let c = AdmissionController::new(AdmissionConfig {
-            widen_watermark: 1,
-            burst_pool_threads: 6,
-            ..AdmissionConfig::default()
-        });
-        c.attach_pool(pool.clone(), 2);
-        assert_eq!(c.admit().unwrap(), Admission::Normal);
-        assert_eq!(pool.threads(), 2, "below watermark: untouched");
-        assert_eq!(c.admit().unwrap(), Admission::Widened);
-        assert_eq!(pool.threads(), 6, "over watermark: boosted");
-        c.dequeued();
-        assert_eq!(pool.threads(), 6, "still queued: stays boosted");
-        c.dequeued();
-        assert_eq!(pool.threads(), 2, "drained: back to base");
     }
 }

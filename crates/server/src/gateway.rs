@@ -52,9 +52,9 @@ use trapp_types::{CacheId, ObjectId, SourceId, TrappError};
 
 use crate::health::HealthTracker;
 
-/// Default for how long an awaiting fetch waits for the in-flight owner
-/// before giving up (a liveness backstop, not a correctness lever).
-pub(crate) const DEFAULT_AWAIT_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long an awaiting fetch waits for the in-flight owner before giving
+/// up with a typed timeout (a liveness backstop, not a correctness lever).
+pub(crate) const AWAIT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Per-round-trip fault-tolerance policy: how long one refresh round-trip
 /// may take, and how many times (with jittered exponential backoff) it is
@@ -258,8 +258,6 @@ pub struct RefreshGateway<T> {
     done: Condvar,
     coalesced: AtomicU64,
     forwarded: AtomicU64,
-    /// How long to wait for another query's in-flight fetch.
-    await_timeout: Duration,
     /// Per-round-trip deadline/retry policy.
     retry: RetryPolicy,
     /// Per-source circuit breaker fed by final round-trip outcomes.
@@ -272,7 +270,7 @@ pub struct RefreshGateway<T> {
 }
 
 impl<T: Transport> RefreshGateway<T> {
-    /// Wraps `inner` with default await/retry policies and a private
+    /// Wraps `inner` with the default retry policy and a private
     /// health tracker; `enabled = false` turns the gateway into a pure
     /// pass-through.
     // `enabled` is pinned by `benchmark/src/probes/gateway.rs`; drop with
@@ -282,18 +280,16 @@ impl<T: Transport> RefreshGateway<T> {
             enabled,
             ..RefreshGateway::with_policy(
                 inner,
-                DEFAULT_AWAIT_TIMEOUT,
                 RetryPolicy::default(),
                 Arc::new(HealthTracker::default()),
             )
         }
     }
 
-    /// Wraps `inner` with explicit await-timeout, retry, and health
-    /// wiring — the service layer's constructor.
+    /// Wraps `inner` with explicit retry and health wiring — the service
+    /// layer's constructor.
     pub(crate) fn with_policy(
         inner: T,
-        await_timeout: Duration,
         retry: RetryPolicy,
         health: Arc<HealthTracker>,
     ) -> RefreshGateway<T> {
@@ -304,7 +300,6 @@ impl<T: Transport> RefreshGateway<T> {
             done: Condvar::new(),
             coalesced: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),
-            await_timeout,
             retry,
             health,
             attempt_salt: AtomicU64::new(0),
@@ -513,9 +508,9 @@ impl<T: Transport> RefreshGateway<T> {
                 let await_cap = deadline
                     .map(|d| {
                         d.saturating_duration_since(Instant::now())
-                            .min(self.await_timeout)
+                            .min(AWAIT_TIMEOUT)
                     })
-                    .unwrap_or(self.await_timeout);
+                    .unwrap_or(AWAIT_TIMEOUT);
                 match self.await_done(cache, now, object, await_cap) {
                     AwaitResult::Done(refresh) => {
                         out.push(refresh);
@@ -1042,12 +1037,7 @@ mod tests {
             max_retries: 0,
             ..RetryPolicy::default()
         };
-        let g = RefreshGateway::with_policy(
-            chaos,
-            DEFAULT_AWAIT_TIMEOUT,
-            no_retry,
-            Arc::new(HealthTracker::default()),
-        );
+        let g = RefreshGateway::with_policy(chaos, no_retry, Arc::new(HealthTracker::default()));
 
         // The owner claims object 1; the waiter finds it in flight.
         let owner = g.begin_fetch(CACHE, 1.0, &plan(&[1]), None);

@@ -33,7 +33,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use trapp_expr::{BinaryOp, ColumnRef, Expr};
@@ -154,7 +153,6 @@ impl Shard {
         cache: CacheNode,
         transport: Box<dyn Transport>,
         to_global: TidMap<TupleId>,
-        await_timeout: Duration,
         retry: RetryPolicy,
         health_cfg: HealthConfig,
     ) -> Shard {
@@ -163,7 +161,7 @@ impl Shard {
             cache_id: cache.id(),
             cache: Mutex::new(cache),
             snapshots: AnswerSnapshots::default(),
-            gateway: RefreshGateway::with_policy(transport, await_timeout, retry, health.clone()),
+            gateway: RefreshGateway::with_policy(transport, retry, health.clone()),
             health,
             to_global,
             view_tuples_classified: AtomicU64::new(0),

@@ -75,7 +75,7 @@ use trapp_types::{
 };
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
-use crate::gateway::{RetryPolicy, DEFAULT_AWAIT_TIMEOUT};
+use crate::gateway::RetryPolicy;
 use crate::health::HealthConfig;
 use crate::router::{Shard, ShardRouter, TidMap};
 
@@ -98,9 +98,6 @@ pub struct ServiceConfig {
     /// Per-round-trip deadline / retry / backoff policy applied by every
     /// shard's gateway.
     pub retry: RetryPolicy,
-    /// How long a query waits for another query's in-flight fetch of the
-    /// same object before reporting a typed timeout.
-    pub gateway_await_timeout: Duration,
     /// Per-source circuit-breaker tuning.
     pub health: HealthConfig,
     /// Admission-control watermarks — the widen/shed ladder applied at
@@ -117,7 +114,6 @@ impl Default for ServiceConfig {
             shards: 1,
             degradation: DegradationPolicy::default(),
             retry: RetryPolicy::default(),
-            gateway_await_timeout: DEFAULT_AWAIT_TIMEOUT,
             health: HealthConfig::default(),
             admission: AdmissionConfig::default(),
         }
@@ -260,9 +256,6 @@ pub struct ServiceStats {
     /// Live queue depth at the moment of the snapshot (admitted, not yet
     /// started executing).
     pub queue_depth: u64,
-    /// The shared fetch pool's *actual* current thread count (reflects
-    /// burst resizing); `0` when the service has no resizable pool.
-    pub fetch_pool_threads: u64,
     /// Total time queries spent between admission and the start of their
     /// execution (waiting for a permit), µs.
     pub queue_wait_us: u64,
@@ -460,22 +453,14 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Starts a service over an assembled router. `pool` is the shared
-    /// resizable fetch pool plus its
-    /// build-time base size, when the service was built over a completion
-    /// transport — the admission controller resizes it live under queue
-    /// pressure.
+    /// Starts a service over an assembled router.
     fn start_router(
         router: ShardRouter,
         clock: SimClock,
         config: ServiceConfig,
         chaos: Option<Arc<ChaosControl>>,
-        pool: Option<(FetchPool, usize)>,
     ) -> QueryService {
         let admission = Arc::new(AdmissionController::new(config.admission));
-        if let Some((pool, base)) = pool {
-            admission.attach_pool(pool, base);
-        }
         let core = ServiceCore {
             router,
             clock,
@@ -689,7 +674,6 @@ impl QueryService {
             s.view_items_repartitioned += shard.view_items_repartitioned.load(Ordering::Relaxed);
         }
         s.queue_depth = self.core.admission.depth();
-        s.fetch_pool_threads = self.core.admission.pool_threads().unwrap_or(0) as u64;
         s.admission_widened = self.core.admission.widened();
         s.admission_rejected = self.core.admission.rejected();
         s
@@ -884,23 +868,22 @@ impl ServiceBuilder {
 
     /// Builds over the synchronous [`DirectTransport`] (one per shard).
     pub fn build_direct(self) -> Result<QueryService, TrappError> {
-        self.build_with(
-            |sources| {
-                let mut transport = DirectTransport::new();
-                for source in sources {
-                    transport.add_source(source);
-                }
-                Box::new(transport) as Box<dyn Transport>
-            },
-            None,
-        )
+        self.build_with(|sources| {
+            let mut transport = DirectTransport::new();
+            for source in sources {
+                transport.add_source(source);
+            }
+            Box::new(transport) as Box<dyn Transport>
+        })
     }
 
     /// Builds over the completion-based [`CompletionTransport`]: one
     /// **service-wide** [`FetchPool`] of `pool_threads` demux threads
     /// multiplexes every shard's sources, so total transport threads are
-    /// `O(pool_threads)` — independent of the source × shard count.
-    /// `latency` is the simulated one-way
+    /// `O(pool_threads)` — independent of the source × shard count. The
+    /// pool keeps its build-time size for the service's life: overload is
+    /// met by the admission ladder's wider `WITHIN`, not by more fetch
+    /// threads. `latency` is the simulated one-way
     /// wire time per refresh round-trip (held on a timer, not a sleeping
     /// thread).
     ///
@@ -919,27 +902,20 @@ impl ServiceBuilder {
             .into()
             .unwrap_or_else(|| default_fetch_pool_size(self.config.shards));
         let pool = FetchPool::new(pool_threads);
-        let pool_handle = pool.clone();
-        self.build_with(
-            move |sources| {
-                let mut transport = CompletionTransport::new(latency, pool.clone());
-                for source in sources {
-                    transport.add_source(source);
-                }
-                Box::new(transport) as Box<dyn Transport>
-            },
-            Some((pool_handle, pool_threads)),
-        )
+        self.build_with(move |sources| {
+            let mut transport = CompletionTransport::new(latency, pool.clone());
+            for source in sources {
+                transport.add_source(source);
+            }
+            Box::new(transport) as Box<dyn Transport>
+        })
     }
 
     /// Shared build: wire the shards, wrap each one's sources in a
-    /// transport, assemble the router, start the workers. `pool` hands
-    /// the resizable fetch pool (plus its base size) to the admission
-    /// controller for live burst resizing.
+    /// transport, assemble the router, start the service.
     fn build_with(
         self,
         mut make_transport: impl FnMut(Vec<Source>) -> Box<dyn Transport>,
-        pool: Option<(FetchPool, usize)>,
     ) -> Result<QueryService, TrappError> {
         let config = self.config;
         let partition_column = self.partition_by.clone();
@@ -961,7 +937,6 @@ impl ServiceBuilder {
                 cache,
                 transport,
                 w.to_global,
-                config.gateway_await_timeout,
                 config.retry,
                 config.health,
             ));
@@ -972,7 +947,6 @@ impl ServiceBuilder {
             clock,
             config,
             chaos_control,
-            pool,
         ))
     }
 

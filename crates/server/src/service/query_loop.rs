@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
 
-use trapp_core::executor::{drive_rounds, Rounds};
+use trapp_core::executor::{drive_rounds, Rounds, MAX_REFRESH_ROUNDS};
 use trapp_core::plan::{bind_query, BoundQuery, QuerySource};
 use trapp_core::query_plan::{
     assemble_units, plan_join_round, plan_unit, Attribution, Exclusions, FetchPlan, QueryOutcome,
@@ -119,7 +119,7 @@ impl ServiceCore {
         let outcome = trapp_sql::parse_query(&job.sql).and_then(|query| {
             let mut run = QueryRun::new(self, &mut ctx, query, job);
             run.start()?;
-            let outcome = drive_rounds(&mut run, SessionConfig::default().max_refresh_rounds)?;
+            let outcome = drive_rounds(&mut run, MAX_REFRESH_ROUNDS)?;
             run.answer(outcome)
         });
         let exec_time = started.elapsed();
@@ -488,8 +488,8 @@ type SourceBatches = Vec<(SourceId, Vec<ObjectId>)>;
 ///
 /// Plan takes the shard lock(s), fetch none, install the lock(s) again.
 /// A round that lost a source does not count against the loop's budget;
-/// [`MAX_FAULT_ROUNDS`] caps those. Heuristic rounds are budgeted by the
-/// default [`SessionConfig`], which every shard's session is built with.
+/// [`MAX_FAULT_ROUNDS`] caps those. Heuristic rounds are budgeted by
+/// [`MAX_REFRESH_ROUNDS`].
 struct QueryRun<'a> {
     core: &'a ServiceCore,
     ctx: &'a mut QueryCtx,
@@ -906,6 +906,7 @@ mod tests {
     use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, TrappError, Value, ValueType};
 
     use crate::admission::AdmissionConfig;
+    use crate::gateway::AWAIT_TIMEOUT;
     use crate::service::{QueryService, ServiceBuilder, ServiceConfig};
 
     /// The SQL text at which `run_query` panics, before it takes any shard
@@ -993,16 +994,13 @@ mod tests {
             builder = builder.row("metrics", SourceId::new(source), cells);
         }
         builder
-            .build_with(
-                |sources| {
-                    let mut inner = DirectTransport::new();
-                    for source in sources {
-                        inner.add_source(source);
-                    }
-                    wrap(inner)
-                },
-                None,
-            )
+            .build_with(|sources| {
+                let mut inner = DirectTransport::new();
+                for source in sources {
+                    inner.add_source(source);
+                }
+                wrap(inner)
+            })
             .unwrap()
     }
 
@@ -1248,11 +1246,9 @@ mod tests {
     /// timeout.
     #[test]
     fn a_panic_after_the_gateway_claim_releases_it() {
-        let await_timeout = Duration::from_secs(5);
         let service = metrics_service(
             ServiceConfig {
                 workers: 1,
-                gateway_await_timeout: await_timeout,
                 ..ServiceConfig::default()
             },
             &[(1, 1, 10.0), (1, 1, 20.0)],
@@ -1274,7 +1270,7 @@ mod tests {
         let started = Instant::now();
         exact_sum(service.query(exact), 30.0);
         assert!(
-            started.elapsed() < await_timeout / 5,
+            started.elapsed() < AWAIT_TIMEOUT / 5,
             "the second query waited {:?} on a stranded claim",
             started.elapsed()
         );

@@ -61,7 +61,6 @@ fn builder(degradation: DegradationPolicy, admission: AdmissionConfig) -> Servic
                 cooldown: Duration::from_secs(3600),
             },
             admission,
-            ..ServiceConfig::default()
         })
         .partition_by("grp")
         .table(metrics_table());

@@ -1,7 +1,9 @@
 //! The shared fetch pool: a small, fixed set of demux threads that
 //! multiplexes *any* number of actors (source mailboxes) over completion
 //! queues — the execution substrate of
-//! [`CompletionTransport`](crate::transport::CompletionTransport).
+//! [`CompletionTransport`](crate::transport::CompletionTransport). The
+//! workers are spawned once, by [`FetchPool::new`], and live until the
+//! last clone of the pool drops.
 //!
 //! A thread per source would make fan-out scale with topology size, not
 //! with hardware. The pool inverts that: every actor owns only a FIFO job
@@ -29,7 +31,7 @@
 //! preserve per-actor FIFO.
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -154,53 +156,15 @@ fn timer_loop(shared: &PoolShared) {
 
 struct PoolCore {
     shared: Arc<PoolShared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    timer_thread: Mutex<Option<JoinHandle<()>>>,
-    /// The receiving end of the ready channel, kept so
-    /// [`FetchPool::resize`] can spawn additional workers after startup.
-    ready_rx: Receiver<Arc<ActorQueue>>,
-    /// Configured worker count; workers retire when `live` exceeds it.
-    target: Arc<AtomicUsize>,
-    /// Workers currently alive (spawned and not yet retired/joined).
-    live: Arc<AtomicUsize>,
-    /// Monotonic spawn counter, for worker thread names.
-    spawned: AtomicUsize,
-}
-
-/// Claims a retirement slot: true when the live worker count exceeds the
-/// target and this worker successfully decremented it (and must exit).
-fn should_retire(live: &AtomicUsize, target: &AtomicUsize) -> bool {
-    loop {
-        let l = live.load(Ordering::SeqCst);
-        if l <= target.load(Ordering::SeqCst) {
-            return false;
-        }
-        if live
-            .compare_exchange(l, l - 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return true;
-        }
-    }
+    workers: Vec<JoinHandle<()>>,
+    timer_thread: Option<JoinHandle<()>>,
 }
 
 /// One demux worker: serves ready actors until the channel closes
-/// (shutdown) or the pool shrinks below the live count. The retire check
-/// runs *after* each served actor, so a received actor is never dropped.
-fn worker_loop(rx: Receiver<Arc<ActorQueue>>, live: Arc<AtomicUsize>, target: Arc<AtomicUsize>) {
-    loop {
-        match rx.recv() {
-            Ok(actor) => {
-                run_actor(&actor);
-                if should_retire(&live, &target) {
-                    return;
-                }
-            }
-            Err(_) => {
-                live.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-        }
+/// (shutdown).
+fn worker_loop(rx: &Receiver<Arc<ActorQueue>>) {
+    while let Ok(actor) = rx.recv() {
+        run_actor(&actor);
     }
 }
 
@@ -217,7 +181,7 @@ impl Drop for PoolCore {
             q.shutdown = true;
         }
         self.shared.timer_wake.notify_all();
-        if let Some(handle) = self.timer_thread.lock().take() {
+        if let Some(handle) = self.timer_thread.take() {
             let _ = handle.join();
         }
         // 2. With the timer quiesced, flush every still-delayed job into
@@ -236,7 +200,7 @@ impl Drop for PoolCore {
         // 3. Close the ready channel — workers drain whatever was
         //    dispatched, then exit — and join them.
         *self.shared.ready.lock() = None;
-        for handle in self.workers.lock().drain(..) {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -254,7 +218,6 @@ impl FetchPool {
     /// Starts a pool with `threads` demux workers (clamped to ≥ 1) plus
     /// one timer thread for delayed submissions.
     pub fn new(threads: usize) -> FetchPool {
-        let demux_threads = threads.max(1);
         let (tx, rx) = unbounded::<Arc<ActorQueue>>();
         let shared = Arc::new(PoolShared {
             ready: Mutex::new(Some(tx)),
@@ -262,79 +225,29 @@ impl FetchPool {
             timer_wake: Condvar::new(),
         });
         let timer_shared = shared.clone();
-        // A pool without its timer never fires a delayed submission.
+        // A pool without its timer never fires a delayed submission, and a
+        // pool with no worker never runs an accepted job.
         #[allow(clippy::expect_used)]
         let timer_thread = std::thread::Builder::new()
             .name("trapp-fetch-timer".into())
             .spawn(move || timer_loop(&timer_shared))
             .expect("spawn fetch-pool timer");
-        let pool = FetchPool {
-            core: Arc::new(PoolCore {
-                shared,
-                workers: Mutex::new(Vec::with_capacity(demux_threads)),
-                timer_thread: Mutex::new(Some(timer_thread)),
-                ready_rx: rx,
-                target: Arc::new(AtomicUsize::new(0)),
-                live: Arc::new(AtomicUsize::new(0)),
-                spawned: AtomicUsize::new(0),
-            }),
-        };
-        pool.resize(demux_threads);
-        pool
-    }
-
-    /// Number of demux worker threads the pool is configured for (the
-    /// timer thread is extra). After a shrinking [`FetchPool::resize`]
-    /// this is the *target*; surplus workers retire as work flows.
-    pub fn threads(&self) -> usize {
-        self.core.target.load(Ordering::SeqCst)
-    }
-
-    /// Demux workers currently alive. Equals [`FetchPool::threads`] except
-    /// transiently after a shrink, when surplus workers are still draining
-    /// toward retirement.
-    pub fn live_threads(&self) -> usize {
-        self.core.live.load(Ordering::SeqCst)
-    }
-
-    /// Resizes the pool to `threads` demux workers (clamped to ≥ 1), live.
-    /// Growth spawns workers immediately; shrinking is lazy — each surplus
-    /// worker retires after finishing its current actor, so no accepted
-    /// job is ever dropped and nothing blocks. Driving this from a load
-    /// signal (queue depth, fetch latency) is how the service adapts its
-    /// fetch parallelism to demand.
-    pub fn resize(&self, threads: usize) {
-        let want = threads.max(1);
-        self.core.target.store(want, Ordering::SeqCst);
-        let mut workers = self.core.workers.lock();
-        // Prune handles of already-retired workers so repeated resizes
-        // don't accumulate dead JoinHandles.
-        workers.retain(|h| !h.is_finished());
-        loop {
-            let l = self.core.live.load(Ordering::SeqCst);
-            if l >= want {
-                break;
-            }
-            if self
-                .core
-                .live
-                .compare_exchange(l, l + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                continue;
-            }
-            let rx = self.core.ready_rx.clone();
-            let live = self.core.live.clone();
-            let target = self.core.target.clone();
-            let id = self.core.spawned.fetch_add(1, Ordering::SeqCst);
-            // A pool with no worker never runs an accepted job.
-            #[allow(clippy::expect_used)]
-            workers.push(
+        #[allow(clippy::expect_used)]
+        let workers = (0..threads.max(1))
+            .map(|id| {
+                let rx = rx.clone();
                 std::thread::Builder::new()
                     .name(format!("trapp-fetch-{id}"))
-                    .spawn(move || worker_loop(rx, live, target))
-                    .expect("spawn fetch-pool worker"),
-            );
+                    .spawn(move || worker_loop(&rx))
+                    .expect("spawn fetch-pool worker")
+            })
+            .collect();
+        FetchPool {
+            core: Arc::new(PoolCore {
+                shared,
+                workers,
+                timer_thread: Some(timer_thread),
+            }),
         }
     }
 
@@ -451,49 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn resize_grows_and_shrinks_without_losing_jobs() {
-        let pool = FetchPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.live_threads(), 1);
-
-        // Grow: new workers spawn immediately.
-        pool.resize(4);
-        assert_eq!(pool.threads(), 4);
-        assert_eq!(pool.live_threads(), 4);
-
-        // Work flows through the grown pool.
-        let ran = Arc::new(AtomicUsize::new(0));
-        let actors: Vec<ActorHandle> = (0..8).map(|_| pool.register()).collect();
-        for actor in &actors {
-            for _ in 0..16 {
-                let r = ran.clone();
-                actor.submit(move || {
-                    r.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        }
-
-        // Shrink: target drops at once; surplus workers retire as they
-        // finish actors, and every accepted job still runs.
-        pool.resize(2);
-        assert_eq!(pool.threads(), 2);
-        for actor in &actors {
-            for _ in 0..16 {
-                let r = ran.clone();
-                actor.submit(move || {
-                    r.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        }
-        drop(pool);
-        assert_eq!(ran.load(Ordering::SeqCst), 8 * 32);
-    }
-
-    #[test]
-    fn resize_clamps_to_one_worker() {
-        let pool = FetchPool::new(2);
-        pool.resize(0);
-        assert_eq!(pool.threads(), 1);
+    fn new_clamps_zero_threads_to_one_worker() {
+        let pool = FetchPool::new(0);
+        assert_eq!(pool.core.workers.len(), 1);
         let ran = Arc::new(AtomicUsize::new(0));
         let a = pool.register();
         let r = ran.clone();

@@ -380,11 +380,6 @@ impl CompletionTransport {
         CompletionTransport::new(latency, FetchPool::new(threads))
     }
 
-    /// The pool this transport submits to.
-    pub fn pool(&self) -> &FetchPool {
-        &self.pool
-    }
-
     /// Registers a source as a pool actor, returning the shared handle for
     /// driver-side inspection (like [`DirectTransport::add_source`]).
     pub fn add_source(&mut self, source: Source) -> Arc<Mutex<Source>> {

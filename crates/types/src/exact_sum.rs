@@ -153,6 +153,14 @@ impl ExactSum {
 
     /// The exact sum, rounded once to the nearest `f64` (ties to even).
     pub fn read(&self) -> f64 {
+        self.read_scaled(0)
+    }
+
+    /// The exact sum times `2^(−32·chunks)`, rounded once: the
+    /// accumulator read `chunks` whole chunks down. One chunk down, any sum
+    /// of fewer than 2³² finite terms reads finite, so a sum that reads
+    /// `±∞` can still be divided.
+    pub fn read_scaled(&self, chunks: u32) -> f64 {
         if self.nan || (self.pos_inf && self.neg_inf) {
             return f64::NAN;
         }
@@ -196,9 +204,13 @@ impl ExactSum {
             | h.checked_sub(2).map_or(0, digit);
         let below = h.saturating_sub(2);
         let sticky = c[lo.min(below)..below].iter().any(|&x| x != 0);
-        let base = 32 * (h as i64 - 2) - 1074;
+        let base = 32 * (h as i64 - 2 - i64::from(chunks)) - 1074;
         let msb = base + (127 - top.leading_zeros() as i64);
         let mut lsb = (msb - 52).max(-1074);
+        // Read far enough down, the sum is under half the least subnormal.
+        if lsb - base >= 128 {
+            return if negative { -0.0 } else { 0.0 };
+        }
         let shift = (lsb - base) as u32;
         let mut mant = (top >> shift) as u64;
         let rem = top & ((1 << shift) - 1);
@@ -248,6 +260,35 @@ mod tests {
 
     fn sum(terms: &[f64]) -> f64 {
         terms.iter().copied().collect::<ExactSum>().read()
+    }
+
+    #[test]
+    fn a_scaled_read_is_the_sum_rounded_once_a_chunk_down() {
+        let scale = 2f64.powi(-32);
+        let huge: ExactSum = [1e308, 1e308].into_iter().collect();
+        assert_eq!(huge.read(), f64::INFINITY);
+        assert_eq!(huge.read_scaled(1), 1e308 * scale * 2.0);
+        let neg: ExactSum = [-1e308, -1e308, -1e308].into_iter().collect();
+        assert_eq!(neg.read_scaled(1), -1e308 * scale * 3.0);
+        for terms in [
+            &[1.5, 2.25, -0.75][..],
+            &[1e16, 1.0, -1e16, 1.0],
+            &[0.1, 0.2, 0.3],
+        ] {
+            let s: ExactSum = terms.iter().copied().collect();
+            assert_eq!(s.read_scaled(0).to_bits(), s.read().to_bits());
+            assert_eq!(s.read_scaled(1), s.read() * scale);
+            assert_eq!(s.read_scaled(2), s.read() * scale * scale);
+        }
+        // Past the least subnormal a scaled read rounds to a signed zero.
+        let tiny: ExactSum = [f64::from_bits(1)].into_iter().collect();
+        let neg_tiny: ExactSum = [-f64::from_bits(1)].into_iter().collect();
+        for chunks in [1, 3, u32::MAX] {
+            assert_eq!(tiny.read_scaled(chunks).to_bits(), 0f64.to_bits());
+            assert_eq!(neg_tiny.read_scaled(chunks).to_bits(), (-0f64).to_bits());
+        }
+        let inf: ExactSum = [f64::INFINITY, 1.0].into_iter().collect();
+        assert_eq!(inf.read_scaled(1), f64::INFINITY);
     }
 
     #[test]
